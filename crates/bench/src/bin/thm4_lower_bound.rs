@@ -12,8 +12,9 @@
 //! — and they do, by a wide quadratic margin.
 
 use validity_adversary::break_leader_echo;
-use validity_bench::{fit_exponent, runs::universal_e_base, Table};
+use validity_bench::{runs::universal_e_base, Table};
 use validity_core::{LambdaFn, StrongLambda, SystemParams};
+use validity_lab::fit::fit_exponent;
 
 fn main() {
     println!("=== Theorem 4: the Ω(t²) message floor ===\n");

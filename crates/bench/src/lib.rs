@@ -18,9 +18,8 @@
 //! | `ablation_schedules` | schedule-insensitivity of the measurements |
 //!
 //! The library half provides the shared machinery: protocol runners
-//! ([`runs`]) and ASCII tables ([`table`]). Power-law fitting moved to
-//! `validity_lab::fit` — sweep reports carry fit sections now — and is
-//! re-exported here under its historical paths.
+//! ([`runs`]) and ASCII tables ([`table`]). Power-law fitting lives in
+//! `validity_lab::fit` — sweep reports carry fit sections.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,5 +32,3 @@ pub use runs::{
     run_vector_fast, run_vector_nonauth, RunStats,
 };
 pub use table::Table;
-pub use validity_lab::fit;
-pub use validity_lab::fit::{fit_exponent, try_fit_exponent, PowerFit};

@@ -29,10 +29,12 @@
 //! lab perf --bench BENCH_simnet.json --update-baseline
 //! ```
 
+use std::ops::Range;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use validity_adversary::BehaviorId;
+use validity_lab::flags::{self, Command};
 use validity_lab::json::Json;
 use validity_lab::perf::{
     compare_service, compare_simnet, ServiceBench, SimnetBench, SERVICE_BENCH_SCHEMA,
@@ -40,21 +42,26 @@ use validity_lab::perf::{
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
     compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, profile_markdown,
-    run_crosscheck, run_mutate, run_service, suites, timeline_for, AgreementLevel,
-    CrosscheckMatrix, CrosscheckTiming, FitAxis, FitMeasure, MutateMatrix, PartialReport,
-    ProtocolAxis, SamplingSpec, ScenarioMatrix, ScheduleSpec, ServiceMatrix, ServiceTiming,
-    ShardSpec, SweepEngine, SweepReport, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA,
-    PARTIAL_SCHEMA_V1, REPORT_SCHEMA,
+    run_crosscheck, run_mutate, run_service, slowest_first_markdown, suites, timeline_for,
+    timing_markdown, AgreementLevel, CrosscheckMatrix, FitAxis, FitMeasure, MutateMatrix,
+    PartialReport, ProtocolAxis, SamplingSpec, ScenarioMatrix, ScheduleSpec, ServiceMatrix,
+    ShardSpec, SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, PARTIAL_SCHEMA_V1,
+    REPORT_SCHEMA,
 };
 use validity_protocols::{vector_registry, MutationOp};
+use validity_simnet::Timeline;
+
+/// What a subcommand hands back: its exit code, or a one-line diagnostic
+/// `main` prints before exiting with failure.
+type CmdResult = Result<ExitCode, String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
-    match strs.split_first() {
+    let outcome = match strs.split_first() {
         Some((&"list", rest)) => {
             list(rest.contains(&"--names"));
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some((&"run", rest)) => run(rest),
         Some((&"service", rest)) => service_cmd(rest),
@@ -65,39 +72,41 @@ fn main() -> ExitCode {
         Some((&"trend", rest)) => trend(rest),
         Some((&"profile", rest)) => profile(rest),
         Some((&"perf", rest)) => perf(rest),
-        _ => {
-            eprintln!(
-                "usage: lab <list | run | service | crosscheck | mutate | merge | diff | trend | profile | perf> ...\n\n\
-                 lab list [--names]\n\
-                 lab run --suite <name> [--threads N] [--json FILE] [--md FILE]\n\
-                 \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
-                 \x20        [--adaptive] [--precision X] [--batch N] [--max-seeds N]\n\
-                 lab run --protocols P,.. --validities V,.. --behaviors B,..\n\
-                 \x20        --schedules S,.. --systems n,t;n,t --faults 0,max --seeds a..b\n\
-                 \x20        [--fits messages,words,latency] [--fit-axis n|t|domain]\n\
-                 \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
-                 \x20        [--adaptive] [--precision X] [--batch N] [--max-seeds N]\n\
-                 lab service [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
-                 \x20        [--slots N] [--pipelines 1,2,..] [--batches 1,8,..]\n\
-                 \x20        [--dry-run] [--timing]\n\
-                 lab crosscheck [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
-                 \x20        [--max-steps N] [--chaos | --adaptive] [--dry-run] [--timing]\n\
-                 lab mutate [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
-                 \x20        [--max-steps N] [--operators a,b,..] [--dry-run]\n\
-                 lab merge <partial.json>... [--json FILE] [--md FILE]\n\
-                 lab diff <a.json> <b.json>\n\
-                 lab trend [--suites a,b,.. | --from-reports a.json,b.json]\n\
-                 \x20        [--threads N] [--out FILE] [--baseline FILE] [--tolerance X]\n\
-                 \x20        [--update-baseline]\n\
-                 lab profile --suite <name> [--threads N] [--top K] [--out FILE]\n\
-                 \x20        [--timeline BASE] [--cell LABEL]\n\
-                 lab perf [--bench FILE] [--baseline FILE] [--tolerance X]\n\
-                 \x20        [--update-baseline]"
-            );
-            ExitCode::FAILURE
-        }
-    }
+        _ => Err(USAGE.to_string()),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }
+
+const USAGE: &str = "\
+    usage: lab <list | run | service | crosscheck | mutate | merge | diff | trend | profile | perf> ...\n\n\
+    lab list [--names]\n\
+    lab run --suite <name> [--threads N] [--json FILE] [--md FILE]\n\
+    \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
+    \x20        [--adaptive] [--precision X] [--batch N] [--max-seeds N]\n\
+    lab run --protocols P,.. --validities V,.. --behaviors B,..\n\
+    \x20        --schedules S,.. --systems n,t;n,t --faults 0,max --seeds a..b\n\
+    \x20        [--fits messages,words,latency] [--fit-axis n|t|domain]\n\
+    \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
+    \x20        [--adaptive] [--precision X] [--batch N] [--max-seeds N]\n\
+    lab service [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
+    \x20        [--slots N] [--pipelines 1,2,..] [--batches 1,8,..]\n\
+    \x20        [--dry-run] [--timing]\n\
+    lab crosscheck [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
+    \x20        [--max-steps N] [--chaos | --adaptive] [--dry-run] [--timing]\n\
+    lab mutate [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
+    \x20        [--max-steps N] [--operators a,b,..] [--dry-run]\n\
+    lab merge <partial.json>... [--json FILE] [--md FILE]\n\
+    lab diff <a.json> <b.json>\n\
+    lab trend [--suites a,b,.. | --from-reports a.json,b.json]\n\
+    \x20        [--threads N] [--out FILE] [--baseline FILE] [--tolerance X]\n\
+    \x20        [--update-baseline]\n\
+    lab profile --suite <name> [--threads N] [--top K] [--out FILE]\n\
+    \x20        [--timeline BASE] [--cell LABEL]\n\
+    lab perf [--bench FILE] [--baseline FILE] [--tolerance X]\n\
+    \x20        [--update-baseline]";
 
 /// Suites the CLI runs outside the [`ScenarioMatrix`] engine; `lab run
 /// --suite <name>` delegates them to their own drivers.
@@ -168,65 +177,167 @@ fn list(names_only: bool) {
     }
 }
 
-/// Every value-taking flag `lab run` understands.
-const RUN_FLAGS: [&str; 18] = [
-    "--suite",
-    "--threads",
-    "--json",
-    "--md",
-    "--protocols",
-    "--validities",
-    "--behaviors",
-    "--schedules",
-    "--systems",
-    "--faults",
-    "--seeds",
-    "--fits",
-    "--fit-axis",
-    "--max-steps",
-    "--shard",
-    "--precision",
-    "--batch",
-    "--max-seeds",
-];
-
-/// Flags that take no value.
-const RUN_SWITCHES: [&str; 4] = ["--dry-run", "--adaptive", "--timing", "--observe"];
-
-/// Rejects misspelled or unknown options instead of silently falling back
-/// to defaults (a sweep that quietly measures the wrong scenario is worse
-/// than an error).
-fn check_flags(rest: &[&str]) -> Result<(), String> {
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i];
-        if arg.starts_with("--") {
-            if RUN_SWITCHES.contains(&arg) {
-                i += 1;
-                continue;
-            }
-            if !RUN_FLAGS.contains(&arg) {
-                return Err(format!(
-                    "unknown option '{arg}'; known: {} {}",
-                    RUN_FLAGS.join(" "),
-                    RUN_SWITCHES.join(" ")
-                ));
-            }
-            if i + 1 >= rest.len() {
-                return Err(format!("option '{arg}' wants a value"));
-            }
-            i += 2;
-        } else {
-            return Err(format!("unexpected argument '{arg}'"));
-        }
-    }
-    Ok(())
+/// One subcommand's argv, validated against the flag table
+/// ([`validity_lab::flags`]): every flag is known to the command, not refused
+/// by it, given at most once, and followed by its value when it takes one.
+struct Args<'a> {
+    given: Vec<(&'static str, &'a str)>,
 }
 
-fn opt_value<'a>(rest: &'a [&'a str], flag: &str) -> Option<&'a str> {
+impl<'a> Args<'a> {
+    /// Rejects misspelled, refused or repeated options instead of silently
+    /// falling back to defaults (a sweep that quietly measures the wrong
+    /// scenario is worse than an error).
+    fn parse(command: Command, argv: &[&'a str]) -> Result<Args<'a>, String> {
+        let mut given: Vec<(&'static str, &'a str)> = Vec::new();
+        let mut rest = argv.iter();
+        while let Some(&arg) = rest.next() {
+            if !arg.starts_with("--") {
+                return Err(format!("unexpected argument '{arg}'"));
+            }
+            let flag = flags::find(arg);
+            if let Some(why) = flag.and_then(|f| f.refusal(command)) {
+                return Err(format!(
+                    "{arg} is not available with `{}`: {why}",
+                    command.invocation()
+                ));
+            }
+            let Some(flag) = flag.filter(|f| f.accepted.contains(&command)) else {
+                let known: Vec<&str> = flags::accepted_by(command).map(|f| f.name).collect();
+                return Err(format!(
+                    "unknown option '{arg}'; known: {}",
+                    known.join(" ")
+                ));
+            };
+            if given.iter().any(|(name, _)| *name == flag.name) {
+                return Err(format!("option '{arg}' given more than once"));
+            }
+            let value = if flag.takes_value {
+                *rest
+                    .next()
+                    .ok_or_else(|| format!("option '{arg}' wants a value"))?
+            } else {
+                ""
+            };
+            given.push((flag.name, value));
+        }
+        Ok(Args { given })
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(name, _)| *name == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.given
+            .iter()
+            .find(|(name, _)| *name == flag)
+            .map(|(_, value)| *value)
+    }
+
+    /// `--threads N` (default 0: one worker per core).
+    fn threads(&self) -> Result<usize, String> {
+        self.value("--threads").map_or(Ok(0), |n| {
+            n.parse()
+                .map_err(|_| "--threads wants a number".to_string())
+        })
+    }
+
+    /// `--seeds a..b`. An empty or reversed range is refused: it would
+    /// enumerate no cells, and a zero-cell report passes every gate
+    /// vacuously.
+    fn seeds(&self) -> Result<Option<Range<u64>>, String> {
+        let Some(text) = self.value("--seeds") else {
+            return Ok(None);
+        };
+        let range = text
+            .split_once("..")
+            .and_then(|(lo, hi)| Some(lo.parse::<u64>().ok()?..hi.parse::<u64>().ok()?))
+            .ok_or_else(|| format!("bad seed range: '{text}' (want a..b)"))?;
+        if range.is_empty() {
+            return Err(format!(
+                "--seeds {text} is an empty range: want a..b with a < b"
+            ));
+        }
+        Ok(Some(range))
+    }
+
+    /// `--max-steps N`.
+    fn max_steps(&self) -> Result<Option<u64>, String> {
+        self.value("--max-steps")
+            .map(|n| {
+                n.parse()
+                    .map_err(|_| "--max-steps wants a number".to_string())
+            })
+            .transpose()
+    }
+
+    /// `--tolerance X`. `f64::from_str` happily parses "nan"/"inf"; a NaN
+    /// tolerance would silently disarm a gate (NaN comparisons are all
+    /// false), so anything non-finite or negative is rejected up front.
+    fn tolerance(&self) -> Result<Option<f64>, String> {
+        self.value("--tolerance")
+            .map(|x| {
+                x.parse()
+                    .ok()
+                    .filter(|x: &f64| x.is_finite() && *x >= 0.0)
+                    .ok_or_else(|| "--tolerance wants a finite non-negative number".to_string())
+            })
+            .transpose()
+    }
+
+    /// The `--json` / `--md` report paths, defaulting to `lab-<name>.*`.
+    fn report_paths(&self, name: &str) -> (String, String) {
+        report_paths(self.value("--json"), self.value("--md"), name)
+    }
+}
+
+fn report_paths(json: Option<&str>, md: Option<&str>, name: &str) -> (String, String) {
+    (
+        json.map_or_else(|| format!("lab-{name}.json"), String::from),
+        md.map_or_else(|| format!("lab-{name}.md"), String::from),
+    )
+}
+
+/// The value following `flag` in a raw argv (for the two places that look
+/// before validating: `run`'s suite dispatch and `merge`'s mixed argv).
+fn opt_value<'a>(rest: &[&'a str], flag: &str) -> Option<&'a str> {
     rest.iter()
         .position(|a| *a == flag)
         .and_then(|i| rest.get(i + 1).copied())
+}
+
+fn write_file(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// Writes a report's JSON and Markdown files and echoes the Markdown to
+/// stdout — the shared tail of every report-emitting command.
+fn write_reports(json_path: &str, json: &str, md_path: &str, markdown: &str) -> Result<(), String> {
+    write_file(json_path, json)?;
+    write_file(md_path, markdown)?;
+    eprintln!("reports: {json_path}, {md_path}");
+    print!("{markdown}");
+    Ok(())
+}
+
+/// Exports a timeline as `BASE.jsonl` plus `BASE.trace.json` (Chrome
+/// `chrome://tracing` / Perfetto format).
+fn write_timeline(timeline: &Timeline, base: &str, label: &str) -> Result<(), String> {
+    let jsonl_path = format!("{base}.jsonl");
+    let trace_path = format!("{base}.trace.json");
+    write_file(&jsonl_path, &timeline.to_jsonl())?;
+    write_file(&trace_path, &timeline.to_chrome_trace())?;
+    eprintln!("timeline ({label}): {jsonl_path}, {trace_path}");
+    Ok(())
+}
+
+fn build_suite(name: &str) -> Result<ScenarioMatrix, String> {
+    suites::build(name).ok_or_else(|| format!("unknown suite '{name}'; see `lab list`"))
 }
 
 fn parse_list<T>(
@@ -240,39 +351,42 @@ fn parse_list<T>(
         .collect()
 }
 
-fn build_custom(rest: &[&str]) -> Result<ScenarioMatrix, String> {
+fn build_custom(args: &Args) -> Result<ScenarioMatrix, String> {
     let mut m = ScenarioMatrix::new("custom");
     m.protocols = parse_list(
-        opt_value(rest, "--protocols").unwrap_or("universal/alg1-auth"),
+        args.value("--protocols").unwrap_or("universal/alg1-auth"),
         "protocol",
         ProtocolAxis::parse,
     )?;
     m.validities = parse_list(
-        opt_value(rest, "--validities").unwrap_or("strong"),
+        args.value("--validities").unwrap_or("strong"),
         "validity",
         ValiditySpec::parse,
     )?;
-    m.behaviors = opt_value(rest, "--behaviors")
+    m.behaviors = args
+        .value("--behaviors")
         .unwrap_or("silent")
         .split(',')
         .filter(|s| !s.is_empty())
         .map(BehaviorId::parse_or_err)
         .collect::<Result<Vec<_>, _>>()?;
-    m.schedules = opt_value(rest, "--schedules")
+    m.schedules = args
+        .value("--schedules")
         .unwrap_or("partial-sync")
         .split(',')
         .filter(|s| !s.is_empty())
         .map(ScheduleSpec::parse_or_err)
         .collect::<Result<Vec<_>, _>>()?;
     m.faults = parse_list(
-        opt_value(rest, "--faults").unwrap_or("max"),
+        args.value("--faults").unwrap_or("max"),
         "fault load",
         |s| match s {
             "max" => Some(usize::MAX),
             s => s.parse().ok(),
         },
     )?;
-    m.systems = opt_value(rest, "--systems")
+    m.systems = args
+        .value("--systems")
         .unwrap_or("4,1;7,2")
         .split(';')
         .filter(|s| !s.is_empty())
@@ -286,14 +400,9 @@ fn build_custom(rest: &[&str]) -> Result<ScenarioMatrix, String> {
             ))
         })
         .collect::<Result<Vec<(usize, usize)>, String>>()?;
-    let seeds = opt_value(rest, "--seeds").unwrap_or("0..4");
-    let (lo, hi) = seeds
-        .split_once("..")
-        .ok_or_else(|| format!("bad seed range: '{seeds}' (want a..b)"))?;
-    m.seeds = lo.parse().map_err(|_| format!("bad seed: '{lo}'"))?
-        ..hi.parse().map_err(|_| format!("bad seed: '{hi}'"))?;
+    m.seeds = args.seeds()?.unwrap_or(0..4);
     m.fit_measures = parse_list(
-        opt_value(rest, "--fits").unwrap_or(""),
+        args.value("--fits").unwrap_or(""),
         "fit measure",
         FitMeasure::parse,
     )?;
@@ -303,15 +412,11 @@ fn build_custom(rest: &[&str]) -> Result<ScenarioMatrix, String> {
 /// Parses the adaptive-sampling flags: `--adaptive` enables the defaults,
 /// and any of `--precision` / `--batch` / `--max-seeds` both enables and
 /// overrides. `Ok(None)` = fixed-seed sweep.
-fn parse_sampling(rest: &[&str]) -> Result<Option<SamplingSpec>, String> {
-    let precision = opt_value(rest, "--precision");
-    let batch = opt_value(rest, "--batch");
-    let max_seeds = opt_value(rest, "--max-seeds");
-    if !rest.contains(&"--adaptive")
-        && precision.is_none()
-        && batch.is_none()
-        && max_seeds.is_none()
-    {
+fn parse_sampling(args: &Args) -> Result<Option<SamplingSpec>, String> {
+    let precision = args.value("--precision");
+    let batch = args.value("--batch");
+    let max_seeds = args.value("--max-seeds");
+    if !args.has("--adaptive") && precision.is_none() && batch.is_none() && max_seeds.is_none() {
         return Ok(None);
     }
     let mut spec = SamplingSpec::default();
@@ -352,68 +457,34 @@ fn parse_sampling(rest: &[&str]) -> Result<Option<SamplingSpec>, String> {
     Ok(Some(spec))
 }
 
-fn run(rest: &[&str]) -> ExitCode {
-    // The service suite runs on its own driver (a repeated-consensus
-    // pipeline, not a scenario sweep); `lab run --suite service` is a
-    // synonym for `lab service` with the same argv.
-    if opt_value(rest, "--suite") == Some("service") {
-        return service_cmd(rest);
+fn run(rest: &[&str]) -> CmdResult {
+    // The driver suites run outside the sweep engine (a repeated-consensus
+    // pipeline, a differential oracle, a fault-injection harness); `lab run
+    // --suite <driver>` is a synonym for the driver's own subcommand with
+    // the same argv.
+    match opt_value(rest, "--suite") {
+        Some("service") => return service_cmd(rest),
+        Some("crosscheck") => return crosscheck_cmd(rest),
+        Some("mutate") => return mutate_cmd(rest),
+        _ => {}
     }
-    // Likewise the crosscheck suite: `lab run --suite crosscheck` is a
-    // synonym for `lab crosscheck` with the same argv.
-    if opt_value(rest, "--suite") == Some("crosscheck") {
-        return crosscheck_cmd(rest);
-    }
-    // And the mutate suite: `lab run --suite mutate` delegates to the
-    // fault-injection driver.
-    if opt_value(rest, "--suite") == Some("mutate") {
-        return mutate_cmd(rest);
-    }
-    if let Err(e) = check_flags(rest) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let threads: usize = match opt_value(rest, "--threads").map(str::parse) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--threads wants a number");
-            return ExitCode::FAILURE;
-        }
+    let command = if rest.contains(&"--suite") {
+        Command::RunSuite
+    } else {
+        Command::Run
     };
-    let mut matrix = match opt_value(rest, "--suite") {
-        Some(name) => match suites::build(name) {
-            Some(m) => m,
-            None => {
-                eprintln!("unknown suite '{name}'; see `lab list`");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match build_custom(rest) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let args = Args::parse(command, rest)?;
+    let threads = args.threads()?;
+    let mut matrix = match args.value("--suite") {
+        Some(name) => build_suite(name)?,
+        None => build_custom(&args)?,
     };
-    match opt_value(rest, "--max-steps").map(str::parse) {
-        None => {}
-        Some(Ok(n)) => matrix.max_steps = Some(n),
-        Some(Err(_)) => {
-            eprintln!("--max-steps wants a number");
-            return ExitCode::FAILURE;
-        }
+    if let Some(n) = args.max_steps()? {
+        matrix.max_steps = Some(n);
     }
-    match opt_value(rest, "--fit-axis") {
-        None => {}
-        Some(name) => match FitAxis::parse(name) {
-            Some(axis) => matrix.fit_axis = axis,
-            None => {
-                eprintln!("unknown fit axis '{name}'; see `lab list`");
-                return ExitCode::FAILURE;
-            }
-        },
+    if let Some(name) = args.value("--fit-axis") {
+        matrix.fit_axis = FitAxis::parse(name)
+            .ok_or_else(|| format!("unknown fit axis '{name}'; see `lab list`"))?;
     }
     // A measure that cannot fit along the declared axis would silently
     // produce an empty fits section — a sweep that quietly measures
@@ -431,47 +502,31 @@ fn run(rest: &[&str]) -> ExitCode {
         .map(|m| m.name())
         .collect();
     if !incompatible.is_empty() {
-        eprintln!(
+        return Err(format!(
             "fit measure(s) {} cannot fit along axis '{}': run measures \
              (messages/words/latency) pair with axes n and t, classify-cost \
              with axis domain",
             incompatible.join(", "),
             matrix.fit_axis,
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    match parse_sampling(rest) {
-        Ok(sampling) => {
-            if sampling.is_some() {
-                if !matrix.fit_measures.iter().any(|m| m.is_run_measure()) {
-                    eprintln!(
-                        "warning: adaptive sampling with no run fit measure declared — \
-                         there is nothing to estimate, so every group stops \
-                         (vacuously stable) after its pilot batch; add --fits or \
-                         pick a fit-bearing suite for precision-targeted sampling"
-                    );
-                }
-                matrix.sampling = sampling;
-            }
+    if let Some(sampling) = parse_sampling(&args)? {
+        if !matrix.fit_measures.iter().any(|m| m.is_run_measure()) {
+            eprintln!(
+                "warning: adaptive sampling with no run fit measure declared — \
+                 there is nothing to estimate, so every group stops \
+                 (vacuously stable) after its pilot batch; add --fits or \
+                 pick a fit-bearing suite for precision-targeted sampling"
+            );
         }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        matrix.sampling = Some(sampling);
     }
     // An explicit `--shard` always takes the partial-report path, even
     // for the degenerate 1/1 partition: a pipeline parameterized over the
     // shard count must get a mergeable partial at m = 1 too, not a full
     // report that `lab merge` then refuses.
-    let shard = match opt_value(rest, "--shard").map(ShardSpec::parse) {
-        None => None,
-        Some(Ok(s)) => Some(s),
-        Some(Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if rest.contains(&"--dry-run") {
+    let shard = args.value("--shard").map(ShardSpec::parse).transpose()?;
+    if args.has("--dry-run") {
         if let Some(spec) = matrix.sampling {
             let units = matrix.work_units();
             let owned = shard.map_or(units.len(), |s| matrix.shard_units(s).len());
@@ -505,18 +560,16 @@ fn run(rest: &[&str]) -> ExitCode {
                     .map_or("none".to_string(), |n| n.to_string()),
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let observing = rest.contains(&"--observe");
+    let observing = args.has("--observe");
     if let Some(shard) = shard {
         if observing {
-            eprintln!(
-                "--observe is not available with --shard: observations are \
+            return Err("--observe is not available with --shard: observations are \
                  per-process; run the whole matrix observed, or profile it"
-            );
-            return ExitCode::FAILURE;
+                .to_string());
         }
-        return run_shard(rest, &matrix, shard, threads);
+        return run_shard(&args, &matrix, shard, threads);
     }
     let engine = SweepEngine::new(threads).observe(observing);
     match matrix.sampling {
@@ -552,232 +605,80 @@ fn run(rest: &[&str]) -> ExitCode {
         );
     }
 
-    let json_path = opt_value(rest, "--json")
-        .map(String::from)
-        .unwrap_or_else(|| format!("lab-{}.json", matrix.name));
-    let md_path = opt_value(rest, "--md")
-        .map(String::from)
-        .unwrap_or_else(|| format!("lab-{}.md", matrix.name));
+    let (json_path, md_path) = args.report_paths(&matrix.name);
     // `--timing` and `--observe` append extra sections to the Markdown
     // output only. The JSON report and the default Markdown stay
     // byte-identical to plain runs — timing is nondeterministic, and even
     // the deterministic observe metrics must never leak into canonical
     // artifacts (their fingerprints cannot depend on instrumentation).
-    let mut extra = String::new();
-    if rest.contains(&"--timing") {
-        extra.push_str(&validity_lab::timing_markdown(
-            &sweep.timings,
-            matrix.sampling.is_some(),
-        ));
+    let mut markdown = report.to_markdown();
+    if args.has("--timing") {
+        markdown.push('\n');
+        markdown.push_str(&timing_markdown(&sweep.timings, matrix.sampling.is_some()));
     }
     if observing {
-        if !extra.is_empty() {
-            extra.push('\n');
-        }
-        extra.push_str(&observe_markdown(&sweep.observed));
+        markdown.push('\n');
+        markdown.push_str(&observe_markdown(&sweep.observed));
         // Side artifacts: the full-histogram JSON, plus a timeline export
         // of the hottest observed unit (deterministic choice — events are
         // seeded, so reruns pick the same cell).
         let base = json_path.strip_suffix(".json").unwrap_or(&json_path);
         let observe_path = format!("{base}.observe.json");
-        if let Err(e) = std::fs::write(&observe_path, observe_json(&matrix.name, &sweep.observed)) {
-            eprintln!("cannot write {observe_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(&observe_path, &observe_json(&matrix.name, &sweep.observed))?;
         eprintln!("observe artifact: {observe_path}");
         if let Some(hot) = hottest_by_events(&sweep.observed) {
             if let Some(timeline) = timeline_for(&matrix, &hot.label) {
-                let jsonl_path = format!("{base}.timeline.jsonl");
-                let trace_path = format!("{base}.timeline.trace.json");
-                for (path, text) in [
-                    (&jsonl_path, timeline.to_jsonl()),
-                    (&trace_path, timeline.to_chrome_trace()),
-                ] {
-                    if let Err(e) = std::fs::write(path, text) {
-                        eprintln!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                eprintln!("timeline ({}): {jsonl_path}, {trace_path}", hot.label);
+                write_timeline(&timeline, &format!("{base}.timeline"), &hot.label)?;
             }
         }
     }
-    let extra_md = (!extra.is_empty()).then_some(extra);
-    emit_reports_with(&report, &json_path, &md_path, extra_md.as_deref())
+    write_reports(&json_path, &report.to_json(), &md_path, &markdown)?;
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Every value-taking flag `lab service` understands (`--suite` is
-/// accepted so `lab run --suite service` can delegate here with its argv
-/// intact).
-const SERVICE_FLAGS: [&str; 8] = [
-    "--suite",
-    "--threads",
-    "--json",
-    "--md",
-    "--seeds",
-    "--slots",
-    "--pipelines",
-    "--batches",
-];
-
-/// `lab service` flags that take no value.
-const SERVICE_SWITCHES: [&str; 2] = ["--dry-run", "--timing"];
-
-/// `lab run` surface that makes no sense for the service driver, each with
-/// the reason it is refused — a named error beats silently ignoring a flag
-/// the user believes is in effect.
-const SERVICE_REFUSALS: [(&str, &str); 15] = [
-    (
-        "--shard",
-        "service sweeps are small and there is no partial service report to merge; run unsharded",
-    ),
-    (
-        "--observe",
-        "the service report already carries per-slot latency and amortized cost; \
-         use `lab profile` for engine metrics",
-    ),
-    (
-        "--adaptive",
-        "adaptive sampling targets fit precision, which service reports do not compute",
-    ),
-    (
-        "--precision",
-        "adaptive sampling targets fit precision, which service reports do not compute",
-    ),
-    (
-        "--max-seeds",
-        "adaptive sampling targets fit precision, which service reports do not compute; \
-         set the seed axis directly with --seeds a..b",
-    ),
-    (
-        "--fits",
-        "service reports carry throughput and latency, not complexity fits",
-    ),
-    (
-        "--fit-axis",
-        "service reports carry throughput and latency, not complexity fits",
-    ),
-    (
-        "--max-steps",
-        "the service driver runs under the schedule's own event budget",
-    ),
-    (
-        "--protocols",
-        "the service suite fixes its axes; tune --slots/--pipelines/--batches/--seeds instead",
-    ),
-    (
-        "--validities",
-        "the service suite fixes its axes; tune --slots/--pipelines/--batches/--seeds instead",
-    ),
-    (
-        "--behaviors",
-        "the service suite fixes its axes; tune --slots/--pipelines/--batches/--seeds instead",
-    ),
-    (
-        "--schedules",
-        "the service suite fixes its axes; tune --slots/--pipelines/--batches/--seeds instead",
-    ),
-    (
-        "--systems",
-        "the service suite fixes its axes; tune --slots/--pipelines/--batches/--seeds instead",
-    ),
-    (
-        "--faults",
-        "the service suite fixes its axes; tune --slots/--pipelines/--batches/--seeds instead",
-    ),
-    (
-        "--batch",
-        "ambiguous with the service batching axis; use --batches (client batching) \
-         — adaptive sampling is not available here",
-    ),
-];
+/// Validates a driver command's argv, including the `--suite` a `lab run
+/// --suite <driver>` synonym carries along.
+fn driver_args<'a>(command: Command, suite: &str, rest: &[&'a str]) -> Result<Args<'a>, String> {
+    let args = Args::parse(command, rest)?;
+    match args.value("--suite") {
+        Some(name) if name != suite => Err(format!(
+            "`lab {suite}` runs the {suite} suite; for '{name}' use `lab run --suite`"
+        )),
+        _ => Ok(args),
+    }
+}
 
 /// `lab service`: run the repeated-consensus service suite and emit the
 /// throughput/latency report. The report bytes are deterministic and
 /// thread-count independent, like every other lab artifact.
-fn service_cmd(rest: &[&str]) -> ExitCode {
-    for (flag, why) in SERVICE_REFUSALS {
-        if rest.contains(&flag) {
-            eprintln!("{flag} is not available with `lab service`: {why}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i];
-        if SERVICE_SWITCHES.contains(&arg) {
-            i += 1;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            eprintln!("unexpected argument '{arg}'");
-            return ExitCode::FAILURE;
-        }
-        if !SERVICE_FLAGS.contains(&arg) {
-            eprintln!(
-                "unknown option '{arg}'; known: {} {}",
-                SERVICE_FLAGS.join(" "),
-                SERVICE_SWITCHES.join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        if i + 1 >= rest.len() {
-            eprintln!("option '{arg}' wants a value");
-            return ExitCode::FAILURE;
-        }
-        i += 2;
-    }
-    if let Some(name) = opt_value(rest, "--suite") {
-        if name != "service" {
-            eprintln!("`lab service` runs the service suite; for '{name}' use `lab run --suite`");
-            return ExitCode::FAILURE;
-        }
-    }
-    let threads: usize = match opt_value(rest, "--threads").map(str::parse) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--threads wants a number");
-            return ExitCode::FAILURE;
-        }
-    };
+fn service_cmd(rest: &[&str]) -> CmdResult {
+    let args = driver_args(Command::Service, "service", rest)?;
+    let threads = args.threads()?;
     let mut matrix = ServiceMatrix::suite();
-    if let Some(seeds) = opt_value(rest, "--seeds") {
-        let parsed = seeds
-            .split_once("..")
-            .and_then(|(lo, hi)| Some(lo.parse::<u64>().ok()?..hi.parse::<u64>().ok()?));
-        match parsed {
-            Some(range) => matrix.seeds = range,
-            None => {
-                eprintln!("bad seed range: '{seeds}' (want a..b)");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(seeds) = args.seeds()? {
+        matrix.seeds = seeds;
     }
-    if let Some(slots) = opt_value(rest, "--slots") {
-        match slots.parse() {
-            Ok(n) if n >= 1 => matrix.slots = n,
-            _ => {
-                eprintln!("--slots wants a positive slot count, got '{slots}'");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(slots) = args.value("--slots") {
+        matrix.slots = slots
+            .parse()
+            .ok()
+            .filter(|n| *n >= 1)
+            .ok_or_else(|| format!("--slots wants a positive slot count, got '{slots}'"))?;
     }
     for (flag, axis) in [
         ("--pipelines", &mut matrix.pipelines),
         ("--batches", &mut matrix.batches),
     ] {
-        if let Some(text) = opt_value(rest, flag) {
-            match parse_list(text, "count", |s| s.parse::<u32>().ok().filter(|n| *n >= 1)) {
-                Ok(values) if !values.is_empty() => *axis = values,
-                _ => {
-                    eprintln!("{flag} wants a comma list of positive counts, got '{text}'");
-                    return ExitCode::FAILURE;
-                }
-            }
+        if let Some(text) = args.value(flag) {
+            *axis = parse_list(text, "count", |s| s.parse::<u32>().ok().filter(|n| *n >= 1))
+                .ok()
+                .filter(|values| !values.is_empty())
+                .ok_or_else(|| {
+                    format!("{flag} wants a comma list of positive counts, got '{text}'")
+                })?;
         }
     }
-    if rest.contains(&"--dry-run") {
+    if args.has("--dry-run") {
         println!(
             "{}: {} cells ({} slot(s) each; pipelines {:?}, batches {:?}, seeds {:?})",
             matrix.name,
@@ -787,17 +688,13 @@ fn service_cmd(rest: &[&str]) -> ExitCode {
             matrix.batches,
             matrix.seeds,
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     eprintln!(
         "service '{}': {} cells on {} worker thread(s)...",
         matrix.name,
         matrix.len(),
-        if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |w| w.get())
-        } else {
-            threads
-        },
+        SweepEngine::new(threads).threads(),
     );
     let (report, wall, timings) = run_service(&matrix, threads);
     eprintln!(
@@ -807,129 +704,19 @@ fn service_cmd(rest: &[&str]) -> ExitCode {
         report.groups.len(),
         report.failures(),
     );
-    let json_path = opt_value(rest, "--json").unwrap_or("lab-service.json");
-    let md_path = opt_value(rest, "--md").unwrap_or("lab-service.md");
+    let (json_path, md_path) = args.report_paths("service");
     let mut markdown = report.to_markdown();
-    if rest.contains(&"--timing") {
+    if args.has("--timing") {
         markdown.push('\n');
-        markdown.push_str(&service_timing_markdown(&timings));
+        markdown.push_str(&slowest_first_markdown(&timings));
     }
-    if let Err(e) = std::fs::write(json_path, report.to_json()) {
-        eprintln!("cannot write {json_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(md_path, &markdown) {
-        eprintln!("cannot write {md_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("reports: {json_path}, {md_path}");
-    print!("{markdown}");
+    write_reports(&json_path, &report.to_json(), &md_path, &markdown)?;
     if report.failures() > 0 {
         eprintln!("SERVICE FAILURE: {} run(s) failed", report.failures());
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
-
-/// The `--timing` appendix of `lab service`: per-cell wall clock, slowest
-/// first. Diagnostic only — wall time never enters the JSON report.
-fn service_timing_markdown(timings: &[ServiceTiming]) -> String {
-    use std::fmt::Write;
-    let mut rows: Vec<&ServiceTiming> = timings.iter().collect();
-    rows.sort_by(|a, b| b.wall.cmp(&a.wall).then_with(|| a.label.cmp(&b.label)));
-    let mut out =
-        String::from("## Cell timing (wall clock, slowest first)\n\n| cell | ms |\n|---|---|\n");
-    for t in rows {
-        let _ = writeln!(out, "| {} | {:.3} |", t.label, t.wall.as_secs_f64() * 1e3);
-    }
-    out
-}
-
-/// Every value-taking flag `lab crosscheck` understands (`--suite` is
-/// accepted so `lab run --suite crosscheck` can delegate here with its
-/// argv intact).
-const CROSSCHECK_FLAGS: [&str; 6] = [
-    "--suite",
-    "--threads",
-    "--json",
-    "--md",
-    "--seeds",
-    "--max-steps",
-];
-
-/// `lab crosscheck` flags that take no value. `--adaptive` here selects
-/// the adaptive-*adversary* grid (the sweep engine's adaptive *sampling*
-/// has no meaning for agreement grading, so the flag is free).
-const CROSSCHECK_SWITCHES: [&str; 4] = ["--dry-run", "--timing", "--chaos", "--adaptive"];
-
-/// `lab run` / `lab service` surface that makes no sense for the
-/// crosscheck driver, each with the reason it is refused.
-const CROSSCHECK_REFUSALS: [(&str, &str); 16] = [
-    (
-        "--shard",
-        "the crosscheck grid is small and there is no partial crosscheck report to merge; \
-         run unsharded",
-    ),
-    (
-        "--observe",
-        "crosscheck grades agreement, not engine metrics; use `lab profile` for those",
-    ),
-    (
-        "--precision",
-        "adaptive sampling targets fit precision, which crosscheck reports do not compute",
-    ),
-    (
-        "--max-seeds",
-        "adaptive sampling targets fit precision, which crosscheck reports do not compute; \
-         set the seed axis directly with --seeds a..b",
-    ),
-    (
-        "--fits",
-        "crosscheck reports carry agreement levels, not complexity fits",
-    ),
-    (
-        "--fit-axis",
-        "crosscheck reports carry agreement levels, not complexity fits",
-    ),
-    (
-        "--protocols",
-        "crosscheck runs *every* registered engine on every cell — \
-         narrowing the protocol axis would defeat the oracle",
-    ),
-    (
-        "--validities",
-        "the crosscheck suite fixes its axes; tune --seeds/--max-steps instead",
-    ),
-    (
-        "--behaviors",
-        "the crosscheck suite fixes its axes; tune --seeds/--max-steps instead",
-    ),
-    (
-        "--schedules",
-        "the crosscheck suite fixes its axes; tune --seeds/--max-steps instead",
-    ),
-    (
-        "--systems",
-        "the crosscheck suite fixes its axes; tune --seeds/--max-steps instead",
-    ),
-    (
-        "--faults",
-        "the crosscheck suite fixes its axes; tune --seeds/--max-steps instead",
-    ),
-    ("--batch", "adaptive sampling is not available here"),
-    (
-        "--slots",
-        "service pipelining does not apply to single-shot crosscheck cells",
-    ),
-    (
-        "--pipelines",
-        "service pipelining does not apply to single-shot crosscheck cells",
-    ),
-    (
-        "--batches",
-        "service batching does not apply to single-shot crosscheck cells",
-    ),
-];
 
 /// `lab crosscheck`: run the differential cross-validation suite — every
 /// registered engine plus the solvability classifier on identical cells —
@@ -937,89 +724,29 @@ const CROSSCHECK_REFUSALS: [(&str, &str); 16] = [
 /// against each other. Exits non-zero on any DISAGREEMENT cell or emitter
 /// round-trip mismatch. The report bytes are deterministic and
 /// thread-count independent, like every other lab artifact.
-fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
-    for (flag, why) in CROSSCHECK_REFUSALS {
-        if rest.contains(&flag) {
-            eprintln!("{flag} is not available with `lab crosscheck`: {why}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i];
-        if CROSSCHECK_SWITCHES.contains(&arg) {
-            i += 1;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            eprintln!("unexpected argument '{arg}'");
-            return ExitCode::FAILURE;
-        }
-        if !CROSSCHECK_FLAGS.contains(&arg) {
-            eprintln!(
-                "unknown option '{arg}'; known: {} {}",
-                CROSSCHECK_FLAGS.join(" "),
-                CROSSCHECK_SWITCHES.join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        if i + 1 >= rest.len() {
-            eprintln!("option '{arg}' wants a value");
-            return ExitCode::FAILURE;
-        }
-        i += 2;
-    }
-    if let Some(name) = opt_value(rest, "--suite") {
-        if name != "crosscheck" {
-            eprintln!(
-                "`lab crosscheck` runs the crosscheck suite; for '{name}' use `lab run --suite`"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    let threads: usize = match opt_value(rest, "--threads").map(str::parse) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--threads wants a number");
-            return ExitCode::FAILURE;
-        }
-    };
+fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
+    let args = driver_args(Command::Crosscheck, "crosscheck", rest)?;
+    let threads = args.threads()?;
     // --chaos swaps in the faulty-network grid (every ScheduleSpec::CHAOS
     // schedule), --adaptive the observing-adversary grid; the default grid
     // keeps the committed fingerprint bytes.
-    if rest.contains(&"--chaos") && rest.contains(&"--adaptive") {
-        eprintln!("--chaos and --adaptive select different grids; pick one per run");
-        return ExitCode::FAILURE;
-    }
-    let mut matrix = if rest.contains(&"--chaos") {
-        CrosscheckMatrix::chaos()
-    } else if rest.contains(&"--adaptive") {
-        CrosscheckMatrix::adaptive()
-    } else {
-        CrosscheckMatrix::suite()
+    let mut matrix = match (args.has("--chaos"), args.has("--adaptive")) {
+        (true, true) => {
+            return Err(
+                "--chaos and --adaptive select different grids; pick one per run".to_string(),
+            )
+        }
+        (true, false) => CrosscheckMatrix::chaos(),
+        (false, true) => CrosscheckMatrix::adaptive(),
+        (false, false) => CrosscheckMatrix::suite(),
     };
-    if let Some(seeds) = opt_value(rest, "--seeds") {
-        let parsed = seeds
-            .split_once("..")
-            .and_then(|(lo, hi)| Some(lo.parse::<u64>().ok()?..hi.parse::<u64>().ok()?));
-        match parsed {
-            Some(range) => matrix.seeds = range,
-            None => {
-                eprintln!("bad seed range: '{seeds}' (want a..b)");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(seeds) = args.seeds()? {
+        matrix.seeds = seeds;
     }
-    match opt_value(rest, "--max-steps").map(str::parse) {
-        None => {}
-        Some(Ok(n)) => matrix.max_steps = Some(n),
-        Some(Err(_)) => {
-            eprintln!("--max-steps wants a number");
-            return ExitCode::FAILURE;
-        }
+    if let Some(n) = args.max_steps()? {
+        matrix.max_steps = Some(n);
     }
-    if rest.contains(&"--dry-run") {
+    if args.has("--dry-run") {
         println!(
             "{}: {} cells ({} engine column(s) + classifier; seeds {:?})",
             matrix.name,
@@ -1027,18 +754,14 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
             matrix.engines.len(),
             matrix.seeds,
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     eprintln!(
         "crosscheck '{}': {} cells × {} engine(s) on {} worker thread(s)...",
         matrix.name,
         matrix.len(),
         matrix.engines.len(),
-        if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |w| w.get())
-        } else {
-            threads
-        },
+        SweepEngine::new(threads).threads(),
     );
     let (report, wall, timings) = run_crosscheck(&matrix, threads);
     let full = report.count(AgreementLevel::Full);
@@ -1057,22 +780,12 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
     // The emitters are columns of the oracle too: a drifting renderer
     // fails the gate just like a drifting engine.
     let emitter_mismatches = compare_emitted(&json, &markdown);
-    if rest.contains(&"--timing") {
+    if args.has("--timing") {
         markdown.push('\n');
-        markdown.push_str(&crosscheck_timing_markdown(&timings));
+        markdown.push_str(&slowest_first_markdown(&timings));
     }
-    let json_path = opt_value(rest, "--json").unwrap_or("lab-crosscheck.json");
-    let md_path = opt_value(rest, "--md").unwrap_or("lab-crosscheck.md");
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("cannot write {json_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(md_path, &markdown) {
-        eprintln!("cannot write {md_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("reports: {json_path}, {md_path}");
-    print!("{markdown}");
+    let (json_path, md_path) = args.report_paths("crosscheck");
+    write_reports(&json_path, &json, &md_path, &markdown)?;
     let mut failed = false;
     if !emitter_mismatches.is_empty() {
         eprintln!(
@@ -1094,40 +807,12 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
         }
         failed = true;
     }
-    if failed {
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
+    Ok(if failed {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    })
 }
-
-/// The `--timing` appendix of `lab crosscheck`: per-cell wall clock,
-/// slowest first. Diagnostic only — wall time never enters the report.
-fn crosscheck_timing_markdown(timings: &[CrosscheckTiming]) -> String {
-    use std::fmt::Write;
-    let mut rows: Vec<&CrosscheckTiming> = timings.iter().collect();
-    rows.sort_by(|a, b| b.wall.cmp(&a.wall).then_with(|| a.label.cmp(&b.label)));
-    let mut out =
-        String::from("## Cell timing (wall clock, slowest first)\n\n| cell | ms |\n|---|---|\n");
-    for t in rows {
-        let _ = writeln!(out, "| {} | {:.3} |", t.label, t.wall.as_secs_f64() * 1e3);
-    }
-    out
-}
-
-/// Every value-taking flag `lab mutate` understands (`--suite` is
-/// accepted so `lab run --suite mutate` can delegate here).
-const MUTATE_FLAGS: [&str; 7] = [
-    "--suite",
-    "--threads",
-    "--json",
-    "--md",
-    "--seeds",
-    "--max-steps",
-    "--operators",
-];
-
-/// `lab mutate` flags that take no value.
-const MUTATE_SWITCHES: [&str; 1] = ["--dry-run"];
 
 /// `lab mutate`: the fault-injection harness. Plants every mutation
 /// operator into every registry engine, runs the crosscheck oracle plus
@@ -1136,49 +821,12 @@ const MUTATE_SWITCHES: [&str; 1] = ["--dry-run"];
 /// fails: a clean-baseline disagreement (false kill), an uncatalogued
 /// survivor, or a stale catalogue entry. Bytes are deterministic and
 /// thread-count independent, like every other lab artifact.
-fn mutate_cmd(rest: &[&str]) -> ExitCode {
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i];
-        if MUTATE_SWITCHES.contains(&arg) {
-            i += 1;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            eprintln!("unexpected argument '{arg}'");
-            return ExitCode::FAILURE;
-        }
-        if !MUTATE_FLAGS.contains(&arg) {
-            eprintln!(
-                "unknown option '{arg}'; known: {} {}",
-                MUTATE_FLAGS.join(" "),
-                MUTATE_SWITCHES.join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        if i + 1 >= rest.len() {
-            eprintln!("option '{arg}' wants a value");
-            return ExitCode::FAILURE;
-        }
-        i += 2;
-    }
-    if let Some(name) = opt_value(rest, "--suite") {
-        if name != "mutate" {
-            eprintln!("`lab mutate` runs the mutate suite; for '{name}' use `lab run --suite`");
-            return ExitCode::FAILURE;
-        }
-    }
-    let threads: usize = match opt_value(rest, "--threads").map(str::parse) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--threads wants a number");
-            return ExitCode::FAILURE;
-        }
-    };
+fn mutate_cmd(rest: &[&str]) -> CmdResult {
+    let args = driver_args(Command::Mutate, "mutate", rest)?;
+    let threads = args.threads()?;
     let mut matrix = MutateMatrix::suite();
-    if let Some(ops) = opt_value(rest, "--operators") {
-        let parsed: Result<Vec<_>, String> = ops
+    if let Some(ops) = args.value("--operators") {
+        matrix.operators = ops
             .split(',')
             .filter(|s| !s.is_empty())
             .map(|s| {
@@ -1189,36 +837,15 @@ fn mutate_cmd(rest: &[&str]) -> ExitCode {
                     )
                 })
             })
-            .collect();
-        match parsed {
-            Ok(ops) => matrix.operators = ops,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+            .collect::<Result<Vec<_>, String>>()?;
     }
-    if let Some(seeds) = opt_value(rest, "--seeds") {
-        let parsed = seeds
-            .split_once("..")
-            .and_then(|(lo, hi)| Some(lo.parse::<u64>().ok()?..hi.parse::<u64>().ok()?));
-        match parsed {
-            Some(range) => matrix.grid.seeds = range,
-            None => {
-                eprintln!("bad seed range: '{seeds}' (want a..b)");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(seeds) = args.seeds()? {
+        matrix.grid.seeds = seeds;
     }
-    match opt_value(rest, "--max-steps").map(str::parse) {
-        None => {}
-        Some(Ok(n)) => matrix.grid.max_steps = Some(n),
-        Some(Err(_)) => {
-            eprintln!("--max-steps wants a number");
-            return ExitCode::FAILURE;
-        }
+    if let Some(n) = args.max_steps()? {
+        matrix.grid.max_steps = Some(n);
     }
-    if rest.contains(&"--dry-run") {
+    if args.has("--dry-run") {
         println!(
             "{}: {} cells × ({} engine(s) + {} mutant(s)) = {} runs (seeds {:?})",
             matrix.grid.name,
@@ -1228,7 +855,7 @@ fn mutate_cmd(rest: &[&str]) -> ExitCode {
             matrix.len(),
             matrix.grid.seeds,
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     eprintln!(
         "mutate '{}': {} cells × ({} engine(s) + {} mutant(s)) on {} worker thread(s)...",
@@ -1236,11 +863,7 @@ fn mutate_cmd(rest: &[&str]) -> ExitCode {
         matrix.grid.len(),
         matrix.grid.engines.len(),
         matrix.mutants().len(),
-        if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |w| w.get())
-        } else {
-            threads
-        },
+        SweepEngine::new(threads).threads(),
     );
     let (report, wall) = run_mutate(&matrix, threads);
     eprintln!(
@@ -1251,67 +874,27 @@ fn mutate_cmd(rest: &[&str]) -> ExitCode {
         report.fates.len() - report.killed(),
         report.false_kills.len(),
     );
-    let json_path = opt_value(rest, "--json").unwrap_or("lab-mutate.json");
-    let md_path = opt_value(rest, "--md").unwrap_or("lab-mutate.md");
-    if let Err(e) = std::fs::write(json_path, report.to_json()) {
-        eprintln!("cannot write {json_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let markdown = report.to_markdown();
-    if let Err(e) = std::fs::write(md_path, &markdown) {
-        eprintln!("cannot write {md_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("reports: {json_path}, {md_path}");
-    print!("{markdown}");
+    let (json_path, md_path) = args.report_paths("mutate");
+    write_reports(
+        &json_path,
+        &report.to_json(),
+        &md_path,
+        &report.to_markdown(),
+    )?;
     if let Err(e) = report.gate(CATALOGUED_EQUIVALENT) {
         eprintln!("MUTATE FAILURE: {e}");
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    ExitCode::SUCCESS
-}
-
-/// Writes a full report's JSON and Markdown files and echoes the Markdown
-/// (rendered once) to stdout — the shared tail of `lab run` and
-/// `lab merge`.
-fn emit_reports(report: &SweepReport, json_path: &str, md_path: &str) -> ExitCode {
-    emit_reports_with(report, json_path, md_path, None)
-}
-
-/// [`emit_reports`], optionally appending an extra Markdown section (the
-/// `--timing` table) to the Markdown file and stdout.
-fn emit_reports_with(
-    report: &SweepReport,
-    json_path: &str,
-    md_path: &str,
-    extra_md: Option<&str>,
-) -> ExitCode {
-    let mut markdown = report.to_markdown();
-    if let Some(extra) = extra_md {
-        markdown.push('\n');
-        markdown.push_str(extra);
-    }
-    if let Err(e) = std::fs::write(json_path, report.to_json()) {
-        eprintln!("cannot write {json_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(md_path, &markdown) {
-        eprintln!("cannot write {md_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("reports: {json_path}, {md_path}");
-    print!("{markdown}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `lab run --shard i/m`: execute one deterministic slice of the matrix
 /// and write a partial report for `lab merge` to recombine. Partials are
 /// machine-facing merge inputs, so only JSON is emitted (`--md` is
 /// rejected rather than silently ignored).
-fn run_shard(rest: &[&str], matrix: &ScenarioMatrix, shard: ShardSpec, threads: usize) -> ExitCode {
-    if opt_value(rest, "--md").is_some() {
-        eprintln!("--md is not available with --shard: merge the partials first");
-        return ExitCode::FAILURE;
+fn run_shard(args: &Args, matrix: &ScenarioMatrix, shard: ShardSpec, threads: usize) -> CmdResult {
+    if args.has("--md") {
+        return Err("--md is not available with --shard: merge the partials first".to_string());
     }
     let engine = SweepEngine::new(threads);
     match matrix.sampling {
@@ -1344,35 +927,31 @@ fn run_shard(rest: &[&str], matrix: &ScenarioMatrix, shard: ShardSpec, threads: 
         partial.wall_seconds,
         partial.records.len(),
     );
-    let json_path = opt_value(rest, "--json")
-        .map(String::from)
-        .unwrap_or_else(|| {
+    let json_path = args.value("--json").map_or_else(
+        || {
             format!(
                 "lab-{}-shard{}of{}.json",
                 matrix.name, shard.index, shard.count
             )
-        });
-    if let Err(e) = std::fs::write(&json_path, partial.to_json()) {
-        eprintln!("cannot write {json_path}: {e}");
-        return ExitCode::FAILURE;
-    }
+        },
+        String::from,
+    );
+    write_file(&json_path, &partial.to_json())?;
     eprintln!("partial report: {json_path}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `lab merge`: recombine all `m` partials of a sharded sweep into the
 /// full report — byte-identical to what a single unsharded process would
 /// have written.
-fn merge_cmd(rest: &[&str]) -> ExitCode {
+fn merge_cmd(rest: &[&str]) -> CmdResult {
+    const MERGE_USAGE: &str = "usage: lab merge <partial.json>... [--json FILE] [--md FILE]";
     let mut paths: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         match rest[i] {
             "--json" | "--md" if i + 1 < rest.len() => i += 2,
-            arg if arg.starts_with("--") => {
-                eprintln!("usage: lab merge <partial.json>... [--json FILE] [--md FILE]");
-                return ExitCode::FAILURE;
-            }
+            arg if arg.starts_with("--") => return Err(MERGE_USAGE.to_string()),
             path => {
                 paths.push(path);
                 i += 1;
@@ -1380,31 +959,13 @@ fn merge_cmd(rest: &[&str]) -> ExitCode {
         }
     }
     if paths.is_empty() {
-        eprintln!("usage: lab merge <partial.json>... [--json FILE] [--md FILE]");
-        return ExitCode::FAILURE;
+        return Err(MERGE_USAGE.to_string());
     }
-    let partials: Result<Vec<PartialReport>, String> = paths
+    let partials = paths
         .iter()
-        .map(|path| {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            PartialReport::parse(&text).map_err(|e| format!("{path}: {e}"))
-        })
-        .collect();
-    let partials = match partials {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (report, matrix) = match merge(&partials) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("merge failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        .map(|path| PartialReport::parse(&read_file(path)?).map_err(|e| format!("{path}: {e}")))
+        .collect::<Result<Vec<PartialReport>, String>>()?;
+    let (report, matrix) = merge(&partials).map_err(|e| format!("merge failed: {e}"))?;
     eprintln!(
         "merged {} partial(s): {} cells, {} violations, {} quarantined, {} fit(s) out of band",
         partials.len(),
@@ -1413,18 +974,22 @@ fn merge_cmd(rest: &[&str]) -> ExitCode {
         report.quarantined.len(),
         report.fits_out_of_band(),
     );
-    let json_path = opt_value(rest, "--json")
-        .map(String::from)
-        .unwrap_or_else(|| format!("lab-{}.json", matrix.name));
-    let md_path = opt_value(rest, "--md")
-        .map(String::from)
-        .unwrap_or_else(|| format!("lab-{}.md", matrix.name));
-    emit_reports(&report, &json_path, &md_path)
+    let (json_path, md_path) = report_paths(
+        opt_value(rest, "--json"),
+        opt_value(rest, "--md"),
+        &matrix.name,
+    );
+    write_reports(
+        &json_path,
+        &report.to_json(),
+        &md_path,
+        &report.to_markdown(),
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
 fn load(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    Json::parse(&read_file(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Refuses to diff anything that is not a same-generation full report: a
@@ -1470,18 +1035,11 @@ fn check_diffable(path: &str, v: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn diff(rest: &[&str]) -> ExitCode {
+fn diff(rest: &[&str]) -> CmdResult {
     let [a_path, b_path] = rest else {
-        eprintln!("usage: lab diff <a.json> <b.json>");
-        return ExitCode::FAILURE;
+        return Err("usage: lab diff <a.json> <b.json>".to_string());
     };
-    let (a, b) = match (load(a_path), load(b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (a, b) = (load(a_path)?, load(b_path)?);
     // Two *full* reports from different schema generations mismatch each
     // other — say so directly (naming both tags) before the per-file check
     // reduces it to "unknown schema" on whichever side is foreign.
@@ -1491,19 +1049,15 @@ fn diff(rest: &[&str]) -> ExitCode {
     if let (Some(ta), Some(tb)) = (tag_of(&a), tag_of(&b)) {
         let full = |t: &str| t.starts_with("validity-lab/report@");
         if ta != tb && full(ta) && full(tb) {
-            eprintln!(
+            return Err(format!(
                 "schema-version mismatch: {a_path} is '{ta}' but {b_path} is '{tb}': \
                  reports from different schema generations cannot be diffed — \
                  regenerate both with one lab version"
-            );
-            return ExitCode::FAILURE;
+            ));
         }
     }
     for (path, v) in [(a_path, &a), (b_path, &b)] {
-        if let Err(e) = check_diffable(path, v) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        check_diffable(path, v)?;
     }
     // Index both reports by cell key once; the comparison is then linear.
     fn cells_of(v: &Json) -> &[Json] {
@@ -1539,7 +1093,7 @@ fn diff(rest: &[&str]) -> ExitCode {
             differences += 1;
         }
     }
-    if differences == 0 {
+    Ok(if differences == 0 {
         println!(
             "identical: {} cells match across {a_path} and {b_path}",
             ca.len()
@@ -1548,7 +1102,7 @@ fn diff(rest: &[&str]) -> ExitCode {
     } else {
         println!("{differences} difference(s)");
         ExitCode::from(1)
-    }
+    })
 }
 
 /// `lab trend`: assemble the bench-trend artifact — by sweeping fit-bearing
@@ -1565,107 +1119,45 @@ fn diff(rest: &[&str]) -> ExitCode {
 /// Wall time is deliberately kept *out* of `lab run` reports (they are
 /// byte-deterministic); the trend artifact is the one place it belongs.
 /// Artifacts assembled with `--from-reports` carry `wall_seconds: null`.
-fn trend(rest: &[&str]) -> ExitCode {
-    const TREND_FLAGS: [&str; 6] = [
-        "--suites",
-        "--threads",
-        "--out",
-        "--baseline",
-        "--tolerance",
-        "--from-reports",
-    ];
-    const TREND_SWITCHES: [&str; 1] = ["--update-baseline"];
-    let mut i = 0;
-    while i < rest.len() {
-        if TREND_SWITCHES.contains(&rest[i]) {
-            i += 1;
-            continue;
-        }
-        if !TREND_FLAGS.contains(&rest[i]) || i + 1 >= rest.len() {
-            eprintln!(
-                "usage: lab trend [--suites a,b,.. | --from-reports a.json,b.json]\n\
-                 \x20               [--threads N] [--out FILE] [--baseline FILE] [--tolerance X]\n\
-                 \x20               [--update-baseline]"
-            );
-            return ExitCode::FAILURE;
-        }
-        i += 2;
-    }
-    let threads: usize = match opt_value(rest, "--threads").map(str::parse) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--threads wants a number");
-            return ExitCode::FAILURE;
-        }
-    };
-    // `f64::from_str` happily parses "nan"/"inf"; a NaN tolerance would
-    // silently disable the drift gate (NaN comparisons are all false), so
-    // anything non-finite or negative is rejected up front.
-    let tolerance: f64 = match opt_value(rest, "--tolerance").map(str::parse) {
-        None => 0.25,
-        Some(Ok(x)) if x >= 0.0 && f64::is_finite(x) => x,
-        Some(_) => {
-            eprintln!("--tolerance wants a finite non-negative number");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_path = opt_value(rest, "--out").unwrap_or("BENCH_lab.json");
+fn trend(rest: &[&str]) -> CmdResult {
+    let args = Args::parse(Command::Trend, rest)?;
+    let threads = args.threads()?;
+    let tolerance = args.tolerance()?.unwrap_or(0.25);
+    let out_path = args.value("--out").unwrap_or("BENCH_lab.json");
 
-    let artifact = match opt_value(rest, "--from-reports") {
-        Some(_) if opt_value(rest, "--suites").is_some() => {
-            eprintln!("--from-reports and --suites are mutually exclusive");
-            return ExitCode::FAILURE;
+    let artifact = match args.value("--from-reports") {
+        Some(_) if args.has("--suites") => {
+            return Err("--from-reports and --suites are mutually exclusive".to_string());
         }
         Some(paths) => {
             let mut suites_out = Vec::new();
             for path in paths.split(',').filter(|s| !s.is_empty()) {
-                let v = match load(path) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if let Err(e) = check_diffable(path, &v) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                match BenchSuite::from_report_json(&v) {
-                    Ok(s) => {
-                        eprintln!(
-                            "trend: report '{path}' ({} = {} cells, {} fit rows)",
-                            s.suite,
-                            s.cells,
-                            s.fits.len()
-                        );
-                        suites_out.push(s);
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let v = load(path)?;
+                check_diffable(path, &v)?;
+                let s = BenchSuite::from_report_json(&v).map_err(|e| format!("{path}: {e}"))?;
+                eprintln!(
+                    "trend: report '{path}' ({} = {} cells, {} fit rows)",
+                    s.suite,
+                    s.cells,
+                    s.fits.len()
+                );
+                suites_out.push(s);
             }
             if suites_out.is_empty() {
-                eprintln!("--from-reports wants at least one report file");
-                return ExitCode::FAILURE;
+                return Err("--from-reports wants at least one report file".to_string());
             }
             BenchArtifact { suites: suites_out }
         }
         None => {
-            let names: Vec<&str> = opt_value(rest, "--suites")
+            let names = args
+                .value("--suites")
                 .unwrap_or("complexity,universal")
                 .split(',')
-                .filter(|s| !s.is_empty())
-                .collect();
+                .filter(|s| !s.is_empty());
             let engine = SweepEngine::new(threads);
             let mut suites_out = Vec::new();
             for name in names {
-                let Some(matrix) = suites::build(name) else {
-                    eprintln!("unknown suite '{name}'; see `lab list`");
-                    return ExitCode::FAILURE;
-                };
+                let matrix = build_suite(name)?;
                 eprintln!("trend: sweeping '{name}' ({} cells)...", matrix.len());
                 let (report, sweep) = engine.run(&matrix);
                 for f in &report.fits {
@@ -1691,10 +1183,7 @@ fn trend(rest: &[&str]) -> ExitCode {
         }
     };
 
-    if let Err(e) = std::fs::write(out_path, artifact.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    write_file(out_path, &artifact.to_json())?;
     eprintln!("trend artifact: {out_path}");
 
     let mut failed = false;
@@ -1712,39 +1201,26 @@ fn trend(rest: &[&str]) -> ExitCode {
         );
         failed = true;
     }
-    if rest.contains(&"--update-baseline") {
+    if args.has("--update-baseline") {
         // Regenerate the committed baseline in place (same deterministic
         // schema tag and key order, so the diff is reviewable) instead of
         // comparing against it — the workflow after an *intentional* perf
         // change. A sweep that fails its own bands must not become
         // history.
-        let baseline_path = opt_value(rest, "--baseline").unwrap_or("ci/BENCH_lab_baseline.json");
+        let baseline_path = args
+            .value("--baseline")
+            .unwrap_or("ci/BENCH_lab_baseline.json");
         if failed {
             eprintln!("baseline NOT updated: the sweep fails its own gates");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
-        if let Err(e) = std::fs::write(baseline_path, artifact.to_json()) {
-            eprintln!("cannot write {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(baseline_path, &artifact.to_json())?;
         eprintln!("baseline updated: {baseline_path}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if let Some(baseline_path) = opt_value(rest, "--baseline") {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match BenchArtifact::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if let Some(baseline_path) = args.value("--baseline") {
+        let baseline = BenchArtifact::parse(&read_file(baseline_path)?)
+            .map_err(|e| format!("{baseline_path}: {e}"))?;
         let diff = compare(&artifact, &baseline, tolerance);
         print!("{}", diff.render_markdown());
         if diff.regressions() > 0 {
@@ -1755,10 +1231,11 @@ fn trend(rest: &[&str]) -> ExitCode {
             failed = true;
         }
     }
-    if failed {
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
+    Ok(if failed {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
 /// `lab profile`: run a suite with the metrics probe attached and print
@@ -1767,50 +1244,18 @@ fn trend(rest: &[&str]) -> ExitCode {
 /// queue/slab occupancy summaries. With `--timeline BASE`, additionally
 /// exports the hottest cell (or `--cell LABEL`) as `BASE.jsonl` and
 /// `BASE.trace.json` (Chrome `chrome://tracing` / Perfetto format).
-fn profile(rest: &[&str]) -> ExitCode {
-    const PROFILE_FLAGS: [&str; 6] = [
-        "--suite",
-        "--threads",
-        "--top",
-        "--out",
-        "--timeline",
-        "--cell",
-    ];
-    let mut i = 0;
-    while i < rest.len() {
-        if !PROFILE_FLAGS.contains(&rest[i]) || i + 1 >= rest.len() {
-            eprintln!(
-                "usage: lab profile --suite <name> [--threads N] [--top K] [--out FILE]\n\
-                 \x20                 [--timeline BASE] [--cell LABEL]"
-            );
-            return ExitCode::FAILURE;
-        }
-        i += 2;
-    }
-    let Some(name) = opt_value(rest, "--suite") else {
-        eprintln!("lab profile wants --suite <name>; see `lab list`");
-        return ExitCode::FAILURE;
-    };
-    let threads: usize = match opt_value(rest, "--threads").map(str::parse) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--threads wants a number");
-            return ExitCode::FAILURE;
-        }
-    };
-    let top: usize = match opt_value(rest, "--top").map(str::parse) {
+fn profile(rest: &[&str]) -> CmdResult {
+    let args = Args::parse(Command::Profile, rest)?;
+    let name = args
+        .value("--suite")
+        .ok_or("lab profile wants --suite <name>; see `lab list`")?;
+    let threads = args.threads()?;
+    let top: usize = match args.value("--top").map(str::parse) {
         None => 10,
         Some(Ok(n)) if n > 0 => n,
-        Some(_) => {
-            eprintln!("--top wants a positive count");
-            return ExitCode::FAILURE;
-        }
+        Some(_) => return Err("--top wants a positive count".to_string()),
     };
-    let Some(matrix) = suites::build(name) else {
-        eprintln!("unknown suite '{name}'; see `lab list`");
-        return ExitCode::FAILURE;
-    };
+    let matrix = build_suite(name)?;
 
     let start = Instant::now();
     let cells = matrix.len();
@@ -1833,23 +1278,20 @@ fn profile(rest: &[&str]) -> ExitCode {
         ("aggregate", aggregate),
     ];
     let md = profile_markdown(name, &phases, &sweep.timings, &sweep.observed, top);
-    if let Some(out_path) = opt_value(rest, "--out") {
-        if let Err(e) = std::fs::write(out_path, &md) {
-            eprintln!("cannot write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(out_path) = args.value("--out") {
+        write_file(out_path, &md)?;
         eprintln!("profile: {out_path}");
     }
     print!("{md}");
 
-    if let Some(base) = opt_value(rest, "--timeline") {
-        let label = match opt_value(rest, "--cell") {
+    if let Some(base) = args.value("--timeline") {
+        let label = match args.value("--cell") {
             Some(label) => label.to_string(),
             None => match hottest_by_events(&sweep.observed) {
                 Some(hot) => hot.label.clone(),
                 None => {
                     eprintln!("nothing to export: the suite observed no run cells");
-                    return ExitCode::from(1);
+                    return Ok(ExitCode::from(1));
                 }
             },
         };
@@ -1858,22 +1300,11 @@ fn profile(rest: &[&str]) -> ExitCode {
                 "no timeline for '{label}': not a run cell of this suite \
                  (classification cells have no event timeline)"
             );
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         };
-        let jsonl_path = format!("{base}.jsonl");
-        let trace_path = format!("{base}.trace.json");
-        for (path, text) in [
-            (&jsonl_path, timeline.to_jsonl()),
-            (&trace_path, timeline.to_chrome_trace()),
-        ] {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        eprintln!("timeline ({label}): {jsonl_path}, {trace_path}");
+        write_timeline(&timeline, base, &label)?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `lab perf`: gate a measured artifact against its committed baseline,
@@ -1891,45 +1322,16 @@ fn profile(rest: &[&str]) -> ExitCode {
 /// drift, and vanished coverage. `--update-baseline` instead rewrites the
 /// baseline from the current artifact — the deliberate-refresh path after
 /// an intentional change.
-fn perf(rest: &[&str]) -> ExitCode {
-    const PERF_FLAGS: [&str; 3] = ["--bench", "--baseline", "--tolerance"];
-    const PERF_SWITCHES: [&str; 1] = ["--update-baseline"];
-    let mut i = 0;
-    while i < rest.len() {
-        if PERF_SWITCHES.contains(&rest[i]) {
-            i += 1;
-            continue;
-        }
-        if !PERF_FLAGS.contains(&rest[i]) || i + 1 >= rest.len() {
-            eprintln!(
-                "usage: lab perf [--bench FILE] [--baseline FILE] [--tolerance X]\n\
-                 \x20              [--update-baseline]"
-            );
-            return ExitCode::FAILURE;
-        }
-        i += 2;
-    }
-    // Same non-finite guard as `lab trend`: a NaN tolerance would make
-    // every slowdown comparison false and silently disarm the gate.
-    let tolerance_flag: Option<f64> = match opt_value(rest, "--tolerance").map(str::parse) {
-        None => None,
-        Some(Ok(x)) if x >= 0.0 && f64::is_finite(x) => Some(x),
-        Some(_) => {
-            eprintln!("--tolerance wants a finite non-negative number");
-            return ExitCode::FAILURE;
-        }
-    };
-    let bench_path = opt_value(rest, "--bench").unwrap_or("BENCH_simnet.json");
-    let bench_text = match std::fs::read_to_string(bench_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!(
-                "cannot read {bench_path}: {e}\n(produce it with: cargo run --release \
-                 -p validity-simnet --example perf_smoke -- {bench_path})"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+fn perf(rest: &[&str]) -> CmdResult {
+    let args = Args::parse(Command::Perf, rest)?;
+    let tolerance_flag = args.tolerance()?;
+    let bench_path = args.value("--bench").unwrap_or("BENCH_simnet.json");
+    let bench_text = read_file(bench_path).map_err(|e| {
+        format!(
+            "{e}\n(produce it with: cargo run --release \
+             -p validity-simnet --example perf_smoke -- {bench_path})"
+        )
+    })?;
     // Dispatch on the artifact's own schema tag, so `lab perf --bench
     // BENCH_service.json --baseline ci/BENCH_service_baseline.json` gates
     // service throughput with the same command surface.
@@ -1937,48 +1339,30 @@ fn perf(rest: &[&str]) -> ExitCode {
         .ok()
         .and_then(|v| v.get("schema").and_then(Json::as_str).map(str::to_string));
     if schema_tag.as_deref() == Some(SERVICE_BENCH_SCHEMA) {
-        return perf_service(rest, bench_path, &bench_text, tolerance_flag);
+        return perf_service(&args, bench_path, &bench_text, tolerance_flag);
     }
     let tolerance = tolerance_flag.unwrap_or(0.5);
-    let baseline_path = opt_value(rest, "--baseline").unwrap_or("ci/BENCH_simnet_baseline.json");
-    let current = match SimnetBench::parse(&bench_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{bench_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if rest.contains(&"--update-baseline") {
+    let baseline_path = args
+        .value("--baseline")
+        .unwrap_or("ci/BENCH_simnet_baseline.json");
+    let current = SimnetBench::parse(&bench_text).map_err(|e| format!("{bench_path}: {e}"))?;
+    if args.has("--update-baseline") {
         // Re-emit through the canonical renderer (not a byte copy) so the
         // committed baseline always has the one reviewable layout, whatever
         // produced the input.
-        if let Err(e) = std::fs::write(baseline_path, current.to_json()) {
-            eprintln!("cannot write {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(baseline_path, &current.to_json())?;
         eprintln!("baseline updated: {baseline_path}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => match SimnetBench::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("cannot read {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let baseline = SimnetBench::parse(&read_file(baseline_path)?)
+        .map_err(|e| format!("{baseline_path}: {e}"))?;
     if current.workload != baseline.workload {
         eprintln!(
             "PERF FAILURE: workload mismatch — current '{}' vs baseline '{}': \
              the artifacts measure different things",
             current.workload, baseline.workload
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
     let diff = compare_simnet(&current, &baseline, tolerance);
     print!("{}", diff.render_markdown());
@@ -1987,60 +1371,42 @@ fn perf(rest: &[&str]) -> ExitCode {
             "PERF FAILURE: {} regression(s) vs baseline {baseline_path}",
             diff.regressions()
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The service-bench branch of [`perf`]: gates simulated decisions/sec
 /// per report group against `ci/BENCH_service_baseline.json`. The rates
 /// are deterministic, so the default tolerance is zero.
 fn perf_service(
-    rest: &[&str],
+    args: &Args,
     bench_path: &str,
     bench_text: &str,
     tolerance_flag: Option<f64>,
-) -> ExitCode {
+) -> CmdResult {
     let tolerance = tolerance_flag.unwrap_or(0.0);
-    let baseline_path = opt_value(rest, "--baseline").unwrap_or("ci/BENCH_service_baseline.json");
-    let current = match ServiceBench::parse(bench_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{bench_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if rest.contains(&"--update-baseline") {
+    let baseline_path = args
+        .value("--baseline")
+        .unwrap_or("ci/BENCH_service_baseline.json");
+    let current = ServiceBench::parse(bench_text).map_err(|e| format!("{bench_path}: {e}"))?;
+    if args.has("--update-baseline") {
         // Re-emit through the canonical renderer, which also drops the
         // advisory wall-clock fields — the committed baseline carries
         // only the deterministic core.
-        if let Err(e) = std::fs::write(baseline_path, current.to_json()) {
-            eprintln!("cannot write {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(baseline_path, &current.to_json())?;
         eprintln!("baseline updated: {baseline_path}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => match ServiceBench::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("cannot read {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let baseline = ServiceBench::parse(&read_file(baseline_path)?)
+        .map_err(|e| format!("{baseline_path}: {e}"))?;
     if current.suite != baseline.suite {
         eprintln!(
             "PERF FAILURE: suite mismatch — current '{}' vs baseline '{}': \
              the artifacts measure different things",
             current.suite, baseline.suite
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
     let diff = compare_service(&current, &baseline, tolerance);
     print!("{}", diff.render_markdown());
@@ -2049,7 +1415,7 @@ fn perf_service(
             "PERF FAILURE: {} regression(s) vs baseline {baseline_path}",
             diff.regressions()
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

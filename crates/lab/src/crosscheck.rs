@@ -36,16 +36,16 @@
 //! [`Applicability`]: validity_protocols::registry::Applicability
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
 use validity_core::{classify, Classification, Domain, SystemParams};
 use validity_protocols::registry::{vector_registry, VectorSpec};
 
+use crate::executor::CellTiming;
 use crate::json::Json;
 use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
+use crate::pool;
 use crate::report::json_str;
 use crate::runner::{execute_with_budget, Outcome};
 
@@ -732,59 +732,26 @@ pub fn compare_emitted(json: &str, md: &str) -> Vec<String> {
     problems
 }
 
-/// Per-cell wall timing of a crosscheck sweep (diagnostic only — never
-/// part of the report).
-#[derive(Clone, Debug)]
-pub struct CrosscheckTiming {
-    /// The cell key.
-    pub label: String,
-    /// Wall-clock time the cell (all its columns) took.
-    pub wall: Duration,
-}
-
 /// Runs a crosscheck matrix on `threads` workers (0 = one per core) and
 /// collects in matrix order — report bytes are independent of the worker
-/// count, exactly like every other lab artifact.
+/// count, exactly like every other lab artifact. The timings are per-cell
+/// wall clock (all of a cell's columns) in matrix order — diagnostic only,
+/// never part of the report.
 pub fn run_crosscheck(
     matrix: &CrosscheckMatrix,
     threads: usize,
-) -> (CrosscheckReport, Duration, Vec<CrosscheckTiming>) {
+) -> (CrosscheckReport, Duration, Vec<CellTiming>) {
     let started = Instant::now();
     let cells = matrix.cells();
-    let n = cells.len();
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
-    } else {
-        threads
-    }
-    .min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(CrosscheckRecord, Duration)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cell_started = Instant::now();
-                let record =
-                    execute_crosscheck(&cells[i], &matrix.engines, matrix.domain, matrix.max_steps);
-                *slots[i].lock().expect("result slot poisoned") =
-                    Some((record, cell_started.elapsed()));
-            });
-        }
+    let results = pool::ordered_map(threads, cells.len(), |i| {
+        execute_crosscheck(&cells[i], &matrix.engines, matrix.domain, matrix.max_steps)
     });
-    let mut records = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (cell, slot) in cells.into_iter().zip(slots) {
-        let (record, wall) = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("worker pool exited with an unfilled slot");
-        timings.push(CrosscheckTiming {
-            label: cell.key(),
+    let mut records = Vec::with_capacity(cells.len());
+    let mut timings = Vec::with_capacity(cells.len());
+    for (record, wall) in results {
+        timings.push(CellTiming {
+            label: record.key.clone(),
+            events: 0,
             wall,
         });
         records.push(record);
@@ -973,6 +940,17 @@ mod tests {
         let (many, _, _) = run_crosscheck(&m, 0);
         assert_eq!(one.to_json(), many.to_json());
         assert_eq!(one.to_markdown(), many.to_markdown());
+    }
+
+    #[test]
+    fn timings_name_every_cell_in_matrix_order() {
+        let mut m = tiny();
+        m.seeds = 0..3;
+        let (report, _, timings) = run_crosscheck(&m, 2);
+        let keys: Vec<String> = m.cells().iter().map(|c| c.key()).collect();
+        let timed: Vec<&str> = timings.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(timed, keys);
+        assert_eq!(report.cells.len(), keys.len());
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! The multi-threaded sweep executor.
 //!
 //! Simulations are deterministic, independent, and CPU-bound, so a sweep is
-//! embarrassingly parallel: workers pull cell indices from a shared atomic
-//! counter and write results into the cell's pre-allocated slot. Results are
-//! then read back **in matrix order**, which makes every downstream artifact
-//! (aggregation, JSON, Markdown) independent of the worker count and of
-//! scheduling noise — run the same matrix on 1 thread or 16 and the report
-//! bytes are identical. The executor's only nondeterministic observable is
-//! wall-clock time, which is reported separately and never enters reports.
+//! embarrassingly parallel: cells (or adaptive work units) fan out over the
+//! lab's one worker pool (the private `pool` module, shared with the service,
+//! crosscheck and mutate drivers), which hands results back **in matrix
+//! order**. That makes every downstream artifact (aggregation, JSON,
+//! Markdown) independent of the worker count and of scheduling noise — run
+//! the same matrix on 1 thread or 16 and the report bytes are identical.
+//! The executor's only nondeterministic observable is wall-clock time,
+//! which is reported separately and never enters reports.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use validity_simnet::Metrics;
 
 use crate::matrix::{CellSpec, RunCell, SamplingSpec, ScenarioMatrix, ShardSpec, WorkUnit};
 use crate::observe::CellObservation;
+use crate::pool;
 use crate::report::SweepReport;
 use crate::runner::{
     execute_run_with_context, execute_run_with_probe, execute_with_budget, CellRecord,
@@ -54,13 +54,16 @@ pub struct SweepRun {
     pub observed: Vec<CellObservation>,
 }
 
-/// Wall-clock cost of one executed cell (or adaptive work unit).
+/// Wall-clock cost of one executed cell (or adaptive work unit) of any
+/// driver — sweep, service or crosscheck.
 #[derive(Clone, Debug)]
 pub struct CellTiming {
-    /// The cell's key (fixed sweeps) or the group key (adaptive units).
+    /// The cell's key (fixed sweeps, service and crosscheck cells) or the
+    /// group key (adaptive units).
     pub label: String,
     /// Simulator events processed (classification cells report their
-    /// admissibility-evaluation cost instead).
+    /// admissibility-evaluation cost instead; service and crosscheck cells
+    /// count none and report 0).
     pub events: u64,
     /// Wall-clock duration of the cell/unit.
     pub wall: Duration,
@@ -122,6 +125,21 @@ pub fn timing_markdown(timings: &[CellTiming], adaptive: bool) -> String {
     out
 }
 
+/// Renders the `--timing` appendix of `lab service` / `lab crosscheck`:
+/// per-cell wall clock, slowest first. Diagnostic only — wall time never
+/// enters a report.
+pub fn slowest_first_markdown(timings: &[CellTiming]) -> String {
+    use std::fmt::Write as _;
+    let mut rows: Vec<&CellTiming> = timings.iter().collect();
+    rows.sort_by(|a, b| b.wall.cmp(&a.wall).then_with(|| a.label.cmp(&b.label)));
+    let mut out =
+        String::from("## Cell timing (wall clock, slowest first)\n\n| cell | ms |\n|---|---|\n");
+    for t in rows {
+        let _ = writeln!(out, "| {} | {:.3} |", t.label, t.wall.as_secs_f64() * 1e3);
+    }
+    out
+}
+
 /// Events (or classifier cost) attributed to a record for timing purposes.
 fn record_events(record: &CellRecord) -> u64 {
     match &record.outcome {
@@ -139,17 +157,42 @@ fn record_adversary_notes(record: &CellRecord) -> (u64, u64) {
     }
 }
 
+/// Files one executed pool item — a cell, or an adaptive work unit with
+/// all its records — as a timing row plus, when it ran probed, an
+/// observation.
+fn file_item(
+    label: String,
+    records: &[CellRecord],
+    wall: Duration,
+    metrics: Option<Metrics>,
+    timings: &mut Vec<CellTiming>,
+    observed: &mut Vec<CellObservation>,
+) {
+    if let Some(metrics) = metrics {
+        let (equivocations, omissions) = records
+            .iter()
+            .map(record_adversary_notes)
+            .fold((0, 0), |(e, o), (de, dol)| (e + de, o + dol));
+        observed.push(CellObservation {
+            label: label.clone(),
+            metrics,
+            equivocations,
+            omissions,
+        });
+    }
+    timings.push(CellTiming {
+        label,
+        events: records.iter().map(record_events).sum(),
+        wall,
+    });
+}
+
 impl SweepEngine {
     /// Creates an engine with the given worker count; `0` means one worker
     /// per available core.
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
         SweepEngine {
-            threads,
+            threads: pool::width(threads),
             observe: false,
         }
     }
@@ -174,30 +217,10 @@ impl SweepEngine {
     }
 
     /// Executes every cell of `matrix` (under its step budget, if any) and
-    /// returns the ordered records. Adaptive matrices
-    /// ([`ScenarioMatrix::sampling`]) run the per-group seed ladder
-    /// instead of the fixed seed range.
+    /// returns the ordered records: [`SweepEngine::execute_shard`] of the
+    /// trivial one-shard partition.
     pub fn execute(&self, matrix: &ScenarioMatrix) -> SweepRun {
-        if matrix.sampling.is_some() {
-            let units = matrix.work_units();
-            let (records, wall, timings, observed) = self.execute_units(matrix, &units);
-            return SweepRun {
-                records,
-                threads: self.threads,
-                wall,
-                timings,
-                observed,
-            };
-        }
-        let cells = matrix.cells();
-        let (records, wall, timings, observed) = self.execute_cells(&cells, matrix.max_steps);
-        SweepRun {
-            records,
-            threads: self.threads,
-            wall,
-            timings,
-            observed,
-        }
+        self.execute_shard(matrix, ShardSpec::full())
     }
 
     /// Executes one shard of `matrix` (see [`crate::matrix::ShardSpec`]):
@@ -208,26 +231,19 @@ impl SweepEngine {
     /// [`crate::partial::merge`] reassemble byte-identical reports from
     /// partial runs on different processes or machines.
     ///
-    /// Adaptive matrices shard at the *work-unit* granularity instead
-    /// (round-robin over classification cells and whole run groups): a
-    /// group's stopping decision depends on its own records, so the shard
-    /// that owns a group runs its entire seed ladder and arrives at
-    /// exactly the stopping point the unsharded run would — no
-    /// coordination, same bytes.
+    /// Adaptive matrices ([`ScenarioMatrix::sampling`]) run the per-group
+    /// seed ladder instead of the fixed seed range, and shard at the
+    /// *work-unit* granularity (round-robin over classification cells and
+    /// whole run groups): a group's stopping decision depends on its own
+    /// records, so the shard that owns a group runs its entire seed ladder
+    /// and arrives at exactly the stopping point the unsharded run would —
+    /// no coordination, same bytes.
     pub fn execute_shard(&self, matrix: &ScenarioMatrix, shard: ShardSpec) -> SweepRun {
-        if matrix.sampling.is_some() {
-            let units = matrix.shard_units(shard);
-            let (records, wall, timings, observed) = self.execute_units(matrix, &units);
-            return SweepRun {
-                records,
-                threads: self.threads,
-                wall,
-                timings,
-                observed,
-            };
-        }
-        let cells = matrix.shard_cells(shard);
-        let (records, wall, timings, observed) = self.execute_cells(&cells, matrix.max_steps);
+        let (records, wall, timings, observed) = if matrix.sampling.is_some() {
+            self.execute_units(matrix, &matrix.shard_units(shard))
+        } else {
+            self.execute_cells(&matrix.shard_cells(shard), matrix.max_steps)
+        };
         SweepRun {
             records,
             threads: self.threads,
@@ -251,55 +267,24 @@ impl SweepEngine {
         Vec<CellObservation>,
     ) {
         let started = Instant::now();
-        let n = cells.len();
-        let next = AtomicUsize::new(0);
-        type CellSlot = Mutex<Option<(CellRecord, Duration, Option<Metrics>)>>;
-        let slots: Vec<CellSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let workers = self.threads.min(n.max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let cell_started = Instant::now();
-                    let (record, metrics) = match (&cells[i], self.observe) {
-                        (CellSpec::Run(c), true) => {
-                            let ctx = GroupContext::new(c, max_steps);
-                            let probe = Metrics::new(ctx.round_width());
-                            let (record, m) = execute_run_with_probe(&ctx, c.seed, probe);
-                            (record, Some(m))
-                        }
-                        _ => (execute_with_budget(&cells[i], max_steps), None),
-                    };
-                    *slots[i].lock().expect("result slot poisoned") =
-                        Some((record, cell_started.elapsed(), metrics));
-                });
+        let results = pool::ordered_map(self.threads, cells.len(), |i| {
+            match (&cells[i], self.observe) {
+                (CellSpec::Run(c), true) => {
+                    let ctx = GroupContext::new(c, max_steps);
+                    let probe = Metrics::new(ctx.round_width());
+                    let (record, m) = execute_run_with_probe(&ctx, c.seed, probe);
+                    (record, Some(m))
+                }
+                (cell, _) => (execute_with_budget(cell, max_steps), None),
             }
         });
-        let mut records = Vec::with_capacity(n);
-        let mut timings = Vec::with_capacity(n);
+        let mut records = Vec::with_capacity(cells.len());
+        let mut timings = Vec::with_capacity(cells.len());
         let mut observed = Vec::new();
-        for s in slots {
-            let (record, wall, metrics) = s
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool exited with an unfilled slot");
-            timings.push(CellTiming {
-                label: record.key.clone(),
-                events: record_events(&record),
-                wall,
-            });
-            if let Some(metrics) = metrics {
-                let (equivocations, omissions) = record_adversary_notes(&record);
-                observed.push(CellObservation {
-                    label: record.key.clone(),
-                    metrics,
-                    equivocations,
-                    omissions,
-                });
-            }
+        for ((record, metrics), wall) in results {
+            let label = record.key.clone();
+            let one = std::slice::from_ref(&record);
+            file_item(label, one, wall, metrics, &mut timings, &mut observed);
             records.push(record);
         }
         (records, started.elapsed(), timings, observed)
@@ -325,82 +310,51 @@ impl SweepEngine {
             .sampling
             .expect("execute_units requires an adaptive matrix");
         let started = Instant::now();
-        let n = units.len();
-        let next = AtomicUsize::new(0);
-        type UnitSlot = Mutex<Option<(Vec<CellRecord>, Duration, Option<Metrics>)>>;
-        let slots: Vec<UnitSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let workers = self.threads.min(n.max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let unit_started = Instant::now();
-                    let (records, metrics) = match &units[i] {
-                        WorkUnit::Classify(c) => (
-                            vec![execute_with_budget(
-                                &CellSpec::Classify(*c),
-                                matrix.max_steps,
-                            )],
-                            None,
-                        ),
-                        WorkUnit::Group(template) if self.observe => {
-                            let (records, m) = run_adaptive_group_observed(
-                                template,
-                                &spec,
-                                &matrix.fit_measures,
-                                matrix.seeds.start,
-                                matrix.max_steps,
-                            );
-                            (records, Some(m))
-                        }
-                        WorkUnit::Group(template) => (
-                            run_adaptive_group(
-                                template,
-                                &spec,
-                                &matrix.fit_measures,
-                                matrix.seeds.start,
-                                matrix.max_steps,
-                            ),
-                            None,
-                        ),
-                    };
-                    *slots[i].lock().expect("result slot poisoned") =
-                        Some((records, unit_started.elapsed(), metrics));
-                });
+        let results = pool::ordered_map(self.threads, units.len(), |i| match &units[i] {
+            WorkUnit::Classify(c) => (
+                vec![execute_with_budget(
+                    &CellSpec::Classify(*c),
+                    matrix.max_steps,
+                )],
+                None,
+            ),
+            WorkUnit::Group(template) if self.observe => {
+                let (records, m) = run_adaptive_group_observed(
+                    template,
+                    &spec,
+                    &matrix.fit_measures,
+                    matrix.seeds.start,
+                    matrix.max_steps,
+                );
+                (records, Some(m))
             }
+            WorkUnit::Group(template) => (
+                run_adaptive_group(
+                    template,
+                    &spec,
+                    &matrix.fit_measures,
+                    matrix.seeds.start,
+                    matrix.max_steps,
+                ),
+                None,
+            ),
         });
         let mut records = Vec::new();
-        let mut timings = Vec::with_capacity(n);
+        let mut timings = Vec::with_capacity(units.len());
         let mut observed = Vec::new();
-        for (slot, unit) in slots.into_iter().zip(units) {
-            let (unit_records, wall, metrics) = slot
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool exited with an unfilled slot");
+        for (((unit_records, metrics), wall), unit) in results.zip(units) {
             let label = match unit {
                 WorkUnit::Classify(c) => c.key(),
                 WorkUnit::Group(template) => template.group_key(),
             };
-            timings.push(CellTiming {
-                label: label.clone(),
-                events: unit_records.iter().map(record_events).sum(),
+            file_item(
+                label,
+                &unit_records,
                 wall,
-            });
-            if let Some(metrics) = metrics {
-                let (equivocations, omissions) = unit_records
-                    .iter()
-                    .map(record_adversary_notes)
-                    .fold((0, 0), |(e, o), (de, dol)| (e + de, o + dol));
-                observed.push(CellObservation {
-                    label,
-                    metrics,
-                    equivocations,
-                    omissions,
-                });
-            }
+                metrics,
+                &mut timings,
+                &mut observed,
+            );
             records.extend(unit_records);
         }
         (records, started.elapsed(), timings, observed)
@@ -525,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_means_available_parallelism() {
+    fn zero_threads_resolves_to_one_worker_per_core() {
         assert!(SweepEngine::new(0).threads() >= 1);
         assert_eq!(SweepEngine::new(3).threads(), 3);
     }
@@ -588,6 +542,35 @@ mod tests {
             assert_eq!(obs.label, timing.label);
             assert_eq!(obs.metrics.events, timing.events);
         }
+    }
+
+    #[test]
+    fn execute_is_the_full_shard_in_both_modes() {
+        let mut m = matrix();
+        for sampling in [None, Some(crate::matrix::SamplingSpec::default())] {
+            m.sampling = sampling;
+            let whole = SweepEngine::new(2).execute(&m);
+            let sharded = SweepEngine::new(2).execute_shard(&m, ShardSpec::full());
+            assert_eq!(whole.records, sharded.records);
+            assert_eq!(whole.threads, 2);
+            let halves: usize = (1..=2)
+                .map(|index| ShardSpec { index, count: 2 })
+                .map(|shard| SweepEngine::new(1).execute_shard(&m, shard).records.len())
+                .sum();
+            assert_eq!(halves, whole.records.len());
+        }
+    }
+
+    #[test]
+    fn slowest_first_orders_by_wall_then_label() {
+        let row = |label: &str, ms| CellTiming {
+            label: label.into(),
+            events: 0,
+            wall: Duration::from_millis(ms),
+        };
+        let md = slowest_first_markdown(&[row("b", 1), row("slow", 9), row("a", 1)]);
+        let rows: Vec<&str> = md.lines().filter(|l| l.ends_with(" |")).skip(1).collect();
+        assert_eq!(rows, ["| slow | 9.000 |", "| a | 1.000 |", "| b | 1.000 |"]);
     }
 
     #[test]

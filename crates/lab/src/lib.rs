@@ -15,11 +15,13 @@
 //!   `(n, t)`, and seed — plus a grid of solvability-classification cells.
 //!   Enumeration order is deterministic, and incompatible combinations
 //!   (e.g. `Universal` with a property that violates `C_S`) are skipped.
-//! * **[`SweepEngine`]** (module [`executor`]) — a worker pool fanning the
-//!   cells out across threads. Simulations are deterministic and
-//!   independent, so the sweep is embarrassingly parallel; results are
-//!   collected *in matrix order*, making every report byte-for-byte
-//!   independent of the worker count.
+//! * **[`SweepEngine`]** (module [`executor`]) — fans the cells out across
+//!   threads. Simulations are deterministic and independent, so the sweep
+//!   is embarrassingly parallel; results are collected *in matrix order*,
+//!   making every report byte-for-byte independent of the worker count.
+//!   The private `pool` module underneath is the crate's one worker pool:
+//!   the sweep, service, crosscheck and mutate drivers all fan out through
+//!   its `ordered_map`.
 //! * **[`SweepReport`]** (module [`report`]) — per-configuration
 //!   aggregation (decision latency, message/word complexity, safety and
 //!   validity violations) with JSON and Markdown emitters.
@@ -59,8 +61,11 @@
 //!   mutant run through the crosscheck oracle next to the clean columns
 //!   and reported in a kill matrix — every mutant killed or explicitly
 //!   catalogued equivalent, and zero false kills on the clean baseline.
-//! * the **`lab`** binary — `run` / `list` / `diff` / `merge` / `trend` /
-//!   `profile` / `perf` over all of the above.
+//! * **[`flags`]** — the CLI's one flag table: every `--flag`, the
+//!   commands that accept it, and the reason where a command refuses it.
+//! * the **`lab`** binary — `run` / `service` / `crosscheck` / `mutate` /
+//!   `list` / `diff` / `merge` / `trend` / `profile` / `perf` over all of
+//!   the above, validating every argv against [`flags`].
 //!
 //! ## Example
 //!
@@ -82,12 +87,14 @@
 pub mod crosscheck;
 pub mod executor;
 pub mod fit;
+pub mod flags;
 pub mod json;
 pub mod matrix;
 pub mod mutate;
 pub mod observe;
 pub mod partial;
 pub mod perf;
+mod pool;
 pub mod report;
 pub mod runner;
 pub mod sampling;
@@ -97,10 +104,12 @@ pub mod trend;
 
 pub use crosscheck::{
     classifier_in_band, compare_emitted, execute_crosscheck, grade, run_crosscheck, AgreementLevel,
-    CrosscheckCell, CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, CrosscheckTiming,
-    EngineColumn, EngineOutcome, EngineVerdict, CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
+    CrosscheckCell, CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, EngineColumn,
+    EngineOutcome, EngineVerdict, CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
 };
-pub use executor::{run_adaptive_group, timing_markdown, CellTiming, SweepEngine, SweepRun};
+pub use executor::{
+    run_adaptive_group, slowest_first_markdown, timing_markdown, CellTiming, SweepEngine, SweepRun,
+};
 pub use fit::{fit_exponent, try_fit_exponent, PowerFit};
 pub use matrix::{
     CellSpec, ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, RunCell, SamplingSpec,
@@ -123,6 +132,6 @@ pub use runner::{execute, execute_with_budget, CellRecord, ClassifyRecord, Outco
 pub use sampling::GroupSampling;
 pub use service::{
     execute_service, run_service, ServiceCell, ServiceGroup, ServiceMatrix, ServiceRecord,
-    ServiceReport, ServiceTiming, SERVICE_SCHEMA,
+    ServiceReport, SERVICE_SCHEMA,
 };
 pub use trend::{compare, BenchArtifact, BenchFit, BenchSuite, TrendDiff, BENCH_SCHEMA};

@@ -34,8 +34,6 @@
 //! `mutate@1` artifact is byte-identical across worker counts. Base
 //! columns are executed once and shared by every mutant's grading.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
@@ -47,6 +45,7 @@ use crate::crosscheck::{
     EngineVerdict,
 };
 use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScheduleSpec, ValiditySpec};
+use crate::pool;
 use crate::report::json_str;
 use crate::runner::{execute_with_budget, Outcome};
 
@@ -482,10 +481,10 @@ fn judge(
 /// Runs the full kill matrix over `threads` workers (0 = all cores).
 ///
 /// Deterministic: every `(cell × column)` simulation is independent, work
-/// fans out through the same atomic-cursor pool as
-/// [`crate::crosscheck::run_crosscheck`], results land in preallocated
-/// slots, and grading walks them in matrix order — the report bytes never
-/// depend on the worker count.
+/// fans out through the same worker pool as
+/// [`crate::crosscheck::run_crosscheck`], which hands the runs back in
+/// index order, and grading walks them in matrix order — the report bytes
+/// never depend on the worker count.
 pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Duration) {
     let started = Instant::now();
     let cells = matrix.grid.cells();
@@ -498,45 +497,18 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
         .copied()
         .chain(mutants.iter().map(|&(_, _, spec)| spec))
         .collect();
-    let total = cells.len() * columns.len();
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
-    } else {
-        threads
-    }
-    .min(total.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ColumnRun>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= total {
-                    break;
-                }
-                let run = run_column(
-                    &cells[k / columns.len()],
-                    columns[k % columns.len()],
-                    matrix.grid.max_steps,
-                );
-                *slots[k].lock().expect("result slot poisoned") = Some(run);
-            });
-        }
-    });
-    let mut runs: Vec<Vec<ColumnRun>> = Vec::with_capacity(cells.len());
-    let mut iter = slots.into_iter();
-    for _ in 0..cells.len() {
-        runs.push(
-            iter.by_ref()
-                .take(columns.len())
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("worker pool exited with an unfilled slot")
-                })
-                .collect(),
-        );
-    }
+    let mut results = pool::ordered_map(threads, cells.len() * columns.len(), |k| {
+        run_column(
+            &cells[k / columns.len()],
+            columns[k % columns.len()],
+            matrix.grid.max_steps,
+        )
+    })
+    .map(|(run, _wall)| run);
+    let runs: Vec<Vec<ColumnRun>> = cells
+        .iter()
+        .map(|_| results.by_ref().take(columns.len()).collect())
+        .collect();
     let bases = matrix.grid.engines.len();
     let base_runs: Vec<Vec<ColumnRun>> = runs.iter().map(|row| row[..bases].to_vec()).collect();
     // Classifier column, once per cell (cheap at grid sizes).

@@ -17,14 +17,12 @@
 //!   decision, the quantity the batching knob is supposed to shrink.
 //!
 //! The executor mirrors [`crate::executor::SweepEngine`]: cells fan out
-//! over a worker pool, results are collected in matrix order, and the
+//! over the same worker pool, results are collected in matrix order, and the
 //! report is a deterministic rendering of deterministic runs — the
 //! `service` suite carries the same byte-identity guarantee as every
 //! other lab artifact.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
@@ -33,7 +31,9 @@ use validity_protocols::registry::{find_vector, ProtocolContext, VectorMachine, 
 use validity_protocols::service::{batch_proposal, Replicated, ServiceConfig};
 use validity_simnet::{agreement_holds, Hist, Multiplex, NodeKind, RunOutcome, Time};
 
+use crate::executor::CellTiming;
 use crate::matrix::ScheduleSpec;
+use crate::pool;
 use crate::report::json_str;
 
 /// Schema tag of the service report artifact.
@@ -521,61 +521,27 @@ fn centi(x: u64) -> String {
     format!("{}.{:02}", x / 100, x % 100)
 }
 
-/// Per-cell wall timing of a service sweep (diagnostic only — never part
-/// of the report).
-#[derive(Clone, Debug)]
-pub struct ServiceTiming {
-    /// The cell key.
-    pub label: String,
-    /// Wall-clock time the cell took.
-    pub wall: Duration,
-}
-
 /// Runs a service matrix on `threads` workers (0 = one per core) and
 /// aggregates in matrix order — the report bytes are independent of the
-/// worker count, exactly like the scenario sweep engine.
+/// worker count, exactly like the scenario sweep engine. The timings are
+/// per-cell wall clock in matrix order (diagnostic only — never part of
+/// the report).
 pub fn run_service(
     matrix: &ServiceMatrix,
     threads: usize,
-) -> (ServiceReport, Duration, Vec<ServiceTiming>) {
+) -> (ServiceReport, Duration, Vec<CellTiming>) {
     let started = Instant::now();
     let cells = matrix.cells();
-    let n = cells.len();
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
-    } else {
-        threads
-    }
-    .min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(ServiceRecord, Duration)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cell_started = Instant::now();
-                let record = execute_service(&cells[i]);
-                *slots[i].lock().expect("result slot poisoned") =
-                    Some((record, cell_started.elapsed()));
-            });
-        }
-    });
-    let mut records = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (cell, slot) in cells.into_iter().zip(slots) {
-        let (record, wall) = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("worker pool exited with an unfilled slot");
-        timings.push(ServiceTiming {
+    let results = pool::ordered_map(threads, cells.len(), |i| execute_service(&cells[i]));
+    let mut records = Vec::with_capacity(cells.len());
+    let mut timings = Vec::with_capacity(cells.len());
+    for ((record, wall), cell) in results.zip(&cells) {
+        timings.push(CellTiming {
             label: cell.key(),
+            events: 0,
             wall,
         });
-        records.push((cell, record));
+        records.push((*cell, record));
     }
     let report = ServiceReport::build(&matrix.name, records);
     (report, started.elapsed(), timings)
@@ -682,6 +648,17 @@ mod tests {
         let (many, _, _) = run_service(&m, 0);
         assert_eq!(one.to_json(), many.to_json());
         assert_eq!(one.to_markdown(), many.to_markdown());
+    }
+
+    #[test]
+    fn timings_name_every_cell_in_matrix_order() {
+        let m = tiny();
+        let (report, _, timings) = run_service(&m, 2);
+        let keys: Vec<String> = m.cells().iter().map(|c| c.key()).collect();
+        let timed: Vec<&str> = timings.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(timed, keys);
+        let reported: Vec<&str> = report.cells.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(reported, keys);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use quad::{
 };
 pub use registry::{
     find_vector, vector_registry, Applicability, ProtocolContext, ProtocolSpec, VectorContext,
-    VectorKind, VectorMachine, VectorMsg, VectorSpec,
+    VectorMachine, VectorMsg, VectorSpec,
 };
 pub use service::{batch_proposal, Replicated, ServiceConfig};
 pub use slow_broadcast::SlowBroadcast;

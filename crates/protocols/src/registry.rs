@@ -15,8 +15,6 @@
 //! [`VectorSpec`]s: the three engines share the shape
 //! `inputs → InputConfig<V>` and erase to one concrete [`VectorMachine`] /
 //! [`VectorMsg`] pair, statically dispatched inside the simulator.
-//! [`VectorKind`] survives as a thin compatibility shim over the specs for
-//! code that wants compile-time engine selection.
 //!
 //! ```
 //! use validity_core::SystemParams;
@@ -346,71 +344,6 @@ pub fn find_vector<V: Value + Codec + Words>(name: &str) -> Option<VectorSpec<V>
         .find(|s| s.name() == name)
 }
 
-/// Names one of the three vector-consensus algorithms.
-///
-/// A thin compatibility shim over the [`VectorSpec`] registry for code
-/// that wants compile-time engine selection; every accessor delegates to
-/// the spec. New call sites should prefer [`vector_registry`] /
-/// [`find_vector`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum VectorKind {
-    /// **Algorithm 1** — authenticated vector consensus (Quad-based),
-    /// `O(n²)` messages / `O(n³)` words after GST.
-    Auth,
-    /// **Algorithm 3** — non-authenticated vector consensus (BRB + n×DBFT),
-    /// `O(n⁴)` messages.
-    NonAuth,
-    /// **Algorithm 6** — subcubic vector consensus, `O(n² log n)` words.
-    Fast,
-}
-
-impl VectorKind {
-    /// Every registered algorithm, in presentation order.
-    pub const ALL: [VectorKind; 3] = [VectorKind::Auth, VectorKind::NonAuth, VectorKind::Fast];
-
-    /// This engine's registration record.
-    pub fn spec<V: Value + Codec + Words>(self) -> VectorSpec<V> {
-        vector_registry::<V>()[self as usize]
-    }
-
-    /// The stable registry name (used by CLIs and reports).
-    pub fn name(self) -> &'static str {
-        self.spec::<u64>().name()
-    }
-
-    /// Looks an algorithm up by its registry name.
-    pub fn parse(name: &str) -> Option<VectorKind> {
-        VectorKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// Whether the algorithm relies on the PKI (signatures / threshold
-    /// signatures).
-    pub fn authenticated(self) -> bool {
-        self.spec::<u64>().authenticated()
-    }
-
-    /// The paper's asymptotic cost, for report headers.
-    pub fn complexity(self) -> &'static str {
-        self.spec::<u64>().complexity()
-    }
-
-    /// Builds the machine for process `p` proposing `input`.
-    pub fn machine<V: Value + Codec + Words>(
-        self,
-        ctx: &ProtocolContext,
-        p: ProcessId,
-        input: V,
-    ) -> VectorMachine<V> {
-        self.spec::<V>().machine(ctx, p, input)
-    }
-}
-
-impl fmt::Display for VectorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Union of the three algorithms' wire messages.
 #[derive(Clone, Debug)]
 pub enum VectorMsg<V: Value> {
@@ -546,25 +479,30 @@ mod tests {
 
     #[test]
     fn registry_names_roundtrip() {
-        for kind in VectorKind::ALL {
-            assert_eq!(VectorKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(VectorKind::parse("nope"), None);
         for spec in vector_registry::<u64>() {
             assert_eq!(find_vector::<u64>(spec.name()), Some(spec));
+            assert_eq!(spec.to_string(), spec.name());
         }
         assert_eq!(find_vector::<u64>("nope"), None);
     }
 
     #[test]
-    fn shim_and_spec_agree_on_metadata() {
-        for (kind, spec) in VectorKind::ALL.into_iter().zip(vector_registry::<u64>()) {
-            assert_eq!(kind.name(), spec.name());
-            assert_eq!(kind.authenticated(), spec.authenticated());
-            assert_eq!(kind.complexity(), spec.complexity());
+    fn registry_lists_the_three_algorithms_in_presentation_order() {
+        let listed: Vec<(&str, bool)> = vector_registry::<u64>()
+            .iter()
+            .map(|spec| (spec.name(), spec.authenticated()))
+            .collect();
+        assert_eq!(
+            listed,
+            [
+                ("alg1-auth", true),
+                ("alg3-nonauth", false),
+                ("alg6-fast", true)
+            ]
+        );
+        for spec in vector_registry::<u64>() {
+            assert!(!spec.complexity().is_empty(), "{spec} has no cost band");
         }
-        assert!(find_vector::<u64>("alg1-auth").unwrap().authenticated());
-        assert!(!find_vector::<u64>("alg3-nonauth").unwrap().authenticated());
     }
 
     #[test]
@@ -598,9 +536,9 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_reaches_agreement_with_a_silent_byzantine() {
+    fn every_registered_engine_reaches_agreement_with_a_silent_byzantine() {
         let params = SystemParams::new(4, 1).unwrap();
-        for kind in VectorKind::ALL {
+        for kind in vector_registry::<u64>() {
             let ctx = ProtocolContext::new(params, 11);
             let nodes: Vec<NodeKind<VectorMachine<u64>>> = (0..4)
                 .map(|i| {
@@ -643,37 +581,5 @@ mod tests {
             "enum erasure must not change message accounting"
         );
         assert_eq!(sim.stats().words_total, dsim.stats().words_total);
-    }
-
-    #[test]
-    fn spec_machine_matches_shim_machine() {
-        // The shim delegates to the spec, so both construction paths run
-        // byte-identically under the same seed.
-        let params = SystemParams::new(4, 1).unwrap();
-        let run = |via_spec: bool| {
-            let ctx = ProtocolContext::new(params, 5);
-            let nodes: Vec<NodeKind<VectorMachine<u64>>> = (0..4)
-                .map(|i| {
-                    let p = ProcessId::from_index(i);
-                    NodeKind::Correct(if via_spec {
-                        find_vector::<u64>("alg1-auth")
-                            .unwrap()
-                            .machine(&ctx, p, i as u64)
-                    } else {
-                        VectorKind::Auth.machine(&ctx, p, i as u64)
-                    })
-                })
-                .collect();
-            let mut sim = Simulation::new(SimConfig::new(params).seed(5), nodes);
-            sim.run_until_decided();
-            (
-                sim.stats().clone(),
-                sim.decisions()
-                    .iter()
-                    .map(|d| d.as_ref().map(|(t, o)| (*t, format!("{o:?}"))))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(run(true), run(false));
     }
 }

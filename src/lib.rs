@@ -63,7 +63,7 @@ pub mod prelude {
     pub use validity_lab::{ScenarioMatrix, ServiceMatrix, SweepEngine, SweepReport};
     pub use validity_protocols::{
         find_vector, vector_registry, ProtocolContext, ProtocolSpec, Replicated, ServiceConfig,
-        Universal, VectorAuth, VectorContext, VectorFast, VectorKind, VectorNonAuth, VectorSpec,
+        Universal, VectorAuth, VectorContext, VectorFast, VectorNonAuth, VectorSpec,
     };
     pub use validity_simnet::{
         agreement_holds, Machine, Multiplex, NodeKind, PreGstPolicy, Silent, SimBuilder, SimConfig,
