@@ -20,9 +20,11 @@
 //!   delaying Q's links past both decision times (Lemma 7), and exhibits
 //!   the resulting Agreement violation.
 
+use std::sync::Arc;
+
 use validity_core::{ProcessId, ProcessSet, SystemParams};
 use validity_simnet::{
-    FilteredMachine, Machine, NodeKind, PreGstPolicy, SimConfig, Simulation, Time,
+    FilteredMachine, Machine, NodeKind, PerLinkModel, SimConfig, Simulation, Time,
 };
 
 use crate::isolation::run_isolated;
@@ -186,7 +188,7 @@ pub fn break_leader_echo(params: SystemParams, delta: Time, seed: u64) -> Disagr
     // are delayed past max(t_q, t_v); GST afterwards.
     let cutoff = (t_q.max(t_v) + 1) * 2;
     let q_for_policy = q;
-    let policy = PreGstPolicy::per_link("lemma7-isolate-q", move |from, to, _at| {
+    let isolate_q = PerLinkModel::new("lemma7-isolate-q", move |from, to, _at| {
         if from == q_for_policy || to == q_for_policy {
             Time::MAX / 8 // held back until GST forces delivery
         } else {
@@ -196,7 +198,7 @@ pub fn break_leader_echo(params: SystemParams, delta: Time, seed: u64) -> Disagr
     let mut cfg = SimConfig::new(params)
         .gst(cutoff)
         .delta(delta)
-        .pre_gst(policy)
+        .net(Arc::new(isolate_q))
         .seed(seed ^ 2);
     cfg.max_time = cutoff * 100;
     let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..n)

@@ -10,8 +10,10 @@
 //! until both sides have decided. `A` reaches its quorum inside `A ∪ B`,
 //! `C` inside `C ∪ B` — with contradictory values.
 
+use std::sync::Arc;
+
 use validity_core::{ProcessId, ProcessSet, SystemParams};
-use validity_simnet::{NodeKind, PreGstPolicy, SimConfig, Simulation, Time};
+use validity_simnet::{NodeKind, PerLinkModel, SimConfig, Simulation, Time};
 
 use crate::behaviors::TwoFaced;
 use crate::strawman::QuorumVote;
@@ -100,7 +102,7 @@ pub fn break_quorum_vote(params: SystemParams, delta: Time, seed: u64) -> Partit
 
     // Stall A ↔ C until after both sides decide (step 3 of Lemma 2).
     let (ga, gc) = (layout.group_a, layout.group_c);
-    let policy = PreGstPolicy::per_link("lemma2-partition", move |from, to, _at| {
+    let stall_cross = PerLinkModel::new("lemma2-partition", move |from, to, _at| {
         let cross =
             (ga.contains(from) && gc.contains(to)) || (gc.contains(from) && ga.contains(to));
         if cross {
@@ -113,7 +115,7 @@ pub fn break_quorum_vote(params: SystemParams, delta: Time, seed: u64) -> Partit
     let cfg = SimConfig::new(params)
         .gst(gst)
         .delta(delta)
-        .pre_gst(policy)
+        .net(Arc::new(stall_cross))
         .seed(seed);
     let mut sim = Simulation::new(cfg, nodes);
     sim.run_until_decided();

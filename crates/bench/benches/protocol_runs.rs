@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use validity_bench::runs;
-use validity_core::{LambdaFn, StrongLambda, SystemParams};
+use validity_core::{StrongLambda, SystemParams};
 
 fn bench_protocols(c: &mut Criterion) {
     let params = SystemParams::new(7, 2).unwrap();
@@ -13,36 +13,29 @@ fn bench_protocols(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end_n7_t2");
     group.sample_size(20);
 
-    group.bench_function("alg1_vector_auth", |b| {
-        b.iter_batched(
-            || (),
-            |_| runs::run_vector_auth(params, 2, &inputs, 9, true),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("alg3_vector_nonauth", |b| {
-        b.iter_batched(
-            || (),
-            |_| runs::run_vector_nonauth(params, 2, &inputs, 9, true),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("alg6_vector_fast", |b| {
-        b.iter_batched(
-            || (),
-            |_| runs::run_vector_fast(params, 2, &inputs, 9, true),
-            BatchSize::SmallInput,
-        )
-    });
+    for (id, engine) in [
+        ("alg1_vector_auth", "alg1-auth"),
+        ("alg3_vector_nonauth", "alg3-nonauth"),
+        ("alg6_vector_fast", "alg6-fast"),
+    ] {
+        group.bench_function(id, |b| {
+            b.iter_batched(
+                || (),
+                |_| runs::run(engine, None, params, 2, &inputs, 9, true),
+                BatchSize::SmallInput,
+            )
+        });
+    }
     group.bench_function("universal_strong_over_alg1", |b| {
         b.iter_batched(
             || (),
             |_| {
-                runs::run_universal_auth(
+                runs::run(
+                    "alg1-auth",
+                    Some(&|| Box::new(StrongLambda)),
                     params,
                     2,
                     &inputs,
-                    || Box::new(StrongLambda) as Box<dyn LambdaFn<u64, u64>>,
                     9,
                     true,
                 )

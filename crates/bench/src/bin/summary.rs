@@ -29,11 +29,12 @@ fn main() {
         let params = SystemParams::optimal_resilience(n).unwrap();
         let t = params.t();
         let inputs: Vec<u64> = (0..n as u64).collect();
-        let stats = runs::run_universal_auth(
+        let stats = runs::run(
+            "alg1-auth",
+            Some(&|| Box::new(StrongLambda)),
             params,
             0,
             &inputs,
-            || Box::new(StrongLambda) as Box<dyn LambdaFn<u64, u64>>,
             55,
             true,
         );
@@ -78,7 +79,7 @@ fn main() {
         let inputs: Vec<u64> = (0..10u64)
             .map(|i| if name.contains("binary") { i % 2 } else { i })
             .collect();
-        let stats = runs::run_universal_auth(params, 3, &inputs, mk, 56, true);
+        let stats = runs::run("alg1-auth", Some(&*mk), params, 3, &inputs, 56, true);
         assert!(stats.decided && stats.agreement, "{name} failed");
         table.row(vec![
             name.to_string(),

@@ -27,8 +27,5 @@
 pub mod runs;
 pub mod table;
 
-pub use runs::{
-    run_universal_auth, run_universal_fast, run_universal_nonauth, run_vector_auth,
-    run_vector_fast, run_vector_nonauth, RunStats,
-};
+pub use runs::{run, RunStats};
 pub use table::Table;

@@ -1,11 +1,10 @@
-//! Canonical protocol runners used by the experiment binaries and the
-//! Criterion benches: build a simulation for one of the three vector-
-//! consensus algorithms (optionally wrapped in `Universal`), run it, and
-//! collect the paper's complexity measures.
+//! The canonical protocol runner used by the experiment binaries and the
+//! Criterion benches: build a simulation for a registry engine (optionally
+//! wrapped in `Universal`), run it, and collect the paper's complexity
+//! measures.
 
 use validity_core::{InputConfig, LambdaFn, ProcessId, SystemParams};
-use validity_crypto::{KeyStore, ThresholdScheme};
-use validity_protocols::{Universal, VectorAuth, VectorFast, VectorNonAuth};
+use validity_protocols::{find_vector, ProtocolContext, Universal};
 use validity_simnet::{agreement_holds, Machine, NodeKind, Silent, SimConfig, Simulation, Time};
 
 /// Complexity measures of one run.
@@ -37,10 +36,28 @@ pub struct RunStats {
     pub decision: String,
 }
 
-fn collect<M: Machine>(params: SystemParams, byz: usize, sim: &mut Simulation<M>) -> RunStats
+/// Runs `mk`'s machines (the last `byz` slots silent) to decision and
+/// collects the measures.
+fn collect<M: Machine + 'static>(
+    byz: usize,
+    cfg: SimConfig,
+    mk: impl Fn(ProcessId) -> M,
+) -> RunStats
 where
     M::Output: std::fmt::Debug + PartialEq,
 {
+    let params = cfg.params;
+    let n = params.n();
+    let nodes = (0..n)
+        .map(|i| {
+            if i < n - byz {
+                NodeKind::Correct(mk(ProcessId::from_index(i)))
+            } else {
+                NodeKind::Byzantine(Box::new(Silent))
+            }
+        })
+        .collect();
+    let mut sim = Simulation::new(cfg, nodes);
     sim.run_until_decided();
     let stats = sim.stats();
     RunStats {
@@ -64,159 +81,37 @@ where
     }
 }
 
-fn config(params: SystemParams, seed: u64, synchronous: bool) -> SimConfig {
-    if synchronous {
-        SimConfig::synchronous(params).seed(seed)
+/// Runs the registry engine named `engine` (`alg1-auth`, `alg3-nonauth`,
+/// `alg6-fast`) over `inputs` with the last `byz` processes silent — raw
+/// (deciding the vector) when `lambda` is `None`, under `Universal` with a
+/// fresh `Λ` per process otherwise. `seed` fixes both the PKI setup and
+/// the network jitter; `synchronous` selects GST = 0.
+///
+/// # Panics
+///
+/// Panics if `engine` is not a registered vector-consensus engine.
+pub fn run(
+    engine: &str,
+    lambda: Option<&dyn Fn() -> Box<dyn LambdaFn<u64, u64>>>,
+    params: SystemParams,
+    byz: usize,
+    inputs: &[u64],
+    seed: u64,
+    synchronous: bool,
+) -> RunStats {
+    let spec = find_vector::<u64>(engine).unwrap_or_else(|| panic!("unknown engine '{engine}'"));
+    let ctx = ProtocolContext::new(params, seed);
+    let cfg = if synchronous {
+        SimConfig::synchronous(params)
     } else {
-        SimConfig::new(params).seed(seed)
+        SimConfig::new(params)
     }
-}
-
-fn build_nodes<M: Machine + 'static>(
-    n: usize,
-    byz: usize,
-    mk: impl Fn(ProcessId) -> M,
-) -> Vec<NodeKind<M>> {
-    (0..n)
-        .map(|i| {
-            if i < n - byz {
-                NodeKind::Correct(mk(ProcessId::from_index(i)))
-            } else {
-                NodeKind::Byzantine(Box::new(Silent))
-            }
-        })
-        .collect()
-}
-
-/// Runs **Algorithm 1** (authenticated vector consensus).
-pub fn run_vector_auth(
-    params: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    seed: u64,
-    synchronous: bool,
-) -> RunStats {
-    let ks = KeyStore::new(params.n(), seed);
-    let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
-    let nodes = build_nodes(params.n(), byz, |p| {
-        VectorAuth::new(
-            inputs[p.index()],
-            ks.clone(),
-            ks.signer(p),
-            scheme.clone(),
-            params,
-        )
-    });
-    let mut sim = Simulation::new(config(params, seed, synchronous), nodes);
-    collect(params, byz, &mut sim)
-}
-
-/// Runs **Algorithm 3** (non-authenticated vector consensus).
-pub fn run_vector_nonauth(
-    params: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    seed: u64,
-    synchronous: bool,
-) -> RunStats {
-    let nodes = build_nodes(params.n(), byz, |p| {
-        VectorNonAuth::new(inputs[p.index()], params.n())
-    });
-    let mut sim = Simulation::new(config(params, seed, synchronous), nodes);
-    collect(params, byz, &mut sim)
-}
-
-/// Runs **Algorithm 6** (subcubic vector consensus).
-pub fn run_vector_fast(
-    params: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    seed: u64,
-    synchronous: bool,
-) -> RunStats {
-    let ks = KeyStore::new(params.n(), seed);
-    let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
-    let nodes = build_nodes(params.n(), byz, |p| {
-        VectorFast::new(
-            inputs[p.index()],
-            ks.clone(),
-            ks.signer(p),
-            scheme.clone(),
-            params,
-        )
-    });
-    let mut sim = Simulation::new(config(params, seed, synchronous), nodes);
-    collect(params, byz, &mut sim)
-}
-
-/// Runs **Universal over Algorithm 1** with the given `Λ` factory.
-pub fn run_universal_auth(
-    params: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    lambda: impl Fn() -> Box<dyn LambdaFn<u64, u64>>,
-    seed: u64,
-    synchronous: bool,
-) -> RunStats {
-    let ks = KeyStore::new(params.n(), seed);
-    let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
-    let nodes = build_nodes(params.n(), byz, |p| {
-        Universal::new(
-            VectorAuth::new(
-                inputs[p.index()],
-                ks.clone(),
-                ks.signer(p),
-                scheme.clone(),
-                params,
-            ),
-            lambda(),
-        )
-    });
-    let mut sim = Simulation::new(config(params, seed, synchronous), nodes);
-    collect(params, byz, &mut sim)
-}
-
-/// Runs **Universal over Algorithm 3**.
-pub fn run_universal_nonauth(
-    params: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    lambda: impl Fn() -> Box<dyn LambdaFn<u64, u64>>,
-    seed: u64,
-    synchronous: bool,
-) -> RunStats {
-    let nodes = build_nodes(params.n(), byz, |p| {
-        Universal::new(VectorNonAuth::new(inputs[p.index()], params.n()), lambda())
-    });
-    let mut sim = Simulation::new(config(params, seed, synchronous), nodes);
-    collect(params, byz, &mut sim)
-}
-
-/// Runs **Universal over Algorithm 6**.
-pub fn run_universal_fast(
-    params: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    lambda: impl Fn() -> Box<dyn LambdaFn<u64, u64>>,
-    seed: u64,
-    synchronous: bool,
-) -> RunStats {
-    let ks = KeyStore::new(params.n(), seed);
-    let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
-    let nodes = build_nodes(params.n(), byz, |p| {
-        Universal::new(
-            VectorFast::new(
-                inputs[p.index()],
-                ks.clone(),
-                ks.signer(p),
-                scheme.clone(),
-                params,
-            ),
-            lambda(),
-        )
-    });
-    let mut sim = Simulation::new(config(params, seed, synchronous), nodes);
-    collect(params, byz, &mut sim)
+    .seed(seed);
+    let machine = |p: ProcessId| spec.machine(&ctx, p, inputs[p.index()]);
+    match lambda {
+        None => collect(byz, cfg, machine),
+        Some(lambda) => collect(byz, cfg, |p| Universal::new(machine(p), lambda())),
+    }
 }
 
 /// Convenience: run Universal/Algorithm 1 under the Theorem-4 `E_base`
@@ -227,19 +122,10 @@ pub fn universal_e_base(
     lambda: impl Fn() -> Box<dyn LambdaFn<u64, u64>> + Copy,
     seed: u64,
 ) -> validity_adversary::EBaseReport {
-    let ks = KeyStore::new(params.n(), seed);
-    let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
+    let alg1 = find_vector::<u64>("alg1-auth").expect("registered");
+    let ctx = ProtocolContext::new(params, seed);
     validity_adversary::run_e_base(params, validity_simnet::DEFAULT_DELTA, seed, move |p| {
-        Universal::new(
-            VectorAuth::new(
-                inputs[p.index()],
-                ks.clone(),
-                ks.signer(p),
-                scheme.clone(),
-                params,
-            ),
-            lambda(),
-        )
+        Universal::new(alg1.machine(&ctx, p, inputs[p.index()]), lambda())
     })
 }
 
@@ -259,11 +145,8 @@ mod tests {
     fn all_three_vector_runners_agree_on_basics() {
         let params = SystemParams::new(4, 1).unwrap();
         let inputs = [1u64, 2, 3, 4];
-        for (name, stats) in [
-            ("alg1", run_vector_auth(params, 1, &inputs, 1, true)),
-            ("alg3", run_vector_nonauth(params, 1, &inputs, 1, true)),
-            ("alg6", run_vector_fast(params, 1, &inputs, 1, true)),
-        ] {
+        for name in ["alg1-auth", "alg3-nonauth", "alg6-fast"] {
+            let stats = run(name, None, params, 1, &inputs, 1, true);
             assert!(stats.decided, "{name} did not decide");
             assert!(stats.agreement, "{name} violated agreement");
             assert!(stats.messages_total > 0);
@@ -275,7 +158,7 @@ mod tests {
         let params = SystemParams::new(4, 1).unwrap();
         let inputs = [7u64, 7, 7, 7];
         let mk = || Box::new(StrongLambda) as Box<dyn LambdaFn<u64, u64>>;
-        let s = run_universal_auth(params, 1, &inputs, mk, 2, true);
+        let s = run("alg1-auth", Some(&mk), params, 1, &inputs, 2, true);
         assert!(s.decided && s.agreement);
         assert_eq!(s.decision, "7");
     }

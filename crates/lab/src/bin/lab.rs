@@ -36,9 +36,7 @@ use std::time::Instant;
 use validity_adversary::BehaviorId;
 use validity_lab::flags::{self, Command};
 use validity_lab::json::Json;
-use validity_lab::perf::{
-    compare_service, compare_simnet, ServiceBench, SimnetBench, SERVICE_BENCH_SCHEMA,
-};
+use validity_lab::perf::{self, PerfArtifact, ServiceBench, SimnetBench, SERVICE_BENCH_SCHEMA};
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
     compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, profile_markdown,
@@ -182,6 +180,8 @@ fn list(names_only: bool) {
 /// by it, given at most once, and followed by its value when it takes one.
 struct Args<'a> {
     given: Vec<(&'static str, &'a str)>,
+    /// The bare arguments, for the commands that take them.
+    positionals: Vec<&'a str>,
 }
 
 impl<'a> Args<'a> {
@@ -190,10 +190,15 @@ impl<'a> Args<'a> {
     /// scenario is worse than an error).
     fn parse(command: Command, argv: &[&'a str]) -> Result<Args<'a>, String> {
         let mut given: Vec<(&'static str, &'a str)> = Vec::new();
+        let mut positionals = Vec::new();
         let mut rest = argv.iter();
         while let Some(&arg) = rest.next() {
             if !arg.starts_with("--") {
-                return Err(format!("unexpected argument '{arg}'"));
+                if !command.takes_positionals() {
+                    return Err(format!("unexpected argument '{arg}'"));
+                }
+                positionals.push(arg);
+                continue;
             }
             let flag = flags::find(arg);
             if let Some(why) = flag.and_then(|f| f.refusal(command)) {
@@ -221,7 +226,7 @@ impl<'a> Args<'a> {
             };
             given.push((flag.name, value));
         }
-        Ok(Args { given })
+        Ok(Args { given, positionals })
     }
 
     fn has(&self, flag: &str) -> bool {
@@ -288,23 +293,12 @@ impl<'a> Args<'a> {
 
     /// The `--json` / `--md` report paths, defaulting to `lab-<name>.*`.
     fn report_paths(&self, name: &str) -> (String, String) {
-        report_paths(self.value("--json"), self.value("--md"), name)
+        let path = |flag, ext| {
+            self.value(flag)
+                .map_or_else(|| format!("lab-{name}.{ext}"), String::from)
+        };
+        (path("--json", "json"), path("--md", "md"))
     }
-}
-
-fn report_paths(json: Option<&str>, md: Option<&str>, name: &str) -> (String, String) {
-    (
-        json.map_or_else(|| format!("lab-{name}.json"), String::from),
-        md.map_or_else(|| format!("lab-{name}.md"), String::from),
-    )
-}
-
-/// The value following `flag` in a raw argv (for the two places that look
-/// before validating: `run`'s suite dispatch and `merge`'s mixed argv).
-fn opt_value<'a>(rest: &[&'a str], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| *a == flag)
-        .and_then(|i| rest.get(i + 1).copied())
 }
 
 fn write_file(path: &str, text: &str) -> Result<(), String> {
@@ -462,7 +456,7 @@ fn run(rest: &[&str]) -> CmdResult {
     // pipeline, a differential oracle, a fault-injection harness); `lab run
     // --suite <driver>` is a synonym for the driver's own subcommand with
     // the same argv.
-    match opt_value(rest, "--suite") {
+    match rest.windows(2).find(|w| w[0] == "--suite").map(|w| w[1]) {
         Some("service") => return service_cmd(rest),
         Some("crosscheck") => return crosscheck_cmd(rest),
         Some("mutate") => return mutate_cmd(rest),
@@ -945,23 +939,12 @@ fn run_shard(args: &Args, matrix: &ScenarioMatrix, shard: ShardSpec, threads: us
 /// full report — byte-identical to what a single unsharded process would
 /// have written.
 fn merge_cmd(rest: &[&str]) -> CmdResult {
-    const MERGE_USAGE: &str = "usage: lab merge <partial.json>... [--json FILE] [--md FILE]";
-    let mut paths: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--json" | "--md" if i + 1 < rest.len() => i += 2,
-            arg if arg.starts_with("--") => return Err(MERGE_USAGE.to_string()),
-            path => {
-                paths.push(path);
-                i += 1;
-            }
-        }
+    let args = Args::parse(Command::Merge, rest)?;
+    if args.positionals.is_empty() {
+        return Err("usage: lab merge <partial.json>... [--json FILE] [--md FILE]".to_string());
     }
-    if paths.is_empty() {
-        return Err(MERGE_USAGE.to_string());
-    }
-    let partials = paths
+    let partials = args
+        .positionals
         .iter()
         .map(|path| PartialReport::parse(&read_file(path)?).map_err(|e| format!("{path}: {e}")))
         .collect::<Result<Vec<PartialReport>, String>>()?;
@@ -974,11 +957,7 @@ fn merge_cmd(rest: &[&str]) -> CmdResult {
         report.quarantined.len(),
         report.fits_out_of_band(),
     );
-    let (json_path, md_path) = report_paths(
-        opt_value(rest, "--json"),
-        opt_value(rest, "--md"),
-        &matrix.name,
-    );
+    let (json_path, md_path) = args.report_paths(&matrix.name);
     write_reports(
         &json_path,
         &report.to_json(),
@@ -1307,8 +1286,9 @@ fn profile(rest: &[&str]) -> CmdResult {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `lab perf`: gate a measured artifact against its committed baseline,
-/// dispatching on the artifact's schema tag:
+/// `lab perf`: gate a measured artifact against its committed baseline.
+/// The artifact's schema tag picks its [`PerfArtifact`] type, which names
+/// the defaults:
 ///
 /// * `validity-simnet/bench@1` (from the `perf_smoke` example): engine
 ///   events/sec — wall-clock rates, default tolerance 0.5, default
@@ -1318,13 +1298,13 @@ fn profile(rest: &[&str]) -> CmdResult {
 ///   the default tolerance is 0.0 and any drop gates; default baseline
 ///   `ci/BENCH_service_baseline.json`.
 ///
-/// Either path fails on slowdowns beyond `--tolerance`, determinism
-/// drift, and vanished coverage. `--update-baseline` instead rewrites the
-/// baseline from the current artifact — the deliberate-refresh path after
-/// an intentional change.
+/// Either fails on slowdowns beyond `--tolerance`, determinism drift, and
+/// vanished coverage. `--update-baseline` instead rewrites the baseline
+/// from the current artifact — the deliberate-refresh path after an
+/// intentional change.
 fn perf(rest: &[&str]) -> CmdResult {
     let args = Args::parse(Command::Perf, rest)?;
-    let tolerance_flag = args.tolerance()?;
+    let tolerance = args.tolerance()?; // a bad flag is refused before any file is read
     let bench_path = args.value("--bench").unwrap_or("BENCH_simnet.json");
     let bench_text = read_file(bench_path).map_err(|e| {
         format!(
@@ -1332,20 +1312,24 @@ fn perf(rest: &[&str]) -> CmdResult {
              -p validity-simnet --example perf_smoke -- {bench_path})"
         )
     })?;
-    // Dispatch on the artifact's own schema tag, so `lab perf --bench
-    // BENCH_service.json --baseline ci/BENCH_service_baseline.json` gates
-    // service throughput with the same command surface.
-    let schema_tag = Json::parse(&bench_text)
-        .ok()
-        .and_then(|v| v.get("schema").and_then(Json::as_str).map(str::to_string));
-    if schema_tag.as_deref() == Some(SERVICE_BENCH_SCHEMA) {
-        return perf_service(&args, bench_path, &bench_text, tolerance_flag);
+    let is_service = Json::parse(&bench_text)
+        .is_ok_and(|v| v.get("schema").and_then(Json::as_str) == Some(SERVICE_BENCH_SCHEMA));
+    if is_service {
+        perf_gate::<ServiceBench>(&args, tolerance, bench_path, &bench_text)
+    } else {
+        perf_gate::<SimnetBench>(&args, tolerance, bench_path, &bench_text)
     }
-    let tolerance = tolerance_flag.unwrap_or(0.5);
-    let baseline_path = args
-        .value("--baseline")
-        .unwrap_or("ci/BENCH_simnet_baseline.json");
-    let current = SimnetBench::parse(&bench_text).map_err(|e| format!("{bench_path}: {e}"))?;
+}
+
+fn perf_gate<A: PerfArtifact>(
+    args: &Args,
+    tolerance: Option<f64>,
+    bench_path: &str,
+    bench_text: &str,
+) -> CmdResult {
+    let tolerance = tolerance.unwrap_or(A::DEFAULT_TOLERANCE);
+    let baseline_path = args.value("--baseline").unwrap_or(A::DEFAULT_BASELINE);
+    let current = A::parse(bench_text).map_err(|e| format!("{bench_path}: {e}"))?;
     if args.has("--update-baseline") {
         // Re-emit through the canonical renderer (not a byte copy) so the
         // committed baseline always has the one reviewable layout, whatever
@@ -1354,62 +1338,18 @@ fn perf(rest: &[&str]) -> CmdResult {
         eprintln!("baseline updated: {baseline_path}");
         return Ok(ExitCode::SUCCESS);
     }
-    let baseline = SimnetBench::parse(&read_file(baseline_path)?)
-        .map_err(|e| format!("{baseline_path}: {e}"))?;
-    if current.workload != baseline.workload {
+    let baseline =
+        A::parse(&read_file(baseline_path)?).map_err(|e| format!("{baseline_path}: {e}"))?;
+    let ((field, ours), (_, theirs)) = (current.identity(), baseline.identity());
+    if ours != theirs {
         eprintln!(
-            "PERF FAILURE: workload mismatch — current '{}' vs baseline '{}': \
-             the artifacts measure different things",
-            current.workload, baseline.workload
+            "PERF FAILURE: {field} mismatch — current '{ours}' vs baseline '{theirs}': \
+             the artifacts measure different things"
         );
         return Ok(ExitCode::from(1));
     }
-    let diff = compare_simnet(&current, &baseline, tolerance);
-    print!("{}", diff.render_markdown());
-    if diff.regressions() > 0 {
-        eprintln!(
-            "PERF FAILURE: {} regression(s) vs baseline {baseline_path}",
-            diff.regressions()
-        );
-        return Ok(ExitCode::from(1));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The service-bench branch of [`perf`]: gates simulated decisions/sec
-/// per report group against `ci/BENCH_service_baseline.json`. The rates
-/// are deterministic, so the default tolerance is zero.
-fn perf_service(
-    args: &Args,
-    bench_path: &str,
-    bench_text: &str,
-    tolerance_flag: Option<f64>,
-) -> CmdResult {
-    let tolerance = tolerance_flag.unwrap_or(0.0);
-    let baseline_path = args
-        .value("--baseline")
-        .unwrap_or("ci/BENCH_service_baseline.json");
-    let current = ServiceBench::parse(bench_text).map_err(|e| format!("{bench_path}: {e}"))?;
-    if args.has("--update-baseline") {
-        // Re-emit through the canonical renderer, which also drops the
-        // advisory wall-clock fields — the committed baseline carries
-        // only the deterministic core.
-        write_file(baseline_path, &current.to_json())?;
-        eprintln!("baseline updated: {baseline_path}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let baseline = ServiceBench::parse(&read_file(baseline_path)?)
-        .map_err(|e| format!("{baseline_path}: {e}"))?;
-    if current.suite != baseline.suite {
-        eprintln!(
-            "PERF FAILURE: suite mismatch — current '{}' vs baseline '{}': \
-             the artifacts measure different things",
-            current.suite, baseline.suite
-        );
-        return Ok(ExitCode::from(1));
-    }
-    let diff = compare_service(&current, &baseline, tolerance);
-    print!("{}", diff.render_markdown());
+    let diff = perf::compare(&current.samples(), &baseline.samples(), tolerance);
+    print!("{}", diff.render_markdown(&A::TABLE));
     if diff.regressions() > 0 {
         eprintln!(
             "PERF FAILURE: {} regression(s) vs baseline {baseline_path}",

@@ -12,7 +12,7 @@
 //! passes `--shard` to `lab service` believes sharding is in effect, and a
 //! named error beats a silently ignored flag.
 
-use Command::{Crosscheck, Mutate, Perf, Profile, Run, RunSuite, Service, Trend};
+use Command::{Crosscheck, Merge, Mutate, Perf, Profile, Run, RunSuite, Service, Trend};
 
 /// A `lab` subcommand (or `lab run` mode) with its own flag surface.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,12 +33,14 @@ pub enum Command {
     Trend,
     /// `lab perf`.
     Perf,
+    /// `lab merge <partial.json>...`.
+    Merge,
 }
 
 impl Command {
     /// Every command of the table.
-    pub const ALL: [Command; 8] = [
-        Run, RunSuite, Service, Crosscheck, Mutate, Profile, Trend, Perf,
+    pub const ALL: [Command; 9] = [
+        Run, RunSuite, Service, Crosscheck, Mutate, Profile, Trend, Perf, Merge,
     ];
 
     /// How diagnostics name the command (`lab service`, `lab run --suite`).
@@ -52,7 +54,14 @@ impl Command {
             Profile => "lab profile",
             Trend => "lab trend",
             Perf => "lab perf",
+            Merge => "lab merge",
         }
+    }
+
+    /// Whether bare (non-`--`) arguments are the command's inputs. Every
+    /// other command refuses them.
+    pub fn takes_positionals(self) -> bool {
+        self == Merge
     }
 }
 
@@ -117,6 +126,7 @@ const fn switch(
 
 const SWEEP: &[Command] = &[Run, RunSuite];
 const REPORTING: &[Command] = &[Run, RunSuite, Service, Crosscheck, Mutate];
+const REPORT_FILES: &[Command] = &[Run, RunSuite, Service, Crosscheck, Mutate, Merge];
 
 const SUITE_FIXES_AXES: &str =
     "a built-in suite fixes its axes; drop `--suite` to build a custom matrix";
@@ -151,8 +161,8 @@ pub const FLAGS: &[Flag] = &[
         &[Run, RunSuite, Service, Crosscheck, Mutate, Profile, Trend],
         &[],
     ),
-    value("--json", REPORTING, &[]),
-    value("--md", REPORTING, &[]),
+    value("--json", REPORT_FILES, &[]),
+    value("--md", REPORT_FILES, &[]),
     value(
         "--protocols",
         &[Run],

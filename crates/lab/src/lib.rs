@@ -124,8 +124,8 @@ pub use observe::{
 };
 pub use partial::{merge, PartialReport, PARTIAL_SCHEMA, PARTIAL_SCHEMA_V1};
 pub use perf::{
-    compare_service, compare_simnet, ServiceBench, ServiceDiff, ServiceGroupBench, SimnetBench,
-    SimnetDiff, SimnetShape, SERVICE_BENCH_SCHEMA, SIMNET_BENCH_SCHEMA,
+    PerfArtifact, PerfDiff, ServiceBench, ServiceGroupBench, SimnetBench, SimnetShape,
+    SERVICE_BENCH_SCHEMA, SIMNET_BENCH_SCHEMA,
 };
 pub use report::{FitRow, GroupSummary, SamplingSection, SweepReport, REPORT_SCHEMA};
 pub use runner::{execute, execute_with_budget, CellRecord, ClassifyRecord, Outcome, RunRecord};

@@ -18,8 +18,8 @@ use validity_core::{
 };
 use validity_protocols::registry::{find_vector, VectorSpec};
 use validity_simnet::{
-    Churn, Duplicate, Jitter, Loss, NetModel, Partition, PreGstPolicy, SimBuilder, SimConfig, Time,
-    UniformModel, DEFAULT_DELTA, DEFAULT_GST,
+    Churn, Duplicate, FixedModel, Jitter, Loss, NetModel, Partition, PerLinkModel, SimBuilder,
+    SyncModel, Time, UniformModel, DEFAULT_DELTA, DEFAULT_GST,
 };
 
 /// One shard of an `m`-way partition of a matrix — `--shard i/m` on the
@@ -229,7 +229,7 @@ impl fmt::Display for ValiditySpec {
 /// The registration record behind one [`ScheduleSpec`] handle (the same
 /// registry shape as `validity_protocols::ProtocolSpec`): a stable name,
 /// a one-line description, whether the schedule injects network faults,
-/// and the factory producing its simulator configuration.
+/// and the factory producing its [`SimBuilder`].
 #[derive(Debug)]
 pub struct ScheduleRecord {
     /// Presentation / ordering index within the registry.
@@ -241,34 +241,33 @@ pub struct ScheduleRecord {
     /// Whether the schedule runs a faulty network model (loss,
     /// duplication, partition, churn) rather than a clean delay policy.
     chaos: bool,
-    /// The configuration factory.
-    build: fn(SystemParams, u64) -> SimConfig,
+    /// The builder factory.
+    build: fn(SystemParams, u64) -> SimBuilder,
 }
 
-fn sync_config(params: SystemParams, seed: u64) -> SimConfig {
-    SimConfig::synchronous(params).seed(seed)
+fn sync(params: SystemParams, seed: u64) -> SimBuilder {
+    partial_sync(params, seed).gst(0).net(Arc::new(SyncModel))
 }
 
-fn partial_sync_config(params: SystemParams, seed: u64) -> SimConfig {
-    SimConfig::new(params).seed(seed)
+fn partial_sync(params: SystemParams, seed: u64) -> SimBuilder {
+    SimBuilder::new(params).seed(seed)
 }
 
-fn fixed_slow_config(params: SystemParams, seed: u64) -> SimConfig {
-    SimConfig::new(params)
-        .pre_gst(PreGstPolicy::Fixed(3 * DEFAULT_DELTA))
-        .seed(seed)
+fn fixed_slow(params: SystemParams, seed: u64) -> SimBuilder {
+    partial_sync(params, seed).net(Arc::new(FixedModel(3 * DEFAULT_DELTA)))
 }
 
-fn isolate_first_config(params: SystemParams, seed: u64) -> SimConfig {
-    SimConfig::new(params)
-        .pre_gst(PreGstPolicy::per_link("isolate-p1", |from, to, _at| {
+fn isolate_first(params: SystemParams, seed: u64) -> SimBuilder {
+    partial_sync(params, seed).net(Arc::new(PerLinkModel::new(
+        "isolate-p1",
+        |from, to, _at| {
             if from.index() == 0 || to.index() == 0 {
                 Time::MAX / 8
             } else {
                 3
             }
-        }))
-        .seed(seed)
+        },
+    )))
 }
 
 /// The default uniform pre-GST delay (what `partial-sync` runs), as the
@@ -277,53 +276,37 @@ fn base_model() -> Arc<dyn NetModel> {
     Arc::new(UniformModel::new(4 * DEFAULT_DELTA))
 }
 
-fn lossy_config(params: SystemParams, seed: u64) -> SimConfig {
-    SimConfig::new(params)
-        .pre_gst(PreGstPolicy::model(Arc::new(Loss::new(base_model(), 200))))
-        .seed(seed)
+fn lossy(params: SystemParams, seed: u64) -> SimBuilder {
+    partial_sync(params, seed).net(Arc::new(Loss::new(base_model(), 200)))
 }
 
-fn dup_storm_config(params: SystemParams, seed: u64) -> SimConfig {
-    SimConfig::new(params)
-        .pre_gst(PreGstPolicy::model(Arc::new(Duplicate::new(
-            base_model(),
-            250,
-        ))))
-        .seed(seed)
+fn dup_storm(params: SystemParams, seed: u64) -> SimBuilder {
+    partial_sync(params, seed).net(Arc::new(Duplicate::new(base_model(), 250)))
 }
 
-fn partitioned_config(params: SystemParams, seed: u64) -> SimConfig {
-    SimConfig::new(params)
-        .pre_gst(PreGstPolicy::model(Arc::new(Partition::new(
-            base_model(),
-            params.n() / 2,
-            DEFAULT_GST / 2,
-        ))))
-        .seed(seed)
+fn partitioned(params: SystemParams, seed: u64) -> SimBuilder {
+    partial_sync(params, seed).net(Arc::new(Partition::new(
+        base_model(),
+        params.n() / 2,
+        DEFAULT_GST / 2,
+    )))
 }
 
-fn churn_config(params: SystemParams, seed: u64) -> SimConfig {
+fn churn(params: SystemParams, seed: u64) -> SimBuilder {
     // Two staggered outages, both healed well before GST.
     let outages = vec![
         (1, DEFAULT_DELTA, DEFAULT_GST / 2),
         (2, DEFAULT_GST / 4, 3 * DEFAULT_GST / 4),
     ];
-    SimConfig::new(params)
-        .pre_gst(PreGstPolicy::model(Arc::new(Churn::new(
-            base_model(),
-            outages,
-        ))))
-        .seed(seed)
+    partial_sync(params, seed).net(Arc::new(Churn::new(base_model(), outages)))
 }
 
-fn flaky_config(params: SystemParams, seed: u64) -> SimConfig {
+fn flaky(params: SystemParams, seed: u64) -> SimBuilder {
     // Everything at once: extra jitter, duplication, loss — composed
     // inside-out, so the draw order is jitter, then dup, then loss.
     let jittered = Arc::new(Jitter::new(base_model(), 2 * DEFAULT_DELTA));
     let duped = Arc::new(Duplicate::new(jittered, 125));
-    SimConfig::new(params)
-        .pre_gst(PreGstPolicy::model(Arc::new(Loss::new(duped, 125))))
-        .seed(seed)
+    partial_sync(params, seed).net(Arc::new(Loss::new(duped, 125)))
 }
 
 /// The schedule registry: the four legacy (clean) schedules first, then
@@ -335,63 +318,63 @@ static SCHEDULE_REGISTRY: [ScheduleRecord; 9] = [
         name: "sync",
         describe: "GST = 0 — synchrony from the start",
         chaos: false,
-        build: sync_config,
+        build: sync,
     },
     ScheduleRecord {
         ord: 1,
         name: "partial-sync",
         describe: "default partial synchrony (GST = 1000, uniform pre-GST jitter)",
         chaos: false,
-        build: partial_sync_config,
+        build: partial_sync,
     },
     ScheduleRecord {
         ord: 2,
         name: "fixed-slow",
         describe: "every pre-GST message takes 3δ",
         chaos: false,
-        build: fixed_slow_config,
+        build: fixed_slow,
     },
     ScheduleRecord {
         ord: 3,
         name: "isolate-p1",
         describe: "all links touching P1 stalled until GST",
         chaos: false,
-        build: isolate_first_config,
+        build: isolate_first,
     },
     ScheduleRecord {
         ord: 4,
         name: "lossy",
         describe: "20% of pre-GST sends withheld to their DLS deadline",
         chaos: true,
-        build: lossy_config,
+        build: lossy,
     },
     ScheduleRecord {
         ord: 5,
         name: "dup-storm",
         describe: "25% of pre-GST deliveries duplicated",
         chaos: true,
-        build: dup_storm_config,
+        build: dup_storm,
     },
     ScheduleRecord {
         ord: 6,
         name: "partitioned",
         describe: "two halves cut from each other, healing at GST/2",
         chaos: true,
-        build: partitioned_config,
+        build: partitioned,
     },
     ScheduleRecord {
         ord: 7,
         name: "churn",
         describe: "two nodes crash-recover over staggered pre-GST outages",
         chaos: true,
-        build: churn_config,
+        build: churn,
     },
     ScheduleRecord {
         ord: 8,
         name: "flaky",
         describe: "jitter + duplication + loss composed on one link model",
         chaos: true,
-        build: flaky_config,
+        build: flaky,
     },
 ];
 
@@ -515,19 +498,8 @@ impl ScheduleSpec {
         })
     }
 
-    /// Builds the validating simulation builder for one run — the
-    /// supported construction path (see [`SimBuilder`]); `lab` code must
-    /// not assemble `SimConfig` literals directly.
+    /// The validating simulation builder for one run of this schedule.
     pub fn builder(self, params: SystemParams, seed: u64) -> SimBuilder {
-        SimBuilder::from_config((self.rec.build)(params, seed))
-    }
-
-    /// Builds the raw simulator configuration for one run.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ScheduleSpec::builder`, which routes through the validating `SimBuilder`"
-    )]
-    pub fn build(self, params: SystemParams, seed: u64) -> SimConfig {
         (self.rec.build)(params, seed)
     }
 }

@@ -5,9 +5,9 @@
 //! broadcast-heavy workload at three shapes — and writes a small
 //! `validity-simnet/bench@1` artifact. This module makes that artifact
 //! *enforceable*, the same way [`crate::trend`] armed `BENCH_lab.json`:
-//! [`SimnetBench`] is the versioned model of the file, and
-//! [`compare_simnet`] diffs a fresh measurement against a committed
-//! baseline (`ci/BENCH_simnet_baseline.json`).
+//! [`SimnetBench`] is the versioned model of the file, and [`compare`]
+//! diffs a fresh measurement against a committed baseline
+//! (`ci/BENCH_simnet_baseline.json`).
 //!
 //! Three things are regressions (`lab perf` exits non-zero on any):
 //!
@@ -26,15 +26,17 @@
 //! ignores unknown fields and refuses only an explicitly *different*
 //! schema tag, mirroring [`crate::trend::BenchArtifact::parse`].
 //!
-//! The same machinery gates the **service throughput** artifact
+//! The same gate serves the **service throughput** artifact
 //! (`validity-lab/service-bench@1`, written by the `service_smoke`
 //! example): [`ServiceBench`] models its deterministic core — simulated
 //! decisions/sec per report group, a pure function of the seeded
-//! execution — and [`compare_service`] diffs it against
-//! `ci/BENCH_service_baseline.json`. Because those rates are simulated
-//! time rather than wall clock, the default tolerance there is zero: any
-//! drop is a real pipeline regression. `lab perf` dispatches on the
-//! artifact's schema tag, so one command serves both gates.
+//! execution — gated against `ci/BENCH_service_baseline.json`, where a
+//! changed amortized message cost is the drift. Because those rates are
+//! simulated time rather than wall clock, the default tolerance there is
+//! zero: any drop is a real pipeline regression. Both artifact types are
+//! [`PerfArtifact`]s — each yields its [`PerfSample`]s and names its
+//! defaults and table wording — and `lab perf` picks the type from the
+//! artifact's schema tag.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -69,11 +71,23 @@ pub struct SimnetBench {
     pub shapes: Vec<SimnetShape>,
 }
 
-impl SimnetBench {
-    /// Parses an artifact. Unknown fields are ignored; a file tagged with
-    /// a *different* schema is refused (an untagged file is accepted as
-    /// the current generation — there has only ever been one).
-    pub fn parse(text: &str) -> Result<SimnetBench, String> {
+/// Engine events/sec: wall-clock rates, so the default tolerance is
+/// generous; a changed `events_per_iter` is the drift.
+impl PerfArtifact for SimnetBench {
+    const DEFAULT_TOLERANCE: f64 = 0.5;
+    const DEFAULT_BASELINE: &'static str = "ci/BENCH_simnet_baseline.json";
+    const TABLE: PerfTable = PerfTable {
+        title: "Engine events/sec",
+        noun: "shape",
+        label: "n",
+        unit: "ev/s",
+        precision: 0,
+    };
+
+    /// Unknown fields are ignored; a file tagged with a *different* schema
+    /// is refused (an untagged file is accepted as the current generation
+    /// — there has only ever been one).
+    fn parse(text: &str) -> Result<SimnetBench, String> {
         let v = Json::parse(text)?;
         match v.get("schema").and_then(Json::as_str) {
             None | Some(SIMNET_BENCH_SCHEMA) => {}
@@ -120,10 +134,10 @@ impl SimnetBench {
         })
     }
 
-    /// Renders the artifact in the exact layout `perf_smoke` emits, so a
-    /// baseline written by `--update-baseline` is byte-identical to one
-    /// copied from a fresh measurement.
-    pub fn to_json(&self) -> String {
+    /// The exact layout `perf_smoke` emits, so a baseline written by
+    /// `--update-baseline` is byte-identical to one copied from a fresh
+    /// measurement.
+    fn to_json(&self) -> String {
         let mut shapes = String::new();
         for (i, s) in self.shapes.iter().enumerate() {
             if i > 0 {
@@ -143,6 +157,21 @@ impl SimnetBench {
             json_str(&self.workload),
             self.rounds
         )
+    }
+
+    fn identity(&self) -> (&'static str, &str) {
+        ("workload", &self.workload)
+    }
+
+    fn samples(&self) -> Vec<PerfSample> {
+        self.shapes
+            .iter()
+            .map(|s| PerfSample {
+                label: s.n.to_string(),
+                rate: s.events_per_sec,
+                pinned: s.events_per_iter,
+            })
+            .collect()
     }
 }
 
@@ -193,14 +222,67 @@ impl fmt::Display for PerfStatus {
     }
 }
 
+/// One gated measurement of an artifact: what [`compare`] matches, pins
+/// and rates.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PerfSample {
+    /// What the two artifacts are matched by (a shape's `n`, a group key).
+    pub label: String,
+    /// The gated rate, in the unit the table prints.
+    pub rate: f64,
+    /// A deterministic count that must not move between the artifacts
+    /// (events per iteration, amortized messages per decision): a change
+    /// is a [`PerfStatus::Drift`], never waived by the tolerance.
+    pub pinned: u64,
+}
+
+/// The wording of one artifact type's diff table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PerfTable {
+    /// What is gated (`Engine events/sec`).
+    pub title: &'static str,
+    /// What a row is, in the summary line (`shape`).
+    pub noun: &'static str,
+    /// Header of the label column (`n`).
+    pub label: &'static str,
+    /// Unit suffix of the two rate columns (`ev/s`).
+    pub unit: &'static str,
+    /// Decimals the rates print with.
+    pub precision: usize,
+}
+
+/// A bench artifact type `lab perf` can gate: its file format, its
+/// defaults, and the samples it yields.
+pub trait PerfArtifact: Sized {
+    /// The slowdown tolerance when `--tolerance` is not given.
+    const DEFAULT_TOLERANCE: f64;
+    /// The baseline path when `--baseline` is not given.
+    const DEFAULT_BASELINE: &'static str;
+    /// The wording of the diff table.
+    const TABLE: PerfTable;
+
+    /// Parses an artifact of this type.
+    fn parse(text: &str) -> Result<Self, String>;
+
+    /// Renders the canonical (committed-baseline) layout.
+    fn to_json(&self) -> String;
+
+    /// `(field name, value)` of what the artifact measured — two artifacts
+    /// with different identities are not comparable.
+    fn identity(&self) -> (&'static str, &str);
+
+    /// The gated measurements, in artifact order.
+    fn samples(&self) -> Vec<PerfSample>;
+}
+
 /// One row of the perf diff table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfRow {
-    /// System size of the shape.
-    pub n: u64,
-    /// Baseline events/sec, when the baseline had this shape.
+    /// The sample label both artifacts were matched by.
+    pub label: String,
+    /// Baseline rate, when the baseline had this sample.
     pub baseline_rate: Option<f64>,
-    /// Current events/sec, when the current artifact has this shape.
+    /// Current rate, when the current artifact has this sample.
     pub current_rate: Option<f64>,
     /// The verdict.
     pub status: PerfStatus,
@@ -208,15 +290,15 @@ pub struct PerfRow {
 
 /// The full diff of a current artifact against the committed baseline.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SimnetDiff {
-    /// Per-shape verdicts, current-artifact order with missing baseline
-    /// shapes appended.
+pub struct PerfDiff {
+    /// Per-sample verdicts, current-artifact order with missing baseline
+    /// samples appended.
     pub rows: Vec<PerfRow>,
     /// The relative slowdown tolerance the verdicts used.
     pub tolerance: f64,
 }
 
-impl SimnetDiff {
+impl PerfDiff {
     /// Number of regression rows — the perf gate fails when non-zero.
     pub fn regressions(&self) -> u64 {
         self.rows
@@ -225,22 +307,31 @@ impl SimnetDiff {
             .count() as u64
     }
 
-    /// Renders the diff table as Markdown.
-    pub fn render_markdown(&self) -> String {
+    /// Renders the diff table as Markdown, in `table`'s wording.
+    pub fn render_markdown(&self, table: &PerfTable) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "# Engine events/sec vs baseline (slowdown tolerance {:.0}%)\n",
+            "# {} vs baseline (slowdown tolerance {:.0}%)\n",
+            table.title,
             self.tolerance * 100.0
         );
         let _ = writeln!(
             out,
-            "{} shape(s) compared, {} regression(s).\n",
+            "{} {}(s) compared, {} regression(s).\n",
             self.rows.len(),
+            table.noun,
             self.regressions()
         );
-        out.push_str("| n | baseline ev/s | current ev/s | ratio | status |\n");
+        let _ = writeln!(
+            out,
+            "| {} | baseline {unit} | current {unit} | ratio | status |",
+            table.label,
+            unit = table.unit
+        );
         out.push_str("|---|---|---|---|---|\n");
+        let rate =
+            |r: Option<f64>| r.map_or("-".to_string(), |v| format!("{v:.*}", table.precision));
         for r in &self.rows {
             let ratio = match (r.baseline_rate, r.current_rate) {
                 (Some(b), Some(c)) if b > 0.0 => format!("{:.2}×", c / b),
@@ -249,11 +340,9 @@ impl SimnetDiff {
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} |",
-                r.n,
-                r.baseline_rate
-                    .map_or("-".to_string(), |v| format!("{v:.0}")),
-                r.current_rate
-                    .map_or("-".to_string(), |v| format!("{v:.0}")),
+                r.label,
+                rate(r.baseline_rate),
+                rate(r.current_rate),
                 ratio,
                 r.status,
             );
@@ -262,62 +351,66 @@ impl SimnetDiff {
     }
 }
 
-/// Diffs `current` against `baseline`, matching shapes by `n`.
+/// Diffs `current` against `baseline`, matching samples by label.
 ///
 /// `tolerance` is the relative slowdown waived before gating: `0.5` lets
-/// events/sec fall to half the baseline before failing. Speedups and new
-/// shapes never gate; a changed `events_per_iter` or a vanished shape
-/// always does.
+/// a rate fall to half the baseline before failing; `0.0` (the default for
+/// the deterministic service rates) gates any drop. Speedups and new
+/// samples never gate; a changed pinned count or a vanished sample always
+/// does.
 ///
 /// ```
-/// use validity_lab::perf::{compare_simnet, SimnetBench};
+/// use validity_lab::perf::{compare, PerfArtifact, ServiceBench, SimnetBench};
 ///
 /// let base = SimnetBench::parse(r#"{"shapes": [{"n": 4,
 ///     "events_per_iter": 100, "best_us_per_iter": 10.0,
 ///     "events_per_sec": 1e7}]}"#).unwrap();
 /// let mut cur = base.clone();
-/// assert_eq!(compare_simnet(&cur, &base, 0.5).regressions(), 0);
+/// assert_eq!(compare(&cur.samples(), &base.samples(), 0.5).regressions(), 0);
 /// cur.shapes[0].events_per_sec = 4e6; // below half the baseline
-/// assert_eq!(compare_simnet(&cur, &base, 0.5).regressions(), 1);
+/// assert_eq!(compare(&cur.samples(), &base.samples(), 0.5).regressions(), 1);
+///
+/// let base = ServiceBench::parse(r#"{"groups": [{"key": "g",
+///     "decisions_per_sec_milli": 2000, "requests_per_sec_milli": 2000,
+///     "messages_per_decision_centi": 3600}]}"#).unwrap();
+/// let mut cur = base.clone();
+/// assert_eq!(compare(&cur.samples(), &base.samples(), 0.0).regressions(), 0);
+/// cur.groups[0].decisions_per_sec_milli = 1999; // any drop gates
+/// assert_eq!(compare(&cur.samples(), &base.samples(), 0.0).regressions(), 1);
 /// ```
-pub fn compare_simnet(current: &SimnetBench, baseline: &SimnetBench, tolerance: f64) -> SimnetDiff {
+pub fn compare(current: &[PerfSample], baseline: &[PerfSample], tolerance: f64) -> PerfDiff {
     let mut rows = Vec::new();
-    let mut matched = vec![false; baseline.shapes.len()];
-    for shape in &current.shapes {
+    let mut matched = vec![false; baseline.len()];
+    for sample in current {
         let base = baseline
-            .shapes
             .iter()
-            .position(|b| b.n == shape.n)
+            .position(|b| b.label == sample.label)
             .map(|i| {
                 matched[i] = true;
-                baseline.shapes[i]
+                &baseline[i]
             });
         let status = match base {
             None => PerfStatus::New,
-            Some(b) if b.events_per_iter != shape.events_per_iter => PerfStatus::Drift,
-            Some(b) if shape.events_per_sec < (1.0 - tolerance) * b.events_per_sec => {
-                PerfStatus::Slowdown
-            }
+            Some(b) if b.pinned != sample.pinned => PerfStatus::Drift,
+            Some(b) if sample.rate < (1.0 - tolerance) * b.rate => PerfStatus::Slowdown,
             Some(_) => PerfStatus::Ok,
         };
         rows.push(PerfRow {
-            n: shape.n,
-            baseline_rate: base.map(|b| b.events_per_sec),
-            current_rate: Some(shape.events_per_sec),
+            label: sample.label.clone(),
+            baseline_rate: base.map(|b| b.rate),
+            current_rate: Some(sample.rate),
             status,
         });
     }
-    for (i, b) in baseline.shapes.iter().enumerate() {
-        if !matched[i] {
-            rows.push(PerfRow {
-                n: b.n,
-                baseline_rate: Some(b.events_per_sec),
-                current_rate: None,
-                status: PerfStatus::Missing,
-            });
-        }
+    for (b, _) in baseline.iter().zip(&matched).filter(|(_, m)| !**m) {
+        rows.push(PerfRow {
+            label: b.label.clone(),
+            baseline_rate: Some(b.rate),
+            current_rate: None,
+            status: PerfStatus::Missing,
+        });
     }
-    SimnetDiff { rows, tolerance }
+    PerfDiff { rows, tolerance }
 }
 
 // ---------------------------------------------------------------------------
@@ -359,11 +452,24 @@ pub struct ServiceBench {
     pub groups: Vec<ServiceGroupBench>,
 }
 
-impl ServiceBench {
-    /// Parses an artifact. Unknown fields (including the advisory
-    /// wall-clock ones) are ignored; a file tagged with a *different*
-    /// schema is refused.
-    pub fn parse(text: &str) -> Result<ServiceBench, String> {
+/// Service decisions/sec: *simulated-time* rates, deterministic, so the
+/// default tolerance is zero — any drop is a genuine throughput regression
+/// of the pipeline, not runner noise; a changed amortized message cost is
+/// the drift.
+impl PerfArtifact for ServiceBench {
+    const DEFAULT_TOLERANCE: f64 = 0.0;
+    const DEFAULT_BASELINE: &'static str = "ci/BENCH_service_baseline.json";
+    const TABLE: PerfTable = PerfTable {
+        title: "Service decisions/sec",
+        noun: "group",
+        label: "group",
+        unit: "dec/s",
+        precision: 3,
+    };
+
+    /// Unknown fields (including the advisory wall-clock ones) are
+    /// ignored; a file tagged with a *different* schema is refused.
+    fn parse(text: &str) -> Result<ServiceBench, String> {
         let v = Json::parse(text)?;
         match v.get("schema").and_then(Json::as_str) {
             None | Some(SERVICE_BENCH_SCHEMA) => {}
@@ -414,11 +520,10 @@ impl ServiceBench {
         })
     }
 
-    /// Renders the deterministic core of the artifact — the group layout
-    /// matches the `service_smoke` emitter, but the advisory wall-clock
-    /// fields are dropped, so a committed baseline never churns with
-    /// runner hardware.
-    pub fn to_json(&self) -> String {
+    /// The deterministic core of the artifact — the group layout matches
+    /// the `service_smoke` emitter, but the advisory wall-clock fields are
+    /// dropped, so a committed baseline never churns with runner hardware.
+    fn to_json(&self) -> String {
         let mut groups = String::new();
         for (i, g) in self.groups.iter().enumerate() {
             if i > 0 {
@@ -444,146 +549,21 @@ impl ServiceBench {
             self.requests
         )
     }
-}
 
-/// One row of the service perf diff table.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServicePerfRow {
-    /// The service report group key.
-    pub key: String,
-    /// Baseline decisions/sec (units, from milli), when present.
-    pub baseline_rate: Option<f64>,
-    /// Current decisions/sec (units, from milli), when present.
-    pub current_rate: Option<f64>,
-    /// The verdict.
-    pub status: PerfStatus,
-}
+    fn identity(&self) -> (&'static str, &str) {
+        ("suite", &self.suite)
+    }
 
-/// The full diff of a current service-bench artifact against the
-/// committed baseline.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServiceDiff {
-    /// Per-group verdicts, current-artifact order with missing baseline
-    /// groups appended.
-    pub rows: Vec<ServicePerfRow>,
-    /// The relative slowdown tolerance the verdicts used.
-    pub tolerance: f64,
-}
-
-impl ServiceDiff {
-    /// Number of regression rows — the perf gate fails when non-zero.
-    pub fn regressions(&self) -> u64 {
-        self.rows
+    fn samples(&self) -> Vec<PerfSample> {
+        self.groups
             .iter()
-            .filter(|r| r.status.is_regression())
-            .count() as u64
+            .map(|g| PerfSample {
+                label: g.key.clone(),
+                rate: g.decisions_per_sec_milli as f64 / 1e3,
+                pinned: g.messages_per_decision_centi,
+            })
+            .collect()
     }
-
-    /// Renders the diff table as Markdown.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# Service decisions/sec vs baseline (slowdown tolerance {:.0}%)\n",
-            self.tolerance * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "{} group(s) compared, {} regression(s).\n",
-            self.rows.len(),
-            self.regressions()
-        );
-        out.push_str("| group | baseline dec/s | current dec/s | ratio | status |\n");
-        out.push_str("|---|---|---|---|---|\n");
-        for r in &self.rows {
-            let ratio = match (r.baseline_rate, r.current_rate) {
-                (Some(b), Some(c)) if b > 0.0 => format!("{:.2}×", c / b),
-                _ => "-".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} |",
-                r.key,
-                r.baseline_rate
-                    .map_or("-".to_string(), |v| format!("{v:.3}")),
-                r.current_rate
-                    .map_or("-".to_string(), |v| format!("{v:.3}")),
-                ratio,
-                r.status,
-            );
-        }
-        out
-    }
-}
-
-/// Diffs `current` against `baseline`, matching groups by key.
-///
-/// Unlike the wall-clock simnet rates, the service rates are *simulated*
-/// time — deterministic — so the natural tolerance is `0.0`: any drop in
-/// decisions/sec is a genuine throughput regression of the pipeline, not
-/// runner noise. A changed amortized message cost
-/// (`messages_per_decision_centi`) is a [`PerfStatus::Drift`] — cost
-/// accounting changed and the baseline needs a deliberate refresh.
-/// Speedups and new groups never gate; a vanished group always does.
-///
-/// ```
-/// use validity_lab::perf::{compare_service, ServiceBench};
-///
-/// let base = ServiceBench::parse(r#"{"groups": [{"key": "g",
-///     "decisions_per_sec_milli": 2000, "requests_per_sec_milli": 2000,
-///     "messages_per_decision_centi": 3600}]}"#).unwrap();
-/// let mut cur = base.clone();
-/// assert_eq!(compare_service(&cur, &base, 0.0).regressions(), 0);
-/// cur.groups[0].decisions_per_sec_milli = 1999; // any drop gates
-/// assert_eq!(compare_service(&cur, &base, 0.0).regressions(), 1);
-/// ```
-pub fn compare_service(
-    current: &ServiceBench,
-    baseline: &ServiceBench,
-    tolerance: f64,
-) -> ServiceDiff {
-    let mut rows = Vec::new();
-    let mut matched = vec![false; baseline.groups.len()];
-    for group in &current.groups {
-        let base = baseline
-            .groups
-            .iter()
-            .position(|b| b.key == group.key)
-            .map(|i| {
-                matched[i] = true;
-                &baseline.groups[i]
-            });
-        let status = match base {
-            None => PerfStatus::New,
-            Some(b) if b.messages_per_decision_centi != group.messages_per_decision_centi => {
-                PerfStatus::Drift
-            }
-            Some(b)
-                if (group.decisions_per_sec_milli as f64)
-                    < (1.0 - tolerance) * b.decisions_per_sec_milli as f64 =>
-            {
-                PerfStatus::Slowdown
-            }
-            Some(_) => PerfStatus::Ok,
-        };
-        rows.push(ServicePerfRow {
-            key: group.key.clone(),
-            baseline_rate: base.map(|b| b.decisions_per_sec_milli as f64 / 1e3),
-            current_rate: Some(group.decisions_per_sec_milli as f64 / 1e3),
-            status,
-        });
-    }
-    for (i, b) in baseline.groups.iter().enumerate() {
-        if !matched[i] {
-            rows.push(ServicePerfRow {
-                key: b.key.clone(),
-                baseline_rate: Some(b.decisions_per_sec_milli as f64 / 1e3),
-                current_rate: None,
-                status: PerfStatus::Missing,
-            });
-        }
-    }
-    ServiceDiff { rows, tolerance }
 }
 
 #[cfg(test)]
@@ -653,11 +633,11 @@ mod tests {
             shape(64, 1600, 2e6),   // slowdown past 50%
             shape(1024, 9999, 1e6), // brand new
         ]);
-        let diff = compare_simnet(&current, &base, 0.5);
+        let diff = compare(&current.samples(), &base.samples(), 0.5);
         let status_of = |n: u64| {
             diff.rows
                 .iter()
-                .find(|r| r.n == n)
+                .find(|r| r.label == n.to_string())
                 .unwrap_or_else(|| panic!("no row for n={n}"))
                 .status
         };
@@ -667,7 +647,7 @@ mod tests {
         assert_eq!(status_of(256), PerfStatus::Missing);
         assert_eq!(status_of(1024), PerfStatus::New);
         assert_eq!(diff.regressions(), 3);
-        let md = diff.render_markdown();
+        let md = diff.render_markdown(&SimnetBench::TABLE);
         assert!(md.contains("✘ SLOWDOWN"));
         assert!(md.contains("✘ EVENT DRIFT"));
         assert!(md.contains("✘ MISSING"));
@@ -677,13 +657,13 @@ mod tests {
     #[test]
     fn speedups_and_identical_artifacts_never_gate() {
         let base = bench(vec![shape(4, 100, 1e6)]);
-        let diff = compare_simnet(&base, &base.clone(), 0.25);
-        assert_eq!(diff.regressions(), 0);
+        let gate = |cur: &SimnetBench, tol| compare(&cur.samples(), &base.samples(), tol);
+        assert_eq!(gate(&base, 0.25).regressions(), 0);
         let faster = bench(vec![shape(4, 100, 5e6)]);
-        assert_eq!(compare_simnet(&faster, &base, 0.25).regressions(), 0);
+        assert_eq!(gate(&faster, 0.25).regressions(), 0);
         // Zero tolerance gates any slowdown at all.
         let hair_slower = bench(vec![shape(4, 100, 0.999e6)]);
-        assert_eq!(compare_simnet(&hair_slower, &base, 0.0).regressions(), 1);
+        assert_eq!(gate(&hair_slower, 0.0).regressions(), 1);
     }
 
     fn sgroup(key: &str, dps: u64, mpd: u64) -> ServiceGroupBench {
@@ -744,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn compare_service_flags_each_regression_kind() {
+    fn service_compare_flags_each_regression_kind() {
         let base = sbench(vec![
             sgroup("service/a", 2000, 3600),
             sgroup("service/b", 1000, 4800),
@@ -757,11 +737,11 @@ mod tests {
             sgroup("service/c", 499, 1200),  // slowdown at zero tolerance
             sgroup("service/new", 10, 10),   // brand new
         ]);
-        let diff = compare_service(&current, &base, 0.0);
+        let diff = compare(&current.samples(), &base.samples(), 0.0);
         let status_of = |key: &str| {
             diff.rows
                 .iter()
-                .find(|r| r.key == key)
+                .find(|r| r.label == key)
                 .unwrap_or_else(|| panic!("no row for {key}"))
                 .status
         };
@@ -771,14 +751,14 @@ mod tests {
         assert_eq!(status_of("service/gone"), PerfStatus::Missing);
         assert_eq!(status_of("service/new"), PerfStatus::New);
         assert_eq!(diff.regressions(), 3);
-        let md = diff.render_markdown();
+        let md = diff.render_markdown(&ServiceBench::TABLE);
         assert!(md.contains("✘ SLOWDOWN"));
         assert!(md.contains("✘ EVENT DRIFT"));
         assert!(md.contains("✘ MISSING"));
 
         // A generous tolerance waives the slowdown but never the drift or
         // the vanished group.
-        let relaxed = compare_service(&current, &base, 0.5);
+        let relaxed = compare(&current.samples(), &base.samples(), 0.5);
         assert_eq!(relaxed.regressions(), 2);
     }
 }

@@ -50,6 +50,7 @@ fn spellings(command: Command) -> Vec<Vec<&'static str>> {
         Command::Profile => vec![vec!["profile"]],
         Command::Trend => vec![vec!["trend"]],
         Command::Perf => vec![vec!["perf"]],
+        Command::Merge => vec![vec!["merge"]],
     }
 }
 
@@ -64,7 +65,8 @@ fn every_command_flag_pair_behaves_as_the_table_says() {
                 // Validation is one left-to-right pass, so a trailing stray
                 // positional turns "this flag passed validation" into a
                 // prompt, side-effect-free exit for every command — even
-                // the ones with no --dry-run.
+                // the ones with no --dry-run. `lab merge` takes positionals:
+                // there the stray is a partial that does not exist.
                 let mut args = prefix.clone();
                 args.push(flag.name);
                 if flag.takes_value {
@@ -80,10 +82,12 @@ fn every_command_flag_pair_behaves_as_the_table_says() {
                         flag.name,
                         command.invocation()
                     )
-                } else if flag.accepted.contains(&command) {
-                    "unexpected argument 'stray'".to_string()
-                } else {
+                } else if !flag.accepted.contains(&command) {
                     format!("unknown option '{}'", flag.name)
+                } else if command.takes_positionals() {
+                    "cannot read stray".to_string()
+                } else {
+                    "unexpected argument 'stray'".to_string()
                 };
                 assert!(err.contains(&want), "{args:?}: want `{want}`, got: {err}");
             }
@@ -205,6 +209,11 @@ fn a_repeated_flag_is_refused_instead_of_taking_the_first() {
         (
             "--threads",
             vec!["run", "--threads", "1", "--threads", "2", "--dry-run"],
+        ),
+        // Used to write x.json: merge's own argv loop took the first.
+        (
+            "--json",
+            vec!["merge", "a.json", "--json", "x.json", "--json", "y.json"],
         ),
     ] {
         let out = lab(&args);

@@ -1,18 +1,17 @@
 //! Per-schedule golden fingerprints: the byte-identity safety net of the
-//! `NetModel` network-layer redesign.
+//! network-model layer.
 //!
 //! The quick-suite fingerprints (`golden_report.rs`) only exercise the
 //! `sync` and `partial-sync` schedules. The hashes below pin a small
 //! fixed-seed sweep for **each** of the four legacy schedules —
 //! including `fixed-slow` and `isolate-p1`, whose delay paths
-//! (`PreGstPolicy::Fixed` / `PreGstPolicy::PerLink`) the quick suite
-//! never runs. They were recorded from the pre-`NetModel` engine, where
-//! `Simulation::arrival_time` matched directly on the closed
-//! `PreGstPolicy` enum; the model layer must reproduce the same report
-//! bytes exactly, at worker counts 1 and default.
+//! (`FixedModel` / `PerLinkModel`) the quick suite never runs. They were
+//! recorded from the engine that predates `NetModel`; every later engine
+//! must reproduce the same report bytes exactly, at worker counts 1 and
+//! default.
 //!
 //! If this test fails, a legacy schedule's draw sequence drifted (see
-//! the two-draw invariant on `Simulation::arrival_time`). Do **not**
+//! the two-draw invariant on `Simulation::arrival_plan`). Do **not**
 //! regenerate the hashes unless the drift is intentional and every
 //! committed baseline is regenerated with it.
 

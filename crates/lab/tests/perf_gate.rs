@@ -1,4 +1,5 @@
-//! The engine events/sec gate, end-to-end through the `lab` binary: a
+//! The `lab perf` gate, end-to-end through the `lab` binary, on both
+//! artifacts it reads (engine events/sec and service decisions/sec): a
 //! synthetically regressed baseline must flip the exit code (that exit
 //! code is what the CI `perf-smoke` job gates on), `--observe` must not
 //! change canonical report bytes, and the observe/profile surfaces must
@@ -6,8 +7,6 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-use validity_lab::perf::SimnetBench;
 
 const LAB: &str = env!("CARGO_BIN_EXE_lab");
 
@@ -17,132 +16,157 @@ fn workdir(name: &str) -> PathBuf {
     dir
 }
 
-/// A plausible bench artifact in the exact layout `perf_smoke` emits —
+/// A plausible engine artifact in the exact layout `perf_smoke` emits —
 /// the gate compares rates, it never re-measures, so synthetic numbers
-/// exercise every path.
-fn write_bench(dir: &Path, name: &str, rate_64: f64) -> String {
-    let text = format!(
+/// exercise every path. `rate` is the second sample's gated rate, `drift`
+/// is added to the first sample's must-not-move count.
+fn simnet_text(rate: f64, drift: u64) -> String {
+    format!(
         "{{\n  \"schema\": \"validity-simnet/bench@1\",\n  \
          \"workload\": \"broadcast_heavy_4n_words\",\n  \"rounds\": 12,\n  \
-         \"shapes\": [\n    {{\"n\": 4, \"events_per_iter\": 3873, \
+         \"shapes\": [\n    {{\"n\": 4, \"events_per_iter\": {}, \
          \"best_us_per_iter\": 400.000, \"events_per_sec\": 9682500}},\n    \
          {{\"n\": 64, \"events_per_iter\": 164161, \"best_us_per_iter\": \
-         30000.000, \"events_per_sec\": {rate_64:.0}}}\n  ]\n}}\n"
-    );
+         30000.000, \"events_per_sec\": {rate:.0}}}\n  ]\n}}\n",
+        3873 + drift
+    )
+}
+
+/// The same for the service artifact, in the canonical layout `lab perf
+/// --update-baseline` writes (the `service_smoke` layout minus its advisory
+/// wall-clock fields).
+fn service_text(rate: f64, drift: u64) -> String {
+    format!(
+        "{{\n  \"schema\": \"validity-lab/service-bench@1\",\n  \
+         \"suite\": \"service\",\n  \"runs\": 64,\n  \"decisions\": 256,\n  \
+         \"requests\": 1152,\n  \"groups\": [\n    \
+         {{\"key\": \"service/k4p1b1\", \"decisions_per_sec_milli\": 2377, \
+         \"requests_per_sec_milli\": 2377, \"messages_per_decision_centi\": {}}},\n    \
+         {{\"key\": \"service/k4p2b1\", \"decisions_per_sec_milli\": {rate:.0}, \
+         \"requests_per_sec_milli\": 4509, \"messages_per_decision_centi\": 5575}}\n  ]\n}}\n",
+        5600 + drift
+    )
+}
+
+/// Writes an artifact with the given second-sample rate and pinned-count
+/// drift.
+type Writer = fn(f64, u64) -> String;
+
+/// Both artifact kinds `lab perf` gates: schema tag and writer.
+const KINDS: [(&str, Writer); 2] = [
+    ("validity-simnet/bench@1", simnet_text),
+    ("validity-lab/service-bench@1", service_text),
+];
+
+fn write(dir: &Path, name: &str, text: String) -> String {
     let path = dir.join(name).display().to_string();
     std::fs::write(&path, text).expect("write bench artifact");
     path
 }
 
+fn perf(args: &[&str]) -> std::process::Output {
+    Command::new(LAB)
+        .arg("perf")
+        .args(args)
+        .output()
+        .expect("spawn lab")
+}
+
 #[test]
 fn perf_gate_passes_on_itself_and_fails_on_a_regressed_baseline() {
-    let dir = workdir("gate");
-    let bench = write_bench(&dir, "bench.json", 5.0e6);
+    for (i, (schema, text)) in KINDS.into_iter().enumerate() {
+        let dir = workdir(&format!("gate{i}"));
+        let bench = write(&dir, "bench.json", text(5.0e6, 0));
 
-    // Against itself: zero movement, passing.
-    let out = Command::new(LAB)
-        .args(["perf", "--bench", &bench, "--baseline", &bench])
-        .output()
-        .expect("spawn lab");
-    assert!(
-        out.status.success(),
-        "self-baseline regressed: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+        // Against itself: zero movement, passing.
+        let out = perf(&["--bench", &bench, "--baseline", &bench]);
+        assert!(
+            out.status.success(),
+            "{schema}: self-baseline regressed: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
 
-    // History claims the engine used to be 4× faster at n = 64: the
-    // current artifact is a >50% slowdown, so the default tolerance gates.
-    let fast_past = write_bench(&dir, "fast.json", 2.0e7);
-    let out = Command::new(LAB)
-        .args(["perf", "--bench", &bench, "--baseline", &fast_past])
-        .output()
-        .expect("spawn lab");
-    assert!(!out.status.success(), "perf passed a 4x slowdown");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("SLOWDOWN"), "no slowdown row:\n{stdout}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("PERF FAILURE"),
-        "no failure summary"
-    );
+        // History claims the second sample used to be 4× faster: the
+        // current artifact is a >50% slowdown, so the default tolerance
+        // (0.5 for the engine, 0.0 for the service) gates.
+        let fast_past = write(&dir, "fast.json", text(2.0e7, 0));
+        let out = perf(&["--bench", &bench, "--baseline", &fast_past]);
+        assert!(!out.status.success(), "{schema}: perf passed a 4x slowdown");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("SLOWDOWN"),
+            "{schema}: no slowdown row:\n{stdout}"
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("PERF FAILURE"),
+            "{schema}: no failure summary"
+        );
 
-    // A generous tolerance waives the same slowdown.
-    let out = Command::new(LAB)
-        .args([
-            "perf",
+        // A generous tolerance waives the same slowdown.
+        let out = perf(&[
             "--bench",
             &bench,
             "--baseline",
             &fast_past,
             "--tolerance",
             "0.9",
-        ])
-        .output()
-        .expect("spawn lab");
-    assert!(
-        out.status.success(),
-        "tolerance not honored: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+        ]);
+        assert!(
+            out.status.success(),
+            "{schema}: tolerance not honored: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
 
-    // But no tolerance waives event-count drift: same rates, different
-    // events_per_iter means the deterministic workload itself changed.
-    let text = std::fs::read_to_string(&bench).unwrap();
-    let mut drifted = SimnetBench::parse(&text).unwrap();
-    drifted.shapes[0].events_per_iter += 1;
-    let drift_path = dir.join("drift.json").display().to_string();
-    std::fs::write(&drift_path, drifted.to_json()).unwrap();
-    let out = Command::new(LAB)
-        .args([
-            "perf",
+        // But no tolerance waives drift: same rates, a different pinned
+        // count means the deterministic workload itself changed.
+        let drifted = write(&dir, "drift.json", text(5.0e6, 1));
+        let out = perf(&[
             "--bench",
-            &drift_path,
+            &drifted,
             "--baseline",
             &bench,
             "--tolerance",
             "100",
-        ])
-        .output()
-        .expect("spawn lab");
-    assert!(!out.status.success(), "event drift slipped past the gate");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("EVENT DRIFT"),
-        "no drift row"
-    );
+        ]);
+        assert!(
+            !out.status.success(),
+            "{schema}: drift slipped past the gate"
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("EVENT DRIFT"),
+            "{schema}: no drift row"
+        );
+    }
 }
 
 #[test]
 fn perf_update_baseline_writes_the_canonical_layout() {
-    let dir = workdir("update");
-    let bench = write_bench(&dir, "bench.json", 5.0e6);
-    let baseline = dir.join("baseline.json").display().to_string();
+    for (i, (schema, text)) in KINDS.into_iter().enumerate() {
+        let dir = workdir(&format!("update{i}"));
+        let bench = write(&dir, "bench.json", text(5.0e6, 0));
+        let baseline = dir.join("baseline.json").display().to_string();
 
-    let out = Command::new(LAB)
-        .args([
-            "perf",
+        let out = perf(&[
             "--bench",
             &bench,
             "--baseline",
             &baseline,
             "--update-baseline",
-        ])
-        .output()
-        .expect("spawn lab");
-    assert!(
-        out.status.success(),
-        "update failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("baseline updated"));
-    // The written baseline is the canonical rendering (here: byte-equal to
-    // the emitter-layout input) and immediately gates clean.
-    let updated = std::fs::read_to_string(&baseline).unwrap();
-    assert_eq!(updated, std::fs::read_to_string(&bench).unwrap());
-    assert!(updated.starts_with("{\n  \"schema\": \"validity-simnet/bench@1\","));
-    let out = Command::new(LAB)
-        .args(["perf", "--bench", &bench, "--baseline", &baseline])
-        .output()
-        .expect("spawn lab");
-    assert!(out.status.success(), "fresh baseline still gates");
+        ]);
+        assert!(
+            out.status.success(),
+            "{schema}: update failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stderr).contains("baseline updated"));
+        // The written baseline is the canonical rendering (here: byte-equal
+        // to the emitter-layout input) and immediately gates clean.
+        let updated = std::fs::read_to_string(&baseline).unwrap();
+        assert_eq!(updated, std::fs::read_to_string(&bench).unwrap());
+        assert!(updated.starts_with(&format!("{{\n  \"schema\": \"{schema}\",")));
+        let out = perf(&["--bench", &bench, "--baseline", &baseline]);
+        assert!(out.status.success(), "{schema}: fresh baseline still gates");
+    }
 }
 
 #[test]

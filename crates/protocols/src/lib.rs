@@ -58,8 +58,8 @@ pub use quad::{
     PreparedCert, QuadConfig, QuadCore, QuadDecision, QuadMachine, QuadMsg, QuadSink, QuadVerify,
 };
 pub use registry::{
-    find_vector, vector_registry, Applicability, ProtocolContext, ProtocolSpec, VectorContext,
-    VectorMachine, VectorMsg, VectorSpec,
+    find_vector, vector_registry, Applicability, ProtocolContext, ProtocolSpec, VectorMachine,
+    VectorMsg, VectorSpec,
 };
 pub use service::{batch_proposal, Replicated, ServiceConfig};
 pub use slow_broadcast::SlowBroadcast;

@@ -82,10 +82,6 @@ impl ProtocolContext {
     }
 }
 
-/// Backwards-compatible name for [`ProtocolContext`] (the substrate was
-/// vector-specific before the registry went protocol-agnostic).
-pub type VectorContext = ProtocolContext;
-
 /// The `(n, t)` operating band a protocol is registered for.
 ///
 /// Every engine in this repo solves the same problem, but not at every

@@ -63,11 +63,13 @@
 //! ```
 //!
 //! [`SimBuilder`] is the supported construction path: it validates the
-//! node count, fault threshold, schedule and timing knobs up front and
-//! returns a named [`BuildError`] instead of panicking mid-run.
-//! `Simulation::new(SimConfig { .. }, nodes)` still exists for
-//! pre-validated configurations (the lab's schedule layer builds on it),
-//! but new code should not construct `SimConfig` literals directly.
+//! node count, fault threshold, start times and `δ` up front and returns a
+//! named [`BuildError`]. The pre-GST network is one [`NetModel`]
+//! (`SimBuilder::new(p).net(..)`, see [`net`]); instrumentation is one
+//! [`Probe`] (`build_with_probe`, read back with `Simulation::probe`) —
+//! [`Metrics`], [`Timeline`] and [`Trace`] are all probes, and [`Tandem`]
+//! attaches two. `Simulation::new(SimConfig, nodes)` runs the same check
+//! and panics with the error's message.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,7 +88,7 @@ pub mod trace;
 
 pub use mux::{InstanceId, Multiplex, MuxMsg, SlotDecision};
 pub use net::{
-    Churn, Delivery, Duplicate, FixedModel, Jitter, LinkCtx, LinkFn, Loss, NetModel, Partition,
+    Churn, Delivery, Duplicate, FixedModel, Jitter, LinkCtx, Loss, NetModel, Partition,
     PerLinkModel, SyncModel, UniformModel,
 };
 pub use node::{ByzStep, Byzantine, Env, FilteredMachine, Machine, Message, Silent, Step};
@@ -94,8 +96,7 @@ pub use observed::ObservedState;
 pub use probe::{EventClass, Hist, Metrics, NoProbe, Probe, Tandem, Timeline};
 pub use queue::CalendarQueue;
 pub use sim::{
-    agreement_holds, BuildError, NodeKind, PreGstPolicy, RunOutcome, SimBuilder, SimConfig,
-    Simulation,
+    agreement_holds, BuildError, NodeKind, RunOutcome, SimBuilder, SimConfig, Simulation,
 };
 pub use sink::{ByzSink, StepSink};
 pub use stats::NetStats;

@@ -1,16 +1,15 @@
 //! Composable network models: the pre-GST delay/fault layer of the
-//! simulator.
+//! simulator, and its only network description
+//! ([`SimConfig::net`](crate::SimConfig), set with
+//! [`SimBuilder::net`](crate::SimBuilder::net)).
 //!
-//! Historically the pre-GST schedule was a closed four-arm enum
-//! ([`PreGstPolicy`](crate::PreGstPolicy)) matched inside
-//! `Simulation::arrival_time`. This module opens that surface into a
-//! sink-style trait, [`NetModel`]: the simulation asks the model for one
-//! [`Delivery`] plan per pre-GST point-to-point send, and the model
+//! [`NetModel`] is a sink-style trait: the simulation asks the model for
+//! one [`Delivery`] plan per pre-GST point-to-point send, and the model
 //! answers from the link coordinates ([`LinkCtx`]) plus the simulation's
-//! seeded RNG. The four legacy policies are trivial model instances
-//! ([`SyncModel`], [`UniformModel`], [`FixedModel`], [`PerLinkModel`]),
-//! and adversarial behaviours compose as wrappers: [`Loss`],
-//! [`Duplicate`], [`Jitter`], [`Partition`], [`Churn`].
+//! seeded RNG. The base models are [`SyncModel`], [`UniformModel`],
+//! [`FixedModel`] and [`PerLinkModel`]; adversarial behaviours compose as
+//! wrappers: [`Loss`], [`Duplicate`], [`Jitter`], [`Partition`],
+//! [`Churn`].
 //!
 //! # Determinism contract
 //!
@@ -22,12 +21,11 @@
 //! makes its own draws — so a seeded execution over any model tree is
 //! replayable, byte-for-byte, across thread counts and process shards.
 //!
-//! The legacy models preserve the historical draw sequence exactly:
-//! [`SyncModel`], [`FixedModel`] and [`PerLinkModel`] draw nothing, and
-//! [`UniformModel`] makes the single `[1, max]` draw the old `Uniform`
-//! policy arm made (same cached-zone rejection sampling, same generator
-//! words). This is what keeps every committed golden fingerprint valid
-//! under the redesign.
+//! The base models' draw counts are part of that contract — every
+//! committed golden fingerprint depends on them: [`SyncModel`],
+//! [`FixedModel`] and [`PerLinkModel`] draw nothing, and [`UniformModel`]
+//! makes exactly one `[1, max]` draw through `CachedUniform`'s
+//! cached-zone rejection sampling.
 //!
 //! # The DLS bound is not negotiable
 //!
@@ -100,7 +98,7 @@ pub struct LinkCtx {
     /// The post-GST delay bound `δ`.
     pub delta: Time,
     /// The already-drawn post-GST jitter for this send (`1..=δ`). This is
-    /// the first draw of the two-draw invariant on `arrival_time`; it also
+    /// the first draw of the two-draw invariant on `arrival_plan`; it also
     /// fixes this message's DLS deadline, `gst + post_gst_jitter`.
     pub post_gst_jitter: Time,
 }
@@ -136,9 +134,8 @@ impl Delivery {
 /// determinism contract). Implementations must be stateless: `deliver`
 /// takes `&self` and may only read configuration and draw from `rng`.
 pub trait NetModel: fmt::Debug + Send + Sync {
-    /// The model's display name, used by `Debug`/`Display` on
-    /// [`PreGstPolicy`](crate::PreGstPolicy) and in reports and errors.
-    /// Composed models conventionally render as `wrapper(inner)`.
+    /// The model's display name, used in reports and errors. Composed
+    /// models conventionally render as `wrapper(inner)`.
     fn name(&self) -> &str;
 
     /// Plans one delivery. Must make a fixed number of RNG draws per call
@@ -146,49 +143,11 @@ pub trait NetModel: fmt::Debug + Send + Sync {
     fn deliver(&self, link: &LinkCtx, rng: &mut StdRng) -> Delivery;
 }
 
-/// A named per-link delay function — the replacement for the old anonymous
-/// `PerLink(Arc<dyn Fn ...>)` payload, so schedules built from closures
-/// still `Debug`-print something better than `<fn>`.
-#[derive(Clone)]
-pub struct LinkFn {
-    name: Arc<str>,
-    f: Arc<dyn Fn(ProcessId, ProcessId, Time) -> Time + Send + Sync>,
-}
-
-impl LinkFn {
-    /// Wraps `f` under `name` (typically the schedule name).
-    pub fn new(
-        name: impl Into<Arc<str>>,
-        f: impl Fn(ProcessId, ProcessId, Time) -> Time + Send + Sync + 'static,
-    ) -> LinkFn {
-        LinkFn {
-            name: name.into(),
-            f: Arc::new(f),
-        }
-    }
-
-    /// The name given at construction.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The proposed delay for `from → to` at `sent_at`.
-    pub fn delay(&self, from: ProcessId, to: ProcessId, sent_at: Time) -> Time {
-        (self.f)(from, to, sent_at)
-    }
-}
-
-impl fmt::Debug for LinkFn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LinkFn({})", self.name)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Legacy models: the four historical `PreGstPolicy` arms, draw-for-draw.
+// Base models
 
-/// The `Synchronous` policy as a model: the pre-GST delay *is* the
-/// already-drawn post-GST jitter. Draws nothing.
+/// Synchrony from the start: the pre-GST delay *is* the already-drawn
+/// post-GST jitter. Draws nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SyncModel;
 
@@ -202,9 +161,7 @@ impl NetModel for SyncModel {
     }
 }
 
-/// The `Uniform { max }` policy as a model: one `[1, max]` draw per
-/// delivery, sampled through the same cached-zone distribution the old
-/// policy arm used — identical generator words, identical values.
+/// A uniformly random delay: one `[1, max]` draw per delivery.
 #[derive(Clone, Copy, Debug)]
 pub struct UniformModel {
     dist: CachedUniform,
@@ -229,8 +186,7 @@ impl NetModel for UniformModel {
     }
 }
 
-/// The `Fixed(d)` policy as a model: every pre-GST message takes exactly
-/// `d.max(1)` ticks. Draws nothing.
+/// Every pre-GST message takes exactly `d.max(1)` ticks. Draws nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct FixedModel(pub Time);
 
@@ -244,18 +200,39 @@ impl NetModel for FixedModel {
     }
 }
 
-/// The `PerLink` policy as a model: fully adversarial per-link delay from
-/// a named closure. Draws nothing.
-#[derive(Clone, Debug)]
-pub struct PerLinkModel(pub LinkFn);
+/// Fully adversarial per-link delay `f(from, to, sent_at)` from a named
+/// closure (the name is what reports and `Debug` print). Draws nothing.
+pub struct PerLinkModel {
+    name: String,
+    f: Box<dyn Fn(ProcessId, ProcessId, Time) -> Time + Send + Sync>,
+}
+
+impl PerLinkModel {
+    /// Wraps `f` under `name` (typically the schedule name).
+    pub fn new(
+        name: impl Into<String>,
+        f: impl Fn(ProcessId, ProcessId, Time) -> Time + Send + Sync + 'static,
+    ) -> PerLinkModel {
+        PerLinkModel {
+            name: name.into(),
+            f: Box::new(f),
+        }
+    }
+}
+
+impl fmt::Debug for PerLinkModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "PerLinkModel({})", self.name)
+    }
+}
 
 impl NetModel for PerLinkModel {
     fn name(&self) -> &str {
-        self.0.name()
+        &self.name
     }
 
     fn deliver(&self, link: &LinkCtx, _rng: &mut StdRng) -> Delivery {
-        Delivery::after(self.0.delay(link.from, link.to, link.sent_at).max(1))
+        Delivery::after((self.f)(link.from, link.to, link.sent_at).max(1))
     }
 }
 
@@ -487,7 +464,7 @@ mod tests {
         // Sync / Fixed / PerLink leave the RNG untouched.
         SyncModel.deliver(&link(0, 1, 5), &mut a);
         FixedModel(30).deliver(&link(0, 1, 5), &mut a);
-        PerLinkModel(LinkFn::new("p", |_, _, _| 9)).deliver(&link(0, 1, 5), &mut a);
+        PerLinkModel::new("p", |_, _, _| 9).deliver(&link(0, 1, 5), &mut a);
         assert_eq!(a.next_u64(), b.next_u64());
         // Uniform makes exactly one draw.
         let mut c = rng();
@@ -511,7 +488,7 @@ mod tests {
 
     #[test]
     fn per_link_model_clamps_to_one_tick_and_keeps_its_name() {
-        let m = PerLinkModel(LinkFn::new("isolate-p1", |_, _, _| 0));
+        let m = PerLinkModel::new("isolate-p1", |_, _, _| 0);
         assert_eq!(m.name(), "isolate-p1");
         assert_eq!(m.deliver(&link(0, 1, 5), &mut rng()).raw_delay, 1);
     }

@@ -3,9 +3,9 @@
 //!
 //! * Reliable authenticated point-to-point channels.
 //! * A Global Stabilization Time (GST): message delays are bounded by `δ`
-//!   from GST on; before GST the delay policy is adversary-controlled
-//!   ([`PreGstPolicy`]), but every message sent before GST is delivered by
-//!   `GST + δ` (the standard DLS guarantee).
+//!   from GST on; before GST delays are adversary-controlled (the
+//!   [`NetModel`] in [`SimConfig::net`]), but every message sent before GST
+//!   is delivered by `GST + δ` (the standard DLS guarantee).
 //! * Deterministic: a seed fixes all delay jitter; identical seeds and nodes
 //!   produce identical executions — replayability is what makes the paper's
 //!   execution-merging proofs implementable as tests.
@@ -41,10 +41,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use validity_core::{ProcessId, ProcessSet, SystemParams};
 
-use crate::net::{
-    CachedUniform, Delivery, FixedModel, LinkCtx, LinkFn, NetModel, PerLinkModel, SyncModel,
-    UniformModel,
-};
+use crate::net::{CachedUniform, Delivery, LinkCtx, NetModel, SyncModel, UniformModel};
 use crate::node::{ByzStep, Byzantine, Env, Machine, Step};
 use crate::observed::ObservedState;
 use crate::probe::{EventClass, NoProbe, Probe};
@@ -52,68 +49,6 @@ use crate::queue::CalendarQueue;
 use crate::sink::{ByzSink, StepSink};
 use crate::stats::NetStats;
 use crate::time::{Time, DEFAULT_DELTA, DEFAULT_GST};
-use crate::trace::Trace;
-
-/// Message-delay policy before GST.
-///
-/// The four named arms are the historical closed surface; [`Model`] opens
-/// it to any composable [`NetModel`] tree (loss, duplication, partitions,
-/// churn — see [`crate::net`]). At simulation build time every arm is
-/// lowered onto a model instance, so `Simulation::arrival_plan` has one
-/// hook regardless of which arm configured it.
-///
-/// [`Model`]: PreGstPolicy::Model
-#[derive(Clone)]
-pub enum PreGstPolicy {
-    /// Delays ≤ δ from the start (GST effectively 0 for delivery purposes).
-    Synchronous,
-    /// Uniformly random delay in `[1, max]` (capped at `GST + δ`).
-    Uniform {
-        /// Maximum pre-GST delay.
-        max: Time,
-    },
-    /// Every pre-GST message takes exactly this long (capped at `GST + δ`).
-    Fixed(Time),
-    /// Fully adversarial per-link delay: `f(from, to, send_time)` (capped at
-    /// `GST + δ`). Used by the partition and lower-bound harnesses. The
-    /// [`LinkFn`] carries a display name, so schedules built from closures
-    /// identify themselves in reports and errors.
-    PerLink(LinkFn),
-    /// A composable network model (see [`crate::net`]): heterogeneous
-    /// latency, bounded pre-GST loss, duplication, extra jitter, healing
-    /// partitions, crash-recovery churn — anything implementing
-    /// [`NetModel`].
-    Model(Arc<dyn NetModel>),
-}
-
-impl PreGstPolicy {
-    /// A named per-link policy — the replacement for constructing
-    /// `PerLink` from a bare `Arc<dyn Fn ...>`. `name` is what `Debug`
-    /// prints (use the schedule name).
-    pub fn per_link(
-        name: impl Into<Arc<str>>,
-        f: impl Fn(ProcessId, ProcessId, Time) -> Time + Send + Sync + 'static,
-    ) -> PreGstPolicy {
-        PreGstPolicy::PerLink(LinkFn::new(name, f))
-    }
-
-    /// Wraps a composed model tree as a policy.
-    pub fn model(m: Arc<dyn NetModel>) -> PreGstPolicy {
-        PreGstPolicy::Model(m)
-    }
-}
-
-impl fmt::Debug for PreGstPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PreGstPolicy::Synchronous => write!(f, "Synchronous"),
-            PreGstPolicy::Uniform { max } => write!(f, "Uniform {{ max: {max} }}"),
-            PreGstPolicy::Fixed(d) => write!(f, "Fixed({d})"),
-            PreGstPolicy::PerLink(lf) => write!(f, "PerLink({})", lf.name()),
-            PreGstPolicy::Model(m) => write!(f, "Model({})", m.name()),
-        }
-    }
-}
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -124,8 +59,9 @@ pub struct SimConfig {
     pub gst: Time,
     /// Post-GST delay bound `δ` (known to processes).
     pub delta: Time,
-    /// Pre-GST delay policy.
-    pub pre_gst: PreGstPolicy,
+    /// The pre-GST network model (see [`crate::net`]); never consulted for
+    /// self-sends or sends at or after GST.
+    pub net: Arc<dyn NetModel>,
     /// Seed for delay jitter.
     pub seed: u64,
     /// Hard stop: no event beyond this time is processed.
@@ -145,9 +81,7 @@ impl SimConfig {
             params,
             gst: DEFAULT_GST,
             delta: DEFAULT_DELTA,
-            pre_gst: PreGstPolicy::Uniform {
-                max: 4 * DEFAULT_DELTA,
-            },
+            net: Arc::new(UniformModel::new(4 * DEFAULT_DELTA)),
             seed: 0,
             max_time: Time::MAX / 4,
             max_events: 50_000_000,
@@ -173,9 +107,9 @@ impl SimConfig {
         self
     }
 
-    /// Sets the pre-GST policy (builder-style).
-    pub fn pre_gst(mut self, p: PreGstPolicy) -> Self {
-        self.pre_gst = p;
+    /// Sets the pre-GST network model (builder-style).
+    pub fn net(mut self, net: Arc<dyn NetModel>) -> Self {
+        self.net = net;
         self
     }
 
@@ -184,7 +118,7 @@ impl SimConfig {
     pub fn synchronous(params: SystemParams) -> Self {
         SimConfig {
             gst: 0,
-            pre_gst: PreGstPolicy::Synchronous,
+            net: Arc::new(SyncModel),
             ..SimConfig::new(params)
         }
     }
@@ -192,10 +126,10 @@ impl SimConfig {
 
 /// A validation failure reported by [`SimBuilder::build`].
 ///
-/// The unchecked [`Simulation::new`] / [`Simulation::with_probe`]
-/// constructors panic on the same conditions; the builder surfaces them as
-/// values so harnesses (the lab runner, service drivers, CLIs) can refuse
-/// bad configurations with a named error instead of crashing a sweep.
+/// [`Simulation::new`] / [`Simulation::with_probe`] run the same check and
+/// panic with this error's `Display`; the builder surfaces it as a value so
+/// harnesses (the lab runner, service drivers, CLIs) can refuse bad
+/// configurations with a named error instead of crashing a sweep.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
     /// `nodes.len()` does not equal `n`.
@@ -242,10 +176,38 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// The one check every construction path runs: node count, fault count,
+/// start-time count and `δ ≥ 1` against the configured `(n, t)`.
+fn validate<M: Machine>(cfg: &SimConfig, nodes: &[NodeKind<M>]) -> Result<(), BuildError> {
+    let n = cfg.params.n();
+    if nodes.len() != n {
+        return Err(BuildError::NodeCount {
+            expected: n,
+            got: nodes.len(),
+        });
+    }
+    let faulty = nodes.iter().filter(|x| !x.is_correct()).count();
+    if faulty > cfg.params.t() {
+        return Err(BuildError::TooManyFaulty {
+            t: cfg.params.t(),
+            got: faulty,
+        });
+    }
+    if cfg.start_times.len() != n {
+        return Err(BuildError::StartTimes {
+            expected: n,
+            got: cfg.start_times.len(),
+        });
+    }
+    if cfg.delta == 0 {
+        return Err(BuildError::ZeroDelta);
+    }
+    Ok(())
+}
+
 /// A validating builder for [`Simulation`] — the front door for harness
-/// code. Collects the same knobs as [`SimConfig`] (seed, GST, δ, pre-GST
-/// policy, limits, start times, or a whole schedule-produced config via
-/// [`SimBuilder::from_config`]) and checks the node vector against the
+/// code. Collects the same knobs as [`SimConfig`] (seed, GST, δ, network
+/// model, limits, start times) and checks the node vector against the
 /// system parameters at [`SimBuilder::build`] time, returning a
 /// [`BuildError`] instead of panicking.
 ///
@@ -287,12 +249,6 @@ impl SimBuilder {
         }
     }
 
-    /// A builder seeded from an existing configuration — the bridge for
-    /// schedule factories that produce whole [`SimConfig`]s.
-    pub fn from_config(cfg: SimConfig) -> SimBuilder {
-        SimBuilder { cfg }
-    }
-
     /// Sets the jitter seed.
     pub fn seed(mut self, seed: u64) -> SimBuilder {
         self.cfg.seed = seed;
@@ -311,9 +267,9 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the pre-GST delay policy.
-    pub fn pre_gst(mut self, p: PreGstPolicy) -> SimBuilder {
-        self.cfg.pre_gst = p;
+    /// Sets the pre-GST network model.
+    pub fn net(mut self, net: Arc<dyn NetModel>) -> SimBuilder {
+        self.cfg.net = net;
         self
     }
 
@@ -340,33 +296,6 @@ impl SimBuilder {
         &self.cfg
     }
 
-    fn validate<M: Machine>(&self, nodes: &[NodeKind<M>]) -> Result<(), BuildError> {
-        let n = self.cfg.params.n();
-        if nodes.len() != n {
-            return Err(BuildError::NodeCount {
-                expected: n,
-                got: nodes.len(),
-            });
-        }
-        let faulty = nodes.iter().filter(|x| !x.is_correct()).count();
-        if faulty > self.cfg.params.t() {
-            return Err(BuildError::TooManyFaulty {
-                t: self.cfg.params.t(),
-                got: faulty,
-            });
-        }
-        if self.cfg.start_times.len() != n {
-            return Err(BuildError::StartTimes {
-                expected: n,
-                got: self.cfg.start_times.len(),
-            });
-        }
-        if self.cfg.delta == 0 {
-            return Err(BuildError::ZeroDelta);
-        }
-        Ok(())
-    }
-
     /// Validates and builds an uninstrumented simulation.
     pub fn build<M: Machine>(self, nodes: Vec<NodeKind<M>>) -> Result<Simulation<M>, BuildError> {
         self.build_with_probe(nodes, NoProbe)
@@ -378,8 +307,8 @@ impl SimBuilder {
         nodes: Vec<NodeKind<M>>,
         probe: P,
     ) -> Result<Simulation<M, P>, BuildError> {
-        self.validate(&nodes)?;
-        Ok(Simulation::with_probe(self.cfg, nodes, probe))
+        validate(&self.cfg, &nodes)?;
+        Ok(Simulation::assemble(self.cfg, nodes, probe))
     }
 }
 
@@ -520,15 +449,10 @@ pub struct Simulation<M: Machine, P: Probe = NoProbe> {
     payloads: PayloadSlab<M::Msg>,
     /// Post-GST jitter distribution `1..=δ` with a precomputed zone.
     jitter: CachedUniform,
-    /// The pre-GST network model, lowered from [`SimConfig::pre_gst`] at
-    /// build time (legacy policy arms become the draw-equivalent legacy
-    /// models — see [`crate::net`]).
-    model: Arc<dyn NetModel>,
     /// Reusable effect buffer lent to correct machines.
     sink: StepSink<M::Msg, M::Output>,
     /// Reusable effect buffer lent to Byzantine behaviours.
     byz_sink: ByzSink<M::Msg>,
-    trace: Option<Trace>,
     /// The adaptive adversary's view (see [`crate::observed`]). Disabled —
     /// and unmaintained — unless some Byzantine node `observes()`.
     observed: ObservedState,
@@ -539,20 +463,15 @@ pub struct Simulation<M: Machine, P: Probe = NoProbe> {
 impl<M: Machine> Simulation<M> {
     /// Creates an uninstrumented simulation over the given nodes.
     ///
-    /// Prefer [`Simulation::builder`] in harness code: it reports invalid
-    /// setups as [`BuildError`]s instead of panicking.
+    /// Prefer [`SimBuilder`] in harness code: it reports invalid setups as
+    /// [`BuildError`]s instead of panicking.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != n` or more than `t` nodes are Byzantine.
+    /// Panics with the [`BuildError`]'s message on any condition
+    /// [`SimBuilder::build`] refuses.
     pub fn new(config: SimConfig, nodes: Vec<NodeKind<M>>) -> Self {
         Simulation::with_probe(config, nodes, NoProbe)
-    }
-
-    /// A validating [`SimBuilder`] over the standard configuration —
-    /// the recommended construction path.
-    pub fn builder(params: SystemParams) -> SimBuilder {
-        SimBuilder::new(params)
     }
 }
 
@@ -563,29 +482,20 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != n` or more than `t` nodes are Byzantine.
+    /// Panics with the [`BuildError`]'s message on any condition
+    /// [`SimBuilder::build_with_probe`] refuses.
     pub fn with_probe(config: SimConfig, nodes: Vec<NodeKind<M>>, probe: P) -> Self {
+        SimBuilder { cfg: config }
+            .build_with_probe(nodes, probe)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the simulation from an already validated configuration.
+    fn assemble(config: SimConfig, nodes: Vec<NodeKind<M>>, probe: P) -> Self {
         let n = config.params.n();
-        assert_eq!(nodes.len(), n, "need exactly n nodes");
         let faulty = nodes.iter().filter(|x| !x.is_correct()).count();
-        assert!(
-            faulty <= config.params.t(),
-            "{faulty} Byzantine nodes exceeds t = {}",
-            config.params.t()
-        );
-        assert_eq!(config.start_times.len(), n, "need n start times");
         let rng = StdRng::seed_from_u64(config.seed);
-        let jitter = CachedUniform::new_inclusive(1, config.delta.max(1));
-        // Lower the policy onto its model instance once; the legacy arms
-        // map to models that reproduce the historical draw sequence
-        // exactly (see `crate::net`'s determinism contract).
-        let model: Arc<dyn NetModel> = match &config.pre_gst {
-            PreGstPolicy::Synchronous => Arc::new(SyncModel),
-            PreGstPolicy::Uniform { max } => Arc::new(UniformModel::new(*max)),
-            PreGstPolicy::Fixed(d) => Arc::new(FixedModel(*d)),
-            PreGstPolicy::PerLink(lf) => Arc::new(PerLinkModel(lf.clone())),
-            PreGstPolicy::Model(m) => Arc::clone(m),
-        };
+        let jitter = CachedUniform::new_inclusive(1, config.delta);
         // The adaptive view is maintained only when some behaviour asks
         // for it; otherwise every `note_*` call is a dead branch and the
         // seeded execution is byte-identical to the pre-observation engine.
@@ -599,7 +509,6 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         };
         let mut sim = Simulation {
             jitter,
-            model,
             observed,
             halted: vec![false; n],
             stats: NetStats::new(n),
@@ -614,7 +523,6 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             payloads: PayloadSlab::new(),
             sink: StepSink::new(),
             byz_sink: ByzSink::new(),
-            trace: None,
             probe,
         };
         // Start events are pushed in process order; within one tick the
@@ -649,17 +557,6 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
     /// Consumes the simulation and returns the probe.
     pub fn into_probe(self) -> P {
         self.probe
-    }
-
-    /// Enables execution tracing: deliveries, timer fires and decisions are
-    /// recorded per process (see [`Trace`]). Must be called before running.
-    pub fn enable_tracing(&mut self) {
-        self.trace = Some(Trace::new());
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// The set of correct processes (`Corr_A(E)`).
@@ -722,8 +619,8 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
     ///
     /// For every non-self send this function draws `post_gst_jitter`
     /// *first*, unconditionally — even when the send is pre-GST and the
-    /// model then draws a *second* value (the `Uniform` arm's legacy
-    /// [`UniformModel`]) or makes no draw at all (`Fixed`/`PerLink`). The
+    /// model then draws a *second* value ([`UniformModel`]) or makes no
+    /// draw at all (`FixedModel`/`PerLinkModel`). The
     /// first draw is also what caps pre-GST delivery at
     /// `gst + post_gst_jitter`. Self-sends (`from == to`) draw
     /// **nothing**, and post-GST sends never consult the model.
@@ -734,8 +631,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
     /// `tests::rng_draw_order_is_pinned` and must survive any scheduler,
     /// event-loop, or network-model refactor: every seeded execution (and
     /// every committed report fingerprint derived from one) depends on it.
-    /// Models extend the sequence only *after* the jitter draw, and the
-    /// legacy models reproduce the historical sequence draw-for-draw.
+    /// Models extend the sequence only *after* the jitter draw.
     fn arrival_plan(&mut self, from: ProcessId, to: ProcessId, sent_at: Time) -> (Time, Delivery) {
         const PLAIN: Delivery = Delivery {
             raw_delay: 0,
@@ -758,8 +654,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             delta: self.config.delta,
             post_gst_jitter,
         };
-        let model = Arc::clone(&self.model);
-        let plan = model.deliver(&link, &mut self.rng);
+        let plan = self.config.net.deliver(&link, &mut self.rng);
         // DLS guarantee: delivered by GST + δ even if sent before GST. A
         // dropped (withheld) message arrives exactly at the deadline.
         let cap = gst + post_gst_jitter;
@@ -889,11 +784,8 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 Step::Timer(delay, tag) => self.enqueue_timer(p, delay, tag),
                 Step::Output(o) => {
                     if self.decisions[p.index()].is_none() {
-                        if P::ENABLED || self.trace.is_some() {
+                        if P::ENABLED {
                             self.probe.on_decide(self.time, p, &o);
-                            if let Some(trace) = &mut self.trace {
-                                trace.on_decide(self.time, p, &o);
-                            }
                         }
                         self.decisions[p.index()] = Some((self.time, o));
                         self.observed.note_decided(p);
@@ -940,30 +832,16 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             return;
         }
         let env = self.env_for(p);
-        // One capture path: the probe and the (optional) trace observe the
-        // event through identical hooks. The guard keeps the disabled case
-        // (`NoProbe`, no trace) free of even the argument computation.
-        if P::ENABLED || self.trace.is_some() {
+        // The guard keeps the `NoProbe` case free of even the argument
+        // computation.
+        if P::ENABLED {
             match &ev.kind {
-                EventKind::Start => {
-                    self.probe.on_start(self.time, p);
-                    if let Some(trace) = &mut self.trace {
-                        trace.on_start(self.time, p);
-                    }
-                }
+                EventKind::Start => self.probe.on_start(self.time, p),
                 EventKind::Deliver { from, slot } => {
                     let msg = self.payloads.get(*slot);
                     self.probe.on_deliver(self.time, p, *from, msg);
-                    if let Some(trace) = &mut self.trace {
-                        trace.on_deliver(self.time, p, *from, msg);
-                    }
                 }
-                EventKind::Timer { tag } => {
-                    self.probe.on_timer_fire(self.time, p, *tag);
-                    if let Some(trace) = &mut self.trace {
-                        trace.on_timer_fire(self.time, p, *tag);
-                    }
-                }
+                EventKind::Timer { tag } => self.probe.on_timer_fire(self.time, p, *tag),
             }
         }
         if self.nodes[p.index()].is_correct() {
@@ -1086,7 +964,9 @@ pub fn agreement_holds<O: PartialEq>(decisions: &[Option<(Time, O)>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{FixedModel, PerLinkModel};
     use crate::node::{Message, Silent};
+    use crate::trace::Trace;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u64);
@@ -1210,7 +1090,7 @@ mod tests {
         let cfg = SimConfig::new(params())
             .gst(500)
             .delta(10)
-            .pre_gst(PreGstPolicy::Fixed(1_000_000))
+            .net(Arc::new(FixedModel(1_000_000)))
             .seed(5);
         let mut sim = Simulation::new(cfg, quorum_nodes(0));
         assert_eq!(sim.run_until_decided(), RunOutcome::AllDecided);
@@ -1221,18 +1101,18 @@ mod tests {
     #[test]
     fn per_link_policy_controls_schedule() {
         // Block all P1→P2 traffic until GST.
-        let blocked = PreGstPolicy::per_link("block-p1-p2", |from, to, _at| {
+        let blocked = PerLinkModel::new("block-p1-p2", |from, to, _at| {
             if from == ProcessId(0) && to == ProcessId(1) {
                 1_000_000
             } else {
                 1
             }
         });
-        assert_eq!(format!("{blocked:?}"), "PerLink(block-p1-p2)");
+        assert_eq!(format!("{blocked:?}"), "PerLinkModel(block-p1-p2)");
         let cfg = SimConfig::new(params())
             .gst(500)
             .delta(10)
-            .pre_gst(blocked)
+            .net(Arc::new(blocked))
             .seed(6);
         let mut sim = Simulation::new(cfg, quorum_nodes(0));
         sim.run_until_decided();
@@ -1254,6 +1134,59 @@ mod tests {
     #[should_panic(expected = "exceeds t")]
     fn too_many_byzantine_rejected() {
         let _ = Simulation::new(SimConfig::new(params()), quorum_nodes(2));
+    }
+
+    /// Every `BuildError` variant, through both doors: `SimBuilder::build`
+    /// names the error, `Simulation::new` panics with its message.
+    #[test]
+    fn invalid_setups_are_refused_on_both_doors() {
+        // (δ, start-time count, node count, Byzantine slots) → error
+        let cases = [
+            (
+                DEFAULT_DELTA,
+                4,
+                3,
+                0,
+                BuildError::NodeCount {
+                    expected: 4,
+                    got: 3,
+                },
+            ),
+            (
+                DEFAULT_DELTA,
+                4,
+                4,
+                2,
+                BuildError::TooManyFaulty { t: 1, got: 2 },
+            ),
+            (
+                DEFAULT_DELTA,
+                3,
+                4,
+                0,
+                BuildError::StartTimes {
+                    expected: 4,
+                    got: 3,
+                },
+            ),
+            (0, 4, 4, 0, BuildError::ZeroDelta),
+        ];
+        for (delta, starts, count, byz, want) in cases {
+            let nodes = || -> Vec<_> { quorum_nodes(byz).into_iter().take(count).collect() };
+            let builder = SimBuilder::new(params())
+                .delta(delta)
+                .start_times(vec![0; starts]);
+            let cfg = builder.config().clone();
+            assert_eq!(builder.build(nodes()).err(), Some(want.clone()));
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Simulation::new(cfg, nodes()).now()
+            }))
+            .expect_err("Simulation::new must refuse what the builder refuses");
+            let text = panic
+                .downcast_ref::<String>()
+                .expect("panic! with a message");
+            assert_eq!(*text, want.to_string());
+        }
     }
 
     #[test]
@@ -1322,10 +1255,9 @@ mod tests {
                 quorum_nodes(1),
                 crate::probe::Tandem(
                     crate::probe::Metrics::new(DEFAULT_DELTA),
-                    crate::probe::Timeline::new(),
+                    crate::probe::Tandem(crate::probe::Timeline::new(), Trace::new()),
                 ),
             );
-            sim.enable_tracing();
             sim.run_to_quiescence();
             (
                 sim.events_processed(),
@@ -1337,18 +1269,17 @@ mod tests {
     }
 
     /// The timeline probe and the trace observe through the same hooks, so
-    /// they agree on the per-process event sequence.
+    /// they agree on the per-process event sequence of the same seeded run.
     #[test]
     fn timeline_and_trace_capture_the_same_events() {
-        let mut sim = Simulation::with_probe(
-            SimConfig::new(params()).seed(4),
-            quorum_nodes(0),
-            crate::probe::Timeline::new(),
-        );
-        sim.enable_tracing();
-        sim.run_to_quiescence();
-        let trace_len = sim.trace().unwrap().len();
-        let timeline = sim.into_probe();
+        fn probed<P: Probe>(probe: P) -> P {
+            let mut sim =
+                Simulation::with_probe(SimConfig::new(params()).seed(4), quorum_nodes(0), probe);
+            sim.run_to_quiescence();
+            sim.into_probe()
+        }
+        let trace_len = probed(Trace::new()).len();
+        let timeline = probed(crate::probe::Timeline::new());
         // Timeline additionally records halts, which traces do not.
         let halts = timeline
             .events()
@@ -1360,9 +1291,9 @@ mod tests {
 
     /// Pins the RNG draw order across engine refactors: these decision
     /// times were recorded on the historical `BinaryHeap` + `Vec<Step>`
-    /// engine and depend on every draw `arrival_time` makes — including
+    /// engine and depend on every draw `arrival_plan` makes — including
     /// the "wasted" first draw before a pre-GST `Uniform` send (see the
-    /// two-draw invariant on [`Simulation::arrival_time`]). If this test
+    /// two-draw invariant on [`Simulation::arrival_plan`]). If this test
     /// fails, the draw order changed and **every** seeded execution in the
     /// repository (golden reports, committed baselines) changed with it.
     #[test]
@@ -1380,7 +1311,7 @@ mod tests {
                 .seed(seed)
                 .gst(500)
                 .delta(7)
-                .pre_gst(PreGstPolicy::Uniform { max: 40 });
+                .net(Arc::new(UniformModel::new(40)));
             let mut sim = Simulation::new(cfg, quorum_nodes(0));
             sim.run_to_quiescence();
             assert_eq!(

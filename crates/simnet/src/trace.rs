@@ -2,10 +2,12 @@
 //!
 //! The paper's proofs constantly compare executions ("identical until
 //! process P decides", "no process can distinguish E from E′ before
-//! time τ"). [`Trace`] makes such comparisons executable: the simulator can
-//! be asked to record deliveries, sends and decisions, and
-//! [`Trace::indistinguishable_for`] checks whether a process observed the
-//! same prefix in two runs — the formal heart of the merge arguments.
+//! time τ"). [`Trace`] makes such comparisons executable: it is a
+//! [`Probe`] — build with `Simulation::with_probe(cfg, nodes, Trace::new())`
+//! and read `sim.probe()` — recording starts, deliveries, timer fires and
+//! decisions per process, and [`Trace::indistinguishable_for`] checks
+//! whether a process observed the same prefix in two runs — the formal
+//! heart of the merge arguments.
 
 use std::fmt;
 
@@ -136,11 +138,9 @@ impl Trace {
     }
 }
 
-/// Trace capture is a probe: the simulator records traces through the same
-/// hook vocabulary as every other instrument (one capture path). Message
-/// and output contents are rendered eagerly with `format!("{:?}")`, exactly
-/// as the pre-probe bespoke capture did, so recorded traces — and
-/// [`Trace::indistinguishable_for`] verdicts — are unchanged.
+/// Trace capture is a probe, like every other instrument. Message and
+/// output contents are rendered eagerly with `format!("{:?}")`: that
+/// rendering is what [`Trace::indistinguishable_for`] compares.
 impl Probe for Trace {
     fn on_start(&mut self, at: Time, node: ProcessId) {
         self.record(node, TraceEvent::Started { at });

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use validity_core::{ProcessId, SystemParams};
 use validity_simnet::{
-    Duplicate, Env, Jitter, Loss, Machine, Message, NetModel, NodeKind, PreGstPolicy, Probe,
-    SimConfig, Simulation, StepSink, Time, UniformModel,
+    Duplicate, Env, Jitter, Loss, Machine, Message, NetModel, NodeKind, Probe, SimConfig,
+    Simulation, StepSink, Time, UniformModel,
 };
 
 #[derive(Clone, Debug)]
@@ -139,7 +139,7 @@ fn run_audited(
     let cfg = SimConfig::new(params)
         .gst(gst)
         .delta(delta)
-        .pre_gst(PreGstPolicy::model(model))
+        .net(model)
         .seed(seed);
     let mut sim = Simulation::with_probe(cfg, nodes, ArrivalAudit::new(gst, delta));
     sim.run_to_quiescence();

@@ -2,10 +2,12 @@
 //! guarantees (the DLS "by GST + δ" rule), and accounting consistency —
 //! the model-level invariants every protocol result rests on.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use validity_core::{ProcessId, SystemParams};
 use validity_simnet::{
-    Env, Machine, Message, NodeKind, PreGstPolicy, Silent, SimConfig, Simulation, StepSink,
+    Env, FixedModel, Machine, Message, NodeKind, Silent, SimConfig, Simulation, StepSink,
 };
 
 #[derive(Clone, Debug)]
@@ -95,7 +97,7 @@ proptest! {
             .seed(seed)
             .gst(gst)
             .delta(50)
-            .pre_gst(PreGstPolicy::Fixed(delay));
+            .net(Arc::new(FixedModel(delay)));
         let mut sim = build(4, 1, 0, cfg);
         sim.run_until_decided();
         prop_assert!(sim.all_correct_decided());

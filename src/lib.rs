@@ -63,10 +63,10 @@ pub mod prelude {
     pub use validity_lab::{ScenarioMatrix, ServiceMatrix, SweepEngine, SweepReport};
     pub use validity_protocols::{
         find_vector, vector_registry, ProtocolContext, ProtocolSpec, Replicated, ServiceConfig,
-        Universal, VectorAuth, VectorContext, VectorFast, VectorNonAuth, VectorSpec,
+        Universal, VectorAuth, VectorFast, VectorNonAuth, VectorSpec,
     };
     pub use validity_simnet::{
-        agreement_holds, Machine, Multiplex, NodeKind, PreGstPolicy, Silent, SimBuilder, SimConfig,
+        agreement_holds, Machine, Multiplex, NetModel, NodeKind, Silent, SimBuilder, SimConfig,
         Simulation,
     };
 }

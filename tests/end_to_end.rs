@@ -5,56 +5,15 @@
 
 use validity_bench::runs;
 use validity_core::{
-    check_decision, ConvexHullLambda, ConvexHullValidity, LambdaFn, MedianValidity, RankLambda,
-    StrongLambda, StrongValidity, SystemParams, ValidityProperty, WeakLambda, WeakValidity,
+    check_decision, ConvexHullLambda, ConvexHullValidity, MedianValidity, RankLambda, StrongLambda,
+    StrongValidity, SystemParams, ValidityProperty, WeakLambda, WeakValidity,
 };
 
-type Runner = fn(
-    SystemParams,
-    usize,
-    &[u64],
-    &dyn Fn() -> Box<dyn LambdaFn<u64, u64>>,
-    u64,
-    bool,
-) -> runs::RunStats;
-
-fn run_auth(
-    p: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    l: &dyn Fn() -> Box<dyn LambdaFn<u64, u64>>,
-    seed: u64,
-    sync: bool,
-) -> runs::RunStats {
-    runs::run_universal_auth(p, byz, inputs, l, seed, sync)
-}
-
-fn run_nonauth(
-    p: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    l: &dyn Fn() -> Box<dyn LambdaFn<u64, u64>>,
-    seed: u64,
-    sync: bool,
-) -> runs::RunStats {
-    runs::run_universal_nonauth(p, byz, inputs, l, seed, sync)
-}
-
-fn run_fast(
-    p: SystemParams,
-    byz: usize,
-    inputs: &[u64],
-    l: &dyn Fn() -> Box<dyn LambdaFn<u64, u64>>,
-    seed: u64,
-    sync: bool,
-) -> runs::RunStats {
-    runs::run_universal_fast(p, byz, inputs, l, seed, sync)
-}
-
-const RUNNERS: [(&str, Runner); 3] = [
-    ("algorithm 1", run_auth),
-    ("algorithm 3", run_nonauth),
-    ("algorithm 6", run_fast),
+/// Display name and registry name of the three vector-consensus engines.
+const ENGINES: [(&str, &str); 3] = [
+    ("algorithm 1", "alg1-auth"),
+    ("algorithm 3", "alg3-nonauth"),
+    ("algorithm 6", "alg6-fast"),
 ];
 
 /// All three vector-consensus implementations are interchangeable under
@@ -63,13 +22,14 @@ const RUNNERS: [(&str, Runner); 3] = [
 fn universal_strong_validity_over_all_three_algorithms() {
     let params = SystemParams::new(4, 1).unwrap();
     let inputs = [9u64, 9, 9, 9];
-    for (name, run) in RUNNERS {
+    for (name, engine) in ENGINES {
         for byz in [0usize, 1] {
-            let stats = run(
+            let stats = runs::run(
+                engine,
+                Some(&|| Box::new(StrongLambda)),
                 params,
                 byz,
                 &inputs,
-                &|| Box::new(StrongLambda),
                 77,
                 false, // partially synchronous: chaos before GST
             );
@@ -87,8 +47,16 @@ fn universal_strong_validity_over_all_three_algorithms() {
 fn universal_weak_validity_over_all_three_algorithms() {
     let params = SystemParams::new(4, 1).unwrap();
     let inputs = [3u64, 3, 3, 3];
-    for (name, run) in RUNNERS {
-        let stats = run(params, 0, &inputs, &|| Box::new(WeakLambda), 78, false);
+    for (name, engine) in ENGINES {
+        let stats = runs::run(
+            engine,
+            Some(&|| Box::new(WeakLambda)),
+            params,
+            0,
+            &inputs,
+            78,
+            false,
+        );
         assert!(stats.decided && stats.agreement, "{name} failed");
         // all processes correct + unanimous ⇒ that value (Weak Validity)
         assert_eq!(stats.decision, "3", "{name}: weak validity violated");
@@ -104,11 +72,12 @@ fn universal_median_and_hull_validity_decisions_are_admissible() {
     for byz in [0usize, 2] {
         let actual = runs::actual_config(params, byz, &inputs);
 
-        let stats = runs::run_universal_auth(
+        let stats = runs::run(
+            "alg1-auth",
+            Some(&|| Box::new(RankLambda::median(2, 0u64, 1000))),
             params,
             byz,
             &inputs,
-            || Box::new(RankLambda::median(2, 0u64, 1000)),
             79,
             false,
         );
@@ -119,11 +88,12 @@ fn universal_median_and_hull_validity_decisions_are_admissible() {
             "median validity violated by {decided} (byz={byz})"
         );
 
-        let stats = runs::run_universal_auth(
+        let stats = runs::run(
+            "alg1-auth",
+            Some(&|| Box::new(ConvexHullLambda)),
             params,
             byz,
             &inputs,
-            || Box::new(ConvexHullLambda),
             80,
             false,
         );
@@ -141,9 +111,8 @@ fn universal_median_and_hull_validity_decisions_are_admissible() {
 fn complexity_ordering_between_algorithms() {
     let params = SystemParams::new(10, 3).unwrap();
     let inputs: Vec<u64> = (0..10).collect();
-    let s1 = runs::run_vector_auth(params, 0, &inputs, 81, true);
-    let s3 = runs::run_vector_nonauth(params, 0, &inputs, 81, true);
-    let s6 = runs::run_vector_fast(params, 0, &inputs, 81, true);
+    let [s1, s3, s6] =
+        ENGINES.map(|(_, engine)| runs::run(engine, None, params, 0, &inputs, 81, true));
     assert!(
         s1.messages_after_gst < s3.messages_after_gst,
         "alg1 beats alg3 on messages"
@@ -164,8 +133,16 @@ fn cross_algorithm_validity_consistency() {
     let params = SystemParams::new(4, 1).unwrap();
     let inputs = [2u64, 2, 5, 5];
     let actual = runs::actual_config(params, 0, &inputs);
-    for (name, run) in RUNNERS {
-        let stats = run(params, 0, &inputs, &|| Box::new(StrongLambda), 83, true);
+    for (name, engine) in ENGINES {
+        let stats = runs::run(
+            engine,
+            Some(&|| Box::new(StrongLambda)),
+            params,
+            0,
+            &inputs,
+            83,
+            true,
+        );
         let decided: u64 = stats.decision.parse().unwrap();
         assert!(
             StrongValidity.is_admissible(&actual, &decided),
@@ -180,8 +157,8 @@ fn cross_algorithm_validity_consistency() {
 fn pre_gst_chaos_does_not_count() {
     let params = SystemParams::new(4, 1).unwrap();
     let inputs = [1u64, 2, 3, 4];
-    let sync = runs::run_vector_auth(params, 1, &inputs, 84, true);
-    let psync = runs::run_vector_auth(params, 1, &inputs, 84, false);
+    let sync = runs::run("alg1-auth", None, params, 1, &inputs, 84, true);
+    let psync = runs::run("alg1-auth", None, params, 1, &inputs, 84, false);
     // In the partially synchronous run much happens before GST; the
     // after-GST count can only be smaller or comparable.
     assert!(psync.messages_after_gst <= psync.messages_total);

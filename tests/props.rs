@@ -23,10 +23,9 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let params = SystemParams::new(7, 2).unwrap();
-        let stats = runs::run_universal_auth(
-            params, byz, &inputs,
-            || Box::new(StrongLambda) as Box<dyn LambdaFn<u64, u64>>,
-            seed, false,
+        let stats = runs::run(
+            "alg1-auth", Some(&|| Box::new(StrongLambda)),
+            params, byz, &inputs, seed, false,
         );
         prop_assert!(stats.decided);
         prop_assert!(stats.agreement);
@@ -40,8 +39,8 @@ proptest! {
     fn simulation_is_deterministic(seed in 0u64..10_000) {
         let params = SystemParams::new(4, 1).unwrap();
         let inputs = [1u64, 2, 3, 4];
-        let a = runs::run_vector_auth(params, 1, &inputs, seed, false);
-        let b = runs::run_vector_auth(params, 1, &inputs, seed, false);
+        let a = runs::run("alg1-auth", None, params, 1, &inputs, seed, false);
+        let b = runs::run("alg1-auth", None, params, 1, &inputs, seed, false);
         prop_assert_eq!(a.messages_total, b.messages_total);
         prop_assert_eq!(a.latency, b.latency);
         prop_assert_eq!(a.decision, b.decision);
@@ -134,7 +133,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         let params = SystemParams::new(4, 1).unwrap();
-        let stats = runs::run_vector_auth(params, byz, &inputs, seed, false);
+        let stats = runs::run("alg1-auth", None, params, byz, &inputs, seed, false);
         prop_assert!(stats.decided && stats.agreement);
         // Re-run to grab the vector (runners return only a rendering): use
         // the rendering to reconstruct membership checks instead.

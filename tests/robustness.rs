@@ -5,14 +5,16 @@
 //! synchronous and at most `t` processes are faulty — which is all of the
 //! matrix.
 
+use std::sync::Arc;
+
 use validity_core::{
     check_decision, InputConfig, ProcessId, StrongLambda, StrongValidity, SystemParams,
 };
 use validity_crypto::{KeyStore, Signer, ThresholdScheme};
 use validity_protocols::{proposal_sign_bytes, Universal, VectorAuth, VectorAuthMsg};
 use validity_simnet::{
-    agreement_holds, ByzSink, ByzStep, Byzantine, Env, FilteredMachine, NodeKind, PreGstPolicy,
-    Silent, SimConfig, Simulation, Time,
+    agreement_holds, ByzSink, ByzStep, Byzantine, Env, FilteredMachine, FixedModel, NetModel,
+    NodeKind, PerLinkModel, Silent, SimConfig, Simulation, SyncModel, Time, UniformModel,
 };
 
 type Uni = Universal<u64, VectorAuth<u64>, StrongLambda>;
@@ -75,20 +77,20 @@ fn correct(
     )
 }
 
-fn policies(delta: Time) -> Vec<(&'static str, PreGstPolicy)> {
+fn policies(delta: Time) -> Vec<(&'static str, Arc<dyn NetModel>)> {
     vec![
-        ("synchronous", PreGstPolicy::Synchronous),
-        ("uniform-slow", PreGstPolicy::Uniform { max: 10 * delta }),
-        ("fixed", PreGstPolicy::Fixed(3 * delta)),
+        ("synchronous", Arc::new(SyncModel)),
+        ("uniform-slow", Arc::new(UniformModel::new(10 * delta))),
+        ("fixed", Arc::new(FixedModel(3 * delta))),
         (
             "one-link-blocked",
-            PreGstPolicy::per_link("one-link-blocked", |from, to, _| {
+            Arc::new(PerLinkModel::new("one-link-blocked", |from, to, _| {
                 if from == ProcessId(0) && to == ProcessId(1) {
                     1_000_000
                 } else {
                     7
                 }
-            }),
+            })),
         ),
     ]
 }
@@ -138,7 +140,7 @@ fn byzantine_times_delay_matrix() {
                         }
                     })
                     .collect();
-                let cfg = SimConfig::new(params).pre_gst(policy.clone()).seed(seed);
+                let cfg = SimConfig::new(params).net(policy.clone()).seed(seed);
                 let mut sim = Simulation::new(cfg, nodes);
                 sim.run_until_decided();
                 let label = format!("behaviour={behaviour}, policy={policy_name}, seed={seed}");

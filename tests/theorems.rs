@@ -122,7 +122,7 @@ fn theorem_5_universal_solves_classified_properties() {
             prop.name()
         );
         for byz in [0usize, 1] {
-            let stats = runs::run_universal_auth(params, byz, &inputs, lambda, 14, false);
+            let stats = runs::run("alg1-auth", Some(&lambda), params, byz, &inputs, 14, false);
             assert!(stats.decided && stats.agreement, "{}", prop.name());
             let decided: u64 = stats.decision.parse().unwrap();
             let actual = runs::actual_config(params, byz, &inputs);
@@ -144,11 +144,12 @@ fn lemma_1_canonical_similarity_bound() {
     let params = SystemParams::new(4, 1).unwrap();
     let domain = Domain::binary();
     for inputs in [[0u64, 0, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1]] {
-        let stats = runs::run_universal_auth(
+        let stats = runs::run(
+            "alg1-auth",
+            Some(&|| Box::new(StrongLambda)),
             params,
             1, // silent byzantine ⇒ canonical execution
             &inputs,
-            || Box::new(StrongLambda) as Box<dyn LambdaFn<u64, u64>>,
             15,
             false,
         );
@@ -172,7 +173,7 @@ fn vector_validity_is_a_strongest_property() {
             Box::new(ConvexHullLambda)
         }];
     for lambda in lambdas {
-        let stats = runs::run_universal_auth(params, 2, &inputs, lambda, 16, true);
+        let stats = runs::run("alg1-auth", Some(&lambda), params, 2, &inputs, 16, true);
         assert!(stats.decided && stats.agreement);
         costs.push(stats.messages_after_gst);
     }

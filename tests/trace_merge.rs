@@ -2,9 +2,11 @@
 //! "process P cannot distinguish E from E′ until time τ" claims, checked
 //! on actual recorded executions.
 
+use std::sync::Arc;
+
 use validity_adversary::{LeaderEcho, QuorumVote};
 use validity_core::{ProcessId, ProcessSet, SystemParams};
-use validity_simnet::{NodeKind, PreGstPolicy, SimConfig, Simulation, Time};
+use validity_simnet::{NodeKind, PerLinkModel, SimConfig, Simulation, Time, Trace};
 
 /// Lemma 7's merge, observed through traces: in the merged execution the
 /// isolated process Q sees exactly what it sees in total isolation (its
@@ -16,20 +18,19 @@ fn merged_execution_is_indistinguishable_for_q() {
 
     // Run 1: a world where *every* link stalls — all processes are
     // isolated, so Q's view here is exactly β_Q (timer, then decide).
-    let all_stalled = PreGstPolicy::per_link("all-stalled", |_, _, _| Time::MAX / 8);
+    let all_stalled = PerLinkModel::new("all-stalled", |_, _, _| Time::MAX / 8);
     let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..4)
         .map(|i| NodeKind::Correct(LeaderEcho::new(if i == q.index() { 1u64 } else { 0 })))
         .collect();
     let cfg = SimConfig::new(params)
         .gst(100_000)
-        .pre_gst(all_stalled)
+        .net(Arc::new(all_stalled))
         .seed(5);
-    let mut isolated = Simulation::new(cfg, nodes);
-    isolated.enable_tracing();
+    let mut isolated = Simulation::with_probe(cfg, nodes, Trace::new());
     isolated.run_until_decided();
 
     // Run 2: everyone correct, but Q's links stalled past its decision.
-    let policy = PreGstPolicy::per_link("stall-q", move |from, to, _| {
+    let stall_q = PerLinkModel::new("stall-q", move |from, to, _| {
         if from == q || to == q {
             Time::MAX / 8
         } else {
@@ -39,15 +40,17 @@ fn merged_execution_is_indistinguishable_for_q() {
     let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..4)
         .map(|i| NodeKind::Correct(LeaderEcho::new(if i == q.index() { 1u64 } else { 0 })))
         .collect();
-    let cfg = SimConfig::new(params).gst(100_000).pre_gst(policy).seed(5);
-    let mut merged = Simulation::new(cfg, nodes);
-    merged.enable_tracing();
+    let cfg = SimConfig::new(params)
+        .gst(100_000)
+        .net(Arc::new(stall_q))
+        .seed(5);
+    let mut merged = Simulation::with_probe(cfg, nodes, Trace::new());
     merged.run_until_decided();
 
     // Q's observable content is identical in both worlds up to and
     // including its decision.
-    let ti = isolated.trace().unwrap();
-    let tm = merged.trace().unwrap();
+    let ti = isolated.probe();
+    let tm = merged.probe();
     let q_events = ti.view_of(q).len();
     assert!(
         ti.indistinguishable_for(tm, q, q_events),
@@ -69,7 +72,7 @@ fn partitioned_group_cannot_detect_the_two_faced_adversary() {
     let group_c: ProcessSet = [4usize, 5].into_iter().collect();
 
     let stall_cross = |ga: ProcessSet, gc: ProcessSet| {
-        PreGstPolicy::per_link("stall-cross", move |from, to, _| {
+        PerLinkModel::new("stall-cross", move |from, to, _| {
             let cross =
                 (ga.contains(from) && gc.contains(to)) || (gc.contains(from) && ga.contains(to));
             if cross {
@@ -104,10 +107,9 @@ fn partitioned_group_cannot_detect_the_two_faced_adversary() {
             .collect();
         let cfg = SimConfig::new(params)
             .gst(100_000)
-            .pre_gst(stall_cross(group_a, group_c))
+            .net(Arc::new(stall_cross(group_a, group_c)))
             .seed(seed);
-        let mut sim = Simulation::new(cfg, nodes);
-        sim.enable_tracing();
+        let mut sim = Simulation::with_probe(cfg, nodes, Trace::new());
         sim.run_until_decided();
         sim
     };
@@ -120,12 +122,12 @@ fn partitioned_group_cannot_detect_the_two_faced_adversary() {
     // a perfect impostor). Message *order* can differ within a delivery
     // round, so compare decisions, which is what the argument needs.
     for p in group_a.iter() {
-        let (_, da) = attacked.trace().unwrap().decision_of(p).unwrap();
-        let (_, dh) = honest.trace().unwrap().decision_of(p).unwrap();
+        let (_, da) = attacked.probe().decision_of(p).unwrap();
+        let (_, dh) = honest.probe().decision_of(p).unwrap();
         assert_eq!(da, dh, "{p} behaved differently under the impostor");
         assert_eq!(da, "0");
     }
     // ...while in the attacked world C went the other way: disagreement.
-    let (_, dc) = attacked.trace().unwrap().decision_of(ProcessId(4)).unwrap();
+    let (_, dc) = attacked.probe().decision_of(ProcessId(4)).unwrap();
     assert_eq!(dc, "1");
 }
