@@ -30,7 +30,8 @@ use validity_core::{ProcessId, ProcessSet};
 use validity_simnet::{ByzSink, Byzantine, Env, Machine, Message, ObservedState, Step, StepSink};
 
 /// How an adaptive router disposes of one outgoing send.
-enum Route {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Route {
     /// Deliver as an honest-looking send.
     Deliver,
     /// Deliver, counting it as an equivocation (the lying face's send).
@@ -41,14 +42,42 @@ enum Route {
     Drop,
 }
 
-/// Applies `dest` to one send.
+/// One of the two copies of the correct machine an [`AdaptiveHost`] runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Face {
+    /// The honest face: proposes the slot's regular input.
+    A,
+    /// The lying face: proposes the conflicting input.
+    B,
+}
+
+impl Face {
+    /// Both faces, in the order they run (and in timer-namespace order:
+    /// a face's tags leave as `tag * 2 + face as u64`).
+    const BOTH: [Face; 2] = [Face::A, Face::B];
+}
+
+/// What tells one adaptive two-faced adversary from another: where each
+/// face's sends go, and what a snapshot teaches it. Implementations must
+/// stay pure functions of the snapshots seen so far (the determinism
+/// contract above).
+pub trait RoutePolicy: Send {
+    /// Disposes of one send from `face` to `to` (never the host itself).
+    fn route(&self, face: Face, to: ProcessId) -> Route;
+
+    /// Updates the policy from a fresh snapshot; `slot` is the host's id.
+    fn observe(&mut self, slot: ProcessId, state: &ObservedState);
+}
+
+/// Applies `policy` to one send.
 fn route_one<Msg>(
+    policy: &impl RoutePolicy,
+    face: Face,
     to: ProcessId,
     m: Msg,
-    dest: &mut impl FnMut(ProcessId) -> Route,
     out: &mut ByzSink<Msg>,
 ) {
-    match dest(to) {
+    match policy.route(face, to) {
         Route::Deliver => out.send(to, m),
         Route::Equivocate => {
             out.note_equivocation();
@@ -59,120 +88,82 @@ fn route_one<Msg>(
     }
 }
 
-/// Drains one face's scratch steps into `out`, routing each send through
-/// `dest`. Broadcasts become per-recipient sends (in recipient order, self
-/// excluded); timers are namespaced odd/even exactly like
-/// [`TwoFaced`](crate::behaviors::TwoFaced); outputs and halts are dropped
-/// (faulty "decisions" don't count).
-fn route_steps<M: Machine>(
-    scratch: &mut StepSink<M::Msg, M::Output>,
-    env: &Env,
-    self_id: ProcessId,
-    face: u64,
-    out: &mut ByzSink<M::Msg>,
-    mut dest: impl FnMut(ProcessId) -> Route,
-) {
-    for step in scratch.drain() {
-        match step {
-            Step::Send(to, m) => {
-                if to != self_id {
-                    route_one(to, m, &mut dest, out);
-                }
-            }
-            Step::Broadcast(m) => {
-                for i in 0..env.n() {
-                    let to = ProcessId::from_index(i);
-                    if to != self_id {
-                        route_one(to, m.clone(), &mut dest, out);
-                    }
-                }
-            }
-            Step::Timer(d, tag) => out.timer(d, tag * 2 + face),
-            Step::Output(_) | Step::Halt => {}
-        }
-    }
-}
-
-/// Equivocates only toward the node closest to deciding.
-///
-/// Both faces run the full protocol (each sees every incoming message, so
-/// both stay consistent with the global conversation). The honest face A
-/// is shown to everyone **except** the current frontrunner — the undecided
-/// node with the most consumed deliveries — which instead receives face
-/// B's conflicting traffic. The victim is re-chosen from every snapshot,
-/// so the lie follows whoever is currently ahead.
-pub struct TargetLeader<M: Machine> {
+/// The host every adaptive equivocator shares: runs both faces of the
+/// correct machine on the full incoming conversation (each sees every
+/// message, so both stay consistent with it) and lets a [`RoutePolicy`]
+/// decide, per recipient, which face's traffic leaves the node. The three
+/// policies are [`TargetLeader`], [`LastMinute`] and [`SplitBrain`].
+pub struct AdaptiveHost<M: Machine, P> {
     slot: ProcessId,
-    face_a: M,
-    face_b: M,
-    target: Option<ProcessId>,
+    faces: [M; 2],
+    policy: P,
     /// Scratch buffer the faces write into; reused across events.
     scratch: StepSink<M::Msg, M::Output>,
 }
 
-impl<M: Machine> TargetLeader<M> {
+impl<M: Machine, P: RoutePolicy> AdaptiveHost<M, P> {
     /// Creates the behaviour for the node in `slot`; `face_a` proposes the
     /// regular input, `face_b` the conflicting one.
-    pub fn new(slot: ProcessId, face_a: M, face_b: M) -> Self {
-        TargetLeader {
+    pub fn new(slot: ProcessId, face_a: M, face_b: M, policy: P) -> Self {
+        AdaptiveHost {
             slot,
-            face_a,
-            face_b,
-            target: None,
+            faces: [face_a, face_b],
+            policy,
             scratch: StepSink::new(),
         }
     }
 
-    fn route_a(&mut self, env: &Env, out: &mut ByzSink<M::Msg>) {
-        let target = self.target;
-        route_steps::<M>(&mut self.scratch, env, self.slot, 0, out, |to| {
-            if Some(to) == target {
-                Route::Omit
-            } else {
-                Route::Deliver
+    /// Drains `face`'s scratch steps into `out` through the policy.
+    /// Broadcasts become per-recipient sends (in recipient order, self
+    /// excluded); timers are namespaced odd/even exactly like
+    /// [`TwoFaced`](crate::behaviors::TwoFaced); outputs and halts are
+    /// dropped (faulty "decisions" don't count).
+    fn drain_face(&mut self, face: Face, env: &Env, out: &mut ByzSink<M::Msg>) {
+        let (slot, policy) = (self.slot, &self.policy);
+        for step in self.scratch.drain() {
+            match step {
+                Step::Send(to, m) => {
+                    if to != slot {
+                        route_one(policy, face, to, m, out);
+                    }
+                }
+                Step::Broadcast(m) => {
+                    for i in 0..env.n() {
+                        let to = ProcessId::from_index(i);
+                        if to != slot {
+                            route_one(policy, face, to, m.clone(), out);
+                        }
+                    }
+                }
+                Step::Timer(d, tag) => out.timer(d, tag * 2 + face as u64),
+                Step::Output(_) | Step::Halt => {}
             }
-        });
-    }
-
-    fn route_b(&mut self, env: &Env, out: &mut ByzSink<M::Msg>) {
-        let target = self.target;
-        route_steps::<M>(&mut self.scratch, env, self.slot, 1, out, |to| {
-            if Some(to) == target {
-                Route::Equivocate
-            } else {
-                Route::Drop
-            }
-        });
+        }
     }
 }
 
-impl<M: Machine> Byzantine<M::Msg> for TargetLeader<M> {
+impl<M: Machine, P: RoutePolicy> Byzantine<M::Msg> for AdaptiveHost<M, P> {
     fn init(&mut self, env: &Env, sink: &mut ByzSink<M::Msg>) {
-        self.face_a.init(env, &mut self.scratch);
-        self.route_a(env, sink);
-        self.face_b.init(env, &mut self.scratch);
-        self.route_b(env, sink);
+        for face in Face::BOTH {
+            self.faces[face as usize].init(env, &mut self.scratch);
+            self.drain_face(face, env, sink);
+        }
     }
 
     fn on_message(&mut self, from: ProcessId, msg: &M::Msg, env: &Env, sink: &mut ByzSink<M::Msg>) {
         if from == self.slot {
             return;
         }
-        self.face_a.on_message(from, msg, env, &mut self.scratch);
-        self.route_a(env, sink);
-        self.face_b.on_message(from, msg, env, &mut self.scratch);
-        self.route_b(env, sink);
+        for face in Face::BOTH {
+            self.faces[face as usize].on_message(from, msg, env, &mut self.scratch);
+            self.drain_face(face, env, sink);
+        }
     }
 
     fn on_timer(&mut self, tag: u64, env: &Env, sink: &mut ByzSink<M::Msg>) {
-        let (face, inner) = (tag % 2, tag / 2);
-        if face == 0 {
-            self.face_a.on_timer(inner, env, &mut self.scratch);
-            self.route_a(env, sink);
-        } else {
-            self.face_b.on_timer(inner, env, &mut self.scratch);
-            self.route_b(env, sink);
-        }
+        let (face, inner) = (Face::BOTH[(tag % 2) as usize], tag / 2);
+        self.faces[face as usize].on_timer(inner, env, &mut self.scratch);
+        self.drain_face(face, env, sink);
     }
 
     fn observes(&self) -> bool {
@@ -180,7 +171,34 @@ impl<M: Machine> Byzantine<M::Msg> for TargetLeader<M> {
     }
 
     fn observe(&mut self, state: &ObservedState) {
-        self.target = state.frontrunner(self.slot);
+        self.policy.observe(self.slot, state);
+    }
+}
+
+/// Equivocates only toward the node closest to deciding.
+///
+/// The honest face A is shown to everyone **except** the current
+/// frontrunner — the undecided node with the most consumed deliveries —
+/// which instead receives face B's conflicting traffic. The victim is
+/// re-chosen from every snapshot, so the lie follows whoever is currently
+/// ahead.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TargetLeader {
+    target: Option<ProcessId>,
+}
+
+impl RoutePolicy for TargetLeader {
+    fn route(&self, face: Face, to: ProcessId) -> Route {
+        match (face, Some(to) == self.target) {
+            (Face::A, false) => Route::Deliver,
+            (Face::A, true) => Route::Omit,
+            (Face::B, true) => Route::Equivocate,
+            (Face::B, false) => Route::Drop,
+        }
+    }
+
+    fn observe(&mut self, slot: ProcessId, state: &ObservedState) {
+        self.target = state.frontrunner(slot);
     }
 }
 
@@ -193,88 +211,34 @@ impl<M: Machine> Byzantine<M::Msg> for TargetLeader<M> {
 /// split: face A keeps covering the lower half, the upper half is handed
 /// to face B's conflicting state, and the honest sends now withheld from
 /// the upper half are reported as omissions.
-pub struct LastMinute<M: Machine> {
-    slot: ProcessId,
-    face_a: M,
-    face_b: M,
+#[derive(Clone, Copy, Debug)]
+pub struct LastMinute {
     lower: ProcessSet,
     triggered: bool,
-    /// Scratch buffer the faces write into; reused across events.
-    scratch: StepSink<M::Msg, M::Output>,
 }
 
-impl<M: Machine> LastMinute<M> {
-    /// Creates the behaviour for the node in `slot`: `face_a` (regular
-    /// input) keeps `lower` after the trigger, `face_b` (conflicting
-    /// input) takes everyone else.
-    pub fn new(slot: ProcessId, face_a: M, face_b: M, lower: ProcessSet) -> Self {
+impl LastMinute {
+    /// After the trigger, face A keeps `lower` and face B takes everyone
+    /// else.
+    pub fn new(lower: ProcessSet) -> Self {
         LastMinute {
-            slot,
-            face_a,
-            face_b,
             lower,
             triggered: false,
-            scratch: StepSink::new(),
         }
-    }
-
-    fn route_a(&mut self, env: &Env, out: &mut ByzSink<M::Msg>) {
-        let (triggered, lower) = (self.triggered, self.lower);
-        route_steps::<M>(&mut self.scratch, env, self.slot, 0, out, |to| {
-            if !triggered || lower.contains(to) {
-                Route::Deliver
-            } else {
-                Route::Omit
-            }
-        });
-    }
-
-    fn route_b(&mut self, env: &Env, out: &mut ByzSink<M::Msg>) {
-        let (triggered, lower) = (self.triggered, self.lower);
-        route_steps::<M>(&mut self.scratch, env, self.slot, 1, out, |to| {
-            if triggered && !lower.contains(to) {
-                Route::Equivocate
-            } else {
-                Route::Drop
-            }
-        });
     }
 }
 
-impl<M: Machine> Byzantine<M::Msg> for LastMinute<M> {
-    fn init(&mut self, env: &Env, sink: &mut ByzSink<M::Msg>) {
-        self.face_a.init(env, &mut self.scratch);
-        self.route_a(env, sink);
-        self.face_b.init(env, &mut self.scratch);
-        self.route_b(env, sink);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &M::Msg, env: &Env, sink: &mut ByzSink<M::Msg>) {
-        if from == self.slot {
-            return;
-        }
-        self.face_a.on_message(from, msg, env, &mut self.scratch);
-        self.route_a(env, sink);
-        self.face_b.on_message(from, msg, env, &mut self.scratch);
-        self.route_b(env, sink);
-    }
-
-    fn on_timer(&mut self, tag: u64, env: &Env, sink: &mut ByzSink<M::Msg>) {
-        let (face, inner) = (tag % 2, tag / 2);
-        if face == 0 {
-            self.face_a.on_timer(inner, env, &mut self.scratch);
-            self.route_a(env, sink);
-        } else {
-            self.face_b.on_timer(inner, env, &mut self.scratch);
-            self.route_b(env, sink);
+impl RoutePolicy for LastMinute {
+    fn route(&self, face: Face, to: ProcessId) -> Route {
+        match (face, self.triggered && !self.lower.contains(to)) {
+            (Face::A, false) => Route::Deliver,
+            (Face::A, true) => Route::Omit,
+            (Face::B, true) => Route::Equivocate,
+            (Face::B, false) => Route::Drop,
         }
     }
 
-    fn observes(&self) -> bool {
-        true
-    }
-
-    fn observe(&mut self, state: &ObservedState) {
+    fn observe(&mut self, _slot: ProcessId, state: &ObservedState) {
         // Latched: once the system has started deciding, stay flipped even
         // if the snapshot's decided set can no longer grow.
         self.triggered = self.triggered || state.any_decided();
@@ -289,88 +253,32 @@ impl<M: Machine> Byzantine<M::Msg> for LastMinute<M> {
 /// node sits at the median, so the behaviour opens honest and only begins
 /// equivocating once the execution itself develops a skew — the lie
 /// tracks the majority structure instead of a static group split.
-pub struct SplitBrain<M: Machine> {
-    slot: ProcessId,
-    face_a: M,
-    face_b: M,
+#[derive(Clone, Copy, Debug)]
+pub struct SplitBrain {
     ahead: ProcessSet,
-    /// Scratch buffer the faces write into; reused across events.
-    scratch: StepSink<M::Msg, M::Output>,
 }
 
-impl<M: Machine> SplitBrain<M> {
-    /// Creates the behaviour for the node in `slot`; `face_a` proposes the
-    /// regular input (shown to the "ahead" majority side), `face_b` the
-    /// conflicting one.
-    pub fn new(slot: ProcessId, face_a: M, face_b: M) -> Self {
+impl Default for SplitBrain {
+    /// Until the first snapshot arrives, everyone counts as ahead
+    /// (equivalent to the zero-skew snapshot): fully honest.
+    fn default() -> Self {
         SplitBrain {
-            slot,
-            face_a,
-            face_b,
-            // Until the first snapshot arrives, treat everyone as ahead
-            // (equivalent to the zero-skew snapshot): fully honest.
             ahead: ProcessSet::full(validity_core::MAX_PROCESSES),
-            scratch: StepSink::new(),
         }
-    }
-
-    fn route_a(&mut self, env: &Env, out: &mut ByzSink<M::Msg>) {
-        let ahead = self.ahead;
-        route_steps::<M>(&mut self.scratch, env, self.slot, 0, out, |to| {
-            if ahead.contains(to) {
-                Route::Deliver
-            } else {
-                Route::Drop
-            }
-        });
-    }
-
-    fn route_b(&mut self, env: &Env, out: &mut ByzSink<M::Msg>) {
-        let ahead = self.ahead;
-        route_steps::<M>(&mut self.scratch, env, self.slot, 1, out, |to| {
-            if ahead.contains(to) {
-                Route::Drop
-            } else {
-                Route::Equivocate
-            }
-        });
     }
 }
 
-impl<M: Machine> Byzantine<M::Msg> for SplitBrain<M> {
-    fn init(&mut self, env: &Env, sink: &mut ByzSink<M::Msg>) {
-        self.face_a.init(env, &mut self.scratch);
-        self.route_a(env, sink);
-        self.face_b.init(env, &mut self.scratch);
-        self.route_b(env, sink);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &M::Msg, env: &Env, sink: &mut ByzSink<M::Msg>) {
-        if from == self.slot {
-            return;
-        }
-        self.face_a.on_message(from, msg, env, &mut self.scratch);
-        self.route_a(env, sink);
-        self.face_b.on_message(from, msg, env, &mut self.scratch);
-        self.route_b(env, sink);
-    }
-
-    fn on_timer(&mut self, tag: u64, env: &Env, sink: &mut ByzSink<M::Msg>) {
-        let (face, inner) = (tag % 2, tag / 2);
-        if face == 0 {
-            self.face_a.on_timer(inner, env, &mut self.scratch);
-            self.route_a(env, sink);
-        } else {
-            self.face_b.on_timer(inner, env, &mut self.scratch);
-            self.route_b(env, sink);
+impl RoutePolicy for SplitBrain {
+    fn route(&self, face: Face, to: ProcessId) -> Route {
+        match (face, self.ahead.contains(to)) {
+            (Face::A, true) => Route::Deliver,
+            (Face::B, false) => Route::Equivocate,
+            // The side a face does not own was never "owed" its traffic.
+            (Face::A, false) | (Face::B, true) => Route::Drop,
         }
     }
 
-    fn observes(&self) -> bool {
-        true
-    }
-
-    fn observe(&mut self, state: &ObservedState) {
+    fn observe(&mut self, _slot: ProcessId, state: &ObservedState) {
         let median = state.median_delivered();
         self.ahead = (0..state.n())
             .filter(|&i| state.delivered(ProcessId::from_index(i)) >= median)
@@ -486,7 +394,12 @@ mod tests {
 
     #[test]
     fn target_leader_lies_only_to_the_frontrunner() {
-        let mut b = TargetLeader::new(ProcessId(3), Announcer(0), Announcer(1));
+        let mut b = AdaptiveHost::new(
+            ProcessId(3),
+            Announcer(0),
+            Announcer(1),
+            TargetLeader::default(),
+        );
         b.observe(&view_with_frontrunner(4, 1));
         let mut sink = ByzSink::new();
         b.init(&env(3, 4, 1), &mut sink);
@@ -506,7 +419,12 @@ mod tests {
 
     #[test]
     fn target_leader_reports_equivocations_and_omissions() {
-        let mut b = TargetLeader::new(ProcessId(3), Announcer(0), Announcer(1));
+        let mut b = AdaptiveHost::new(
+            ProcessId(3),
+            Announcer(0),
+            Announcer(1),
+            TargetLeader::default(),
+        );
         b.observe(&view_with_frontrunner(4, 1));
         let mut sink = ByzSink::new();
         b.init(&env(3, 4, 1), &mut sink);
@@ -516,7 +434,12 @@ mod tests {
 
     #[test]
     fn target_leader_retargets_as_the_race_changes() {
-        let mut b = TargetLeader::new(ProcessId(3), Announcer(0), Announcer(1));
+        let mut b = AdaptiveHost::new(
+            ProcessId(3),
+            Announcer(0),
+            Announcer(1),
+            TargetLeader::default(),
+        );
         let e = env(3, 4, 1);
         b.observe(&view_with_frontrunner(4, 1));
         let mut sink = ByzSink::new();
@@ -545,7 +468,12 @@ mod tests {
     #[test]
     fn last_minute_is_honest_until_a_decision_appears() {
         let lower: ProcessSet = [0usize, 1].into_iter().collect();
-        let mut b = LastMinute::new(ProcessId(4), Announcer(0), Announcer(1), lower);
+        let mut b = AdaptiveHost::new(
+            ProcessId(4),
+            Announcer(0),
+            Announcer(1),
+            LastMinute::new(lower),
+        );
         let e = env(4, 5, 2);
         b.observe(&ObservedState::tracking(5));
         let mut sink = ByzSink::new();
@@ -572,7 +500,12 @@ mod tests {
 
     #[test]
     fn split_brain_partitions_by_delivery_median() {
-        let mut b = SplitBrain::new(ProcessId(3), Announcer(0), Announcer(1));
+        let mut b = AdaptiveHost::new(
+            ProcessId(3),
+            Announcer(0),
+            Announcer(1),
+            SplitBrain::default(),
+        );
         let e = env(3, 4, 1);
         // Zero skew: everyone is at the median, fully honest.
         b.observe(&ObservedState::tracking(4));
@@ -598,6 +531,67 @@ mod tests {
             [ByzStep::Send(ProcessId(0), Echo(1))]
         ));
         assert_eq!(sink.equivocations(), 1);
+    }
+
+    /// Arms timer `self.0` at init, re-arms `tag + 1` when one fires, and
+    /// answers every message.
+    #[derive(Clone)]
+    struct Ticker(u64);
+
+    impl Machine for Ticker {
+        type Msg = Echo;
+        type Output = u64;
+
+        fn init(&mut self, _env: &Env, sink: &mut StepSink<Echo, u64>) {
+            sink.timer(5, self.0);
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            _m: &Echo,
+            _env: &Env,
+            sink: &mut StepSink<Echo, u64>,
+        ) {
+            sink.send(from, Echo(self.0));
+        }
+
+        fn on_timer(&mut self, tag: u64, _env: &Env, sink: &mut StepSink<Echo, u64>) {
+            sink.timer(5, tag + 1);
+        }
+    }
+
+    #[test]
+    fn every_policy_drops_self_deliveries_and_namespaces_timers_by_face() {
+        fn check(policy: impl RoutePolicy) {
+            let mut b = AdaptiveHost::new(ProcessId(3), Ticker(3), Ticker(4), policy);
+            let e = env(3, 4, 1);
+            let mut sink = ByzSink::new();
+            b.init(&e, &mut sink);
+            // Face A's tag 3 leaves as 3·2+0, face B's tag 4 as 4·2+1.
+            assert!(matches!(
+                sink.drain().as_slice(),
+                [ByzStep::Timer(5, 6), ByzStep::Timer(5, 9)]
+            ));
+            // Even tags fire face A, odd tags face B; each re-arms inside
+            // its own namespace.
+            b.on_timer(6, &e, &mut sink);
+            assert!(matches!(sink.drain().as_slice(), [ByzStep::Timer(5, 8)]));
+            b.on_timer(9, &e, &mut sink);
+            assert!(matches!(sink.drain().as_slice(), [ByzStep::Timer(5, 11)]));
+            // The host's own sends come back as self-deliveries: neither
+            // face hears them, while any other sender is answered.
+            b.on_message(ProcessId(3), &Echo(0), &e, &mut sink);
+            assert!(sink.is_empty());
+            b.on_message(ProcessId(0), &Echo(0), &e, &mut sink);
+            assert!(matches!(
+                sink.drain().as_slice(),
+                [ByzStep::Send(ProcessId(0), Echo(3))]
+            ));
+        }
+        check(TargetLeader::default());
+        check(LastMinute::new([0usize, 1].into_iter().collect()));
+        check(SplitBrain::default());
     }
 
     #[test]

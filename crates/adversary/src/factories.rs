@@ -10,9 +10,13 @@
 //! Every behaviour here is deterministic, so sweeps stay replayable.
 
 use validity_core::{ProcessId, ProcessSet, SystemParams};
-use validity_simnet::{ByzSink, Byzantine, Env, FilteredMachine, Machine, Message, Silent, Time};
+use validity_simnet::{
+    ByzSink, Byzantine, Env, FilteredMachine, Machine, Message, NodeKind, Silent, Time,
+};
 
-use crate::adaptive::{AdaptiveFlood, LastMinute, SplitBrain, TargetLeader};
+use crate::adaptive::{
+    AdaptiveFlood, AdaptiveHost, LastMinute, RoutePolicy, SplitBrain, TargetLeader,
+};
 use crate::behaviors::TwoFaced;
 
 /// Names a protocol-generic Byzantine behaviour.
@@ -136,8 +140,9 @@ impl BehaviorId {
     ///
     /// `mk(slot, face)` must return the correct machine that slot would run,
     /// proposing its regular input for `face = 0` and a different (but still
-    /// domain-valid) input for `face = 1` — only [`BehaviorId::TwoFaced`]
-    /// requests the second face.
+    /// domain-valid) input for `face = 1` — only the two-faced behaviours
+    /// ([`BehaviorId::TwoFaced`] and the three adaptive equivocators)
+    /// request the second face.
     pub fn instantiate<M: Machine + 'static>(
         self,
         params: SystemParams,
@@ -161,14 +166,46 @@ impl BehaviorId {
             }
             BehaviorId::TwoFaced => Box::new(TwoFaced::new(mk(slot, 0), lower, mk(slot, 1), upper)),
             BehaviorId::Flood => Box::new(Flood::<M::Msg>::new(slot)),
-            BehaviorId::TargetLeader => Box::new(TargetLeader::new(slot, mk(slot, 0), mk(slot, 1))),
-            BehaviorId::LastMinute => {
-                Box::new(LastMinute::new(slot, mk(slot, 0), mk(slot, 1), lower))
-            }
-            BehaviorId::SplitBrain => Box::new(SplitBrain::new(slot, mk(slot, 0), mk(slot, 1))),
+            BehaviorId::TargetLeader => adaptive(slot, mk, TargetLeader::default()),
+            BehaviorId::LastMinute => adaptive(slot, mk, LastMinute::new(lower)),
+            BehaviorId::SplitBrain => adaptive(slot, mk, SplitBrain::default()),
             BehaviorId::AdaptiveFlood => Box::new(AdaptiveFlood::<M::Msg>::new(slot)),
         }
     }
+
+    /// Builds a run's node vector: the correct machine `mk(p, 0)` in the
+    /// first `n − byz` slots, this behaviour in the rest. `mk` is called
+    /// in slot order (and face order within a slot) — callers whose
+    /// factories consume shared state, such as signer handles, get the
+    /// same sequence on every run.
+    pub fn populate<M: Machine + 'static>(
+        self,
+        params: SystemParams,
+        byz: usize,
+        gst: Time,
+        mk: &dyn Fn(ProcessId, u64) -> M,
+    ) -> Vec<NodeKind<M>> {
+        (0..params.n())
+            .map(|i| {
+                let p = ProcessId::from_index(i);
+                if i < params.n() - byz {
+                    NodeKind::Correct(mk(p, 0))
+                } else {
+                    NodeKind::Byzantine(self.instantiate(params, gst, p, mk))
+                }
+            })
+            .collect()
+    }
+}
+
+/// The adaptive two-faced host for `slot` under `policy`: face A on the
+/// slot's regular input, face B on the conflicting one.
+fn adaptive<M: Machine + 'static>(
+    slot: ProcessId,
+    mk: &dyn Fn(ProcessId, u64) -> M,
+    policy: impl RoutePolicy + 'static,
+) -> Box<dyn Byzantine<M::Msg>> {
+    Box::new(AdaptiveHost::new(slot, mk(slot, 0), mk(slot, 1), policy))
 }
 
 /// The non-terminating behaviour behind [`BehaviorId::Flood`].

@@ -5,8 +5,10 @@
 //!
 //! * [`behaviors`] — the two-faced partitioning adversary of Lemma 2;
 //! * [`adaptive`] — adversaries that pick their victims from the
-//!   simulator's observed state (`target-leader`, `last-minute`,
-//!   `split-brain`, `adaptive-flood`);
+//!   simulator's observed state: one two-faced host
+//!   ([`adaptive::AdaptiveHost`]) under three routing policies
+//!   (`target-leader`, `last-minute`, `split-brain`), plus
+//!   `adaptive-flood`;
 //! * [`strawman`] — deliberately cheap consensus attempts
 //!   ([`strawman::LeaderEcho`], [`strawman::QuorumVote`]) that the paper's
 //!   bounds doom;
@@ -29,7 +31,9 @@ pub mod isolation;
 pub mod partition;
 pub mod strawman;
 
-pub use adaptive::{AdaptiveFlood, LastMinute, SplitBrain, TargetLeader};
+pub use adaptive::{
+    AdaptiveFlood, AdaptiveHost, LastMinute, RoutePolicy, SplitBrain, TargetLeader,
+};
 pub use behaviors::TwoFaced;
 pub use dolev_reischuk::{break_leader_echo, half_t, run_e_base, Disagreement, EBaseReport};
 pub use factories::BehaviorId;

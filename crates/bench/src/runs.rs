@@ -3,9 +3,10 @@
 //! wrapped in `Universal`), run it, and collect the paper's complexity
 //! measures.
 
+use validity_adversary::BehaviorId;
 use validity_core::{InputConfig, LambdaFn, ProcessId, SystemParams};
 use validity_protocols::{find_vector, ProtocolContext, Universal};
-use validity_simnet::{agreement_holds, Machine, NodeKind, Silent, SimConfig, Simulation, Time};
+use validity_simnet::{agreement_holds, Machine, SimConfig, Simulation, Time};
 
 /// Complexity measures of one run.
 #[derive(Clone, Debug)]
@@ -47,16 +48,7 @@ where
     M::Output: std::fmt::Debug + PartialEq,
 {
     let params = cfg.params;
-    let n = params.n();
-    let nodes = (0..n)
-        .map(|i| {
-            if i < n - byz {
-                NodeKind::Correct(mk(ProcessId::from_index(i)))
-            } else {
-                NodeKind::Byzantine(Box::new(Silent))
-            }
-        })
-        .collect();
+    let nodes = BehaviorId::Silent.populate(params, byz, cfg.gst, &|p, _face| mk(p));
     let mut sim = Simulation::new(cfg, nodes);
     sim.run_until_decided();
     let stats = sim.stats();

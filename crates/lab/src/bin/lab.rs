@@ -177,7 +177,8 @@ fn list(names_only: bool) {
 
 /// One subcommand's argv, validated against the flag table
 /// ([`validity_lab::flags`]): every flag is known to the command, not refused
-/// by it, given at most once, and followed by its value when it takes one.
+/// by it, given at most once, and followed by its value (never another
+/// flag) when it takes one.
 struct Args<'a> {
     given: Vec<(&'static str, &'a str)>,
     /// The bare arguments, for the commands that take them.
@@ -218,9 +219,17 @@ impl<'a> Args<'a> {
                 return Err(format!("option '{arg}' given more than once"));
             }
             let value = if flag.takes_value {
-                *rest
+                let value = *rest
                     .next()
-                    .ok_or_else(|| format!("option '{arg}' wants a value"))?
+                    .ok_or_else(|| format!("option '{arg}' wants a value"))?;
+                // `--json --md` means a forgotten path, not a file named
+                // `--md`: a value that is itself a flag is never a value.
+                if flags::find(value).is_some() {
+                    return Err(format!(
+                        "option '{arg}' wants a value, got option '{value}'"
+                    ));
+                }
+                value
             } else {
                 ""
             };

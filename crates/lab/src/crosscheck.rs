@@ -47,7 +47,7 @@ use crate::json::Json;
 use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
-use crate::runner::{execute_with_budget, Outcome};
+use crate::runner::{execute_with_budget, Outcome, RunRecord};
 
 /// Schema tag of the crosscheck report artifact.
 pub const CROSSCHECK_SCHEMA: &str = "validity-lab/crosscheck@1";
@@ -97,6 +97,43 @@ impl CrosscheckCell {
             "crosscheck/{}/{}x{}/{}/n{}t{}/s{}",
             self.validity, self.behavior, self.byz, self.schedule, self.n, self.t, self.seed,
         )
+    }
+
+    /// The classifier column over a reference domain of `domain` values;
+    /// `None` when the configuration space is out of its band.
+    pub fn classify(&self, domain: u64) -> Option<Classification<u64>> {
+        classifier_in_band(self.n, domain).then(|| {
+            let params =
+                SystemParams::new(self.n, self.t).expect("matrix enumerated an invalid (n, t)");
+            classify(
+                &self.validity.property(self.t),
+                params,
+                &Domain::range(domain),
+            )
+        })
+    }
+
+    /// One engine column: runs `engine`, `Universal`-wrapped, on this cell
+    /// under the step budget. `None` when the cell's `(n, t)` is outside
+    /// the engine's registered band.
+    pub fn run_engine(&self, engine: VectorSpec, max_steps: Option<u64>) -> Option<RunRecord> {
+        engine.applicable_to(self.n, self.t).then(|| {
+            let spec = CellSpec::Run(RunCell {
+                protocol: ProtocolAxis::wrapped(engine),
+                validity: Some(self.validity),
+                behavior: self.behavior,
+                byz: self.byz,
+                fault: self.fault,
+                schedule: self.schedule,
+                n: self.n,
+                t: self.t,
+                seed: self.seed,
+            });
+            let Outcome::Run(r) = execute_with_budget(&spec, max_steps).outcome else {
+                unreachable!("run cells produce run outcomes")
+            };
+            r
+        })
     }
 }
 
@@ -317,6 +354,20 @@ pub enum EngineOutcome {
     Ran(EngineVerdict),
 }
 
+impl EngineOutcome {
+    /// Condenses what [`CrosscheckCell::run_engine`] returned.
+    pub fn of(run: Option<&RunRecord>) -> EngineOutcome {
+        run.map_or(EngineOutcome::Skipped, |r| {
+            EngineOutcome::Ran(EngineVerdict {
+                decided: r.decided,
+                agreement: r.agreement,
+                validity_ok: r.validity_ok,
+                quarantined: r.quarantined,
+            })
+        })
+    }
+}
+
 /// The agreement grade of one cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AgreementLevel {
@@ -475,43 +526,12 @@ pub fn execute_crosscheck(
     domain: u64,
     max_steps: Option<u64>,
 ) -> CrosscheckRecord {
-    let classifier: Option<Classification<u64>> = classifier_in_band(cell.n, domain).then(|| {
-        let params =
-            SystemParams::new(cell.n, cell.t).expect("matrix enumerated an invalid (n, t)");
-        let property = cell.validity.property(cell.t);
-        classify(&property, params, &Domain::range(domain))
-    });
+    let classifier = cell.classify(domain);
     let columns: Vec<EngineColumn> = engines
         .iter()
-        .map(|&engine| {
-            let outcome = if engine.applicable_to(cell.n, cell.t) {
-                let spec = CellSpec::Run(RunCell {
-                    protocol: ProtocolAxis::wrapped(engine),
-                    validity: Some(cell.validity),
-                    behavior: cell.behavior,
-                    byz: cell.byz,
-                    fault: cell.fault,
-                    schedule: cell.schedule,
-                    n: cell.n,
-                    t: cell.t,
-                    seed: cell.seed,
-                });
-                let Outcome::Run(r) = execute_with_budget(&spec, max_steps).outcome else {
-                    unreachable!("run cells produce run outcomes")
-                };
-                EngineOutcome::Ran(EngineVerdict {
-                    decided: r.decided,
-                    agreement: r.agreement,
-                    validity_ok: r.validity_ok,
-                    quarantined: r.quarantined,
-                })
-            } else {
-                EngineOutcome::Skipped
-            };
-            EngineColumn {
-                engine: engine.name(),
-                outcome,
-            }
+        .map(|&engine| EngineColumn {
+            engine: engine.name(),
+            outcome: EngineOutcome::of(cell.run_engine(engine, max_steps).as_ref()),
         })
         .collect();
     let (level, detail) = grade(classifier.as_ref(), &columns);

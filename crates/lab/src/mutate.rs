@@ -18,7 +18,8 @@
 //!    quarantines under *expected* divergence, so this check keeps them
 //!    lethal);
 //! 3. both decided every cell identically by verdict, but some decided
-//!    *value* differs — the one distinction [`EngineVerdict`] is too
+//!    *value* differs — the one distinction
+//!    [`EngineVerdict`](crate::crosscheck::EngineVerdict) is too
 //!    coarse to see.
 //!
 //! A mutant the oracle cannot distinguish **survives**; the gate fails
@@ -37,17 +38,13 @@
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
-use validity_core::{classify, Classification, Domain, SystemParams};
+use validity_core::Classification;
 use validity_protocols::{mutant_spec, MutationOp, VectorSpec};
 
-use crate::crosscheck::{
-    classifier_in_band, grade, AgreementLevel, CrosscheckMatrix, EngineColumn, EngineOutcome,
-    EngineVerdict,
-};
-use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScheduleSpec, ValiditySpec};
+use crate::crosscheck::{grade, AgreementLevel, CrosscheckMatrix, EngineColumn, EngineOutcome};
+use crate::matrix::{ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
-use crate::runner::{execute_with_budget, Outcome};
 
 /// Schema tag of the mutate report artifact.
 pub const MUTATE_SCHEMA: &str = "validity-lab/mutate@1";
@@ -371,48 +368,24 @@ impl MutateReport {
 }
 
 /// One executed column of one cell: the crosscheck-shaped outcome plus
-/// the decided value's rendering (the detail [`EngineVerdict`] drops).
+/// the decided value's rendering (the detail `EngineVerdict` drops).
 #[derive(Clone, Debug)]
 struct ColumnRun {
     outcome: EngineOutcome,
     decision: Option<String>,
 }
 
-/// Runs one engine (base or mutant) on one cell, `Universal`-wrapped like
-/// every crosscheck column.
+/// Runs one engine (base or mutant) on one cell — the same column
+/// [`crate::crosscheck::execute_crosscheck`] runs.
 fn run_column(
     cell: &crate::crosscheck::CrosscheckCell,
     engine: VectorSpec,
     max_steps: Option<u64>,
 ) -> ColumnRun {
-    if !engine.applicable_to(cell.n, cell.t) {
-        return ColumnRun {
-            outcome: EngineOutcome::Skipped,
-            decision: None,
-        };
-    }
-    let spec = CellSpec::Run(RunCell {
-        protocol: ProtocolAxis::wrapped(engine),
-        validity: Some(cell.validity),
-        behavior: cell.behavior,
-        byz: cell.byz,
-        fault: cell.fault,
-        schedule: cell.schedule,
-        n: cell.n,
-        t: cell.t,
-        seed: cell.seed,
-    });
-    let Outcome::Run(r) = execute_with_budget(&spec, max_steps).outcome else {
-        unreachable!("run cells produce run outcomes")
-    };
+    let run = cell.run_engine(engine, max_steps);
     ColumnRun {
-        outcome: EngineOutcome::Ran(EngineVerdict {
-            decided: r.decided,
-            agreement: r.agreement,
-            validity_ok: r.validity_ok,
-            quarantined: r.quarantined,
-        }),
-        decision: r.decided.then(|| r.decision.clone()),
+        outcome: EngineOutcome::of(run.as_ref()),
+        decision: run.filter(|r| r.decided).map(|r| r.decision),
     }
 }
 
@@ -514,17 +487,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
     // Classifier column, once per cell (cheap at grid sizes).
     let classifiers: Vec<Option<Classification<u64>>> = cells
         .iter()
-        .map(|cell| {
-            classifier_in_band(cell.n, matrix.grid.domain).then(|| {
-                let params =
-                    SystemParams::new(cell.n, cell.t).expect("matrix enumerated an invalid (n, t)");
-                classify(
-                    &cell.validity.property(cell.t),
-                    params,
-                    &Domain::range(matrix.grid.domain),
-                )
-            })
-        })
+        .map(|cell| cell.classify(matrix.grid.domain))
         .collect();
     // Baseline: the clean registry must not disagree with itself.
     let mut false_kills = Vec::new();

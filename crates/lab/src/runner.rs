@@ -10,15 +10,13 @@
 //! exact single-process report from partial runs — no cross-process state
 //! exists for the shards to disagree about.
 
-use validity_adversary::BehaviorId;
 use validity_core::{
     classify_with_cost, Classification, Domain, InputConfig, ProcessId, SystemParams,
     UnsolvableReason,
 };
 use validity_protocols::{ProtocolContext, Universal};
 use validity_simnet::{
-    agreement_holds, Machine, NetStats, NoProbe, NodeKind, Probe, RunOutcome, SimBuilder,
-    Simulation, Time,
+    agreement_holds, Machine, NetStats, NoProbe, Probe, RunOutcome, SimBuilder, Simulation, Time,
 };
 
 use crate::matrix::{CellSpec, ClassifyCell, RunCell, ValiditySpec};
@@ -208,27 +206,6 @@ pub(crate) fn execute_run_with_probe<P: Probe>(
     )
 }
 
-/// Builds the node vector for machine type `M`: correct machines in the
-/// first `n − byz` slots, the cell's behaviour in the rest.
-fn build_nodes<M: Machine + 'static>(
-    params: SystemParams,
-    byz: usize,
-    behavior: BehaviorId,
-    gst: Time,
-    mk: impl Fn(ProcessId, u64) -> M,
-) -> Vec<NodeKind<M>> {
-    (0..params.n())
-        .map(|i| {
-            let p = ProcessId::from_index(i);
-            if i < params.n() - byz {
-                NodeKind::Correct(mk(p, 0))
-            } else {
-                NodeKind::Byzantine(behavior.instantiate(params, gst, p, &mk))
-            }
-        })
-        .collect()
-}
-
 /// The actual input configuration: correct processes only.
 fn actual_config(
     params: SystemParams,
@@ -312,7 +289,7 @@ fn run_universal<P: Probe>(
                 .expect("matrix only pairs Universal with Λ-bearing properties"),
         )
     };
-    let nodes = build_nodes(params, cell.byz, cell.behavior, gst, mk);
+    let nodes = cell.behavior.populate(params, cell.byz, gst, &mk);
     let mut sim = builder
         .build_with_probe(nodes, probe)
         .expect("matrix-derived configurations always validate");
@@ -330,7 +307,7 @@ fn run_raw<P: Probe>(cell: &RunCell, gctx: &GroupContext, seed: u64, probe: P) -
     let engine = cell.protocol.engine;
     let input_of = |i: usize| (i as u64) * 10;
     let mk = |p: ProcessId, face: u64| engine.machine(&ctx, p, input_of(p.index()) + face * 5);
-    let nodes = build_nodes(params, cell.byz, cell.behavior, gst, mk);
+    let nodes = cell.behavior.populate(params, cell.byz, gst, &mk);
     let mut sim = builder
         .build_with_probe(nodes, probe)
         .expect("matrix-derived configurations always validate");
@@ -377,6 +354,7 @@ fn execute_classify(cell: &ClassifyCell) -> ClassifyRecord {
 mod tests {
     use super::*;
     use crate::matrix::{ProtocolAxis, ScheduleSpec};
+    use validity_adversary::BehaviorId;
     use validity_protocols::find_vector;
 
     fn strong_cell(seed: u64) -> CellSpec {

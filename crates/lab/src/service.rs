@@ -27,9 +27,9 @@ use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
 use validity_core::{ProcessId, SystemParams};
-use validity_protocols::registry::{find_vector, ProtocolContext, VectorMachine, VectorSpec};
+use validity_protocols::registry::{find_vector, ProtocolContext, VectorSpec};
 use validity_protocols::service::{batch_proposal, Replicated, ServiceConfig};
-use validity_simnet::{agreement_holds, Hist, Multiplex, NodeKind, RunOutcome, Time};
+use validity_simnet::{agreement_holds, Hist, NodeKind, RunOutcome, Time};
 
 use crate::executor::CellTiming;
 use crate::matrix::ScheduleSpec;
@@ -247,16 +247,7 @@ pub fn execute_service(cell: &ServiceCell) -> ServiceRecord {
             batch_proposal(slot, batch).wrapping_add(face)
         })
     };
-    let nodes: Vec<NodeKind<Multiplex<VectorMachine<u64>>>> = (0..params.n())
-        .map(|i| {
-            let p = ProcessId::from_index(i);
-            if i < params.n() - cell.byz {
-                NodeKind::Correct(mk(p, 0))
-            } else {
-                NodeKind::Byzantine(cell.behavior.instantiate(params, gst, p, &mk))
-            }
-        })
-        .collect();
+    let nodes = cell.behavior.populate(params, cell.byz, gst, &mk);
     let mut sim = builder
         .build(nodes)
         .expect("matrix-derived configurations always validate");

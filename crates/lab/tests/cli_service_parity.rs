@@ -18,7 +18,8 @@
 //!    table the binary validates against.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
 //!    flags it would otherwise ignore, an empty or reversed `--seeds`
-//!    range is an error on every driver, and so is a repeated flag.
+//!    range is an error on every driver, and so are a repeated flag and a
+//!    flag sitting where another flag's value belongs.
 
 use std::process::{Command as Process, Output};
 
@@ -224,4 +225,50 @@ fn a_repeated_flag_is_refused_instead_of_taking_the_first() {
             "{args:?} must name the repeated flag; got: {err}"
         );
     }
+}
+
+#[test]
+fn a_flag_is_never_taken_as_another_flags_value() {
+    let dir = std::env::temp_dir().join(format!("lab-flag-value-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (flag, got, args) in [
+        // Used to exit 0 and write the JSON report to a file named `--md`.
+        (
+            "--json",
+            "--md",
+            vec!["run", "--suite", "quick", "--json", "--md"],
+        ),
+        ("--md", "--dry-run", vec!["service", "--md", "--dry-run"]),
+        ("--out", "--top", vec!["profile", "--out", "--top", "3"]),
+        (
+            "--baseline",
+            "--tolerance",
+            vec!["trend", "--baseline", "--tolerance", "0.5"],
+        ),
+        (
+            "--timeline",
+            "--cell",
+            vec!["profile", "--timeline", "--cell", "0"],
+        ),
+    ] {
+        let out = Process::new(env!("CARGO_BIN_EXE_lab"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn lab binary");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must be refused");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!(
+                "option '{flag}' wants a value, got option '{got}'"
+            )),
+            "{args:?} must name both flags; got: {err}"
+        );
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "{args:?} wrote a file"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

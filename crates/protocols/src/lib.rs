@@ -34,7 +34,6 @@ pub mod add;
 pub mod beb;
 pub mod brb;
 pub mod codec;
-pub mod compose;
 pub mod dbft;
 pub mod dissemination;
 pub mod mutation;

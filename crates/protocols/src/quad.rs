@@ -163,8 +163,8 @@ impl<V, P> Debug for QuadConfig<V, P> {
 pub type QuadDecision<V, P> = (V, P);
 
 /// The effect sink a Quad component writes into — the parent machine lends
-/// it (usually a machine-owned scratch sink that [`crate::compose::lift`]
-/// then drains into the outer wire type).
+/// it (a scratch-sink field of its own, borrowed directly, which the parent
+/// then drains onto the outer wire type with [`StepSink::drain_map`]).
 pub type QuadSink<V, P> = StepSink<QuadMsg<V, P>, QuadDecision<V, P>>;
 
 /// The VIEW-CHANGE votes a leader collects for one view.

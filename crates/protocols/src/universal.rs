@@ -15,7 +15,7 @@
 //! latency).
 
 use validity_core::{InputConfig, LambdaFn, ProcessId, Value};
-use validity_simnet::{Env, Machine, Step, StepSink};
+use validity_simnet::{Env, Machine, StepSink};
 
 /// The `Universal` machine: vector consensus composed with `Λ`.
 ///
@@ -85,33 +85,29 @@ where
     /// Drains the scratch sink into the outer sink, applying `Λ` to the
     /// decided vector.
     fn drain_vc(&mut self, out: &mut StepSink<VC::Msg, V>) {
-        let mut scratch = std::mem::take(&mut self.vc_sink);
-        for step in scratch.drain() {
-            match step {
-                Step::Send(to, m) => out.send(to, m),
-                Step::Broadcast(m) => out.broadcast(m),
-                Step::Timer(d, tag) => out.timer(d, tag),
-                Step::Output(vector) => {
-                    if !self.decided {
-                        self.decided = true;
-                        // Λ(vector) exists for every solvable property
-                        // (Definition 2); failure here means the property
-                        // violates C_S and should have been rejected by
-                        // classification beforehand.
-                        let v = self.lambda.lambda(&vector).unwrap_or_else(|e| {
-                            panic!(
-                                "Universal mis-configured: {} undefined at decided \
-                                     vector ({e}); the validity property violates C_S",
-                                self.lambda.name()
-                            )
-                        });
-                        out.output(v);
-                    }
+        self.vc_sink.drain_map(
+            out,
+            |m| m,
+            |tag| tag,
+            |vector, out| {
+                if !self.decided {
+                    self.decided = true;
+                    // Λ(vector) exists for every solvable property
+                    // (Definition 2); failure here means the property
+                    // violates C_S and should have been rejected by
+                    // classification beforehand.
+                    let v = self.lambda.lambda(&vector).unwrap_or_else(|e| {
+                        panic!(
+                            "Universal mis-configured: {} undefined at decided \
+                                 vector ({e}); the validity property violates C_S",
+                            self.lambda.name()
+                        )
+                    });
+                    out.output(v);
                 }
-                Step::Halt => out.halt(),
-            }
-        }
-        self.vc_sink = scratch;
+            },
+            |out| out.halt(),
+        );
     }
 }
 
@@ -125,9 +121,7 @@ where
     type Output = V;
 
     fn init(&mut self, env: &Env, sink: &mut StepSink<Self::Msg, V>) {
-        let mut scratch = std::mem::take(&mut self.vc_sink);
-        self.vc.init(env, &mut scratch);
-        self.vc_sink = scratch;
+        self.vc.init(env, &mut self.vc_sink);
         self.drain_vc(sink);
     }
 
@@ -138,16 +132,12 @@ where
         env: &Env,
         sink: &mut StepSink<Self::Msg, V>,
     ) {
-        let mut scratch = std::mem::take(&mut self.vc_sink);
-        self.vc.on_message(from, msg, env, &mut scratch);
-        self.vc_sink = scratch;
+        self.vc.on_message(from, msg, env, &mut self.vc_sink);
         self.drain_vc(sink);
     }
 
     fn on_timer(&mut self, tag: u64, env: &Env, sink: &mut StepSink<Self::Msg, V>) {
-        let mut scratch = std::mem::take(&mut self.vc_sink);
-        self.vc.on_timer(tag, env, &mut scratch);
-        self.vc_sink = scratch;
+        self.vc.on_timer(tag, env, &mut self.vc_sink);
         self.drain_vc(sink);
     }
 }

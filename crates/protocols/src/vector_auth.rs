@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 use validity_crypto::{KeyStore, Signature, Signer};
-use validity_simnet::{Env, Machine, Message, Step, StepSink};
+use validity_simnet::{Env, Machine, Message, StepSink};
 
 use crate::codec::{Codec, Words};
 use crate::quad::{QuadConfig, QuadCore, QuadMsg, QuadSink};
@@ -155,22 +155,18 @@ where
     /// Drains the Quad scratch sink into the outer sink, wrapping messages
     /// and intercepting the (vector, proof) decision.
     fn drain_quad(&mut self, out: &mut StepSink<VectorAuthMsg<V>, InputConfig<V>>) {
-        let mut scratch = std::mem::take(&mut self.quad_sink);
-        for step in scratch.drain() {
-            match step {
-                Step::Send(to, m) => out.send(to, VectorAuthMsg::Quad(m)),
-                Step::Broadcast(m) => out.broadcast(VectorAuthMsg::Quad(m)),
-                Step::Timer(d, tag) => out.timer(d, tag),
-                Step::Output((vector, _proof)) => {
-                    if !self.decided {
-                        self.decided = true;
-                        out.output(vector);
-                    }
+        self.quad_sink.drain_map(
+            out,
+            VectorAuthMsg::Quad,
+            |tag| tag,
+            |(vector, _proof), out| {
+                if !self.decided {
+                    self.decided = true;
+                    out.output(vector);
                 }
-                Step::Halt => out.halt(),
-            }
-        }
-        self.quad_sink = scratch;
+            },
+            |out| out.halt(),
+        );
     }
 }
 
@@ -187,9 +183,7 @@ where
             value: self.input.clone(),
             sig,
         });
-        let mut scratch = std::mem::take(&mut self.quad_sink);
-        self.quad.start(env, &mut scratch);
-        self.quad_sink = scratch;
+        self.quad.start(env, &mut self.quad_sink);
         self.drain_quad(sink);
     }
 
@@ -231,24 +225,18 @@ where
                 )
                 .expect("n − t distinct proposals form a valid configuration");
                 let proof: VectorProof<V> = self.proposals.values().cloned().collect();
-                let mut scratch = std::mem::take(&mut self.quad_sink);
-                self.quad.propose(vector, proof, env, &mut scratch);
-                self.quad_sink = scratch;
+                self.quad.propose(vector, proof, env, &mut self.quad_sink);
                 self.drain_quad(sink);
             }
             VectorAuthMsg::Quad(inner) => {
-                let mut scratch = std::mem::take(&mut self.quad_sink);
-                self.quad.on_message(from, inner, env, &mut scratch);
-                self.quad_sink = scratch;
+                self.quad.on_message(from, inner, env, &mut self.quad_sink);
                 self.drain_quad(sink);
             }
         }
     }
 
     fn on_timer(&mut self, tag: u64, env: &Env, sink: &mut StepSink<Self::Msg, Self::Output>) {
-        let mut scratch = std::mem::take(&mut self.quad_sink);
-        self.quad.on_timer(tag, env, &mut scratch);
-        self.quad_sink = scratch;
+        self.quad.on_timer(tag, env, &mut self.quad_sink);
         self.drain_quad(sink);
     }
 }

@@ -23,18 +23,30 @@ use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 use validity_crypto::{Digest, KeyStore, Signer, ThresholdScheme, ThresholdSignature};
-use validity_simnet::{Env, Machine, Message, Step, StepSink};
+use validity_simnet::{Env, Machine, Message, StepSink};
 
 use crate::add::{stamp_echo_index, Add, AddMsg};
 use crate::codec::{Codec, Words};
-use crate::compose::{tag_unwrap, tag_wrap};
 use crate::dissemination::{Acquired, DissemMsg, VectorDissemination};
 use crate::quad::{QuadConfig, QuadCore, QuadMsg, QuadSink};
 use crate::vector_auth::{proposal_sign_bytes, SignedProposal, VectorProof};
 
-/// Child indices for timer-tag namespacing.
+/// Timer tags of the embedded children are namespaced as
+/// `inner_tag * CHILD_STRIDE + child_index`.
+const CHILD_STRIDE: u64 = 8;
 const CHILD_QUAD: u64 = 0;
 const CHILD_DISSEM: u64 = 1;
+
+/// Namespaces an inner timer tag for child `child`.
+fn tag_wrap(child: u64, inner: u64) -> u64 {
+    debug_assert!(child < CHILD_STRIDE);
+    inner * CHILD_STRIDE + child
+}
+
+/// Splits a namespaced tag into `(child, inner)`.
+fn tag_unwrap(tag: u64) -> (u64, u64) {
+    (tag % CHILD_STRIDE, tag / CHILD_STRIDE)
+}
 
 /// Shorthand for the outer sink the Algorithm-6 helpers write into.
 type OutSink<'a, V> = &'a mut StepSink<VectorFastMsg<V>, InputConfig<V>>;
@@ -128,75 +140,58 @@ where
     }
 
     fn lift_quad(&mut self, env: &Env, out: OutSink<'_, V>) {
-        let mut scratch = std::mem::take(&mut self.quad_sink);
         let mut outputs = Vec::new();
-        for step in scratch.drain() {
-            match step {
-                Step::Send(to, m) => out.send(to, VectorFastMsg::Quad(m)),
-                Step::Broadcast(m) => out.broadcast(VectorFastMsg::Quad(m)),
-                Step::Timer(d, tag) => out.timer(d, tag_wrap(CHILD_QUAD, tag)),
-                Step::Output(o) => outputs.push(o),
-                Step::Halt => {} // quad halting must not halt Algorithm 6
-            }
-        }
-        self.quad_sink = scratch;
+        self.quad_sink.drain_map(
+            out,
+            VectorFastMsg::Quad,
+            |tag| tag_wrap(CHILD_QUAD, tag),
+            |o, _| outputs.push(o),
+            |_| {}, // quad halting must not halt Algorithm 6
+        );
         for (h, _tsig) in outputs {
             self.on_quad_decision(h, env, out);
         }
     }
 
     fn lift_dissem(&mut self, env: &Env, out: OutSink<'_, V>) {
-        let mut scratch = std::mem::take(&mut self.dissem_sink);
         let mut acquired = Vec::new();
-        for step in scratch.drain() {
-            match step {
-                Step::Send(to, m) => out.send(to, VectorFastMsg::Dissem(m)),
-                Step::Broadcast(m) => out.broadcast(VectorFastMsg::Dissem(m)),
-                Step::Timer(d, tag) => out.timer(d, tag_wrap(CHILD_DISSEM, tag)),
-                Step::Output(o) => acquired.push(o),
-                Step::Halt => {}
-            }
-        }
-        self.dissem_sink = scratch;
+        self.dissem_sink.drain_map(
+            out,
+            VectorFastMsg::Dissem,
+            |tag| tag_wrap(CHILD_DISSEM, tag),
+            |o, _| acquired.push(o),
+            |_| {},
+        );
         for (h, tsig) in acquired {
             // lines 19–21: propose the acquired pair to Quad (once).
             if !self.proposed_to_quad {
                 self.proposed_to_quad = true;
-                let mut qs = std::mem::take(&mut self.quad_sink);
-                self.quad.propose(h, tsig, env, &mut qs);
-                self.quad_sink = qs;
+                self.quad.propose(h, tsig, env, &mut self.quad_sink);
                 self.lift_quad(env, out);
             }
         }
     }
 
     fn lift_add(&mut self, env: &Env, out: OutSink<'_, V>) {
-        let mut scratch = std::mem::take(&mut self.add_sink);
-        for step in scratch.drain() {
-            match step {
-                Step::Send(to, mut m) => {
-                    stamp_echo_index(&mut m, env.id);
-                    out.send(to, VectorFastMsg::Add(m));
-                }
-                Step::Broadcast(mut m) => {
-                    stamp_echo_index(&mut m, env.id);
-                    out.broadcast(VectorFastMsg::Add(m));
-                }
-                Step::Timer(..) => unreachable!("ADD uses no timers"),
-                Step::Output(blob) => {
-                    // lines 25–26: decode and decide.
-                    if !self.decided {
-                        if let Some(vector) = InputConfig::<V>::decode_all(&blob) {
-                            self.decided = true;
-                            out.output(vector);
-                            out.halt();
-                        }
+        self.add_sink.drain_map(
+            out,
+            |mut m| {
+                stamp_echo_index(&mut m, env.id);
+                VectorFastMsg::Add(m)
+            },
+            |_| unreachable!("ADD uses no timers"),
+            |blob, out| {
+                // lines 25–26: decode and decide.
+                if !self.decided {
+                    if let Some(vector) = InputConfig::<V>::decode_all(&blob) {
+                        self.decided = true;
+                        out.output(vector);
+                        out.halt();
                     }
                 }
-                Step::Halt => {}
-            }
-        }
-        self.add_sink = scratch;
+            },
+            |_| {},
+        );
     }
 
     /// Lines 22–24: Quad decided a hash — feed ADD with the cached
@@ -207,9 +202,7 @@ where
         }
         self.add_started = true;
         let blob = self.dissem.cached(&h).map(Codec::encode);
-        let mut scratch = std::mem::take(&mut self.add_sink);
-        self.add.input(blob, env, &mut scratch);
-        self.add_sink = scratch;
+        self.add.input(blob, env, &mut self.add_sink);
         self.lift_add(env, out);
     }
 }
@@ -227,9 +220,7 @@ where
             value: self.input.clone(),
             sig,
         });
-        let mut qs = std::mem::take(&mut self.quad_sink);
-        self.quad.start(env, &mut qs);
-        self.quad_sink = qs;
+        self.quad.start(env, &mut self.quad_sink);
         self.lift_quad(env, sink);
     }
 
@@ -271,27 +262,21 @@ where
                 )
                 .expect("n − t distinct proposals form a valid configuration");
                 let proof: VectorProof<V> = self.proposals.values().cloned().collect();
-                let mut ds = std::mem::take(&mut self.dissem_sink);
-                self.dissem.disseminate(vector, proof, 0, env, &mut ds);
-                self.dissem_sink = ds;
+                self.dissem
+                    .disseminate(vector, proof, 0, env, &mut self.dissem_sink);
                 self.lift_dissem(env, sink);
             }
             VectorFastMsg::Dissem(inner) => {
-                let mut ds = std::mem::take(&mut self.dissem_sink);
-                self.dissem.on_message(from, inner, env, &mut ds);
-                self.dissem_sink = ds;
+                self.dissem
+                    .on_message(from, inner, env, &mut self.dissem_sink);
                 self.lift_dissem(env, sink);
             }
             VectorFastMsg::Quad(inner) => {
-                let mut qs = std::mem::take(&mut self.quad_sink);
-                self.quad.on_message(from, inner, env, &mut qs);
-                self.quad_sink = qs;
+                self.quad.on_message(from, inner, env, &mut self.quad_sink);
                 self.lift_quad(env, sink);
             }
             VectorFastMsg::Add(inner) => {
-                let mut asink = std::mem::take(&mut self.add_sink);
-                self.add.on_message(from, inner, env, &mut asink);
-                self.add_sink = asink;
+                self.add.on_message(from, inner, env, &mut self.add_sink);
                 self.lift_add(env, sink);
             }
         }
@@ -301,15 +286,11 @@ where
         let (child, inner) = tag_unwrap(tag);
         match child {
             CHILD_QUAD => {
-                let mut qs = std::mem::take(&mut self.quad_sink);
-                self.quad.on_timer(inner, env, &mut qs);
-                self.quad_sink = qs;
+                self.quad.on_timer(inner, env, &mut self.quad_sink);
                 self.lift_quad(env, sink);
             }
             CHILD_DISSEM => {
-                let mut ds = std::mem::take(&mut self.dissem_sink);
-                self.dissem.on_timer(inner, env, &mut ds);
-                self.dissem_sink = ds;
+                self.dissem.on_timer(inner, env, &mut self.dissem_sink);
                 self.lift_dissem(env, sink);
             }
             _ => {}
@@ -349,6 +330,15 @@ mod tests {
             })
             .collect();
         Simulation::new(SimConfig::new(params).seed(seed), nodes)
+    }
+
+    #[test]
+    fn child_timer_tags_roundtrip() {
+        for child in 0..CHILD_STRIDE {
+            for inner in [0u64, 1, 7, 1000] {
+                assert_eq!(tag_unwrap(tag_wrap(child, inner)), (child, inner));
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! signatures (the paper's Appendix B.2 bound).
 
 use validity_core::{InputConfig, ProcessId, Value};
-use validity_simnet::{Env, Machine, Message, Step, StepSink};
+use validity_simnet::{Env, Machine, Message, StepSink};
 
 use crate::brb::{BrbInstance, BrbMsg};
 use crate::codec::Words;
@@ -88,56 +88,36 @@ impl<V: Value + Words> VectorNonAuth<V> {
         }
     }
 
-    /// Drains the BRB scratch sink for instance `j` into the outer sink.
+    /// Drains the BRB scratch sink for instance `j` into the outer sink,
+    /// then acts on the delivery (after the instance's own sends, so the
+    /// wire order is the instance's, then the reaction's).
     fn lift_brb(&mut self, j: usize, env: &Env, out: OutSink<'_, V>) {
-        let mut scratch = std::mem::take(&mut self.brb_sink);
+        let sender = ProcessId::from_index(j);
         let mut delivered = Vec::new();
-        for step in scratch.drain() {
-            match step {
-                Step::Send(to, m) => out.send(
-                    to,
-                    VectorNonAuthMsg::Brb {
-                        sender: ProcessId::from_index(j),
-                        inner: m,
-                    },
-                ),
-                Step::Broadcast(m) => out.broadcast(VectorNonAuthMsg::Brb {
-                    sender: ProcessId::from_index(j),
-                    inner: m,
-                }),
-                Step::Timer(..) | Step::Halt => unreachable!("BRB uses no timers"),
-                Step::Output(v) => delivered.push(v),
-            }
-        }
-        self.brb_sink = scratch;
+        self.brb_sink.drain_map(
+            out,
+            |inner| VectorNonAuthMsg::Brb { sender, inner },
+            |_| unreachable!("BRB uses no timers"),
+            |v, _| delivered.push(v),
+            |_| unreachable!("BRB never halts"),
+        );
         for v in delivered {
             self.on_brb_delivery(j, v, env, out);
         }
     }
 
-    /// Drains the DBFT scratch sink for instance `j` into the outer sink.
+    /// Drains the DBFT scratch sink for instance `j` into the outer sink,
+    /// then reacts once per decision it reported.
     fn lift_dbft(&mut self, j: usize, env: &Env, out: OutSink<'_, V>) {
-        let mut scratch = std::mem::take(&mut self.dbft_sink);
+        let instance = j as u32;
         let mut outputs = 0usize;
-        for step in scratch.drain() {
-            match step {
-                Step::Send(to, m) => out.send(
-                    to,
-                    VectorNonAuthMsg::Dbft {
-                        instance: j as u32,
-                        inner: m,
-                    },
-                ),
-                Step::Broadcast(m) => out.broadcast(VectorNonAuthMsg::Dbft {
-                    instance: j as u32,
-                    inner: m,
-                }),
-                Step::Timer(d, tag) => out.timer(d, tag * MAX_N + j as u64),
-                Step::Output(_) => outputs += 1,
-                Step::Halt => {} // instance-local halt
-            }
-        }
-        self.dbft_sink = scratch;
+        self.dbft_sink.drain_map(
+            out,
+            |inner| VectorNonAuthMsg::Dbft { instance, inner },
+            |tag| tag * MAX_N + j as u64,
+            |_, _| outputs += 1,
+            |_| {}, // instance-local halt
+        );
         for _ in 0..outputs {
             self.on_dbft_decision(env, out);
         }
@@ -147,9 +127,7 @@ impl<V: Value + Words> VectorNonAuth<V> {
     fn on_brb_delivery(&mut self, j: usize, v: V, env: &Env, out: OutSink<'_, V>) {
         self.proposals[j] = Some(v);
         if self.dbft_proposing && !self.dbfts[j].has_proposed() {
-            let mut scratch = std::mem::take(&mut self.dbft_sink);
-            self.dbfts[j].propose(true, env, &mut scratch);
-            self.dbft_sink = scratch;
+            self.dbfts[j].propose(true, env, &mut self.dbft_sink);
             self.lift_dbft(j, env, out);
         }
         self.try_decide(env, out);
@@ -166,9 +144,7 @@ impl<V: Value + Words> VectorNonAuth<V> {
             self.dbft_proposing = false;
             for j in 0..self.dbfts.len() {
                 if !self.dbfts[j].has_proposed() && self.dbfts[j].decided().is_none() {
-                    let mut scratch = std::mem::take(&mut self.dbft_sink);
-                    self.dbfts[j].propose(false, env, &mut scratch);
-                    self.dbft_sink = scratch;
+                    self.dbfts[j].propose(false, env, &mut self.dbft_sink);
                     self.lift_dbft(j, env, out);
                 }
             }
@@ -216,9 +192,7 @@ impl<V: Value + Words> Machine for VectorNonAuth<V> {
     fn init(&mut self, env: &Env, sink: &mut StepSink<Self::Msg, Self::Output>) {
         let me = env.id.index();
         let input = self.input.clone();
-        let mut scratch = std::mem::take(&mut self.brb_sink);
-        self.brbs[me].broadcast(input, env, &mut scratch);
-        self.brb_sink = scratch;
+        self.brbs[me].broadcast(input, env, &mut self.brb_sink);
         self.lift_brb(me, env, sink);
     }
 
@@ -235,9 +209,7 @@ impl<V: Value + Words> Machine for VectorNonAuth<V> {
                 if j >= self.brbs.len() {
                     return;
                 }
-                let mut scratch = std::mem::take(&mut self.brb_sink);
-                self.brbs[j].on_message(from, inner, env, &mut scratch);
-                self.brb_sink = scratch;
+                self.brbs[j].on_message(from, inner, env, &mut self.brb_sink);
                 self.lift_brb(j, env, sink);
             }
             VectorNonAuthMsg::Dbft { instance, inner } => {
@@ -245,9 +217,7 @@ impl<V: Value + Words> Machine for VectorNonAuth<V> {
                 if j >= self.dbfts.len() {
                     return;
                 }
-                let mut scratch = std::mem::take(&mut self.dbft_sink);
-                self.dbfts[j].on_message(from, inner, env, &mut scratch);
-                self.dbft_sink = scratch;
+                self.dbfts[j].on_message(from, inner, env, &mut self.dbft_sink);
                 self.lift_dbft(j, env, sink);
             }
         }
@@ -259,9 +229,7 @@ impl<V: Value + Words> Machine for VectorNonAuth<V> {
         if j >= self.dbfts.len() {
             return;
         }
-        let mut scratch = std::mem::take(&mut self.dbft_sink);
-        self.dbfts[j].on_timer(inner_tag, env, &mut scratch);
-        self.dbft_sink = scratch;
+        self.dbfts[j].on_timer(inner_tag, env, &mut self.dbft_sink);
         self.lift_dbft(j, env, sink);
     }
 }

@@ -8,8 +8,9 @@
 //! `cargo bench -p validity-simnet` and compare the reported
 //! events/second against the numbers in the README's performance note.
 //!
-//! `--quick` mode (used by the `perf-smoke` CI job) prints the same
-//! measurements from fewer samples.
+//! The `perf-smoke` CI job does not run this file: it runs
+//! `examples/perf_smoke.rs`, which times the same workload shape without
+//! criterion and writes the artifact `lab perf` gates on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use validity_core::{ProcessId, SystemParams};

@@ -206,10 +206,9 @@ impl<M: Machine> Multiplex<M> {
     /// Drains the scratch sink for `id` into the outer sink, recording
     /// decisions and halts, then slides the pipeline window.
     fn drain_slot(&mut self, id: InstanceId, env: &Env, sink: &mut StepSink<MuxMsg<M::Msg>, u64>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
         let mut decided_now = Vec::new();
         let mut halted_now = false;
-        scratch.drain_map(
+        self.scratch.drain_map(
             sink,
             |m| MuxMsg {
                 instance: id,
@@ -219,7 +218,6 @@ impl<M: Machine> Multiplex<M> {
             |o, _| decided_now.push(o),
             |_| halted_now = true,
         );
-        self.scratch = scratch;
 
         for output in decided_now {
             let Some(i) = self.slot_index(id) else { break };
@@ -268,9 +266,7 @@ impl<M: Machine> Multiplex<M> {
                 machine,
             });
             let i = self.slots.len() - 1;
-            let mut scratch = std::mem::take(&mut self.scratch);
-            self.slots[i].machine.init(env, &mut scratch);
-            self.scratch = scratch;
+            self.slots[i].machine.init(env, &mut self.scratch);
             self.drain_slot(id, env, sink);
         }
         self.replay_pending(env, sink);
@@ -308,11 +304,9 @@ impl<M: Machine> Multiplex<M> {
         sink: &mut StepSink<MuxMsg<M::Msg>, u64>,
     ) {
         let Some(i) = self.slot_index(id) else { return };
-        let mut scratch = std::mem::take(&mut self.scratch);
         self.slots[i]
             .machine
-            .on_message(from, msg, env, &mut scratch);
-        self.scratch = scratch;
+            .on_message(from, msg, env, &mut self.scratch);
         self.drain_slot(id, env, sink);
     }
 }
@@ -353,9 +347,9 @@ impl<M: Machine> Machine for Multiplex<M> {
     fn on_timer(&mut self, tag: u64, env: &Env, sink: &mut StepSink<Self::Msg, Self::Output>) {
         let (id, inner_tag) = unpack_tag(tag);
         let Some(i) = self.slot_index(id) else { return };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.slots[i].machine.on_timer(inner_tag, env, &mut scratch);
-        self.scratch = scratch;
+        self.slots[i]
+            .machine
+            .on_timer(inner_tag, env, &mut self.scratch);
         self.drain_slot(id, env, sink);
     }
 }

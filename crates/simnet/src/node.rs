@@ -224,8 +224,7 @@ impl<M: Machine> FilteredMachine<M> {
 
     /// Drains the scratch sink through the filters into `out`.
     fn filter(&mut self, env: &Env, out: &mut ByzSink<M::Msg>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for step in scratch.drain() {
+        for step in self.scratch.drain() {
             match step {
                 Step::Send(to, m) => {
                     if !self.omit_to.contains(&to) {
@@ -245,7 +244,6 @@ impl<M: Machine> FilteredMachine<M> {
                 Step::Halt => self.halted = true,
             }
         }
-        self.scratch = scratch;
     }
 
     fn crashed(&self, env: &Env) -> bool {
@@ -258,9 +256,7 @@ impl<M: Machine> Byzantine<M::Msg> for FilteredMachine<M> {
         if self.crashed(env) {
             return;
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.inner.init(env, &mut scratch);
-        self.scratch = scratch;
+        self.inner.init(env, &mut self.scratch);
         self.filter(env, sink);
     }
 
@@ -273,9 +269,7 @@ impl<M: Machine> Byzantine<M::Msg> for FilteredMachine<M> {
             return;
         }
         self.received += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.inner.on_message(from, msg, env, &mut scratch);
-        self.scratch = scratch;
+        self.inner.on_message(from, msg, env, &mut self.scratch);
         self.filter(env, sink);
     }
 
@@ -283,9 +277,7 @@ impl<M: Machine> Byzantine<M::Msg> for FilteredMachine<M> {
         if self.crashed(env) {
             return;
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.inner.on_timer(tag, env, &mut scratch);
-        self.scratch = scratch;
+        self.inner.on_timer(tag, env, &mut self.scratch);
         self.filter(env, sink);
     }
 }
