@@ -3,8 +3,6 @@
 //! these are the attacks the quorum-intersection and signature arguments
 //! of Quad/Algorithm 1 are designed to absorb.
 
-use std::sync::Arc;
-
 use validity_core::StrongLambda;
 use validity_core::{check_decision, InputConfig, ProcessId, StrongValidity, SystemParams};
 use validity_crypto::{sha256, KeyStore, ThresholdScheme};
@@ -99,7 +97,7 @@ fn quad_nodes(
                     QuadConfig {
                         scheme: scheme.clone(),
                         signer: ks.signer(ProcessId::from_index(i)),
-                        verify: Arc::new(|_, _| true),
+                        verify: Box::new(|_, _| true),
                         label: "attack/quad",
                     },
                     i as u64,

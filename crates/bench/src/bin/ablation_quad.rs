@@ -28,7 +28,7 @@ fn run(n: usize, t: usize, byz: usize, leader_wait: u64, seed: u64) -> (u64, u64
                     QuadConfig {
                         scheme: scheme.clone(),
                         signer: ks.signer(ProcessId::from_index(i)),
-                        verify: std::sync::Arc::new(|_, _| true),
+                        verify: Box::new(|_, _| true),
                         label: "ablation/quad",
                     },
                     100 + i as u64,

@@ -14,15 +14,16 @@
 
 use std::collections::HashMap;
 
-use validity_core::{InputConfig, ProcessId, ProcessSet, SystemParams, Value};
+use validity_core::{InputConfig, ProcessId, ProcessSet, Value};
 use validity_crypto::{
-    sha256, Digest, KeyStore, PartialSignature, Signer, ThresholdScheme, ThresholdSignature,
+    sha256, Digest, PartialSignature, Signer, ThresholdScheme, ThresholdSignature,
 };
 use validity_simnet::{Env, StepSink};
 
 use crate::codec::{Codec, Words};
+use crate::quad::Verify;
 use crate::slow_broadcast::SlowBroadcast;
-use crate::vector_auth::{vector_verify, VectorProof};
+use crate::vector_auth::{ProposalVerifier, VectorProof};
 
 /// Wire messages of vector dissemination.
 #[derive(Clone, Debug)]
@@ -72,8 +73,7 @@ pub fn vector_hash<V: Value + Codec>(vector: &InputConfig<V>) -> Digest {
 pub struct VectorDissemination<V: Value> {
     scheme: ThresholdScheme,
     signer: Signer,
-    keystore: KeyStore,
-    params: SystemParams,
+    verifier: ProposalVerifier<V>,
     slow: SlowBroadcast<(InputConfig<V>, VectorProof<V>)>,
     own_hash: Option<Digest>,
     vectors: HashMap<Digest, InputConfig<V>>,
@@ -87,18 +87,14 @@ impl<V> VectorDissemination<V>
 where
     V: Value + Codec + Words,
 {
-    /// Creates the component.
-    pub fn new(
-        scheme: ThresholdScheme,
-        signer: Signer,
-        keystore: KeyStore,
-        params: SystemParams,
-    ) -> Self {
+    /// Creates the component; `verifier` is this process's one check of
+    /// signed proposals (the parent reaches it through
+    /// [`VectorDissemination::verifier_mut`] for its own receipt check).
+    pub fn new(scheme: ThresholdScheme, signer: Signer, verifier: ProposalVerifier<V>) -> Self {
         VectorDissemination {
             scheme,
             signer,
-            keystore,
-            params,
+            verifier,
             slow: SlowBroadcast::new(),
             own_hash: None,
             vectors: HashMap::new(),
@@ -107,6 +103,11 @@ where
             confirmed: false,
             halted: false,
         }
+    }
+
+    /// This process's proposal verifier.
+    pub fn verifier_mut(&mut self) -> &mut ProposalVerifier<V> {
+        &mut self.verifier
     }
 
     /// The cached vector whose hash is `h`, if any (Algorithm 6 line 23).
@@ -177,8 +178,7 @@ where
                 if self.acked.contains(from) {
                     return;
                 }
-                let verify = vector_verify::<V>(self.keystore.clone(), self.params);
-                if !verify(vector, proof) {
+                if !self.verifier.verify(vector, proof) {
                     return;
                 }
                 self.acked.insert(from);
@@ -227,6 +227,8 @@ where
 mod tests {
     use super::*;
     use crate::vector_auth::{proposal_sign_bytes, SignedProposal};
+    use validity_core::SystemParams;
+    use validity_crypto::KeyStore;
     use validity_simnet::{Machine, Message, NodeKind, Silent, SimConfig, Simulation};
 
     impl Message for DissemMsg<u64> {
@@ -302,8 +304,7 @@ mod tests {
                         dissem: VectorDissemination::new(
                             scheme.clone(),
                             ks.signer(ProcessId(i as u32)),
-                            ks.clone(),
-                            params,
+                            ProposalVerifier::new(ks.clone(), params),
                         ),
                         vector: vector.clone(),
                         proof: proof.clone(),
@@ -331,8 +332,11 @@ mod tests {
         let params = SystemParams::new(4, 1).unwrap();
         let ks = KeyStore::new(4, 6);
         let scheme = ThresholdScheme::new(ks.clone(), 3);
-        let mut d =
-            VectorDissemination::<u64>::new(scheme, ks.signer(ProcessId(1)), ks.clone(), params);
+        let mut d = VectorDissemination::<u64>::new(
+            scheme,
+            ks.signer(ProcessId(1)),
+            ProposalVerifier::new(ks.clone(), params),
+        );
         let env = Env {
             id: ProcessId(1),
             params,
@@ -377,8 +381,7 @@ mod tests {
                     dissem: VectorDissemination::new(
                         scheme.clone(),
                         ks.signer(ProcessId(i as u32)),
-                        ks.clone(),
-                        params,
+                        ProposalVerifier::new(ks.clone(), params),
                     ),
                     vector: vector.clone(),
                     proof: proof.clone(),

@@ -55,6 +55,7 @@ pub use dissemination::{vector_hash, Acquired, DissemMsg, VectorDissemination};
 pub use mutation::{mutant_registry, mutant_spec, Mutant, MutationOp};
 pub use quad::{
     PreparedCert, QuadConfig, QuadCore, QuadDecision, QuadMachine, QuadMsg, QuadSink, QuadVerify,
+    Verify,
 };
 pub use registry::{
     find_vector, vector_registry, Applicability, ProtocolContext, ProtocolSpec, VectorMachine,
@@ -64,7 +65,7 @@ pub use service::{batch_proposal, Replicated, ServiceConfig};
 pub use slow_broadcast::SlowBroadcast;
 pub use universal::Universal;
 pub use vector_auth::{
-    proposal_sign_bytes, vector_verify, SignedProposal, VectorAuth, VectorAuthMsg, VectorProof,
+    proposal_sign_bytes, ProposalVerifier, SignedProposal, VectorAuth, VectorAuthMsg, VectorProof,
 };
 pub use vector_fast::{VectorFast, VectorFastMsg};
 pub use vector_nonauth::{VectorNonAuth, VectorNonAuthMsg};

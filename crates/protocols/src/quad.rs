@@ -25,7 +25,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
-use std::sync::Arc;
 
 use validity_core::ProcessId;
 use validity_crypto::{
@@ -135,25 +134,40 @@ impl<V: Words, P: Words> Words for QuadMsg<V, P> {
     }
 }
 
-/// The external validity predicate `verify(v, Σ)` shared by a Quad
-/// deployment.
-pub type QuadVerify<V, P> = Arc<dyn Fn(&V, &P) -> bool + Send + Sync>;
+/// The external validity predicate `verify(v, Σ)` of a Quad deployment.
+///
+/// It takes `&mut self` because a predicate may remember what it has
+/// already checked (Algorithm 1's [`crate::vector_auth::ProposalVerifier`]
+/// does); every [`QuadCore`] owns its own, so one process's checks never
+/// vouch for another's. Any `FnMut(&V, &P) -> bool` is one.
+pub trait Verify<V, P> {
+    /// Whether `(value, proof)` is a valid pair.
+    fn verify(&mut self, value: &V, proof: &P) -> bool;
+}
 
-/// Shared configuration of a Quad instance.
-#[derive(Clone)]
-pub struct QuadConfig<V, P> {
+impl<V, P, F: FnMut(&V, &P) -> bool> Verify<V, P> for F {
+    fn verify(&mut self, value: &V, proof: &P) -> bool {
+        self(value, proof)
+    }
+}
+
+/// The default predicate type: a boxed closure.
+pub type QuadVerify<V, P> = Box<dyn FnMut(&V, &P) -> bool + Send>;
+
+/// Configuration of one process's Quad instance.
+pub struct QuadConfig<F> {
     /// Threshold scheme with `k = n − t`.
     pub scheme: ThresholdScheme,
     /// This process's signer.
     pub signer: Signer,
     /// The external validity predicate `verify(v, Σ)`.
-    pub verify: QuadVerify<V, P>,
+    pub verify: F,
     /// Domain-separation label (distinct concurrent Quad instances must
     /// differ).
     pub label: &'static str,
 }
 
-impl<V, P> Debug for QuadConfig<V, P> {
+impl<F> Debug for QuadConfig<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "QuadConfig({})", self.label)
     }
@@ -170,14 +184,28 @@ pub type QuadSink<V, P> = StepSink<QuadMsg<V, P>, QuadDecision<V, P>>;
 /// The VIEW-CHANGE votes a leader collects for one view.
 type ViewChangeVotes<V, P> = Vec<(ProcessId, Option<PreparedCert<V, P>>)>;
 
+/// What a leader drives through a view: the proposed pair and the two
+/// digests its followers vote on, hashed once at propose time.
+struct Driving<V, P> {
+    value: V,
+    proof: P,
+    prepare: Digest,
+    commit: Digest,
+}
+
 /// One instance of Quad (a composable component).
-pub struct QuadCore<V, P> {
-    cfg: QuadConfig<V, P>,
+pub struct QuadCore<V, P, F = QuadVerify<V, P>> {
+    cfg: QuadConfig<F>,
     view: u64,
     leader_wait: u64,
     proposal: Option<(V, P)>,
     lock: Option<PreparedCert<V, P>>,
     decided: bool,
+    /// The last value hashed and its digest: a view's `Propose`, `Prepared`
+    /// and `Committed` all carry the same value, so it is encoded and
+    /// hashed once rather than once per message.
+    hashed: Option<(V, Digest)>,
+    value_hashes: u64,
     // follower vote bookkeeping
     voted_prepare: HashSet<u64>,
     voted_commit: HashSet<u64>,
@@ -185,21 +213,22 @@ pub struct QuadCore<V, P> {
     view_changes: HashMap<u64, ViewChangeVotes<V, P>>,
     leader_ready: HashSet<u64>,
     proposed: HashSet<u64>,
-    driving: HashMap<u64, (V, P)>,
+    driving: HashMap<u64, Driving<V, P>>,
     prepare_partials: HashMap<u64, Vec<PartialSignature>>,
     commit_partials: HashMap<u64, Vec<PartialSignature>>,
     prepared_sent: HashSet<u64>,
     committed_sent: HashSet<u64>,
 }
 
-impl<V, P> QuadCore<V, P>
+impl<V, P, F> QuadCore<V, P, F>
 where
     V: Clone + Eq + Debug + Codec + Words + 'static,
     P: Clone + Debug + Words + 'static,
+    F: Verify<V, P>,
 {
     /// Creates the instance; call [`QuadCore::start`] from the parent's
     /// `init` and [`QuadCore::propose`] when the input is available.
-    pub fn new(cfg: QuadConfig<V, P>) -> Self {
+    pub fn new(cfg: QuadConfig<F>) -> Self {
         QuadCore {
             cfg,
             view: 0,
@@ -207,6 +236,8 @@ where
             proposal: None,
             lock: None,
             decided: false,
+            hashed: None,
+            value_hashes: 0,
             voted_prepare: HashSet::new(),
             voted_commit: HashSet::new(),
             view_changes: HashMap::new(),
@@ -218,6 +249,22 @@ where
             prepared_sent: HashSet::new(),
             committed_sent: HashSet::new(),
         }
+    }
+
+    /// This instance's `verify` predicate.
+    pub fn verifier(&self) -> &F {
+        &self.cfg.verify
+    }
+
+    /// Mutable access to the predicate: a parent whose own checks share the
+    /// predicate's state (Algorithm 1's receipt check) runs them through it.
+    pub fn verifier_mut(&mut self) -> &mut F {
+        &mut self.cfg.verify
+    }
+
+    /// How many values this instance has encoded and hashed so far.
+    pub fn value_hashes(&self) -> u64 {
+        self.value_hashes
     }
 
     /// Whether this instance has decided.
@@ -258,30 +305,41 @@ where
         view * 2 + 1
     }
 
-    fn prepare_digest(&self, view: u64, value: &V) -> Digest {
+    fn value_digest(&mut self, value: &V) -> Digest {
+        if let Some((hashed, digest)) = &self.hashed {
+            if hashed == value {
+                return *digest;
+            }
+        }
+        self.value_hashes += 1;
+        let digest = sha256(value.encode());
+        self.hashed = Some((value.clone(), digest));
+        digest
+    }
+
+    fn phase_digest(&mut self, phase: &[u8], view: u64, value: &V) -> Digest {
+        let value_digest = self.value_digest(value);
         let mut h = Sha256::new();
         h.update(self.cfg.label.as_bytes());
-        h.update(b"/prepare/");
+        h.update(phase);
         h.update(view.to_le_bytes());
-        h.update(sha256(value.encode()));
+        h.update(value_digest);
         h.finalize()
     }
 
-    fn commit_digest(&self, view: u64, value: &V) -> Digest {
-        let mut h = Sha256::new();
-        h.update(self.cfg.label.as_bytes());
-        h.update(b"/commit/");
-        h.update(view.to_le_bytes());
-        h.update(sha256(value.encode()));
-        h.finalize()
+    fn prepare_digest(&mut self, view: u64, value: &V) -> Digest {
+        self.phase_digest(b"/prepare/", view, value)
     }
 
-    fn cert_valid(&self, cert: &PreparedCert<V, P>) -> bool {
-        (self.cfg.verify)(&cert.value, &cert.proof)
-            && self
-                .cfg
-                .scheme
-                .verify(&self.prepare_digest(cert.view, &cert.value), &cert.tsig)
+    fn commit_digest(&mut self, view: u64, value: &V) -> Digest {
+        self.phase_digest(b"/commit/", view, value)
+    }
+
+    fn cert_valid(&mut self, cert: &PreparedCert<V, P>) -> bool {
+        self.cfg.verify.verify(&cert.value, &cert.proof) && {
+            let digest = self.prepare_digest(cert.view, &cert.value);
+            self.cfg.scheme.verify(&digest, &cert.tsig)
+        }
     }
 
     /// Starts participation (view 1). Call from the parent's `init`.
@@ -300,7 +358,7 @@ where
     /// correct processes propose valid pairs).
     pub fn propose(&mut self, value: V, proof: P, env: &Env, sink: &mut QuadSink<V, P>) {
         assert!(
-            (self.cfg.verify)(&value, &proof),
+            self.cfg.verify.verify(&value, &proof),
             "correct processes propose only valid value-proof pairs"
         );
         self.proposal = Some((value, proof));
@@ -361,7 +419,13 @@ where
             },
         };
         self.proposed.insert(view);
-        self.driving.insert(view, (value.clone(), proof.clone()));
+        let driving = Driving {
+            prepare: self.prepare_digest(view, &value),
+            commit: self.commit_digest(view, &value),
+            value: value.clone(),
+            proof: proof.clone(),
+        };
+        self.driving.insert(view, driving);
         sink.broadcast(QuadMsg::Propose {
             view,
             value,
@@ -413,7 +477,7 @@ where
                 if from != Self::leader(view, env) || view < self.view {
                     return;
                 }
-                if !(self.cfg.verify)(value, proof) {
+                if !self.cfg.verify.verify(value, proof) {
                     return;
                 }
                 if let Some(cert) = justification {
@@ -446,10 +510,10 @@ where
                 if Self::leader(view, env) != env.id || self.prepared_sent.contains(&view) {
                     return;
                 }
-                let Some((value, proof)) = self.driving.get(&view).cloned() else {
+                let Some(driving) = self.driving.get(&view) else {
                     return;
                 };
-                let digest = self.prepare_digest(view, &value);
+                let digest = driving.prepare;
                 if !self.cfg.scheme.verify_partial(&digest, partial) {
                     return;
                 }
@@ -469,8 +533,8 @@ where
                 self.prepared_sent.insert(view);
                 sink.broadcast(QuadMsg::Prepared(PreparedCert {
                     view,
-                    value,
-                    proof,
+                    value: driving.value.clone(),
+                    proof: driving.proof.clone(),
                     tsig,
                 }));
             }
@@ -506,10 +570,10 @@ where
                 if Self::leader(view, env) != env.id || self.committed_sent.contains(&view) {
                     return;
                 }
-                let Some((value, proof)) = self.driving.get(&view).cloned() else {
+                let Some(driving) = self.driving.get(&view) else {
                     return;
                 };
-                let digest = self.commit_digest(view, &value);
+                let digest = driving.commit;
                 if !self.cfg.scheme.verify_partial(&digest, partial) {
                     return;
                 }
@@ -529,8 +593,8 @@ where
                 self.committed_sent.insert(view);
                 sink.broadcast(QuadMsg::Committed {
                     view,
-                    value,
-                    proof,
+                    value: driving.value.clone(),
+                    proof: driving.proof.clone(),
                     tsig,
                 });
             }
@@ -546,14 +610,11 @@ where
                 proof,
                 tsig,
             } => {
-                if !(self.cfg.verify)(value, proof) {
+                if !self.cfg.verify.verify(value, proof) {
                     return;
                 }
-                if !self
-                    .cfg
-                    .scheme
-                    .verify(&self.commit_digest(*view, value), tsig)
-                {
+                let digest = self.commit_digest(*view, value);
+                if !self.cfg.scheme.verify(&digest, tsig) {
                     return;
                 }
                 self.decided = true;
@@ -603,7 +664,7 @@ where
     P: Clone + Debug + Words + 'static,
 {
     /// Creates the machine; `input` is proposed at start.
-    pub fn new(cfg: QuadConfig<V, P>, input: V, proof: P) -> Self {
+    pub fn new(cfg: QuadConfig<QuadVerify<V, P>>, input: V, proof: P) -> Self {
         QuadMachine {
             core: QuadCore::new(cfg),
             input: Some((input, proof)),
@@ -704,7 +765,7 @@ mod tests {
                         core: QuadCore::new(QuadConfig {
                             scheme: scheme.clone(),
                             signer: ks.signer(ProcessId(i as u32)),
-                            verify: Arc::new(|_, _| true),
+                            verify: Box::new(|_, _| true),
                             label: "quad-test",
                         }),
                         input: 100 + i as u64,
@@ -764,7 +825,7 @@ mod tests {
             core: QuadCore::new(QuadConfig {
                 scheme: scheme.clone(),
                 signer: ks.signer(ProcessId(i as u32)),
-                verify: Arc::new(|_, _| true),
+                verify: Box::new(|_, _| true),
                 label: "quad-test",
             }),
             input: i as u64,

@@ -16,14 +16,13 @@
 //! `O(n³)` words since proofs are linear-size.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 use validity_crypto::{KeyStore, Signature, Signer};
 use validity_simnet::{Env, Machine, Message, StepSink};
 
 use crate::codec::{Codec, Words};
-use crate::quad::{QuadConfig, QuadCore, QuadMsg, QuadSink};
+use crate::quad::{QuadConfig, QuadCore, QuadMsg, QuadSink, Verify};
 
 /// A signed proposal message, as carried inside Quad proofs.
 #[derive(Clone, Debug)]
@@ -51,36 +50,98 @@ impl<V: Words> Words for VectorProof<V> {
     }
 }
 
+/// Domain tag of a signed proposal.
+const PROPOSAL_DOMAIN: &str = "validity/alg1/proposal";
+
 /// Domain-separated bytes signed for a proposal of `v`.
 pub fn proposal_sign_bytes<V: Codec>(v: &V) -> Vec<u8> {
-    validity_crypto::sig::message_bytes("validity/alg1/proposal", &[&v.encode()])
+    validity_crypto::sig::message_bytes(PROPOSAL_DOMAIN, &[&v.encode()])
+}
+
+/// Signs a proposal of `v`: the signature over [`proposal_sign_bytes`],
+/// streamed into the hasher.
+pub(crate) fn sign_proposal<V: Codec>(signer: &Signer, v: &V) -> Signature {
+    signer.sign_parts(PROPOSAL_DOMAIN, &[&v.encode()])
 }
 
 /// The scratch sink of the embedded Quad instance, before the Algorithm-1
 /// wrapper drains it onto the outer wire type.
 type AuthQuadSink<V> = QuadSink<InputConfig<V>, VectorProof<V>>;
 
-/// Builds the Quad `verify` function of Algorithm 1.
-pub fn vector_verify<V>(
+/// One process's check of signed proposals — the receipt check of
+/// Algorithms 1 and 6, Quad's `verify(vector, Σ)` of Algorithm 1 and the
+/// `Slow` check of Algorithm 5 — which hashes each proposal once.
+///
+/// The verifier remembers, per signer, the last `(value, signature)` *it*
+/// verified by recomputing the tag. A later check of the exact same triple
+/// (same signer, `==` value, `==` tag) is answered from that memo; anything
+/// else — an equivocator's second value, a tampered tag, a signer not seen
+/// yet — is hashed, and only successes are remembered. At most `n` entries.
+/// Never shared: one process's check must not vouch for another's, so every
+/// machine (and each face of a two-faced host) owns its own.
+pub struct ProposalVerifier<V> {
     keystore: KeyStore,
     params: SystemParams,
-) -> crate::quad::QuadVerify<InputConfig<V>, VectorProof<V>>
-where
-    V: Value + Codec,
-{
-    Arc::new(move |vector, proof| {
-        if vector.params() != params || vector.len() != params.quorum() {
+    verified: Vec<Option<(V, Signature)>>,
+    encoded: Vec<u8>,
+    cold: u64,
+}
+
+impl<V: Value + Codec> ProposalVerifier<V> {
+    /// A verifier that has verified nothing yet.
+    pub fn new(keystore: KeyStore, params: SystemParams) -> Self {
+        ProposalVerifier {
+            verified: vec![None; keystore.n()],
+            keystore,
+            params,
+            encoded: Vec::new(),
+            cold: 0,
+        }
+    }
+
+    /// How many signatures this verifier has checked by hashing.
+    pub fn cold_verifications(&self) -> u64 {
+        self.cold
+    }
+
+    /// Whether `sig` is `from`'s signature over a proposal of `value`.
+    pub fn verify_proposal(&mut self, from: ProcessId, value: &V, sig: &Signature) -> bool {
+        if sig.signer() != from {
+            return false;
+        }
+        let Some(slot) = self.verified.get_mut(from.index()) else {
+            return false;
+        };
+        if slot.as_ref().is_some_and(|(v, s)| v == value && s == sig) {
+            return true;
+        }
+        self.cold += 1;
+        self.encoded.clear();
+        value.encode_into(&mut self.encoded);
+        let valid = self
+            .keystore
+            .verify_parts(PROPOSAL_DOMAIN, &[&self.encoded], sig);
+        if valid {
+            *slot = Some((value.clone(), *sig));
+        }
+        valid
+    }
+}
+
+/// The Quad `verify` function of Algorithm 1: `vector` is a quorum-size
+/// configuration and every pair of it is backed by a signed proposal of
+/// `proof`.
+impl<V: Value + Codec> Verify<InputConfig<V>, VectorProof<V>> for ProposalVerifier<V> {
+    fn verify(&mut self, vector: &InputConfig<V>, proof: &VectorProof<V>) -> bool {
+        if vector.params() != self.params || vector.len() != self.params.quorum() {
             return false;
         }
         vector.pairs().all(|(p, v)| {
-            proof.iter().any(|sp| {
-                sp.from == p
-                    && sp.sig.signer() == p
-                    && &sp.value == v
-                    && keystore.verify(proposal_sign_bytes(v), &sp.sig)
-            })
+            proof
+                .iter()
+                .any(|sp| sp.from == p && &sp.value == v && self.verify_proposal(p, v, &sp.sig))
         })
-    })
+    }
 }
 
 /// Wire messages of Algorithm 1.
@@ -110,10 +171,9 @@ impl<V: Value + Words> Message for VectorAuthMsg<V> {
 pub struct VectorAuth<V: Value> {
     input: V,
     signer: Signer,
-    quad: QuadCore<InputConfig<V>, VectorProof<V>>,
+    quad: QuadCore<InputConfig<V>, VectorProof<V>, ProposalVerifier<V>>,
     quad_sink: AuthQuadSink<V>,
     proposals: BTreeMap<ProcessId, SignedProposal<V>>,
-    keystore: KeyStore,
     proposed_to_quad: bool,
     decided: bool,
 }
@@ -133,11 +193,10 @@ where
         scheme: validity_crypto::ThresholdScheme,
         params: SystemParams,
     ) -> Self {
-        let verify = vector_verify::<V>(keystore.clone(), params);
         let quad = QuadCore::new(QuadConfig {
             scheme,
             signer: signer.clone(),
-            verify,
+            verify: ProposalVerifier::new(keystore, params),
             label: "validity/alg1/quad",
         });
         VectorAuth {
@@ -146,7 +205,6 @@ where
             quad,
             quad_sink: StepSink::new(),
             proposals: BTreeMap::new(),
-            keystore,
             proposed_to_quad: false,
             decided: false,
         }
@@ -178,7 +236,7 @@ where
     type Output = InputConfig<V>;
 
     fn init(&mut self, env: &Env, sink: &mut StepSink<Self::Msg, Self::Output>) {
-        let sig = self.signer.sign(proposal_sign_bytes(&self.input));
+        let sig = sign_proposal(&self.signer, &self.input);
         sink.broadcast(VectorAuthMsg::Proposal {
             value: self.input.clone(),
             sig,
@@ -200,8 +258,7 @@ where
                 // signed proposals, then propose to Quad.
                 if self.proposed_to_quad
                     || self.proposals.contains_key(&from)
-                    || sig.signer() != from
-                    || !self.keystore.verify(proposal_sign_bytes(value), sig)
+                    || !self.quad.verifier_mut().verify_proposal(from, value, sig)
                 {
                     return;
                 }
@@ -314,6 +371,46 @@ mod tests {
                 check_decision(&VectorValidity, &actual_config, vector).is_ok(),
                 "vector validity violated: {vector:?}"
             );
+        }
+    }
+
+    #[test]
+    fn each_process_hashes_each_proposal_and_the_vector_once() {
+        // Fault-free and synchronous at (16, 5): one view. A process meets at
+        // most n distinct signed proposals (its own n − t, then the leader's)
+        // however many Quad messages carry them, and hashes the decided
+        // vector for the first of them only.
+        let (n, t) = (16usize, 5usize);
+        let params = SystemParams::new(n, t).unwrap();
+        let ks = KeyStore::new(n, 3);
+        let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
+        let nodes = (0..n)
+            .map(|i| {
+                NodeKind::Correct(VectorAuth::new(
+                    i as u64,
+                    ks.clone(),
+                    ks.signer(ProcessId::from_index(i)),
+                    scheme.clone(),
+                    params,
+                ))
+            })
+            .collect();
+        let mut sim = Simulation::new(SimConfig::synchronous(params).seed(3), nodes);
+        assert_eq!(
+            sim.run_until_decided(),
+            validity_simnet::RunOutcome::AllDecided
+        );
+        for i in 0..n {
+            let NodeKind::Correct(node) = sim.node(ProcessId::from_index(i)) else {
+                unreachable!("every node is correct");
+            };
+            let cold = node.quad.verifier().cold_verifications();
+            assert!(
+                (params.quorum() as u64..=n as u64).contains(&cold),
+                "process {i}: {cold} cold verifications"
+            );
+            let hashes = node.quad.value_hashes();
+            assert!((1..=2).contains(&hashes), "process {i}: {hashes} hashes");
         }
     }
 

@@ -19,7 +19,6 @@
 //! lower bound).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 use validity_crypto::{Digest, KeyStore, Signer, ThresholdScheme, ThresholdSignature};
@@ -29,7 +28,7 @@ use crate::add::{stamp_echo_index, Add, AddMsg};
 use crate::codec::{Codec, Words};
 use crate::dissemination::{Acquired, DissemMsg, VectorDissemination};
 use crate::quad::{QuadConfig, QuadCore, QuadMsg, QuadSink};
-use crate::vector_auth::{proposal_sign_bytes, SignedProposal, VectorProof};
+use crate::vector_auth::{sign_proposal, ProposalVerifier, SignedProposal, VectorProof};
 
 /// Timer tags of the embedded children are namespaced as
 /// `inner_tag * CHILD_STRIDE + child_index`.
@@ -84,7 +83,6 @@ impl<V: Value + Words> Message for VectorFastMsg<V> {
 pub struct VectorFast<V: Value> {
     input: V,
     signer: Signer,
-    keystore: KeyStore,
     proposals: BTreeMap<ProcessId, SignedProposal<V>>,
     dissem: VectorDissemination<V>,
     quad: QuadCore<Digest, ThresholdSignature>,
@@ -112,19 +110,19 @@ where
         params: SystemParams,
     ) -> Self {
         let verify_scheme = scheme.clone();
-        let quad = QuadCore::new(QuadConfig {
+        let quad: QuadCore<Digest, ThresholdSignature> = QuadCore::new(QuadConfig {
             scheme: scheme.clone(),
             signer: signer.clone(),
-            verify: Arc::new(move |h: &Digest, tsig: &ThresholdSignature| {
+            verify: Box::new(move |h: &Digest, tsig: &ThresholdSignature| {
                 verify_scheme.verify(h, tsig)
             }),
             label: "validity/alg6/quad",
         });
-        let dissem = VectorDissemination::new(scheme, signer.clone(), keystore.clone(), params);
+        let verifier = ProposalVerifier::new(keystore, params);
+        let dissem = VectorDissemination::new(scheme, signer.clone(), verifier);
         VectorFast {
             input,
             signer,
-            keystore,
             proposals: BTreeMap::new(),
             dissem,
             quad,
@@ -215,7 +213,7 @@ where
     type Output = InputConfig<V>;
 
     fn init(&mut self, env: &Env, sink: &mut StepSink<Self::Msg, Self::Output>) {
-        let sig = self.signer.sign(proposal_sign_bytes(&self.input));
+        let sig = sign_proposal(&self.signer, &self.input);
         sink.broadcast(VectorFastMsg::Proposal {
             value: self.input.clone(),
             sig,
@@ -237,8 +235,7 @@ where
                 // disseminate the assembled vector.
                 if self.disseminating
                     || self.proposals.contains_key(&from)
-                    || sig.signer() != from
-                    || !self.keystore.verify(proposal_sign_bytes(value), sig)
+                    || !self.dissem.verifier_mut().verify_proposal(from, value, sig)
                 {
                     return;
                 }

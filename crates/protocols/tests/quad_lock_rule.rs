@@ -3,8 +3,6 @@
 //! two-phase argument (no two commit certificates for different values)
 //! hold.
 
-use std::sync::Arc;
-
 use validity_core::{ProcessId, SystemParams};
 use validity_crypto::{sha256, KeyStore, ThresholdScheme};
 use validity_protocols::{PreparedCert, QuadConfig, QuadCore, QuadMsg};
@@ -17,10 +15,10 @@ fn setup(me: usize) -> (Core, Env, KeyStore, ThresholdScheme) {
     let params = SystemParams::new(4, 1).unwrap();
     let ks = KeyStore::new(4, 7);
     let scheme = ThresholdScheme::new(ks.clone(), 3);
-    let core = QuadCore::new(QuadConfig {
+    let core = Core::new(QuadConfig {
         scheme: scheme.clone(),
         signer: ks.signer(ProcessId::from_index(me)),
-        verify: Arc::new(|_, _| true),
+        verify: Box::new(|_, _| true),
         label: "lockrule",
     });
     let env = Env {
