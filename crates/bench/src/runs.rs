@@ -1,7 +1,6 @@
-//! The canonical protocol runner used by the experiment binaries and the
-//! Criterion benches: build a simulation for a registry engine (optionally
-//! wrapped in `Universal`), run it, and collect the paper's complexity
-//! measures.
+//! The canonical protocol runner used by the experiment binaries: build a
+//! simulation for a registry engine (optionally wrapped in `Universal`), run
+//! it, and collect the paper's complexity measures.
 
 use validity_adversary::BehaviorId;
 use validity_core::{InputConfig, LambdaFn, ProcessId, SystemParams};

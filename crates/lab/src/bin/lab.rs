@@ -1,7 +1,6 @@
 //! The `lab` CLI: run scenario sweeps (whole or sharded), list the
 //! registries, merge shard partials, diff reports, emit / gate on the CI
-//! bench-trend artifact, profile sweeps, and gate the engine events/sec
-//! baseline.
+//! bench-trend artifact, and profile sweeps.
 //!
 //! ```text
 //! lab list [--names]
@@ -25,18 +24,14 @@
 //!           --baseline BENCH_lab_baseline.json --out BENCH_lab.json
 //! lab trend --suites complexity,universal --update-baseline
 //! lab profile --suite quick --top 5 --timeline hot
-//! lab perf --bench BENCH_simnet.json --baseline ci/BENCH_simnet_baseline.json
-//! lab perf --bench BENCH_simnet.json --update-baseline
 //! ```
 
 use std::ops::Range;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use validity_adversary::BehaviorId;
 use validity_lab::flags::{self, Command};
 use validity_lab::json::Json;
-use validity_lab::perf::{self, PerfArtifact, ServiceBench, SimnetBench, SERVICE_BENCH_SCHEMA};
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
     compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, profile_markdown,
@@ -69,7 +64,6 @@ fn main() -> ExitCode {
         Some((&"diff", rest)) => diff(rest),
         Some((&"trend", rest)) => trend(rest),
         Some((&"profile", rest)) => profile(rest),
-        Some((&"perf", rest)) => perf(rest),
         _ => Err(USAGE.to_string()),
     };
     outcome.unwrap_or_else(|e| {
@@ -79,7 +73,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-    usage: lab <list | run | service | crosscheck | mutate | merge | diff | trend | profile | perf> ...\n\n\
+    usage: lab <list | run | service | crosscheck | mutate | merge | diff | trend | profile> ...\n\n\
     lab list [--names]\n\
     lab run --suite <name> [--threads N] [--json FILE] [--md FILE]\n\
     \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
@@ -102,9 +96,7 @@ const USAGE: &str = "\
     \x20        [--threads N] [--out FILE] [--baseline FILE] [--tolerance X]\n\
     \x20        [--update-baseline]\n\
     lab profile --suite <name> [--threads N] [--top K] [--out FILE]\n\
-    \x20        [--timeline BASE] [--cell LABEL]\n\
-    lab perf [--bench FILE] [--baseline FILE] [--tolerance X]\n\
-    \x20        [--update-baseline]";
+    \x20        [--timeline BASE] [--cell LABEL]";
 
 /// Suites the CLI runs outside the [`ScenarioMatrix`] engine; `lab run
 /// --suite <name>` delegates them to their own drivers.
@@ -1227,11 +1219,11 @@ fn trend(rest: &[&str]) -> CmdResult {
 }
 
 /// `lab profile`: run a suite with the metrics probe attached and print
-/// where the sweep spends its effort — phase wall-clock breakdown, the
-/// top-k hottest cells by simulator events and by wall time, and
-/// queue/slab occupancy summaries. With `--timeline BASE`, additionally
-/// exports the hottest cell (or `--cell LABEL`) as `BASE.jsonl` and
-/// `BASE.trace.json` (Chrome `chrome://tracing` / Perfetto format).
+/// where the sweep spends its effort — the top-k hottest cells by
+/// simulator events and by wall time, and queue/slab occupancy summaries.
+/// With `--timeline BASE`, additionally exports the hottest cell (or
+/// `--cell LABEL`) as `BASE.jsonl` and `BASE.trace.json` (Chrome
+/// `chrome://tracing` / Perfetto format).
 fn profile(rest: &[&str]) -> CmdResult {
     let args = Args::parse(Command::Profile, rest)?;
     let name = args
@@ -1245,27 +1237,15 @@ fn profile(rest: &[&str]) -> CmdResult {
     };
     let matrix = build_suite(name)?;
 
-    let start = Instant::now();
     let cells = matrix.len();
     let units = matrix.work_units().len();
-    let enumerate = start.elapsed();
     let engine = SweepEngine::new(threads).observe(true);
     eprintln!(
         "profile '{name}': {cells} cell(s) / {units} work unit(s) on {} worker thread(s)...",
         engine.threads()
     );
-    let run_start = Instant::now();
     let (_report, sweep) = engine.run(&matrix);
-    // The sweep's own wall clock is the execute phase; everything else of
-    // `run` (record collection, aggregation, fitting) is the aggregate
-    // phase.
-    let aggregate = run_start.elapsed().saturating_sub(sweep.wall);
-    let phases = [
-        ("enumerate", enumerate),
-        ("execute", sweep.wall),
-        ("aggregate", aggregate),
-    ];
-    let md = profile_markdown(name, &phases, &sweep.timings, &sweep.observed, top);
+    let md = profile_markdown(name, &sweep.timings, &sweep.observed, top);
     if let Some(out_path) = args.value("--out") {
         write_file(out_path, &md)?;
         eprintln!("profile: {out_path}");
@@ -1291,80 +1271,6 @@ fn profile(rest: &[&str]) -> CmdResult {
             return Ok(ExitCode::from(1));
         };
         write_timeline(&timeline, base, &label)?;
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `lab perf`: gate a measured artifact against its committed baseline.
-/// The artifact's schema tag picks its [`PerfArtifact`] type, which names
-/// the defaults:
-///
-/// * `validity-simnet/bench@1` (from the `perf_smoke` example): engine
-///   events/sec — wall-clock rates, default tolerance 0.5, default
-///   baseline `ci/BENCH_simnet_baseline.json`.
-/// * `validity-lab/service-bench@1` (from the `service_smoke` example):
-///   service decisions/sec — *simulated-time* rates, deterministic, so
-///   the default tolerance is 0.0 and any drop gates; default baseline
-///   `ci/BENCH_service_baseline.json`.
-///
-/// Either fails on slowdowns beyond `--tolerance`, determinism drift, and
-/// vanished coverage. `--update-baseline` instead rewrites the baseline
-/// from the current artifact — the deliberate-refresh path after an
-/// intentional change.
-fn perf(rest: &[&str]) -> CmdResult {
-    let args = Args::parse(Command::Perf, rest)?;
-    let tolerance = args.tolerance()?; // a bad flag is refused before any file is read
-    let bench_path = args.value("--bench").unwrap_or("BENCH_simnet.json");
-    let bench_text = read_file(bench_path).map_err(|e| {
-        format!(
-            "{e}\n(produce it with: cargo run --release \
-             -p validity-simnet --example perf_smoke -- {bench_path})"
-        )
-    })?;
-    let is_service = Json::parse(&bench_text)
-        .is_ok_and(|v| v.get("schema").and_then(Json::as_str) == Some(SERVICE_BENCH_SCHEMA));
-    if is_service {
-        perf_gate::<ServiceBench>(&args, tolerance, bench_path, &bench_text)
-    } else {
-        perf_gate::<SimnetBench>(&args, tolerance, bench_path, &bench_text)
-    }
-}
-
-fn perf_gate<A: PerfArtifact>(
-    args: &Args,
-    tolerance: Option<f64>,
-    bench_path: &str,
-    bench_text: &str,
-) -> CmdResult {
-    let tolerance = tolerance.unwrap_or(A::DEFAULT_TOLERANCE);
-    let baseline_path = args.value("--baseline").unwrap_or(A::DEFAULT_BASELINE);
-    let current = A::parse(bench_text).map_err(|e| format!("{bench_path}: {e}"))?;
-    if args.has("--update-baseline") {
-        // Re-emit through the canonical renderer (not a byte copy) so the
-        // committed baseline always has the one reviewable layout, whatever
-        // produced the input.
-        write_file(baseline_path, &current.to_json())?;
-        eprintln!("baseline updated: {baseline_path}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let baseline =
-        A::parse(&read_file(baseline_path)?).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let ((field, ours), (_, theirs)) = (current.identity(), baseline.identity());
-    if ours != theirs {
-        eprintln!(
-            "PERF FAILURE: {field} mismatch — current '{ours}' vs baseline '{theirs}': \
-             the artifacts measure different things"
-        );
-        return Ok(ExitCode::from(1));
-    }
-    let diff = perf::compare(&current.samples(), &baseline.samples(), tolerance);
-    print!("{}", diff.render_markdown(&A::TABLE));
-    if diff.regressions() > 0 {
-        eprintln!(
-            "PERF FAILURE: {} regression(s) vs baseline {baseline_path}",
-            diff.regressions()
-        );
-        return Ok(ExitCode::from(1));
     }
     Ok(ExitCode::SUCCESS)
 }

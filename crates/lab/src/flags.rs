@@ -12,7 +12,7 @@
 //! passes `--shard` to `lab service` believes sharding is in effect, and a
 //! named error beats a silently ignored flag.
 
-use Command::{Crosscheck, Merge, Mutate, Perf, Profile, Run, RunSuite, Service, Trend};
+use Command::{Crosscheck, Merge, Mutate, Profile, Run, RunSuite, Service, Trend};
 
 /// A `lab` subcommand (or `lab run` mode) with its own flag surface.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -31,16 +31,14 @@ pub enum Command {
     Profile,
     /// `lab trend`.
     Trend,
-    /// `lab perf`.
-    Perf,
     /// `lab merge <partial.json>...`.
     Merge,
 }
 
 impl Command {
     /// Every command of the table.
-    pub const ALL: [Command; 9] = [
-        Run, RunSuite, Service, Crosscheck, Mutate, Profile, Trend, Perf, Merge,
+    pub const ALL: [Command; 8] = [
+        Run, RunSuite, Service, Crosscheck, Mutate, Profile, Trend, Merge,
     ];
 
     /// How diagnostics name the command (`lab service`, `lab run --suite`).
@@ -53,7 +51,6 @@ impl Command {
             Mutate => "lab mutate",
             Profile => "lab profile",
             Trend => "lab trend",
-            Perf => "lab perf",
             Merge => "lab merge",
         }
     }
@@ -288,9 +285,8 @@ pub const FLAGS: &[Flag] = &[
     value("--out", &[Profile, Trend], &[]),
     value("--suites", &[Trend], &[]),
     value("--from-reports", &[Trend], &[]),
-    value("--baseline", &[Trend, Perf], &[]),
-    value("--tolerance", &[Trend, Perf], &[]),
-    value("--bench", &[Perf], &[]),
+    value("--baseline", &[Trend], &[]),
+    value("--tolerance", &[Trend], &[]),
     switch("--dry-run", REPORTING, &[]),
     // Under crosscheck `--adaptive` selects the adaptive-*adversary* grid:
     // the sweep engine's adaptive *sampling* has no meaning for agreement
@@ -317,7 +313,7 @@ pub const FLAGS: &[Flag] = &[
         ],
     ),
     switch("--chaos", &[Crosscheck], &[]),
-    switch("--update-baseline", &[Trend, Perf], &[]),
+    switch("--update-baseline", &[Trend], &[]),
 ];
 
 #[cfg(test)]

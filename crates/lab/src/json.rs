@@ -30,6 +30,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -102,9 +103,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the parser follows. Every input is a file
+/// from outside the process and the parser recurses per bracket, so an
+/// unbounded depth is a stack overflow; the lab's own emitters nest fewer
+/// than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -135,8 +144,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -144,6 +153,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object, refusing to go deeper than [`MAX_DEPTH`].
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -281,6 +304,24 @@ mod tests {
         assert_eq!(arr[0].as_str(), Some("a\"b\\c\nd"));
         assert_eq!(arr[1].as_str(), Some("⟨P1⟩"));
         assert_eq!(arr[2].as_str(), Some("\u{1}"));
+    }
+
+    #[test]
+    fn refuses_nesting_deeper_than_the_limit_for_both_brackets() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nest = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+            let at = MAX_DEPTH * open.len();
+            assert_eq!(
+                Json::parse(&nest(MAX_DEPTH + 1)),
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"))
+            );
+            // Depth counts open brackets, not brackets seen: siblings are free.
+            let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 4].join(","));
+            assert!(Json::parse(&wide).is_ok());
+            // What used to overflow the stack is now an ordinary error.
+            assert!(Json::parse(&open.repeat(200_000)).is_err());
+        }
     }
 
     #[test]

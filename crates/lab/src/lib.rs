@@ -46,11 +46,6 @@
 //!   zero-cost probe layer (`lab run --observe`, `lab profile`): latency
 //!   and queue-depth histograms, per-round traffic, occupancy high-water
 //!   marks, and timeline export. Deterministic but non-canonical.
-//! * **[`perf`]** — the baseline gates (`lab perf`, dispatching on the
-//!   artifact's schema tag): engine events/sec over
-//!   `validity-simnet/bench@1` and service decisions/sec over
-//!   `validity-lab/service-bench@1` — the CI guards that fail when a
-//!   hot path slows down, mirroring [`trend`]'s exponent gate.
 //! * **[`crosscheck`]** — the differential oracle (`lab crosscheck`):
 //!   every applicable registry engine, the solvability classifier, and
 //!   both report emitters run on identical cells and graded into an
@@ -64,8 +59,8 @@
 //! * **[`flags`]** — the CLI's one flag table: every `--flag`, the
 //!   commands that accept it, and the reason where a command refuses it.
 //! * the **`lab`** binary — `run` / `service` / `crosscheck` / `mutate` /
-//!   `list` / `diff` / `merge` / `trend` / `profile` / `perf` over all of
-//!   the above, validating every argv against [`flags`].
+//!   `list` / `diff` / `merge` / `trend` / `profile` over all of the
+//!   above, validating every argv against [`flags`].
 //!
 //! ## Example
 //!
@@ -93,7 +88,6 @@ pub mod matrix;
 pub mod mutate;
 pub mod observe;
 pub mod partial;
-pub mod perf;
 mod pool;
 pub mod report;
 pub mod runner;
@@ -123,10 +117,6 @@ pub use observe::{
     CellObservation, OBSERVE_SCHEMA,
 };
 pub use partial::{merge, PartialReport, PARTIAL_SCHEMA, PARTIAL_SCHEMA_V1};
-pub use perf::{
-    PerfArtifact, PerfDiff, ServiceBench, ServiceGroupBench, SimnetBench, SimnetShape,
-    SERVICE_BENCH_SCHEMA, SIMNET_BENCH_SCHEMA,
-};
 pub use report::{FitRow, GroupSummary, SamplingSection, SweepReport, REPORT_SCHEMA};
 pub use runner::{execute, execute_with_budget, CellRecord, ClassifyRecord, Outcome, RunRecord};
 pub use sampling::GroupSampling;

@@ -13,8 +13,8 @@
 //!   artifact with the full histograms and per-round counters;
 //! * [`timeline_for`] — re-runs one labeled cell with a
 //!   [`validity_simnet::Timeline`] probe for JSONL / Chrome-trace export;
-//! * [`profile_markdown`] — the `lab profile` summary (phase breakdown,
-//!   hottest cells, queue/slab occupancy).
+//! * [`profile_markdown`] — the `lab profile` summary (hottest cells,
+//!   queue/slab occupancy).
 //!
 //! Observations are deterministic (probes count simulator events, not
 //! wall clock), so the Markdown section and the JSON artifact are
@@ -224,32 +224,18 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Renders the `lab profile` report: phase breakdown, top-`top` hottest
-/// cells by events and by wall clock, and queue/slab occupancy summaries.
-/// Wall-clock figures are nondeterministic; event and occupancy figures
-/// are exact.
+/// Renders the `lab profile` report: top-`top` hottest cells by events and
+/// by wall clock, and queue/slab occupancy summaries. Wall-clock figures
+/// are nondeterministic; event and occupancy figures are exact.
 pub fn profile_markdown(
     suite: &str,
-    phases: &[(&str, Duration)],
     timings: &[CellTiming],
     observed: &[CellObservation],
     top: usize,
 ) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "# Profile: {suite}\n");
-
-    let total: Duration = phases.iter().map(|(_, d)| *d).sum();
-    out.push_str("## Phases\n\n| phase | wall ms | share |\n|---|---|---|\n");
-    for (name, wall) in phases {
-        let share = if total.as_nanos() > 0 {
-            100.0 * wall.as_secs_f64() / total.as_secs_f64()
-        } else {
-            0.0
-        };
-        let _ = writeln!(out, "| {name} | {:.3} | {share:.1}% |", ms(*wall));
-    }
-    let _ = writeln!(out, "| **total** | {:.3} | 100.0% |", ms(total));
+    let _ = writeln!(out, "# Profile: {suite}");
 
     let mut by_events: Vec<&CellTiming> = timings.iter().collect();
     by_events.sort_by(|a, b| b.events.cmp(&a.events).then(a.label.cmp(&b.label)));
@@ -369,17 +355,7 @@ mod tests {
     fn profile_markdown_has_all_sections() {
         let m = matrix();
         let run = SweepEngine::new(1).observe(true).execute(&m);
-        let md = profile_markdown(
-            "observe-test",
-            &[
-                ("enumerate", Duration::from_micros(10)),
-                ("execute", run.wall),
-            ],
-            &run.timings,
-            &run.observed,
-            3,
-        );
-        assert!(md.contains("## Phases"));
+        let md = profile_markdown("observe-test", &run.timings, &run.observed, 3);
         assert!(md.contains("## Hottest cells by events"));
         assert!(md.contains("## Hottest cells by wall clock"));
         assert!(md.contains("## Occupancy"));

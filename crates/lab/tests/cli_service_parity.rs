@@ -50,7 +50,6 @@ fn spellings(command: Command) -> Vec<Vec<&'static str>> {
         Command::Mutate => vec![vec!["mutate"], vec!["run", "--suite", "mutate"]],
         Command::Profile => vec![vec!["profile"]],
         Command::Trend => vec![vec!["trend"]],
-        Command::Perf => vec![vec!["perf"]],
         Command::Merge => vec![vec!["merge"]],
     }
 }

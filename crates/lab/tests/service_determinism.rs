@@ -1,6 +1,6 @@
 //! Determinism guarantees of the multiplexed service mode.
 //!
-//! Two invariants are pinned here:
+//! Three invariants are pinned here:
 //!
 //! 1. **Thread-count byte-identity.** The `service` suite (overlapping
 //!    consensus slots multiplexed into one simulation) renders the same
@@ -14,6 +14,9 @@
 //!    (un-multiplexed) machines through the same engine — this proves the
 //!    instance-multiplexing change left pre-multiplexing executions
 //!    byte-identical.
+//! 3. **The throughput claim.** Pipelining and batching pay what
+//!    `docs/service.md` says they pay, asserted on the suite's own
+//!    deterministic simulated-time rates.
 //!
 //! The golden hashes were recorded when the service suite was introduced.
 //! Do **not** regenerate them unless a service-schema change is
@@ -60,6 +63,60 @@ fn service_suite_matches_golden_fingerprint() {
         SERVICE_MD,
         "service Markdown drifted from its recorded fingerprint"
     );
+}
+
+/// The golden hash above is opaque; this states what `docs/service.md`
+/// promises of the built-in suite in numbers a reader can check. On every
+/// fault-free synchronous group, `pipeline 2` commits at least 1.5× the
+/// decisions/sec of sequential slots (it fails if pipelining silently
+/// serialises), and `batch 8` carries 8× the requests/sec (to fixed-point
+/// rounding) at unchanged decisions/sec and messages/decision.
+#[test]
+fn pipelining_and_batching_pay_what_the_service_guide_promises() {
+    let (report, _, _) = run_service(&ServiceMatrix::suite(), 0);
+    let group = |system: &str, pipeline: u32, batch: u32| {
+        let key = format!("service/alg1-auth/silentx0/sync/{system}/k4p{pipeline}b{batch}");
+        report
+            .groups
+            .iter()
+            .find(|g| g.key == key)
+            .unwrap_or_else(|| panic!("the suite lost group {key}"))
+    };
+    for system in ["n4t1", "n7t2"] {
+        for batch in [1, 8] {
+            let (sequential, pipelined) = (group(system, 1, batch), group(system, 2, batch));
+            assert!(
+                2 * pipelined.decisions_per_sec_milli() >= 3 * sequential.decisions_per_sec_milli(),
+                "{}: pipeline 2 yields {} vs {} sequential — under 1.5×",
+                pipelined.key,
+                pipelined.decisions_per_sec_milli(),
+                sequential.decisions_per_sec_milli(),
+            );
+        }
+        for pipeline in [1, 2] {
+            let (single, batched) = (group(system, pipeline, 1), group(system, pipeline, 8));
+            assert_eq!(
+                single.decisions_per_sec_milli(),
+                batched.decisions_per_sec_milli(),
+                "{}: batching changed decisions/sec",
+                batched.key
+            );
+            assert_eq!(
+                single.messages_per_decision_centi(),
+                batched.messages_per_decision_centi(),
+                "{}: batching changed messages/decision",
+                batched.key
+            );
+            let eightfold = 8 * single.requests_per_sec_milli();
+            assert!(
+                batched.requests_per_sec_milli().abs_diff(eightfold) * 100 <= eightfold,
+                "{}: batch 8 yields {} requests/sec vs 8 × {}",
+                batched.key,
+                batched.requests_per_sec_milli(),
+                single.requests_per_sec_milli(),
+            );
+        }
+    }
 }
 
 /// A 1-slot service run of a real registry protocol against the same

@@ -331,4 +331,23 @@ mod cli {
             "unhelpful error: {err}"
         );
     }
+
+    /// A file of nothing but open brackets used to overflow the parser's
+    /// stack and abort the process; it is an ordinary CLI error (exit 1,
+    /// one line on stderr) for every command that reads outside files.
+    #[test]
+    fn runaway_nesting_is_an_ordinary_error_not_a_stack_overflow() {
+        let dir = workdir("deep");
+        let deep = dir.join("deep.json").display().to_string();
+        std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+        for args in [vec!["diff", &*deep, &*deep], vec!["merge", &*deep]] {
+            let out = lab(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains("deep.json: nesting deeper than 128 at byte 128"),
+                "unhelpful error: {err}"
+            );
+        }
+    }
 }
