@@ -9,6 +9,7 @@
 use std::fmt;
 
 use crate::process::{ProcessId, ProcessSet, SystemParams};
+use crate::space::ConfigSpace;
 use crate::value::{Domain, Value};
 
 /// An assignment of proposals to correct processes (the paper's input
@@ -336,51 +337,18 @@ pub fn subsets_of_size(n: usize, k: usize) -> Vec<ProcessSet> {
 }
 
 /// Enumerates `I_x`: all input configurations with exactly `x` pairs whose
-/// proposals come from `domain`.
+/// proposals come from `domain`, correct sets in lexicographic order and,
+/// within one, the smallest process's proposal varying fastest.
 ///
-/// The count is `C(n, x) · |domain|^x`; callers should keep `n` and the
-/// domain small (the solvability analysis uses `n ≤ 8`, `|domain| ≤ 3`).
+/// The count is `C(n, x) · |domain|^x`, so callers should keep `n` and the
+/// domain small: `n = 7`, `t = 2`, `|domain| = 3` already makes `|I|` 12 393.
 pub fn enumerate_configs_of_size<V: Value>(
     params: SystemParams,
     domain: &Domain<V>,
     x: usize,
 ) -> Vec<InputConfig<V>> {
-    let mut out = Vec::new();
-    if x < params.quorum() || x > params.n() {
-        return out;
-    }
-    for subset in subsets_of_size(params.n(), x) {
-        let members: Vec<ProcessId> = subset.iter().collect();
-        // odometer over domain^x
-        let d = domain.len();
-        let mut digits = vec![0usize; x];
-        loop {
-            let pairs = members
-                .iter()
-                .zip(digits.iter())
-                .map(|(p, &di)| (*p, domain.values()[di].clone()));
-            out.push(
-                InputConfig::from_pairs(params, pairs).expect("enumeration respects invariants"),
-            );
-            // increment odometer
-            let mut i = 0;
-            loop {
-                if i == x {
-                    break;
-                }
-                digits[i] += 1;
-                if digits[i] < d {
-                    break;
-                }
-                digits[i] = 0;
-                i += 1;
-            }
-            if i == x {
-                break;
-            }
-        }
-    }
-    out
+    let space = ConfigSpace::new(params, domain);
+    space.configs(space.of_size(x)).collect()
 }
 
 /// Enumerates the full set `I = ⋃_{x ∈ [n−t, n]} I_x` over `domain`.
@@ -388,11 +356,8 @@ pub fn enumerate_all_configs<V: Value>(
     params: SystemParams,
     domain: &Domain<V>,
 ) -> Vec<InputConfig<V>> {
-    let mut out = Vec::new();
-    for x in params.quorum()..=params.n() {
-        out.extend(enumerate_configs_of_size(params, domain, x));
-    }
-    out
+    let space = ConfigSpace::new(params, domain);
+    space.configs(0..space.len()).collect()
 }
 
 #[cfg(test)]

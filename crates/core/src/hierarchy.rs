@@ -22,8 +22,9 @@
 //!   solution to every solvable property at no extra cost (§5.2.2) — a
 //!   reduction order, not the pointwise order checked here.
 
-use crate::config::{enumerate_all_configs, InputConfig};
+use crate::config::InputConfig;
 use crate::process::SystemParams;
+use crate::space::ConfigSpace;
 use crate::validity::ValidityProperty;
 use crate::value::{Domain, Value};
 
@@ -69,7 +70,8 @@ pub fn compare<V: Value>(
 ) -> Comparison<V> {
     let mut val1_exceeds: Option<InputConfig<V>> = None; // val1 admits something val2 doesn't
     let mut val2_exceeds: Option<InputConfig<V>> = None;
-    for c in enumerate_all_configs(params, domain) {
+    let space = ConfigSpace::new(params, domain);
+    for c in space.configs(0..space.len()) {
         for v in domain.iter() {
             let a1 = val1.is_admissible(&c, v);
             let a2 = val2.is_admissible(&c, v);

@@ -49,6 +49,7 @@ pub mod lambda;
 pub mod process;
 pub mod relations;
 pub mod solvability;
+mod space;
 pub mod validity;
 pub mod value;
 

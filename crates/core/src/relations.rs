@@ -1,7 +1,8 @@
 //! The similarity (`∼`, §3.4) and compatibility (`⋄`, §4.1) relations
 //! between input configurations, and enumeration of `sim(c)`.
 
-use crate::config::{subsets_of_size, InputConfig};
+use crate::config::InputConfig;
+use crate::space::{correct_sets, Odometer};
 use crate::value::{Domain, Value};
 
 /// Whether `c1 ∼ c2`: the configurations share at least one process, and
@@ -54,45 +55,29 @@ pub fn is_compatible<V: Value>(c1: &InputConfig<V>, c2: &InputConfig<V>) -> bool
 pub fn enumerate_similar<V: Value>(c: &InputConfig<V>, domain: &Domain<V>) -> Vec<InputConfig<V>> {
     let params = c.params();
     let pi_c = c.pi();
+    let mut odometer = Odometer::default();
     let mut out = Vec::new();
-    for x in params.quorum()..=params.n() {
-        for subset in subsets_of_size(params.n(), x) {
-            let common = subset.intersection(pi_c);
-            if common.is_empty() {
-                continue;
-            }
-            let free: Vec<_> = subset.difference(pi_c).iter().collect();
-            let fixed: Vec<_> = common
+    for pi in correct_sets(params) {
+        let common = pi.intersection(pi_c);
+        if common.is_empty() {
+            continue;
+        }
+        let free = pi.difference(pi_c);
+        odometer.reset(domain.len(), free.len());
+        loop {
+            let pinned = common
                 .iter()
-                .map(|p| (p, c.proposal(p).expect("common ⊆ π(c)").clone()))
-                .collect();
-            let d = domain.len();
-            let mut digits = vec![0usize; free.len()];
-            loop {
-                let pairs = fixed.iter().cloned().chain(
-                    free.iter()
-                        .zip(digits.iter())
-                        .map(|(p, &di)| (*p, domain.values()[di].clone())),
-                );
-                out.push(
-                    InputConfig::from_pairs(params, pairs)
-                        .expect("enumeration respects invariants"),
-                );
-                let mut i = 0;
-                loop {
-                    if i == digits.len() {
-                        break;
-                    }
-                    digits[i] += 1;
-                    if digits[i] < d {
-                        break;
-                    }
-                    digits[i] = 0;
-                    i += 1;
-                }
-                if i == digits.len() {
-                    break;
-                }
+                .map(|p| (p, c.proposal(p).expect("common ⊆ π(c)").clone()));
+            let ranging = free
+                .iter()
+                .zip(odometer.digits())
+                .map(|(p, &digit)| (p, domain.values()[digit].clone()));
+            out.push(
+                InputConfig::from_pairs(params, pinned.chain(ranging))
+                    .expect("enumeration respects invariants"),
+            );
+            if odometer.advance().is_none() {
+                break;
             }
         }
     }

@@ -14,13 +14,12 @@
 //! machine-checkable witnesses: the always-admissible value, the full `Λ`
 //! table over `I_{n−t}`, or the configuration at which `C_S` fails.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::config::{enumerate_all_configs, enumerate_configs_of_size, InputConfig};
-use crate::lambda::admissible_intersection;
+use crate::config::InputConfig;
 use crate::process::SystemParams;
+use crate::space::ConfigSpace;
 use crate::validity::ValidityProperty;
 use crate::value::{Domain, Value};
 
@@ -125,6 +124,133 @@ impl<V: Value> fmt::Display for Classification<V> {
     }
 }
 
+/// `val(c) ∩ domain` for every configuration of a [`ConfigSpace`], filled in
+/// as the decision procedure asks for it.
+///
+/// Per configuration and per 64 domain values there is a `known` word and a
+/// `value` word: bit `b` of `known` says `(c, domain[b])` has been evaluated,
+/// bit `b` of `value` what the answer was. A pair is evaluated on its first
+/// look-up only, so a property pays for each distinct `(c, v)` at most once
+/// however often `c` recurs in the similarity neighbourhoods, and never for
+/// a pair the procedure's early exits skip.
+struct ValTable<'a, V, P> {
+    space: &'a ConfigSpace<'a, V>,
+    prop: &'a P,
+    /// `⌈|V| / 64⌉`.
+    words: usize,
+    /// `[known, value]` per word, `words` pairs per configuration.
+    bits: Vec<u64>,
+    /// Look-ups made, evaluated or remembered: the procedure's cost.
+    lookups: u64,
+}
+
+impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
+    fn new(space: &'a ConfigSpace<'a, V>, prop: &'a P) -> Self {
+        let words = space.domain().len().div_ceil(64);
+        let len = space
+            .len()
+            .checked_mul(words * 2)
+            .expect("the configuration space is too large to tabulate");
+        ValTable {
+            space,
+            prop,
+            words,
+            bits: vec![0; len],
+            lookups: 0,
+        }
+    }
+
+    /// The candidate set holding every domain value.
+    fn all_values(&self) -> Vec<u64> {
+        let mut set = vec![u64::MAX; self.words];
+        let spare = self.words * 64 - self.space.domain().len();
+        *set.last_mut().expect("domains are non-empty") >>= spare;
+        set
+    }
+
+    /// The smallest value of a candidate set.
+    fn smallest(&self, set: &[u64]) -> Option<&'a V> {
+        let word = set.iter().position(|&w| w != 0)?;
+        let bit = set[word].trailing_zeros() as usize;
+        Some(&self.space.domain().values()[word * 64 + bit])
+    }
+
+    /// `set ∩= val(c)` for configuration `index`, one look-up per member of
+    /// `set`; returns whether anything is left.
+    fn retain(&mut self, index: usize, set: &mut [u64]) -> bool {
+        let slot = &mut self.bits[index * self.words * 2..][..self.words * 2];
+        let mut config = None;
+        let mut left = 0;
+        for (word, (set, slot)) in set.iter_mut().zip(slot.chunks_exact_mut(2)).enumerate() {
+            self.lookups += u64::from(set.count_ones());
+            let mut unknown = *set & !slot[0];
+            slot[0] |= unknown;
+            while unknown != 0 {
+                let bit = unknown.trailing_zeros() as usize;
+                unknown &= unknown - 1;
+                let c = config.get_or_insert_with(|| self.space.config(index));
+                let v = &self.space.domain().values()[word * 64 + bit];
+                if self.prop.is_admissible(c, v) {
+                    slot[1] |= 1 << bit;
+                }
+            }
+            *set &= slot[1];
+            left |= *set;
+        }
+        left != 0
+    }
+
+    /// The always-admissible walk: `∩_{c ∈ I} val(c)`, smallest member.
+    fn always_admissible(&mut self) -> Option<V> {
+        let mut candidates = self.all_values();
+        for index in 0..self.space.len() {
+            if !self.retain(index, &mut candidates) {
+                return None;
+            }
+        }
+        self.smallest(&candidates).cloned()
+    }
+
+    /// The non-triviality walk: per value, the first configuration
+    /// rejecting it.
+    fn rejections(&mut self) -> Option<Vec<(V, InputConfig<V>)>> {
+        let domain = self.space.domain();
+        let mut rejections = Vec::with_capacity(domain.len());
+        for (at, v) in domain.iter().enumerate() {
+            let mut only_v = vec![0; self.words];
+            only_v[at / 64] = 1 << (at % 64);
+            let rejecting =
+                (0..self.space.len()).find(|&index| !self.retain(index, &mut only_v))?;
+            rejections.push((v.clone(), self.space.config(rejecting)));
+        }
+        Some(rejections)
+    }
+
+    /// The `C_S` walk: `Λ(c)` = smallest member of `∩_{c′ ∼ c} val(c′)` for
+    /// every `c ∈ I_{n−t}`, or the first `c` where that is empty.
+    fn lambda_table(&mut self) -> Result<Vec<(InputConfig<V>, V)>, InputConfig<V>> {
+        let space = self.space;
+        let mut table = Vec::new();
+        for index in space.of_size(space.params().quorum()) {
+            let mut candidates = self.all_values();
+            // The procedure looks `val(c)` up before it walks `sim(c)`, which
+            // holds `c` again: the cost counts both.
+            if self.retain(index, &mut candidates) {
+                for similar in space.similar(index) {
+                    if !self.retain(similar, &mut candidates) {
+                        break;
+                    }
+                }
+            }
+            match self.smallest(&candidates) {
+                Some(v) => table.push((space.config(index), v.clone())),
+                None => return Err(space.config(index)),
+            }
+        }
+        Ok(table)
+    }
+}
+
 /// Searches for an always-admissible value: `v ∈ ∩_{c ∈ I} val(c)`
 /// (the triviality witness of Theorem 1, and Theorem 2's
 /// `always_admissible` procedure realized by exhaustive search).
@@ -136,14 +262,8 @@ pub fn always_admissible<V: Value>(
     params: SystemParams,
     domain: &Domain<V>,
 ) -> Option<V> {
-    let mut candidates: BTreeSet<V> = domain.iter().cloned().collect();
-    for c in enumerate_all_configs(params, domain) {
-        candidates.retain(|v| prop.is_admissible(&c, v));
-        if candidates.is_empty() {
-            return None;
-        }
-    }
-    candidates.into_iter().next()
+    let space = ConfigSpace::new(params, domain);
+    ValTable::new(&space, prop).always_admissible()
 }
 
 /// For each domain value, finds a configuration rejecting it — the
@@ -156,13 +276,8 @@ pub fn non_triviality_certificate<V: Value>(
     params: SystemParams,
     domain: &Domain<V>,
 ) -> Option<Vec<(V, InputConfig<V>)>> {
-    let all = enumerate_all_configs(params, domain);
-    let mut rejections = Vec::with_capacity(domain.len());
-    for v in domain.iter() {
-        let rejecting = all.iter().find(|c| !prop.is_admissible(c, v))?;
-        rejections.push((v.clone(), rejecting.clone()));
-    }
-    Some(rejections)
+    let space = ConfigSpace::new(params, domain);
+    ValTable::new(&space, prop).rejections()
 }
 
 /// Checks the similarity condition `C_S` (Definition 2) over a finite
@@ -177,23 +292,19 @@ pub fn check_similarity_condition<V: Value>(
     params: SystemParams,
     domain: &Domain<V>,
 ) -> Result<Vec<(InputConfig<V>, V)>, InputConfig<V>> {
-    let mut table = Vec::new();
-    for c in enumerate_configs_of_size(params, domain, params.quorum()) {
-        match admissible_intersection(prop, &c, domain).into_iter().next() {
-            Some(v) => table.push((c, v)),
-            None => return Err(c),
-        }
-    }
-    Ok(table)
+    let space = ConfigSpace::new(params, domain);
+    ValTable::new(&space, prop).lambda_table()
 }
 
-/// A [`ValidityProperty`] adapter that counts admissibility evaluations —
-/// the classifier's elementary operation, and therefore the natural cost
-/// measure for how the decision procedure scales with the domain.
+/// A [`ValidityProperty`] adapter that counts the admissibility evaluations
+/// that actually reach the wrapped property.
 ///
-/// The count is deterministic: the classifier enumerates configurations in
-/// a fixed order, so the same `(property, params, domain)` always performs
-/// the same evaluations.
+/// Under [`classify`] that is the number of *distinct* `(c, v)` pairs the
+/// decision procedure asked about — it evaluates each at most once and
+/// remembers the answer — which is at most `|I| · |V|` and at most the
+/// look-up count [`classify_with_cost`] reports. The count is deterministic:
+/// the classifier walks configurations in a fixed order, so the same
+/// `(property, params, domain)` always performs the same evaluations.
 pub struct CountingValidity<'a, VI: Value, VO: Value> {
     inner: &'a dyn ValidityProperty<VI, VO>,
     evals: AtomicU64,
@@ -225,8 +336,17 @@ impl<VI: Value, VO: Value> ValidityProperty<VI, VO> for CountingValidity<'_, VI,
     }
 }
 
-/// [`classify`], additionally reporting the classification's cost as the
-/// number of admissibility evaluations the decision procedure performed.
+/// [`classify`], additionally reporting the classification's cost: the
+/// number of admissibility look-ups the paper's decision procedure makes.
+///
+/// The procedure asks "is `v ∈ val(c′)`?" once for every candidate `v` still
+/// standing at every `c′` it visits — every `c ∈ I` for triviality, then
+/// `val(c)` and every `c′ ∼ c` for each `c ∈ I_{n−t}` — stopping a walk as
+/// soon as no candidate is left. The cost counts those look-ups. Most of
+/// them repeat an earlier `(c′, v)`, and the classifier answers a repeat
+/// from memory instead of calling the property again (see
+/// [`CountingValidity`] for the number of real evaluations), so the cost
+/// measures the procedure, not this implementation's work.
 ///
 /// The count is a deterministic function of the inputs, which lets the lab
 /// fit classification cost against the domain size `|V|` the same way it
@@ -247,9 +367,24 @@ pub fn classify_with_cost<V: Value>(
     params: SystemParams,
     domain: &Domain<V>,
 ) -> (Classification<V>, u64) {
-    let counting = CountingValidity::new(prop);
-    let classification = classify(&counting, params, domain);
-    (classification, counting.evals())
+    let space = ConfigSpace::new(params, domain);
+    let mut val = ValTable::new(&space, prop);
+    let classification = if let Some(witness) = val.always_admissible() {
+        Classification::Trivial { witness }
+    } else if !params.supports_non_trivial() {
+        let rejections = val
+            .rejections()
+            .expect("no value is always admissible, so every value has a rejection");
+        Classification::Unsolvable(UnsolvableReason::LowResilience { rejections })
+    } else {
+        match val.lambda_table() {
+            Ok(lambda_table) => Classification::SolvableNonTrivial { lambda_table },
+            Err(config) => {
+                Classification::Unsolvable(UnsolvableReason::SimilarityViolation { config })
+            }
+        }
+    };
+    (classification, val.lookups)
 }
 
 /// Full classification per the paper's decision procedure (Theorems 1, 3, 5).
@@ -268,23 +403,13 @@ pub fn classify<V: Value>(
     params: SystemParams,
     domain: &Domain<V>,
 ) -> Classification<V> {
-    if let Some(witness) = always_admissible(prop, params, domain) {
-        return Classification::Trivial { witness };
-    }
-    if !params.supports_non_trivial() {
-        let rejections = non_triviality_certificate(prop, params, domain)
-            .expect("always_admissible returned None, so every value has a rejection");
-        return Classification::Unsolvable(UnsolvableReason::LowResilience { rejections });
-    }
-    match check_similarity_condition(prop, params, domain) {
-        Ok(lambda_table) => Classification::SolvableNonTrivial { lambda_table },
-        Err(config) => Classification::Unsolvable(UnsolvableReason::SimilarityViolation { config }),
-    }
+    classify_with_cost(prop, params, domain).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lambda::admissible_intersection;
     use crate::validity::{
         ConstantSetValidity, ConvexHullValidity, CorrectProposalValidity, ExactMedianValidity,
         MedianValidity, ParityValidity, StrongValidity, TrivialValidity, WeakValidity,

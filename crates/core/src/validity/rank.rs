@@ -12,6 +12,30 @@ fn median_rank(x: usize) -> usize {
     x.div_ceil(2)
 }
 
+/// Whether `p_lo ≤ v ≤ p_hi` for the sorted proposals `p_1 ≤ … ≤ p_x` of
+/// `c`, with `lo = max(1, r − slack)`, `hi = min(x, r + slack)` and the
+/// 1-indexed rank `r = rank(x)`.
+///
+/// Counted, not sorted: `p_k ≤ v` iff at least `k` proposals are `≤ v`, and
+/// `v ≤ p_k` iff fewer than `k` are `< v`.
+fn in_rank_window<V: Value>(
+    c: &InputConfig<V>,
+    rank: impl FnOnce(usize) -> usize,
+    slack: usize,
+    v: &V,
+) -> bool {
+    let (mut x, mut below, mut at_most) = (0, 0, 0);
+    for p in c.proposals() {
+        x += 1;
+        below += usize::from(p < v);
+        at_most += usize::from(p <= v);
+    }
+    let rank = rank(x);
+    let lo = rank.saturating_sub(slack).max(1);
+    let hi = (rank + slack).min(x);
+    lo <= at_most && below < hi
+}
+
 /// Median Validity (Stolz–Wattenhofer \[89\]).
 ///
 /// Let `p_1 ≤ ... ≤ p_x` be the sorted proposals of the correct processes and
@@ -48,12 +72,7 @@ impl<V: Value> ValidityProperty<V> for MedianValidity {
     }
 
     fn is_admissible(&self, c: &InputConfig<V>, v: &V) -> bool {
-        let sorted = c.sorted_proposals();
-        let x = sorted.len();
-        let m = median_rank(x);
-        let lo = m.saturating_sub(self.slack).max(1);
-        let hi = (m + self.slack).min(x);
-        &sorted[lo - 1] <= v && v <= &sorted[hi - 1]
+        in_rank_window(c, median_rank, self.slack, v)
     }
 }
 
@@ -98,12 +117,7 @@ impl<V: Value> ValidityProperty<V> for IntervalValidity {
     }
 
     fn is_admissible(&self, c: &InputConfig<V>, v: &V) -> bool {
-        let sorted = c.sorted_proposals();
-        let x = sorted.len();
-        let k = self.k.min(x);
-        let lo = k.saturating_sub(self.slack).max(1);
-        let hi = (k + self.slack).min(x);
-        &sorted[lo - 1] <= v && v <= &sorted[hi - 1]
+        in_rank_window(c, |x| self.k.min(x), self.slack, v)
     }
 }
 
@@ -147,8 +161,8 @@ impl<V: Value> ValidityProperty<V> for ExactMedianValidity {
     }
 
     fn is_admissible(&self, c: &InputConfig<V>, v: &V) -> bool {
-        let sorted = c.sorted_proposals();
-        &sorted[median_rank(sorted.len()) - 1] == v
+        // A window of one rank: `p_m ≤ v ≤ p_m`.
+        in_rank_window(c, median_rank, 0, v)
     }
 }
 
@@ -243,6 +257,45 @@ mod tests {
             let c = cfg(6, 2, &[(0, 1), (1, 1), (2, 9), (3, 9)]);
             let mv = MedianValidity::with_slack(slack);
             assert!(c.proposals().any(|p| mv.is_admissible(&c, p)));
+        }
+    }
+
+    #[test]
+    fn counted_windows_are_the_sorted_windows() {
+        // The definition, by sorting: p_lo ≤ v ≤ p_hi around rank r.
+        let by_sorting = |c: &InputConfig<u64>, r: usize, slack: usize, v: u64| {
+            let sorted = c.sorted_proposals();
+            let lo = r.saturating_sub(slack).max(1);
+            let hi = (r + slack).min(sorted.len());
+            sorted[lo - 1] <= v && v <= sorted[hi - 1]
+        };
+        // Duplicates, gaps, and values below, between and above the proposals.
+        let params = SystemParams::new(5, 2).unwrap();
+        for c in crate::config::enumerate_all_configs(params, &Domain::new(vec![1u64, 3, 5])) {
+            let m = median_rank(c.len());
+            for v in 0..=6 {
+                for slack in 0..3 {
+                    let median = MedianValidity::with_slack(slack);
+                    assert_eq!(
+                        median.is_admissible(&c, &v),
+                        by_sorting(&c, m, slack, v),
+                        "median, slack {slack}, {c:?}, {v}"
+                    );
+                    for k in 1..=6 {
+                        let interval = IntervalValidity::new(k, slack);
+                        assert_eq!(
+                            interval.is_admissible(&c, &v),
+                            by_sorting(&c, k.min(c.len()), slack, v),
+                            "interval {k}, slack {slack}, {c:?}, {v}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    ExactMedianValidity.is_admissible(&c, &v),
+                    c.sorted_proposals()[m - 1] == v,
+                    "exact median, {c:?}, {v}"
+                );
+            }
         }
     }
 }
