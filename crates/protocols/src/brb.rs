@@ -7,9 +7,7 @@
 //! sender broadcast if it is correct) and *totality* (if one correct process
 //! delivers, all do).
 
-use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
 
 use validity_core::{ProcessId, ProcessSet};
 use validity_simnet::{Env, StepSink};
@@ -43,17 +41,37 @@ impl<P: Clone + Debug + Words + Send + 'static> validity_simnet::Message for Brb
 
 /// One instance of Bracha reliable broadcast, parameterized by the
 /// designated sender. The component outputs the delivered payload.
+///
+/// A correct process sends one `ECHO` and one `READY` per instance, so only
+/// each sender's *first* vote of each kind is counted: a tally holds at most
+/// `n` payloads whatever Byzantine senders do, and any two `ECHO` quorums
+/// still intersect in a correct process, which voted once.
 #[derive(Clone, Debug)]
 pub struct BrbInstance<P> {
     sender: ProcessId,
     echoed: bool,
     sent_ready: bool,
     delivered: bool,
-    echoes: HashMap<P, ProcessSet>,
-    readies: HashMap<P, ProcessSet>,
+    echo_from: ProcessSet,
+    ready_from: ProcessSet,
+    echoes: Vec<(P, ProcessSet)>,
+    readies: Vec<(P, ProcessSet)>,
 }
 
-impl<P: Clone + Eq + Hash + Debug> BrbInstance<P> {
+/// Counts `from`'s vote for `payload` and returns the payload's new total.
+fn tally<P: Clone + Eq>(votes: &mut Vec<(P, ProcessSet)>, payload: &P, from: ProcessId) -> usize {
+    let i = votes
+        .iter()
+        .position(|(p, _)| p == payload)
+        .unwrap_or_else(|| {
+            votes.push((payload.clone(), ProcessSet::new()));
+            votes.len() - 1
+        });
+    votes[i].1.insert(from);
+    votes[i].1.len()
+}
+
+impl<P: Clone + Eq + Debug> BrbInstance<P> {
     /// Creates the instance for broadcasts by `sender`.
     pub fn new(sender: ProcessId) -> Self {
         BrbInstance {
@@ -61,8 +79,10 @@ impl<P: Clone + Eq + Hash + Debug> BrbInstance<P> {
             echoed: false,
             sent_ready: false,
             delivered: false,
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            echo_from: ProcessSet::new(),
+            ready_from: ProcessSet::new(),
+            echoes: Vec::new(),
+            readies: Vec::new(),
         }
     }
 
@@ -107,22 +127,25 @@ impl<P: Clone + Eq + Hash + Debug> BrbInstance<P> {
                     sink.broadcast(BrbMsg::Echo(p.clone()));
                 }
             }
+            // Delivery implies the READY went out: nothing is left to fire.
+            BrbMsg::Echo(_) | BrbMsg::Ready(_) if self.delivered => {}
             BrbMsg::Echo(p) => {
-                let set = self.echoes.entry(p.clone()).or_default();
-                if set.insert(from) && set.len() >= Self::echo_threshold(env) && !self.sent_ready {
+                if self.echo_from.insert(from)
+                    && tally(&mut self.echoes, p, from) >= Self::echo_threshold(env)
+                    && !self.sent_ready
+                {
                     self.sent_ready = true;
                     sink.broadcast(BrbMsg::Ready(p.clone()));
                 }
             }
             BrbMsg::Ready(p) => {
-                let set = self.readies.entry(p.clone()).or_default();
-                if set.insert(from) {
-                    let count = set.len();
+                if self.ready_from.insert(from) {
+                    let count = tally(&mut self.readies, p, from);
                     if count > env.t() && !self.sent_ready {
                         self.sent_ready = true;
                         sink.broadcast(BrbMsg::Ready(p.clone()));
                     }
-                    if count > 2 * env.t() && !self.delivered {
+                    if count > 2 * env.t() {
                         self.delivered = true;
                         sink.output(p.clone());
                     }
@@ -181,6 +204,16 @@ mod tests {
         sink.drain().collect()
     }
 
+    /// `P2`'s view of a `(4, 1)` system.
+    fn env_at_p2() -> Env {
+        Env {
+            id: ProcessId(1),
+            params: SystemParams::new(4, 1).unwrap(),
+            now: 0,
+            delta: 10,
+        }
+    }
+
     fn node(payload: u64) -> BrbNode {
         BrbNode {
             instance: BrbInstance::new(ProcessId(0)),
@@ -234,13 +267,7 @@ mod tests {
 
     #[test]
     fn non_sender_init_is_ignored() {
-        let params = SystemParams::new(4, 1).unwrap();
-        let env = Env {
-            id: ProcessId(1),
-            params,
-            now: 0,
-            delta: 10,
-        };
+        let env = env_at_p2();
         let mut inst = BrbInstance::<u64>::new(ProcessId(0));
         // INIT claimed from a process that is not the designated sender:
         let steps = deliver(&mut inst, ProcessId(2), BrbMsg::Init(9), &env);
@@ -249,13 +276,7 @@ mod tests {
 
     #[test]
     fn duplicate_echoes_do_not_double_count() {
-        let params = SystemParams::new(4, 1).unwrap();
-        let env = Env {
-            id: ProcessId(1),
-            params,
-            now: 0,
-            delta: 10,
-        };
+        let env = env_at_p2();
         let mut inst = BrbInstance::<u64>::new(ProcessId(0));
         // echo threshold for (4,1) is ⌈6/2⌉ = 3; the same echo twice must not count as two
         assert!(deliver(&mut inst, ProcessId(0), BrbMsg::Echo(9), &env).is_empty());
@@ -269,14 +290,48 @@ mod tests {
     }
 
     #[test]
+    fn only_a_senders_first_vote_counts() {
+        let env = env_at_p2();
+        let mut inst = BrbInstance::<u64>::new(ProcessId(0));
+        // One Byzantine process votes for a thousand payloads: one entry per
+        // tally, and its later votes never help another payload to a quorum.
+        for p in 0..1000 {
+            assert!(deliver(&mut inst, ProcessId(3), BrbMsg::Echo(p), &env).is_empty());
+            assert!(deliver(&mut inst, ProcessId(3), BrbMsg::Ready(p), &env).is_empty());
+        }
+        assert_eq!((inst.echoes.len(), inst.readies.len()), (1, 1));
+        assert!(deliver(&mut inst, ProcessId(0), BrbMsg::Ready(9), &env).is_empty());
+        // P4's READY(9) was its 10th, not its first: still below t + 1 = 2.
+        assert!(!inst.sent_ready);
+        let steps = deliver(&mut inst, ProcessId(2), BrbMsg::Ready(9), &env);
+        assert!(matches!(
+            steps.as_slice(),
+            [Step::Broadcast(BrbMsg::Ready(9))]
+        ));
+    }
+
+    #[test]
+    fn votes_after_delivery_touch_nothing() {
+        let env = env_at_p2();
+        let mut inst = BrbInstance::<u64>::new(ProcessId(0));
+        for p in [0, 2, 3] {
+            deliver(&mut inst, ProcessId(p), BrbMsg::Ready(9), &env);
+        }
+        assert!(inst.has_delivered());
+        assert!(deliver(&mut inst, ProcessId(1), BrbMsg::Echo(5), &env).is_empty());
+        assert!(deliver(&mut inst, ProcessId(1), BrbMsg::Ready(5), &env).is_empty());
+        assert_eq!((inst.echoes.len(), inst.readies.len()), (0, 1));
+        // A late INIT is still echoed, as before.
+        let steps = deliver(&mut inst, ProcessId(0), BrbMsg::Init(9), &env);
+        assert!(matches!(
+            steps.as_slice(),
+            [Step::Broadcast(BrbMsg::Echo(9))]
+        ));
+    }
+
+    #[test]
     fn ready_amplification_at_t_plus_one() {
-        let params = SystemParams::new(4, 1).unwrap();
-        let env = Env {
-            id: ProcessId(1),
-            params,
-            now: 0,
-            delta: 10,
-        };
+        let env = env_at_p2();
         let mut inst = BrbInstance::<u64>::new(ProcessId(0));
         assert!(deliver(&mut inst, ProcessId(2), BrbMsg::Ready(9), &env).is_empty());
         let steps = deliver(&mut inst, ProcessId(3), BrbMsg::Ready(9), &env);

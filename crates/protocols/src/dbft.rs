@@ -19,8 +19,10 @@
 //! Deciders broadcast `DONE(v)`, which counts as `EST`/`AUX` for every round
 //! so that halting early never stalls the others; `t + 1` `DONE(v)` is
 //! itself a decision proof. Satisfies **Strong Validity** for binary values.
-
-use std::collections::HashMap;
+//!
+//! When one delivery enables several `EST` echoes they leave in ascending
+//! round order, `false` before `true` within a round: emission order reaches
+//! the wire, so it must be a function of the deliveries alone.
 
 use validity_core::{ProcessId, ProcessSet};
 use validity_simnet::{Env, StepSink, Time};
@@ -88,7 +90,9 @@ pub struct DbftBinary {
     started: bool,
     est: bool,
     round: u32,
-    rounds: HashMap<u32, RoundState>,
+    /// Sorted by round, one entry per *distinct round received*: a hostile
+    /// `Est { round: u32::MAX }` costs one entry, not a table that long.
+    rounds: Vec<(u32, RoundState)>,
     done_votes: [ProcessSet; 2],
     decided: Option<bool>,
     halted: bool,
@@ -126,30 +130,33 @@ impl DbftBinary {
         (3 + r as Time) * env.delta
     }
 
+    /// Position of round `r` in `rounds`, inserted empty on a miss.
+    fn round_index(&mut self, r: u32) -> usize {
+        match self.rounds.binary_search_by_key(&r, |&(round, _)| round) {
+            Ok(i) => i,
+            Err(i) => {
+                self.rounds.insert(i, (r, RoundState::default()));
+                i
+            }
+        }
+    }
+
     fn round_state(&mut self, r: u32) -> &mut RoundState {
-        self.rounds.entry(r).or_default()
+        let i = self.round_index(r);
+        &mut self.rounds[i].1
     }
 
-    fn effective_est(&self, r: u32, v: bool) -> ProcessSet {
-        let base = self
-            .rounds
-            .get(&r)
-            .map(|s| s.est_seen[v as usize])
-            .unwrap_or_default();
-        base.union(self.done_votes[v as usize])
-    }
-
-    fn effective_aux(&self, r: u32, v: bool) -> ProcessSet {
-        let base = self
-            .rounds
-            .get(&r)
-            .map(|s| s.aux_from[v as usize])
-            .unwrap_or_default();
-        base.union(self.done_votes[v as usize])
-    }
-
-    fn bin_value(&self, r: u32, v: bool, env: &Env) -> bool {
-        self.effective_est(r, v).len() > 2 * env.t()
+    /// BV init of the current round: broadcasts the own estimate unless it
+    /// already went out, and returns the round's position in `rounds`.
+    fn enter_round(&mut self, sink: &mut StepSink<DbftMsg, bool>) -> usize {
+        let (round, value) = (self.round, self.est);
+        let i = self.round_index(round);
+        let echoed = &mut self.rounds[i].1.est_echoed[value as usize];
+        if !*echoed {
+            *echoed = true;
+            sink.broadcast(DbftMsg::Est { round, value });
+        }
+        i
     }
 
     /// Proposes a value, starting round 1.
@@ -208,10 +215,13 @@ impl DbftBinary {
         if self.halted {
             return;
         }
+        let t = env.t();
+        // `DONE(v)` counts as `EST(r, v)` and `AUX(r, v)` for every round.
+        let done = self.done_votes;
 
         // Decision via DONE certificates (t + 1 distinct deciders).
         for v in [false, true] {
-            if self.done_votes[v as usize].len() > env.t() {
+            if done[v as usize].len() > t {
                 return self.decide(v, sink);
             }
         }
@@ -219,78 +229,68 @@ impl DbftBinary {
             return;
         }
 
-        loop {
-            let r = self.round;
+        let mut current = self.enter_round(sink);
 
-            // Broadcast own estimate for the current round (BV init).
-            let est = self.est;
-            if !self.round_state(r).est_echoed[est as usize] {
-                self.round_state(r).est_echoed[est as usize] = true;
-                sink.broadcast(DbftMsg::Est {
-                    round: r,
-                    value: est,
-                });
-            }
-
-            // BV echo rule, any round with data.
-            let known_rounds: Vec<u32> = self.rounds.keys().copied().collect();
-            for r2 in known_rounds {
-                for v in [false, true] {
-                    if self.effective_est(r2, v).len() > env.t()
-                        && !self.round_state(r2).est_echoed[v as usize]
-                    {
-                        self.round_state(r2).est_echoed[v as usize] = true;
-                        sink.broadcast(DbftMsg::Est {
-                            round: r2,
-                            value: v,
-                        });
-                    }
+        // BV echo rule, every round with data, ascending. Advancing the
+        // round below changes no `est_seen`, so one walk per poll finds all.
+        for (round, s) in &mut self.rounds {
+            for v in [false, true] {
+                let i = v as usize;
+                if !s.est_echoed[i] && s.est_seen[i].union(done[i]).len() > t {
+                    s.est_echoed[i] = true;
+                    sink.broadcast(DbftMsg::Est {
+                        round: *round,
+                        value: v,
+                    });
                 }
             }
+        }
 
-            let bin0 = self.bin_value(r, false, env);
-            let bin1 = self.bin_value(r, true, env);
-            if !(bin0 || bin1) {
+        loop {
+            let r = self.round;
+            let s = &mut self.rounds[current].1;
+
+            let bin = [0, 1].map(|i| s.est_seen[i].union(done[i]).len() > 2 * t);
+            if !(bin[0] || bin[1]) {
                 break; // wait for BV progress
             }
 
             // Weak coordinator's suggestion.
-            if Self::coordinator(r, env) == env.id && !self.round_state(r).coord_sent {
-                self.round_state(r).coord_sent = true;
-                let v = bin1;
-                sink.broadcast(DbftMsg::Coord { round: r, value: v });
+            if Self::coordinator(r, env) == env.id && !s.coord_sent {
+                s.coord_sent = true;
+                sink.broadcast(DbftMsg::Coord {
+                    round: r,
+                    value: bin[1],
+                });
             }
 
             // Arm the round timer once bin_values is non-empty.
-            if !self.round_state(r).timer_set {
-                self.round_state(r).timer_set = true;
+            if !s.timer_set {
+                s.timer_set = true;
                 sink.timer(Self::timeout(r, env), r as u64);
             }
 
             // Commit an AUX value after the timer.
-            if self.round_state(r).timer_fired && !self.round_state(r).aux_sent {
-                let coord = self.round_state(r).coord_value;
-                let value = match coord {
-                    Some(v) if self.bin_value(r, v, env) => v,
-                    _ => bin1, // any member of bin_values: prefer `true` iff present
+            if s.timer_fired && !s.aux_sent {
+                let value = match s.coord_value {
+                    Some(v) if bin[v as usize] => v,
+                    _ => bin[1], // any member of bin_values: prefer `true` iff present
                 };
-                self.round_state(r).aux_sent = true;
+                s.aux_sent = true;
                 sink.broadcast(DbftMsg::Aux { round: r, value });
             }
-            if !self.round_state(r).aux_sent {
+            if !s.aux_sent {
                 break;
             }
 
             // Round completion: n − t justified AUX senders.
             let mut senders = ProcessSet::new();
             let mut values = [false, false];
-            for v in [false, true] {
-                if self.bin_value(r, v, env) {
-                    let s = self.effective_aux(r, v);
-                    if !s.is_empty() {
-                        senders = senders.union(s);
-                        values[v as usize] = true;
-                    }
+            for i in [0, 1] {
+                let aux = s.aux_from[i].union(done[i]);
+                if bin[i] && !aux.is_empty() {
+                    senders = senders.union(aux);
+                    values[i] = true;
                 }
             }
             if senders.len() < env.quorum() {
@@ -304,11 +304,10 @@ impl DbftBinary {
                         return self.decide(v, sink);
                     }
                 }
-                _ => {
-                    self.est = Self::favored(r);
-                }
+                _ => self.est = Self::favored(r),
             }
             self.round = r + 1;
+            current = self.enter_round(sink);
         }
     }
 
@@ -354,6 +353,15 @@ mod tests {
 
         fn on_timer(&mut self, tag: u64, env: &Env, sink: &mut StepSink<DbftMsg, bool>) {
             self.inner.on_timer(tag, env, sink);
+        }
+    }
+
+    fn env_at(id: ProcessId) -> Env {
+        Env {
+            id,
+            params: SystemParams::new(4, 1).unwrap(),
+            now: 0,
+            delta: 10,
         }
     }
 
@@ -440,13 +448,7 @@ mod tests {
     #[test]
     fn done_certificate_decides_without_proposing() {
         // t + 1 DONE(v) alone decides even before propose (late joiner).
-        let params = SystemParams::new(4, 1).unwrap();
-        let env = Env {
-            id: ProcessId(3),
-            params,
-            now: 0,
-            delta: 10,
-        };
+        let env = env_at(ProcessId(3));
         let mut dbft = DbftBinary::new();
         let mut sink = StepSink::new();
         dbft.on_message(
@@ -471,13 +473,7 @@ mod tests {
 
     #[test]
     fn coordinator_rotation() {
-        let params = SystemParams::new(4, 1).unwrap();
-        let env = Env {
-            id: ProcessId(0),
-            params,
-            now: 0,
-            delta: 10,
-        };
+        let env = env_at(ProcessId(0));
         assert_eq!(DbftBinary::coordinator(1, &env), ProcessId(0));
         assert_eq!(DbftBinary::coordinator(2, &env), ProcessId(1));
         assert_eq!(DbftBinary::coordinator(5, &env), ProcessId(0));

@@ -68,6 +68,10 @@ pub struct VectorNonAuth<V> {
     dbft_sink: StepSink<DbftMsg, bool>,
     proposals: Vec<Option<V>>,
     dbft_proposing: bool,
+    /// DBFT instances that decided `1` / have not decided yet, counted
+    /// where `lift_dbft` sees the decision.
+    ones: usize,
+    undecided: usize,
     decided: bool,
 }
 
@@ -84,6 +88,8 @@ impl<V: Value + Words> VectorNonAuth<V> {
             dbft_sink: StepSink::new(),
             proposals: vec![None; n],
             dbft_proposing: true,
+            ones: 0,
+            undecided: n,
             decided: false,
         }
     }
@@ -93,32 +99,40 @@ impl<V: Value + Words> VectorNonAuth<V> {
     /// wire order is the instance's, then the reaction's).
     fn lift_brb(&mut self, j: usize, env: &Env, out: OutSink<'_, V>) {
         let sender = ProcessId::from_index(j);
-        let mut delivered = Vec::new();
+        let mut delivered = None;
         self.brb_sink.drain_map(
             out,
             |inner| VectorNonAuthMsg::Brb { sender, inner },
             |_| unreachable!("BRB uses no timers"),
-            |v, _| delivered.push(v),
+            |v, _| {
+                debug_assert!(delivered.is_none(), "BRB integrity: one delivery");
+                delivered = Some(v);
+            },
             |_| unreachable!("BRB never halts"),
         );
-        for v in delivered {
+        if let Some(v) = delivered {
             self.on_brb_delivery(j, v, env, out);
         }
     }
 
     /// Drains the DBFT scratch sink for instance `j` into the outer sink,
-    /// then reacts once per decision it reported.
+    /// then counts and reacts to the decision if it reported one.
     fn lift_dbft(&mut self, j: usize, env: &Env, out: OutSink<'_, V>) {
         let instance = j as u32;
-        let mut outputs = 0usize;
+        let mut decision = None;
         self.dbft_sink.drain_map(
             out,
             |inner| VectorNonAuthMsg::Dbft { instance, inner },
             |tag| tag * MAX_N + j as u64,
-            |_, _| outputs += 1,
+            |v, _| {
+                debug_assert!(decision.is_none(), "DBFT decides once");
+                decision = Some(v);
+            },
             |_| {}, // instance-local halt
         );
-        for _ in 0..outputs {
+        if let Some(v) = decision {
+            self.undecided -= 1;
+            self.ones += v as usize;
             self.on_dbft_decision(env, out);
         }
     }
@@ -135,12 +149,7 @@ impl<V: Value + Words> VectorNonAuth<V> {
 
     /// Lines 16–20 and 21–23: react to DBFT progress.
     fn on_dbft_decision(&mut self, env: &Env, out: OutSink<'_, V>) {
-        let ones = self
-            .dbfts
-            .iter()
-            .filter(|d| d.decided() == Some(true))
-            .count();
-        if ones >= env.quorum() && self.dbft_proposing {
+        if self.ones >= env.quorum() && self.dbft_proposing {
             self.dbft_proposing = false;
             for j in 0..self.dbfts.len() {
                 if !self.dbfts[j].has_proposed() && self.dbfts[j].decided().is_none() {
@@ -154,10 +163,7 @@ impl<V: Value + Words> VectorNonAuth<V> {
 
     /// Lines 21–23: all instances decided + proposals present ⇒ decide.
     fn try_decide(&mut self, env: &Env, out: OutSink<'_, V>) {
-        if self.decided {
-            return;
-        }
-        if self.dbfts.iter().any(|d| d.decided().is_none()) {
+        if self.decided || self.undecided > 0 {
             return;
         }
         let winners: Vec<usize> = (0..self.dbfts.len())

@@ -131,3 +131,44 @@ fn lone_fake_done_is_inert() {
         assert!(d.iter().take(3).all(|x| *x == Some(false)), "seed {seed}");
     }
 }
+
+#[test]
+fn simultaneous_echoes_leave_in_round_order() {
+    // (n, t) = (7, 2) at P7: one EST(false) each for rounds 1 and 2, then
+    // two DONE(false). DONE counts as EST for every round, so the second
+    // DONE lifts both rounds over t + 1 in the same delivery. The two
+    // echoes reach the wire, so their order must not depend on the instance.
+    let env = Env {
+        id: ProcessId(6),
+        params: SystemParams::new(7, 2).unwrap(),
+        now: 0,
+        delta: 10,
+    };
+    let est = |round| DbftMsg::Est {
+        round,
+        value: false,
+    };
+    let done = DbftMsg::Done { value: false };
+    for _ in 0..200 {
+        let mut dbft = DbftBinary::new();
+        let mut sink = StepSink::new();
+        dbft.propose(true, &env, &mut sink);
+        dbft.on_message(ProcessId(0), &est(1), &env, &mut sink);
+        dbft.on_message(ProcessId(2), &est(2), &env, &mut sink);
+        dbft.on_message(ProcessId(1), &done, &env, &mut sink);
+        sink.clear();
+        dbft.on_message(ProcessId(3), &done, &env, &mut sink);
+        let echoed: Vec<u32> = sink
+            .steps()
+            .iter()
+            .map(|s| match s {
+                validity_simnet::Step::Broadcast(DbftMsg::Est {
+                    round,
+                    value: false,
+                }) => *round,
+                other => panic!("unexpected step {other:?}"),
+            })
+            .collect();
+        assert_eq!(echoed, [1, 2]);
+    }
+}
