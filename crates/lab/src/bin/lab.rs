@@ -38,8 +38,7 @@ use validity_lab::{
     run_crosscheck, run_mutate, run_service, slowest_first_markdown, suites, timeline_for,
     timing_markdown, AgreementLevel, CrosscheckMatrix, FitAxis, FitMeasure, MutateMatrix,
     PartialReport, ProtocolAxis, SamplingSpec, ScenarioMatrix, ScheduleSpec, ServiceMatrix,
-    ShardSpec, SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, PARTIAL_SCHEMA_V1,
-    REPORT_SCHEMA,
+    ShardSpec, SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, REPORT_SCHEMA,
 };
 use validity_protocols::{vector_registry, MutationOp};
 use validity_simnet::Timeline;
@@ -975,22 +974,16 @@ fn load(path: &str) -> Result<Json, String> {
 /// Refuses to diff anything that is not a same-generation full report: a
 /// partial (sharded) report would diff as a wall of spurious only-in-one
 /// cells, and a future schema generation could differ in ways the cell
-/// comparison does not see. Both get a clear error instead.
-///
-/// A schema-less document is accepted only when it at least carries a
-/// `cells` array — i.e. looks like a full report from before the schema
-/// field existed. Without that check, two arbitrary JSON files would
-/// "diff" as a spurious zero-cell match.
+/// comparison does not see. Both get a clear error instead, and so does
+/// a document with no schema tag at all.
 fn check_diffable(path: &str, v: &Json) -> Result<(), String> {
-    let declared = v.get("schema").and_then(Json::as_str);
-    if declared.is_none() && v.get("cells").and_then(Json::as_arr).is_none() {
+    let Some(schema) = v.get("schema").and_then(Json::as_str) else {
         return Err(format!(
-            "{path} does not look like a lab report (no 'schema' tag and no \
-             'cells' section)"
+            "{path} does not look like a lab report: it declares no schema \
+             (expected '{REPORT_SCHEMA}')"
         ));
-    }
-    let schema = declared.unwrap_or(REPORT_SCHEMA);
-    if schema == PARTIAL_SCHEMA || schema == PARTIAL_SCHEMA_V1 {
+    };
+    if schema == PARTIAL_SCHEMA {
         let part = v
             .get("shard")
             .map(|s| {
@@ -1040,34 +1033,44 @@ fn diff(rest: &[&str]) -> CmdResult {
         check_diffable(path, v)?;
     }
     // Index both reports by cell key once; the comparison is then linear.
-    fn cells_of(v: &Json) -> &[Json] {
-        v.get("cells").and_then(Json::as_arr).unwrap_or(&[])
+    // Cells that cannot be told apart would collapse in the index and
+    // compare as fewer cells than the files hold, so they are refused.
+    type Index<'a> = std::collections::BTreeMap<&'a str, &'a Json>;
+    fn keyed_cells<'a>(path: &str, v: &'a Json) -> Result<(Vec<&'a str>, Index<'a>), String> {
+        let cells = v
+            .get("cells")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("{path} has no 'cells' array"))?;
+        let (mut order, mut index) = (Vec::with_capacity(cells.len()), Index::new());
+        for (i, cell) in cells.iter().enumerate() {
+            let key = cell
+                .get("key")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("{path}: cell {i} has no string 'key'"))?;
+            if index.insert(key, cell).is_some() {
+                return Err(format!("{path}: two cells share the key '{key}'"));
+            }
+            order.push(key);
+        }
+        Ok((order, index))
     }
-    fn key_of(c: &Json) -> &str {
-        c.get("key").and_then(Json::as_str).unwrap_or("?")
-    }
-    let (ca, cb) = (cells_of(&a), cells_of(&b));
-    let index_a: std::collections::BTreeMap<&str, &Json> =
-        ca.iter().map(|c| (key_of(c), c)).collect();
-    let index_b: std::collections::BTreeMap<&str, &Json> =
-        cb.iter().map(|c| (key_of(c), c)).collect();
+    let ((order_a, index_a), (order_b, index_b)) =
+        (keyed_cells(a_path, &a)?, keyed_cells(b_path, &b)?);
     let mut differences = 0usize;
-    for cell_a in ca {
-        let key = key_of(cell_a);
+    for key in &order_a {
         match index_b.get(key) {
             None => {
                 println!("- {key}: only in {a_path}");
                 differences += 1;
             }
-            Some(cell_b) if cell_a != *cell_b => {
+            Some(cell_b) if index_a[key] != *cell_b => {
                 println!("~ {key}: differs");
                 differences += 1;
             }
             Some(_) => {}
         }
     }
-    for cell_b in cb {
-        let key = key_of(cell_b);
+    for key in &order_b {
         if !index_a.contains_key(key) {
             println!("+ {key}: only in {b_path}");
             differences += 1;
@@ -1076,7 +1079,7 @@ fn diff(rest: &[&str]) -> CmdResult {
     Ok(if differences == 0 {
         println!(
             "identical: {} cells match across {a_path} and {b_path}",
-            ca.len()
+            order_a.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -1086,8 +1089,8 @@ fn diff(rest: &[&str]) -> CmdResult {
 }
 
 /// `lab trend`: assemble the bench-trend artifact — by sweeping fit-bearing
-/// suites (default) or from already-merged full reports (`--from-reports`,
-/// the sharded CI path) — write it to `--out`, and gate:
+/// suites (default) or from already-merged full reports
+/// (`--from-reports`) — write it to `--out`, and gate:
 ///
 /// * always: fail if any fitted exponent left its declared band or any
 ///   cell misbehaved (violations / quarantine);

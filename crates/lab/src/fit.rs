@@ -4,9 +4,7 @@
 //! The paper's complexity claims are asymptotic *shapes* (`Θ(n²)` messages,
 //! `O(n⁴)` for the non-authenticated variant, ...); the experiments verify
 //! them by fitting the measured curves and checking the exponent lands in
-//! the expected band. This module started life in `validity-bench`; it now
-//! lives here so sweep reports can carry fit sections, and `validity-bench`
-//! re-exports it for the historical experiment binaries.
+//! the expected band; sweep reports carry the fits as a section of their own.
 
 /// Result of a power-law fit `y = c · xᵏ`.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -186,11 +186,15 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        let n: f64 = std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+            .ok_or_else(|| format!("bad number at byte {start}"))?;
+        // `"1e999".parse::<f64>()` is `Ok(inf)`; no emitter writes one.
+        if !n.is_finite() {
+            return Err(format!("number out of range at byte {start}"));
+        }
+        Ok(Json::Num(n))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -322,6 +326,19 @@ mod tests {
             // What used to overflow the stack is now an ordinary error.
             assert!(Json::parse(&open.repeat(200_000)).is_err());
         }
+    }
+
+    #[test]
+    fn refuses_non_finite_numbers() {
+        for (text, at) in [("1e999999", 0), ("[0, -1e400]", 4), ("{\"x\": 1e309}", 6)] {
+            assert_eq!(
+                Json::parse(text),
+                Err(format!("number out of range at byte {at}"))
+            );
+        }
+        // The largest finite double still parses; so does an underflow to 0.
+        assert!(Json::parse("1.7976931348623157e308").is_ok());
+        assert_eq!(Json::parse("1e-999"), Ok(Json::Num(0.0)));
     }
 
     #[test]

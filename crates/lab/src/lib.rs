@@ -116,7 +116,7 @@ pub use observe::{
     hottest_by_events, observe_json, observe_markdown, profile_markdown, timeline_for,
     CellObservation, OBSERVE_SCHEMA,
 };
-pub use partial::{merge, PartialReport, PARTIAL_SCHEMA, PARTIAL_SCHEMA_V1};
+pub use partial::{merge, PartialReport, PARTIAL_SCHEMA};
 pub use report::{FitRow, GroupSummary, SamplingSection, SweepReport, REPORT_SCHEMA};
 pub use runner::{execute, execute_with_budget, CellRecord, ClassifyRecord, Outcome, RunRecord};
 pub use sampling::GroupSampling;

@@ -24,9 +24,7 @@
 //!
 //! The partial format is versioned ([`PARTIAL_SCHEMA`]); `lab merge` and
 //! `lab diff` refuse artifacts from a different schema generation instead
-//! of producing silently wrong output. The previous generation
-//! ([`PARTIAL_SCHEMA_V1`], which predates adaptive sampling and the
-//! classifier-cost counter) is still read.
+//! of producing silently wrong output.
 //!
 //! ## Adaptive sweeps: the two-phase "measure then commit" protocol
 //!
@@ -60,11 +58,6 @@ use crate::sampling::{evaluate, expected_consumed, GroupSampling};
 /// Schema tag of partial (sharded) report files.
 pub const PARTIAL_SCHEMA: &str = "validity-lab/partial@2";
 
-/// The previous partial generation: same shape minus the fit axis, the
-/// sampling spec/claims, and the classification cost. Still accepted by
-/// [`PartialReport::parse`] (such partials are never adaptive).
-pub const PARTIAL_SCHEMA_V1: &str = "validity-lab/partial@1";
-
 /// One shard's worth of a sweep: records plus merge provenance.
 #[derive(Clone, Debug)]
 pub struct PartialReport {
@@ -82,13 +75,6 @@ pub struct PartialReport {
     /// for every run group this shard owns, in unit order. Empty for
     /// fixed-seed sweeps.
     pub sampling: Vec<GroupSampling>,
-    /// The schema generation this partial was produced under
-    /// ([`PARTIAL_SCHEMA`] for fresh shards, [`PARTIAL_SCHEMA_V1`] when
-    /// parsed from an old file). [`merge`] refuses mixed-generation sets:
-    /// v1 records lack the classification cost, so mixing them with v2
-    /// shards would silently break the merged report's byte-identity with
-    /// an unsharded run.
-    pub schema: String,
 }
 
 impl PartialReport {
@@ -115,7 +101,6 @@ impl PartialReport {
             wall_seconds,
             records,
             sampling,
-            schema: PARTIAL_SCHEMA.to_string(),
         }
     }
 
@@ -154,21 +139,18 @@ impl PartialReport {
     }
 
     /// Parses a partial-report file, rejecting other schema generations
-    /// (including full reports) with a descriptive error. The previous
-    /// generation ([`PARTIAL_SCHEMA_V1`]) is accepted: its matrices carry
-    /// no sampling spec, so the missing fields default to the fixed-seed
-    /// semantics.
+    /// (including full reports) with a descriptive error.
     pub fn parse(text: &str) -> Result<PartialReport, String> {
         let v = Json::parse(text)?;
-        let schema = match v.get("schema").and_then(Json::as_str) {
-            Some(s @ (PARTIAL_SCHEMA | PARTIAL_SCHEMA_V1)) => s.to_string(),
+        match v.get("schema").and_then(Json::as_str) {
+            Some(PARTIAL_SCHEMA) => {}
             Some(other) => {
                 return Err(format!(
                     "not a partial report: schema '{other}' (expected '{PARTIAL_SCHEMA}')"
                 ))
             }
             None => return Err("not a partial report: no schema field".into()),
-        };
+        }
         let shard = v.get("shard").ok_or("partial missing 'shard'")?;
         let shard = ShardSpec {
             index: field_usize(shard, "index")?,
@@ -182,15 +164,13 @@ impl PartialReport {
             .and_then(Json::as_num)
             .ok_or("partial missing 'wall_seconds'")?;
         let matrix = matrix_from_json(v.get("matrix").ok_or("partial missing 'matrix'")?)?;
-        let sampling = match v.get("sampling") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(claims) => claims
-                .as_arr()
-                .ok_or("bad 'sampling' claims")?
-                .iter()
-                .map(claim_from_json)
-                .collect::<Result<Vec<GroupSampling>, String>>()?,
-        };
+        let sampling = v
+            .get("sampling")
+            .and_then(Json::as_arr)
+            .ok_or("partial missing 'sampling'")?
+            .iter()
+            .map(claim_from_json)
+            .collect::<Result<Vec<GroupSampling>, String>>()?;
         let records = v
             .get("records")
             .and_then(Json::as_arr)
@@ -204,7 +184,6 @@ impl PartialReport {
             wall_seconds,
             records,
             sampling,
-            schema,
         })
     }
 }
@@ -239,15 +218,6 @@ pub fn merge(partials: &[PartialReport]) -> Result<(SweepReport, ScenarioMatrix)
         }
         if std::mem::replace(&mut seen[p.shard.index - 1], true) {
             return Err(format!("duplicate shard {}", p.shard));
-        }
-        if p.schema != first.schema {
-            // v1 records default the classification cost to 0; a mixed set
-            // would merge cleanly but not match any single-generation run.
-            return Err(format!(
-                "mixed partial generations: shard {} is '{}' but shard {} is \
-                 '{}' — regenerate the older shards with this lab version",
-                first.shard, first.schema, p.shard, p.schema
-            ));
         }
         let mut other = String::new();
         matrix_json(&mut other, &p.matrix);
@@ -603,15 +573,11 @@ fn matrix_from_json(v: &Json) -> Result<ScenarioMatrix, String> {
             })
         })
         .collect::<Result<_, String>>()?;
-    // Fields introduced with partial@2: absent in a v1 spec, where the
-    // defaults (n axis, fixed seeds) are exactly the old semantics.
-    m.fit_axis = match v.get("fit_axis") {
-        None => FitAxis::N,
-        Some(a) => a
-            .as_str()
-            .and_then(FitAxis::parse)
-            .ok_or("bad 'fit_axis'")?,
-    };
+    m.fit_axis = v
+        .get("fit_axis")
+        .and_then(Json::as_str)
+        .and_then(FitAxis::parse)
+        .ok_or("bad 'fit_axis'")?;
     m.sampling = match v.get("sampling") {
         None | Some(Json::Null) => None,
         Some(s) => Some(SamplingSpec {
@@ -831,8 +797,7 @@ fn record_from_json(v: &Json) -> Result<CellRecord, String> {
             certificate: field_str(v, "certificate")?.to_string(),
             high_resilience: field_bool(v, "high_resilience")?,
             theorem1_consistent: field_bool(v, "theorem1_consistent")?,
-            // Absent in partial@1 records (which predate the counter).
-            cost: v.get("cost").and_then(Json::as_u64).unwrap_or(0),
+            cost: field_u64(v, "cost")?,
         }),
         other => return Err(format!("unknown record type '{other}'")),
     };

@@ -2,8 +2,7 @@
 //!
 //! Each suite is a [`ScenarioMatrix`] reproducing (and extending) one of
 //! the paper's experiment families. `lab run --suite <name>` executes one;
-//! the `validity-bench` binaries reuse them so the historical experiment
-//! CLIs and the sweep engine cannot drift apart.
+//! `tests/paper_suites.rs` asserts the claims the complexity suites carry.
 
 use validity_adversary::BehaviorId;
 use validity_protocols::{find_vector, vector_registry};
@@ -146,7 +145,7 @@ pub fn fig1() -> ScenarioMatrix {
     m
 }
 
-/// The `ablation_schedules` measurement, as a matrix: one protocol, one
+/// The schedule-insensitivity ablation, as a matrix: one protocol, one
 /// point, every schedule, many seeds.
 pub fn schedules() -> ScenarioMatrix {
     let mut m = ScenarioMatrix::new("schedules");
@@ -206,7 +205,7 @@ pub fn complexity() -> ScenarioMatrix {
 /// different validity properties on the *same* machine, in `Θ(n²)`
 /// messages — across `(n, t)` at optimal resilience, fault-free and under
 /// maximum silent load, with the message-growth exponent fitted per
-/// property (the historical `thm5_universal` binary renders this suite).
+/// property.
 pub fn universal() -> ScenarioMatrix {
     let mut m = ScenarioMatrix::new("universal");
     m.protocols = vec![ProtocolAxis::wrapped(find_vector("alg1-auth").unwrap())];
@@ -238,8 +237,7 @@ pub fn universal() -> ScenarioMatrix {
 
 /// **Appendix B.2** as a sweep: Algorithm 3 (non-authenticated) pays
 /// `O(n⁴)` messages where Algorithm 1 pays `O(n²)` — identical inputs and
-/// seeds, growth exponents fitted per algorithm (the historical
-/// `alg3_nonauth` binary renders this suite).
+/// seeds, growth exponents fitted per algorithm.
 pub fn nonauth() -> ScenarioMatrix {
     let mut m = ScenarioMatrix::new("nonauth");
     m.protocols = vec![
@@ -274,8 +272,7 @@ pub fn nonauth() -> ScenarioMatrix {
 /// **Appendix B.3** as a sweep: Algorithm 6 brings words down to
 /// `O(n² log n)` (vs Algorithm 1's `O(n³)`) at the price of exponential
 /// latency — word-growth exponents fitted per algorithm, latency measured
-/// under maximum load too (the historical `alg6_subcubic` binary renders
-/// this suite).
+/// under maximum load too.
 pub fn subcubic() -> ScenarioMatrix {
     let mut m = ScenarioMatrix::new("subcubic");
     m.protocols = vec![

@@ -14,9 +14,8 @@
 //! new groups and wall-time movement are reported but not gated (wall
 //! clock depends on CI hardware; the exponents do not).
 //!
-//! The parser is forward-compatible by construction: unknown fields are
-//! ignored, a missing `schema` field is read as the first (untagged)
-//! generation, and only an explicitly *different* schema tag is refused.
+//! The parser ignores unknown fields and refuses every file whose
+//! `schema` tag is not [`BENCH_SCHEMA`], an untagged file included.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -27,13 +26,8 @@ use crate::report::{json_str, SweepReport};
 /// Schema tag written into new bench-trend artifacts.
 pub const BENCH_SCHEMA: &str = "validity-lab/bench@3";
 
-/// The previous artifact generation: identical shape minus the per-suite
-/// fit axis and adaptive-sampling metadata. Still accepted by
-/// [`BenchArtifact::parse`].
-pub const BENCH_SCHEMA_V2: &str = "validity-lab/bench@2";
-
 /// Adaptive-sampling metadata of one suite entry, as recorded in the
-/// artifact (bench@3): enough to see at a glance how much seed budget a
+/// artifact: enough to see at a glance how much seed budget a
 /// suite spent and whether any group failed to stabilize.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BenchSampling {
@@ -95,11 +89,9 @@ pub struct BenchSuite {
     pub violations: u64,
     /// Quarantined cell count.
     pub quarantined: u64,
-    /// The x-axis the suite's fits ran along (`"n"`, `"t"`, `"domain"`;
-    /// bench@3 — older artifacts default to `"n"`).
+    /// The x-axis the suite's fits ran along (`"n"`, `"t"`, `"domain"`).
     pub axis: String,
-    /// Adaptive-sampling metadata (bench@3; `None` for fixed-seed sweeps
-    /// and older artifacts).
+    /// Adaptive-sampling metadata (`None` for fixed-seed sweeps).
     pub sampling: Option<BenchSampling>,
     /// Every fit row of the suite's report.
     pub fits: Vec<BenchFit>,
@@ -137,10 +129,10 @@ impl BenchSuite {
     }
 
     /// Builds a suite entry from a **full report** JSON document (the file
-    /// `lab run`/`lab merge` writes) — the sharded CI path, where the
-    /// trend gate consumes merged reports instead of re-sweeping. The
-    /// violation count is recomputed from the report's groups with the
-    /// same arithmetic as [`SweepReport::violations`].
+    /// `lab run`/`lab merge` writes), for a trend gate that consumes
+    /// merged reports instead of re-sweeping. The violation count is
+    /// recomputed from the report's groups with the same arithmetic as
+    /// [`SweepReport::violations`].
     pub fn from_report_json(v: &Json) -> Result<BenchSuite, String> {
         let suite = v
             .get("matrix")
@@ -255,19 +247,16 @@ impl BenchArtifact {
         out
     }
 
-    /// Parses an artifact, accepting the current schema, the previous
-    /// tagged generation ([`BENCH_SCHEMA_V2`]), and the original untagged
-    /// generation (identical shape, no `schema` field). A file tagged
-    /// with any *other* schema is refused.
+    /// Parses an artifact; a file tagged with any schema other than
+    /// [`BENCH_SCHEMA`], or with none, is refused.
     pub fn parse(text: &str) -> Result<BenchArtifact, String> {
         let v = Json::parse(text)?;
         match v.get("schema").and_then(Json::as_str) {
-            None | Some(BENCH_SCHEMA) | Some(BENCH_SCHEMA_V2) => {}
-            Some(other) => {
+            Some(BENCH_SCHEMA) => {}
+            other => {
                 return Err(format!(
-                    "unsupported bench artifact schema '{other}' (this lab reads \
-                     '{BENCH_SCHEMA}', '{BENCH_SCHEMA_V2}', and the original \
-                     untagged format)"
+                    "unsupported bench artifact schema '{}' (this lab reads '{BENCH_SCHEMA}')",
+                    other.unwrap_or("none")
                 ))
             }
         }
@@ -290,7 +279,7 @@ impl BenchArtifact {
                     axis: s
                         .get("axis")
                         .and_then(Json::as_str)
-                        .unwrap_or("n")
+                        .ok_or("suite entry missing 'axis'")?
                         .to_string(),
                     sampling: BenchSampling::from_json(s.get("sampling")),
                     fits: s
@@ -513,8 +502,9 @@ impl TrendDiff {
 /// ```
 /// use validity_lab::trend::{compare, BenchArtifact};
 ///
-/// let base = BenchArtifact::parse(r#"{"suites": [{"suite": "s", "fits":
-///     [{"key": "g", "measure": "messages", "exponent": 2.0}]}]}"#).unwrap();
+/// let base = BenchArtifact::parse(r#"{"schema": "validity-lab/bench@3", "suites":
+///     [{"suite": "s", "axis": "n", "fits":
+///       [{"key": "g", "measure": "messages", "exponent": 2.0}]}]}"#).unwrap();
 /// let mut cur = base.clone();
 /// assert_eq!(compare(&cur, &base, 0.25).regressions(), 0);
 /// cur.suites[0].fits[0].exponent = Some(2.9); // drifted past ±0.25
@@ -650,24 +640,36 @@ mod tests {
 
     #[test]
     fn parse_accepts_untagged_v1_and_rejects_foreign_schemas() {
-        let v1 = r#"{"suites": [{"suite": "complexity", "wall_seconds": 1.5,
+        // Neither older generation is read any more: each is refused by
+        // name, like any foreign tag.
+        let refused = |text: &str, tag: &str| {
+            assert_eq!(
+                BenchArtifact::parse(text).unwrap_err(),
+                format!(
+                    "unsupported bench artifact schema '{tag}' (this lab reads '{BENCH_SCHEMA}')"
+                )
+            );
+        };
+        let untagged = r#"{"suites": [{"suite": "complexity", "wall_seconds": 1.5,
             "cells": 72, "violations": 0, "quarantined": 0, "fits":
             [{"key": "g", "measure": "messages", "exponent": 1.86,
               "constant": 2.0, "r_squared": 0.99, "band": [1.4, 2.3],
               "within_band": true}]}]}"#;
-        let a = BenchArtifact::parse(v1).expect("v1 artifact");
-        assert_eq!(a.suites[0].fits[0].exponent, Some(1.86));
-        // v1 entries predate the axis/sampling fields: defaults apply.
-        assert_eq!(a.suites[0].axis, "n");
-        assert_eq!(a.suites[0].sampling, None);
-        // The previous tagged generation is read too, and unknown extra
-        // fields are ignored (forward compatibility).
-        let v2 = r#"{"schema": "validity-lab/bench@2", "suites": [],
-            "something_new": {"nested": true}}"#;
-        assert!(BenchArtifact::parse(v2).is_ok());
-        let foreign = r#"{"schema": "validity-lab/bench@99", "suites": []}"#;
-        assert!(BenchArtifact::parse(foreign).is_err());
+        refused(untagged, "none");
+        refused(
+            r#"{"schema": "validity-lab/bench@2", "suites": []}"#,
+            "validity-lab/bench@2",
+        );
+        refused(
+            r#"{"schema": "validity-lab/bench@99", "suites": []}"#,
+            "validity-lab/bench@99",
+        );
         assert!(BenchArtifact::parse("[]").is_err());
+        // Unknown extra fields of the current generation are ignored.
+        let extra = format!(
+            r#"{{"schema": "{BENCH_SCHEMA}", "suites": [], "something_new": {{"nested": true}}}}"#
+        );
+        assert!(BenchArtifact::parse(&extra).is_ok());
     }
 
     #[test]

@@ -198,27 +198,21 @@ fn adaptive_merge_commits_reject_tampered_shards() {
 
 #[test]
 fn merge_refuses_mixed_partial_generations() {
-    // v1 records default the classification cost to 0, so a v1 shard mixed
-    // into a v2 set would merge cleanly yet not match any
-    // single-generation run byte-for-byte. The merge must refuse.
+    // A shard of another generation never reaches the merge: the reader
+    // refuses it by name, so a merged set is single-generation by
+    // construction.
     let m = suites::build("quick").expect("built-in suite");
-    let engine = SweepEngine::new(2);
-    let partials: Vec<PartialReport> = (1..=2)
-        .map(|index| {
-            let shard = ShardSpec { index, count: 2 };
-            let run = engine.execute_shard(&m, shard);
-            PartialReport::new(m.clone(), shard, run.wall.as_secs_f64(), run.records)
-        })
-        .collect();
-    let downgraded = partials[1]
+    let shard = ShardSpec { index: 2, count: 2 };
+    let run = SweepEngine::new(2).execute_shard(&m, shard);
+    let partial = PartialReport::new(m.clone(), shard, run.wall.as_secs_f64(), run.records);
+    assert!(PartialReport::parse(&partial.to_json()).is_ok());
+    let downgraded = partial
         .to_json()
-        .replace("validity-lab/partial@2", "validity-lab/partial@1");
-    let old = PartialReport::parse(&downgraded).expect("v1 partial parses");
-    assert_eq!(old.schema, validity_lab::PARTIAL_SCHEMA_V1);
-    let err = merge(&[partials[0].clone(), old]).unwrap_err();
-    assert!(
-        err.contains("mixed partial generations"),
-        "unhelpful error: {err}"
+        .replace(validity_lab::PARTIAL_SCHEMA, "validity-lab/partial@1");
+    assert_eq!(
+        PartialReport::parse(&downgraded).unwrap_err(),
+        "not a partial report: schema 'validity-lab/partial@1' \
+         (expected 'validity-lab/partial@2')"
     );
 }
 
@@ -285,8 +279,8 @@ fn fault_axis_fits_group_by_size_and_vary_byz() {
 
 #[test]
 fn v1_partials_still_parse_with_fixed_seed_semantics() {
-    // A hand-written partial@1: no fit_axis, no sampling, no classify
-    // cost. It must parse, defaulting to the old semantics.
+    // A hand-written partial@1 (no fit_axis, no sampling, no classify
+    // cost) is refused by name, not read with defaulted fields.
     let v1 = r#"{
   "schema": "validity-lab/partial@1",
   "shard": {"index": 1, "count": 1},
@@ -302,14 +296,11 @@ fn v1_partials_still_parse_with_fixed_seed_semantics() {
      "certificate": "x", "high_resilience": true, "theorem1_consistent": true}
   ]
 }"#;
-    let p = PartialReport::parse(v1).expect("v1 partial parses");
-    assert_eq!(p.matrix.fit_axis, FitAxis::N);
-    assert!(p.matrix.sampling.is_none());
-    assert!(p.sampling.is_empty());
-    match &p.records[0].outcome {
-        validity_lab::Outcome::Classify(c) => assert_eq!(c.cost, 0),
-        other => panic!("expected classify record, got {other:?}"),
-    }
+    let err = PartialReport::parse(v1).unwrap_err();
+    assert!(err.contains("schema 'validity-lab/partial@1'"), "{err}");
+    // Retagging it does not help: the fields partial@2 added are required.
+    let retagged = v1.replace("partial@1", "partial@2");
+    assert!(PartialReport::parse(&retagged).is_err());
 }
 
 // ---------------------------------------------------------------------------

@@ -330,6 +330,38 @@ mod cli {
             err.contains("does not look like a lab report"),
             "unhelpful error: {err}"
         );
+        // Tagged as a report but not one: each is a named error on either
+        // side of the diff, never "identical: 0 cells match".
+        let tag = "\"schema\": \"validity-lab/report@2\"";
+        let malformed = dir.join("malformed.json").display().to_string();
+        for (text, complaint) in [
+            (format!("{{{tag}}}"), "has no 'cells' array"),
+            (
+                format!("{{{tag}, \"cells\": [{{\"key\": \"a\"}}, {{\"type\": \"run\"}}]}}"),
+                "cell 1 has no string 'key'",
+            ),
+            (
+                format!("{{{tag}, \"cells\": [{{\"key\": \"a\"}}, {{\"key\": \"a\"}}]}}"),
+                "two cells share the key 'a'",
+            ),
+            (
+                format!("{{{tag}, \"cells\": [], \"x\": 1e999999}}"),
+                "number out of range at byte 54",
+            ),
+        ] {
+            std::fs::write(&malformed, &text).unwrap();
+            for pair in [
+                [&malformed, &full],
+                [&full, &malformed],
+                [&malformed, &malformed],
+            ] {
+                let out = lab(&["diff", pair[0], pair[1]]);
+                assert_eq!(out.status.code(), Some(1), "{text}: {out:?}");
+                assert!(out.stdout.is_empty(), "{text}: {out:?}");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(err.contains(complaint), "{text}: unhelpful error: {err}");
+            }
+        }
     }
 
     /// A file of nothing but open brackets used to overflow the parser's

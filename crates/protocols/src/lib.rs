@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod add;
-pub mod beb;
 pub mod brb;
 pub mod codec;
 pub mod dbft;
@@ -47,7 +46,6 @@ pub mod vector_fast;
 pub mod vector_nonauth;
 
 pub use add::{Add, AddMsg};
-pub use beb::{Beb, BebMsg};
 pub use brb::{BrbInstance, BrbMsg};
 pub use codec::{bytes_to_words, Codec, Words, BYTES_PER_WORD};
 pub use dbft::{DbftBinary, DbftMsg};

@@ -193,11 +193,20 @@ struct Driving<V, P> {
     commit: Digest,
 }
 
+/// How many `δ` a leader waits after entering a view before it proposes.
+///
+/// Waiting `2δ` lets a post-GST leader hear *every* correct process's
+/// `VIEW-CHANGE`, so the highest lock any of them holds is among the votes
+/// it chooses from — the defence against the hidden-lock liveness failure.
+/// An eager leader (proposing on the first `n − t` view changes) stays
+/// safe, since the lock rule carries safety, but a lock it did not hear can
+/// cost it the view.
+const LEADER_WAIT: u64 = 2;
+
 /// One instance of Quad (a composable component).
 pub struct QuadCore<V, P, F = QuadVerify<V, P>> {
     cfg: QuadConfig<F>,
     view: u64,
-    leader_wait: u64,
     proposal: Option<(V, P)>,
     lock: Option<PreparedCert<V, P>>,
     decided: bool,
@@ -232,7 +241,6 @@ where
         QuadCore {
             cfg,
             view: 0,
-            leader_wait: 2,
             proposal: None,
             lock: None,
             decided: false,
@@ -275,17 +283,6 @@ where
     /// Whether a proposal has been submitted.
     pub fn has_proposed(&self) -> bool {
         self.proposal.is_some()
-    }
-
-    /// Sets the leader's proposal delay to `multiples`·δ (default 2).
-    ///
-    /// Waiting ≈ 2δ after view entry lets a post-GST leader hear *every*
-    /// correct process's view change, so the highest lock is always
-    /// represented — the defence against the hidden-lock liveness failure.
-    /// Setting 0 yields the eager-leader ablation (see the
-    /// `ablation_quad` experiment).
-    pub fn set_leader_wait(&mut self, multiples: u64) {
-        self.leader_wait = multiples;
     }
 
     fn leader(view: u64, env: &Env) -> ProcessId {
@@ -386,10 +383,7 @@ where
         );
         sink.timer(Self::view_timeout(view, env), Self::timeout_tag(view));
         if Self::leader(view, env) == env.id {
-            sink.timer(
-                (self.leader_wait * env.delta).max(1),
-                Self::leader_tag(view),
-            );
+            sink.timer(LEADER_WAIT * env.delta, Self::leader_tag(view));
         }
     }
 
@@ -669,11 +663,6 @@ where
             core: QuadCore::new(cfg),
             input: Some((input, proof)),
         }
-    }
-
-    /// Mutable access to the core (e.g. for [`QuadCore::set_leader_wait`]).
-    pub fn core_mut(&mut self) -> &mut QuadCore<V, P> {
-        &mut self.core
     }
 }
 

@@ -34,8 +34,8 @@
 //! ```
 //!
 //! Run `cargo run --example quickstart` for an end-to-end `Universal`
-//! execution, and the `validity-bench` binaries for the paper's
-//! experiments (see `EXPERIMENTS.md`).
+//! execution, and `lab run --suite <name>` for the paper's experiments
+//! (README § *Reproducing the paper's tables*).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,11 +3,15 @@
 //! configurations — the full stack of the paper exercised through the
 //! public API.
 
-use validity_bench::runs;
+mod common;
+
+use common::{all_but_last, decide, run_cell};
 use validity_core::{
     check_decision, ConvexHullLambda, ConvexHullValidity, MedianValidity, RankLambda, StrongLambda,
     StrongValidity, SystemParams, ValidityProperty, WeakLambda, WeakValidity,
 };
+use validity_lab::ScheduleSpec;
+use validity_protocols::Universal;
 
 /// Display name and registry name of the three vector-consensus engines.
 const ENGINES: [(&str, &str); 3] = [
@@ -24,21 +28,14 @@ fn universal_strong_validity_over_all_three_algorithms() {
     let inputs = [9u64, 9, 9, 9];
     for (name, engine) in ENGINES {
         for byz in [0usize, 1] {
-            let stats = runs::run(
+            let decided = decide(
                 engine,
-                Some(&|| Box::new(StrongLambda)),
-                params,
-                byz,
-                &inputs,
+                &all_but_last(params, byz, &inputs),
                 77,
-                false, // partially synchronous: chaos before GST
+                ScheduleSpec::PartialSync, // chaos before GST
+                |m| Universal::new(m, StrongLambda),
             );
-            assert!(stats.decided, "{name} (byz={byz}): no termination");
-            assert!(stats.agreement, "{name} (byz={byz}): agreement violated");
-            assert_eq!(
-                stats.decision, "9",
-                "{name} (byz={byz}): strong validity violated"
-            );
+            assert_eq!(decided, 9, "{name} (byz={byz}): strong validity violated");
         }
     }
 }
@@ -47,20 +44,13 @@ fn universal_strong_validity_over_all_three_algorithms() {
 fn universal_weak_validity_over_all_three_algorithms() {
     let params = SystemParams::new(4, 1).unwrap();
     let inputs = [3u64, 3, 3, 3];
+    let actual = all_but_last(params, 0, &inputs);
     for (name, engine) in ENGINES {
-        let stats = runs::run(
-            engine,
-            Some(&|| Box::new(WeakLambda)),
-            params,
-            0,
-            &inputs,
-            78,
-            false,
-        );
-        assert!(stats.decided && stats.agreement, "{name} failed");
+        let decided = decide(engine, &actual, 78, ScheduleSpec::PartialSync, |m| {
+            Universal::new(m, WeakLambda)
+        });
         // all processes correct + unanimous ⇒ that value (Weak Validity)
-        assert_eq!(stats.decision, "3", "{name}: weak validity violated");
-        let actual = runs::actual_config(params, 0, &inputs);
+        assert_eq!(decided, 3, "{name}: weak validity violated");
         assert!(check_decision(&WeakValidity, &actual, &3).is_ok());
     }
 }
@@ -70,34 +60,19 @@ fn universal_median_and_hull_validity_decisions_are_admissible() {
     let params = SystemParams::new(7, 2).unwrap();
     let inputs = [10u64, 20, 30, 40, 50, 60, 70];
     for byz in [0usize, 2] {
-        let actual = runs::actual_config(params, byz, &inputs);
+        let actual = all_but_last(params, byz, &inputs);
 
-        let stats = runs::run(
-            "alg1-auth",
-            Some(&|| Box::new(RankLambda::median(2, 0u64, 1000))),
-            params,
-            byz,
-            &inputs,
-            79,
-            false,
-        );
-        assert!(stats.decided && stats.agreement);
-        let decided: u64 = stats.decision.parse().unwrap();
+        let decided = decide("alg1-auth", &actual, 79, ScheduleSpec::PartialSync, |m| {
+            Universal::new(m, RankLambda::median(2, 0u64, 1000))
+        });
         assert!(
             MedianValidity::with_slack(2).is_admissible(&actual, &decided),
             "median validity violated by {decided} (byz={byz})"
         );
 
-        let stats = runs::run(
-            "alg1-auth",
-            Some(&|| Box::new(ConvexHullLambda)),
-            params,
-            byz,
-            &inputs,
-            80,
-            false,
-        );
-        let decided: u64 = stats.decision.parse().unwrap();
+        let decided = decide("alg1-auth", &actual, 80, ScheduleSpec::PartialSync, |m| {
+            Universal::new(m, ConvexHullLambda)
+        });
         assert!(
             ConvexHullValidity.is_admissible(&actual, &decided),
             "hull validity violated by {decided} (byz={byz})"
@@ -109,10 +84,8 @@ fn universal_median_and_hull_validity_decisions_are_admissible() {
 /// messages(alg1) < messages(alg3) and words(alg6) < words(alg1) at scale.
 #[test]
 fn complexity_ordering_between_algorithms() {
-    let params = SystemParams::new(10, 3).unwrap();
-    let inputs: Vec<u64> = (0..10).collect();
     let [s1, s3, s6] =
-        ENGINES.map(|(_, engine)| runs::run(engine, None, params, 0, &inputs, 81, true));
+        ENGINES.map(|(_, engine)| run_cell(engine, None, 0, ScheduleSpec::Synchronous, 10, 81));
     assert!(
         s1.messages_after_gst < s3.messages_after_gst,
         "alg1 beats alg3 on messages"
@@ -132,18 +105,11 @@ fn complexity_ordering_between_algorithms() {
 fn cross_algorithm_validity_consistency() {
     let params = SystemParams::new(4, 1).unwrap();
     let inputs = [2u64, 2, 5, 5];
-    let actual = runs::actual_config(params, 0, &inputs);
+    let actual = all_but_last(params, 0, &inputs);
     for (name, engine) in ENGINES {
-        let stats = runs::run(
-            engine,
-            Some(&|| Box::new(StrongLambda)),
-            params,
-            0,
-            &inputs,
-            83,
-            true,
-        );
-        let decided: u64 = stats.decision.parse().unwrap();
+        let decided = decide(engine, &actual, 83, ScheduleSpec::Synchronous, |m| {
+            Universal::new(m, StrongLambda)
+        });
         assert!(
             StrongValidity.is_admissible(&actual, &decided),
             "{name}: {decided} inadmissible"
@@ -155,10 +121,8 @@ fn cross_algorithm_validity_consistency() {
 /// prefix must not inflate the measured complexity.
 #[test]
 fn pre_gst_chaos_does_not_count() {
-    let params = SystemParams::new(4, 1).unwrap();
-    let inputs = [1u64, 2, 3, 4];
-    let sync = runs::run("alg1-auth", None, params, 1, &inputs, 84, true);
-    let psync = runs::run("alg1-auth", None, params, 1, &inputs, 84, false);
+    let sync = run_cell("alg1-auth", None, 1, ScheduleSpec::Synchronous, 4, 84);
+    let psync = run_cell("alg1-auth", None, 1, ScheduleSpec::PartialSync, 4, 84);
     // In the partially synchronous run much happens before GST; the
     // after-GST count can only be smaller or comparable.
     assert!(psync.messages_after_gst <= psync.messages_total);

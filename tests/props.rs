@@ -2,14 +2,17 @@
 //! placements, seeds and schedules — safety and the formalism's invariants
 //! must never break.
 
+mod common;
+
+use common::{all_but_last, decide, run_cell};
 use proptest::prelude::*;
-use validity_bench::runs;
 use validity_core::{
     admissible_intersection, is_similar, BruteForceLambda, ConvexHullLambda, ConvexHullValidity,
     Domain, InputConfig, LambdaFn, MedianValidity, RankLambda, StrongLambda, StrongValidity,
     SystemParams, ValidityProperty,
 };
-use validity_protocols::Codec;
+use validity_lab::ScheduleSpec;
+use validity_protocols::{Codec, Universal};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -23,27 +26,18 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let params = SystemParams::new(7, 2).unwrap();
-        let stats = runs::run(
-            "alg1-auth", Some(&|| Box::new(StrongLambda)),
-            params, byz, &inputs, seed, false,
-        );
-        prop_assert!(stats.decided);
-        prop_assert!(stats.agreement);
-        let decided: u64 = stats.decision.parse().unwrap();
-        let actual = runs::actual_config(params, byz, &inputs);
+        let actual = all_but_last(params, byz, &inputs);
+        let decided = decide("alg1-auth", &actual, seed, ScheduleSpec::PartialSync, |m| {
+            Universal::new(m, StrongLambda)
+        });
         prop_assert!(StrongValidity.is_admissible(&actual, &decided));
     }
 
     /// The simulation is a deterministic function of (nodes, config).
     #[test]
     fn simulation_is_deterministic(seed in 0u64..10_000) {
-        let params = SystemParams::new(4, 1).unwrap();
-        let inputs = [1u64, 2, 3, 4];
-        let a = runs::run("alg1-auth", None, params, 1, &inputs, seed, false);
-        let b = runs::run("alg1-auth", None, params, 1, &inputs, seed, false);
-        prop_assert_eq!(a.messages_total, b.messages_total);
-        prop_assert_eq!(a.latency, b.latency);
-        prop_assert_eq!(a.decision, b.decision);
+        let run = || run_cell("alg1-auth", None, 1, ScheduleSpec::PartialSync, 4, seed);
+        prop_assert_eq!(run(), run());
     }
 
     /// Input configurations round-trip through the wire codec.
@@ -133,13 +127,8 @@ proptest! {
         seed in 0u64..100,
     ) {
         let params = SystemParams::new(4, 1).unwrap();
-        let stats = runs::run("alg1-auth", None, params, byz, &inputs, seed, false);
-        prop_assert!(stats.decided && stats.agreement);
-        // Re-run to grab the vector (runners return only a rendering): use
-        // the rendering to reconstruct membership checks instead.
-        // The rendering is a Debug of InputConfig: cheap sanity check only.
-        prop_assert!(stats.decision.starts_with('⟨'));
-        let actual = runs::actual_config(params, byz, &inputs);
-        prop_assert!(is_similar(&actual, &actual)); // reflexivity re-assertion
+        let actual = all_but_last(params, byz, &inputs);
+        let vector = decide("alg1-auth", &actual, seed, ScheduleSpec::PartialSync, |m| m);
+        prop_assert!(is_similar(&actual, &vector), "{vector:?} ≁ {actual:?}");
     }
 }

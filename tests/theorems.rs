@@ -1,12 +1,17 @@
 //! Theorem-level integration tests: each of the paper's five main results
 //! checked end-to-end through the public API.
 
+mod common;
+
+use common::{all_but_last, decide, run_cell};
 use consensus_validity::prelude::*;
-use validity_bench::runs;
-use validity_core::{DynValidity, StrongLambda};
+use validity_adversary::half_t;
+use validity_core::{enumerate_configs_of_size, DynValidity};
+use validity_lab::{try_fit_exponent, ScheduleSpec, ValiditySpec};
 
 /// A constructor for the `Λ` plugged into `Universal`.
 type LambdaFactory = fn() -> Box<dyn LambdaFn<u64, u64>>;
+use validity_simnet::DEFAULT_DELTA;
 
 /// **Theorem 1**: with n ≤ 3t, solvable ⇒ trivial — checked for the whole
 /// catalog by the classifier, and demonstrated operationally by the
@@ -76,22 +81,28 @@ fn theorem_3_similarity_condition_necessity() {
 }
 
 /// **Theorem 4**: Universal stays above the (⌈t/2⌉)² floor under the
-/// E_base adversary; the sub-quadratic strawman is broken outright.
+/// E_base adversary at every `t`, its cost growing quadratically in `t`;
+/// the sub-quadratic strawman is broken outright.
 #[test]
 fn theorem_4_lower_bound() {
     // floor respected by the real algorithm
-    let params = SystemParams::new(7, 2).unwrap();
-    let inputs: Vec<u64> = (0..7).collect();
-    let report = runs::universal_e_base(
-        params,
-        &inputs,
-        || Box::new(StrongLambda) as Box<dyn LambdaFn<u64, u64>>,
-        13,
-    );
-    assert!(report.decided);
-    assert!(report.exceeds_bound, "{report:?}");
+    let alg1 = find_vector::<u64>("alg1-auth").expect("registered");
+    let mut points = Vec::new();
+    for t in 1..=6usize {
+        let params = SystemParams::new(3 * t + 1, t).unwrap();
+        let ctx = ProtocolContext::new(params, 13);
+        let report = run_e_base(params, DEFAULT_DELTA, 13, |p| {
+            Universal::new(alg1.machine(&ctx, p, p.index() as u64), StrongLambda)
+        });
+        assert!(report.decided, "t = {t}");
+        assert!(report.exceeds_bound, "{report:?}");
+        points.push((t as f64, report.messages_after_gst as f64));
+    }
+    let fit = try_fit_exponent(&points).expect("six distinct sizes");
+    assert!(fit.exponent > 1.45, "sub-quadratic growth in t: {fit:?}");
 
     // strawman broken by the merge
+    let params = SystemParams::new(7, 2).unwrap();
     let exhibit = break_leader_echo(params, 100, 13);
     assert_ne!(exhibit.v_q, exhibit.v_other);
 }
@@ -122,10 +133,10 @@ fn theorem_5_universal_solves_classified_properties() {
             prop.name()
         );
         for byz in [0usize, 1] {
-            let stats = runs::run("alg1-auth", Some(&lambda), params, byz, &inputs, 14, false);
-            assert!(stats.decided && stats.agreement, "{}", prop.name());
-            let decided: u64 = stats.decision.parse().unwrap();
-            let actual = runs::actual_config(params, byz, &inputs);
+            let actual = all_but_last(params, byz, &inputs);
+            let decided = decide("alg1-auth", &actual, 14, ScheduleSpec::PartialSync, |m| {
+                Universal::new(m, lambda())
+            });
             assert!(
                 prop.is_admissible(&actual, &decided),
                 "{}: decided {decided} ∉ val({actual:?})",
@@ -138,23 +149,19 @@ fn theorem_5_universal_solves_classified_properties() {
 /// **Lemma 1** (canonical similarity): in canonical executions (silent
 /// faulty processes) the decision lies in the *intersection* of admissible
 /// sets over all similar configurations — strictly stronger than plain
-/// validity, and our runs satisfy it.
+/// validity, and our runs satisfy it at every quorum-size configuration
+/// of (4, 1) over the binary domain.
 #[test]
 fn lemma_1_canonical_similarity_bound() {
     let params = SystemParams::new(4, 1).unwrap();
     let domain = Domain::binary();
-    for inputs in [[0u64, 0, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1]] {
-        let stats = runs::run(
-            "alg1-auth",
-            Some(&|| Box::new(StrongLambda)),
-            params,
-            1, // silent byzantine ⇒ canonical execution
-            &inputs,
-            15,
-            false,
-        );
-        let decided: u64 = stats.decision.parse().unwrap();
-        let actual = runs::actual_config(params, 1, &inputs);
+    let configs = enumerate_configs_of_size(params, &domain, params.quorum());
+    assert_eq!(configs.len(), 32);
+    for actual in configs {
+        // the process outside π(c) is silent ⇒ canonical execution
+        let decided = decide("alg1-auth", &actual, 15, ScheduleSpec::PartialSync, |m| {
+            Universal::new(m, StrongLambda)
+        });
         check_canonical_decision(&StrongValidity, &actual, &decided, &domain)
             .unwrap_or_else(|e| panic!("Lemma 1 violated: {e}"));
     }
@@ -162,23 +169,38 @@ fn lemma_1_canonical_similarity_bound() {
 
 /// The headline: the same Universal machine with a different Λ yields a
 /// different consensus variant at identical message cost (§5.2.2, "no
-/// additional cost").
+/// additional cost") — and that cost is the upper half of the Θ(n²)
+/// sandwich: `msgs/n²` stays bounded while Theorem 4's floor grows.
 #[test]
 fn vector_validity_is_a_strongest_property() {
-    let params = SystemParams::new(7, 2).unwrap();
-    let inputs: Vec<u64> = (0..7).collect();
-    let mut costs = Vec::new();
-    let lambdas: Vec<LambdaFactory> =
-        vec![|| Box::new(StrongLambda), || Box::new(WeakLambda), || {
-            Box::new(ConvexHullLambda)
-        }];
-    for lambda in lambdas {
-        let stats = runs::run("alg1-auth", Some(&lambda), params, 2, &inputs, 16, true);
-        assert!(stats.decided && stats.agreement);
-        costs.push(stats.messages_after_gst);
-    }
+    let universal_alg1 = |validity, n, byz, seed| {
+        let run = run_cell(
+            "alg1-auth",
+            Some(validity),
+            byz,
+            ScheduleSpec::Synchronous,
+            n,
+            seed,
+        );
+        assert!(run.decided && run.agreement, "{validity} at n = {n}");
+        run.messages_after_gst
+    };
+    let costs = [
+        ValiditySpec::Strong,
+        ValiditySpec::Weak,
+        ValiditySpec::ConvexHull,
+    ]
+    .map(|validity| universal_alg1(validity, 7, 2, 16));
     assert!(
         costs.windows(2).all(|w| w[0] == w[1]),
         "identical cost expected: {costs:?}"
     );
+
+    let sizes = [4usize, 7, 10, 13, 16];
+    for n in sizes {
+        let msgs = universal_alg1(ValiditySpec::Strong, n, 0, 55);
+        assert!(msgs <= 4 * (n * n) as u64, "n = {n}: {msgs} messages");
+    }
+    let floor = |n: usize| half_t((n - 1) / 3).pow(2);
+    assert!(floor(sizes[0]) < floor(sizes[4]));
 }
