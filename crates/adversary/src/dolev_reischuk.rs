@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use validity_core::{ProcessId, ProcessSet, SystemParams};
 use validity_simnet::{
-    FilteredMachine, Machine, NodeKind, PerLinkModel, SimConfig, Simulation, Time,
+    FilteredMachine, Machine, NodeKind, PerLinkModel, SimBuilder, SyncModel, Time,
 };
 
 use crate::isolation::run_isolated;
@@ -91,8 +91,13 @@ where
         })
         .collect();
 
-    let cfg = SimConfig::synchronous(params).delta(delta).seed(seed);
-    let mut sim = Simulation::new(cfg, nodes);
+    let mut sim = SimBuilder::new(params)
+        .gst(0)
+        .net(Arc::new(SyncModel))
+        .delta(delta)
+        .seed(seed)
+        .build(nodes)
+        .expect("E_base: n nodes, ⌈t/2⌉ ≤ t faulty; needs δ ≥ 1");
     sim.run_to_quiescence();
 
     let bound = (half_t(t) as u64).pow(2);
@@ -168,10 +173,13 @@ pub fn break_leader_echo(params: SystemParams, delta: Time, seed: u64) -> Disagr
             }
         })
         .collect();
-    let mut ev = Simulation::new(
-        SimConfig::synchronous(params).delta(delta).seed(seed ^ 1),
-        nodes,
-    );
+    let mut ev = SimBuilder::new(params)
+        .gst(0)
+        .net(Arc::new(SyncModel))
+        .delta(delta)
+        .seed(seed ^ 1)
+        .build(nodes)
+        .expect("E_v: n nodes, only Q faulty; needs δ ≥ 1");
     ev.run_until_decided();
     let t_v = ev.stats().last_decision_at.expect("E_v decides");
     let v_other = ev
@@ -195,12 +203,6 @@ pub fn break_leader_echo(params: SystemParams, delta: Time, seed: u64) -> Disagr
             1
         }
     });
-    let mut cfg = SimConfig::new(params)
-        .gst(cutoff)
-        .delta(delta)
-        .net(Arc::new(isolate_q))
-        .seed(seed ^ 2);
-    cfg.max_time = cutoff * 100;
     let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..n)
         .map(|i| {
             let pid = ProcessId::from_index(i);
@@ -208,7 +210,14 @@ pub fn break_leader_echo(params: SystemParams, delta: Time, seed: u64) -> Disagr
             NodeKind::Correct(LeaderEcho::new(input))
         })
         .collect();
-    let mut merged = Simulation::new(cfg, nodes);
+    let mut merged = SimBuilder::new(params)
+        .gst(cutoff)
+        .delta(delta)
+        .net(Arc::new(isolate_q))
+        .seed(seed ^ 2)
+        .max_time(cutoff * 100)
+        .build(nodes)
+        .expect("the merge: n nodes, all correct; needs δ ≥ 1");
     merged.run_until_decided();
 
     let dq = merged.decisions()[q.index()].as_ref().expect("Q decides").1;

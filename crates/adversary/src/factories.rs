@@ -265,9 +265,7 @@ impl std::fmt::Display for BehaviorId {
 mod tests {
     use super::*;
     use validity_core::SystemParams;
-    use validity_simnet::{
-        agreement_holds, Env, Message, NodeKind, SimConfig, Simulation, StepSink,
-    };
+    use validity_simnet::{agreement_holds, Env, Message, NodeKind, SimBuilder, StepSink};
 
     #[derive(Clone, Debug)]
     struct Val(#[allow(dead_code)] u64); // payload carried for Debug-trace realism
@@ -346,9 +344,12 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut cfg = SimConfig::new(params).seed(9);
-            cfg.max_events = 5_000;
-            Simulation::new(cfg, nodes).run_until_decided()
+            SimBuilder::new(params)
+                .seed(9)
+                .max_events(5_000)
+                .build(nodes)
+                .expect("valid configuration")
+                .run_until_decided()
         };
         // A silent adversary lets the undecidable run drain its queue...
         assert_eq!(run(BehaviorId::Silent), RunOutcome::Quiescent);
@@ -404,7 +405,10 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut sim = Simulation::new(SimConfig::new(params).seed(5), nodes);
+            let mut sim = SimBuilder::new(params)
+                .seed(5)
+                .build(nodes)
+                .expect("valid configuration");
             sim.run_until_decided();
             assert!(
                 sim.all_correct_decided(),

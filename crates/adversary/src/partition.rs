@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use validity_core::{ProcessId, ProcessSet, SystemParams};
-use validity_simnet::{NodeKind, PerLinkModel, SimConfig, Simulation, Time};
+use validity_simnet::{NodeKind, PerLinkModel, SimBuilder, Time};
 
 use crate::behaviors::TwoFaced;
 use crate::strawman::QuorumVote;
@@ -112,12 +112,13 @@ pub fn break_quorum_vote(params: SystemParams, delta: Time, seed: u64) -> Partit
         }
     });
     let gst = 200 * delta; // far beyond the QuorumVote decision time
-    let cfg = SimConfig::new(params)
+    let mut sim = SimBuilder::new(params)
         .gst(gst)
         .delta(delta)
         .net(Arc::new(stall_cross))
-        .seed(seed);
-    let mut sim = Simulation::new(cfg, nodes);
+        .seed(seed)
+        .build(nodes)
+        .expect("the Lemma 2 layout: n nodes, |B| ≤ t faulty; needs δ ≥ 1");
     sim.run_until_decided();
 
     let pick = |group: ProcessSet| -> u64 {

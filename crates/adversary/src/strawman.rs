@@ -179,7 +179,7 @@ impl<V: Value + Words> Machine for QuorumVote<V> {
 mod tests {
     use super::*;
     use validity_core::SystemParams;
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder};
 
     #[test]
     fn leader_echo_works_in_nice_runs() {
@@ -187,7 +187,10 @@ mod tests {
         let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..4)
             .map(|i| NodeKind::Correct(LeaderEcho::new(40 + i as u64)))
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(1), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(1)
+            .build(nodes)
+            .expect("valid configuration");
         assert_eq!(
             sim.run_until_decided(),
             validity_simnet::RunOutcome::AllDecided
@@ -210,7 +213,10 @@ mod tests {
                 }
             })
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(2), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(2)
+            .build(nodes)
+            .expect("valid configuration");
         assert_eq!(
             sim.run_until_decided(),
             validity_simnet::RunOutcome::AllDecided
@@ -227,7 +233,10 @@ mod tests {
         let nodes: Vec<NodeKind<QuorumVote<u64>>> = (0..4)
             .map(|_| NodeKind::Correct(QuorumVote::new(7u64)))
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(3), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(3)
+            .build(nodes)
+            .expect("valid configuration");
         assert_eq!(
             sim.run_until_decided(),
             validity_simnet::RunOutcome::AllDecided

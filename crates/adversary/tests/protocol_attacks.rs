@@ -10,7 +10,7 @@ use validity_protocols::{
     proposal_sign_bytes, QuadConfig, QuadMachine, QuadMsg, Universal, VectorAuth, VectorAuthMsg,
 };
 use validity_simnet::{
-    agreement_holds, ByzSink, ByzStep, Byzantine, Env, NodeKind, SimConfig, Simulation,
+    agreement_holds, ByzSink, ByzStep, Byzantine, Env, NodeKind, SimBuilder, Simulation,
 };
 
 type QMsg = QuadMsg<u64, u64>;
@@ -108,7 +108,10 @@ fn quad_nodes(
         .collect();
     (
         params,
-        Simulation::new(SimConfig::new(params).seed(seed), nodes),
+        SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration"),
     )
 }
 
@@ -199,7 +202,10 @@ fn vector_auth_rejects_misattributed_signatures() {
             }
         })
         .collect();
-    let mut sim = Simulation::new(SimConfig::new(params).seed(4), nodes);
+    let mut sim = SimBuilder::new(params)
+        .seed(4)
+        .build(nodes)
+        .expect("valid configuration");
     sim.run_until_decided();
     assert!(sim.all_correct_decided());
     assert!(agreement_holds(sim.decisions()));

@@ -19,10 +19,10 @@
 //!         --fits messages,words --fit-axis n --max-steps 5000000
 //! lab merge part1.json part2.json part3.json part4.json --json full.json
 //! lab diff fig1.json other.json
-//! lab trend --suites complexity,universal --out BENCH_lab.json
+//! lab trend --out BENCH_lab.json
 //! lab trend --from-reports complexity.json,universal.json \
 //!           --baseline BENCH_lab_baseline.json --out BENCH_lab.json
-//! lab trend --suites complexity,universal --update-baseline
+//! lab trend --update-baseline
 //! lab profile --suite quick --top 5 --timeline hot
 //! ```
 
@@ -1089,8 +1089,9 @@ fn diff(rest: &[&str]) -> CmdResult {
 }
 
 /// `lab trend`: assemble the bench-trend artifact — by sweeping fit-bearing
-/// suites (default) or from already-merged full reports
-/// (`--from-reports`) — write it to `--out`, and gate:
+/// suites (default: the four complexity-family suites
+/// `complexity,universal,nonauth,subcubic`) or from already-merged full
+/// reports (`--from-reports`) — write it to `--out`, and gate:
 ///
 /// * always: fail if any fitted exponent left its declared band or any
 ///   cell misbehaved (violations / quarantine);
@@ -1134,7 +1135,7 @@ fn trend(rest: &[&str]) -> CmdResult {
         None => {
             let names = args
                 .value("--suites")
-                .unwrap_or("complexity,universal")
+                .unwrap_or("complexity,universal,nonauth,subcubic")
                 .split(',')
                 .filter(|s| !s.is_empty());
             let engine = SweepEngine::new(threads);

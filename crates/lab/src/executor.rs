@@ -382,7 +382,7 @@ pub fn run_adaptive_group(
     first_seed: u64,
     max_steps: Option<u64>,
 ) -> Vec<CellRecord> {
-    // Everything seed-invariant (the SimConfig with its start_times vector
+    // Everything seed-invariant (the SimBuilder with its start_times vector
     // and schedule closures, the validity property, the actual-input
     // configuration) is built once for the whole ladder instead of once
     // per seed.

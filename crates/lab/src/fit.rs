@@ -22,9 +22,9 @@ pub struct PowerFit {
 ///
 /// Returns `None` when fewer than two points are supplied, any coordinate
 /// is non-positive (logarithms would be undefined), or the x-axis has no
-/// variance (every point shares one x — the slope is unconstrained). Report
-/// emitters use this form: a sweep whose cells cannot support a fit still
-/// renders, with the fit row marked unfittable.
+/// variance (every point shares one x — the slope is unconstrained). A
+/// sweep whose cells cannot support a fit still renders, with the fit row
+/// marked unfittable.
 ///
 /// ```
 /// use validity_lab::try_fit_exponent;
@@ -77,30 +77,6 @@ pub fn try_fit_exponent(points: &[(f64, f64)]) -> Option<PowerFit> {
     })
 }
 
-/// Fits `y ≈ c·xᵏ` to the points by linear regression in log–log space.
-///
-/// # Panics
-///
-/// Panics if fewer than two points are supplied, any coordinate is
-/// non-positive, or the x-axis has no variance. Experiment binaries use
-/// this form — their sweeps are constructed so a fit always exists, and a
-/// failure to fit is a harness bug worth crashing on.
-///
-/// ```
-/// use validity_lab::fit_exponent;
-///
-/// let fit = fit_exponent(&[(2.0, 12.0), (8.0, 192.0)]);
-/// assert!((fit.exponent - 2.0).abs() < 1e-9);
-/// ```
-pub fn fit_exponent(points: &[(f64, f64)]) -> PowerFit {
-    assert!(points.len() >= 2, "need at least two points to fit");
-    assert!(
-        points.iter().all(|&(x, y)| x > 0.0 && y > 0.0),
-        "power-law fit requires positive coordinates"
-    );
-    try_fit_exponent(points).expect("distinct positive x-coordinates required")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +84,7 @@ mod tests {
     #[test]
     fn recovers_exact_quadratic() {
         let pts: Vec<(f64, f64)> = (2..10).map(|x| (x as f64, (x * x) as f64 * 3.0)).collect();
-        let fit = fit_exponent(&pts);
+        let fit = try_fit_exponent(&pts).unwrap();
         assert!((fit.exponent - 2.0).abs() < 1e-9, "{fit:?}");
         assert!((fit.constant - 3.0).abs() < 1e-6);
         assert!(fit.r_squared > 0.999);
@@ -122,7 +98,7 @@ mod tests {
                 (x, x.powi(4) * (1.0 + 0.05 * x.sin()))
             })
             .collect();
-        let fit = fit_exponent(&pts);
+        let fit = try_fit_exponent(&pts).unwrap();
         assert!((fit.exponent - 4.0).abs() < 0.2, "{fit:?}");
     }
 
@@ -142,7 +118,7 @@ mod tests {
                 (x, x * x * noise)
             })
             .collect();
-        let fit = fit_exponent(&pts);
+        let fit = try_fit_exponent(&pts).unwrap();
         assert!((fit.exponent - 2.0).abs() < 0.5, "{fit:?}");
         assert!(fit.r_squared < 0.99, "{fit:?}");
         assert!(fit.r_squared > 0.5, "{fit:?}");
@@ -152,7 +128,7 @@ mod tests {
     fn two_point_fit_is_exact_with_unit_r_squared() {
         // Two points determine the line exactly: residuals are zero, so
         // R² must be exactly 1 even though ss_tot is non-zero.
-        let fit = fit_exponent(&[(2.0, 12.0), (8.0, 192.0)]);
+        let fit = try_fit_exponent(&[(2.0, 12.0), (8.0, 192.0)]).unwrap();
         assert!((fit.exponent - 2.0).abs() < 1e-9, "{fit:?}");
         assert!((fit.constant - 3.0).abs() < 1e-9, "{fit:?}");
         assert!((fit.r_squared - 1.0).abs() < 1e-12, "{fit:?}");
@@ -163,7 +139,7 @@ mod tests {
         // A flat measurement (same y everywhere): slope 0, and the ss_tot
         // == 0 branch must report R² = 1, not NaN.
         let pts: Vec<(f64, f64)> = (1..6).map(|x| (x as f64, 7.0)).collect();
-        let fit = fit_exponent(&pts);
+        let fit = try_fit_exponent(&pts).unwrap();
         assert!(fit.exponent.abs() < 1e-9, "{fit:?}");
         assert!((fit.constant - 7.0).abs() < 1e-6, "{fit:?}");
         assert_eq!(fit.r_squared, 1.0);
@@ -184,14 +160,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two")]
     fn rejects_single_point() {
-        let _ = fit_exponent(&[(1.0, 1.0)]);
+        assert_eq!(try_fit_exponent(&[(1.0, 1.0)]), None);
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
     fn rejects_non_positive() {
-        let _ = fit_exponent(&[(1.0, 0.0), (2.0, 4.0)]);
+        assert_eq!(try_fit_exponent(&[(1.0, 0.0), (2.0, 4.0)]), None);
     }
 }

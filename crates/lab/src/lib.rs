@@ -104,7 +104,7 @@ pub use crosscheck::{
 pub use executor::{
     run_adaptive_group, slowest_first_markdown, timing_markdown, CellTiming, SweepEngine, SweepRun,
 };
-pub use fit::{fit_exponent, try_fit_exponent, PowerFit};
+pub use fit::{try_fit_exponent, PowerFit};
 pub use matrix::{
     CellSpec, ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, RunCell, SamplingSpec,
     ScenarioMatrix, ScheduleSpec, ShardSpec, ValiditySpec, WorkUnit,

@@ -129,9 +129,8 @@ fn params_of(n: usize, t: usize) -> SystemParams {
 pub(crate) struct GroupContext {
     cell: RunCell,
     params: SystemParams,
-    /// Budgeted, validated builder template; per-seed execution only swaps
-    /// the seed (the [`SimBuilder`] path keeps raw `SimConfig` literals
-    /// out of the runner).
+    /// Budgeted builder template; per-seed execution clones it and swaps
+    /// the seed, and `build` validates the nodes against it.
     builder: SimBuilder,
     /// Universal path: the property and actual inputs for the
     /// admissibility check (`None` for raw vector cells).

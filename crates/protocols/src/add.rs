@@ -211,7 +211,7 @@ pub fn stamp_echo_index(msg: &mut AddMsg, sender: ProcessId) {
 mod tests {
     use super::*;
     use validity_core::SystemParams;
-    use validity_simnet::{Machine, Message, NodeKind, Silent, SimConfig, Simulation, Step};
+    use validity_simnet::{Machine, Message, NodeKind, Silent, SimBuilder, Step};
 
     impl Message for AddMsg {
         fn words(&self) -> usize {
@@ -272,7 +272,10 @@ mod tests {
                 }
             })
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(seed), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration");
         assert_eq!(
             sim.run_until_decided(),
             validity_simnet::RunOutcome::AllDecided,
@@ -338,7 +341,10 @@ mod tests {
                 }
             })
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(7), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(7)
+            .build(nodes)
+            .expect("valid configuration");
         assert_eq!(
             sim.run_until_decided(),
             validity_simnet::RunOutcome::AllDecided

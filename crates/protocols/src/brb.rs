@@ -160,8 +160,7 @@ mod tests {
     use super::*;
     use validity_core::SystemParams;
     use validity_simnet::{
-        agreement_holds, ByzSink, ByzStep, Byzantine, Machine, NodeKind, Silent, SimConfig,
-        Simulation, Step,
+        agreement_holds, ByzSink, ByzStep, Byzantine, Machine, NodeKind, Silent, SimBuilder, Step,
     };
 
     /// Standalone machine wrapping one BRB instance with P1 as sender.
@@ -230,7 +229,10 @@ mod tests {
             NodeKind::Correct(node(42)),
             NodeKind::Byzantine(Box::new(Silent)),
         ];
-        let mut sim = Simulation::new(SimConfig::new(params).seed(1), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(1)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_until_decided();
         assert!(sim.all_correct_decided());
         for d in sim.decisions().iter().take(3) {
@@ -259,7 +261,10 @@ mod tests {
             NodeKind::Correct(node(0)),
             NodeKind::Correct(node(0)),
         ];
-        let mut sim = Simulation::new(SimConfig::new(params).seed(2), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(2)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_to_quiescence();
         // Consistency: whatever was delivered (possibly nothing) is unanimous.
         assert!(agreement_holds(sim.decisions()));

@@ -325,7 +325,7 @@ impl DbftBinary {
 mod tests {
     use super::*;
     use validity_core::SystemParams;
-    use validity_simnet::{agreement_holds, Machine, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, Machine, NodeKind, Silent, SimBuilder};
 
     #[derive(Clone, Debug)]
     struct DbftNode {
@@ -379,7 +379,10 @@ mod tests {
                 }
             })
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(seed), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration");
         let outcome = sim.run_until_decided();
         assert_eq!(
             outcome,

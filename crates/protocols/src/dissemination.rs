@@ -229,7 +229,7 @@ mod tests {
     use crate::vector_auth::{proposal_sign_bytes, SignedProposal};
     use validity_core::SystemParams;
     use validity_crypto::KeyStore;
-    use validity_simnet::{Machine, Message, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{Machine, Message, NodeKind, Silent, SimBuilder};
 
     impl Message for DissemMsg<u64> {
         fn words(&self) -> usize {
@@ -314,7 +314,10 @@ mod tests {
                 }
             })
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(5), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(5)
+            .build(nodes)
+            .expect("valid configuration");
         assert_eq!(
             sim.run_until_decided(),
             validity_simnet::RunOutcome::AllDecided
@@ -388,7 +391,10 @@ mod tests {
                 })
             })
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(8), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(8)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_until_decided();
         let (h, _) = sim.decisions()[0].as_ref().unwrap().1;
         let mut cached = 0;

@@ -278,7 +278,7 @@ pub fn mutant_registry() -> Vec<VectorSpec> {
 mod tests {
     use super::*;
     use validity_core::SystemParams;
-    use validity_simnet::{agreement_holds, NodeKind, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, SimBuilder};
 
     #[test]
     fn operator_names_roundtrip() {
@@ -318,9 +318,11 @@ mod tests {
         let nodes: Vec<NodeKind<VectorMachine<u64>>> = (0..4)
             .map(|i| NodeKind::Correct(spec.machine(&ctx, ProcessId::from_index(i), i as u64 % 2)))
             .collect();
-        let mut cfg = SimConfig::new(params).seed(seed);
-        cfg.max_events = 500_000;
-        let mut sim = Simulation::new(cfg, nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(seed)
+            .max_events(500_000)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_until_decided();
         (
             sim.all_correct_decided(),

@@ -708,7 +708,7 @@ mod tests {
     use super::*;
     use validity_core::SystemParams;
     use validity_crypto::KeyStore;
-    use validity_simnet::{agreement_holds, Machine, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, Machine, NodeKind, Silent, SimBuilder, Simulation};
 
     type Msg = QuadMsg<u64, u64>;
 
@@ -764,7 +764,10 @@ mod tests {
                 }
             })
             .collect();
-        Simulation::new(SimConfig::new(params).seed(seed), nodes)
+        SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration")
     }
 
     #[test]
@@ -825,7 +828,10 @@ mod tests {
             NodeKind::Correct(mk(2)),
             NodeKind::Correct(mk(3)),
         ];
-        let mut sim = Simulation::new(SimConfig::new(params).seed(9), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(9)
+            .build(nodes)
+            .expect("valid configuration");
         assert_eq!(
             sim.run_until_decided(),
             validity_simnet::RunOutcome::AllDecided

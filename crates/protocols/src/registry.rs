@@ -19,7 +19,7 @@
 //! ```
 //! use validity_core::SystemParams;
 //! use validity_protocols::registry::{self, ProtocolContext};
-//! use validity_simnet::{NodeKind, SimConfig, Simulation};
+//! use validity_simnet::{NodeKind, SimBuilder};
 //!
 //! let params = SystemParams::new(4, 1)?;
 //! let spec = registry::find_vector::<u64>("alg1-auth").expect("registered");
@@ -27,7 +27,10 @@
 //! let nodes = (0..4)
 //!     .map(|i| NodeKind::Correct(spec.machine(&ctx, i.into(), i as u64)))
 //!     .collect();
-//! let mut sim = Simulation::new(SimConfig::new(params).seed(7), nodes);
+//! let mut sim = SimBuilder::new(params)
+//!     .seed(7)
+//!     .build(nodes)
+//!     .expect("valid configuration");
 //! sim.run_until_decided();
 //! assert!(sim.all_correct_decided());
 //! # Ok::<(), validity_core::ParamError>(())
@@ -471,7 +474,7 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder};
 
     #[test]
     fn registry_names_roundtrip() {
@@ -545,7 +548,10 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut sim = Simulation::new(SimConfig::new(params).seed(11), nodes);
+            let mut sim = SimBuilder::new(params)
+                .seed(11)
+                .build(nodes)
+                .expect("valid configuration");
             sim.run_until_decided();
             assert!(sim.all_correct_decided(), "{kind} did not decide");
             assert!(agreement_holds(sim.decisions()), "{kind} broke agreement");
@@ -562,13 +568,19 @@ mod tests {
         let nodes: Vec<NodeKind<VectorMachine<u64>>> = (0..4)
             .map(|i| NodeKind::Correct(spec.machine(&ctx, i.into(), 5u64)))
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(3), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(3)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_until_decided();
 
         let direct: Vec<NodeKind<VectorNonAuth<u64>>> = (0..4)
             .map(|_| NodeKind::Correct(VectorNonAuth::new(5u64, 4)))
             .collect();
-        let mut dsim = Simulation::new(SimConfig::new(params).seed(3), direct);
+        let mut dsim = SimBuilder::new(params)
+            .seed(3)
+            .build(direct)
+            .expect("valid configuration");
         dsim.run_until_decided();
 
         assert_eq!(

@@ -33,7 +33,7 @@
 //! use validity_core::SystemParams;
 //! use validity_protocols::registry::{find_vector, ProtocolContext};
 //! use validity_protocols::service::{Replicated, ServiceConfig};
-//! use validity_simnet::{NodeKind, SimConfig, Simulation};
+//! use validity_simnet::{NodeKind, SimBuilder};
 //!
 //! let params = SystemParams::new(4, 1)?;
 //! let service = Replicated::new(
@@ -44,7 +44,10 @@
 //! let nodes = (0..4)
 //!     .map(|i| NodeKind::Correct(service.replica(i.into())))
 //!     .collect();
-//! let mut sim = Simulation::new(SimConfig::new(params).seed(7), nodes);
+//! let mut sim = SimBuilder::new(params)
+//!     .seed(7)
+//!     .build(nodes)
+//!     .expect("valid configuration");
 //! sim.run_until_decided();
 //! assert!(sim.all_correct_decided()); // all 3 slots decided everywhere
 //! # Ok::<(), validity_core::ParamError>(())
@@ -185,7 +188,7 @@ mod tests {
     use super::*;
     use crate::registry::{find_vector, VectorMachine};
     use validity_core::SystemParams;
-    use validity_simnet::{agreement_holds, NodeKind, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, SimBuilder, Simulation};
 
     fn run_service(
         name: &str,
@@ -201,7 +204,10 @@ mod tests {
         let nodes = (0..4)
             .map(|i| NodeKind::Correct(service.replica(ProcessId::from_index(i))))
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(seed), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_until_decided();
         sim
     }

@@ -29,7 +29,7 @@ use validity_simnet::{Env, Machine, StepSink};
 /// use validity_core::{ProcessId, StrongLambda, SystemParams};
 /// use validity_crypto::{KeyStore, ThresholdScheme};
 /// use validity_protocols::{Universal, VectorAuth};
-/// use validity_simnet::{agreement_holds, NodeKind, SimConfig, Silent, Simulation};
+/// use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder};
 ///
 /// let params = SystemParams::new(4, 1)?;
 /// let ks = KeyStore::new(4, 1);
@@ -42,7 +42,7 @@ use validity_simnet::{Env, Machine, StepSink};
 /// } else {
 ///     NodeKind::Byzantine(Box::new(Silent))
 /// }).collect();
-/// let mut sim = Simulation::new(SimConfig::new(params), nodes);
+/// let mut sim = SimBuilder::new(params).build(nodes).expect("valid configuration");
 /// sim.run_until_decided();
 /// assert!(agreement_holds(sim.decisions()));
 /// assert_eq!(sim.decisions()[0].as_ref().unwrap().1, 7); // unanimous ⇒ pinned
@@ -151,7 +151,7 @@ mod tests {
         StrongValidity, SystemParams,
     };
     use validity_crypto::{KeyStore, ThresholdScheme};
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder, Simulation};
 
     type Uni<L> = Universal<u64, VectorAuth<u64>, L>;
 
@@ -184,7 +184,10 @@ mod tests {
                 }
             })
             .collect();
-        Simulation::new(SimConfig::new(params).seed(seed), nodes)
+        SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration")
     }
 
     #[test]

@@ -301,9 +301,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use validity_core::{check_decision, SystemParams, VectorValidity};
     use validity_crypto::ThresholdScheme;
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder, Simulation, SyncModel};
 
     fn build(
         n: usize,
@@ -330,7 +331,10 @@ mod tests {
                 }
             })
             .collect();
-        Simulation::new(SimConfig::new(params).seed(seed), nodes)
+        SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration")
     }
 
     #[test]
@@ -395,7 +399,12 @@ mod tests {
                 ))
             })
             .collect();
-        let mut sim = Simulation::new(SimConfig::synchronous(params).seed(3), nodes);
+        let mut sim = SimBuilder::new(params)
+            .gst(0)
+            .net(Arc::new(SyncModel))
+            .seed(3)
+            .build(nodes)
+            .expect("valid configuration");
         assert_eq!(
             sim.run_until_decided(),
             validity_simnet::RunOutcome::AllDecided

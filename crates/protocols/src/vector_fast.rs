@@ -299,7 +299,7 @@ where
 mod tests {
     use super::*;
     use validity_core::{check_decision, VectorValidity};
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder, Simulation};
 
     fn build(
         n: usize,
@@ -326,7 +326,10 @@ mod tests {
                 }
             })
             .collect();
-        Simulation::new(SimConfig::new(params).seed(seed), nodes)
+        SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration")
     }
 
     #[test]
@@ -412,7 +415,10 @@ mod tests {
                 ))
             })
             .collect();
-        let mut sim1 = Simulation::new(SimConfig::new(params).seed(4), nodes);
+        let mut sim1 = SimBuilder::new(params)
+            .seed(4)
+            .build(nodes)
+            .expect("valid configuration");
         sim1.run_until_decided();
         let words1 = sim1.stats().words_total;
 
@@ -448,7 +454,10 @@ mod tests {
                 ))
             })
             .collect();
-        let mut sim1 = Simulation::new(SimConfig::new(params).seed(2), nodes);
+        let mut sim1 = SimBuilder::new(params)
+            .seed(2)
+            .build(nodes)
+            .expect("valid configuration");
         sim1.run_until_decided();
         let latency1 = sim1.stats().last_decision_at.unwrap();
 

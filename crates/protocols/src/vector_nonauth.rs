@@ -244,7 +244,7 @@ impl<V: Value + Words> Machine for VectorNonAuth<V> {
 mod tests {
     use super::*;
     use validity_core::{check_decision, SystemParams, VectorValidity};
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimConfig, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder, Simulation};
 
     fn build(
         n: usize,
@@ -263,7 +263,10 @@ mod tests {
                 }
             })
             .collect();
-        Simulation::new(SimConfig::new(params).seed(seed), nodes)
+        SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration")
     }
 
     #[test]
@@ -341,7 +344,10 @@ mod tests {
                 ))
             })
             .collect();
-        let mut sim1 = Simulation::new(SimConfig::new(params).seed(3), nodes);
+        let mut sim1 = SimBuilder::new(params)
+            .seed(3)
+            .build(nodes)
+            .expect("valid configuration");
         sim1.run_until_decided();
         let msgs1 = sim1.stats().messages_total;
 

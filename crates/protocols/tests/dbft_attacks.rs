@@ -5,8 +5,7 @@
 use validity_core::{ProcessId, SystemParams};
 use validity_protocols::{DbftBinary, DbftMsg};
 use validity_simnet::{
-    agreement_holds, ByzSink, ByzStep, Byzantine, Env, Machine, NodeKind, SimConfig, Simulation,
-    StepSink,
+    agreement_holds, ByzSink, ByzStep, Byzantine, Env, Machine, NodeKind, SimBuilder, StepSink,
 };
 
 #[derive(Clone, Debug)]
@@ -83,7 +82,10 @@ fn run(n: usize, t: usize, proposals: &[bool], byz: usize, seed: u64) -> Vec<Opt
             }
         })
         .collect();
-    let mut sim = Simulation::new(SimConfig::new(params).seed(seed), nodes);
+    let mut sim = SimBuilder::new(params)
+        .seed(seed)
+        .build(nodes)
+        .expect("valid configuration");
     let outcome = sim.run_until_decided();
     assert_eq!(
         outcome,

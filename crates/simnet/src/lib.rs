@@ -62,14 +62,14 @@
 //! # Ok::<(), validity_core::ParamError>(())
 //! ```
 //!
-//! [`SimBuilder`] is the supported construction path: it validates the
-//! node count, fault threshold, start times and `δ` up front and returns a
-//! named [`BuildError`]. The pre-GST network is one [`NetModel`]
+//! [`SimBuilder`] is the only way to build a [`Simulation`]: it validates
+//! the node count, fault threshold, start times and `δ` and returns a
+//! named [`BuildError`]; [`SimBuilder::config`] reads the assembled
+//! [`SimConfig`] back. The pre-GST network is one [`NetModel`]
 //! (`SimBuilder::new(p).net(..)`, see [`net`]); instrumentation is one
 //! [`Probe`] (`build_with_probe`, read back with `Simulation::probe`) —
 //! [`Metrics`], [`Timeline`] and [`Trace`] are all probes, and [`Tandem`]
-//! attaches two. `Simulation::new(SimConfig, nodes)` runs the same check
-//! and panics with the error's message.
+//! attaches two.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -368,7 +368,7 @@ impl<M: Machine> fmt::Debug for Multiplex<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{NodeKind, SimConfig, Simulation};
+    use crate::sim::{NodeKind, SimBuilder};
     use crate::Silent;
     use validity_core::SystemParams;
 
@@ -448,7 +448,10 @@ mod tests {
     #[test]
     fn all_slots_decide_and_digests_agree() {
         let params = SystemParams::new(4, 1).unwrap();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(5), service_nodes(4, 3, 4, 2));
+        let mut sim = SimBuilder::new(params)
+            .seed(5)
+            .build(service_nodes(4, 3, 4, 2))
+            .expect("valid configuration");
         sim.run_until_decided();
         assert!(sim.all_correct_decided());
         assert!(crate::agreement_holds(sim.decisions()));
@@ -469,7 +472,10 @@ mod tests {
     #[test]
     fn sequential_pipeline_opens_slots_in_order() {
         let params = SystemParams::new(4, 1).unwrap();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(9), service_nodes(4, 3, 3, 1));
+        let mut sim = SimBuilder::new(params)
+            .seed(9)
+            .build(service_nodes(4, 3, 3, 1))
+            .expect("valid configuration");
         sim.run_until_decided();
         assert!(sim.all_correct_decided());
         let NodeKind::Correct(mux) = sim.node(ProcessId(0)) else {
@@ -574,11 +580,16 @@ mod tests {
                 }
             })
             .collect();
-        let mut raw_sim = Simulation::new(SimConfig::new(params).seed(11), raw);
+        let mut raw_sim = SimBuilder::new(params)
+            .seed(11)
+            .build(raw)
+            .expect("valid configuration");
         raw_sim.run_until_decided();
 
-        let mut mux_sim =
-            Simulation::new(SimConfig::new(params).seed(11), service_nodes(4, 3, 1, 1));
+        let mut mux_sim = SimBuilder::new(params)
+            .seed(11)
+            .build(service_nodes(4, 3, 1, 1))
+            .expect("valid configuration");
         mux_sim.run_until_decided();
 
         assert_eq!(
@@ -610,7 +621,10 @@ mod tests {
     #[test]
     fn empty_service_terminates_immediately() {
         let params = SystemParams::new(4, 1).unwrap();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(1), service_nodes(4, 3, 0, 4));
+        let mut sim = SimBuilder::new(params)
+            .seed(1)
+            .build(service_nodes(4, 3, 0, 4))
+            .expect("valid configuration");
         sim.run_until_decided();
         assert!(sim.all_correct_decided());
         assert!(crate::agreement_holds(sim.decisions()));
@@ -624,10 +638,10 @@ mod tests {
         // pipeline = 3 execution exactly, with every slot open at time 0.
         let params = SystemParams::new(4, 1).unwrap();
         let run = |pipeline: u32| {
-            let mut sim = Simulation::new(
-                SimConfig::new(params).seed(7),
-                service_nodes(4, 3, 3, pipeline),
-            );
+            let mut sim = SimBuilder::new(params)
+                .seed(7)
+                .build(service_nodes(4, 3, 3, pipeline))
+                .expect("valid configuration");
             sim.run_until_decided();
             assert!(sim.all_correct_decided());
             let (messages, words, last) = {

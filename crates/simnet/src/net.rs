@@ -1,6 +1,5 @@
 //! Composable network models: the pre-GST delay/fault layer of the
-//! simulator, and its only network description
-//! ([`SimConfig::net`](crate::SimConfig), set with
+//! simulator, and its only network description (set with
 //! [`SimBuilder::net`](crate::SimBuilder::net)).
 //!
 //! [`NetModel`] is a sink-style trait: the simulation asks the model for

@@ -4,11 +4,14 @@
 //! * Reliable authenticated point-to-point channels.
 //! * A Global Stabilization Time (GST): message delays are bounded by `δ`
 //!   from GST on; before GST delays are adversary-controlled (the
-//!   [`NetModel`] in [`SimConfig::net`]), but every message sent before GST
-//!   is delivered by `GST + δ` (the standard DLS guarantee).
+//!   [`NetModel`] set with [`SimBuilder::net`]), but every message sent
+//!   before GST is delivered by `GST + δ` (the standard DLS guarantee).
 //! * Deterministic: a seed fixes all delay jitter; identical seeds and nodes
 //!   produce identical executions — replayability is what makes the paper's
 //!   execution-merging proofs implementable as tests.
+//!
+//! [`SimBuilder`] is the only constructor; it refuses a configuration
+//! outside the model with a [`BuildError`] instead of panicking.
 //!
 //! # Hot-path design
 //!
@@ -41,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use validity_core::{ProcessId, ProcessSet, SystemParams};
 
-use crate::net::{CachedUniform, Delivery, LinkCtx, NetModel, SyncModel, UniformModel};
+use crate::net::{CachedUniform, Delivery, LinkCtx, NetModel, UniformModel};
 use crate::node::{ByzStep, Byzantine, Env, Machine, Step};
 use crate::observed::ObservedState;
 use crate::probe::{EventClass, NoProbe, Probe};
@@ -50,7 +53,8 @@ use crate::sink::{ByzSink, StepSink};
 use crate::stats::NetStats;
 use crate::time::{Time, DEFAULT_DELTA, DEFAULT_GST};
 
-/// Simulation configuration.
+/// The configuration a [`SimBuilder`] assembles — read it back through
+/// [`SimBuilder::config`]; set it only through the builder's setters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// System parameters `(n, t)`.
@@ -73,63 +77,12 @@ pub struct SimConfig {
     pub start_times: Vec<Time>,
 }
 
-impl SimConfig {
-    /// A standard configuration: GST = 1000, δ = 100, synchronous-looking
-    /// uniform jitter before GST.
-    pub fn new(params: SystemParams) -> Self {
-        SimConfig {
-            params,
-            gst: DEFAULT_GST,
-            delta: DEFAULT_DELTA,
-            net: Arc::new(UniformModel::new(4 * DEFAULT_DELTA)),
-            seed: 0,
-            max_time: Time::MAX / 4,
-            max_events: 50_000_000,
-            start_times: vec![0; params.n()],
-        }
-    }
-
-    /// Sets the seed (builder-style).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets GST (builder-style).
-    pub fn gst(mut self, gst: Time) -> Self {
-        self.gst = gst;
-        self
-    }
-
-    /// Sets δ (builder-style).
-    pub fn delta(mut self, delta: Time) -> Self {
-        self.delta = delta;
-        self
-    }
-
-    /// Sets the pre-GST network model (builder-style).
-    pub fn net(mut self, net: Arc<dyn NetModel>) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// A synchronous-from-the-start configuration (GST = 0), used by the
-    /// lower-bound experiments which require `E_base` to be synchronous.
-    pub fn synchronous(params: SystemParams) -> Self {
-        SimConfig {
-            gst: 0,
-            net: Arc::new(SyncModel),
-            ..SimConfig::new(params)
-        }
-    }
-}
-
-/// A validation failure reported by [`SimBuilder::build`].
-///
-/// [`Simulation::new`] / [`Simulation::with_probe`] run the same check and
-/// panic with this error's `Display`; the builder surfaces it as a value so
-/// harnesses (the lab runner, service drivers, CLIs) can refuse bad
-/// configurations with a named error instead of crashing a sweep.
+/// A validation failure reported by [`SimBuilder::build`] /
+/// [`SimBuilder::build_with_probe`]: the model conditions of §3.1 (`n`
+/// nodes, at most `t` faulty, `δ ≥ 1`, one start time per process) checked
+/// against the configured `(n, t)`. Harnesses (the lab runner, service
+/// drivers, CLIs) refuse a bad configuration with this named error instead
+/// of crashing a sweep.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
     /// `nodes.len()` does not equal `n`.
@@ -176,40 +129,11 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// The one check every construction path runs: node count, fault count,
-/// start-time count and `δ ≥ 1` against the configured `(n, t)`.
-fn validate<M: Machine>(cfg: &SimConfig, nodes: &[NodeKind<M>]) -> Result<(), BuildError> {
-    let n = cfg.params.n();
-    if nodes.len() != n {
-        return Err(BuildError::NodeCount {
-            expected: n,
-            got: nodes.len(),
-        });
-    }
-    let faulty = nodes.iter().filter(|x| !x.is_correct()).count();
-    if faulty > cfg.params.t() {
-        return Err(BuildError::TooManyFaulty {
-            t: cfg.params.t(),
-            got: faulty,
-        });
-    }
-    if cfg.start_times.len() != n {
-        return Err(BuildError::StartTimes {
-            expected: n,
-            got: cfg.start_times.len(),
-        });
-    }
-    if cfg.delta == 0 {
-        return Err(BuildError::ZeroDelta);
-    }
-    Ok(())
-}
-
-/// A validating builder for [`Simulation`] — the front door for harness
-/// code. Collects the same knobs as [`SimConfig`] (seed, GST, δ, network
-/// model, limits, start times) and checks the node vector against the
-/// system parameters at [`SimBuilder::build`] time, returning a
-/// [`BuildError`] instead of panicking.
+/// The only way to build a [`Simulation`]. Collects the knobs of a
+/// [`SimConfig`] (seed, GST, δ, network model, limits, start times) and
+/// checks the node vector against the system parameters at
+/// [`SimBuilder::build`] time, returning a [`BuildError`] instead of
+/// panicking.
 ///
 /// ```
 /// use validity_core::SystemParams;
@@ -241,11 +165,22 @@ pub struct SimBuilder {
 }
 
 impl SimBuilder {
-    /// A builder over the standard configuration for `params`
-    /// (equivalent to starting from [`SimConfig::new`]).
+    /// A builder over the standard configuration for `params`: GST = 1000,
+    /// δ = 100, uniform pre-GST jitter up to 4δ, every process started at
+    /// time 0. A synchronous-from-the-start execution (the lower-bound
+    /// experiments' `E_base`) is `.gst(0).net(Arc::new(SyncModel))`.
     pub fn new(params: SystemParams) -> SimBuilder {
         SimBuilder {
-            cfg: SimConfig::new(params),
+            cfg: SimConfig {
+                params,
+                gst: DEFAULT_GST,
+                delta: DEFAULT_DELTA,
+                net: Arc::new(UniformModel::new(4 * DEFAULT_DELTA)),
+                seed: 0,
+                max_time: Time::MAX / 4,
+                max_events: 50_000_000,
+                start_times: vec![0; params.n()],
+            },
         }
     }
 
@@ -301,13 +236,38 @@ impl SimBuilder {
         self.build_with_probe(nodes, NoProbe)
     }
 
-    /// Validates and builds a simulation instrumented with `probe`.
+    /// Validates and builds a simulation instrumented with `probe` (see
+    /// [`crate::probe`]). Probes observe the run but cannot perturb it:
+    /// the seeded execution is identical to an unprobed run.
     pub fn build_with_probe<M: Machine, P: Probe>(
         self,
         nodes: Vec<NodeKind<M>>,
         probe: P,
     ) -> Result<Simulation<M, P>, BuildError> {
-        validate(&self.cfg, &nodes)?;
+        let cfg = &self.cfg;
+        let n = cfg.params.n();
+        if nodes.len() != n {
+            return Err(BuildError::NodeCount {
+                expected: n,
+                got: nodes.len(),
+            });
+        }
+        let faulty = nodes.iter().filter(|x| !x.is_correct()).count();
+        if faulty > cfg.params.t() {
+            return Err(BuildError::TooManyFaulty {
+                t: cfg.params.t(),
+                got: faulty,
+            });
+        }
+        if cfg.start_times.len() != n {
+            return Err(BuildError::StartTimes {
+                expected: n,
+                got: cfg.start_times.len(),
+            });
+        }
+        if cfg.delta == 0 {
+            return Err(BuildError::ZeroDelta);
+        }
         Ok(Simulation::assemble(self.cfg, nodes, probe))
     }
 }
@@ -460,37 +420,9 @@ pub struct Simulation<M: Machine, P: Probe = NoProbe> {
     probe: P,
 }
 
-impl<M: Machine> Simulation<M> {
-    /// Creates an uninstrumented simulation over the given nodes.
-    ///
-    /// Prefer [`SimBuilder`] in harness code: it reports invalid setups as
-    /// [`BuildError`]s instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`BuildError`]'s message on any condition
-    /// [`SimBuilder::build`] refuses.
-    pub fn new(config: SimConfig, nodes: Vec<NodeKind<M>>) -> Self {
-        Simulation::with_probe(config, nodes, NoProbe)
-    }
-}
-
 impl<M: Machine, P: Probe> Simulation<M, P> {
-    /// Creates a simulation instrumented with `probe` (see
-    /// [`crate::probe`]). Probes observe the run but cannot perturb it:
-    /// the seeded execution is identical to an unprobed run.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`BuildError`]'s message on any condition
-    /// [`SimBuilder::build_with_probe`] refuses.
-    pub fn with_probe(config: SimConfig, nodes: Vec<NodeKind<M>>, probe: P) -> Self {
-        SimBuilder { cfg: config }
-            .build_with_probe(nodes, probe)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the simulation from an already validated configuration.
+    /// Builds the simulation from a configuration
+    /// [`SimBuilder::build_with_probe`] has validated.
     fn assemble(config: SimConfig, nodes: Vec<NodeKind<M>>, probe: P) -> Self {
         let n = config.params.n();
         let faulty = nodes.iter().filter(|x| !x.is_correct()).count();
@@ -661,7 +593,11 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         let at = if plan.dropped {
             cap.max(sent_at + 1)
         } else {
-            (sent_at + plan.raw_delay).min(cap).max(sent_at + 1)
+            // Saturating: a model may ask for any delay up to `Time::MAX`.
+            sent_at
+                .saturating_add(plan.raw_delay)
+                .min(cap)
+                .max(sent_at + 1)
         };
         (at, plan)
     }
@@ -1023,7 +959,10 @@ mod tests {
 
     #[test]
     fn all_correct_all_decide() {
-        let mut sim = Simulation::new(SimConfig::new(params()).seed(1), quorum_nodes(0));
+        let mut sim = SimBuilder::new(params())
+            .seed(1)
+            .build(quorum_nodes(0))
+            .expect("valid configuration");
         let outcome = sim.run_until_decided();
         assert_eq!(outcome, RunOutcome::AllDecided);
         assert!(sim.decisions().iter().all(|d| d.is_some()));
@@ -1032,7 +971,10 @@ mod tests {
 
     #[test]
     fn tolerates_one_silent_byzantine() {
-        let mut sim = Simulation::new(SimConfig::new(params()).seed(2), quorum_nodes(1));
+        let mut sim = SimBuilder::new(params())
+            .seed(2)
+            .build(quorum_nodes(1))
+            .expect("valid configuration");
         assert_eq!(sim.run_until_decided(), RunOutcome::AllDecided);
         // The byzantine node never decides.
         assert!(sim.decisions()[3].is_none());
@@ -1042,7 +984,10 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_stats() {
         let run = |seed| {
-            let mut sim = Simulation::new(SimConfig::new(params()).seed(seed), quorum_nodes(1));
+            let mut sim = SimBuilder::new(params())
+                .seed(seed)
+                .build(quorum_nodes(1))
+                .expect("valid configuration");
             sim.run_to_quiescence();
             (
                 sim.stats().messages_total,
@@ -1056,7 +1001,10 @@ mod tests {
     #[test]
     fn different_seeds_change_timing_but_not_counts() {
         let run = |seed| {
-            let mut sim = Simulation::new(SimConfig::new(params()).seed(seed), quorum_nodes(0));
+            let mut sim = SimBuilder::new(params())
+                .seed(seed)
+                .build(quorum_nodes(0))
+                .expect("valid configuration");
             sim.run_to_quiescence();
             sim.stats().messages_total
         };
@@ -1066,7 +1014,11 @@ mod tests {
 
     #[test]
     fn word_accounting_uses_message_words() {
-        let mut sim = Simulation::new(SimConfig::new(params()).seed(3).gst(0), quorum_nodes(0));
+        let mut sim = SimBuilder::new(params())
+            .seed(3)
+            .gst(0)
+            .build(quorum_nodes(0))
+            .expect("valid configuration");
         sim.run_to_quiescence();
         // 4 broadcasts × 4 recipients = 16 messages of 2 words each
         assert_eq!(sim.stats().messages_total, 16);
@@ -1077,8 +1029,11 @@ mod tests {
     #[test]
     fn pre_gst_messages_not_counted_in_complexity() {
         // GST far in the future: the run finishes before it.
-        let cfg = SimConfig::new(params()).gst(1_000_000).seed(4);
-        let mut sim = Simulation::new(cfg, quorum_nodes(0));
+        let mut sim = SimBuilder::new(params())
+            .gst(1_000_000)
+            .seed(4)
+            .build(quorum_nodes(0))
+            .expect("valid configuration");
         sim.run_to_quiescence();
         assert_eq!(sim.stats().messages_after_gst, 0);
         assert!(sim.stats().messages_total > 0);
@@ -1087,12 +1042,13 @@ mod tests {
     #[test]
     fn pre_gst_delivery_capped_at_gst_plus_delta() {
         // Fixed enormous pre-GST delay: messages still arrive by GST + δ.
-        let cfg = SimConfig::new(params())
+        let mut sim = SimBuilder::new(params())
             .gst(500)
             .delta(10)
             .net(Arc::new(FixedModel(1_000_000)))
-            .seed(5);
-        let mut sim = Simulation::new(cfg, quorum_nodes(0));
+            .seed(5)
+            .build(quorum_nodes(0))
+            .expect("valid configuration");
         assert_eq!(sim.run_until_decided(), RunOutcome::AllDecided);
         let last = sim.stats().last_decision_at.unwrap();
         assert!(last <= 510, "decisions by GST + δ, got {last}");
@@ -1109,12 +1065,13 @@ mod tests {
             }
         });
         assert_eq!(format!("{blocked:?}"), "PerLinkModel(block-p1-p2)");
-        let cfg = SimConfig::new(params())
+        let mut sim = SimBuilder::new(params())
             .gst(500)
             .delta(10)
             .net(Arc::new(blocked))
-            .seed(6);
-        let mut sim = Simulation::new(cfg, quorum_nodes(0));
+            .seed(6)
+            .build(quorum_nodes(0))
+            .expect("valid configuration");
         sim.run_until_decided();
         // Delivery still happened (by GST + δ): reliability is preserved.
         assert!(sim.all_correct_decided());
@@ -1122,22 +1079,28 @@ mod tests {
 
     #[test]
     fn staggered_starts_respected() {
-        let mut cfg = SimConfig::new(params()).seed(7);
-        cfg.start_times = vec![0, 0, 0, 900];
-        let mut sim = Simulation::new(cfg, quorum_nodes(0));
+        let mut sim = SimBuilder::new(params())
+            .seed(7)
+            .start_times(vec![0, 0, 0, 900])
+            .build(quorum_nodes(0))
+            .expect("valid configuration");
         sim.run_until_decided();
         // The late starter's broadcast happens at ≥ 900.
         assert!(sim.stats().last_decision_at.unwrap() >= 900 || sim.decisions()[3].is_some());
     }
 
     #[test]
-    #[should_panic(expected = "exceeds t")]
     fn too_many_byzantine_rejected() {
-        let _ = Simulation::new(SimConfig::new(params()), quorum_nodes(2));
+        let err = SimBuilder::new(params())
+            .build(quorum_nodes(2))
+            .err()
+            .expect("two Byzantine slots exceed t = 1");
+        assert_eq!(err, BuildError::TooManyFaulty { t: 1, got: 2 });
+        assert_eq!(err.to_string(), "2 Byzantine nodes exceeds t = 1");
     }
 
-    /// Every `BuildError` variant, through both doors: `SimBuilder::build`
-    /// names the error, `Simulation::new` panics with its message.
+    /// Every `BuildError` variant, through both builds: `build` and
+    /// `build_with_probe` refuse the same setups with the same error.
     #[test]
     fn invalid_setups_are_refused_on_both_doors() {
         // (δ, start-time count, node count, Byzantine slots) → error
@@ -1176,16 +1139,9 @@ mod tests {
             let builder = SimBuilder::new(params())
                 .delta(delta)
                 .start_times(vec![0; starts]);
-            let cfg = builder.config().clone();
-            assert_eq!(builder.build(nodes()).err(), Some(want.clone()));
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Simulation::new(cfg, nodes()).now()
-            }))
-            .expect_err("Simulation::new must refuse what the builder refuses");
-            let text = panic
-                .downcast_ref::<String>()
-                .expect("panic! with a message");
-            assert_eq!(*text, want.to_string());
+            assert_eq!(builder.clone().build(nodes()).err(), Some(want.clone()));
+            let probed = builder.build_with_probe(nodes(), crate::probe::Metrics::new(delta));
+            assert_eq!(probed.err(), Some(want));
         }
     }
 
@@ -1199,7 +1155,10 @@ mod tests {
 
     #[test]
     fn events_processed_counts_dispatches() {
-        let mut sim = Simulation::new(SimConfig::new(params()).seed(1), quorum_nodes(0));
+        let mut sim = SimBuilder::new(params())
+            .seed(1)
+            .build(quorum_nodes(0))
+            .expect("valid configuration");
         sim.run_to_quiescence();
         // 4 starts + 16 deliveries
         assert_eq!(sim.events_processed(), 20);
@@ -1210,11 +1169,10 @@ mod tests {
     /// `--observe` single-source-of-truth guarantee).
     #[test]
     fn metrics_probe_agrees_with_engine_counters() {
-        let mut sim = Simulation::with_probe(
-            SimConfig::new(params()).seed(1),
-            quorum_nodes(0),
-            crate::probe::Metrics::new(DEFAULT_DELTA),
-        );
+        let mut sim = SimBuilder::new(params())
+            .seed(1)
+            .build_with_probe(quorum_nodes(0), crate::probe::Metrics::new(DEFAULT_DELTA))
+            .expect("valid configuration");
         sim.run_to_quiescence();
         let stats = sim.stats().clone();
         let events = sim.events_processed();
@@ -1241,7 +1199,10 @@ mod tests {
     #[test]
     fn probes_do_not_perturb_the_execution() {
         let baseline = {
-            let mut sim = Simulation::new(SimConfig::new(params()).seed(9), quorum_nodes(1));
+            let mut sim = SimBuilder::new(params())
+                .seed(9)
+                .build(quorum_nodes(1))
+                .expect("valid configuration");
             sim.run_to_quiescence();
             (
                 sim.events_processed(),
@@ -1250,14 +1211,16 @@ mod tests {
             )
         };
         let probed = {
-            let mut sim = Simulation::with_probe(
-                SimConfig::new(params()).seed(9),
-                quorum_nodes(1),
-                crate::probe::Tandem(
-                    crate::probe::Metrics::new(DEFAULT_DELTA),
-                    crate::probe::Tandem(crate::probe::Timeline::new(), Trace::new()),
-                ),
-            );
+            let mut sim = SimBuilder::new(params())
+                .seed(9)
+                .build_with_probe(
+                    quorum_nodes(1),
+                    crate::probe::Tandem(
+                        crate::probe::Metrics::new(DEFAULT_DELTA),
+                        crate::probe::Tandem(crate::probe::Timeline::new(), Trace::new()),
+                    ),
+                )
+                .expect("valid configuration");
             sim.run_to_quiescence();
             (
                 sim.events_processed(),
@@ -1273,8 +1236,10 @@ mod tests {
     #[test]
     fn timeline_and_trace_capture_the_same_events() {
         fn probed<P: Probe>(probe: P) -> P {
-            let mut sim =
-                Simulation::with_probe(SimConfig::new(params()).seed(4), quorum_nodes(0), probe);
+            let mut sim = SimBuilder::new(params())
+                .seed(4)
+                .build_with_probe(quorum_nodes(0), probe)
+                .expect("valid configuration");
             sim.run_to_quiescence();
             sim.into_probe()
         }
@@ -1307,12 +1272,13 @@ mod tests {
             (5, 7, 35),
         ];
         for (seed, first, last) in pinned {
-            let cfg = SimConfig::new(params())
+            let mut sim = SimBuilder::new(params())
                 .seed(seed)
                 .gst(500)
                 .delta(7)
-                .net(Arc::new(UniformModel::new(40)));
-            let mut sim = Simulation::new(cfg, quorum_nodes(0));
+                .net(Arc::new(UniformModel::new(40)))
+                .build(quorum_nodes(0))
+                .expect("valid configuration");
             sim.run_to_quiescence();
             assert_eq!(
                 (
@@ -1348,7 +1314,11 @@ mod tests {
             }
         }
         let nodes: Vec<NodeKind<Once>> = (0..4).map(|_| NodeKind::Correct(Once)).collect();
-        let mut sim = Simulation::new(SimConfig::new(params()).seed(8).gst(0), nodes);
+        let mut sim = SimBuilder::new(params())
+            .seed(8)
+            .gst(0)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_to_quiescence();
         assert_eq!(sim.stats().messages_total, 16);
         assert_eq!(sim.stats().words_total, 16 * 5);

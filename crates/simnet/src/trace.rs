@@ -3,9 +3,10 @@
 //! The paper's proofs constantly compare executions ("identical until
 //! process P decides", "no process can distinguish E from E′ before
 //! time τ"). [`Trace`] makes such comparisons executable: it is a
-//! [`Probe`] — build with `Simulation::with_probe(cfg, nodes, Trace::new())`
-//! and read `sim.probe()` — recording starts, deliveries, timer fires and
-//! decisions per process, and [`Trace::indistinguishable_for`] checks
+//! [`Probe`] — build with `SimBuilder::new(params).build_with_probe(nodes,
+//! Trace::new())` and read `sim.probe()` — recording starts, deliveries,
+//! timer fires and decisions per process, and
+//! [`Trace::indistinguishable_for`] checks
 //! whether a process observed the same prefix in two runs — the formal
 //! heart of the merge arguments.
 

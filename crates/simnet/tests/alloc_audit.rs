@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use validity_core::{ProcessId, SystemParams};
 use validity_simnet::{
-    Env, Machine, Message, Metrics, NoProbe, NodeKind, Probe, SimConfig, Simulation, StepSink,
+    Env, Machine, Message, Metrics, NoProbe, NodeKind, Probe, SimBuilder, StepSink,
 };
 
 struct CountingAlloc;
@@ -114,9 +114,11 @@ impl Machine for Rebroadcaster {
 /// the allocation count observed across the run.
 fn measure_with<M: Machine, P: Probe>(events: u64, nodes: Vec<NodeKind<M>>, probe: P) -> u64 {
     let params = SystemParams::new(4, 1).unwrap();
-    let mut cfg = SimConfig::new(params).seed(42);
-    cfg.max_events = events;
-    let mut sim = Simulation::with_probe(cfg, nodes, probe);
+    let mut sim = SimBuilder::new(params)
+        .seed(42)
+        .max_events(events)
+        .build_with_probe(nodes, probe)
+        .expect("valid configuration");
     let before = allocs();
     sim.run_until_decided();
     let after = allocs();

@@ -2,16 +2,18 @@
 //! model proposes, the engine's DLS clamp keeps every scheduled delivery
 //! inside `[sent_at + 1, gst + post_gst_jitter]` — loss can withhold a
 //! message *to* the deadline, never past it, and duplication adds copies
-//! at the original's arrival tick, never new arrival times. The clamp is
-//! checked from a probe riding the same hooks the engine schedules with.
+//! at the original's arrival tick, never new arrival times; a delay as
+//! large as `Time::MAX` saturates to the deadline instead of wrapping. The
+//! clamp is checked from a probe riding the same hooks the engine
+//! schedules with.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use validity_core::{ProcessId, SystemParams};
 use validity_simnet::{
-    Duplicate, Env, Jitter, Loss, Machine, Message, NetModel, NodeKind, Probe, SimConfig,
-    Simulation, StepSink, Time, UniformModel,
+    Duplicate, Env, FixedModel, Jitter, Loss, Machine, Message, NetModel, NodeKind, PerLinkModel,
+    Probe, SimBuilder, StepSink, Time, UniformModel,
 };
 
 #[derive(Clone, Debug)]
@@ -62,6 +64,8 @@ struct ArrivalAudit {
     violations: Vec<String>,
     drops: u64,
     duplicates: u64,
+    /// Earliest arrival of a cross-process message sent before GST.
+    earliest_pre_gst_arrival: Time,
 }
 
 impl ArrivalAudit {
@@ -72,6 +76,7 @@ impl ArrivalAudit {
             violations: Vec::new(),
             drops: 0,
             duplicates: 0,
+            earliest_pre_gst_arrival: Time::MAX,
         }
     }
 
@@ -106,6 +111,9 @@ impl Probe for ArrivalAudit {
         arrival: Time,
     ) {
         self.check("send", from, to, sent_at, arrival);
+        if from != to && sent_at < self.gst {
+            self.earliest_pre_gst_arrival = self.earliest_pre_gst_arrival.min(arrival);
+        }
     }
 
     fn on_drop(&mut self, from: ProcessId, to: ProcessId, sent_at: Time, arrival: Time) {
@@ -136,12 +144,13 @@ fn run_audited(
     let nodes: Vec<NodeKind<EchoTwice>> = (0..4)
         .map(|_| NodeKind::Correct(EchoTwice::default()))
         .collect();
-    let cfg = SimConfig::new(params)
+    let mut sim = SimBuilder::new(params)
         .gst(gst)
         .delta(delta)
         .net(model)
-        .seed(seed);
-    let mut sim = Simulation::with_probe(cfg, nodes, ArrivalAudit::new(gst, delta));
+        .seed(seed)
+        .build_with_probe(nodes, ArrivalAudit::new(gst, delta))
+        .expect("valid configuration");
     sim.run_to_quiescence();
     let stats = sim.stats().clone();
     (sim.into_probe(), stats)
@@ -209,5 +218,33 @@ proptest! {
         prop_assert_eq!(audit.violations, Vec::<String>::new());
         let (_, replay) = run_audited(mk(), gst, delta, seed);
         prop_assert_eq!(stats, replay);
+    }
+
+    /// A pre-GST delay of any size — up to `Time::MAX` — holds a message
+    /// back to GST at least: `sent_at + delay` saturates into the deadline
+    /// instead of wrapping round to an arrival long before GST.
+    /// `EchoTwice` re-broadcasts at t = 1, so the sum is taken with
+    /// `sent_at > 0`.
+    #[test]
+    fn huge_pre_gst_delays_saturate_to_the_deadline(
+        seed in any::<u64>(),
+        gst in 2u64..3_000,
+        which in 0usize..3,
+        per_link in any::<bool>(),
+    ) {
+        let delta = 10;
+        let d = [gst, Time::MAX / 8, Time::MAX][which];
+        let model: Arc<dyn NetModel> = if per_link {
+            Arc::new(PerLinkModel::new("fixed", move |_, _, _| d))
+        } else {
+            Arc::new(FixedModel(d))
+        };
+        let (audit, _) = run_audited(model, gst, delta, seed);
+        prop_assert_eq!(audit.violations, Vec::<String>::new());
+        prop_assert!(
+            audit.earliest_pre_gst_arrival >= gst,
+            "delay {} delivered a pre-GST send at {} < gst {}",
+            d, audit.earliest_pre_gst_arrival, gst
+        );
     }
 }

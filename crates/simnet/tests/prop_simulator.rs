@@ -7,7 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use validity_core::{ProcessId, SystemParams};
 use validity_simnet::{
-    Env, FixedModel, Machine, Message, NodeKind, Silent, SimConfig, Simulation, StepSink,
+    Env, FixedModel, Machine, Message, NodeKind, Silent, SimBuilder, Simulation, StepSink,
+    SyncModel,
 };
 
 #[derive(Clone, Debug)]
@@ -47,7 +48,7 @@ impl Machine for QuorumHear {
     }
 }
 
-fn build(n: usize, t: usize, byz: usize, cfg: SimConfig) -> Simulation<QuorumHear> {
+fn build(n: usize, t: usize, byz: usize, builder: SimBuilder) -> Simulation<QuorumHear> {
     let _ = t;
     let nodes: Vec<NodeKind<QuorumHear>> = (0..n)
         .map(|i| {
@@ -58,7 +59,7 @@ fn build(n: usize, t: usize, byz: usize, cfg: SimConfig) -> Simulation<QuorumHea
             }
         })
         .collect();
-    Simulation::new(cfg, nodes)
+    builder.build(nodes).expect("valid configuration")
 }
 
 proptest! {
@@ -69,8 +70,7 @@ proptest! {
     fn determinism(seed in any::<u64>(), gst in 0u64..5_000, byz in 0usize..2) {
         let params = SystemParams::new(4, 1).unwrap();
         let run = |s| {
-            let cfg = SimConfig::new(params).seed(s).gst(gst);
-            let mut sim = build(4, 1, byz, cfg);
+            let mut sim = build(4, 1, byz, SimBuilder::new(params).seed(s).gst(gst));
             sim.run_to_quiescence();
             (
                 sim.stats().messages_total,
@@ -93,12 +93,12 @@ proptest! {
         delay in 1u64..1_000_000,
     ) {
         let params = SystemParams::new(4, 1).unwrap();
-        let cfg = SimConfig::new(params)
+        let builder = SimBuilder::new(params)
             .seed(seed)
             .gst(gst)
             .delta(50)
             .net(Arc::new(FixedModel(delay)));
-        let mut sim = build(4, 1, 0, cfg);
+        let mut sim = build(4, 1, 0, builder);
         sim.run_until_decided();
         prop_assert!(sim.all_correct_decided());
         let last = sim.stats().last_decision_at.unwrap();
@@ -113,8 +113,7 @@ proptest! {
     #[test]
     fn complexity_accounting_split(seed in any::<u64>(), gst in 0u64..10_000) {
         let params = SystemParams::new(4, 1).unwrap();
-        let cfg = SimConfig::new(params).seed(seed).gst(gst);
-        let mut sim = build(4, 1, 0, cfg);
+        let mut sim = build(4, 1, 0, SimBuilder::new(params).seed(seed).gst(gst));
         sim.run_to_quiescence();
         let s = sim.stats();
         prop_assert!(s.messages_after_gst <= s.messages_total);
@@ -134,8 +133,11 @@ proptest! {
     #[test]
     fn byzantine_sends_excluded(seed in any::<u64>()) {
         let params = SystemParams::new(4, 1).unwrap();
-        let cfg = SimConfig::synchronous(params).seed(seed);
-        let mut sim = build(4, 1, 1, cfg);
+        let builder = SimBuilder::new(params)
+            .gst(0)
+            .net(Arc::new(SyncModel))
+            .seed(seed);
+        let mut sim = build(4, 1, 1, builder);
         sim.run_to_quiescence();
         // 3 correct broadcasts × 4 recipients
         prop_assert_eq!(sim.stats().messages_total, 12);

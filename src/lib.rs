@@ -66,7 +66,6 @@ pub mod prelude {
         Universal, VectorAuth, VectorFast, VectorNonAuth, VectorSpec,
     };
     pub use validity_simnet::{
-        agreement_holds, Machine, Multiplex, NetModel, NodeKind, Silent, SimBuilder, SimConfig,
-        Simulation,
+        agreement_holds, Machine, Multiplex, NetModel, NodeKind, Silent, SimBuilder, Simulation,
     };
 }

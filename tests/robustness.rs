@@ -14,7 +14,7 @@ use validity_crypto::{KeyStore, Signer, ThresholdScheme};
 use validity_protocols::{proposal_sign_bytes, Universal, VectorAuth, VectorAuthMsg};
 use validity_simnet::{
     agreement_holds, ByzSink, ByzStep, Byzantine, Env, FilteredMachine, FixedModel, NetModel,
-    NodeKind, PerLinkModel, Silent, SimConfig, Simulation, SyncModel, Time, UniformModel,
+    NodeKind, PerLinkModel, Silent, SimBuilder, SyncModel, Time, UniformModel,
 };
 
 type Uni = Universal<u64, VectorAuth<u64>, StrongLambda>;
@@ -140,8 +140,11 @@ fn byzantine_times_delay_matrix() {
                         }
                     })
                     .collect();
-                let cfg = SimConfig::new(params).net(policy.clone()).seed(seed);
-                let mut sim = Simulation::new(cfg, nodes);
+                let mut sim = SimBuilder::new(params)
+                    .net(policy.clone())
+                    .seed(seed)
+                    .build(nodes)
+                    .expect("valid configuration");
                 sim.run_until_decided();
                 let label = format!("behaviour={behaviour}, policy={policy_name}, seed={seed}");
                 assert!(sim.all_correct_decided(), "liveness failed: {label}");
@@ -191,7 +194,10 @@ fn mixed_byzantine_behaviours() {
             _ => NodeKind::Correct(correct(i, &inputs, &ks, &scheme, params)),
         })
         .collect();
-    let mut sim = Simulation::new(SimConfig::new(params).seed(10), nodes);
+    let mut sim = SimBuilder::new(params)
+        .seed(10)
+        .build(nodes)
+        .expect("valid configuration");
     sim.run_until_decided();
     assert!(sim.all_correct_decided());
     assert!(agreement_holds(sim.decisions()));
@@ -222,7 +228,10 @@ fn determinism_under_failures() {
                 }
             })
             .collect();
-        let mut sim = Simulation::new(SimConfig::new(params).seed(seed), nodes);
+        let mut sim = SimBuilder::new(params)
+            .seed(seed)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_until_decided();
         (
             sim.stats().messages_total,
@@ -250,8 +259,11 @@ fn gst_sweep() {
                 }
             })
             .collect();
-        let cfg = SimConfig::new(params).gst(gst).seed(22);
-        let mut sim = Simulation::new(cfg, nodes);
+        let mut sim = SimBuilder::new(params)
+            .gst(gst)
+            .seed(22)
+            .build(nodes)
+            .expect("valid configuration");
         sim.run_until_decided();
         assert!(sim.all_correct_decided(), "gst = {gst}");
         assert!(agreement_holds(sim.decisions()), "gst = {gst}");

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use validity_adversary::{LeaderEcho, QuorumVote};
 use validity_core::{ProcessId, ProcessSet, SystemParams};
-use validity_simnet::{NodeKind, PerLinkModel, SimConfig, Simulation, Time, Trace};
+use validity_simnet::{NodeKind, PerLinkModel, SimBuilder, Time, Trace};
 
 /// Lemma 7's merge, observed through traces: in the merged execution the
 /// isolated process Q sees exactly what it sees in total isolation (its
@@ -22,11 +22,12 @@ fn merged_execution_is_indistinguishable_for_q() {
     let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..4)
         .map(|i| NodeKind::Correct(LeaderEcho::new(if i == q.index() { 1u64 } else { 0 })))
         .collect();
-    let cfg = SimConfig::new(params)
+    let mut isolated = SimBuilder::new(params)
         .gst(100_000)
         .net(Arc::new(all_stalled))
-        .seed(5);
-    let mut isolated = Simulation::with_probe(cfg, nodes, Trace::new());
+        .seed(5)
+        .build_with_probe(nodes, Trace::new())
+        .expect("valid configuration");
     isolated.run_until_decided();
 
     // Run 2: everyone correct, but Q's links stalled past its decision.
@@ -40,11 +41,12 @@ fn merged_execution_is_indistinguishable_for_q() {
     let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..4)
         .map(|i| NodeKind::Correct(LeaderEcho::new(if i == q.index() { 1u64 } else { 0 })))
         .collect();
-    let cfg = SimConfig::new(params)
+    let mut merged = SimBuilder::new(params)
         .gst(100_000)
         .net(Arc::new(stall_q))
-        .seed(5);
-    let mut merged = Simulation::with_probe(cfg, nodes, Trace::new());
+        .seed(5)
+        .build_with_probe(nodes, Trace::new())
+        .expect("valid configuration");
     merged.run_until_decided();
 
     // Q's observable content is identical in both worlds up to and
@@ -105,11 +107,12 @@ fn partitioned_group_cannot_detect_the_two_faced_adversary() {
                 }
             })
             .collect();
-        let cfg = SimConfig::new(params)
+        let mut sim = SimBuilder::new(params)
             .gst(100_000)
             .net(Arc::new(stall_cross(group_a, group_c)))
-            .seed(seed);
-        let mut sim = Simulation::with_probe(cfg, nodes, Trace::new());
+            .seed(seed)
+            .build_with_probe(nodes, Trace::new())
+            .expect("valid configuration");
         sim.run_until_decided();
         sim
     };
