@@ -1,114 +1,126 @@
-//! The O(1)-dispatch event scheduler: a calendar queue over discrete ticks.
+//! The O(1)-dispatch event scheduler: a calendar queue over discrete ticks
+//! (Brown, *Calendar Queues*, CACM 1988) whose events live in one
+//! free-listed pool of fixed-size blocks.
 //!
-//! The simulator's historical scheduler was a `BinaryHeap<Event>` ordered
-//! by `(at, seq)` with a strictly increasing sequence number — `O(log q)`
-//! per operation with `q` queued events, plus an `Event`-sized memmove per
-//! sift level. But almost every event lands within a bounded horizon of
-//! the current tick (post-GST delays are `≤ δ`; pre-GST sends are capped
-//! at `GST + δ`; protocol timers are short multiples of `δ`), which is the
-//! textbook calendar-queue regime:
+//! It replaced a `BinaryHeap<Event>` ordered by `(at, seq)`. Almost every
+//! event lands within a bounded horizon of the current tick (post-GST
+//! delays are `≤ δ`, pre-GST sends are capped at `GST + δ`, protocol
+//! timers are short multiples of `δ`), so a power-of-two ring holds one
+//! slot per tick of the window `[floor, floor + capacity)`: the
+//! `(head, tail)` pair of the tick's chain of blocks. Push appends to the
+//! tail block, pop reads the chain at the cursor front to back — both
+//! `O(1)`. The rare far-future event (the exponentially staggered timers
+//! of slow broadcast, Algorithm 4) waits in a `BTreeMap` tier of chains
+//! until its tick enters the window.
 //!
-//! * a power-of-two ring of buckets, one bucket per tick, covering the
-//!   window `[floor, floor + capacity)`;
-//! * push = append to `ring[at & mask]`, pop = drain the bucket at the
-//!   cursor — both `O(1)`;
-//! * the rare far-future event (e.g. the exponentially staggered timers of
-//!   slow broadcast, Algorithm 4) overflows into a `BTreeMap` tier and
-//!   migrates into the ring when its time enters the window.
+//! # Ordering invariant (why FIFO chains reproduce `(at, seq)` order)
 //!
-//! # Ordering invariant (why FIFO buckets reproduce `(at, seq)` order)
+//! The heap popped equal-`at` events in push order (`seq` increased
+//! strictly). A chain holds one tick's events in push order and is read
+//! front to back, so the order is the same with no `seq`; across ticks the
+//! cursor visits slots in ascending time. The chain being read is detached
+//! from its slot, so a push at the present tick (the simulator makes one
+//! only when a deadline saturates at `Time::MAX`) starts a fresh chain,
+//! read right after it. A far chain migrates as soon as its tick enters
+//! the window, before any ring push can target that tick, so it lands in
+//! an empty slot, never behind newer events.
 //!
-//! The heap popped events by ascending `(at, seq)`. `seq` was assigned in
-//! push order and strictly increased, so among events with equal `at` the
-//! heap order *was* push order. A bucket holds exactly the events of one
-//! tick, appended in push order and drained front-to-back — the same
-//! order, with no `seq` to maintain. Across ticks the cursor visits
-//! buckets in ascending time. Two facts make the bucket story sound:
+//! # Memory
 //!
-//! 1. **No push into the past or present mid-drain.** Every effect is
-//!    scheduled strictly in the future (`arrival ≥ now + 1`, timers clamp
-//!    `delay ≥ 1`), so the bucket being drained can never grow under the
-//!    cursor.
-//! 2. **Far-tier migration preserves age order.** An overflow bucket is
-//!    pulled into the ring as soon as its tick enters the window — before
-//!    any in-window push could target the same tick — so a ring bucket
-//!    never interleaves older far events behind newer ring events.
-//!
-//! Memory stays bounded: bucket vectors are recycled (the drained bucket's
-//! allocation is swapped back into the ring), so a steady-state workload
-//! performs zero heap allocations in the scheduler.
+//! Blocks hold eight events and return to a free list when drained, so a
+//! queue allocates only when its pool or ring doubles — `O(log q)` times
+//! per simulation however many ticks it touches, never in steady state —
+//! and an empty ring slot costs 8 bytes. Blocks, because both alternatives
+//! measured worse: one pool node per event makes pops chase pointers
+//! (Algorithm 3's 100 k-event queues ran 13 % slower), and recycling
+//! per-tick `Vec` buckets through a spare stack loses each tick phase's
+//! capacity (multiplexed and far-timer runs ran 14–20 % slower).
 
 use std::collections::BTreeMap;
 
 use crate::time::Time;
 
-/// Initial ring size (ticks). Deliberately small: a simulation is
-/// constructed per scenario cell, so an oversized ring would dominate the
-/// cost of short runs. Grows by doubling when a push lands beyond the
+/// Initial ring size (ticks). Deliberately small: a simulation is built
+/// per scenario cell. Grows by doubling when a push lands beyond the
 /// window, up to [`MAX_RING`]; farther events use the overflow tier.
 const INITIAL_RING: usize = 64;
 
-/// Largest ring the queue will grow to (2¹⁶ ticks ≈ 650 δ at the default
-/// δ = 100). Pushes beyond this horizon are rare enough that `BTreeMap`
-/// cost is irrelevant.
-const MAX_RING: usize = 1 << 16;
+/// Largest ring the queue will grow to (2¹² ticks ≈ 41 δ at the default
+/// δ = 100). Pushes beyond it are rare enough (0.13 % of `chaos_small`'s
+/// events, 0.4 % of `subcubic_sweep`'s) that `BTreeMap` cost is irrelevant.
+const MAX_RING: usize = 1 << 12;
+
+/// Events per pool block.
+const BLOCK: usize = 8;
+
+/// The null block index; `(NIL, NIL)` is the empty chain.
+const NIL: u32 = u32::MAX;
+const EMPTY: (u32, u32) = (NIL, NIL);
+
+/// A pool block: its first `len` items are queued; `next` links on.
+#[derive(Clone, Copy, Debug)]
+struct Block<T> {
+    items: [T; BLOCK],
+    len: u32,
+    next: u32,
+}
 
 /// A monotone calendar queue: items are pushed with a tick `at` that is
 /// `≥` the tick of the last popped item, and popped in ascending tick
 /// order, FIFO within a tick.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// Power-of-two ring; `slots[at & mask]` holds the items of tick `at`
-    /// for `at ∈ [floor, floor + slots.len())`.
-    slots: Vec<Vec<T>>,
-    /// Occupancy bitmap over `slots` (one bit per slot): lets the cursor
-    /// jump to the next occupied bucket with `trailing_zeros` instead of
-    /// probing empty buckets tick by tick.
+    /// The pool every queued item lives in, and its free list's head.
+    blocks: Vec<Block<T>>,
+    free: u32,
+    /// Power-of-two ring; `slots[at % len]` is the chain of tick `at` for
+    /// `at ∈ [floor, floor + slots.len())`.
+    slots: Vec<(u32, u32)>,
+    /// Occupancy bitmap for a `trailing_zeros` scan to the next occupied
+    /// slot; sized for [`MAX_RING`] once, so a grow reallocates only the
+    /// ring (the first `slots.len() / 64` words are in use).
     occ: Vec<u64>,
-    mask: u64,
-    /// Lower edge of the ring window; no queued item is earlier.
+    /// Lower edge of the ring window, and the tick being read.
     floor: Time,
-    /// Items currently in the ring.
-    ring_len: usize,
-    /// Far-future overflow: ticks at or beyond `floor + slots.len()`.
-    far: BTreeMap<Time, Vec<T>>,
-    far_len: usize,
-    /// The bucket being drained, reversed so `pop` is `Vec::pop`.
-    live: Vec<T>,
-    live_at: Time,
+    /// Occupied ring slots.
+    ring_ticks: usize,
+    /// Far-future chains: ticks at or beyond `floor + slots.len()`.
+    far: BTreeMap<Time, (u32, u32)>,
+    len: usize,
+    /// The block being read (of tick `floor`'s detached chain), and where.
+    live: u32,
+    read: u32,
 }
 
-impl<T> CalendarQueue<T> {
+impl<T: Copy> CalendarQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         CalendarQueue {
-            slots: (0..INITIAL_RING).map(|_| Vec::new()).collect(),
-            occ: vec![0; (INITIAL_RING / 64).max(1)],
-            mask: (INITIAL_RING - 1) as u64,
+            blocks: Vec::new(),
+            free: NIL,
+            slots: vec![EMPTY; INITIAL_RING],
+            occ: vec![0; MAX_RING / 64],
             floor: 0,
-            ring_len: 0,
+            ring_ticks: 0,
             far: BTreeMap::new(),
-            far_len: 0,
-            live: Vec::new(),
-            live_at: 0,
+            len: 0,
+            live: NIL,
+            read: 0,
         }
     }
 
     /// Total queued items.
     pub fn len(&self) -> usize {
-        self.ring_len + self.far_len + self.live.len()
+        self.len
     }
 
     /// Whether no items are queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Enqueues `item` at tick `at`.
-    ///
-    /// `at` must be at or after the tick of the last popped item (the
-    /// simulator only schedules into the future); earlier pushes would
-    /// violate time monotonicity and are a caller bug.
+    /// Enqueues `item` at tick `at`, which must not be before the tick of
+    /// the last popped item (an earlier push is a caller bug).
     #[inline]
     pub fn push(&mut self, at: Time, item: T) {
         debug_assert!(
@@ -116,148 +128,135 @@ impl<T> CalendarQueue<T> {
             "push into the past: at = {at}, floor = {}",
             self.floor
         );
+        self.len += 1;
         let span = at.saturating_sub(self.floor);
         if span >= self.slots.len() as u64 {
             if span >= MAX_RING as u64 {
-                self.far.entry(at).or_default().push(item);
-                self.far_len += 1;
+                let chain = self.far.get(&at).copied().unwrap_or(EMPTY);
+                let chain = self.append(chain, item);
+                self.far.insert(at, chain);
                 return;
             }
             self.grow(span);
         }
-        let idx = (at & self.mask) as usize;
-        self.occ[idx >> 6] |= 1 << (idx & 63);
-        let slot = &mut self.slots[idx];
-        if slot.capacity() == slot.len() {
-            // First allocation jumps straight to 8 entries: synchronized
-            // protocol timers routinely co-locate `n` small events in one
-            // tick, and paying the 1→2→4→8 growth ladder once per slot ×
-            // phase is a long-tailed allocation source the audit test would
-            // see. Subsequent growth doubles as usual (amortized O(1)).
-            slot.reserve(8.max(slot.len()));
+        let idx = at as usize & (self.slots.len() - 1);
+        if self.slots[idx].0 == NIL {
+            self.occ[idx >> 6] |= 1 << (idx & 63);
+            self.ring_ticks += 1;
         }
-        slot.push(item);
-        self.ring_len += 1;
+        self.slots[idx] = self.append(self.slots[idx], item);
+    }
+
+    /// Appends `item` to the chain `(head, tail)`, linking a fresh block
+    /// when the tail block is full, and returns the updated chain.
+    #[inline]
+    fn append(&mut self, (head, tail): (u32, u32), item: T) -> (u32, u32) {
+        if head != NIL {
+            let block = &mut self.blocks[tail as usize];
+            if (block.len as usize) < BLOCK {
+                block.items[block.len as usize] = item;
+                block.len += 1;
+                return (head, tail);
+            }
+        }
+        let fresh = Block {
+            items: [item; BLOCK],
+            len: 1,
+            next: NIL,
+        };
+        let b = if self.free == NIL {
+            self.blocks.push(fresh);
+            u32::try_from(self.blocks.len() - 1).expect("block pool fits u32 indices")
+        } else {
+            let b = self.free;
+            self.free = std::mem::replace(&mut self.blocks[b as usize], fresh).next;
+            b
+        };
+        if head == NIL {
+            return (b, b);
+        }
+        self.blocks[tail as usize].next = b;
+        (head, b)
     }
 
     /// Dequeues the earliest item, FIFO within a tick.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        loop {
-            if let Some(item) = self.live.pop() {
-                return Some((self.live_at, item));
+        if self.live == NIL {
+            if self.len == 0 {
+                return None;
             }
-            if self.ring_len == 0 {
-                if self.far_len == 0 {
-                    return None;
-                }
+            if self.ring_ticks == 0 {
                 // Jump the window straight to the earliest overflow tick.
-                let (&k, _) = self.far.iter().next().expect("far_len > 0");
-                self.floor = k;
+                self.floor = *self.far.keys().next().expect("items outside the ring");
             } else {
-                // Advance the cursor to the next occupied bucket: scan the
-                // occupancy bitmap word by word (the ring holds at least
-                // one occupied slot, so this terminates within one lap).
-                let start = (self.floor & self.mask) as usize;
+                // Scan the bitmap for the next occupied slot (there is
+                // one, so this terminates within one lap).
+                let start = self.floor as usize & (self.slots.len() - 1);
                 let mut word_i = start >> 6;
                 let mut word = self.occ[word_i] & (!0u64 << (start & 63));
-                let words = self.occ.len();
+                let words = self.slots.len() / 64;
                 while word == 0 {
                     word_i = (word_i + 1) % words;
                     word = self.occ[word_i];
                 }
                 let idx = (word_i << 6) + word.trailing_zeros() as usize;
-                // Forward ring distance from the cursor slot to the found
-                // slot; every queued tick is within one window of `floor`,
-                // so the modular distance is the true tick delta.
-                let dist = (idx as u64)
-                    .wrapping_sub(start as u64)
-                    .wrapping_add(self.slots.len() as u64)
-                    & self.mask;
-                self.floor += dist;
+                // Every queued tick is within one window of `floor`, so
+                // the forward ring distance is the true tick delta.
+                self.floor += (idx.wrapping_sub(start) & (self.slots.len() - 1)) as u64;
             }
-            if self.far_len > 0 {
-                self.migrate_far();
-            }
-            // Return the drained bucket's allocation to its home slot.
-            // Workloads with synchronized timers refill the same tick
-            // phase every round, so keeping capacity at its phase is what
-            // makes the steady state allocation-free. The slot is usually
-            // empty (an in-window *push* to it would be for tick
-            // `live_at + capacity`, which forces a grow first), but a
-            // far-tier bucket whose tick aliases the drained one modulo
-            // the ring size can have just migrated into it — hence the
-            // explicit emptiness check.
-            if self.live.capacity() > 0 {
-                let home = (self.live_at & self.mask) as usize;
-                if self.slots[home].is_empty() && self.slots[home].capacity() < self.live.capacity()
-                {
-                    std::mem::swap(&mut self.slots[home], &mut self.live);
-                }
-            }
-            let idx = (self.floor & self.mask) as usize;
-            std::mem::swap(&mut self.live, &mut self.slots[idx]);
+            self.migrate_far();
+            let idx = self.floor as usize & (self.slots.len() - 1);
+            self.live = std::mem::replace(&mut self.slots[idx], EMPTY).0;
             self.occ[idx >> 6] &= !(1 << (idx & 63));
-            self.ring_len -= self.live.len();
-            self.live.reverse();
-            self.live_at = self.floor;
+            self.ring_ticks -= 1;
         }
+        let block = &mut self.blocks[self.live as usize];
+        let item = block.items[self.read as usize];
+        self.read += 1;
+        if self.read == block.len {
+            // Drained: the block goes back on the free list.
+            let next = std::mem::replace(&mut block.next, self.free);
+            self.free = std::mem::replace(&mut self.live, next);
+            self.read = 0;
+        }
+        self.len -= 1;
+        Some((self.floor, item))
     }
 
-    /// Pulls overflow buckets whose tick has entered the ring window.
-    /// Called every time `floor` advances, which maintains the invariant
-    /// that `far` only holds ticks outside the window — the precondition
-    /// for pushes and migrations to never split one tick across tiers.
+    /// Moves far chains whose tick has entered the window into the ring.
+    /// Called whenever `floor` advances or the ring grows, so `far` only
+    /// ever holds ticks outside the window and no tick spans both tiers.
     fn migrate_far(&mut self) {
-        let cap = self.slots.len() as u64;
-        while let Some((&k, _)) = self.far.iter().next() {
-            if k.saturating_sub(self.floor) >= cap {
+        while let Some(entry) = self.far.first_entry() {
+            if entry.key().saturating_sub(self.floor) >= self.slots.len() as u64 {
                 break;
             }
-            let bucket = self.far.remove(&k).expect("first key exists");
-            self.far_len -= bucket.len();
-            self.ring_len += bucket.len();
-            let idx = (k & self.mask) as usize;
+            let (k, chain) = entry.remove_entry();
+            let idx = k as usize & (self.slots.len() - 1);
+            debug_assert_eq!(self.slots[idx], EMPTY, "far tick {k} already in the ring");
+            self.slots[idx] = chain;
             self.occ[idx >> 6] |= 1 << (idx & 63);
-            let slot = &mut self.slots[idx];
-            debug_assert!(
-                slot.is_empty(),
-                "ring bucket occupied before its far tier migrated"
-            );
-            if slot.is_empty() {
-                *slot = bucket;
-            } else {
-                // Defensive: far items are older than any ring item of the
-                // same tick, so they go first.
-                let mut merged = bucket;
-                merged.append(slot);
-                *slot = merged;
-            }
+            self.ring_ticks += 1;
         }
     }
 
-    /// Doubles the ring until it covers `span` ticks past `floor`,
-    /// re-binning resident items (bucket vectors move wholesale, so FIFO
-    /// order within each tick is untouched).
+    /// Grows the ring (at least doubling it) to cover `span` ticks past
+    /// `floor`, moving resident chains wholesale to their new slots.
     fn grow(&mut self, span: u64) {
-        let mut new_cap = self.slots.len() * 2;
-        while (new_cap as u64) <= span {
-            new_cap *= 2;
-        }
+        let new_cap = (span + 1).next_power_of_two() as usize;
         debug_assert!(new_cap <= MAX_RING);
-        let old_cap = self.slots.len() as u64;
-        let old_mask = self.mask;
-        let mut old =
-            std::mem::replace(&mut self.slots, (0..new_cap).map(|_| Vec::new()).collect());
-        self.mask = (new_cap - 1) as u64;
-        self.occ = vec![0; (new_cap / 64).max(1)];
-        for offset in 0..old_cap {
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
+        self.occ[..new_cap / 64].fill(0);
+        // `floor + offset` cannot overflow: a grow means some tick at or
+        // beyond `floor + old.len()` exists.
+        for offset in 0..old.len() as u64 {
             let t = self.floor + offset;
-            let bucket = std::mem::take(&mut old[(t & old_mask) as usize]);
-            if !bucket.is_empty() {
-                let idx = (t & self.mask) as usize;
+            let chain = old[t as usize & (old.len() - 1)];
+            if chain.0 != NIL {
+                let idx = t as usize & (new_cap - 1);
                 self.occ[idx >> 6] |= 1 << (idx & 63);
-                self.slots[idx] = bucket;
+                self.slots[idx] = chain;
             }
         }
         // The window may now reach ticks previously parked in the far tier.
@@ -265,7 +264,7 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-impl<T> Default for CalendarQueue<T> {
+impl<T: Copy> Default for CalendarQueue<T> {
     fn default() -> Self {
         CalendarQueue::new()
     }
@@ -334,15 +333,15 @@ mod tests {
         assert_eq!(got, expected);
     }
 
-    /// Regression: a far-tier bucket whose tick aliases the last-drained
-    /// tick modulo the ring size migrates into that tick's *home slot*.
-    /// The allocation-recycle swap must not clobber it (it used to check
-    /// only capacity, stranding the migrated events with their occupancy
-    /// bit cleared — an infinite pop loop in release builds).
+    /// Regression: a far-tier chain whose tick aliases the last-drained
+    /// tick modulo the ring size migrates into that tick's slot, which the
+    /// drained chain must have left empty — or the migrated events are
+    /// stranded with their occupancy bit cleared (an infinite pop loop in
+    /// release builds).
     #[test]
     fn far_bucket_aliasing_drained_tick_survives_recycle() {
         let mut q = CalendarQueue::new();
-        // Give tick 3's bucket a large capacity (> 8 items grows it).
+        // Tick 3 gets more than one block.
         for i in 0..9u64 {
             q.push(3, i);
         }
@@ -375,47 +374,58 @@ mod tests {
 
     /// Differential test against the reference semantics: a max-heap of
     /// `Reverse((at, seq))` — exactly the ordering the simulator's
-    /// `BinaryHeap` scheduler used.
+    /// `BinaryHeap` scheduler used. Besides near and very far pushes, the
+    /// workload pushes same-tick bursts longer than a block, pushes at the
+    /// tick being drained and at ticks aliasing it modulo the current and
+    /// the largest ring, and pushes at `Time::MAX` (every fourth seed
+    /// starts just below it, so its far pushes saturate there and the
+    /// window reaches the top of time); `len()` is checked after every
+    /// operation.
     #[test]
     fn matches_binary_heap_reference_on_random_workloads() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        for seed in 0..20u64 {
+        for seed in 0..40u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut q = CalendarQueue::new();
-            let mut heap: BinaryHeap<Reverse<(Time, u64, u64)>> = BinaryHeap::new();
+            let mut heap: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
             let mut seq = 0u64;
-            let mut now: Time = 0;
-            let mut pending = 0usize;
-            for _ in 0..2000 {
-                let do_push = pending == 0 || rng.gen_range(0..3u32) < 2;
-                if do_push {
-                    // Mostly near-future, occasionally very far.
-                    let delta = if rng.gen_range(0..50u32) == 0 {
-                        rng.gen_range(1..5_000_000u64)
-                    } else {
-                        rng.gen_range(1..=1500u64)
+            let mut now: Time = if seed % 4 == 3 {
+                Time::MAX - 3_000_000
+            } else {
+                0
+            };
+            for _ in 0..3000 {
+                if heap.is_empty() || rng.gen_range(0..3u32) < 2 {
+                    let (delta, burst) = match rng.gen_range(0..100u32) {
+                        0 | 1 => (rng.gen_range(1..5_000_000u64), 1),
+                        2 => (q.slots.len() as u64 * rng.gen_range(1..3u64), 1),
+                        3 => (MAX_RING as u64 * rng.gen_range(1..3u64), 1),
+                        4 | 5 => (rng.gen_range(0..=1500u64), rng.gen_range(9..40u64)),
+                        6 => (Time::MAX, 1),
+                        _ => (rng.gen_range(0..=1500u64), 1),
                     };
-                    let at = now + delta;
-                    seq += 1;
-                    q.push(at, seq);
-                    heap.push(Reverse((at, seq, seq)));
-                    pending += 1;
+                    let at = now.saturating_add(delta);
+                    for _ in 0..burst {
+                        seq += 1;
+                        q.push(at, seq);
+                        heap.push(Reverse((at, seq)));
+                    }
                 } else {
-                    let got = q.pop();
-                    let Reverse((at, seq_ref, item)) = heap.pop().expect("same length");
-                    assert_eq!(got, Some((at, item)), "seed {seed} seq {seq_ref}");
+                    let Reverse((at, item)) = heap.pop().expect("non-empty");
+                    assert_eq!(q.pop(), Some((at, item)), "seed {seed} item {item}");
                     now = at;
-                    pending -= 1;
                 }
+                assert_eq!(q.len(), heap.len(), "seed {seed}");
             }
             // Drain both completely.
-            while let Some(got) = q.pop() {
-                let Reverse((at, _, item)) = heap.pop().expect("same length");
-                assert_eq!(got, (at, item));
+            while let Some(Reverse((at, item))) = heap.pop() {
+                assert_eq!(q.pop(), Some((at, item)), "seed {seed} item {item}");
+                assert_eq!(q.len(), heap.len(), "seed {seed}");
             }
-            assert!(heap.is_empty());
+            assert_eq!(q.pop(), None);
+            assert!(q.is_empty());
         }
     }
 }

@@ -25,10 +25,11 @@
 //!   in a recycled slab slot and enqueues `n` 16-byte deliveries
 //!   referencing it (reference-counted without atomics — a simulation is
 //!   single-threaded); `words()` is computed once per broadcast.
-//! * **Calendar-queue scheduler** — events live in per-tick FIFO buckets
-//!   ([`crate::queue::CalendarQueue`]), replacing the `O(log q)` binary
-//!   heap; bucket order reproduces the historical `(at, seq)` order
-//!   exactly.
+//! * **Calendar-queue scheduler** — events live in one free-listed pool
+//!   of 8-event blocks, chained per tick ([`crate::queue::CalendarQueue`]),
+//!   replacing the `O(log q)` binary heap; chain order reproduces the
+//!   historical `(at, seq)` order exactly, and a queue allocates when its
+//!   pool or ring doubles, never once per distinct tick.
 //! * **Decision counter** — `run_until_decided` checks an
 //!   `undecided_correct` counter instead of scanning all `n` decision
 //!   slots per event.
@@ -295,7 +296,7 @@ impl<M: Machine> NodeKind<M> {
 /// frees it onto a free list, so steady state allocates nothing beyond the
 /// payload the machine itself built. Keeping payloads out of the events
 /// also shrinks an [`Event`] to 16 bytes, which is most of what makes the
-/// calendar queue's bucket traffic cheap.
+/// calendar queue's block traffic cheap.
 struct PayloadSlab<Msg> {
     slots: Vec<(Option<Msg>, u32)>,
     free: Vec<u32>,
@@ -356,19 +357,35 @@ impl<Msg> PayloadSlab<Msg> {
     }
 }
 
-enum EventKind {
-    Start,
-    Deliver { from: ProcessId, slot: u32 },
-    Timer { tag: u64 },
+/// A scheduled event for `node`. Its time lives in the calendar queue (every
+/// event of a chain shares one tick) and its order among same-tick events
+/// is the chain's FIFO order, so it carries neither a timestamp nor a
+/// sequence number. `node` sits in every variant rather than beside the
+/// enum so the discriminant packs next to it: 16 bytes, not 24.
+#[derive(Clone, Copy)]
+enum Event {
+    Start {
+        node: ProcessId,
+    },
+    Deliver {
+        node: ProcessId,
+        from: ProcessId,
+        slot: u32,
+    },
+    Timer {
+        node: ProcessId,
+        tag: u64,
+    },
 }
 
-/// A scheduled event. Its time lives in the calendar queue's bucket (every
-/// event in a bucket shares one tick) and its order among same-tick events
-/// is the bucket's FIFO order, so the struct carries neither a timestamp
-/// nor a sequence number.
-struct Event {
-    node: ProcessId,
-    kind: EventKind,
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+impl Event {
+    fn node(self) -> ProcessId {
+        match self {
+            Event::Start { node } | Event::Deliver { node, .. } | Event::Timer { node, .. } => node,
+        }
+    }
 }
 
 /// Why a run stopped.
@@ -461,13 +478,8 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         // queue's FIFO order preserves it (the old scheduler's seq = i).
         for i in 0..n {
             let at = sim.config.start_times[i];
-            sim.queue.push(
-                at,
-                Event {
-                    node: ProcessId::from_index(i),
-                    kind: EventKind::Start,
-                },
-            );
+            let node = ProcessId::from_index(i);
+            sim.queue.push(at, Event::Start { node });
             if P::ENABLED {
                 sim.probe.on_queue_push(at, sim.queue.len());
             }
@@ -571,12 +583,12 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             duplicates: 0,
         };
         if from == to {
-            return (sent_at + 1, PLAIN); // local self-delivery
+            return (sent_at.saturating_add(1), PLAIN); // local self-delivery
         }
         let gst = self.config.gst;
         let post_gst_jitter = self.jitter.sample(&mut self.rng);
         if sent_at >= gst {
-            return (sent_at + post_gst_jitter, PLAIN);
+            return (sent_at.saturating_add(post_gst_jitter), PLAIN);
         }
         let link = LinkCtx {
             from,
@@ -589,7 +601,9 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         let plan = self.config.net.deliver(&link, &mut self.rng);
         // DLS guarantee: delivered by GST + δ even if sent before GST. A
         // dropped (withheld) message arrives exactly at the deadline.
-        let cap = gst + post_gst_jitter;
+        // Every deadline saturates: GST and δ may sit near `Time::MAX`,
+        // and `sent_at + 1` cannot overflow here (`sent_at < gst`).
+        let cap = gst.saturating_add(post_gst_jitter);
         let at = if plan.dropped {
             cap.max(sent_at + 1)
         } else {
@@ -626,13 +640,12 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         if P::ENABLED {
             self.probe.on_send(from, to, words, self.time, at);
         }
-        self.queue.push(
-            at,
-            Event {
-                node: to,
-                kind: EventKind::Deliver { from, slot },
-            },
-        );
+        let ev = Event::Deliver {
+            node: to,
+            from,
+            slot,
+        };
+        self.queue.push(at, ev);
         self.observed.note_enqueued(to);
         if P::ENABLED {
             self.probe.on_queue_push(at, self.queue.len());
@@ -646,13 +659,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             if P::ENABLED {
                 self.probe.on_duplicate(from, to, self.time, at);
             }
-            self.queue.push(
-                at,
-                Event {
-                    node: to,
-                    kind: EventKind::Deliver { from, slot },
-                },
-            );
+            self.queue.push(at, ev);
             self.observed.note_enqueued(to);
             if P::ENABLED {
                 self.probe.on_queue_push(at, self.queue.len());
@@ -689,14 +696,8 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
     }
 
     fn enqueue_timer(&mut self, node: ProcessId, delay: Time, tag: u64) {
-        let at = self.time + delay.max(1);
-        self.queue.push(
-            at,
-            Event {
-                node,
-                kind: EventKind::Timer { tag },
-            },
-        );
+        let at = self.time.saturating_add(delay.max(1));
+        self.queue.push(at, Event::Timer { node, tag });
         if P::ENABLED {
             self.probe.on_queue_push(at, self.queue.len());
         }
@@ -753,16 +754,16 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
     }
 
     fn dispatch(&mut self, ev: Event) {
-        let p = ev.node;
+        let p = ev.node();
         // Every popped delivery leaves the receiver's observed inbox —
         // including deliveries to halted nodes, which were counted in.
-        if let EventKind::Deliver { .. } = ev.kind {
+        if let Event::Deliver { .. } = ev {
             self.observed.note_dispatched(p);
         }
         if self.halted[p.index()] {
             // A halted receiver still consumes its reference to the
             // payload, or the slot would never be recycled.
-            if let EventKind::Deliver { slot, .. } = ev.kind {
+            if let Event::Deliver { slot, .. } = ev {
                 self.release_payload(slot);
             }
             return;
@@ -771,13 +772,13 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         // The guard keeps the `NoProbe` case free of even the argument
         // computation.
         if P::ENABLED {
-            match &ev.kind {
-                EventKind::Start => self.probe.on_start(self.time, p),
-                EventKind::Deliver { from, slot } => {
-                    let msg = self.payloads.get(*slot);
-                    self.probe.on_deliver(self.time, p, *from, msg);
+            match ev {
+                Event::Start { .. } => self.probe.on_start(self.time, p),
+                Event::Deliver { from, slot, .. } => {
+                    let msg = self.payloads.get(slot);
+                    self.probe.on_deliver(self.time, p, from, msg);
                 }
-                EventKind::Timer { tag } => self.probe.on_timer_fire(self.time, p, *tag),
+                Event::Timer { tag, .. } => self.probe.on_timer_fire(self.time, p, tag),
             }
         }
         if self.nodes[p.index()].is_correct() {
@@ -788,16 +789,16 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 let NodeKind::Correct(m) = &mut self.nodes[p.index()] else {
                     unreachable!("checked above")
                 };
-                match ev.kind {
-                    EventKind::Start => m.init(&env, &mut sink),
-                    EventKind::Deliver { from, slot } => {
+                match ev {
+                    Event::Start { .. } => m.init(&env, &mut sink),
+                    Event::Deliver { from, slot, .. } => {
                         self.stats.record_delivery(p);
                         m.on_message(from, self.payloads.get(slot), &env, &mut sink);
                     }
-                    EventKind::Timer { tag } => m.on_timer(tag, &env, &mut sink),
+                    Event::Timer { tag, .. } => m.on_timer(tag, &env, &mut sink),
                 }
             }
-            if let EventKind::Deliver { slot, .. } = ev.kind {
+            if let Event::Deliver { slot, .. } = ev {
                 self.release_payload(slot);
             }
             // apply_correct_steps drained the sink; restore it (with its
@@ -816,16 +817,16 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 if self.observed.is_tracking() && b.observes() {
                     b.observe(&self.observed);
                 }
-                match ev.kind {
-                    EventKind::Start => b.init(&env, &mut sink),
-                    EventKind::Deliver { from, slot } => {
+                match ev {
+                    Event::Start { .. } => b.init(&env, &mut sink),
+                    Event::Deliver { from, slot, .. } => {
                         self.stats.record_delivery(p);
                         b.on_message(from, self.payloads.get(slot), &env, &mut sink);
                     }
-                    EventKind::Timer { tag } => b.on_timer(tag, &env, &mut sink),
+                    Event::Timer { tag, .. } => b.on_timer(tag, &env, &mut sink),
                 }
             }
-            if let EventKind::Deliver { slot, .. } = ev.kind {
+            if let Event::Deliver { slot, .. } = ev {
                 self.release_payload(slot);
             }
             self.apply_byz_steps(p, &mut sink);
@@ -867,12 +868,12 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 // source of truth — including the event that trips
                 // `max_events` below).
                 self.probe.on_queue_pop(at, self.queue.len());
-                let class = match ev.kind {
-                    EventKind::Start => EventClass::Start,
-                    EventKind::Deliver { .. } => EventClass::Deliver,
-                    EventKind::Timer { .. } => EventClass::Timer,
+                let class = match ev {
+                    Event::Start { .. } => EventClass::Start,
+                    Event::Deliver { .. } => EventClass::Deliver,
+                    Event::Timer { .. } => EventClass::Timer,
                 };
-                self.probe.on_event(at, ev.node, class);
+                self.probe.on_event(at, ev.node(), class);
             }
             if self.events_processed > self.config.max_events {
                 return RunOutcome::EventLimit;

@@ -3,19 +3,23 @@
 //! A counting global allocator measures the heap traffic of the event loop
 //! in steady state. Two runs of the same workload that differ only in
 //! `max_events` isolate the marginal cost of the extra events: after the
-//! warm-up prefix (sink capacity, calendar-queue ring and payload-slab
-//! slots, stats vectors), the engine itself must allocate **nothing** per
-//! event — point-to-point and broadcast alike. Broadcast payloads live in
-//! the free-listed `PayloadSlab` (one recycled slot per in-flight
-//! message), so the only allocations a broadcast can cost are the ones the
-//! machine's own payload construction performs (none here: `Ping(u64)`).
+//! warm-up prefix (sink capacity, the calendar queue's block pool and ring,
+//! payload-slab slots, stats vectors), the engine itself must allocate
+//! **nothing** per event — point-to-point and broadcast alike. Broadcast
+//! payloads live in the free-listed `PayloadSlab` (one recycled slot per
+//! in-flight message), so the only allocations a broadcast can cost are the
+//! ones the machine's own payload construction performs (none here:
+//! `Ping(u64)`). A short run pays for what its queue holds, not for how
+//! far ahead it schedules: the queue allocates per pool or ring doubling,
+//! never per distinct tick.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use validity_core::{ProcessId, SystemParams};
 use validity_simnet::{
-    Env, Machine, Message, Metrics, NoProbe, NodeKind, Probe, SimBuilder, StepSink,
+    CalendarQueue, Env, Machine, Message, Metrics, NoProbe, NodeKind, Probe, SimBuilder, StepSink,
 };
 
 struct CountingAlloc;
@@ -43,6 +47,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The counter is process-wide and the test harness runs tests on parallel
+/// threads, so every test holds this lock while it counts.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // A poisoned lock only means another audit failed; `()` has no state
+    // that failure could have left half-updated.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[derive(Clone, Debug)]
@@ -135,8 +148,8 @@ fn audit_steady_state<P: Probe>(label: &str, mut probe: impl FnMut() -> P) {
             .collect::<Vec<_>>()
     };
     // Warm-up run vs. longer run: the marginal 40_000 events must cost
-    // (next to) nothing. The ring warms within the short run (its 1024
-    // slots cycle every ~100 events here).
+    // (next to) nothing. The queue's block pool and ring reach their
+    // working size within the short run.
     let short = measure_with(10_000, ring(0), probe());
     let long = measure_with(50_000, ring(0), probe());
     let marginal = long.saturating_sub(short);
@@ -163,9 +176,9 @@ fn audit_steady_state<P: Probe>(label: &str, mut probe: impl FnMut() -> P) {
     );
 }
 
-/// Single test so no concurrent test thread pollutes the counter.
 #[test]
 fn steady_state_event_loop_does_not_allocate() {
+    let _serial = serial();
     // Disabled probe: the default `Simulation::new` path must stay
     // allocation-free per event — the probe layer compiles away entirely.
     audit_steady_state("NoProbe", || NoProbe);
@@ -174,4 +187,30 @@ fn steady_state_event_loop_does_not_allocate() {
     // preallocated fixed-size structure, so even the *instrumented* hot
     // path allocates nothing in steady state.
     audit_steady_state("Metrics", || Metrics::new(100));
+}
+
+/// The queue of a short cell: 2 000 events over 600 distinct ticks within
+/// the first 2 048, plus 20 at +34 300 (Algorithm 4's slow-broadcast wait
+/// δ·7³ at n = 7), then drained. Buckets allocated per tick would cost
+/// about one allocation per distinct tick here (600); the block pool
+/// allocates only when it or the ring doubles, plus once for the far tier
+/// (17 in all).
+#[test]
+fn short_run_queue_allocates_per_doubling_not_per_tick() {
+    let _serial = serial();
+    let before = allocs();
+    let mut q = CalendarQueue::new();
+    for i in 0..2_000u64 {
+        q.push((i * 7 % 600) * 3, i);
+    }
+    for i in 0..20u64 {
+        q.push(34_300, i);
+    }
+    let mut popped = 0;
+    while q.pop().is_some() {
+        popped += 1;
+    }
+    let made = allocs() - before;
+    assert_eq!(popped, 2_020);
+    assert!(made <= 24, "a 2 020-event queue allocated {made} times");
 }
