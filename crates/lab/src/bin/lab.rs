@@ -1,6 +1,6 @@
 //! The `lab` CLI: run scenario sweeps (whole or sharded), list the
-//! registries, merge shard partials, diff reports, emit / gate on the CI
-//! bench-trend artifact, and profile sweeps.
+//! registries, merge shard partials, diff reports, and emit / gate on the
+//! CI bench-trend artifact.
 //!
 //! ```text
 //! lab list [--names]
@@ -11,6 +11,8 @@
 //! lab crosscheck --seeds 0..4 --max-steps 5000000 --timing
 //! lab run --suite universal --dry-run
 //! lab run --suite quick --observe --timing
+//! lab run --protocols universal/alg1-auth --validities strong --behaviors two-faced \
+//!         --schedules partial-sync --systems 4,1 --faults max --seeds 0..1 --observe
 //! lab run --suite complexity --shard 2/4 --json part2.json
 //! lab run --suite complexity --adaptive --precision 0.05 --batch 2 --max-seeds 16
 //! lab run --protocols universal/alg1-auth --validities strong,median \
@@ -23,7 +25,6 @@
 //! lab trend --from-reports complexity.json,universal.json \
 //!           --baseline BENCH_lab_baseline.json --out BENCH_lab.json
 //! lab trend --update-baseline
-//! lab profile --suite quick --top 5 --timeline hot
 //! ```
 
 use std::ops::Range;
@@ -34,11 +35,11 @@ use validity_lab::flags::{self, Command};
 use validity_lab::json::Json;
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
-    compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, profile_markdown,
-    run_crosscheck, run_mutate, run_service, slowest_first_markdown, suites, timeline_for,
-    timing_markdown, AgreementLevel, CrosscheckMatrix, FitAxis, FitMeasure, MutateMatrix,
-    PartialReport, ProtocolAxis, SamplingSpec, ScenarioMatrix, ScheduleSpec, ServiceMatrix,
-    ShardSpec, SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, REPORT_SCHEMA,
+    compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, run_crosscheck,
+    run_mutate, run_service, slowest_first_markdown, suites, timeline_for, timing_markdown,
+    AgreementLevel, CrosscheckMatrix, FitAxis, FitMeasure, MutateMatrix, PartialReport,
+    ProtocolAxis, SamplingSpec, ScenarioMatrix, ScheduleSpec, ServiceMatrix, ShardSpec,
+    SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, REPORT_SCHEMA,
 };
 use validity_protocols::{vector_registry, MutationOp};
 use validity_simnet::Timeline;
@@ -62,7 +63,6 @@ fn main() -> ExitCode {
         Some((&"merge", rest)) => merge_cmd(rest),
         Some((&"diff", rest)) => diff(rest),
         Some((&"trend", rest)) => trend(rest),
-        Some((&"profile", rest)) => profile(rest),
         _ => Err(USAGE.to_string()),
     };
     outcome.unwrap_or_else(|e| {
@@ -72,7 +72,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-    usage: lab <list | run | service | crosscheck | mutate | merge | diff | trend | profile> ...\n\n\
+    usage: lab <list | run | service | crosscheck | mutate | merge | diff | trend> ...\n\n\
     lab list [--names]\n\
     lab run --suite <name> [--threads N] [--json FILE] [--md FILE]\n\
     \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
@@ -93,9 +93,7 @@ const USAGE: &str = "\
     lab diff <a.json> <b.json>\n\
     lab trend [--suites a,b,.. | --from-reports a.json,b.json]\n\
     \x20        [--threads N] [--out FILE] [--baseline FILE] [--tolerance X]\n\
-    \x20        [--update-baseline]\n\
-    lab profile --suite <name> [--threads N] [--top K] [--out FILE]\n\
-    \x20        [--timeline BASE] [--cell LABEL]";
+    \x20        [--update-baseline]";
 
 /// Suites the CLI runs outside the [`ScenarioMatrix`] engine; `lab run
 /// --suite <name>` delegates them to their own drivers.
@@ -560,7 +558,7 @@ fn run(rest: &[&str]) -> CmdResult {
     if let Some(shard) = shard {
         if observing {
             return Err("--observe is not available with --shard: observations are \
-                 per-process; run the whole matrix observed, or profile it"
+                 per-process; run the whole matrix observed"
                 .to_string());
         }
         return run_shard(&args, &matrix, shard, threads);
@@ -1220,61 +1218,4 @@ fn trend(rest: &[&str]) -> CmdResult {
     } else {
         ExitCode::SUCCESS
     })
-}
-
-/// `lab profile`: run a suite with the metrics probe attached and print
-/// where the sweep spends its effort — the top-k hottest cells by
-/// simulator events and by wall time, and queue/slab occupancy summaries.
-/// With `--timeline BASE`, additionally exports the hottest cell (or
-/// `--cell LABEL`) as `BASE.jsonl` and `BASE.trace.json` (Chrome
-/// `chrome://tracing` / Perfetto format).
-fn profile(rest: &[&str]) -> CmdResult {
-    let args = Args::parse(Command::Profile, rest)?;
-    let name = args
-        .value("--suite")
-        .ok_or("lab profile wants --suite <name>; see `lab list`")?;
-    let threads = args.threads()?;
-    let top: usize = match args.value("--top").map(str::parse) {
-        None => 10,
-        Some(Ok(n)) if n > 0 => n,
-        Some(_) => return Err("--top wants a positive count".to_string()),
-    };
-    let matrix = build_suite(name)?;
-
-    let cells = matrix.len();
-    let units = matrix.work_units().len();
-    let engine = SweepEngine::new(threads).observe(true);
-    eprintln!(
-        "profile '{name}': {cells} cell(s) / {units} work unit(s) on {} worker thread(s)...",
-        engine.threads()
-    );
-    let (_report, sweep) = engine.run(&matrix);
-    let md = profile_markdown(name, &sweep.timings, &sweep.observed, top);
-    if let Some(out_path) = args.value("--out") {
-        write_file(out_path, &md)?;
-        eprintln!("profile: {out_path}");
-    }
-    print!("{md}");
-
-    if let Some(base) = args.value("--timeline") {
-        let label = match args.value("--cell") {
-            Some(label) => label.to_string(),
-            None => match hottest_by_events(&sweep.observed) {
-                Some(hot) => hot.label.clone(),
-                None => {
-                    eprintln!("nothing to export: the suite observed no run cells");
-                    return Ok(ExitCode::from(1));
-                }
-            },
-        };
-        let Some(timeline) = timeline_for(&matrix, &label) else {
-            eprintln!(
-                "no timeline for '{label}': not a run cell of this suite \
-                 (classification cells have no event timeline)"
-            );
-            return Ok(ExitCode::from(1));
-        };
-        write_timeline(&timeline, base, &label)?;
-    }
-    Ok(ExitCode::SUCCESS)
 }

@@ -12,7 +12,7 @@
 //! passes `--shard` to `lab service` believes sharding is in effect, and a
 //! named error beats a silently ignored flag.
 
-use Command::{Crosscheck, Merge, Mutate, Profile, Run, RunSuite, Service, Trend};
+use Command::{Crosscheck, Merge, Mutate, Run, RunSuite, Service, Trend};
 
 /// A `lab` subcommand (or `lab run` mode) with its own flag surface.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -27,8 +27,6 @@ pub enum Command {
     Crosscheck,
     /// `lab mutate` (and `lab run --suite mutate`).
     Mutate,
-    /// `lab profile`.
-    Profile,
     /// `lab trend`.
     Trend,
     /// `lab merge <partial.json>...`.
@@ -37,9 +35,7 @@ pub enum Command {
 
 impl Command {
     /// Every command of the table.
-    pub const ALL: [Command; 8] = [
-        Run, RunSuite, Service, Crosscheck, Mutate, Profile, Trend, Merge,
-    ];
+    pub const ALL: [Command; 7] = [Run, RunSuite, Service, Crosscheck, Mutate, Trend, Merge];
 
     /// How diagnostics name the command (`lab service`, `lab run --suite`).
     pub fn invocation(self) -> &'static str {
@@ -49,7 +45,6 @@ impl Command {
             Service => "lab service",
             Crosscheck => "lab crosscheck",
             Mutate => "lab mutate",
-            Profile => "lab profile",
             Trend => "lab trend",
             Merge => "lab merge",
         }
@@ -150,12 +145,12 @@ const FIXED_AXES: &[(Command, &str)] = &[
 pub const FLAGS: &[Flag] = &[
     value(
         "--suite",
-        &[Run, RunSuite, Service, Crosscheck, Mutate, Profile],
+        &[Run, RunSuite, Service, Crosscheck, Mutate],
         &[],
     ),
     value(
         "--threads",
-        &[Run, RunSuite, Service, Crosscheck, Mutate, Profile, Trend],
+        &[Run, RunSuite, Service, Crosscheck, Mutate, Trend],
         &[],
     ),
     value("--json", REPORT_FILES, &[]),
@@ -279,10 +274,7 @@ pub const FLAGS: &[Flag] = &[
         )],
     ),
     value("--operators", &[Mutate], &[]),
-    value("--top", &[Profile], &[]),
-    value("--timeline", &[Profile], &[]),
-    value("--cell", &[Profile], &[]),
-    value("--out", &[Profile, Trend], &[]),
+    value("--out", &[Trend], &[]),
     value("--suites", &[Trend], &[]),
     value("--from-reports", &[Trend], &[]),
     value("--baseline", &[Trend], &[]),
@@ -304,11 +296,13 @@ pub const FLAGS: &[Flag] = &[
             (
                 Service,
                 "the service report already carries per-slot latency and amortized cost; \
-                 use `lab profile` for engine metrics",
+                 for engine metrics, run one engine's cells with `lab run --protocols <engine> \
+                 --observe`",
             ),
             (
                 Crosscheck,
-                "crosscheck grades agreement, not engine metrics; use `lab profile` for those",
+                "crosscheck grades agreement, not engine metrics; for those, run one engine's \
+                 cells with `lab run --protocols <engine> --observe`",
             ),
         ],
     ),
@@ -344,6 +338,31 @@ mod tests {
                 );
             }
             assert!(!flag.accepted.is_empty(), "{} has no taker", flag.name);
+        }
+    }
+
+    /// A refusal that points at another command must point at one that
+    /// exists: every `` `lab <word>` `` it quotes is a subcommand the binary
+    /// dispatches — a [`Command`], or one of the two that take no flags.
+    #[test]
+    fn refusals_only_recommend_existing_subcommands() {
+        let mut subcommands: Vec<&str> = Command::ALL
+            .iter()
+            .map(|c| c.invocation().split(' ').nth(1).expect("`lab <word>`"))
+            .collect();
+        subcommands.extend(["list", "diff"]);
+        for flag in FLAGS {
+            for (command, why) in flag.refused {
+                for quoted in why.split("`lab ").skip(1) {
+                    let word = quoted.split([' ', '`']).next().unwrap_or("");
+                    assert!(
+                        subcommands.contains(&word),
+                        "{} under `{}` recommends `lab {word}`, which does not exist",
+                        flag.name,
+                        command.invocation()
+                    );
+                }
+            }
         }
     }
 

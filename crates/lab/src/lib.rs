@@ -43,9 +43,9 @@
 //!   historical comparison: `lab trend --baseline` diffs today's fitted
 //!   exponents against a previous artifact and fails on regressions.
 //! * **[`observe`]** — per-cell engine metrics from the simulator's
-//!   zero-cost probe layer (`lab run --observe`, `lab profile`): latency
-//!   and queue-depth histograms, per-round traffic, occupancy high-water
-//!   marks, and timeline export. Deterministic but non-canonical.
+//!   zero-cost probe layer (`lab run --observe`): latency and queue-depth
+//!   histograms, per-round traffic, occupancy high-water marks, and the
+//!   hottest cell's timeline export. Deterministic but non-canonical.
 //! * **[`crosscheck`]** — the differential oracle (`lab crosscheck`):
 //!   every applicable registry engine, the solvability classifier, and
 //!   both report emitters run on identical cells and graded into an
@@ -59,8 +59,8 @@
 //! * **[`flags`]** — the CLI's one flag table: every `--flag`, the
 //!   commands that accept it, and the reason where a command refuses it.
 //! * the **`lab`** binary — `run` / `service` / `crosscheck` / `mutate` /
-//!   `list` / `diff` / `merge` / `trend` / `profile` over all of the
-//!   above, validating every argv against [`flags`].
+//!   `list` / `diff` / `merge` / `trend` over all of the above,
+//!   validating every argv against [`flags`].
 //!
 //! ## Example
 //!
@@ -113,8 +113,8 @@ pub use mutate::{
     run_mutate, Fate, MutantFate, MutateMatrix, MutateReport, CATALOGUED_EQUIVALENT, MUTATE_SCHEMA,
 };
 pub use observe::{
-    hottest_by_events, observe_json, observe_markdown, profile_markdown, timeline_for,
-    CellObservation, OBSERVE_SCHEMA,
+    hottest_by_events, observe_json, observe_markdown, timeline_for, CellObservation,
+    OBSERVE_SCHEMA,
 };
 pub use partial::{merge, PartialReport, PARTIAL_SCHEMA};
 pub use report::{FitRow, GroupSummary, SamplingSection, SweepReport, REPORT_SCHEMA};

@@ -12,9 +12,7 @@
 //! * [`observe_json`] — the deterministic `validity-lab/observe@1` side
 //!   artifact with the full histograms and per-round counters;
 //! * [`timeline_for`] — re-runs one labeled cell with a
-//!   [`validity_simnet::Timeline`] probe for JSONL / Chrome-trace export;
-//! * [`profile_markdown`] — the `lab profile` summary (hottest cells,
-//!   queue/slab occupancy).
+//!   [`validity_simnet::Timeline`] probe for JSONL / Chrome-trace export.
 //!
 //! Observations are deterministic (probes count simulator events, not
 //! wall clock), so the Markdown section and the JSON artifact are
@@ -22,11 +20,8 @@
 //! canonical report, whose fingerprints must not depend on whether a run
 //! was observed.
 
-use std::time::Duration;
-
 use validity_simnet::{Hist, Metrics, Timeline};
 
-use crate::executor::CellTiming;
 use crate::matrix::{CellSpec, ScenarioMatrix, WorkUnit};
 use crate::report::json_str;
 use crate::runner::{execute_run_with_probe, GroupContext};
@@ -220,80 +215,6 @@ pub fn hottest_by_events(observed: &[CellObservation]) -> Option<&CellObservatio
     })
 }
 
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Renders the `lab profile` report: top-`top` hottest cells by events and
-/// by wall clock, and queue/slab occupancy summaries. Wall-clock figures
-/// are nondeterministic; event and occupancy figures are exact.
-pub fn profile_markdown(
-    suite: &str,
-    timings: &[CellTiming],
-    observed: &[CellObservation],
-    top: usize,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "# Profile: {suite}");
-
-    let mut by_events: Vec<&CellTiming> = timings.iter().collect();
-    by_events.sort_by(|a, b| b.events.cmp(&a.events).then(a.label.cmp(&b.label)));
-    out.push_str("\n## Hottest cells by events\n\n| cell | events | wall ms |\n|---|---|---|\n");
-    for t in by_events.iter().take(top) {
-        let _ = writeln!(out, "| {} | {} | {:.3} |", t.label, t.events, ms(t.wall));
-    }
-
-    let mut by_wall: Vec<&CellTiming> = timings.iter().collect();
-    by_wall.sort_by(|a, b| b.wall.cmp(&a.wall).then(a.label.cmp(&b.label)));
-    out.push_str(
-        "\n## Hottest cells by wall clock\n\n| cell | wall ms | events |\n|---|---|---|\n",
-    );
-    for t in by_wall.iter().take(top) {
-        let _ = writeln!(out, "| {} | {:.3} | {} |", t.label, ms(t.wall), t.events);
-    }
-
-    let mut total_m = Metrics::new(1);
-    for o in observed {
-        total_m.merge(&o.metrics);
-    }
-    out.push_str("\n## Occupancy\n\n");
-    let _ = writeln!(
-        out,
-        "- events: {} dispatched ({} starts, {} deliveries, {} timer fires, \
-         {} decides, {} halts)",
-        total_m.events,
-        total_m.starts,
-        total_m.deliveries,
-        total_m.timer_fires,
-        total_m.decides,
-        total_m.halts
-    );
-    let _ = writeln!(
-        out,
-        "- traffic: {} messages, {} words",
-        total_m.messages, total_m.words
-    );
-    let _ = writeln!(
-        out,
-        "- queue depth p50 / p99 / max: {} (high water {} across {} pushes)",
-        hist_cells(&total_m.queue_depth),
-        total_m.queue_high_water,
-        total_m.queue_pushes
-    );
-    let _ = writeln!(
-        out,
-        "- delivery latency p50 / p99 / max: {} ticks",
-        hist_cells(&total_m.latency)
-    );
-    let _ = writeln!(
-        out,
-        "- payload slab high water: {} live slots",
-        total_m.slab_high_water
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,16 +270,5 @@ mod tests {
         // Both export formats render.
         assert!(timeline.to_jsonl().lines().count() == timeline.len());
         assert!(timeline.to_chrome_trace().contains("traceEvents"));
-    }
-
-    #[test]
-    fn profile_markdown_has_all_sections() {
-        let m = matrix();
-        let run = SweepEngine::new(1).observe(true).execute(&m);
-        let md = profile_markdown("observe-test", &run.timings, &run.observed, 3);
-        assert!(md.contains("## Hottest cells by events"));
-        assert!(md.contains("## Hottest cells by wall clock"));
-        assert!(md.contains("## Occupancy"));
-        assert!(md.contains("payload slab high water"));
     }
 }

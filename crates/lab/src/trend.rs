@@ -639,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_untagged_v1_and_rejects_foreign_schemas() {
+    fn parse_refuses_untagged_and_older_schemas_by_name() {
         // Neither older generation is read any more: each is refused by
         // name, like any foreign tag.
         let refused = |text: &str, tag: &str| {

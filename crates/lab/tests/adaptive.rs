@@ -197,7 +197,7 @@ fn adaptive_merge_commits_reject_tampered_shards() {
 }
 
 #[test]
-fn merge_refuses_mixed_partial_generations() {
+fn partial_reader_refuses_an_older_generation_by_name() {
     // A shard of another generation never reaches the merge: the reader
     // refuses it by name, so a merged set is single-generation by
     // construction.
@@ -278,7 +278,7 @@ fn fault_axis_fits_group_by_size_and_vary_byz() {
 }
 
 #[test]
-fn v1_partials_still_parse_with_fixed_seed_semantics() {
+fn hand_written_v1_partial_is_refused_even_when_retagged() {
     // A hand-written partial@1 (no fit_axis, no sampling, no classify
     // cost) is refused by name, not read with defaulted fields.
     let v1 = r#"{

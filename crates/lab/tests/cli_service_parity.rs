@@ -48,7 +48,6 @@ fn spellings(command: Command) -> Vec<Vec<&'static str>> {
         Command::Service => vec![vec!["service"], vec!["run", "--suite", "service"]],
         Command::Crosscheck => vec![vec!["crosscheck"], vec!["run", "--suite", "crosscheck"]],
         Command::Mutate => vec![vec!["mutate"], vec!["run", "--suite", "mutate"]],
-        Command::Profile => vec![vec!["profile"]],
         Command::Trend => vec![vec!["trend"]],
         Command::Merge => vec![vec!["merge"]],
     }
@@ -238,16 +237,15 @@ fn a_flag_is_never_taken_as_another_flags_value() {
             vec!["run", "--suite", "quick", "--json", "--md"],
         ),
         ("--md", "--dry-run", vec!["service", "--md", "--dry-run"]),
-        ("--out", "--top", vec!["profile", "--out", "--top", "3"]),
+        (
+            "--out",
+            "--suites",
+            vec!["trend", "--out", "--suites", "quick"],
+        ),
         (
             "--baseline",
             "--tolerance",
             vec!["trend", "--baseline", "--tolerance", "0.5"],
-        ),
-        (
-            "--timeline",
-            "--cell",
-            vec!["profile", "--timeline", "--cell", "0"],
         ),
     ] {
         let out = Process::new(env!("CARGO_BIN_EXE_lab"))

@@ -1,9 +1,11 @@
-//! The observe/profile surfaces end-to-end through the `lab` binary:
-//! `--observe` must not change canonical report bytes, and `lab run
-//! --observe` / `lab profile` must actually emit their artifacts.
+//! The observe surface end-to-end through the `lab` binary: `--observe`
+//! must not change canonical report bytes, and `lab run --observe` must
+//! actually emit its artifacts — for a one-cell run, that cell's timeline.
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use validity_lab::{suites, timeline_for};
 
 const LAB: &str = env!("CARGO_BIN_EXE_lab");
 
@@ -54,61 +56,65 @@ fn observe_leaves_canonical_reports_untouched_and_emits_artifacts() {
     assert!(trace.contains("traceEvents"));
 }
 
-/// `lab profile` prints every section and exports the requested timeline.
+/// One chosen cell's timeline is the `--observe` export of a one-cell
+/// `lab run`: the cell's own axis flags and a one-seed range make a matrix
+/// whose hottest cell is that cell, so the exported JSONL is byte for byte
+/// the suite cell's replay.
 #[test]
-fn profile_prints_sections_and_exports_timelines() {
-    let dir = workdir("profile");
-    let base = dir.join("hot").display().to_string();
+fn one_cell_observe_exports_that_cells_timeline() {
+    let dir = workdir("one-cell");
+    let json = dir.join("one.json").display().to_string();
+    let md = dir.join("one.md").display().to_string();
     let out = Command::new(LAB)
         .args([
-            "profile",
-            "--suite",
-            "quick",
-            "--top",
-            "3",
-            "--timeline",
-            &base,
+            "run",
+            "--protocols",
+            "universal/alg1-auth",
+            "--validities",
+            "strong",
+            "--behaviors",
+            "stale",
+            "--schedules",
+            "partial-sync",
+            "--systems",
+            "4,1",
+            "--faults",
+            "max",
+            "--seeds",
+            "1..2",
+            "--observe",
+            "--json",
+            &json,
+            "--md",
+            &md,
         ])
         .output()
         .expect("spawn lab");
     assert!(
         out.status.success(),
-        "profile failed: {}",
+        "run failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for section in [
-        "# Profile: quick",
-        "## Hottest cells by events",
-        "## Hottest cells by wall clock",
-        "## Occupancy",
-    ] {
-        assert!(stdout.contains(section), "missing {section}:\n{stdout}");
-    }
-    assert!(!stdout.contains("Phases"), "phase table is back:\n{stdout}");
-    assert!(std::fs::read_to_string(format!("{base}.jsonl"))
-        .unwrap()
-        .contains("\"kind\""));
-    assert!(std::fs::read_to_string(format!("{base}.trace.json"))
-        .unwrap()
-        .contains("traceEvents"));
-    // Unknown suites and unknown cells fail loudly.
+    let label = "run/universal/alg1-auth/strong/stalex1/partial-sync/n4t1/s1";
+    let quick = suites::build("quick").expect("built-in suite");
+    let want = timeline_for(&quick, label).expect("a quick run cell");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("one.timeline.jsonl")).unwrap(),
+        want.to_jsonl()
+    );
+    assert_eq!(
+        std::fs::read_to_string(dir.join("one.timeline.trace.json")).unwrap(),
+        want.to_chrome_trace()
+    );
+}
+
+/// Unknown suites fail loudly.
+#[test]
+fn an_unknown_suite_fails() {
     let out = Command::new(LAB)
-        .args(["profile", "--suite", "no-such-suite"])
+        .args(["run", "--suite", "no-such-suite"])
         .output()
         .expect("spawn lab");
     assert!(!out.status.success());
-    let out = Command::new(LAB)
-        .args([
-            "profile",
-            "--suite",
-            "quick",
-            "--timeline",
-            &base,
-            "--cell",
-            "no-such-cell",
-        ])
-        .output()
-        .expect("spawn lab");
-    assert!(!out.status.success(), "unknown cell label must fail");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown suite 'no-such-suite'"));
 }

@@ -67,9 +67,10 @@
 //! named [`BuildError`]; [`SimBuilder::config`] reads the assembled
 //! [`SimConfig`] back. The pre-GST network is one [`NetModel`]
 //! (`SimBuilder::new(p).net(..)`, see [`net`]); instrumentation is one
-//! [`Probe`] (`build_with_probe`, read back with `Simulation::probe`) —
-//! [`Metrics`], [`Timeline`] and [`Trace`] are all probes, and [`Tandem`]
-//! attaches two.
+//! [`Probe`] (`build_with_probe`, read back with `Simulation::probe`):
+//! [`Metrics`] counts, and [`Timeline`] logs each process's events — the
+//! log the execution-merging tests compare with
+//! [`Timeline::indistinguishable_for`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,7 +85,6 @@ pub mod sim;
 pub mod sink;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use mux::{InstanceId, Multiplex, MuxMsg, SlotDecision};
 pub use net::{
@@ -93,7 +93,7 @@ pub use net::{
 };
 pub use node::{ByzStep, Byzantine, Env, FilteredMachine, Machine, Message, Silent, Step};
 pub use observed::ObservedState;
-pub use probe::{EventClass, Hist, Metrics, NoProbe, Probe, Tandem, Timeline};
+pub use probe::{Hist, Metrics, NoProbe, Probe, Timeline};
 pub use queue::CalendarQueue;
 pub use sim::{
     agreement_holds, BuildError, NodeKind, RunOutcome, SimBuilder, SimConfig, Simulation,
@@ -101,4 +101,3 @@ pub use sim::{
 pub use sink::{ByzSink, StepSink};
 pub use stats::NetStats;
 pub use time::{Time, DEFAULT_DELTA, DEFAULT_GST};
-pub use trace::{Trace, TraceEvent};

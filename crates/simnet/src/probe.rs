@@ -2,7 +2,8 @@
 //! every interesting point of the event loop, plus two concrete probes —
 //! [`Metrics`] (fixed-size counters and histograms, allocation-free in
 //! steady state) and [`Timeline`] (a per-process event log with JSONL and
-//! Chrome `trace_event` emitters).
+//! Chrome `trace_event` emitters, and the indistinguishability queries the
+//! paper's merge arguments need).
 //!
 //! # Design
 //!
@@ -33,27 +34,15 @@
 //! | [`on_queue_push`](Probe::on_queue_push) / [`on_queue_pop`](Probe::on_queue_pop) | scheduler traffic, with the queue depth after the operation |
 //! | [`on_send`](Probe::on_send) | once per enqueued delivery, with send time and (already-drawn) arrival time |
 //! | [`on_drop`](Probe::on_drop) / [`on_duplicate`](Probe::on_duplicate) | network-model faults: a pre-GST send withheld to its DLS deadline / an extra copy injected (never fire under the legacy schedules) |
-//! | [`on_slab_alloc`](Probe::on_slab_alloc) / [`on_slab_release`](Probe::on_slab_release) | payload-slab slot traffic, with the live-slot count after the operation |
-//! | [`on_start`](Probe::on_start) / [`on_deliver`](Probe::on_deliver) / [`on_timer_fire`](Probe::on_timer_fire) | per-process observable events (non-halted targets only — exactly what [`crate::Trace`] records) |
+//! | [`on_slab_alloc`](Probe::on_slab_alloc) | payload-slab slot allocation, with the live-slot count after it |
+//! | [`on_start`](Probe::on_start) / [`on_deliver`](Probe::on_deliver) / [`on_timer_fire`](Probe::on_timer_fire) | per-process observable events (non-halted targets only; with decides, what [`Timeline::view_of`] returns) |
 //! | [`on_decide`](Probe::on_decide) / [`on_halt`](Probe::on_halt) | protocol outputs and voluntary halts |
 
-use std::fmt::Debug;
+use std::fmt::{self, Debug};
 
 use validity_core::ProcessId;
 
 use crate::time::{Time, DEFAULT_DELTA};
-
-/// Classification of a dispatched event — the probe-facing mirror of the
-/// simulator's internal event kinds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EventClass {
-    /// A process start event.
-    Start,
-    /// A message delivery.
-    Deliver,
-    /// A timer expiry.
-    Timer,
-}
 
 /// An instrumentation sink for the simulation hot path.
 ///
@@ -71,7 +60,7 @@ pub trait Probe {
     /// event the engine counts, including deliveries skipped because the
     /// target had halted and the event that trips `max_events`; the total
     /// equals [`crate::Simulation::events_processed`].
-    fn on_event(&mut self, _at: Time, _node: ProcessId, _class: EventClass) {}
+    fn on_event(&mut self, _at: Time, _node: ProcessId) {}
 
     /// An event was pushed onto the scheduler for time `at`; `depth` is
     /// the queue length after the push.
@@ -111,10 +100,6 @@ pub trait Probe {
     /// A payload-slab slot was allocated; `live` is the number of live
     /// slots after the allocation.
     fn on_slab_alloc(&mut self, _live: usize) {}
-
-    /// A payload-slab reference was released; `live` is the number of
-    /// live slots after the release (the slot may still be shared).
-    fn on_slab_release(&mut self, _live: usize) {}
 
     /// `node` started at `at` (non-halted targets only).
     fn on_start(&mut self, _at: Time, _node: ProcessId) {}
@@ -193,7 +178,7 @@ impl Hist {
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
-        self.sum += v;
+        self.sum = self.sum.saturating_add(v);
         if v > self.max {
             self.max = v;
         }
@@ -204,7 +189,8 @@ impl Hist {
         self.count
     }
 
-    /// Sum of all observations.
+    /// Sum of all observations, saturating at `u64::MAX` (latencies near
+    /// `Time::MAX` would otherwise wrap it below [`Hist::max`]).
     pub fn sum(&self) -> u64 {
         self.sum
     }
@@ -254,7 +240,7 @@ impl Hist {
             self.buckets[b] += c;
         }
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
 }
@@ -394,7 +380,7 @@ impl Default for Metrics {
 
 impl Probe for Metrics {
     #[inline]
-    fn on_event(&mut self, _at: Time, _node: ProcessId, _class: EventClass) {
+    fn on_event(&mut self, _at: Time, _node: ProcessId) {
         self.events += 1;
     }
 
@@ -478,7 +464,7 @@ impl Probe for Metrics {
 // Timeline
 
 /// What happened in one [`TimelineEvent`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TimelineKind {
     /// The process started.
     Start,
@@ -486,6 +472,8 @@ pub enum TimelineKind {
     Deliver {
         /// The sender.
         from: ProcessId,
+        /// `Debug` rendering of the message.
+        message: String,
     },
     /// A timer fired.
     TimerFire {
@@ -493,7 +481,10 @@ pub enum TimelineKind {
         tag: u64,
     },
     /// The process produced its first output.
-    Decide,
+    Decide {
+        /// `Debug` rendering of the output.
+        output: String,
+    },
     /// The process halted.
     Halt,
 }
@@ -505,14 +496,14 @@ impl TimelineKind {
             TimelineKind::Start => "start",
             TimelineKind::Deliver { .. } => "deliver",
             TimelineKind::TimerFire { .. } => "timer",
-            TimelineKind::Decide => "decide",
+            TimelineKind::Decide { .. } => "decide",
             TimelineKind::Halt => "halt",
         }
     }
 }
 
 /// One entry of a [`Timeline`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TimelineEvent {
     /// Simulated time of the event.
     pub at: Time,
@@ -523,11 +514,18 @@ pub struct TimelineEvent {
 }
 
 /// The timeline probe: records every per-process observable event
-/// (start / deliver / timer / decide / halt) in global dispatch order and
+/// (start / deliver / timer / decide / halt) in global dispatch order,
 /// renders the log as JSONL or as Chrome `trace_event` JSON
-/// (`chrome://tracing`, Perfetto). Unlike [`Metrics`] this probe grows a
-/// `Vec` — it is a diagnostic recorder, not a hot-path resident — but it
-/// is exactly as determinism-preserving: recording only copies values.
+/// (`chrome://tracing`, Perfetto), and answers the paper's merge-argument
+/// questions ("process P cannot distinguish E from E′") through
+/// [`Timeline::indistinguishable_for`].
+///
+/// Message and output contents are rendered eagerly with
+/// `format!("{:?}")`; that rendering is what the indistinguishability
+/// check compares, and the two export formats leave it out. Unlike
+/// [`Metrics`] this probe grows a `Vec` — it is a diagnostic recorder,
+/// not a hot-path resident — but it is exactly as determinism-preserving:
+/// recording only copies values.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Timeline {
     events: Vec<TimelineEvent>,
@@ -554,6 +552,45 @@ impl Timeline {
         self.events.is_empty()
     }
 
+    /// The events `process` observed, in order. A halt is the process's
+    /// own action, not something it observes, so halts are left out.
+    pub fn view_of(&self, process: ProcessId) -> Vec<&TimelineEvent> {
+        self.events
+            .iter()
+            .filter(|e| e.process == process && e.kind != TimelineKind::Halt)
+            .collect()
+    }
+
+    /// Whether `process` observes the same *content prefix* in both
+    /// timelines up to (exclusive) its `limit`-th event — the "cannot
+    /// distinguish E from E′" relation of the merge constructions.
+    /// Timestamps are ignored: what a process observes is message contents
+    /// and their order, not the instants, which the adversary controls.
+    pub fn indistinguishable_for(
+        &self,
+        other: &Timeline,
+        process: ProcessId,
+        limit: usize,
+    ) -> bool {
+        let a = self.view_of(process);
+        let b = other.view_of(process);
+        let k = limit.min(a.len()).min(b.len());
+        if limit > a.len() && limit > b.len() && a.len() != b.len() {
+            return false;
+        }
+        (0..k).all(|i| a[i].kind == b[i].kind)
+    }
+
+    /// The first decision recorded for `process`, if any.
+    pub fn decision_of(&self, process: ProcessId) -> Option<(Time, String)> {
+        self.view_of(process)
+            .into_iter()
+            .find_map(|e| match &e.kind {
+                TimelineKind::Decide { output } => Some((e.at, output.clone())),
+                _ => None,
+            })
+    }
+
     /// Renders the timeline as JSON Lines: one object per event, with
     /// `at`, `process`, `kind`, and kind-specific fields (`from`, `tag`).
     pub fn to_jsonl(&self) -> String {
@@ -568,7 +605,7 @@ impl Timeline {
                 e.kind.name()
             );
             match e.kind {
-                TimelineKind::Deliver { from } => {
+                TimelineKind::Deliver { from, .. } => {
                     let _ = write!(out, ", \"from\": {}", from.index());
                 }
                 TimelineKind::TimerFire { tag } => {
@@ -590,7 +627,7 @@ impl Timeline {
         let mut out = String::from("{\"traceEvents\": [\n");
         for (i, e) in self.events.iter().enumerate() {
             let args = match e.kind {
-                TimelineKind::Deliver { from } => format!("{{\"from\": {}}}", from.index()),
+                TimelineKind::Deliver { from, .. } => format!("{{\"from\": {}}}", from.index()),
                 TimelineKind::TimerFire { tag } => format!("{{\"tag\": {tag}}}"),
                 _ => "{}".to_string(),
             };
@@ -612,147 +649,51 @@ impl Timeline {
         out.push_str("], \"displayTimeUnit\": \"ms\"}\n");
         out
     }
+
+    fn push(&mut self, at: Time, process: ProcessId, kind: TimelineKind) {
+        self.events.push(TimelineEvent { at, process, kind });
+    }
 }
 
 impl Probe for Timeline {
     fn on_start(&mut self, at: Time, node: ProcessId) {
-        self.events.push(TimelineEvent {
-            at,
-            process: node,
-            kind: TimelineKind::Start,
-        });
+        self.push(at, node, TimelineKind::Start);
     }
 
-    fn on_deliver(&mut self, at: Time, node: ProcessId, from: ProcessId, _message: &dyn Debug) {
-        self.events.push(TimelineEvent {
-            at,
-            process: node,
-            kind: TimelineKind::Deliver { from },
-        });
+    fn on_deliver(&mut self, at: Time, node: ProcessId, from: ProcessId, message: &dyn Debug) {
+        let message = format!("{message:?}");
+        self.push(at, node, TimelineKind::Deliver { from, message });
     }
 
     fn on_timer_fire(&mut self, at: Time, node: ProcessId, tag: u64) {
-        self.events.push(TimelineEvent {
-            at,
-            process: node,
-            kind: TimelineKind::TimerFire { tag },
-        });
+        self.push(at, node, TimelineKind::TimerFire { tag });
     }
 
-    fn on_decide(&mut self, at: Time, node: ProcessId, _output: &dyn Debug) {
-        self.events.push(TimelineEvent {
-            at,
-            process: node,
-            kind: TimelineKind::Decide,
-        });
+    fn on_decide(&mut self, at: Time, node: ProcessId, output: &dyn Debug) {
+        let output = format!("{output:?}");
+        self.push(at, node, TimelineKind::Decide { output });
     }
 
     fn on_halt(&mut self, at: Time, node: ProcessId) {
-        self.events.push(TimelineEvent {
-            at,
-            process: node,
-            kind: TimelineKind::Halt,
-        });
+        self.push(at, node, TimelineKind::Halt);
     }
 }
 
-/// A pair of probes driven in lockstep: every hook forwards to `0` then
-/// `1`. Lets a caller record, say, [`Metrics`] and a [`Timeline`] in one
-/// run without a bespoke composite.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Tandem<A, B>(
-    /// The first probe (hooks fire on it first).
-    pub A,
-    /// The second probe.
-    pub B,
-);
-
-impl<A: Probe, B: Probe> Probe for Tandem<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    #[inline]
-    fn on_event(&mut self, at: Time, node: ProcessId, class: EventClass) {
-        self.0.on_event(at, node, class);
-        self.1.on_event(at, node, class);
-    }
-
-    #[inline]
-    fn on_queue_push(&mut self, at: Time, depth: usize) {
-        self.0.on_queue_push(at, depth);
-        self.1.on_queue_push(at, depth);
-    }
-
-    #[inline]
-    fn on_queue_pop(&mut self, at: Time, depth: usize) {
-        self.0.on_queue_pop(at, depth);
-        self.1.on_queue_pop(at, depth);
-    }
-
-    #[inline]
-    fn on_send(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        words: usize,
-        sent_at: Time,
-        arrival: Time,
-    ) {
-        self.0.on_send(from, to, words, sent_at, arrival);
-        self.1.on_send(from, to, words, sent_at, arrival);
-    }
-
-    #[inline]
-    fn on_drop(&mut self, from: ProcessId, to: ProcessId, sent_at: Time, arrival: Time) {
-        self.0.on_drop(from, to, sent_at, arrival);
-        self.1.on_drop(from, to, sent_at, arrival);
-    }
-
-    #[inline]
-    fn on_duplicate(&mut self, from: ProcessId, to: ProcessId, sent_at: Time, arrival: Time) {
-        self.0.on_duplicate(from, to, sent_at, arrival);
-        self.1.on_duplicate(from, to, sent_at, arrival);
-    }
-
-    #[inline]
-    fn on_slab_alloc(&mut self, live: usize) {
-        self.0.on_slab_alloc(live);
-        self.1.on_slab_alloc(live);
-    }
-
-    #[inline]
-    fn on_slab_release(&mut self, live: usize) {
-        self.0.on_slab_release(live);
-        self.1.on_slab_release(live);
-    }
-
-    #[inline]
-    fn on_start(&mut self, at: Time, node: ProcessId) {
-        self.0.on_start(at, node);
-        self.1.on_start(at, node);
-    }
-
-    #[inline]
-    fn on_deliver(&mut self, at: Time, node: ProcessId, from: ProcessId, message: &dyn Debug) {
-        self.0.on_deliver(at, node, from, message);
-        self.1.on_deliver(at, node, from, message);
-    }
-
-    #[inline]
-    fn on_timer_fire(&mut self, at: Time, node: ProcessId, tag: u64) {
-        self.0.on_timer_fire(at, node, tag);
-        self.1.on_timer_fire(at, node, tag);
-    }
-
-    #[inline]
-    fn on_decide(&mut self, at: Time, node: ProcessId, output: &dyn Debug) {
-        self.0.on_decide(at, node, output);
-        self.1.on_decide(at, node, output);
-    }
-
-    #[inline]
-    fn on_halt(&mut self, at: Time, node: ProcessId) {
-        self.0.on_halt(at, node);
-        self.1.on_halt(at, node);
+/// One line per event: `[at] process: content`, with the message and
+/// output renderings the indistinguishability check compares.
+impl fmt::Display for Timeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for e in &self.events {
+            write!(f, "[{:>8}] {}: ", e.at, e.process)?;
+            match &e.kind {
+                TimelineKind::Start => writeln!(f, "started"),
+                TimelineKind::Deliver { from, message } => writeln!(f, "recv {from}: {message}"),
+                TimelineKind::TimerFire { tag } => writeln!(f, "timer {tag}"),
+                TimelineKind::Decide { output } => writeln!(f, "decided {output}"),
+                TimelineKind::Halt => writeln!(f, "halted"),
+            }?;
+        }
+        Ok(())
     }
 }
 
@@ -768,8 +709,6 @@ mod tests {
         assert!(!enabled::<NoProbe>());
         assert!(enabled::<Metrics>());
         assert!(enabled::<Timeline>());
-        assert!(!enabled::<Tandem<NoProbe, NoProbe>>());
-        assert!(enabled::<Tandem<NoProbe, Metrics>>());
     }
 
     #[test]
@@ -815,6 +754,19 @@ mod tests {
     }
 
     #[test]
+    fn hist_sum_saturates_instead_of_wrapping() {
+        let mut a = Hist::new();
+        a.record(u64::MAX / 2);
+        a.record(u64::MAX / 2 + 2);
+        assert_eq!(a.sum(), u64::MAX);
+        let b = a;
+        a.merge(&b);
+        assert_eq!(a.sum(), u64::MAX);
+        assert_eq!(a.count(), 4);
+        assert!(a.sum() >= a.max());
+    }
+
+    #[test]
     fn metrics_round_bucketing_caps_at_last_bucket() {
         let mut m = Metrics::new(10);
         m.on_send(ProcessId(0), ProcessId(1), 2, 5, 9); // round 0
@@ -838,7 +790,7 @@ mod tests {
         let mut b = Metrics::new(10);
         b.on_queue_push(0, 9);
         b.on_slab_alloc(1);
-        b.on_event(0, ProcessId(0), EventClass::Deliver);
+        b.on_event(0, ProcessId(0));
         a.merge(&b);
         assert_eq!(a.queue_pushes, 2);
         assert_eq!(a.queue_high_water, 9);
@@ -866,13 +818,68 @@ mod tests {
         assert!(chrome.trim_end().ends_with("\"displayTimeUnit\": \"ms\"}"));
     }
 
+    /// Process 0 starts, hears "hello" from process 1 and decides 42;
+    /// process 1 only starts.
+    fn sample() -> Timeline {
+        let mut t = Timeline::new();
+        t.on_start(0, ProcessId(0));
+        t.on_deliver(5, ProcessId(0), ProcessId(1), &"hello");
+        t.on_start(0, ProcessId(1));
+        t.on_decide(9, ProcessId(0), &42u64);
+        t
+    }
+
     #[test]
-    fn tandem_drives_both_probes() {
-        let mut pair = Tandem(Metrics::new(10), Timeline::new());
-        pair.on_start(0, ProcessId(2));
-        pair.on_send(ProcessId(0), ProcessId(1), 4, 0, 3);
-        assert_eq!(pair.0.starts, 1);
-        assert_eq!(pair.0.messages, 1);
-        assert_eq!(pair.1.len(), 1);
+    fn view_of_filters_by_process() {
+        let t = sample();
+        assert_eq!(t.view_of(ProcessId(0)).len(), 3);
+        assert_eq!(t.view_of(ProcessId(1)).len(), 1);
+        assert_eq!(t.view_of(ProcessId(2)).len(), 0);
+    }
+
+    #[test]
+    fn view_of_skips_halts() {
+        let mut t = sample();
+        t.on_halt(9, ProcessId(0));
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.view_of(ProcessId(0)).len(), 3);
+        // Over their whole views, a process that halted is
+        // indistinguishable from one that did not.
+        assert!(t.indistinguishable_for(&sample(), ProcessId(0), usize::MAX));
+    }
+
+    #[test]
+    fn decision_lookup() {
+        let t = sample();
+        assert_eq!(t.decision_of(ProcessId(0)), Some((9, "42".into())));
+        assert_eq!(t.decision_of(ProcessId(1)), None);
+    }
+
+    #[test]
+    fn indistinguishability_ignores_timing() {
+        let a = sample();
+        let mut b = Timeline::new();
+        // Same contents, different times — still indistinguishable.
+        b.on_start(100, ProcessId(0));
+        b.on_deliver(700, ProcessId(0), ProcessId(1), &"hello");
+        b.on_decide(900, ProcessId(0), &42u64);
+        assert!(a.indistinguishable_for(&b, ProcessId(0), 3));
+    }
+
+    #[test]
+    fn indistinguishability_detects_divergence() {
+        let a = sample();
+        let mut b = Timeline::new();
+        b.on_start(0, ProcessId(0));
+        b.on_deliver(5, ProcessId(0), ProcessId(2), &"hello"); // different sender!
+        assert!(a.indistinguishable_for(&b, ProcessId(0), 1));
+        assert!(!a.indistinguishable_for(&b, ProcessId(0), 2));
+    }
+
+    #[test]
+    fn display_renders_one_line_per_event() {
+        let t = sample();
+        assert_eq!(t.to_string().lines().count(), t.len());
+        assert!(t.to_string().contains("recv P2: \"hello\""), "{t}");
     }
 }

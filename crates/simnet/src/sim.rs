@@ -48,7 +48,7 @@ use validity_core::{ProcessId, ProcessSet, SystemParams};
 use crate::net::{CachedUniform, Delivery, LinkCtx, NetModel, UniformModel};
 use crate::node::{ByzStep, Byzantine, Env, Machine, Step};
 use crate::observed::ObservedState;
-use crate::probe::{EventClass, NoProbe, Probe};
+use crate::probe::{NoProbe, Probe};
 use crate::queue::CalendarQueue;
 use crate::sink::{ByzSink, StepSink};
 use crate::stats::NetStats;
@@ -703,16 +703,6 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         }
     }
 
-    /// Releases one payload-slab reference and tells the probe the new
-    /// live-slot count.
-    #[inline]
-    fn release_payload(&mut self, slot: u32) {
-        self.payloads.release(slot);
-        if P::ENABLED {
-            self.probe.on_slab_release(self.payloads.live());
-        }
-    }
-
     fn apply_correct_steps(&mut self, p: ProcessId, sink: &mut StepSink<M::Msg, M::Output>) {
         for step in sink.drain() {
             match step {
@@ -764,7 +754,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             // A halted receiver still consumes its reference to the
             // payload, or the slot would never be recycled.
             if let Event::Deliver { slot, .. } = ev {
-                self.release_payload(slot);
+                self.payloads.release(slot);
             }
             return;
         }
@@ -799,7 +789,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 }
             }
             if let Event::Deliver { slot, .. } = ev {
-                self.release_payload(slot);
+                self.payloads.release(slot);
             }
             // apply_correct_steps drained the sink; restore it (with its
             // capacity) for the next event.
@@ -827,7 +817,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 }
             }
             if let Event::Deliver { slot, .. } = ev {
-                self.release_payload(slot);
+                self.payloads.release(slot);
             }
             self.apply_byz_steps(p, &mut sink);
             self.byz_sink = sink;
@@ -868,12 +858,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 // source of truth — including the event that trips
                 // `max_events` below).
                 self.probe.on_queue_pop(at, self.queue.len());
-                let class = match ev {
-                    Event::Start { .. } => EventClass::Start,
-                    Event::Deliver { .. } => EventClass::Deliver,
-                    Event::Timer { .. } => EventClass::Timer,
-                };
-                self.probe.on_event(at, ev.node(), class);
+                self.probe.on_event(at, ev.node());
             }
             if self.events_processed > self.config.max_events {
                 return RunOutcome::EventLimit;
@@ -903,7 +888,7 @@ mod tests {
     use super::*;
     use crate::net::{FixedModel, PerLinkModel};
     use crate::node::{Message, Silent};
-    use crate::trace::Trace;
+    use crate::probe::{Metrics, Timeline};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u64);
@@ -1172,7 +1157,7 @@ mod tests {
     fn metrics_probe_agrees_with_engine_counters() {
         let mut sim = SimBuilder::new(params())
             .seed(1)
-            .build_with_probe(quorum_nodes(0), crate::probe::Metrics::new(DEFAULT_DELTA))
+            .build_with_probe(quorum_nodes(0), Metrics::new(DEFAULT_DELTA))
             .expect("valid configuration");
         sim.run_to_quiescence();
         let stats = sim.stats().clone();
@@ -1199,10 +1184,10 @@ mod tests {
     /// identical to an unprobed run of the same seed.
     #[test]
     fn probes_do_not_perturb_the_execution() {
-        let baseline = {
+        fn run<P: Probe>(probe: P) -> (u64, NetStats, Vec<Option<(Time, u64)>>) {
             let mut sim = SimBuilder::new(params())
                 .seed(9)
-                .build(quorum_nodes(1))
+                .build_with_probe(quorum_nodes(1), probe)
                 .expect("valid configuration");
             sim.run_to_quiescence();
             (
@@ -1210,49 +1195,10 @@ mod tests {
                 sim.stats().clone(),
                 sim.decisions().to_vec(),
             )
-        };
-        let probed = {
-            let mut sim = SimBuilder::new(params())
-                .seed(9)
-                .build_with_probe(
-                    quorum_nodes(1),
-                    crate::probe::Tandem(
-                        crate::probe::Metrics::new(DEFAULT_DELTA),
-                        crate::probe::Tandem(crate::probe::Timeline::new(), Trace::new()),
-                    ),
-                )
-                .expect("valid configuration");
-            sim.run_to_quiescence();
-            (
-                sim.events_processed(),
-                sim.stats().clone(),
-                sim.decisions().to_vec(),
-            )
-        };
-        assert_eq!(baseline, probed);
-    }
-
-    /// The timeline probe and the trace observe through the same hooks, so
-    /// they agree on the per-process event sequence of the same seeded run.
-    #[test]
-    fn timeline_and_trace_capture_the_same_events() {
-        fn probed<P: Probe>(probe: P) -> P {
-            let mut sim = SimBuilder::new(params())
-                .seed(4)
-                .build_with_probe(quorum_nodes(0), probe)
-                .expect("valid configuration");
-            sim.run_to_quiescence();
-            sim.into_probe()
         }
-        let trace_len = probed(Trace::new()).len();
-        let timeline = probed(crate::probe::Timeline::new());
-        // Timeline additionally records halts, which traces do not.
-        let halts = timeline
-            .events()
-            .iter()
-            .filter(|e| e.kind == crate::probe::TimelineKind::Halt)
-            .count();
-        assert_eq!(timeline.len() - halts, trace_len);
+        let baseline = run(NoProbe);
+        assert_eq!(baseline, run(Metrics::new(DEFAULT_DELTA)));
+        assert_eq!(baseline, run(Timeline::new()));
     }
 
     /// Pins the RNG draw order across engine refactors: these decision

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use validity_core::{ProcessId, SystemParams};
 use validity_simnet::{
-    ByzSink, Byzantine, Env, EventClass, FixedModel, Machine, Message, NodeKind, Probe, RunOutcome,
+    ByzSink, Byzantine, Env, FixedModel, Machine, Message, Metrics, NodeKind, Probe, RunOutcome,
     Silent, SimBuilder, Simulation, StepSink, SyncModel, Time,
 };
 
@@ -115,7 +115,7 @@ struct Causality {
 }
 
 impl Probe for Causality {
-    fn on_event(&mut self, at: Time, node: ProcessId, _class: EventClass) {
+    fn on_event(&mut self, at: Time, node: ProcessId) {
         if at < self.last {
             self.violations
                 .push(format!("{node:?}: event at {at} after {}", self.last));
@@ -147,6 +147,35 @@ fn shaped(pick: u8, raw: u64, top: Time) -> Time {
         1 => top,
         2 => top - raw % 1_000,
         _ => raw % top,
+    }
+}
+
+/// With GST at 0 every delay is drawn up to `δ = Time::MAX / 2`, so the
+/// sixteen delivery latencies of a four-process broadcast sum past
+/// `u64::MAX`: the `Metrics` latency sum must saturate rather than wrap
+/// below the largest latency (or overflow-panic in debug builds), and the
+/// probe still counts every event the engine dispatched.
+#[test]
+fn metrics_latency_sum_saturates_near_time_max() {
+    let params = SystemParams::new(4, 1).unwrap();
+    let delta = Time::MAX / 2;
+    for seed in 0..4 {
+        let builder = SimBuilder::new(params)
+            .seed(seed)
+            .gst(0)
+            .delta(delta)
+            .max_time(Time::MAX);
+        let nodes = (0..4)
+            .map(|_| NodeKind::Correct(QuorumHear::default()))
+            .collect();
+        let mut sim = builder
+            .build_with_probe(nodes, Metrics::new(delta))
+            .expect("valid configuration");
+        assert_eq!(sim.run_until_decided(), RunOutcome::AllDecided);
+        let m = sim.probe();
+        assert_eq!(m.latency.count(), 16);
+        assert!(m.latency.sum() >= m.latency.max(), "seed {seed}: {m:?}");
+        assert_eq!(m.events, sim.events_processed());
     }
 }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use validity_adversary::{LeaderEcho, QuorumVote};
 use validity_core::{ProcessId, ProcessSet, SystemParams};
-use validity_simnet::{NodeKind, PerLinkModel, SimBuilder, Time, Trace};
+use validity_simnet::{NodeKind, PerLinkModel, SimBuilder, Time, Timeline};
 
 /// Lemma 7's merge, observed through traces: in the merged execution the
 /// isolated process Q sees exactly what it sees in total isolation (its
@@ -26,7 +26,7 @@ fn merged_execution_is_indistinguishable_for_q() {
         .gst(100_000)
         .net(Arc::new(all_stalled))
         .seed(5)
-        .build_with_probe(nodes, Trace::new())
+        .build_with_probe(nodes, Timeline::new())
         .expect("valid configuration");
     isolated.run_until_decided();
 
@@ -45,7 +45,7 @@ fn merged_execution_is_indistinguishable_for_q() {
         .gst(100_000)
         .net(Arc::new(stall_q))
         .seed(5)
-        .build_with_probe(nodes, Trace::new())
+        .build_with_probe(nodes, Timeline::new())
         .expect("valid configuration");
     merged.run_until_decided();
 
@@ -111,7 +111,7 @@ fn partitioned_group_cannot_detect_the_two_faced_adversary() {
             .gst(100_000)
             .net(Arc::new(stall_cross(group_a, group_c)))
             .seed(seed)
-            .build_with_probe(nodes, Trace::new())
+            .build_with_probe(nodes, Timeline::new())
             .expect("valid configuration");
         sim.run_until_decided();
         sim
