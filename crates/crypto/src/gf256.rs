@@ -3,7 +3,7 @@
 //!
 //! Representation: polynomials over GF(2) modulo the AES polynomial
 //! `x⁸ + x⁴ + x³ + x + 1` (0x11b), with generator 0x03. Multiplication uses
-//! log/exp tables built once at first use.
+//! log/exp tables computed at compile time.
 
 // In characteristic 2, addition *is* xor and subtraction *is* addition;
 // clippy's suspicion that `^` in `Add` (etc.) is a typo does not apply to a
@@ -12,7 +12,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
-use std::sync::OnceLock;
 
 const POLY: u16 = 0x11b;
 
@@ -21,30 +20,29 @@ struct Tables {
     log: [u8; 256],
 }
 
-fn tables() -> &'static Tables {
-    static TABLES: OnceLock<Tables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut exp = [0u8; 512];
-        let mut log = [0u8; 256];
-        let mut x: u16 = 1;
-        for (i, e) in exp.iter_mut().take(255).enumerate() {
-            *e = x as u8;
+static TABLES: Tables = tables();
+
+/// `exp[i] = 3^i` (period 255, so the doubled half repeats the first) and
+/// `log` its inverse on the non-zero elements.
+const fn tables() -> Tables {
+    let mut exp = [0u8; 512];
+    let mut log = [0u8; 256];
+    let mut x: u16 = 1;
+    let mut i = 0;
+    while i < 512 {
+        exp[i] = x as u8;
+        if i < 255 {
             log[x as usize] = i as u8;
-            // multiply x by the generator 0x03 = x·2 ⊕ x
-            let x2 = {
-                let mut v = x << 1;
-                if v & 0x100 != 0 {
-                    v ^= POLY;
-                }
-                v
-            };
-            x ^= x2;
         }
-        for i in 255..512 {
-            exp[i] = exp[i - 255];
+        // multiply x by the generator 0x03 = x·2 ⊕ x
+        let mut x2 = x << 1;
+        if x2 & 0x100 != 0 {
+            x2 ^= POLY;
         }
-        Tables { exp, log }
-    })
+        x ^= x2;
+        i += 1;
+    }
+    Tables { exp, log }
 }
 
 /// An element of GF(2⁸).
@@ -79,7 +77,7 @@ impl Gf256 {
         if self.0 == 0 {
             return None;
         }
-        let t = tables();
+        let t = &TABLES;
         Some(Gf256(t.exp[255 - t.log[self.0 as usize] as usize]))
     }
 
@@ -91,7 +89,7 @@ impl Gf256 {
         if self.0 == 0 {
             return Gf256::ZERO;
         }
-        let t = tables();
+        let t = &TABLES;
         k %= 255;
         let l = t.log[self.0 as usize] as usize;
         Gf256(t.exp[(l * k) % 255])
@@ -137,7 +135,7 @@ impl Mul for Gf256 {
         if self.0 == 0 || rhs.0 == 0 {
             return Gf256::ZERO;
         }
-        let t = tables();
+        let t = &TABLES;
         Gf256(t.exp[t.log[self.0 as usize] as usize + t.log[rhs.0 as usize] as usize])
     }
 }
@@ -307,6 +305,42 @@ mod tests {
         for a in 1..=255u8 {
             let ga = Gf256(a);
             assert_eq!(ga * ga.inv().unwrap(), Gf256::ONE, "inv failed for {a}");
+        }
+    }
+
+    /// Product in GF(2)[x] / 0x11b by shift and xor — the field's definition,
+    /// sharing nothing with the log/exp tables.
+    fn shift_xor_mul(mut a: u8, mut b: u8) -> u8 {
+        let mut product = 0u8;
+        while b != 0 {
+            if b & 1 != 0 {
+                product ^= a;
+            }
+            a = (((a as u16) << 1) ^ if a & 0x80 != 0 { POLY } else { 0 }) as u8;
+            b >>= 1;
+        }
+        product
+    }
+
+    #[test]
+    fn tables_match_the_field_definition() {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!((Gf256(a) * Gf256(b)).0, shift_xor_mul(a, b), "{a} · {b}");
+            }
+            if a != 0 {
+                assert_eq!(
+                    shift_xor_mul(a, Gf256(a).inv().unwrap().0),
+                    1,
+                    "inverse of {a}"
+                );
+            }
+            // k past 255 exercises the exponent reduction.
+            let mut power = 1u8;
+            for k in 0..600 {
+                assert_eq!(Gf256(a).pow(k).0, power, "{a}^{k}");
+                power = shift_xor_mul(power, a);
+            }
         }
     }
 

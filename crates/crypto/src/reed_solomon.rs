@@ -6,10 +6,23 @@
 //! processes may contribute corrupted fragments. [`ReedSolomon::decode`]
 //! implements exactly that loop for one code word; [`ReedSolomon`]'s blob
 //! API chunks arbitrary byte strings column-wise.
+//!
+//! There is one decoder. For each budget `e = 0, 1, …, max_errors` it runs
+//! Berlekamp–Welch on the first `k + 2e` shares and accepts the result only
+//! if its codeword disagrees with at most `e` of *all* the shares; at
+//! `e = 0` this is plain interpolation from the first `k`. With
+//! `m ≥ k + 2·max_errors` shares, a codeword within `e` of all of them is
+//! the only one within `e` of any `k + 2e` of them (two such codewords would
+//! agree on `k` points), so Berlekamp–Welch on the prefix finds it whenever
+//! it exists, and the check against all shares rejects everything else.
+//! For the same reason a call at budget `E` returns what the first
+//! successful call at `e = 0, 1, …, E` would: each row's codeword within
+//! `e ≤ E` is its only one within `E`. [`ReedSolomon::decode_blob`] checks
+//! the share indices once and decodes row by row.
 
 use std::fmt;
 
-use crate::gf256::{poly_divmod, poly_eval, solve_linear, Gf256};
+use crate::gf256::{poly_eval, solve_linear, Gf256};
 
 /// Errors from Reed–Solomon operations.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -140,13 +153,24 @@ impl ReedSolomon {
             .collect())
     }
 
-    fn check_shares(&self, shares: &[(usize, u8)]) -> Result<(), RsError> {
+    /// Checks a share-index set: in range, distinct, and at least
+    /// `k + 2·max_errors` of them.
+    fn check_shares(
+        &self,
+        indices: impl ExactSizeIterator<Item = usize>,
+        max_errors: usize,
+    ) -> Result<(), RsError> {
+        let got = indices.len();
         let mut seen = [false; 256];
-        for &(i, _) in shares {
+        for i in indices {
             if i >= self.n || seen[i] {
                 return Err(RsError::BadShareIndex(i));
             }
             seen[i] = true;
+        }
+        let needed = self.k + 2 * max_errors;
+        if got < needed {
+            return Err(RsError::NotEnoughShares { got, needed });
         }
         Ok(())
     }
@@ -163,36 +187,28 @@ impl ReedSolomon {
     /// [`RsError::DecodingFailed`] if no codeword is consistent with the
     /// shares within the error budget.
     pub fn decode(&self, shares: &[(usize, u8)], max_errors: usize) -> Result<Vec<u8>, RsError> {
-        self.check_shares(shares)?;
-        if shares.len() < self.k + 2 * max_errors {
-            return Err(RsError::NotEnoughShares {
-                got: shares.len(),
-                needed: self.k + 2 * max_errors,
-            });
-        }
-        for e in 0..=max_errors {
-            if let Some(data) = self.try_decode_with_e(shares, e) {
-                return Ok(data);
-            }
-        }
-        Err(RsError::DecodingFailed)
+        self.check_shares(shares.iter().map(|&(i, _)| i), max_errors)?;
+        self.decode_row(shares, max_errors)
     }
 
-    /// One Berlekamp–Welch attempt assuming exactly ≤ `e` errors.
+    /// [`ReedSolomon::decode`] on shares [`ReedSolomon::check_shares`]
+    /// accepted: the codeword at the smallest budget that has one.
+    fn decode_row(&self, shares: &[(usize, u8)], max_errors: usize) -> Result<Vec<u8>, RsError> {
+        (0..=max_errors)
+            .find_map(|e| self.try_decode_with_e(shares, e))
+            .ok_or(RsError::DecodingFailed)
+    }
+
+    /// One Berlekamp–Welch attempt assuming ≤ `e` errors: solved on the first
+    /// `k + 2e` shares, checked against all of them.
     fn try_decode_with_e(&self, shares: &[(usize, u8)], e: usize) -> Option<Vec<u8>> {
-        let m = shares.len();
         let k = self.k;
-        if e == 0 {
-            // plain interpolation from the first k shares, then global verify
-            let data = self.interpolate(&shares[..k])?;
-            return self.verify_against(&data, shares, 0).then_some(data);
-        }
         // Unknowns: Q (k + e coeffs) then E_0..E_{e-1} (E is monic deg e).
         // Equation per share: Q(x_i) − y_i·Σ_{j<e} E_j x_i^j = y_i·x_i^e.
         let cols = k + 2 * e;
-        let mut a = Vec::with_capacity(m);
-        let mut b = Vec::with_capacity(m);
-        for &(xi, yi) in shares {
+        let mut a = Vec::with_capacity(cols);
+        let mut b = Vec::with_capacity(cols);
+        for &(xi, yi) in &shares[..cols] {
             let x = Gf256(xi as u8);
             let y = Gf256(yi);
             let mut row = Vec::with_capacity(cols);
@@ -209,52 +225,26 @@ impl ReedSolomon {
             a.push(row);
             b.push(y * x.pow(e));
         }
-        let sol = solve_linear(a, b)?;
-        let q = &sol[..k + e];
-        let mut err_poly: Vec<Gf256> = sol[k + e..].to_vec();
-        err_poly.push(Gf256::ONE); // monic x^e term
-        let (p, rem) = poly_divmod(q, &err_poly);
+        let mut sol = solve_linear(a, b)?;
+        // Divide Q by the monic E in place, top coefficient first: the
+        // quotient P (degree < k) is left in sol[e..k + e], the remainder in
+        // sol[..e].
+        let (q, err_poly) = sol.split_at_mut(k + e);
+        for i in (0..k).rev() {
+            let c = q[i + e];
+            for (j, &ej) in err_poly.iter().enumerate() {
+                q[i + j] -= c * ej;
+            }
+        }
+        let (rem, p) = q.split_at(e);
         if rem.iter().any(|c| !c.is_zero()) {
             return None;
         }
-        let mut data: Vec<u8> = p.iter().map(|c| c.0).collect();
-        data.resize(k, 0);
-        if p.len() > k && p[k..].iter().any(|c| !c.is_zero()) {
-            return None; // degree too high: not a valid message polynomial
-        }
-        self.verify_against(&data, shares, e).then_some(data)
-    }
-
-    /// Lagrange interpolation from exactly `k` shares (no error tolerance).
-    fn interpolate(&self, shares: &[(usize, u8)]) -> Option<Vec<u8>> {
-        let k = self.k;
-        debug_assert_eq!(shares.len(), k);
-        // Solve the Vandermonde system directly.
-        let mut a = Vec::with_capacity(k);
-        let mut b = Vec::with_capacity(k);
-        for &(xi, yi) in shares {
-            let x = Gf256(xi as u8);
-            let mut row = Vec::with_capacity(k);
-            let mut xp = Gf256::ONE;
-            for _ in 0..k {
-                row.push(xp);
-                xp *= x;
-            }
-            a.push(row);
-            b.push(Gf256(yi));
-        }
-        solve_linear(a, b).map(|sol| sol.into_iter().map(|c| c.0).collect())
-    }
-
-    /// Whether the codeword of `data` disagrees with at most `e` of the
-    /// given shares.
-    fn verify_against(&self, data: &[u8], shares: &[(usize, u8)], e: usize) -> bool {
-        let coeffs: Vec<Gf256> = data.iter().map(|&b| Gf256(b)).collect();
         let mismatches = shares
             .iter()
-            .filter(|&&(xi, yi)| poly_eval(&coeffs, Gf256(xi as u8)).0 != yi)
+            .filter(|&&(xi, yi)| poly_eval(p, Gf256(xi as u8)).0 != yi)
             .count();
-        mismatches <= e
+        (mismatches <= e).then(|| p.iter().map(|c| c.0).collect())
     }
 
     /// Encodes an arbitrary blob into `n` [`Share`]s (column-wise chunking
@@ -289,18 +279,20 @@ impl ReedSolomon {
     ///
     /// # Errors
     ///
-    /// Propagates the per-row decode errors; also fails if shares disagree
+    /// The errors of [`ReedSolomon::decode`]; also fails if shares disagree
     /// on length or the length header is implausible.
     pub fn decode_blob(&self, shares: &[Share], max_errors: usize) -> Result<Vec<u8>, RsError> {
         let rows = shares.first().map(|s| s.data.len()).unwrap_or(0);
         if rows == 0 || shares.iter().any(|s| s.data.len() != rows) {
             return Err(RsError::DecodingFailed);
         }
+        self.check_shares(shares.iter().map(|s| s.index), max_errors)?;
         let mut framed = Vec::with_capacity(rows * self.k);
+        let mut row = Vec::with_capacity(shares.len());
         for r in 0..rows {
-            let row_shares: Vec<(usize, u8)> =
-                shares.iter().map(|s| (s.index, s.data[r])).collect();
-            framed.extend(self.decode(&row_shares, max_errors)?);
+            row.clear();
+            row.extend(shares.iter().map(|s| (s.index, s.data[r])));
+            framed.extend(self.decode_row(&row, max_errors)?);
         }
         if framed.len() < 4 {
             return Err(RsError::DecodingFailed);

@@ -20,6 +20,20 @@
 //!    first consistent decode. A process that reconstructs before fixing
 //!    its fragment derives it from the decoded blob so its echo still goes
 //!    out.
+//!
+//! Echoes are grouped by length as they arrive, one per sender: fragments of
+//! the true blob all have one row count, so an echo of another length is
+//! Byzantine and would only count against the error budget. An attempt
+//! decodes the largest group (between equally large ones, the longest
+//! length, whatever order the echoes came in) with one
+//! [`ReedSolomon::decode_blob`] call at the largest budget step 3 allows,
+//! `e = min(t, ⌊(m − t − 1)/2⌋, m − 2t − 1)`. That call tries
+//! `e′ = 0, 1, …, e` on each row and keeps the first success, and a row's
+//! codeword within `e′` of `m ≥ (t + 1) + 2e` fragments is its only one
+//! within `e`, so it outputs exactly what the first successful smaller
+//! budget would. A group is decoded once per echo it gains (and again only
+//! when an echo of another length arrives, which only a Byzantine process
+//! sends); a sender's second echo does no work.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -52,10 +66,12 @@ impl Words for AddMsg {
 pub struct Add {
     rs: ReedSolomon,
     started: bool,
+    /// This process's fragment, once fixed; it was echoed when fixed.
     my_fragment: Option<Vec<u8>>,
     fragment_votes: HashMap<Vec<u8>, ProcessSet>,
-    echoed: bool,
-    echoes: HashMap<usize, Share>,
+    echoers: ProcessSet,
+    /// Echoes by fragment length, in arrival order.
+    echoes: BTreeMap<usize, Vec<Share>>,
     delivered: bool,
 }
 
@@ -72,8 +88,8 @@ impl Add {
             started: false,
             my_fragment: None,
             fragment_votes: HashMap::new(),
-            echoed: false,
-            echoes: HashMap::new(),
+            echoers: ProcessSet::new(),
+            echoes: BTreeMap::new(),
             delivered: false,
         }
     }
@@ -93,7 +109,7 @@ impl Add {
         assert!(!self.started, "input exactly once");
         self.started = true;
         if let Some(blob) = blob {
-            let shares = self.rs.encode_blob(&blob);
+            let mut shares = self.rs.encode_blob(&blob);
             for share in &shares {
                 if share.index != env.id.index() {
                     sink.send(
@@ -103,8 +119,8 @@ impl Add {
                 }
             }
             // A holder of M knows its own fragment authentically.
-            self.my_fragment = Some(shares[env.id.index()].data.clone());
-            self.maybe_echo(env, sink);
+            let mine = shares.swap_remove(env.id.index()).data;
+            self.fix_fragment(mine, env, sink);
         }
         self.try_reconstruct(env, sink);
     }
@@ -128,84 +144,61 @@ impl Add {
                     return;
                 }
                 if votes.len() > env.t() {
-                    self.my_fragment = Some(share.data.clone());
-                    self.maybe_echo(env, sink);
+                    self.fix_fragment(share.data.clone(), env, sink);
                 }
             }
             AddMsg::Echo(share) => {
                 // Each process may echo exactly one fragment: its own index.
-                if share.index != from.index() {
+                if share.index != from.index() || !self.echoers.insert(from) {
                     return;
                 }
                 self.echoes
-                    .entry(share.index)
-                    .or_insert_with(|| share.clone());
+                    .entry(share.data.len())
+                    .or_default()
+                    .push(share.clone());
                 self.try_reconstruct(env, sink);
             }
         }
     }
 
-    fn maybe_echo(&mut self, _env: &Env, sink: &mut StepSink<AddMsg, Vec<u8>>) {
-        if self.echoed {
+    /// Fixes this process's fragment, unless it already has one, and echoes
+    /// it at its own index.
+    fn fix_fragment(&mut self, data: Vec<u8>, env: &Env, sink: &mut StepSink<AddMsg, Vec<u8>>) {
+        if self.my_fragment.is_some() {
             return;
         }
-        let Some(frag) = &self.my_fragment else {
-            return;
-        };
-        self.echoed = true;
         sink.broadcast(AddMsg::Echo(Share {
-            index: usize::MAX, // patched below: index must be the sender's
-            data: frag.clone(),
+            index: env.id.index(),
+            data: data.clone(),
         }));
+        self.my_fragment = Some(data);
     }
 
-    /// Online error correction over the received echoes.
+    /// Online error correction over the largest echo group (module docs).
     fn try_reconstruct(&mut self, env: &Env, sink: &mut StepSink<AddMsg, Vec<u8>>) {
         if self.delivered || !self.started {
             return;
         }
-        let k = env.t() + 1;
-        // Fragments of the true blob all share one row count; wrong-length
-        // echoes are Byzantine and are excluded up front (they would
-        // otherwise only count against the error budget anyway). Between
-        // lengths with equally many echoes the longest wins, whatever order
-        // the echoes came in.
-        let mut by_len: BTreeMap<usize, Vec<Share>> = BTreeMap::new();
-        for s in self.echoes.values() {
-            by_len.entry(s.data.len()).or_default().push(s.clone());
-        }
-        let Some(shares) = by_len.into_values().max_by_key(|v| v.len()) else {
+        // `max_by_key` keeps the last of equal maxima: the longest length.
+        let Some(shares) = self.echoes.values().max_by_key(|v| v.len()) else {
             return;
         };
-        let m = shares.len();
-        for e in 0..=env.t() {
-            if m < k + 2 * e || m < 2 * env.t() + 1 + e {
-                break;
-            }
-            if let Ok(blob) = self.rs.decode_blob(&shares, e) {
-                self.delivered = true;
-                // Ensure our echo still goes out (derive the fragment from
-                // the reconstructed blob if we never fixed one).
-                if !self.echoed {
-                    let all = self.rs.encode_blob(&blob);
-                    self.my_fragment = Some(all[env.id.index()].data.clone());
-                    self.maybe_echo(env, sink);
-                }
-                sink.output(blob);
-                return;
-            }
+        let (t, m) = (env.t(), shares.len());
+        if m < 2 * t + 1 {
+            return;
         }
-    }
-}
-
-/// Fixes up the placeholder index in an [`AddMsg::Echo`] produced
-/// internally by [`Add`]: the echo's share index must equal the *sender's*
-/// process index. Parents call this when lifting ADD steps.
-pub fn stamp_echo_index(msg: &mut AddMsg, sender: ProcessId) {
-    if let AddMsg::Echo(share) = msg {
-        if share.index == usize::MAX {
-            share.index = sender.index();
+        let e = t.min((m - t - 1) / 2).min(m - 2 * t - 1);
+        let Ok(blob) = self.rs.decode_blob(shares, e) else {
+            return;
+        };
+        self.delivered = true;
+        // Ensure our echo still goes out (derive the fragment from the
+        // reconstructed blob if we never fixed one).
+        if self.my_fragment.is_none() {
+            let mine = self.rs.encode_blob(&blob).swap_remove(env.id.index()).data;
+            self.fix_fragment(mine, env, sink);
         }
+        sink.output(blob);
     }
 }
 
@@ -231,11 +224,7 @@ mod tests {
         type Output = Vec<u8>;
 
         fn init(&mut self, env: &Env, sink: &mut StepSink<AddMsg, Vec<u8>>) {
-            let mut scratch = StepSink::new();
-            self.add.input(self.input.clone(), env, &mut scratch);
-            for s in scratch.drain() {
-                sink.push(stamped(s, env.id));
-            }
+            self.add.input(self.input.clone(), env, sink);
         }
 
         fn on_message(
@@ -245,19 +234,8 @@ mod tests {
             env: &Env,
             sink: &mut StepSink<AddMsg, Vec<u8>>,
         ) {
-            let mut scratch = StepSink::new();
-            self.add.on_message(from, msg, env, &mut scratch);
-            for s in scratch.drain() {
-                sink.push(stamped(s, env.id));
-            }
+            self.add.on_message(from, msg, env, sink);
         }
-    }
-
-    fn stamped(mut s: Step<AddMsg, Vec<u8>>, id: ProcessId) -> Step<AddMsg, Vec<u8>> {
-        if let Step::Broadcast(m) | Step::Send(_, m) = &mut s {
-            stamp_echo_index(m, id);
-        }
-        s
     }
 
     fn run(n: usize, t: usize, holders: usize, byz: usize, blob: &[u8], seed: u64) {
@@ -359,8 +337,8 @@ mod tests {
     /// Two echo lengths tie: three fragments of the blob against three
     /// Byzantine fragments of a shorter one — more than `t`, so both groups
     /// reach the decode threshold — all arriving before the input, so a
-    /// single reconstruction attempt sees the tie. Every fresh instance
-    /// (each with fresh hash seeds) must pick the same group, the longer.
+    /// single reconstruction attempt sees the tie. Every fresh instance,
+    /// whichever group's echo comes first, must pick the longer group.
     #[test]
     fn tied_echo_lengths_resolve_the_same_way_every_time() {
         let (n, t) = (7, 1);

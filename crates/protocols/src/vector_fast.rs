@@ -24,7 +24,7 @@ use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 use validity_crypto::{Digest, KeyStore, Signer, ThresholdScheme, ThresholdSignature};
 use validity_simnet::{Env, Machine, Message, StepSink};
 
-use crate::add::{stamp_echo_index, Add, AddMsg};
+use crate::add::{Add, AddMsg};
 use crate::codec::{Codec, Words};
 use crate::dissemination::{Acquired, DissemMsg, VectorDissemination};
 use crate::quad::{QuadConfig, QuadCore, QuadMsg, QuadSink};
@@ -170,13 +170,10 @@ where
         }
     }
 
-    fn lift_add(&mut self, env: &Env, out: OutSink<'_, V>) {
+    fn lift_add(&mut self, out: OutSink<'_, V>) {
         self.add_sink.drain_map(
             out,
-            |mut m| {
-                stamp_echo_index(&mut m, env.id);
-                VectorFastMsg::Add(m)
-            },
+            VectorFastMsg::Add,
             |_| unreachable!("ADD uses no timers"),
             |blob, out| {
                 // lines 25–26: decode and decide.
@@ -201,7 +198,7 @@ where
         self.add_started = true;
         let blob = self.dissem.cached(&h).map(Codec::encode);
         self.add.input(blob, env, &mut self.add_sink);
-        self.lift_add(env, out);
+        self.lift_add(out);
     }
 }
 
@@ -274,7 +271,7 @@ where
             }
             VectorFastMsg::Add(inner) => {
                 self.add.on_message(from, inner, env, &mut self.add_sink);
-                self.lift_add(env, sink);
+                self.lift_add(sink);
             }
         }
     }
