@@ -7,6 +7,13 @@
 //! * a size in *words* ([`Words`]) — the paper's communication-complexity
 //!   unit (footnote 4: a word holds a constant number of values, hashes,
 //!   and signatures).
+//!
+//! Both forward through [`Arc`]: a shared value encodes, decodes and
+//! counts exactly as the value itself, so a protocol may pass large
+//! immutable payloads by reference without changing a byte on the wire
+//! or a word in the tally.
+
+use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 
@@ -143,10 +150,26 @@ impl<V: Value + Codec> Codec for InputConfig<V> {
     }
 }
 
+impl<T: Codec> Codec for Arc<T> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        T::encode_into(self, out);
+    }
+
+    fn decode_from(bytes: &[u8]) -> Option<(Self, usize)> {
+        T::decode_from(bytes).map(|(v, used)| (Arc::new(v), used))
+    }
+}
+
 /// Word-size accounting for payloads (footnote 4 of the paper).
 pub trait Words {
     /// Size in words.
     fn words(&self) -> usize;
+}
+
+impl<T: Words + ?Sized> Words for Arc<T> {
+    fn words(&self) -> usize {
+        T::words(self)
+    }
 }
 
 impl Words for u64 {

@@ -14,8 +14,14 @@
 //! Whatever pair Quad decides is the vector-consensus decision. Message
 //! complexity: `O(n²)` (`n²` proposal messages + Quad); communication:
 //! `O(n³)` words since proofs are linear-size.
+//!
+//! The vector and `Σ` travel by reference: Quad runs over
+//! `Arc<InputConfig<V>>` and [`VectorProof`] is an `Arc` slice, so a lock,
+//! a certificate or a message naming the pair shares one immutable copy.
+//! [`Codec`] and [`Words`] forward through `Arc`, so every encoding,
+//! digest and word count is that of the plain pair.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 use validity_crypto::{KeyStore, Signature, Signer};
@@ -41,10 +47,11 @@ impl<V: Words> Words for SignedProposal<V> {
     }
 }
 
-/// The Quad proof type of Algorithm 1: `n − t` signed proposal messages.
-pub type VectorProof<V> = Vec<SignedProposal<V>>;
+/// The Quad proof type of Algorithm 1: `n − t` signed proposal messages,
+/// shared by every message and certificate that carries them.
+pub type VectorProof<V> = Arc<[SignedProposal<V>]>;
 
-impl<V: Words> Words for VectorProof<V> {
+impl<V: Words> Words for [SignedProposal<V>] {
     fn words(&self) -> usize {
         self.iter().map(Words::words).sum::<usize>().max(1)
     }
@@ -64,9 +71,12 @@ pub(crate) fn sign_proposal<V: Codec>(signer: &Signer, v: &V) -> Signature {
     signer.sign_parts(PROPOSAL_DOMAIN, &[&v.encode()])
 }
 
+/// The value Algorithm 1 proposes to Quad: the assembled vector, shared.
+type SharedVector<V> = Arc<InputConfig<V>>;
+
 /// The scratch sink of the embedded Quad instance, before the Algorithm-1
 /// wrapper drains it onto the outer wire type.
-type AuthQuadSink<V> = QuadSink<InputConfig<V>, VectorProof<V>>;
+type AuthQuadSink<V> = QuadSink<SharedVector<V>, VectorProof<V>>;
 
 /// One process's check of signed proposals — the receipt check of
 /// Algorithms 1 and 6, Quad's `verify(vector, Σ)` of Algorithm 1 and the
@@ -144,6 +154,70 @@ impl<V: Value + Codec> Verify<InputConfig<V>, VectorProof<V>> for ProposalVerifi
     }
 }
 
+/// The same check over the shared vector Quad carries.
+impl<V: Value + Codec> Verify<SharedVector<V>, VectorProof<V>> for ProposalVerifier<V> {
+    fn verify(&mut self, vector: &SharedVector<V>, proof: &VectorProof<V>) -> bool {
+        Verify::<InputConfig<V>, _>::verify(self, vector, proof)
+    }
+}
+
+/// The signed proposals a process collects before it proposes a vector —
+/// Algorithm 1 lines 10–17 and Algorithm 6 lines 12–18: the first valid
+/// proposal of each sender, indexed by sender, until `n − t` are in.
+pub(crate) struct ProposalTable<V> {
+    params: SystemParams,
+    slots: Vec<Option<SignedProposal<V>>>,
+    count: usize,
+}
+
+impl<V: Value + Codec> ProposalTable<V> {
+    /// An empty table for the processes of `params`.
+    pub(crate) fn new(params: SystemParams) -> Self {
+        ProposalTable {
+            params,
+            slots: vec![None; params.n()],
+            count: 0,
+        }
+    }
+
+    /// Offers `from`'s signed proposal of `value`, checked by this process's
+    /// `verifier`. The offer that completes the quorum returns the assembled
+    /// `(vector, proof)`, both in ascending process order; every other
+    /// offer — a refused signature, a sender already counted, anything after
+    /// the quorum — returns `None` and changes nothing.
+    pub(crate) fn offer(
+        &mut self,
+        from: ProcessId,
+        value: &V,
+        sig: &Signature,
+        verifier: &mut ProposalVerifier<V>,
+    ) -> Option<(InputConfig<V>, VectorProof<V>)> {
+        if self.count == self.params.quorum() {
+            return None;
+        }
+        let slot = self.slots.get_mut(from.index())?;
+        if slot.is_some() || !verifier.verify_proposal(from, value, sig) {
+            return None;
+        }
+        *slot = Some(SignedProposal {
+            from,
+            value: value.clone(),
+            sig: *sig,
+        });
+        self.count += 1;
+        if self.count < self.params.quorum() {
+            return None;
+        }
+        let proof: VectorProof<V> = self.slots.iter().flatten().cloned().collect();
+        let vector = InputConfig::from_pairs(
+            self.params,
+            proof.iter().map(|sp| (sp.from, sp.value.clone())),
+        )
+        .expect("n − t distinct proposals form a valid configuration");
+        Some((vector, proof))
+    }
+}
+
 /// Wire messages of Algorithm 1.
 #[derive(Clone, Debug)]
 pub enum VectorAuthMsg<V> {
@@ -155,7 +229,7 @@ pub enum VectorAuthMsg<V> {
         sig: Signature,
     },
     /// An embedded Quad message.
-    Quad(QuadMsg<InputConfig<V>, VectorProof<V>>),
+    Quad(QuadMsg<SharedVector<V>, VectorProof<V>>),
 }
 
 impl<V: Value + Words> Message for VectorAuthMsg<V> {
@@ -171,10 +245,9 @@ impl<V: Value + Words> Message for VectorAuthMsg<V> {
 pub struct VectorAuth<V: Value> {
     input: V,
     signer: Signer,
-    quad: QuadCore<InputConfig<V>, VectorProof<V>, ProposalVerifier<V>>,
+    quad: QuadCore<SharedVector<V>, VectorProof<V>, ProposalVerifier<V>>,
     quad_sink: AuthQuadSink<V>,
-    proposals: BTreeMap<ProcessId, SignedProposal<V>>,
-    proposed_to_quad: bool,
+    proposals: ProposalTable<V>,
     decided: bool,
 }
 
@@ -204,8 +277,7 @@ where
             signer,
             quad,
             quad_sink: StepSink::new(),
-            proposals: BTreeMap::new(),
-            proposed_to_quad: false,
+            proposals: ProposalTable::new(params),
             decided: false,
         }
     }
@@ -220,7 +292,7 @@ where
             |(vector, _proof), out| {
                 if !self.decided {
                     self.decided = true;
-                    out.output(vector);
+                    out.output(Arc::unwrap_or_clone(vector));
                 }
             },
             |out| out.halt(),
@@ -256,34 +328,12 @@ where
             VectorAuthMsg::Proposal { value, sig } => {
                 // lines 10–17 of Algorithm 1: collect the first n − t valid
                 // signed proposals, then propose to Quad.
-                if self.proposed_to_quad
-                    || self.proposals.contains_key(&from)
-                    || !self.quad.verifier_mut().verify_proposal(from, value, sig)
-                {
-                    return;
+                let verifier = self.quad.verifier_mut();
+                if let Some((vector, proof)) = self.proposals.offer(from, value, sig, verifier) {
+                    self.quad
+                        .propose(Arc::new(vector), proof, env, &mut self.quad_sink);
+                    self.drain_quad(sink);
                 }
-                self.proposals.insert(
-                    from,
-                    SignedProposal {
-                        from,
-                        value: value.clone(),
-                        sig: *sig,
-                    },
-                );
-                if self.proposals.len() < env.quorum() {
-                    return;
-                }
-                self.proposed_to_quad = true;
-                let vector = InputConfig::from_pairs(
-                    env.params,
-                    self.proposals
-                        .values()
-                        .map(|sp| (sp.from, sp.value.clone())),
-                )
-                .expect("n − t distinct proposals form a valid configuration");
-                let proof: VectorProof<V> = self.proposals.values().cloned().collect();
-                self.quad.propose(vector, proof, env, &mut self.quad_sink);
-                self.drain_quad(sink);
             }
             VectorAuthMsg::Quad(inner) => {
                 self.quad.on_message(from, inner, env, &mut self.quad_sink);
@@ -298,13 +348,130 @@ where
     }
 }
 
+/// The order test both vector engines run through their own `on_message`:
+/// whatever order proposals arrive in, the assembled `(vector, Σ)` lists the
+/// first `n − t` valid senders in ascending process order.
+#[cfg(test)]
+pub(crate) mod assembly_order {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    /// One delivered proposal: sender, value, signature.
+    pub(crate) type Arrival = (ProcessId, u64, Signature);
+
+    /// An assembled pair as an engine put it on the wire.
+    pub(crate) type Assembled = (InputConfig<u64>, Vec<SignedProposal<u64>>);
+
+    /// Delivers one proposal to an engine and returns the pair it
+    /// assembled in response, if it assembled one.
+    pub(crate) type Deliver = Box<dyn FnMut(&Arrival) -> Option<Assembled>>;
+
+    /// The collection `BTreeMap<ProcessId, SignedProposal>` performed,
+    /// transcribed: the first valid proposal per sender, assembled from the
+    /// map's values when the `n − t`-th is in. Returns the arrival index
+    /// that completed the quorum and the pair.
+    fn btree_reference(
+        ks: &KeyStore,
+        params: SystemParams,
+        arrivals: &[Arrival],
+    ) -> (usize, Assembled) {
+        let mut proposals = BTreeMap::new();
+        for (i, &(from, value, sig)) in arrivals.iter().enumerate() {
+            let valid = sig.signer() == from && ks.verify(proposal_sign_bytes(&value), &sig);
+            if proposals.contains_key(&from) || !valid {
+                continue;
+            }
+            proposals.insert(from, SignedProposal { from, value, sig });
+            if proposals.len() == params.quorum() {
+                let vector = InputConfig::from_pairs(
+                    params,
+                    proposals.values().map(|sp| (sp.from, sp.value)),
+                )
+                .unwrap();
+                return (i, (vector, proposals.into_values().collect()));
+            }
+        }
+        panic!("every scenario reaches the quorum")
+    }
+
+    /// The reverse order, the identity, and seeded shuffles of `0..n`.
+    fn orders(n: usize) -> Vec<Vec<usize>> {
+        let mut orders = vec![(0..n).rev().collect(), (0..n).collect()];
+        for seed in 1..=8u64 {
+            let mut state = seed;
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            orders.push(order);
+        }
+        orders
+    }
+
+    /// Everyone's honest proposal in `order`, plus two the table must
+    /// refuse: a forged tag from the first sender before its honest
+    /// proposal, and a second, validly signed value from that sender once
+    /// it is counted. The last `t` senders arrive after the quorum.
+    fn arrivals(ks: &KeyStore, order: &[usize]) -> Vec<Arrival> {
+        let honest = |p: usize, value: u64| {
+            let from = ProcessId::from_index(p);
+            (
+                from,
+                value,
+                ks.signer(from).sign(proposal_sign_bytes(&value)),
+            )
+        };
+        let first = order[0];
+        let value = 10 + first as u64;
+        let (from, _, forged) = honest(first, 99);
+        let mut arrivals = vec![
+            (from, value, forged),
+            honest(first, value),
+            honest(first, 50 + first as u64),
+        ];
+        arrivals.extend(order[1..].iter().map(|&p| honest(p, 10 + p as u64)));
+        arrivals
+    }
+
+    /// Runs every arrival order through a `fresh` engine at `(7, 2)` and
+    /// holds what it assembles, and when, to the transcribed reference.
+    pub(crate) fn check(fresh: impl Fn(&KeyStore, SystemParams) -> Deliver) {
+        let params = SystemParams::new(7, 2).unwrap();
+        let ks = KeyStore::new(params.n(), 13);
+        let triples = |proof: &[SignedProposal<u64>]| -> Vec<(ProcessId, u64, Signature)> {
+            proof.iter().map(|sp| (sp.from, sp.value, sp.sig)).collect()
+        };
+        for order in orders(params.n()) {
+            let arrivals = arrivals(&ks, &order);
+            let (at, (vector, proof)) = btree_reference(&ks, params, &arrivals);
+            let mut deliver = fresh(&ks, params);
+            for (i, arrival) in arrivals.iter().enumerate() {
+                let assembled = deliver(arrival);
+                if i != at {
+                    assert!(assembled.is_none(), "order {order:?}: assembled at {i}");
+                    continue;
+                }
+                let (got_vector, got_proof) =
+                    assembled.unwrap_or_else(|| panic!("order {order:?}: nothing at {i}"));
+                assert_eq!(got_vector, vector, "order {order:?}");
+                assert_eq!(triples(&got_proof), triples(&proof), "order {order:?}");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use validity_core::{check_decision, SystemParams, VectorValidity};
     use validity_crypto::ThresholdScheme;
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder, Simulation, SyncModel};
+    use validity_simnet::{
+        agreement_holds, NodeKind, Silent, SimBuilder, Simulation, Step, SyncModel,
+    };
 
     fn build(
         n: usize,
@@ -421,6 +588,56 @@ mod tests {
             let hashes = node.quad.value_hashes();
             assert!((1..=2).contains(&hashes), "process {i}: {hashes} hashes");
         }
+    }
+
+    #[test]
+    fn proposes_the_first_quorum_in_process_order() {
+        assembly_order::check(|ks, params| {
+            let me = ProcessId(0);
+            let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
+            let mut node = VectorAuth::new(0u64, ks.clone(), ks.signer(me), scheme, params);
+            let env = Env {
+                id: me,
+                params,
+                now: 0,
+                delta: 100,
+            };
+            let mut sink = StepSink::new();
+            node.init(&env, &mut sink);
+            // P1 leads view 1: let its leader wait (the earliest timer)
+            // elapse and hand it n − t lock-free view changes, so it
+            // proposes the pair to Quad as soon as it is assembled.
+            let (_, wait) = sink
+                .steps()
+                .iter()
+                .filter_map(|step| match step {
+                    Step::Timer(delay, tag) => Some((*delay, *tag)),
+                    _ => None,
+                })
+                .min()
+                .expect("view 1 arms its timers");
+            node.on_timer(wait, &env, &mut sink);
+            let view_change = VectorAuthMsg::Quad(QuadMsg::ViewChange {
+                view: 1,
+                prepared: None,
+            });
+            for p in 0..params.quorum() {
+                node.on_message(ProcessId::from_index(p), &view_change, &env, &mut sink);
+            }
+            sink.clear();
+            Box::new(move |&(from, value, sig)| {
+                let msg = VectorAuthMsg::Proposal { value, sig };
+                node.on_message(from, &msg, &env, &mut sink);
+                let proposed = sink.steps().iter().find_map(|step| match step {
+                    Step::Broadcast(VectorAuthMsg::Quad(QuadMsg::Propose {
+                        value, proof, ..
+                    })) => Some((InputConfig::clone(value), proof.to_vec())),
+                    _ => None,
+                });
+                sink.clear();
+                proposed
+            })
+        });
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //! its exponential latency" yet within a log factor of the communication
 //! lower bound).
 
-use std::collections::BTreeMap;
-
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 use validity_crypto::{Digest, KeyStore, Signer, ThresholdScheme, ThresholdSignature};
 use validity_simnet::{Env, Machine, Message, StepSink};
@@ -28,7 +26,7 @@ use crate::add::{Add, AddMsg};
 use crate::codec::{Codec, Words};
 use crate::dissemination::{Acquired, DissemMsg, VectorDissemination};
 use crate::quad::{QuadConfig, QuadCore, QuadMsg, QuadSink};
-use crate::vector_auth::{sign_proposal, ProposalVerifier, SignedProposal, VectorProof};
+use crate::vector_auth::{sign_proposal, ProposalTable, ProposalVerifier};
 
 /// Timer tags of the embedded children are namespaced as
 /// `inner_tag * CHILD_STRIDE + child_index`.
@@ -83,7 +81,7 @@ impl<V: Value + Words> Message for VectorFastMsg<V> {
 pub struct VectorFast<V: Value> {
     input: V,
     signer: Signer,
-    proposals: BTreeMap<ProcessId, SignedProposal<V>>,
+    proposals: ProposalTable<V>,
     dissem: VectorDissemination<V>,
     quad: QuadCore<Digest, ThresholdSignature>,
     add: Add,
@@ -91,7 +89,6 @@ pub struct VectorFast<V: Value> {
     quad_sink: QuadSink<Digest, ThresholdSignature>,
     dissem_sink: StepSink<DissemMsg<V>, Acquired>,
     add_sink: StepSink<AddMsg, Vec<u8>>,
-    disseminating: bool,
     proposed_to_quad: bool,
     add_started: bool,
     decided: bool,
@@ -123,14 +120,13 @@ where
         VectorFast {
             input,
             signer,
-            proposals: BTreeMap::new(),
+            proposals: ProposalTable::new(params),
             dissem,
             quad,
             add: Add::new(params.n(), params.t()),
             quad_sink: StepSink::new(),
             dissem_sink: StepSink::new(),
             add_sink: StepSink::new(),
-            disseminating: false,
             proposed_to_quad: false,
             add_started: false,
             decided: false,
@@ -230,35 +226,12 @@ where
             VectorFastMsg::Proposal { value, sig } => {
                 // lines 12–18: collect n − t valid proposals, then
                 // disseminate the assembled vector.
-                if self.disseminating
-                    || self.proposals.contains_key(&from)
-                    || !self.dissem.verifier_mut().verify_proposal(from, value, sig)
-                {
-                    return;
+                let verifier = self.dissem.verifier_mut();
+                if let Some((vector, proof)) = self.proposals.offer(from, value, sig, verifier) {
+                    self.dissem
+                        .disseminate(vector, proof, 0, env, &mut self.dissem_sink);
+                    self.lift_dissem(env, sink);
                 }
-                self.proposals.insert(
-                    from,
-                    SignedProposal {
-                        from,
-                        value: value.clone(),
-                        sig: *sig,
-                    },
-                );
-                if self.proposals.len() < env.quorum() {
-                    return;
-                }
-                self.disseminating = true;
-                let vector = InputConfig::from_pairs(
-                    env.params,
-                    self.proposals
-                        .values()
-                        .map(|sp| (sp.from, sp.value.clone())),
-                )
-                .expect("n − t distinct proposals form a valid configuration");
-                let proof: VectorProof<V> = self.proposals.values().cloned().collect();
-                self.dissem
-                    .disseminate(vector, proof, 0, env, &mut self.dissem_sink);
-                self.lift_dissem(env, sink);
             }
             VectorFastMsg::Dissem(inner) => {
                 self.dissem
@@ -296,7 +269,7 @@ where
 mod tests {
     use super::*;
     use validity_core::{check_decision, VectorValidity};
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder, Simulation};
+    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder, Simulation, Step};
 
     fn build(
         n: usize,
@@ -336,6 +309,37 @@ mod tests {
                 assert_eq!(tag_unwrap(tag_wrap(child, inner)), (child, inner));
             }
         }
+    }
+
+    #[test]
+    fn disseminates_the_first_quorum_in_process_order() {
+        crate::vector_auth::assembly_order::check(|ks, params| {
+            let me = ProcessId(0);
+            let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
+            let mut node = VectorFast::new(0u64, ks.clone(), ks.signer(me), scheme, params);
+            let env = Env {
+                id: me,
+                params,
+                now: 0,
+                delta: 100,
+            };
+            let mut sink = StepSink::new();
+            node.init(&env, &mut sink);
+            sink.clear();
+            Box::new(move |&(from, value, sig)| {
+                let msg = VectorFastMsg::Proposal { value, sig };
+                node.on_message(from, &msg, &env, &mut sink);
+                // Slow broadcast serves P1 at once.
+                let disseminated = sink.steps().iter().find_map(|step| match step {
+                    Step::Send(_, VectorFastMsg::Dissem(DissemMsg::Slow { vector, proof })) => {
+                        Some((vector.clone(), proof.to_vec()))
+                    }
+                    _ => None,
+                });
+                sink.clear();
+                disseminated
+            })
+        });
     }
 
     #[test]

@@ -1,10 +1,43 @@
 //! Property-based tests of the wire codec and word accounting used by
 //! every protocol: deterministic round-trips, prefix-decoding discipline,
-//! and monotone word sizes.
+//! monotone word sizes, and `Arc` transparency — a shared value encodes,
+//! decodes, counts and renders exactly as the value itself.
+
+use std::fmt::Debug;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use validity_core::{InputConfig, SystemParams};
-use validity_protocols::{bytes_to_words, Codec, Words};
+use validity_core::{InputConfig, ProcessId, SystemParams};
+use validity_crypto::{sha256, KeyStore, ThresholdScheme};
+use validity_protocols::{
+    bytes_to_words, proposal_sign_bytes, Codec, PreparedCert, QuadMsg, SignedProposal,
+    VectorAuthMsg, VectorProof, Words,
+};
+
+/// `Arc::new(v)` and `v` share one encoding, one decoding and one size.
+fn assert_arc_transparent<T: Codec + Words + PartialEq + Debug>(v: T) {
+    let shared = Arc::new(v);
+    let plain: &T = &shared;
+    let bytes = plain.encode();
+    assert_eq!(shared.encode(), bytes);
+    assert_eq!(Words::words(&shared), plain.words());
+    let mut tail = bytes.clone();
+    tail.push(0xA5);
+    let (decoded, used) = Arc::<T>::decode_from(&tail).expect("decodes");
+    assert_eq!((&*decoded, used), (plain, bytes.len()));
+    assert!(Arc::<T>::decode_all(&tail).is_none());
+    assert_eq!(Arc::<T>::decode_all(&bytes).as_deref(), Some(plain));
+}
+
+/// A signed proposal of `value` by process `p`.
+fn signed(ks: &KeyStore, p: usize, value: u64) -> SignedProposal<u64> {
+    let from = ProcessId::from_index(p);
+    SignedProposal {
+        from,
+        value,
+        sig: ks.signer(from).sign(proposal_sign_bytes(&value)),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -74,5 +107,92 @@ proptest! {
         let params = SystemParams::new(7, 2).unwrap();
         let cfg = InputConfig::from_pairs(params, (0..count).map(|i| (i, i as u64))).unwrap();
         prop_assert_eq!(Words::words(&cfg), 1 + count);
+    }
+
+    /// `Arc<u64>`, `Arc<InputConfig<u64>>` and an `Arc` proof slice are
+    /// indistinguishable from the plain values on the wire and in the
+    /// word tally.
+    #[test]
+    fn arc_is_transparent(
+        v in any::<u64>(),
+        values in prop::collection::vec(any::<u64>(), 7),
+        drop in 0usize..3,
+    ) {
+        assert_arc_transparent(v);
+        let params = SystemParams::new(7, 2).unwrap();
+        let cfg = InputConfig::from_pairs(params, (0..7 - drop).map(|i| (i, values[i]))).unwrap();
+        assert_arc_transparent(cfg);
+        let ks = KeyStore::new(7, v);
+        let entries: Vec<SignedProposal<u64>> =
+            (0..7 - drop).map(|i| signed(&ks, i, values[i])).collect();
+        let proof: VectorProof<u64> = entries.clone().into();
+        prop_assert_eq!(Words::words(&proof), entries.as_slice().words());
+        prop_assert_eq!(Words::words(&proof), 2 * (7 - drop));
+    }
+}
+
+/// An Algorithm 1 Quad message over shared values renders, and so lands in
+/// a `--observe` timeline, exactly as the same message over plain values.
+#[test]
+fn shared_quad_messages_render_as_plain_ones() {
+    let params = SystemParams::new(4, 1).unwrap();
+    let ks = KeyStore::new(4, 3);
+    let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
+    let vector = InputConfig::from_pairs(params, [(0usize, 7u64), (2, 8), (3, 9)]).unwrap();
+    let entries = vec![signed(&ks, 0, 7), signed(&ks, 2, 8), signed(&ks, 3, 9)];
+    let digest = sha256(b"a phase digest");
+    let partials =
+        (0..3).map(|i| scheme.partially_sign(&ks.signer(ProcessId::from_index(i)), &digest));
+    let tsig = scheme.combine(&digest, partials).unwrap();
+    let shared_vector = Arc::new(vector.clone());
+    let shared_proof: VectorProof<u64> = entries.clone().into();
+    let shared: [VectorAuthMsg<u64>; 3] = [
+        VectorAuthMsg::Quad(QuadMsg::Propose {
+            view: 2,
+            value: shared_vector.clone(),
+            proof: shared_proof.clone(),
+            justification: Some(PreparedCert {
+                view: 1,
+                value: shared_vector.clone(),
+                proof: shared_proof.clone(),
+                tsig,
+            }),
+        }),
+        VectorAuthMsg::Quad(QuadMsg::ViewChange {
+            view: 3,
+            prepared: None,
+        }),
+        VectorAuthMsg::Quad(QuadMsg::Decided {
+            view: 2,
+            value: shared_vector,
+            proof: shared_proof,
+            tsig,
+        }),
+    ];
+    let plain: [QuadMsg<InputConfig<u64>, Vec<SignedProposal<u64>>>; 3] = [
+        QuadMsg::Propose {
+            view: 2,
+            value: vector.clone(),
+            proof: entries.clone(),
+            justification: Some(PreparedCert {
+                view: 1,
+                value: vector.clone(),
+                proof: entries.clone(),
+                tsig,
+            }),
+        },
+        QuadMsg::ViewChange {
+            view: 3,
+            prepared: None,
+        },
+        QuadMsg::Decided {
+            view: 2,
+            value: vector,
+            proof: entries,
+            tsig,
+        },
+    ];
+    for (shared, plain) in shared.iter().zip(&plain) {
+        assert_eq!(format!("{shared:?}"), format!("Quad({plain:?})"));
     }
 }

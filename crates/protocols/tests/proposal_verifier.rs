@@ -94,10 +94,10 @@ fn forged_proof_entries_are_refused_cold_and_warm() {
     let ids = [0usize, 1, 2, 3, 4];
     let vector = InputConfig::from_pairs(params, ids.map(|i| (i, 10 + i as u64))).unwrap();
     let honest: VectorProof<u64> = ids.iter().map(|&i| signed(&ks, i, 10 + i as u64)).collect();
-    let forge = |entry: SignedProposal<u64>| {
-        let mut proof = honest.clone();
+    let forge = |entry: SignedProposal<u64>| -> VectorProof<u64> {
+        let mut proof = honest.to_vec();
         proof[3] = entry;
-        proof
+        proof.into()
     };
     let forgeries = [
         // P5's signature presented as P4's
