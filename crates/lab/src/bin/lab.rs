@@ -27,6 +27,7 @@
 //! lab trend --update-baseline
 //! ```
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::process::ExitCode;
 
@@ -37,7 +38,7 @@ use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
     compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, run_crosscheck,
     run_mutate, run_service, slowest_first_markdown, suites, timeline_for, timing_markdown,
-    AgreementLevel, CrosscheckMatrix, FitAxis, FitMeasure, MutateMatrix, PartialReport,
+    AgreementLevel, CrosscheckMatrix, Fate, FitAxis, FitMeasure, MutateMatrix, PartialReport,
     ProtocolAxis, SamplingSpec, ScenarioMatrix, ScheduleSpec, ServiceMatrix, ShardSpec,
     SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, REPORT_SCHEMA,
 };
@@ -794,8 +795,8 @@ fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
             "CROSSCHECK FAILURE: {} DISAGREEMENT cell(s):",
             disagreements.len()
         );
-        for cell in &disagreements {
-            eprintln!("  {}: {}", cell.key, cell.detail);
+        for (key, finding) in &disagreements {
+            eprintln!("  {key}: {finding}");
         }
         failed = true;
     }
@@ -866,6 +867,18 @@ fn mutate_cmd(rest: &[&str]) -> CmdResult {
         report.fates.len() - report.killed(),
         report.false_kills.len(),
     );
+    let mut kinds = BTreeMap::new();
+    for f in &report.fates {
+        if let Fate::Killed { evidence, .. } = &f.fate {
+            let kind = evidence.kind().expect("a kill always breaks some property");
+            *kinds.entry(kind).or_insert(0) += 1;
+        }
+    }
+    let kinds: Vec<String> = kinds
+        .iter()
+        .map(|(kind, count)| format!("{count} {}", kind.label()))
+        .collect();
+    eprintln!("kills by kind: {}", kinds.join(", "));
     let (json_path, md_path) = args.report_paths("mutate");
     write_reports(
         &json_path,

@@ -24,6 +24,9 @@
 //!   ([`Classification::consistent_with_run`]). Every such cell is a
 //!   potential bug and is named individually in the report.
 //!
+//! Every cell short of full agreement carries the typed [`Finding`] that
+//! graded it: the rule that fired, its witnesses, and its [`ViolationKind`].
+//!
 //! The executor is the same deterministic worker-pool shape as
 //! [`crate::service::run_service`]: cells fan out over threads, results
 //! collect in matrix order, and the `crosscheck@1` artifact is
@@ -35,6 +38,7 @@
 //!
 //! [`Applicability`]: validity_protocols::registry::Applicability
 
+use std::fmt;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -47,7 +51,7 @@ use crate::json::Json;
 use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
-use crate::runner::{execute_with_budget, Outcome, RunRecord};
+use crate::runner::{execute_with_budget, Outcome, RunRecord, Verdict, ViolationKind};
 
 /// Schema tag of the crosscheck report artifact.
 pub const CROSSCHECK_SCHEMA: &str = "validity-lab/crosscheck@1";
@@ -304,68 +308,14 @@ impl CrosscheckMatrix {
     }
 }
 
-/// What one engine column reported for one cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineVerdict {
-    /// Whether every correct process decided.
-    pub decided: bool,
-    /// Whether Agreement held among correct decisions.
-    pub agreement: bool,
-    /// Whether every correct decision was admissible (`None` when the run
-    /// never decided).
-    pub validity_ok: Option<bool>,
-    /// Whether the run blew its step budget.
-    pub quarantined: bool,
-}
-
-impl EngineVerdict {
-    /// One-phrase description for divergence details.
-    pub fn summary(&self) -> &'static str {
-        if self.quarantined {
-            "quarantined"
-        } else if !self.agreement {
-            "violated Agreement"
-        } else {
-            match (self.decided, self.validity_ok) {
-                (true, Some(true)) => "decided admissibly",
-                (_, Some(false)) => "decided inadmissibly",
-                (true, _) => "decided, admissibility unchecked",
-                (false, _) => "undecided",
-            }
-        }
-    }
-}
-
 /// One engine column of one cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineColumn {
     /// The engine's registry name.
     pub engine: &'static str,
-    /// Skipped (out of the registered applicability band) or ran.
-    pub outcome: EngineOutcome,
-}
-
-/// Whether an engine column ran.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineOutcome {
-    /// The cell's `(n, t)` is outside the engine's registered band.
-    Skipped,
-    /// The engine ran and reported a verdict.
-    Ran(EngineVerdict),
-}
-
-impl EngineOutcome {
-    /// Condenses what [`CrosscheckCell::run_engine`] returned.
-    pub fn of(run: Option<&RunRecord>) -> EngineOutcome {
-        run.map_or(EngineOutcome::Skipped, |r| {
-            EngineOutcome::Ran(EngineVerdict {
-                decided: r.decided,
-                agreement: r.agreement,
-                validity_ok: r.validity_ok,
-                quarantined: r.quarantined,
-            })
-        })
-    }
+    /// What the engine's run reported; `None` when the cell's `(n, t)` is
+    /// outside the engine's registered band.
+    pub verdict: Option<Verdict>,
 }
 
 /// The agreement grade of one cell.
@@ -389,16 +339,87 @@ impl AgreementLevel {
             AgreementLevel::Disagreement => "DISAGREEMENT",
         }
     }
+}
 
-    /// Parses a report label back into a level.
-    pub fn parse(label: &str) -> Option<AgreementLevel> {
-        [
-            AgreementLevel::Full,
-            AgreementLevel::ExpectedDivergence,
-            AgreementLevel::Disagreement,
-        ]
-        .into_iter()
-        .find(|l| l.label() == label)
+/// What an oracle rule found in a cell: why it is not in full agreement,
+/// or why a mutant died. One variant per rule, each carrying its
+/// witnesses; only [`fmt::Display`] and the report emitters turn a finding
+/// into text.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Finding {
+    /// This engine's correct processes decided different values.
+    ViolatedAgreement(&'static str),
+    /// This engine decided a value the property does not admit.
+    Inadmissible(&'static str),
+    /// These engines blew their step budget.
+    Quarantined(Vec<&'static str>),
+    /// The first engine that ran and the first whose verdict differs.
+    EnginesSplit([(&'static str, Verdict); 2]),
+    /// The classifier's label, contradicted by the engines' common verdict.
+    ClassifierSays(&'static str, Verdict),
+    /// No engine's registered band covers the cell's `(n, t)`.
+    NoEngineApplicable,
+    /// These engines sat out of band, and the classifier too when `true`.
+    OutOfBand(Vec<&'static str>, bool),
+    /// A mutant's verdict differs from its base engine's: the base, then
+    /// `[mutant's, base's]` verdicts.
+    Diverged(&'static str, [Verdict; 2]),
+    /// A mutant decided another value than its base engine on the same
+    /// verdict: the base, then `[mutant's, base's]` decisions.
+    DecidedOther(&'static str, [String; 2]),
+}
+
+impl Finding {
+    /// The agreement grade this finding gives its cell.
+    pub fn level(&self) -> AgreementLevel {
+        match self {
+            Finding::Quarantined(_) | Finding::NoEngineApplicable | Finding::OutOfBand(..) => {
+                AgreementLevel::ExpectedDivergence
+            }
+            _ => AgreementLevel::Disagreement,
+        }
+    }
+
+    /// The most severe property the finding's witnesses broke; `None` for
+    /// a column that merely sat out.
+    pub fn kind(&self) -> Option<ViolationKind> {
+        match self {
+            Finding::ViolatedAgreement(_) => Some(ViolationKind::Safety),
+            Finding::Inadmissible(_) => Some(ViolationKind::Validity),
+            Finding::DecidedOther(..) => Some(ViolationKind::Value),
+            Finding::Quarantined(_) => Some(ViolationKind::Liveness),
+            Finding::EnginesSplit([(_, a), (_, b)]) | Finding::Diverged(_, [a, b]) => {
+                a.kind().into_iter().chain(b.kind()).min()
+            }
+            Finding::ClassifierSays(_, v) => v.kind(),
+            Finding::NoEngineApplicable | Finding::OutOfBand(..) => None,
+        }
+    }
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Finding::ViolatedAgreement(e) => write!(f, "{e} violated Agreement"),
+            Finding::Inadmissible(e) => write!(f, "{e} decided an inadmissible value"),
+            Finding::Quarantined(es) => write!(f, "quarantined: {}", es.join(", ")),
+            Finding::EnginesSplit([(a, va), (b, vb)]) => {
+                write!(f, "engines split: {a} {va} vs {b} {vb}")
+            }
+            Finding::ClassifierSays(label, v) => {
+                write!(f, "classifier says '{label}' but engines {v}")
+            }
+            Finding::NoEngineApplicable => f.write_str("no engine applicable at this (n, t)"),
+            Finding::OutOfBand(engines, classifier) => match (engines.join(", "), classifier) {
+                (engines, _) if engines.is_empty() => f.write_str("classifier out of band"),
+                (engines, false) => write!(f, "out of band: {engines}"),
+                (engines, true) => write!(f, "out of band: {engines}; classifier out of band"),
+            },
+            Finding::Diverged(base, [m, b]) => write!(f, "diverged from {base}: {m} vs {b}"),
+            Finding::DecidedOther(base, [m, b]) => {
+                write!(f, "decided {m} where {base} decided {b}")
+            }
+        }
     }
 }
 
@@ -408,113 +429,88 @@ pub struct CrosscheckRecord {
     /// The cell key.
     pub key: String,
     /// The classifier's verdict label (`None` when out of band).
-    pub verdict: Option<String>,
+    pub verdict: Option<&'static str>,
     /// Per-engine columns, in matrix engine order.
     pub columns: Vec<EngineColumn>,
+    /// Why the cell diverged (`None` for full agreement).
+    pub detail: Option<Finding>,
+}
+
+impl CrosscheckRecord {
     /// The agreement grade.
-    pub level: AgreementLevel,
-    /// Why the cell diverged (empty for full agreement).
-    pub detail: String,
+    pub fn level(&self) -> AgreementLevel {
+        self.detail
+            .as_ref()
+            .map_or(AgreementLevel::Full, Finding::level)
+    }
 }
 
 /// Grades one cell: the classifier's verdict (when in band) against every
-/// engine column. Pure function of its inputs — the planted-fault
-/// self-test feeds it real runs of a deliberately wrong machine and
-/// checks it flips to [`AgreementLevel::Disagreement`].
+/// engine column, `None` for full agreement. Pure function of its inputs —
+/// the planted-fault self-test feeds it real runs of a deliberately wrong
+/// machine and checks it flips to [`AgreementLevel::Disagreement`].
 pub fn grade(
     classifier: Option<&Classification<u64>>,
     columns: &[EngineColumn],
-) -> (AgreementLevel, String) {
-    let ran: Vec<(&'static str, EngineVerdict)> = columns
+) -> Option<Finding> {
+    let ran: Vec<(&'static str, Verdict)> = columns
         .iter()
-        .filter_map(|c| match c.outcome {
-            EngineOutcome::Ran(v) => Some((c.engine, v)),
-            EngineOutcome::Skipped => None,
-        })
-        .collect();
-    let skipped: Vec<&'static str> = columns
-        .iter()
-        .filter(|c| matches!(c.outcome, EngineOutcome::Skipped))
-        .map(|c| c.engine)
+        .filter_map(|c| Some((c.engine, c.verdict?)))
         .collect();
 
     // Safety violations are bugs no matter what any other column says.
     for &(name, v) in &ran {
-        if !v.agreement {
-            return (
-                AgreementLevel::Disagreement,
-                format!("{name} violated Agreement"),
-            );
-        }
-        if v.validity_ok == Some(false) {
-            return (
-                AgreementLevel::Disagreement,
-                format!("{name} decided an inadmissible value"),
-            );
+        match v.kind() {
+            Some(ViolationKind::Safety) => return Some(Finding::ViolatedAgreement(name)),
+            Some(ViolationKind::Validity) => return Some(Finding::Inadmissible(name)),
+            _ => {}
         }
     }
 
     // A quarantined run diverged for a budget reason, not a correctness
     // one; it is out of band the same way a skipped engine is.
-    let quarantined: Vec<&str> = ran
+    let quarantined: Vec<&'static str> = ran
         .iter()
-        .filter(|(_, v)| v.quarantined)
-        .map(|&(name, _)| name)
+        .filter_map(|&(name, v)| v.quarantined.then_some(name))
         .collect();
     if !quarantined.is_empty() {
-        return (
-            AgreementLevel::ExpectedDivergence,
-            format!("quarantined: {}", quarantined.join(", ")),
-        );
+        return Some(Finding::Quarantined(quarantined));
     }
 
     // Engines that ran must tell the same story...
-    if let Some((&(first_name, first), rest)) = ran.split_first() {
-        for &(name, v) in rest {
-            if v != first {
-                return (
-                    AgreementLevel::Disagreement,
-                    format!(
-                        "engines split: {first_name} {} vs {name} {}",
-                        first.summary(),
-                        v.summary()
-                    ),
-                );
-            }
-        }
-        // ...and the story must match the classifier's verdict: a solvable
-        // classification promises every correct engine decides admissibly.
-        if let Some(c) = classifier {
-            if !c.consistent_with_run(first.decided, first.validity_ok) {
-                return (
-                    AgreementLevel::Disagreement,
-                    format!(
-                        "classifier says '{}' but engines {}",
-                        c.label(),
-                        first.summary()
-                    ),
-                );
-            }
-        }
+    let Some(&(_, v)) = ran.first() else {
+        return Some(Finding::NoEngineApplicable);
+    };
+    if let Some(&split) = ran.iter().find(|&&(_, other)| other != v) {
+        return Some(Finding::EnginesSplit([ran[0], split]));
+    }
+    // ...and the story must match the classifier's verdict: a solvable
+    // classification promises every correct engine decides admissibly.
+    if let Some(c) = classifier.filter(|c| !c.consistent_with_run(v.decided, v.validity_ok)) {
+        return Some(Finding::ClassifierSays(c.label(), v));
     }
 
-    if ran.is_empty() {
-        return (
-            AgreementLevel::ExpectedDivergence,
-            "no engine applicable at this (n, t)".to_string(),
-        );
-    }
-    let mut reasons = Vec::new();
-    if !skipped.is_empty() {
-        reasons.push(format!("out of band: {}", skipped.join(", ")));
-    }
-    if classifier.is_none() {
-        reasons.push("classifier out of band".to_string());
-    }
-    if !reasons.is_empty() {
-        return (AgreementLevel::ExpectedDivergence, reasons.join("; "));
-    }
-    (AgreementLevel::Full, String::new())
+    let skipped: Vec<&'static str> = columns
+        .iter()
+        .filter_map(|c| c.verdict.is_none().then_some(c.engine))
+        .collect();
+    (!skipped.is_empty() || classifier.is_none())
+        .then(|| Finding::OutOfBand(skipped, classifier.is_none()))
+}
+
+/// Builds one cell's engine columns from each engine's run verdict
+/// (`None` when out of band) and grades them — the one path from runs to
+/// a [`Finding`], shared by [`execute_crosscheck`] and `lab mutate`.
+pub(crate) fn grade_runs(
+    classifier: Option<&Classification<u64>>,
+    runs: impl IntoIterator<Item = (&'static str, Option<Verdict>)>,
+) -> (Vec<EngineColumn>, Option<Finding>) {
+    let columns: Vec<EngineColumn> = runs
+        .into_iter()
+        .map(|(engine, verdict)| EngineColumn { engine, verdict })
+        .collect();
+    let finding = grade(classifier, &columns);
+    (columns, finding)
 }
 
 /// Executes one crosscheck cell: the classifier column (when in band)
@@ -527,19 +523,15 @@ pub fn execute_crosscheck(
     max_steps: Option<u64>,
 ) -> CrosscheckRecord {
     let classifier = cell.classify(domain);
-    let columns: Vec<EngineColumn> = engines
-        .iter()
-        .map(|&engine| EngineColumn {
-            engine: engine.name(),
-            outcome: EngineOutcome::of(cell.run_engine(engine, max_steps).as_ref()),
-        })
-        .collect();
-    let (level, detail) = grade(classifier.as_ref(), &columns);
+    let runs = engines.iter().map(|&engine| {
+        let run = cell.run_engine(engine, max_steps);
+        (engine.name(), run.as_ref().map(RunRecord::verdict))
+    });
+    let (columns, detail) = grade_runs(classifier.as_ref(), runs);
     CrosscheckRecord {
         key: cell.key(),
-        verdict: classifier.map(|c| c.label().to_string()),
+        verdict: classifier.map(|c| c.label()),
         columns,
-        level,
         detail,
     }
 }
@@ -558,14 +550,16 @@ pub struct CrosscheckReport {
 impl CrosscheckReport {
     /// Cells at the given agreement level.
     pub fn count(&self, level: AgreementLevel) -> usize {
-        self.cells.iter().filter(|c| c.level == level).count()
+        self.cells.iter().filter(|c| c.level() == level).count()
     }
 
-    /// The disagreement cells — each one a potential bug.
-    pub fn disagreements(&self) -> Vec<&CrosscheckRecord> {
+    /// The disagreement cells — each one a potential bug — by key, with
+    /// what was found there.
+    pub fn disagreements(&self) -> Vec<(&str, &Finding)> {
         self.cells
             .iter()
-            .filter(|c| c.level == AgreementLevel::Disagreement)
+            .filter_map(|c| Some((c.key.as_str(), c.detail.as_ref()?)))
+            .filter(|(_, f)| f.level() == AgreementLevel::Disagreement)
             .collect()
     }
 
@@ -597,18 +591,13 @@ impl CrosscheckReport {
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
             let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            let verdict = match &cell.verdict {
-                Some(v) => json_str(v),
-                None => "null".to_string(),
-            };
+            let verdict = cell.verdict.map_or("null".to_string(), json_str);
             let columns = cell
                 .columns
                 .iter()
-                .map(|c| match c.outcome {
-                    EngineOutcome::Skipped => {
-                        format!("{{\"name\": {}, \"ran\": false}}", json_str(c.engine))
-                    }
-                    EngineOutcome::Ran(v) => format!(
+                .map(|c| match c.verdict {
+                    None => format!("{{\"name\": {}, \"ran\": false}}", json_str(c.engine)),
+                    Some(v) => format!(
                         "{{\"name\": {}, \"ran\": true, \"decided\": {}, \"agreement\": {}, \
                          \"validity_ok\": {}, \"quarantined\": {}}}",
                         json_str(c.engine),
@@ -626,8 +615,13 @@ impl CrosscheckReport {
                 "    {{\"key\": {}, \"verdict\": {verdict}, \"level\": {}, \"detail\": {}, \
                  \"engines\": [{columns}]}}{comma}",
                 json_str(&cell.key),
-                json_str(cell.level.label()),
-                json_str(&cell.detail),
+                json_str(cell.level().label()),
+                json_str(
+                    &cell
+                        .detail
+                        .as_ref()
+                        .map_or(String::new(), Finding::to_string)
+                ),
             );
         }
         out.push_str("  ]\n");
@@ -658,21 +652,15 @@ impl CrosscheckReport {
         );
         let _ = writeln!(out, "|---{}|", "|---".repeat(self.engines.len() + 2));
         for cell in &self.cells {
-            let verdict = cell.verdict.as_deref().unwrap_or("—");
+            let verdict = cell.verdict.unwrap_or("—");
             let columns = cell
                 .columns
                 .iter()
-                .map(|c| match c.outcome {
-                    EngineOutcome::Skipped => "—",
-                    EngineOutcome::Ran(v) => {
-                        if v.quarantined {
-                            "q!"
-                        } else if v.decided && v.agreement && v.validity_ok == Some(true) {
-                            "✓"
-                        } else {
-                            "✗"
-                        }
-                    }
+                .map(|c| match c.verdict {
+                    None => "—",
+                    Some(v) if v.quarantined => "q!",
+                    Some(v) if v.kind().is_none() => "✓",
+                    Some(_) => "✗",
                 })
                 .collect::<Vec<_>>()
                 .join(" | ");
@@ -680,17 +668,16 @@ impl CrosscheckReport {
                 out,
                 "| {} | {verdict} | {columns} | {} |",
                 cell.key,
-                cell.level.label()
+                cell.level().label()
             );
         }
         out.push_str("\n## Disagreements\n\n");
         let disagreements = self.disagreements();
         if disagreements.is_empty() {
             out.push_str("None — every divergence is explained by a declared band.\n");
-        } else {
-            for cell in disagreements {
-                let _ = writeln!(out, "- `{}`: {}", cell.key, cell.detail);
-            }
+        }
+        for (key, finding) in disagreements {
+            let _ = writeln!(out, "- `{key}`: {finding}");
         }
         out
     }
@@ -802,18 +789,42 @@ mod tests {
         m
     }
 
-    fn ran(engine: &'static str, v: EngineVerdict) -> EngineColumn {
+    fn ran(engine: &'static str, v: Verdict) -> EngineColumn {
         EngineColumn {
             engine,
-            outcome: EngineOutcome::Ran(v),
+            verdict: Some(v),
         }
     }
 
-    const HEALTHY: EngineVerdict = EngineVerdict {
+    fn skipped(engine: &'static str) -> EngineColumn {
+        EngineColumn {
+            engine,
+            verdict: None,
+        }
+    }
+
+    const HEALTHY: Verdict = Verdict {
         decided: true,
         agreement: true,
         validity_ok: Some(true),
         quarantined: false,
+    };
+    const UNDECIDED: Verdict = Verdict {
+        decided: false,
+        validity_ok: None,
+        ..HEALTHY
+    };
+    const QUARANTINED: Verdict = Verdict {
+        quarantined: true,
+        ..UNDECIDED
+    };
+    const INADMISSIBLE: Verdict = Verdict {
+        validity_ok: Some(false),
+        ..HEALTHY
+    };
+    const SPLIT_BRAIN: Verdict = Verdict {
+        agreement: false,
+        ..HEALTHY
     };
 
     fn solvable() -> Classification<u64> {
@@ -823,75 +834,164 @@ mod tests {
         c
     }
 
+    /// Asserts a grade's finding, and the level and kind it carries.
+    fn graded(
+        got: Option<Finding>,
+        want: Option<Finding>,
+        level: AgreementLevel,
+        kind: Option<ViolationKind>,
+    ) {
+        assert_eq!(got, want);
+        let record = CrosscheckRecord {
+            key: String::new(),
+            verdict: None,
+            columns: Vec::new(),
+            detail: got,
+        };
+        assert_eq!(record.level(), level, "{want:?}");
+        assert_eq!(record.detail.and_then(|f| f.kind()), kind, "{want:?}");
+    }
+
     #[test]
     fn grading_rules_cover_every_level() {
+        use AgreementLevel::{Disagreement, ExpectedDivergence, Full};
+        use ViolationKind::{Liveness, Safety, Validity};
         let c = solvable();
         // Full: all columns ran, healthy, classifier consistent.
-        let (level, _) = grade(Some(&c), &[ran("a", HEALTHY), ran("b", HEALTHY)]);
-        assert_eq!(level, AgreementLevel::Full);
+        let got = grade(Some(&c), &[ran("a", HEALTHY), ran("b", HEALTHY)]);
+        graded(got, None, Full, None);
 
         // A skipped engine is expected divergence, not a bug.
-        let skipped = EngineColumn {
-            engine: "b",
-            outcome: EngineOutcome::Skipped,
-        };
-        let (level, detail) = grade(Some(&c), &[ran("a", HEALTHY), skipped.clone()]);
-        assert_eq!(level, AgreementLevel::ExpectedDivergence);
-        assert!(detail.contains("out of band: b"), "{detail}");
+        let got = grade(Some(&c), &[ran("a", HEALTHY), skipped("b")]);
+        let want = Finding::OutOfBand(vec!["b"], false);
+        graded(got, Some(want), ExpectedDivergence, None);
 
         // A missing classifier column likewise.
-        let (level, detail) = grade(None, &[ran("a", HEALTHY)]);
-        assert_eq!(level, AgreementLevel::ExpectedDivergence);
-        assert!(detail.contains("classifier out of band"), "{detail}");
+        let got = grade(None, &[ran("a", HEALTHY)]);
+        let want = Finding::OutOfBand(Vec::new(), true);
+        graded(got, Some(want), ExpectedDivergence, None);
 
         // No applicable engine at all.
-        let (level, detail) = grade(Some(&c), std::slice::from_ref(&skipped));
-        assert_eq!(level, AgreementLevel::ExpectedDivergence);
-        assert!(detail.contains("no engine applicable"), "{detail}");
+        let got = grade(Some(&c), &[skipped("b")]);
+        graded(
+            got,
+            Some(Finding::NoEngineApplicable),
+            ExpectedDivergence,
+            None,
+        );
 
         // Quarantine is a budget band, not a correctness split.
-        let quarantined = EngineVerdict {
-            decided: false,
-            validity_ok: None,
-            quarantined: true,
-            ..HEALTHY
-        };
-        let (level, detail) = grade(Some(&c), &[ran("a", HEALTHY), ran("b", quarantined)]);
-        assert_eq!(level, AgreementLevel::ExpectedDivergence);
-        assert!(detail.contains("quarantined: b"), "{detail}");
+        let got = grade(Some(&c), &[ran("a", HEALTHY), ran("b", QUARANTINED)]);
+        let want = Finding::Quarantined(vec!["b"]);
+        graded(got, Some(want), ExpectedDivergence, Some(Liveness));
 
         // Engines telling different stories is a disagreement.
-        let undecided = EngineVerdict {
-            decided: false,
-            validity_ok: None,
-            ..HEALTHY
-        };
-        let (level, detail) = grade(Some(&c), &[ran("a", HEALTHY), ran("b", undecided)]);
-        assert_eq!(level, AgreementLevel::Disagreement);
-        assert!(detail.contains("engines split"), "{detail}");
+        let got = grade(Some(&c), &[ran("a", HEALTHY), ran("b", UNDECIDED)]);
+        let want = Finding::EnginesSplit([("a", HEALTHY), ("b", UNDECIDED)]);
+        graded(got, Some(want), Disagreement, Some(Liveness));
 
         // Safety violations are disagreements even when every engine
         // reports the same (wrong) story.
-        let inadmissible = EngineVerdict {
-            validity_ok: Some(false),
-            ..HEALTHY
-        };
-        let (level, detail) = grade(Some(&c), &[ran("a", inadmissible), ran("b", inadmissible)]);
-        assert_eq!(level, AgreementLevel::Disagreement);
-        assert!(detail.contains("inadmissible"), "{detail}");
-        let split_brain = EngineVerdict {
-            agreement: false,
-            ..HEALTHY
-        };
-        let (level, detail) = grade(None, &[ran("a", split_brain)]);
-        assert_eq!(level, AgreementLevel::Disagreement);
-        assert!(detail.contains("violated Agreement"), "{detail}");
+        let got = grade(Some(&c), &[ran("a", INADMISSIBLE), ran("b", INADMISSIBLE)]);
+        graded(
+            got,
+            Some(Finding::Inadmissible("a")),
+            Disagreement,
+            Some(Validity),
+        );
+        let got = grade(None, &[ran("a", SPLIT_BRAIN)]);
+        let want = Finding::ViolatedAgreement("a");
+        graded(got, Some(want), Disagreement, Some(Safety));
 
         // Classification vs simulation: a solvable verdict contradicted
         // by a unanimous undecided ensemble is a disagreement.
-        let (level, detail) = grade(Some(&c), &[ran("a", undecided), ran("b", undecided)]);
-        assert_eq!(level, AgreementLevel::Disagreement);
-        assert!(detail.contains("classifier says"), "{detail}");
+        let got = grade(Some(&c), &[ran("a", UNDECIDED), ran("b", UNDECIDED)]);
+        let want = Finding::ClassifierSays("solvable, non-trivial", UNDECIDED);
+        graded(got, Some(want), Disagreement, Some(Liveness));
+    }
+
+    #[test]
+    fn every_finding_and_verdict_renders_its_report_text() {
+        // The report bytes: each phrase exactly as the emitters have always
+        // written it. The built-in grids reach only some of them, so the
+        // committed fingerprints cannot pin the rest.
+        let decided_unchecked = Verdict {
+            validity_ok: None,
+            ..HEALTHY
+        };
+        let verdicts = [
+            (HEALTHY, "decided admissibly", None),
+            (UNDECIDED, "undecided", Some(ViolationKind::Liveness)),
+            (QUARANTINED, "quarantined", Some(ViolationKind::Liveness)),
+            (
+                INADMISSIBLE,
+                "decided inadmissibly",
+                Some(ViolationKind::Validity),
+            ),
+            (
+                SPLIT_BRAIN,
+                "violated Agreement",
+                Some(ViolationKind::Safety),
+            ),
+            (
+                decided_unchecked,
+                "decided, admissibility unchecked",
+                Some(ViolationKind::Liveness),
+            ),
+        ];
+        for (v, text, kind) in verdicts {
+            assert_eq!(v.to_string(), text);
+            assert_eq!(v.kind(), kind, "{text}");
+        }
+
+        let findings = [
+            (
+                Finding::ViolatedAgreement("alg1-auth"),
+                "alg1-auth violated Agreement",
+            ),
+            (
+                Finding::Inadmissible("planted-broken"),
+                "planted-broken decided an inadmissible value",
+            ),
+            (Finding::Quarantined(vec!["a", "b"]), "quarantined: a, b"),
+            (
+                Finding::EnginesSplit([("alg1-auth", HEALTHY), ("mutant", UNDECIDED)]),
+                "engines split: alg1-auth decided admissibly vs mutant undecided",
+            ),
+            (
+                Finding::ClassifierSays("solvable, non-trivial", QUARANTINED),
+                "classifier says 'solvable, non-trivial' but engines quarantined",
+            ),
+            (
+                Finding::NoEngineApplicable,
+                "no engine applicable at this (n, t)",
+            ),
+            (
+                Finding::OutOfBand(vec!["alg3-nonauth", "alg6-fast"], true),
+                "out of band: alg3-nonauth, alg6-fast; classifier out of band",
+            ),
+            (Finding::OutOfBand(vec!["b"], false), "out of band: b"),
+            (
+                Finding::OutOfBand(Vec::new(), true),
+                "classifier out of band",
+            ),
+            (
+                Finding::Diverged("alg6-fast", [QUARANTINED, HEALTHY]),
+                "diverged from alg6-fast: quarantined vs decided admissibly",
+            ),
+            (
+                Finding::DecidedOther("alg1-auth", ["1000000".into(), "0".into()]),
+                "decided 1000000 where alg1-auth decided 0",
+            ),
+        ];
+        for (finding, text) in findings {
+            assert_eq!(finding.to_string(), text);
+        }
+        // Mutate's value kill is the one kind no single run shows.
+        let value = Finding::DecidedOther("e", ["1".into(), "0".into()]);
+        assert_eq!(value.kind(), Some(ViolationKind::Value));
+        let stall = Finding::Diverged("e", [QUARANTINED, HEALTHY]);
+        assert_eq!(stall.kind(), Some(ViolationKind::Liveness));
     }
 
     #[test]
@@ -947,7 +1047,7 @@ mod tests {
         assert_eq!(report.count(AgreementLevel::Full), 1, "{report:?}");
         assert!(report.disagreements().is_empty());
         let cell = &report.cells[0];
-        assert_eq!(cell.verdict.as_deref(), Some("solvable, non-trivial"));
+        assert_eq!(cell.verdict, Some("solvable, non-trivial"));
         assert_eq!(cell.columns.len(), 3);
     }
 
@@ -1027,7 +1127,7 @@ mod tests {
         assert!(
             disagreements
                 .iter()
-                .all(|c| c.detail.contains("planted-broken")),
+                .all(|(_, f)| **f == Finding::Inadmissible("planted-broken")),
             "disagreement must name the wrong engine: {disagreements:?}"
         );
         // The report names the cells individually in both emitters.

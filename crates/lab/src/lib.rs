@@ -50,12 +50,16 @@
 //!   every applicable registry engine, the solvability classifier, and
 //!   both report emitters run on identical cells and graded into an
 //!   agreement matrix (`full` / `expected-divergence` /
-//!   `DISAGREEMENT`), with unexplained splits failing the run.
+//!   `DISAGREEMENT`), with unexplained splits failing the run. Each
+//!   divergence is a typed [`Finding`]: the rule that fired, its
+//!   witnesses, and the [`ViolationKind`] (safety, validity, value,
+//!   liveness) read off each run's [`Verdict`].
 //! * **[`mutate`]** — the fault-injection harness (`lab mutate`): every
 //!   registry engine crossed with a corpus of mutation operators, each
 //!   mutant run through the crosscheck oracle next to the clean columns
 //!   and reported in a kill matrix — every mutant killed or explicitly
 //!   catalogued equivalent, and zero false kills on the clean baseline.
+//!   Kills and false kills carry the same [`Finding`]s.
 //! * **[`flags`]** — the CLI's one flag table: every `--flag`, the
 //!   commands that accept it, and the reason where a command refuses it.
 //! * the **`lab`** binary — `run` / `service` / `crosscheck` / `mutate` /
@@ -98,8 +102,8 @@ pub mod trend;
 
 pub use crosscheck::{
     classifier_in_band, compare_emitted, execute_crosscheck, grade, run_crosscheck, AgreementLevel,
-    CrosscheckCell, CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, EngineColumn,
-    EngineOutcome, EngineVerdict, CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
+    CrosscheckCell, CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, EngineColumn, Finding,
+    CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
 };
 pub use executor::{
     run_adaptive_group, slowest_first_markdown, timing_markdown, CellTiming, SweepEngine, SweepRun,
@@ -118,7 +122,10 @@ pub use observe::{
 };
 pub use partial::{merge, PartialReport, PARTIAL_SCHEMA};
 pub use report::{FitRow, GroupSummary, SamplingSection, SweepReport, REPORT_SCHEMA};
-pub use runner::{execute, execute_with_budget, CellRecord, ClassifyRecord, Outcome, RunRecord};
+pub use runner::{
+    execute, execute_with_budget, CellRecord, ClassifyRecord, Outcome, RunRecord, Verdict,
+    ViolationKind,
+};
 pub use sampling::GroupSampling;
 pub use service::{
     execute_service, run_service, ServiceCell, ServiceGroup, ServiceMatrix, ServiceRecord,

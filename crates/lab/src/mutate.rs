@@ -13,14 +13,14 @@
 //!
 //! 1. a cell grades [`AgreementLevel::Disagreement`] (safety violation,
 //!    inadmissible decision, verdict split, classifier contradiction);
-//! 2. the mutant's verdict differs from its base engine's on some cell
-//!    (e.g. the fault stalls the mutant into quarantine — `grade` files
-//!    quarantines under *expected* divergence, so this check keeps them
-//!    lethal);
-//! 3. both decided every cell identically by verdict, but some decided
-//!    *value* differs — the one distinction
-//!    [`EngineVerdict`](crate::crosscheck::EngineVerdict) is too
-//!    coarse to see.
+//! 2. [`Finding::Diverged`]: the mutant's verdict differs from its base
+//!    engine's on some cell (e.g. it stalls into a quarantine, which
+//!    `grade` files under *expected* divergence);
+//! 3. [`Finding::DecidedOther`]: same verdicts, but some decided *value*
+//!    differs — the one distinction a [`crate::runner::Verdict`] cannot see.
+//!
+//! Every kill and false kill is the [`Finding`] that convicted it, and
+//! [`Finding::kind`] tells a value kill from a liveness or safety one.
 //!
 //! A mutant the oracle cannot distinguish **survives**; the gate fails
 //! unless that survivor is explicitly listed in [`CATALOGUED_EQUIVALENT`]
@@ -41,10 +41,11 @@ use validity_adversary::BehaviorId;
 use validity_core::Classification;
 use validity_protocols::{mutant_spec, MutationOp, VectorSpec};
 
-use crate::crosscheck::{grade, AgreementLevel, CrosscheckMatrix, EngineColumn, EngineOutcome};
+use crate::crosscheck::{grade_runs, AgreementLevel, CrosscheckMatrix, Finding};
 use crate::matrix::{ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
+use crate::runner::RunRecord;
 
 /// Schema tag of the mutate report artifact.
 pub const MUTATE_SCHEMA: &str = "validity-lab/mutate@1";
@@ -81,8 +82,9 @@ impl MutateMatrix {
         grid.seeds = 0..1;
         // A mutant may legitimately stall (skip-broadcast starves a
         // quorum); the budget turns that into a quarantine verdict the
-        // divergence check can convict, instead of a hung gate.
-        grid.max_steps = Some(1_000_000);
+        // divergence check can convict, instead of a hung gate. The
+        // largest clean run on this grid takes 1 755 events.
+        grid.max_steps = Some(50_000);
         MutateMatrix {
             grid,
             operators: MutationOp::ALL.to_vec(),
@@ -120,7 +122,7 @@ pub enum Fate {
         /// Key of the first cell that convicted it.
         cell: String,
         /// What the oracle saw there.
-        evidence: String,
+        evidence: Finding,
     },
     /// The oracle could not tell the mutant from its base engine on any
     /// cell of the grid.
@@ -158,10 +160,10 @@ pub struct MutateReport {
     pub operators: Vec<MutationOp>,
     /// Scenario cells each column ran.
     pub cells: usize,
-    /// Baseline disagreements (`"key: detail"`): cells where the *clean*
+    /// Baseline disagreements, by cell key: cells where the *clean*
     /// registry already splits. Any entry is a false kill and voids the
     /// matrix.
-    pub false_kills: Vec<String>,
+    pub false_kills: Vec<(String, Finding)>,
     /// One fate per mutant, engine-major in corpus order.
     pub fates: Vec<MutantFate>,
 }
@@ -185,7 +187,11 @@ impl MutateReport {
             return Err(format!(
                 "clean baseline disagrees with itself ({} false kill(s)): {}",
                 self.false_kills.len(),
-                self.false_kills.join("; "),
+                self.false_kills
+                    .iter()
+                    .map(|(key, finding)| format!("{key}: {finding}"))
+                    .collect::<Vec<_>>()
+                    .join("; "),
             ));
         }
         let escaped: Vec<&str> = self
@@ -256,7 +262,7 @@ impl MutateReport {
             "  \"baseline\": [{}],",
             self.false_kills
                 .iter()
-                .map(|k| json_str(k))
+                .map(|(key, finding)| json_str(&format!("{key}: {finding}")))
                 .collect::<Vec<_>>()
                 .join(", ")
         );
@@ -267,7 +273,7 @@ impl MutateReport {
                 Fate::Killed { cell, evidence } => format!(
                     "\"killed\": true, \"cell\": {}, \"evidence\": {}",
                     json_str(cell),
-                    json_str(evidence)
+                    json_str(&evidence.to_string())
                 ),
                 Fate::Survived => "\"killed\": false".to_string(),
             };
@@ -359,96 +365,25 @@ impl MutateReport {
         if !self.false_kills.is_empty() {
             out.push('\n');
             out.push_str("## Baseline false kills\n\n");
-            for k in &self.false_kills {
-                let _ = writeln!(out, "- {k}");
+            for (key, finding) in &self.false_kills {
+                let _ = writeln!(out, "- {key}: {finding}");
             }
         }
         out
     }
 }
 
-/// One executed column of one cell: the crosscheck-shaped outcome plus
-/// the decided value's rendering (the detail `EngineVerdict` drops).
-#[derive(Clone, Debug)]
-struct ColumnRun {
-    outcome: EngineOutcome,
-    decision: Option<String>,
-}
-
-/// Runs one engine (base or mutant) on one cell — the same column
-/// [`crate::crosscheck::execute_crosscheck`] runs.
-fn run_column(
-    cell: &crate::crosscheck::CrosscheckCell,
-    engine: VectorSpec,
-    max_steps: Option<u64>,
-) -> ColumnRun {
-    let run = cell.run_engine(engine, max_steps);
-    ColumnRun {
-        outcome: EngineOutcome::of(run.as_ref()),
-        decision: run.filter(|r| r.decided).map(|r| r.decision),
+/// Rules 2 and 3: a mutant's run against its base engine's on the same
+/// cell. Catches the divergence `grade` files as *expected* (quarantine)
+/// or cannot see (verdict vs verdict when another column diverged first),
+/// and the same verdict on a different decided value.
+fn judge(base: &'static str, b: &RunRecord, m: &RunRecord) -> Option<Finding> {
+    let verdicts = [m.verdict(), b.verdict()];
+    if verdicts[0] != verdicts[1] {
+        return Some(Finding::Diverged(base, verdicts));
     }
-}
-
-/// Grades one mutant against the shared base columns over the whole grid.
-/// Returns the first conviction in cell order, or [`Fate::Survived`].
-fn judge(
-    cells: &[crate::crosscheck::CrosscheckCell],
-    classifiers: &[Option<Classification<u64>>],
-    engine_names: &[&'static str],
-    base_runs: &[Vec<ColumnRun>],
-    base_index: usize,
-    mutant_runs: &[ColumnRun],
-) -> Fate {
-    let base_name = engine_names[base_index];
-    for (i, cell) in cells.iter().enumerate() {
-        let mutant = &mutant_runs[i];
-        // 1. The full oracle ensemble, with the mutant as an extra column.
-        let mut columns: Vec<EngineColumn> = base_runs[i]
-            .iter()
-            .enumerate()
-            .map(|(e, run)| EngineColumn {
-                engine: engine_names[e],
-                outcome: run.outcome,
-            })
-            .collect();
-        columns.push(EngineColumn {
-            engine: "mutant",
-            outcome: mutant.outcome,
-        });
-        let (level, detail) = grade(classifiers[i].as_ref(), &columns);
-        if level == AgreementLevel::Disagreement {
-            return Fate::Killed {
-                cell: cell.key(),
-                evidence: detail,
-            };
-        }
-        // 2. Divergence from the base engine that grade() files as
-        // *expected* (quarantine) or cannot see (verdict vs verdict when
-        // another column also diverged first).
-        let base = &base_runs[i][base_index];
-        if let (EngineOutcome::Ran(vb), EngineOutcome::Ran(vm)) = (base.outcome, mutant.outcome) {
-            if vb != vm {
-                return Fate::Killed {
-                    cell: cell.key(),
-                    evidence: format!(
-                        "diverged from {base_name}: {} vs {}",
-                        vm.summary(),
-                        vb.summary()
-                    ),
-                };
-            }
-            // 3. Same verdict shape, different decided value.
-            if let (Some(db), Some(dm)) = (&base.decision, &mutant.decision) {
-                if db != dm {
-                    return Fate::Killed {
-                        cell: cell.key(),
-                        evidence: format!("decided {dm} where {base_name} decided {db}"),
-                    };
-                }
-            }
-        }
-    }
-    Fate::Survived
+    let values = [m.decision.clone(), b.decision.clone()];
+    (m.decided && values[0] != values[1]).then_some(Finding::DecidedOther(base, values))
 }
 
 /// Runs the full kill matrix over `threads` workers (0 = all cores).
@@ -471,65 +406,59 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
         .chain(mutants.iter().map(|&(_, _, spec)| spec))
         .collect();
     let mut results = pool::ordered_map(threads, cells.len() * columns.len(), |k| {
-        run_column(
-            &cells[k / columns.len()],
-            columns[k % columns.len()],
-            matrix.grid.max_steps,
-        )
+        cells[k / columns.len()].run_engine(columns[k % columns.len()], matrix.grid.max_steps)
     })
     .map(|(run, _wall)| run);
-    let runs: Vec<Vec<ColumnRun>> = cells
+    let runs: Vec<Vec<Option<RunRecord>>> = cells
         .iter()
         .map(|_| results.by_ref().take(columns.len()).collect())
         .collect();
-    let bases = matrix.grid.engines.len();
-    let base_runs: Vec<Vec<ColumnRun>> = runs.iter().map(|row| row[..bases].to_vec()).collect();
+    let engines: Vec<&'static str> = matrix.grid.engines.iter().map(|e| e.name()).collect();
     // Classifier column, once per cell (cheap at grid sizes).
     let classifiers: Vec<Option<Classification<u64>>> = cells
         .iter()
         .map(|cell| cell.classify(matrix.grid.domain))
         .collect();
+    // Rule 1: the oracle ensemble's disagreement on cell `i` — the clean
+    // columns, plus column `mutant` when given.
+    let disagreement = |i: usize, mutant: Option<usize>| {
+        let row = &runs[i];
+        let verdict = |run: &Option<RunRecord>| run.as_ref().map(RunRecord::verdict);
+        let clean = engines.iter().copied().zip(row.iter().map(verdict));
+        let extra = mutant.map(|m| ("mutant", verdict(&row[m])));
+        let (_, finding) = grade_runs(classifiers[i].as_ref(), clean.chain(extra));
+        finding.filter(|f| f.level() == AgreementLevel::Disagreement)
+    };
     // Baseline: the clean registry must not disagree with itself.
-    let mut false_kills = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let columns: Vec<EngineColumn> = base_runs[i]
-            .iter()
-            .enumerate()
-            .map(|(e, run)| EngineColumn {
-                engine: matrix.grid.engines[e].name(),
-                outcome: run.outcome,
-            })
-            .collect();
-        let (level, detail) = grade(classifiers[i].as_ref(), &columns);
-        if level == AgreementLevel::Disagreement {
-            false_kills.push(format!("{}: {detail}", cell.key()));
-        }
-    }
-    let engine_names: Vec<&'static str> = matrix.grid.engines.iter().map(|e| e.name()).collect();
-    let fates: Vec<MutantFate> = mutants
+    let false_kills = (0..cells.len())
+        .filter_map(|i| Some((cells[i].key(), disagreement(i, None)?)))
+        .collect();
+    // Each mutant dies at its first conviction in cell order.
+    let fates = mutants
         .iter()
         .enumerate()
         .map(|(m, &(e, op, spec))| {
-            let mutant_runs: Vec<ColumnRun> =
-                runs.iter().map(|row| row[bases + m].clone()).collect();
+            let column = engines.len() + m;
+            let kill = (0..cells.len()).find_map(|i| {
+                let row = &runs[i];
+                let evidence = disagreement(i, Some(column))
+                    .or_else(|| judge(engines[e], row[e].as_ref()?, row[column].as_ref()?))?;
+                Some(Fate::Killed {
+                    cell: cells[i].key(),
+                    evidence,
+                })
+            });
             MutantFate {
-                base: engine_names[e],
+                base: engines[e],
                 operator: op,
                 name: spec.name(),
-                fate: judge(
-                    &cells,
-                    &classifiers,
-                    &engine_names,
-                    &base_runs,
-                    e,
-                    &mutant_runs,
-                ),
+                fate: kill.unwrap_or(Fate::Survived),
             }
         })
         .collect();
     let report = MutateReport {
         name: matrix.grid.name.clone(),
-        engines: matrix.grid.engines.iter().map(|e| e.name()).collect(),
+        engines,
         operators: matrix.operators.clone(),
         cells: cells.len(),
         false_kills,
@@ -572,7 +501,12 @@ mod tests {
         assert!(report.false_kills.is_empty(), "{:?}", report.false_kills);
         assert_eq!(report.fates.len(), 3);
         for f in &report.fates {
-            assert!(f.killed(), "{} survived", f.name);
+            // It decides promptly, on the wrong value: a value kill.
+            let Fate::Killed { evidence, .. } = &f.fate else {
+                panic!("{} survived", f.name)
+            };
+            assert!(matches!(evidence, Finding::DecidedOther(..)), "{evidence}");
+            assert_eq!(evidence.kind(), Some(crate::ViolationKind::Value));
         }
         assert!(report.gate(&[]).is_ok());
     }
@@ -599,7 +533,7 @@ mod tests {
         let mut killed = report.clone();
         killed.fates[0].fate = Fate::Killed {
             cell: "c".into(),
-            evidence: "e".into(),
+            evidence: Finding::DecidedOther("alg1-auth", ["1".into(), "0".into()]),
         };
         assert!(killed.gate(&[]).is_ok());
         let err = killed.gate(&["alg1-auth+stale-echo"]).unwrap_err();
@@ -613,10 +547,18 @@ mod tests {
             engines: vec!["alg1-auth"],
             operators: Vec::new(),
             cells: 1,
-            false_kills: vec!["crosscheck/x: engines split".into()],
+            false_kills: vec![(
+                "crosscheck/x".into(),
+                Finding::ViolatedAgreement("alg1-auth"),
+            )],
             fates: Vec::new(),
         };
-        assert!(report.gate(&[]).unwrap_err().contains("false kill"));
+        let err = report.gate(&[]).unwrap_err();
+        assert!(err.contains("1 false kill(s)"), "{err}");
+        assert!(
+            err.contains("crosscheck/x: alg1-auth violated Agreement"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -57,6 +57,86 @@ pub struct RunRecord {
     pub stats: NetStats,
 }
 
+impl RunRecord {
+    /// The run as the oracles grade it.
+    pub fn verdict(&self) -> Verdict {
+        Verdict {
+            decided: self.decided,
+            agreement: self.agreement,
+            validity_ok: self.validity_ok,
+            quarantined: self.quarantined,
+        }
+    }
+}
+
+/// What one run says about the paper's three properties: the part of a
+/// [`RunRecord`] the crosscheck and mutate oracles grade.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Verdict {
+    /// Whether every correct process decided.
+    pub decided: bool,
+    /// Whether Agreement held among correct decisions.
+    pub agreement: bool,
+    /// Whether every correct decision was admissible (`None` when the run
+    /// never decided).
+    pub validity_ok: Option<bool>,
+    /// Whether the run blew its step budget.
+    pub quarantined: bool,
+}
+
+/// What kind of wrong a run, or a comparison of two runs, shows; ordered
+/// most severe first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ViolationKind {
+    /// Agreement broke: correct processes decided differently.
+    Safety,
+    /// A correct process decided a value the property does not admit.
+    Validity,
+    /// An admissible value other than a reference run's — only a
+    /// comparison of two runs (a mutant and its base engine) shows it.
+    Value,
+    /// Termination failed: the run stalled or blew its step budget.
+    Liveness,
+}
+
+impl ViolationKind {
+    /// The stable label.
+    pub fn label(self) -> &'static str {
+        match self {
+            ViolationKind::Safety => "safety",
+            ViolationKind::Validity => "validity",
+            ViolationKind::Value => "value",
+            ViolationKind::Liveness => "liveness",
+        }
+    }
+}
+
+impl Verdict {
+    /// The most severe property this run broke; `None` when every correct
+    /// process decided an admissible value in Agreement.
+    pub fn kind(&self) -> Option<ViolationKind> {
+        match (self.agreement, self.validity_ok) {
+            (false, _) => Some(ViolationKind::Safety),
+            (_, Some(false)) => Some(ViolationKind::Validity),
+            (_, Some(true)) if self.decided && !self.quarantined => None,
+            _ => Some(ViolationKind::Liveness),
+        }
+    }
+}
+
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match (self.decided, self.validity_ok) {
+            _ if self.quarantined => "quarantined",
+            _ if !self.agreement => "violated Agreement",
+            (true, Some(true)) => "decided admissibly",
+            (_, Some(false)) => "decided inadmissibly",
+            (true, None) => "decided, admissibility unchecked",
+            (false, _) => "undecided",
+        })
+    }
+}
+
 /// Condensed result of one classification cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClassifyRecord {

@@ -6,27 +6,25 @@
 //!    same `mutate@1` JSON (and Markdown) at worker counts 1, 2, and
 //!    default — the same guarantee every other lab artifact carries, so
 //!    a CI matrix cell and a laptop produce diffable kill matrices.
-//! 2. **Golden fingerprints.** SHA-256 of both renderings of the smoke
+//! 2. **Golden fingerprints.** SHA-256 of both renderings of the built-in
 //!    corpus is committed, pinning the grid, every mutant's fate, the
 //!    kill evidence, and the emitters all at once. Any drift — a new
 //!    operator, a changed kill rule, an engine change that flips a
 //!    fate — shows up as a fingerprint mismatch and must be intentional.
 //!
-//! The corpus here is the built-in suite with a trimmed step budget
-//! (stalling mutants otherwise run to the full 1M-step cap, which is
-//! test-hostile in debug builds); the trim is behaviour-preserving —
-//! every mutant still dies and the baseline still runs clean, which the
-//! gate assertion below proves on every run.
+//! The corpus is the built-in suite itself. Its 50k-event step budget
+//! keeps stalling mutants cheap even in debug builds: every mutant dies
+//! and the baseline runs clean, which the gate assertion below proves on
+//! every run.
 //!
 //! The golden hashes were recorded when `lab mutate` was introduced. Do
 //! **not** regenerate them unless a mutate-schema, operator-corpus, or
 //! kill-rule change is intentional.
 
 use validity_crypto::sha256;
-use validity_lab::{run_mutate, MutateMatrix, CATALOGUED_EQUIVALENT};
+use validity_lab::{run_mutate, Fate, MutateMatrix, ViolationKind, CATALOGUED_EQUIVALENT};
 
-/// SHA-256 of `MutateReport::to_json()` for the smoke corpus (the
-/// built-in suite at a 50k step budget).
+/// SHA-256 of `MutateReport::to_json()` for the built-in suite.
 const MUTATE_JSON: &str = "a5cca01dc757f3c25754e1dac651958fac96ed6af4cc599159faaf536c2b1eab";
 
 /// SHA-256 of the same corpus's Markdown rendering.
@@ -36,17 +34,9 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// The built-in suite with a step budget small enough for debug-build
-/// tests but large enough that every base engine decides comfortably.
-fn smoke() -> MutateMatrix {
-    let mut m = MutateMatrix::suite();
-    m.grid.max_steps = Some(50_000);
-    m
-}
-
 #[test]
 fn kill_matrix_is_byte_identical_across_thread_counts() {
-    let matrix = smoke();
+    let matrix = MutateMatrix::suite();
     let (one, _) = run_mutate(&matrix, 1);
     let (two, _) = run_mutate(&matrix, 2);
     let (many, _) = run_mutate(&matrix, 0);
@@ -60,11 +50,25 @@ fn kill_matrix_is_byte_identical_across_thread_counts() {
     assert!(one.false_kills.is_empty(), "{:?}", one.false_kills);
     assert_eq!(one.killed(), one.fates.len(), "{:?}", one.survivors());
     assert!(one.gate(CATALOGUED_EQUIVALENT).is_ok());
+
+    // Every kill is typed: the shift-proposal mutants decide a wrong
+    // value, every other operator stalls its engine.
+    let kinds: Vec<Option<ViolationKind>> = one
+        .fates
+        .iter()
+        .filter_map(|f| match &f.fate {
+            Fate::Killed { evidence, .. } => Some(evidence.kind()),
+            Fate::Survived => None,
+        })
+        .collect();
+    let count = |k| kinds.iter().filter(|&&kind| kind == Some(k)).count();
+    assert_eq!(count(ViolationKind::Value), 3, "{kinds:?}");
+    assert_eq!(count(ViolationKind::Liveness), 12, "{kinds:?}");
 }
 
 #[test]
 fn kill_matrix_matches_golden_fingerprint() {
-    let (report, _) = run_mutate(&smoke(), 0);
+    let (report, _) = run_mutate(&MutateMatrix::suite(), 0);
     assert_eq!(
         hex(sha256(report.to_json()).as_ref()),
         MUTATE_JSON,
