@@ -2,8 +2,11 @@
 //! by ADD (Appendix B.3 / \[36\]).
 //!
 //! Representation: polynomials over GF(2) modulo the AES polynomial
-//! `x⁸ + x⁴ + x³ + x + 1` (0x11b), with generator 0x03. Multiplication uses
-//! log/exp tables computed at compile time.
+//! `x⁸ + x⁴ + x³ + x + 1` (0x11b), with generator 0x03. Multiplication is
+//! one lookup in a 64 KiB product table computed at compile time from log/exp
+//! tables. A fixed left factor reads one 256-byte row, so loops that multiply
+//! many values by one factor (Horner's rule, Gaussian elimination, `*=`)
+//! keep that factor on the left.
 
 // In characteristic 2, addition *is* xor and subtraction *is* addition;
 // clippy's suspicion that `^` in `Add` (etc.) is a typo does not apply to a
@@ -18,12 +21,14 @@ const POLY: u16 = 0x11b;
 struct Tables {
     exp: [u8; 512], // doubled to skip the mod-255 reduction
     log: [u8; 256],
+    /// `mul[a][b] = a · b`.
+    mul: [[u8; 256]; 256],
 }
 
 static TABLES: Tables = tables();
 
-/// `exp[i] = 3^i` (period 255, so the doubled half repeats the first) and
-/// `log` its inverse on the non-zero elements.
+/// `exp[i] = 3^i` (period 255, so the doubled half repeats the first),
+/// `log` its inverse on the non-zero elements, and `mul` every product.
 const fn tables() -> Tables {
     let mut exp = [0u8; 512];
     let mut log = [0u8; 256];
@@ -42,7 +47,17 @@ const fn tables() -> Tables {
         x ^= x2;
         i += 1;
     }
-    Tables { exp, log }
+    let mut mul = [[0u8; 256]; 256];
+    let mut a = 1;
+    while a < 256 {
+        let mut b = 1;
+        while b < 256 {
+            mul[a][b] = exp[log[a] as usize + log[b] as usize];
+            b += 1;
+        }
+        a += 1;
+    }
+    Tables { exp, log, mul }
 }
 
 /// An element of GF(2⁸).
@@ -132,17 +147,14 @@ impl Neg for Gf256 {
 impl Mul for Gf256 {
     type Output = Gf256;
     fn mul(self, rhs: Gf256) -> Gf256 {
-        if self.0 == 0 || rhs.0 == 0 {
-            return Gf256::ZERO;
-        }
-        let t = &TABLES;
-        Gf256(t.exp[t.log[self.0 as usize] as usize + t.log[rhs.0 as usize] as usize])
+        Gf256(TABLES.mul[self.0 as usize][rhs.0 as usize])
     }
 }
 
 impl MulAssign for Gf256 {
+    /// `x *= c` usually runs with `c` fixed, so `c` is the left factor.
     fn mul_assign(&mut self, rhs: Gf256) {
-        *self = *self * rhs;
+        *self = rhs * *self;
     }
 }
 
@@ -178,7 +190,7 @@ impl From<u8> for Gf256 {
 pub fn poly_eval(coeffs: &[Gf256], x: Gf256) -> Gf256 {
     let mut acc = Gf256::ZERO;
     for &c in coeffs.iter().rev() {
-        acc = acc * x + c;
+        acc = x * acc + c;
     }
     acc
 }

@@ -7,18 +7,30 @@
 //! implements exactly that loop for one code word; [`ReedSolomon`]'s blob
 //! API chunks arbitrary byte strings column-wise.
 //!
-//! There is one decoder. For each budget `e = 0, 1, …, max_errors` it runs
-//! Berlekamp–Welch on the first `k + 2e` shares and accepts the result only
-//! if its codeword disagrees with at most `e` of *all* the shares; at
-//! `e = 0` this is plain interpolation from the first `k`. With
-//! `m ≥ k + 2·max_errors` shares, a codeword within `e` of all of them is
-//! the only one within `e` of any `k + 2e` of them (two such codewords would
-//! agree on `k` points), so Berlekamp–Welch on the prefix finds it whenever
-//! it exists, and the check against all shares rejects everything else.
+//! There is one decoder, and it decodes each row at the smallest budget
+//! `e = 0, 1, …, max_errors` that has a codeword within `e` of *all* `m`
+//! shares.
+//!
+//! * **`e = 0`: one inverse per share set.** The interpolant through the
+//!   first `k` shares is `V⁻¹·y`, where `V` is the Vandermonde matrix of
+//!   their points. `V` depends only on the share indices, so
+//!   [`ReedSolomon::decode_blob`] inverts it once per call (the Lagrange
+//!   basis, `O(k²)`). Each row then costs a `k × k` product written straight
+//!   into the output, plus a check of the other `m − k` shares.
+//! * **`e ≥ 1`: Berlekamp–Welch, per row.** Only a row that fails the check
+//!   runs Berlekamp–Welch for `e = 1, …, max_errors` on the first `k + 2e`
+//!   shares and accepts a result only if it disagrees with at most `e` of
+//!   all the shares. With `m ≥ k + 2·max_errors` shares, a codeword within
+//!   `e` of all of them is the only one within `e` of any `k + 2e` of them
+//!   (two such codewords would agree on `k` points), so Berlekamp–Welch on
+//!   the prefix finds it whenever it exists, and the check against all
+//!   shares rejects everything else.
+//!
 //! For the same reason a call at budget `E` returns what the first
-//! successful call at `e = 0, 1, …, E` would: each row's codeword within
-//! `e ≤ E` is its only one within `E`. [`ReedSolomon::decode_blob`] checks
-//! the share indices once and decodes row by row.
+//! successful call at `e = 0, 1, …, E` would: a row's codeword within some
+//! `e ≤ E` is its only codeword within `E`, so the budget only decides how
+//! far a failing row may fall back. [`ReedSolomon::decode`] is the one-row
+//! case of the same path.
 
 use std::fmt;
 
@@ -147,10 +159,7 @@ impl ReedSolomon {
                 expected: self.k,
             });
         }
-        let coeffs: Vec<Gf256> = data.iter().map(|&b| Gf256(b)).collect();
-        Ok((0..self.n)
-            .map(|i| poly_eval(&coeffs, Gf256(i as u8)).0)
-            .collect())
+        Ok((0..self.n).map(|i| eval(data, i)).collect())
     }
 
     /// Checks a share-index set: in range, distinct, and at least
@@ -188,15 +197,59 @@ impl ReedSolomon {
     /// shares within the error budget.
     pub fn decode(&self, shares: &[(usize, u8)], max_errors: usize) -> Result<Vec<u8>, RsError> {
         self.check_shares(shares.iter().map(|&(i, _)| i), max_errors)?;
-        self.decode_row(shares, max_errors)
+        self.decode_rows(
+            shares.len(),
+            1,
+            |s| shares[s].0,
+            |s, _| shares[s].1,
+            max_errors,
+        )
     }
 
-    /// [`ReedSolomon::decode`] on shares [`ReedSolomon::check_shares`]
-    /// accepted: the codeword at the smallest budget that has one.
-    fn decode_row(&self, shares: &[(usize, u8)], max_errors: usize) -> Result<Vec<u8>, RsError> {
-        (0..=max_errors)
-            .find_map(|e| self.try_decode_with_e(shares, e))
-            .ok_or(RsError::DecodingFailed)
+    /// Decodes `rows` code words over `m` shares [`ReedSolomon::check_shares`]
+    /// accepted, share `s` sitting at point `index(s)` with symbol
+    /// `symbol(s, r)` in row `r`; returns the rows' data symbols back to back.
+    ///
+    /// Each row is first interpolated from the first `k` shares through the
+    /// inverse Vandermonde matrix of their points, computed once for all
+    /// rows, and kept if it matches the other `m − k` shares. Only a row that
+    /// fails this `e = 0` check runs Berlekamp–Welch for `e = 1, …,
+    /// max_errors`.
+    fn decode_rows(
+        &self,
+        m: usize,
+        rows: usize,
+        index: impl Fn(usize) -> usize,
+        symbol: impl Fn(usize, usize) -> u8,
+        max_errors: usize,
+    ) -> Result<Vec<u8>, RsError> {
+        let k = self.k;
+        let mut points = [Gf256::ZERO; 256];
+        for (s, x) in points[..k].iter_mut().enumerate() {
+            *x = Gf256(index(s) as u8);
+        }
+        let basis = lagrange_basis(&points[..k]);
+        let mut out = vec![0u8; rows * k];
+        let mut row = Vec::new();
+        for (r, data) in out.chunks_exact_mut(k).enumerate() {
+            // data = Σ_s y_s · L_s, i.e. V⁻¹ · (y_0, …, y_{k−1}).
+            for (s, l) in basis.chunks_exact(k).enumerate() {
+                let y = Gf256(symbol(s, r));
+                for (d, &c) in data.iter_mut().zip(l) {
+                    *d = (Gf256(*d) + y * c).0;
+                }
+            }
+            if (k..m).all(|s| eval(data, index(s)) == symbol(s, r)) {
+                continue;
+            }
+            row.clear();
+            row.extend((0..m).map(|s| (index(s), symbol(s, r))));
+            let fixed = (1..=max_errors)
+                .find_map(|e| self.try_decode_with_e(&row, e))
+                .ok_or(RsError::DecodingFailed)?;
+            data.copy_from_slice(&fixed);
+        }
+        Ok(out)
     }
 
     /// One Berlekamp–Welch attempt assuming ≤ `e` errors: solved on the first
@@ -250,28 +303,19 @@ impl ReedSolomon {
     /// Encodes an arbitrary blob into `n` [`Share`]s (column-wise chunking
     /// with a length header).
     pub fn encode_blob(&self, blob: &[u8]) -> Vec<Share> {
-        let mut framed = Vec::with_capacity(blob.len() + 4);
+        let mut framed = Vec::with_capacity(blob.len() + 4 + self.k);
         framed.extend_from_slice(&(blob.len() as u32).to_le_bytes());
         framed.extend_from_slice(blob);
-        while framed.len() % self.k != 0 {
-            framed.push(0);
-        }
-        let rows = framed.len() / self.k;
-        let mut shares: Vec<Share> = (0..self.n)
+        framed.resize(framed.len().next_multiple_of(self.k), 0);
+        (0..self.n)
             .map(|index| Share {
                 index,
-                data: Vec::with_capacity(rows),
+                data: framed
+                    .chunks_exact(self.k)
+                    .map(|row| eval(row, index))
+                    .collect(),
             })
-            .collect();
-        for r in 0..rows {
-            let code = self
-                .encode(&framed[r * self.k..(r + 1) * self.k])
-                .expect("chunk has exactly k symbols");
-            for (i, share) in shares.iter_mut().enumerate() {
-                share.data.push(code[i]);
-            }
-        }
-        shares
+            .collect()
     }
 
     /// Reconstructs a blob from shares, tolerating up to `max_errors`
@@ -287,13 +331,13 @@ impl ReedSolomon {
             return Err(RsError::DecodingFailed);
         }
         self.check_shares(shares.iter().map(|s| s.index), max_errors)?;
-        let mut framed = Vec::with_capacity(rows * self.k);
-        let mut row = Vec::with_capacity(shares.len());
-        for r in 0..rows {
-            row.clear();
-            row.extend(shares.iter().map(|s| (s.index, s.data[r])));
-            framed.extend(self.decode_row(&row, max_errors)?);
-        }
+        let mut framed = self.decode_rows(
+            shares.len(),
+            rows,
+            |s| shares[s].index,
+            |s, r| shares[s].data[r],
+            max_errors,
+        )?;
         if framed.len() < 4 {
             return Err(RsError::DecodingFailed);
         }
@@ -301,8 +345,55 @@ impl ReedSolomon {
         if len > framed.len() - 4 {
             return Err(RsError::DecodingFailed);
         }
-        Ok(framed[4..4 + len].to_vec())
+        framed.truncate(4 + len);
+        framed.drain(..4);
+        Ok(framed)
     }
+}
+
+/// The code symbol at point `x` of the data word `data`: its polynomial
+/// evaluated by Horner's rule.
+fn eval(data: &[u8], x: usize) -> u8 {
+    let x = Gf256(x as u8);
+    data.iter()
+        .rev()
+        .fold(Gf256::ZERO, |acc, &c| x * acc + Gf256(c))
+        .0
+}
+
+/// The inverse of the Vandermonde matrix `V[i][j] = points[i]^j`, one
+/// Lagrange basis polynomial `L_i(x) = Π_{j≠i} (x − x_j) / (x_i − x_j)` per
+/// `k` entries: `L_i`'s coefficients are column `i` of `V⁻¹`, so
+/// `Σ_i y_i · L_i` is the polynomial through every `(x_i, y_i)`. `O(k²)`:
+/// each `L_i` is `Π_j (x − x_j)` divided by `x − x_i`, then scaled.
+///
+/// The points must be distinct, as [`ReedSolomon::check_shares`] ensures.
+fn lagrange_basis(points: &[Gf256]) -> Vec<Gf256> {
+    let k = points.len();
+    // Π_j (x − x_j), monic of degree k, one factor at a time.
+    let mut product = [Gf256::ZERO; 257];
+    product[0] = Gf256::ONE;
+    for (degree, &x) in points.iter().enumerate() {
+        for j in (1..=degree + 1).rev() {
+            product[j] = product[j - 1] + x * product[j];
+        }
+        product[0] = x * product[0];
+    }
+    let mut basis = vec![Gf256::ZERO; k * k];
+    for (&x, l) in points.iter().zip(basis.chunks_exact_mut(k)) {
+        // Synthetic division by x − x_i, top coefficient first; the
+        // remainder is the product at x_i, which is zero.
+        let mut carry = Gf256::ZERO;
+        for j in (0..k).rev() {
+            carry = product[j + 1] + x * carry;
+            l[j] = carry;
+        }
+        let scale = poly_eval(l, x).inv().expect("the points are distinct");
+        for c in l.iter_mut() {
+            *c *= scale;
+        }
+    }
+    basis
 }
 
 #[cfg(test)]

@@ -153,7 +153,8 @@ fn chance(rng: &mut TestRng, percent: u64) -> bool {
 struct Case {
     shares: Vec<Share>,
     budget: usize,
-    corrupted: usize,
+    /// Indices of the shares whose data the case changed.
+    corrupted: Vec<usize>,
 }
 
 /// Keeps a random subset of the encoded shares (sometimes fewer than `k`),
@@ -178,10 +179,16 @@ fn case(code: usize, seed: u64) -> Case {
     }
     shares.truncate(kept);
     let capacity = kept.saturating_sub(k) / 2;
-    let corrupted = (rng.below(capacity as u64 + 2) as usize).min(kept);
-    for share in &mut shares[..corrupted] {
+    let mut corrupted = Vec::new();
+    for share in &mut shares[..(rng.below(capacity as u64 + 2) as usize).min(kept)] {
+        let mut changed = false;
         for byte in &mut share.data {
-            *byte ^= rng.below(256) as u8;
+            let flip = rng.below(256) as u8;
+            *byte ^= flip;
+            changed |= flip != 0;
+        }
+        if changed {
+            corrupted.push(share.index);
         }
     }
     for i in 0..kept {
@@ -220,6 +227,10 @@ fn case(code: usize, seed: u64) -> Case {
 struct Reached {
     budgets: Vec<bool>,
     decoded_with_corruption: usize,
+    /// Successful decodes with a corrupted share among the first `k`, which
+    /// the one-inverse interpolation reads: some row had to fall back to
+    /// Berlekamp–Welch.
+    decoded_by_fallback: usize,
     failed: usize,
     too_few: usize,
     bad_index: usize,
@@ -251,7 +262,11 @@ fn check(code: usize, seed: u64, reached: &mut Reached) {
     }
     reached.budgets[c.budget] = true;
     match got {
-        Ok(_) => reached.decoded_with_corruption += (c.corrupted > 0) as usize,
+        Ok(_) => {
+            reached.decoded_with_corruption += !c.corrupted.is_empty() as usize;
+            reached.decoded_by_fallback +=
+                c.shares[..k].iter().any(|s| c.corrupted.contains(&s.index)) as usize;
+        }
         Err(RsError::DecodingFailed) => reached.failed += 1,
         Err(RsError::NotEnoughShares { .. }) => reached.too_few += 1,
         Err(RsError::BadShareIndex(_)) => reached.bad_index += 1,
@@ -270,8 +285,9 @@ proptest! {
 }
 
 /// The cases are worth comparing on: for every code, every budget up to one
-/// past `max_errors` comes up, and decodes that corrected errors, decoding
-/// failures, too few shares and bad indices all occur.
+/// past `max_errors` comes up, and decodes that corrected errors (among them
+/// decodes whose first `k` shares held a corrupted one), decoding failures,
+/// too few shares and bad indices all occur.
 #[test]
 fn the_generator_reaches_every_outcome() {
     for (code, &(k, n)) in CODES.iter().enumerate() {
@@ -290,6 +306,7 @@ fn the_generator_reaches_every_outcome() {
         if k < n {
             // A (1, 1) code has no redundancy to correct anything with.
             counts.push(reached.decoded_with_corruption);
+            counts.push(reached.decoded_by_fallback);
         }
         assert!(
             counts.iter().all(|&c| c >= 3),
