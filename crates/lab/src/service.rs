@@ -315,37 +315,37 @@ impl ServiceGroup {
     /// thousandths (1000 simulator ticks ≡ 1 simulated second). Integer
     /// arithmetic end to end, so the rendering is deterministic.
     pub fn decisions_per_sec_milli(&self) -> u64 {
-        if self.duration == 0 {
-            return 0;
-        }
-        self.committed * 1_000_000 / self.duration
+        fixed_point(self.committed, 1_000_000, self.duration)
     }
 
     /// Committed client requests per simulated second, in fixed-point
     /// thousandths — the batching knob's payoff.
     pub fn requests_per_sec_milli(&self) -> u64 {
-        if self.duration == 0 {
-            return 0;
-        }
-        self.requests * 1_000_000 / self.duration
+        fixed_point(self.requests, 1_000_000, self.duration)
     }
 
     /// Amortized messages per committed decision, in fixed-point
     /// hundredths.
     pub fn messages_per_decision_centi(&self) -> u64 {
-        if self.committed == 0 {
-            return 0;
-        }
-        self.messages * 100 / self.committed
+        fixed_point(self.messages, 100, self.committed)
     }
 
     /// Amortized words per committed decision, in fixed-point hundredths.
     pub fn words_per_decision_centi(&self) -> u64 {
-        if self.committed == 0 {
-            return 0;
-        }
-        self.words * 100 / self.committed
+        fixed_point(self.words, 100, self.committed)
     }
+}
+
+/// `sum · scale / count`, or 0 when `count` is 0. The product is taken in
+/// `u128`, so a sum past `u64::MAX / scale` cannot wrap; a quotient past
+/// `u64::MAX` saturates. Wherever the `u64` product fits, the value is
+/// the same.
+fn fixed_point(sum: u64, scale: u64, count: u64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let quotient = u128::from(sum) * u128::from(scale) / u128::from(count);
+    u64::try_from(quotient).unwrap_or(u64::MAX)
 }
 
 /// The aggregated, deterministic service report.
@@ -664,5 +664,39 @@ mod tests {
             assert!(g.decisions_per_sec_milli() > 0);
             assert!(g.latency.quantile(99) >= g.latency.quantile(50));
         }
+    }
+
+    #[test]
+    fn fixed_point_rates_neither_wrap_nor_panic_on_huge_sums() {
+        let group = |committed, duration, messages| ServiceGroup {
+            key: "huge".into(),
+            runs: 1,
+            committed,
+            requests: committed,
+            duration,
+            latency: Hist::new(),
+            messages,
+            words: messages,
+            failures: 0,
+        };
+        // Products far past `u64::MAX`, quotients that fit.
+        let g = group(u64::MAX / 3, u64::MAX / 2, u64::MAX - 1);
+        assert_eq!(g.decisions_per_sec_milli(), 666_666);
+        assert_eq!(g.requests_per_sec_milli(), 666_666);
+        assert_eq!(g.messages_per_decision_centi(), 299);
+        assert_eq!(g.words_per_decision_centi(), 299);
+        // Quotients past `u64::MAX` saturate.
+        let g = group(u64::MAX, 1, u64::MAX);
+        assert_eq!(g.decisions_per_sec_milli(), u64::MAX);
+        assert_eq!(g.requests_per_sec_milli(), u64::MAX);
+        let g = group(1, 1, u64::MAX);
+        assert_eq!(g.messages_per_decision_centi(), u64::MAX);
+        assert_eq!(g.words_per_decision_centi(), u64::MAX);
+        // In range, the value is the plain `u64` expression's.
+        let g = group(7, 1_234, 900);
+        assert_eq!(g.decisions_per_sec_milli(), 7 * 1_000_000 / 1_234);
+        assert_eq!(g.messages_per_decision_centi(), 900 * 100 / 7);
+        assert_eq!(group(0, 0, 5).decisions_per_sec_milli(), 0);
+        assert_eq!(group(0, 0, 5).messages_per_decision_centi(), 0);
     }
 }

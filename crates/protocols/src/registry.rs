@@ -39,6 +39,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
 use validity_crypto::{KeyStore, ThresholdScheme};
@@ -350,15 +351,26 @@ pub fn find_vector<V: Value + Codec + Words>(name: &str) -> Option<VectorSpec<V>
 }
 
 /// Union of the three algorithms' wire messages.
+///
+/// Algorithm 1 and 6 payloads are shared behind an [`Arc`]: they carry
+/// certificates (Algorithm 6's `PreparedCert` alone is 144 bytes), and
+/// Byzantine fan-outs and stale replayers clone every message they relay,
+/// which costs one reference count instead of a deep copy. Algorithm 3's
+/// payload is as small as the pointer, so it travels inline and the
+/// `O(n⁴)` flood never allocates for its wrapper.
 #[derive(Clone, Debug)]
 pub enum VectorMsg<V: Value> {
     /// Algorithm 1 traffic.
-    Auth(VectorAuthMsg<V>),
+    Auth(Arc<VectorAuthMsg<V>>),
     /// Algorithm 3 traffic.
     NonAuth(VectorNonAuthMsg<V>),
     /// Algorithm 6 traffic.
-    Fast(VectorFastMsg<V>),
+    Fast(Arc<VectorFastMsg<V>>),
 }
+
+// The payload slab's slot stride and every drained step scale with the
+// largest variant, so no engine may make every other engine's message grow.
+const _: () = assert!(std::mem::size_of::<VectorMsg<u64>>() <= 24);
 
 impl<V: Value + Words> Message for VectorMsg<V> {
     fn words(&self) -> usize {
@@ -415,7 +427,7 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
         match self {
             VectorMachine::Auth(m, scratch) => {
                 m.init(env, scratch);
-                wrap(scratch, VectorMsg::Auth, sink);
+                wrap(scratch, |m| VectorMsg::Auth(Arc::new(m)), sink);
             }
             VectorMachine::NonAuth(m, scratch) => {
                 m.init(env, scratch);
@@ -423,7 +435,7 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
             }
             VectorMachine::Fast(m, scratch) => {
                 m.init(env, scratch);
-                wrap(scratch, VectorMsg::Fast, sink);
+                wrap(scratch, |m| VectorMsg::Fast(Arc::new(m)), sink);
             }
             VectorMachine::Mutated(m) => m.init(env, sink),
         }
@@ -441,7 +453,7 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
         match (self, msg) {
             (VectorMachine::Auth(m, scratch), VectorMsg::Auth(x)) => {
                 m.on_message(from, x, env, scratch);
-                wrap(scratch, VectorMsg::Auth, sink);
+                wrap(scratch, |m| VectorMsg::Auth(Arc::new(m)), sink);
             }
             (VectorMachine::NonAuth(m, scratch), VectorMsg::NonAuth(x)) => {
                 m.on_message(from, x, env, scratch);
@@ -449,7 +461,7 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
             }
             (VectorMachine::Fast(m, scratch), VectorMsg::Fast(x)) => {
                 m.on_message(from, x, env, scratch);
-                wrap(scratch, VectorMsg::Fast, sink);
+                wrap(scratch, |m| VectorMsg::Fast(Arc::new(m)), sink);
             }
             // A mutant speaks its base engine's message type; the wrapper
             // itself does the (possibly faulty) variant filtering.
@@ -462,7 +474,7 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
         match self {
             VectorMachine::Auth(m, scratch) => {
                 m.on_timer(tag, env, scratch);
-                wrap(scratch, VectorMsg::Auth, sink);
+                wrap(scratch, |m| VectorMsg::Auth(Arc::new(m)), sink);
             }
             VectorMachine::NonAuth(m, scratch) => {
                 m.on_timer(tag, env, scratch);
@@ -470,7 +482,7 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
             }
             VectorMachine::Fast(m, scratch) => {
                 m.on_timer(tag, env, scratch);
-                wrap(scratch, VectorMsg::Fast, sink);
+                wrap(scratch, |m| VectorMsg::Fast(Arc::new(m)), sink);
             }
             VectorMachine::Mutated(m) => m.on_timer(tag, env, sink),
         }
@@ -480,7 +492,7 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder};
+    use validity_simnet::{agreement_holds, NodeKind, Silent, SimBuilder, Time};
 
     #[test]
     fn registry_names_roundtrip() {
@@ -564,36 +576,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn erased_machine_matches_direct_construction() {
-        // The registry path must measure identically to hand-built nodes
-        // (modulo the enum wrapper, which adds no words).
-        let params = SystemParams::new(4, 1).unwrap();
-        let ctx = ProtocolContext::new(params, 3);
-        let spec = find_vector::<u64>("alg3-nonauth").unwrap();
-        let nodes: Vec<NodeKind<VectorMachine<u64>>> = (0..4)
-            .map(|i| NodeKind::Correct(spec.machine(&ctx, i.into(), 5u64)))
-            .collect();
+    /// Messages, words and every process's decision.
+    type RunSummary = (u64, u64, Vec<Option<(Time, InputConfig<u64>)>>);
+
+    /// Runs `mk`'s machines at `params` with `byz` two-faced processes
+    /// (face 0 proposes the slot's parity, face 1 the other bit).
+    fn two_faced_run<M>(
+        params: SystemParams,
+        byz: usize,
+        mk: &dyn Fn(ProcessId, u64) -> M,
+    ) -> RunSummary
+    where
+        M: Machine<Output = InputConfig<u64>> + 'static,
+    {
+        let nodes = validity_adversary::BehaviorId::TwoFaced.populate(params, byz, 0, mk);
         let mut sim = SimBuilder::new(params)
             .seed(3)
             .build(nodes)
             .expect("valid configuration");
         sim.run_until_decided();
+        assert!(sim.all_correct_decided());
+        let stats = sim.stats();
+        (
+            stats.messages_total,
+            stats.words_total,
+            sim.decisions().to_vec(),
+        )
+    }
 
-        let direct: Vec<NodeKind<VectorNonAuth<u64>>> = (0..4)
-            .map(|_| NodeKind::Correct(VectorNonAuth::new(5u64, 4)))
-            .collect();
-        let mut dsim = SimBuilder::new(params)
-            .seed(3)
-            .build(direct)
-            .expect("valid configuration");
-        dsim.run_until_decided();
-
-        assert_eq!(
-            sim.stats().messages_total,
-            dsim.stats().messages_total,
-            "enum erasure must not change message accounting"
-        );
-        assert_eq!(sim.stats().words_total, dsim.stats().words_total);
+    #[test]
+    fn erased_machine_matches_direct_construction() {
+        // The registry path must measure and decide identically to
+        // hand-built nodes (the enum wrapper and its `Arc`s add no words).
+        // The two-faced case clones every relayed message per recipient.
+        for (n, t, byz) in [(4, 1, 0), (7, 2, 2)] {
+            let params = SystemParams::new(n, t).unwrap();
+            let ctx = ProtocolContext::new(params, 3);
+            let input = |p: ProcessId, face: u64| (p.index() as u64 + face) % 2;
+            for spec in vector_registry::<u64>() {
+                let erased = two_faced_run(params, byz, &|p, face| {
+                    spec.machine(&ctx, p, input(p, face))
+                });
+                let direct = match spec.name() {
+                    "alg1-auth" => two_faced_run(params, byz, &|p, face| {
+                        let (keys, scheme) = (ctx.keys.clone(), ctx.scheme.clone());
+                        VectorAuth::new(input(p, face), keys, ctx.keys.signer(p), scheme, params)
+                    }),
+                    "alg3-nonauth" => two_faced_run(params, byz, &|p, face| {
+                        VectorNonAuth::new(input(p, face), n)
+                    }),
+                    "alg6-fast" => two_faced_run(params, byz, &|p, face| {
+                        let (keys, scheme) = (ctx.keys.clone(), ctx.scheme.clone());
+                        VectorFast::new(input(p, face), keys, ctx.keys.signer(p), scheme, params)
+                    }),
+                    other => panic!("unregistered engine {other}"),
+                };
+                assert_eq!(erased, direct, "{spec} at ({n}, {t}), {byz} two-faced");
+            }
+        }
     }
 }
