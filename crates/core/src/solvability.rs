@@ -176,28 +176,44 @@ impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
     }
 
     /// `set ∩= val(c)` for configuration `index`, one look-up per member of
-    /// `set`; returns whether anything is left.
+    /// `set`; returns whether anything is left. A repeat look-up is a few
+    /// word operations; only a miss leaves this path (see
+    /// [`ValTable::evaluate`]).
+    #[inline]
     fn retain(&mut self, index: usize, set: &mut [u64]) -> bool {
-        let slot = &mut self.bits[index * self.words * 2..][..self.words * 2];
-        let mut config = None;
+        let start = index * self.words * 2;
         let mut left = 0;
-        for (word, (set, slot)) in set.iter_mut().zip(slot.chunks_exact_mut(2)).enumerate() {
-            self.lookups += u64::from(set.count_ones());
-            let mut unknown = *set & !slot[0];
+        for word in 0..set.len() {
+            let known = self.bits[start + word * 2];
+            self.lookups += u64::from(set[word].count_ones());
+            if set[word] & !known != 0 {
+                self.evaluate(index, set);
+            }
+            set[word] &= self.bits[start + word * 2 + 1];
+            left |= set[word];
+        }
+        left != 0
+    }
+
+    /// Evaluates every member of `set` not yet known at configuration
+    /// `index`, building the configuration once.
+    #[cold]
+    #[inline(never)]
+    fn evaluate(&mut self, index: usize, set: &[u64]) {
+        let c = self.space.config(index);
+        let values = self.space.domain().values();
+        let slot = &mut self.bits[index * self.words * 2..][..self.words * 2];
+        for (word, (&set, slot)) in set.iter().zip(slot.chunks_exact_mut(2)).enumerate() {
+            let mut unknown = set & !slot[0];
             slot[0] |= unknown;
             while unknown != 0 {
                 let bit = unknown.trailing_zeros() as usize;
                 unknown &= unknown - 1;
-                let c = config.get_or_insert_with(|| self.space.config(index));
-                let v = &self.space.domain().values()[word * 64 + bit];
-                if self.prop.is_admissible(c, v) {
+                if self.prop.is_admissible(&c, &values[word * 64 + bit]) {
                     slot[1] |= 1 << bit;
                 }
             }
-            *set &= slot[1];
-            left |= *set;
         }
-        left != 0
     }
 
     /// The always-admissible walk: `∩_{c ∈ I} val(c)`, smallest member.
@@ -231,16 +247,14 @@ impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
     fn lambda_table(&mut self) -> Result<Vec<(InputConfig<V>, V)>, InputConfig<V>> {
         let space = self.space;
         let mut table = Vec::new();
+        let all = self.all_values();
+        let mut candidates = all.clone();
         for index in space.of_size(space.params().quorum()) {
-            let mut candidates = self.all_values();
+            candidates.copy_from_slice(&all);
             // The procedure looks `val(c)` up before it walks `sim(c)`, which
             // holds `c` again: the cost counts both.
             if self.retain(index, &mut candidates) {
-                for similar in space.similar(index) {
-                    if !self.retain(similar, &mut candidates) {
-                        break;
-                    }
-                }
+                space.similar_while(index, |similar| self.retain(similar, &mut candidates));
             }
             match self.smallest(&candidates) {
                 Some(v) => table.push((space.config(index), v.clone())),

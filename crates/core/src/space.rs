@@ -12,7 +12,7 @@
 use std::ops::Range;
 
 use crate::config::{subsets_of_size, InputConfig};
-use crate::process::{ProcessId, ProcessSet, SystemParams};
+use crate::process::{ProcessId, ProcessSet, SystemParams, MAX_PROCESSES};
 use crate::value::{Domain, Value};
 
 /// Every correct set `π` with `n − t ≤ |π| ≤ n`, by size and then
@@ -21,31 +21,47 @@ pub(crate) fn correct_sets(params: SystemParams) -> impl Iterator<Item = Process
     (params.quorum()..=params.n()).flat_map(move |x| subsets_of_size(params.n(), x))
 }
 
-/// Counts through the `radix^k` vectors of `k` digits, digit 0 fastest —
-/// the crate's one odometer.
-#[derive(Default)]
+/// Counts through the `radix^k` vectors of `k ≤ MAX_PROCESSES` digits,
+/// digit 0 fastest — the crate's one odometer. Its digits are a fixed array,
+/// so resetting and advancing never allocate.
 pub(crate) struct Odometer {
     radix: usize,
-    digits: Vec<usize>,
+    len: usize,
+    digits: [usize; MAX_PROCESSES],
+}
+
+impl Default for Odometer {
+    fn default() -> Self {
+        Odometer {
+            radix: 0,
+            len: 0,
+            digits: [0; MAX_PROCESSES],
+        }
+    }
 }
 
 impl Odometer {
     /// Restarts at the all-zero vector of `k` digits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > MAX_PROCESSES`.
     pub(crate) fn reset(&mut self, radix: usize, k: usize) {
         self.radix = radix;
-        self.digits.clear();
-        self.digits.resize(k, 0);
+        self.len = k;
+        self.digits[..k].fill(0);
     }
 
     /// The current vector.
     pub(crate) fn digits(&self) -> &[usize] {
-        &self.digits
+        &self.digits[..self.len]
     }
 
     /// Moves to the next vector and returns the position it incremented
     /// (every lower one wrapped to 0), or `None` once all have been seen.
+    #[inline]
     pub(crate) fn advance(&mut self) -> Option<usize> {
-        for (position, digit) in self.digits.iter_mut().enumerate() {
+        for (position, digit) in self.digits[..self.len].iter_mut().enumerate() {
             if *digit + 1 < self.radix {
                 *digit += 1;
                 return Some(position);
@@ -150,81 +166,56 @@ impl<'d, V: Value> ConfigSpace<'d, V> {
         indices.map(|index| self.config(index))
     }
 
-    /// The indices of `sim(c)` for `c` = configuration `index`, in the order
-    /// of [`crate::enumerate_similar`].
-    pub(crate) fn similar(&self, index: usize) -> Similar<'_> {
+    /// Calls `f` on the indices of `sim(c)` for `c` = configuration
+    /// `index`, in the order of [`crate::enumerate_similar`], until `f`
+    /// returns `false`; returns whether the walk reached the end.
+    ///
+    /// Per block sharing a process with `π(c)` the shared digits are pinned
+    /// to `c`'s and an [`Odometer`] runs over the others, each increment
+    /// adding a precomputed step to the index. Every buffer is a fixed
+    /// array, so the walk never allocates.
+    #[inline]
+    pub(crate) fn similar_while(&self, index: usize, mut f: impl FnMut(usize) -> bool) -> bool {
+        let radix = self.domain.len();
         let mut pi = ProcessSet::new();
-        let mut digit_of = vec![0; self.params.n()];
+        // `c`'s digit per process index (meaningful on `π(c)` only).
+        let mut digit_of = [0; MAX_PROCESSES];
         for (p, digit) in self.pairs(index) {
             pi.insert(p);
             digit_of[p.index()] = digit;
         }
-        Similar {
-            radix: self.domain.len(),
-            pi,
-            digit_of,
-            blocks: self.blocks.iter(),
-            odometer: Odometer::default(),
-            steps: Vec::new(),
-            next: None,
-        }
-    }
-}
-
-/// Iterator over the indices of `sim(c)`; see [`ConfigSpace::similar`].
-pub(crate) struct Similar<'s> {
-    /// `|V|`.
-    radix: usize,
-    /// `π(c)`.
-    pi: ProcessSet,
-    /// `c`'s digit per process index (meaningful on `π(c)` only).
-    digit_of: Vec<usize>,
-    blocks: std::slice::Iter<'s, Block>,
-    /// Over the processes of the current block outside `π(c)`.
-    odometer: Odometer,
-    /// What incrementing each odometer position adds to `index`, the wrap
-    /// of the lower positions to 0 included (modulo `usize`).
-    steps: Vec<usize>,
-    /// The next index of the current block, `None` between blocks.
-    next: Option<usize>,
-}
-
-impl Similar<'_> {
-    /// Enters the next block sharing a process with `c`: pins the shared
-    /// digits, hands the other positions to the odometer and returns the
-    /// block's first similar index.
-    fn enter_next_block(&mut self) -> Option<usize> {
-        let pi = self.pi;
-        let block = self.blocks.find(|b| !b.pi.intersection(pi).is_empty())?;
-        let radix = self.radix;
-        self.steps.clear();
-        let mut first = block.base;
-        let (mut stride, mut wrap) = (1, 0);
-        for p in block.pi.iter() {
-            if pi.contains(p) {
-                first += self.digit_of[p.index()] * stride;
-            } else {
-                self.steps.push(stride.wrapping_sub(wrap));
-                wrap += (radix - 1) * stride;
+        // What incrementing each odometer position adds to the index, the
+        // wrap of the lower positions to 0 included (modulo `usize`).
+        let mut steps = [0; MAX_PROCESSES];
+        let mut odometer = Odometer::default();
+        for block in &self.blocks {
+            if block.pi.intersection(pi).is_empty() {
+                continue;
             }
-            stride *= radix;
+            let mut current = block.base;
+            let (mut stride, mut wrap, mut free) = (1, 0, 0);
+            for p in block.pi.iter() {
+                if pi.contains(p) {
+                    current += digit_of[p.index()] * stride;
+                } else {
+                    steps[free] = stride.wrapping_sub(wrap);
+                    wrap += (radix - 1) * stride;
+                    free += 1;
+                }
+                stride *= radix;
+            }
+            odometer.reset(radix, free);
+            loop {
+                if !f(current) {
+                    return false;
+                }
+                match odometer.advance() {
+                    Some(position) => current = current.wrapping_add(steps[position]),
+                    None => break,
+                }
+            }
         }
-        self.odometer.reset(radix, self.steps.len());
-        Some(first)
-    }
-}
-
-impl Iterator for Similar<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        let current = match self.next {
-            Some(index) => index,
-            None => self.enter_next_block()?,
-        };
-        let advanced = self.odometer.advance();
-        self.next = advanced.map(|position| current.wrapping_add(self.steps[position]));
-        Some(current)
+        true
     }
 }
 
@@ -291,15 +282,52 @@ mod tests {
         assert!(space.of_size(6).is_empty());
     }
 
+    /// Every index the walk visits, in order.
+    fn similar(space: &ConfigSpace<'_, u64>, index: usize) -> Vec<usize> {
+        let mut visited = Vec::new();
+        assert!(space.similar_while(index, |i| {
+            visited.push(i);
+            true
+        }));
+        visited
+    }
+
     #[test]
     fn similar_indices_follow_enumerate_similar() {
         for (n, t, d) in [(3, 1, 2), (4, 1, 3), (4, 2, 2), (5, 2, 2)] {
             let domain = Domain::range(d);
             let space = ConfigSpace::new(params(n, t), &domain);
             for index in 0..space.len() {
-                let by_index: Vec<_> = space.similar(index).map(|i| space.config(i)).collect();
+                let by_index: Vec<_> = similar(&space, index)
+                    .into_iter()
+                    .map(|i| space.config(i))
+                    .collect();
                 let built = enumerate_similar(&space.config(index), &domain);
                 assert_eq!(by_index, built, "sim of index {index} at ({n}, {t}, {d})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_stopped_early_visits_a_prefix_of_enumerate_similar() {
+        // (2, 1) over 70 values: the classifier tests' domain wider than one word.
+        for (n, t, d, every) in [(4, 1, 2, 1), (5, 1, 3, 7), (2, 1, 70, 97)] {
+            let domain = Domain::range(d);
+            let space = ConfigSpace::new(params(n, t), &domain);
+            for index in (0..space.len()).step_by(every) {
+                let built = enumerate_similar(&space.config(index), &domain);
+                let stops = [0, 1, built.len() / 2, built.len() - 1, built.len()];
+                for stop in stops {
+                    let mut visited = Vec::new();
+                    let finished = space.similar_while(index, |i| {
+                        visited.push(space.config(i));
+                        visited.len() <= stop
+                    });
+                    let at = format!("sim of index {index} at ({n}, {t}, {d}), stop {stop}");
+                    assert_eq!(finished, stop >= built.len(), "{at}");
+                    assert_eq!(visited, built[..visited.len()], "{at}");
+                    assert_eq!(visited.len(), built.len().min(stop + 1), "{at}");
+                }
             }
         }
     }

@@ -386,12 +386,16 @@ impl ServiceReport {
             group.runs += 1;
             let healthy = record.decided && record.agreement && !record.quarantined;
             if healthy {
-                group.committed += record.committed as u64;
-                group.requests += record.committed as u64 * cell.service.batch_size() as u64;
-                group.duration += record.duration;
+                // The sums saturate: a report never wraps or panics, and
+                // wherever a sum fits it is the plain one.
+                let committed = u64::from(record.committed);
+                let requests = committed.saturating_mul(cell.service.batch_size() as u64);
+                group.committed = group.committed.saturating_add(committed);
+                group.requests = group.requests.saturating_add(requests);
+                group.duration = group.duration.saturating_add(record.duration);
                 group.latency.merge(&record.latency);
-                group.messages += record.messages_total;
-                group.words += record.words_total;
+                group.messages = group.messages.saturating_add(record.messages_total);
+                group.words = group.words.saturating_add(record.words_total);
             } else {
                 group.failures += 1;
             }
@@ -698,5 +702,46 @@ mod tests {
         assert_eq!(g.messages_per_decision_centi(), 900 * 100 / 7);
         assert_eq!(group(0, 0, 5).decisions_per_sec_milli(), 0);
         assert_eq!(group(0, 0, 5).messages_per_decision_centi(), 0);
+    }
+
+    #[test]
+    fn group_sums_saturate_instead_of_wrapping() {
+        let cell = tiny()
+            .cells()
+            .into_iter()
+            .find(|cell| cell.service.batch_size() > 1)
+            .expect("the tiny matrix batches");
+        let batch = u64::from(cell.service.batch_size());
+        let record = |duration, messages| ServiceRecord {
+            committed: u32::MAX,
+            decided: true,
+            agreement: true,
+            duration,
+            latency: Hist::new(),
+            messages_total: messages,
+            words_total: messages,
+            quarantined: false,
+        };
+        let report = ServiceReport::build(
+            "huge",
+            vec![
+                (cell, record(u64::MAX - 1, u64::MAX / 2 + 1)),
+                (cell, record(2, u64::MAX / 2 + 1)),
+            ],
+        );
+        let [g] = report.groups.as_slice() else {
+            panic!("one cell, one group: {:?}", report.groups);
+        };
+        assert_eq!(g.runs, 2);
+        assert_eq!(g.committed, 2 * u64::from(u32::MAX));
+        assert_eq!(g.requests, 2 * u64::from(u32::MAX) * batch);
+        assert_eq!(
+            (g.duration, g.messages, g.words),
+            (u64::MAX, u64::MAX, u64::MAX)
+        );
+        // Below the ceiling the sums are the plain ones.
+        let report = ServiceReport::build("fits", vec![(cell, record(3, 4)), (cell, record(5, 6))]);
+        let g = &report.groups[0];
+        assert_eq!((g.duration, g.messages, g.words), (8, 10, 10));
     }
 }

@@ -203,6 +203,10 @@ struct Driving<V, P> {
 /// cost it the view.
 const LEADER_WAIT: u64 = 2;
 
+/// The domain separators of the two signed phases, indexed as
+/// [`QuadCore::phase_digest`] takes them.
+const PHASES: [&[u8]; 2] = [b"/prepare/", b"/commit/"];
+
 /// One instance of Quad (a composable component).
 pub struct QuadCore<V, P, F = QuadVerify<V, P>> {
     cfg: QuadConfig<F>,
@@ -215,6 +219,12 @@ pub struct QuadCore<V, P, F = QuadVerify<V, P>> {
     /// hashed once rather than once per message.
     hashed: Option<(V, Digest)>,
     value_hashes: u64,
+    /// Per phase (prepare, commit), the last `(view, value digest)` hashed
+    /// and its phase digest: a replayed certificate of the same view is
+    /// checked against the digest already computed. A hashing memo only —
+    /// the signature over it is verified every time.
+    phase_hashed: [Option<(u64, Digest, Digest)>; 2],
+    phase_hashes: u64,
     // follower vote bookkeeping
     voted_prepare: HashSet<u64>,
     voted_commit: HashSet<u64>,
@@ -246,6 +256,8 @@ where
             decided: false,
             hashed: None,
             value_hashes: 0,
+            phase_hashed: [None; 2],
+            phase_hashes: 0,
             voted_prepare: HashSet::new(),
             voted_commit: HashSet::new(),
             view_changes: HashMap::new(),
@@ -273,6 +285,12 @@ where
     /// How many values this instance has encoded and hashed so far.
     pub fn value_hashes(&self) -> u64 {
         self.value_hashes
+    }
+
+    /// How many phase digests (`label ‖ phase ‖ view ‖ value digest`) this
+    /// instance has computed so far.
+    pub fn phase_hashes(&self) -> u64 {
+        self.phase_hashes
     }
 
     /// Whether this instance has decided.
@@ -314,22 +332,31 @@ where
         digest
     }
 
-    fn phase_digest(&mut self, phase: &[u8], view: u64, value: &V) -> Digest {
+    /// The digest phase `PHASES[phase]` of `view` signs for `value`.
+    fn phase_digest(&mut self, phase: usize, view: u64, value: &V) -> Digest {
         let value_digest = self.value_digest(value);
+        if let Some((hashed_view, hashed_value, digest)) = self.phase_hashed[phase] {
+            if (hashed_view, hashed_value) == (view, value_digest) {
+                return digest;
+            }
+        }
+        self.phase_hashes += 1;
         let mut h = Sha256::new();
         h.update(self.cfg.label.as_bytes());
-        h.update(phase);
+        h.update(PHASES[phase]);
         h.update(view.to_le_bytes());
         h.update(value_digest);
-        h.finalize()
+        let digest = h.finalize();
+        self.phase_hashed[phase] = Some((view, value_digest, digest));
+        digest
     }
 
     fn prepare_digest(&mut self, view: u64, value: &V) -> Digest {
-        self.phase_digest(b"/prepare/", view, value)
+        self.phase_digest(0, view, value)
     }
 
     fn commit_digest(&mut self, view: u64, value: &V) -> Digest {
-        self.phase_digest(b"/commit/", view, value)
+        self.phase_digest(1, view, value)
     }
 
     fn cert_valid(&mut self, cert: &PreparedCert<V, P>) -> bool {
@@ -837,6 +864,73 @@ mod tests {
             validity_simnet::RunOutcome::AllDecided
         );
         assert!(agreement_holds(sim.decisions()));
+    }
+
+    #[test]
+    fn a_replayed_certificate_is_not_hashed_again() {
+        let params = SystemParams::new(4, 1).unwrap();
+        let ks = KeyStore::new(4, 9);
+        let scheme = ThresholdScheme::new(ks.clone(), params.quorum());
+        let core = |i: u32| -> QuadCore<u64, u64> {
+            QuadCore::new(QuadConfig {
+                scheme: scheme.clone(),
+                signer: ks.signer(ProcessId(i)),
+                verify: Box::new(|_, _| true),
+                label: "quad-test",
+            })
+        };
+        // P1 leads view 1 and certifies 7 in both phases.
+        let mut leader = core(0);
+        let certify = |digest: Digest| {
+            let partials = (0..params.quorum() as u32)
+                .map(|i| scheme.partially_sign(&ks.signer(ProcessId(i)), &digest));
+            scheme.combine(&digest, partials).unwrap()
+        };
+        let prepared = QuadMsg::Prepared(PreparedCert {
+            view: 1,
+            value: 7,
+            proof: 0,
+            tsig: certify(leader.prepare_digest(1, &7)),
+        });
+        let committed = QuadMsg::Committed {
+            view: 1,
+            value: 7,
+            proof: 0,
+            tsig: certify(leader.commit_digest(1, &7)),
+        };
+        let env = Env {
+            id: ProcessId(1),
+            params,
+            now: 0,
+            delta: 100,
+        };
+        let mut follower = core(1);
+        let mut sink = StepSink::new();
+        follower.on_message(ProcessId(0), &prepared, &env, &mut sink);
+        // One value hashed; the prepare digest checked, the commit digest
+        // voted on.
+        assert_eq!((follower.value_hashes(), follower.phase_hashes()), (1, 2));
+        follower.on_message(ProcessId(0), &prepared, &env, &mut sink);
+        assert_eq!((follower.value_hashes(), follower.phase_hashes()), (1, 2));
+        // A certificate of another view is hashed, and still verified.
+        let forged = QuadMsg::Prepared(PreparedCert {
+            view: 2,
+            value: 7,
+            proof: 0,
+            tsig: certify(leader.prepare_digest(1, &7)),
+        });
+        let before = sink.steps().len();
+        follower.on_message(ProcessId(0), &forged, &env, &mut sink);
+        assert_eq!((follower.value_hashes(), follower.phase_hashes()), (1, 3));
+        assert_eq!(
+            sink.steps().len(),
+            before,
+            "a view-1 signature passed for view 2"
+        );
+        // The commit certificate is checked against the digest voted on.
+        follower.on_message(ProcessId(2), &committed, &env, &mut sink);
+        assert!(follower.has_decided());
+        assert_eq!((follower.value_hashes(), follower.phase_hashes()), (1, 3));
     }
 
     #[test]
