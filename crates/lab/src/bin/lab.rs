@@ -33,7 +33,7 @@ use std::process::ExitCode;
 
 use validity_adversary::BehaviorId;
 use validity_lab::flags::{self, Command};
-use validity_lab::json::Json;
+use validity_lab::json::{Fields, Json};
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
     compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, run_crosscheck,
@@ -266,12 +266,15 @@ impl<'a> Args<'a> {
         Ok(Some(range))
     }
 
-    /// `--max-steps N`.
+    /// `--max-steps N`. Zero is refused: every run would be quarantined
+    /// before its first event, and an all-quarantined sweep passes every
+    /// gate vacuously.
     fn max_steps(&self) -> Result<Option<u64>, String> {
         self.value("--max-steps")
-            .map(|n| {
-                n.parse()
-                    .map_err(|_| "--max-steps wants a number".to_string())
+            .map(|n| match n.parse() {
+                Ok(0) => Err("--max-steps 0 allows no event: want N ≥ 1".to_string()),
+                Ok(n) => Ok(n),
+                Err(_) => Err("--max-steps wants a number".to_string()),
             })
             .transpose()
     }
@@ -982,41 +985,19 @@ fn load(path: &str) -> Result<Json, String> {
     Json::parse(&read_file(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Refuses to diff anything that is not a same-generation full report: a
+/// Refuses to read anything that is not a same-generation full report: a
 /// partial (sharded) report would diff as a wall of spurious only-in-one
 /// cells, and a future schema generation could differ in ways the cell
 /// comparison does not see. Both get a clear error instead, and so does
 /// a document with no schema tag at all.
-fn check_diffable(path: &str, v: &Json) -> Result<(), String> {
-    let Some(schema) = v.get("schema").and_then(Json::as_str) else {
+fn check_diffable<'a>(path: &str, v: &'a Json) -> Result<Fields<'a>, String> {
+    if v.schema_tag() == Some(PARTIAL_SCHEMA) {
         return Err(format!(
-            "{path} does not look like a lab report: it declares no schema \
-             (expected '{REPORT_SCHEMA}')"
-        ));
-    };
-    if schema == PARTIAL_SCHEMA {
-        let part = v
-            .get("shard")
-            .map(|s| {
-                format!(
-                    " (shard {}/{})",
-                    s.get("index").and_then(Json::as_u64).unwrap_or(0),
-                    s.get("count").and_then(Json::as_u64).unwrap_or(0),
-                )
-            })
-            .unwrap_or_default();
-        return Err(format!(
-            "{path} is a partial (sharded) report{part}: run `lab merge` on all \
+            "{path} is a partial (sharded) report: run `lab merge` on all \
              shards first, then diff the merged report"
         ));
     }
-    if schema != REPORT_SCHEMA {
-        return Err(format!(
-            "{path} declares schema '{schema}', which this lab does not read \
-             (expected '{REPORT_SCHEMA}'): schema-version mismatch"
-        ));
-    }
-    Ok(())
+    Fields::tagged(v, REPORT_SCHEMA, "lab report").map_err(|e| format!("{path}: {e}"))
 }
 
 fn diff(rest: &[&str]) -> CmdResult {
@@ -1027,10 +1008,7 @@ fn diff(rest: &[&str]) -> CmdResult {
     // Two *full* reports from different schema generations mismatch each
     // other — say so directly (naming both tags) before the per-file check
     // reduces it to "unknown schema" on whichever side is foreign.
-    fn tag_of(v: &Json) -> Option<&str> {
-        v.get("schema").and_then(Json::as_str)
-    }
-    if let (Some(ta), Some(tb)) = (tag_of(&a), tag_of(&b)) {
+    if let (Some(ta), Some(tb)) = (a.schema_tag(), b.schema_tag()) {
         let full = |t: &str| t.starts_with("validity-lab/report@");
         if ta != tb && full(ta) && full(tb) {
             return Err(format!(
@@ -1040,25 +1018,18 @@ fn diff(rest: &[&str]) -> CmdResult {
             ));
         }
     }
-    for (path, v) in [(a_path, &a), (b_path, &b)] {
-        check_diffable(path, v)?;
-    }
     // Index both reports by cell key once; the comparison is then linear.
     // Cells that cannot be told apart would collapse in the index and
     // compare as fewer cells than the files hold, so they are refused.
     type Index<'a> = std::collections::BTreeMap<&'a str, &'a Json>;
     fn keyed_cells<'a>(path: &str, v: &'a Json) -> Result<(Vec<&'a str>, Index<'a>), String> {
-        let cells = v
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{path} has no 'cells' array"))?;
+        let cells = check_diffable(path, v)?
+            .objs("cells")
+            .map_err(|e| format!("{path}: {e}"))?;
         let (mut order, mut index) = (Vec::with_capacity(cells.len()), Index::new());
-        for (i, cell) in cells.iter().enumerate() {
-            let key = cell
-                .get("key")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{path}: cell {i} has no string 'key'"))?;
-            if index.insert(key, cell).is_some() {
+        for cell in &cells {
+            let key: &str = cell.get("key").map_err(|e| format!("{path}: {e}"))?;
+            if index.insert(key, cell.json()).is_some() {
                 return Err(format!("{path}: two cells share the key '{key}'"));
             }
             order.push(key);
@@ -1128,8 +1099,8 @@ fn trend(rest: &[&str]) -> CmdResult {
             let mut suites_out = Vec::new();
             for path in paths.split(',').filter(|s| !s.is_empty()) {
                 let v = load(path)?;
-                check_diffable(path, &v)?;
-                let s = BenchSuite::from_report_json(&v).map_err(|e| format!("{path}: {e}"))?;
+                let s = BenchSuite::from_report_json(&check_diffable(path, &v)?)
+                    .map_err(|e| format!("{path}: {e}"))?;
                 eprintln!(
                     "trend: report '{path}' ({} = {} cells, {} fit rows)",
                     s.suite,

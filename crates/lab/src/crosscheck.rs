@@ -47,7 +47,7 @@ use validity_core::{classify, Classification, Domain, SystemParams};
 use validity_protocols::registry::{vector_registry, VectorSpec};
 
 use crate::executor::CellTiming;
-use crate::json::Json;
+use crate::json::{Fields, Json};
 use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
@@ -686,28 +686,21 @@ impl CrosscheckReport {
 /// Cross-checks the two emitters: re-parses the JSON and Markdown
 /// renderings of one report and diffs the agreement levels they claim,
 /// in both directions. Returns the mismatches (empty = the emitters
-/// round-trip).
+/// round-trip); JSON that does not read as a `crosscheck@1` report is one.
 pub fn compare_emitted(json: &str, md: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let parsed = match Json::parse(json) {
-        Ok(p) => p,
-        Err(e) => return vec![format!("JSON does not parse: {e}")],
+    let read = |json: &str| -> Result<Vec<(String, String)>, String> {
+        let doc = Json::parse(json)?;
+        Fields::tagged(&doc, CROSSCHECK_SCHEMA, "crosscheck report")?
+            .objs("cells")?
+            .iter()
+            .map(|cell| Ok((cell.get("key")?, cell.get("level")?)))
+            .collect()
     };
-    let mut json_levels: Vec<(String, String)> = Vec::new();
-    for cell in parsed
-        .get("cells")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-    {
-        let (Some(key), Some(level)) = (
-            cell.get("key").and_then(Json::as_str),
-            cell.get("level").and_then(Json::as_str),
-        ) else {
-            problems.push("JSON cell missing key/level".to_string());
-            continue;
-        };
-        json_levels.push((key.to_string(), level.to_string()));
-    }
+    let json_levels = match read(json) {
+        Ok(levels) => levels,
+        Err(e) => return vec![format!("JSON does not read: {e}")],
+    };
+    let mut problems = Vec::new();
     let mut md_levels: Vec<(String, String)> = Vec::new();
     for line in md.lines() {
         let cells: Vec<&str> = line

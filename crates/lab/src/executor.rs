@@ -426,9 +426,9 @@ pub(crate) fn run_adaptive_group_observed(
 }
 
 /// The shared seed-ladder loop: batches of `spec.batch` seeds from
-/// `first_seed`, stopping at the first stable prefix or when the next
-/// batch would exceed the seed cap. `exec` runs one seed; the stopping
-/// decision is a pure function of the records it returns.
+/// `first_seed`, stopping where [`sampling::should_stop`] says. `exec`
+/// runs one seed; the stopping decision is a pure function of the
+/// records it returns.
 fn run_ladder(
     context: &GroupContext,
     template: &RunCell,
@@ -444,13 +444,10 @@ fn run_ladder(
         for s in from..from + batch {
             records.push(exec(context, first_seed + s));
         }
-        let consumed = records.len() as u64;
-        if sampling::is_stable(&records, measures, spec.precision)
-            || consumed + batch > spec.max_seeds
-        {
+        if sampling::should_stop(&records, spec, measures) {
             debug_assert_eq!(
                 sampling::expected_consumed(&records, spec, measures),
-                consumed,
+                records.len() as u64,
                 "adaptive loop and replay disagree for {}",
                 template.group_key()
             );

@@ -1,10 +1,16 @@
 //! A minimal JSON reader — just enough for the `lab` CLI to load the
 //! artifacts the lab itself emits ([`crate::report::SweepReport::to_json`]
-//! full reports, [`crate::partial::PartialReport`] shard partials, and
-//! [`crate::trend::BenchArtifact`] bench-trend files). Supports objects,
-//! arrays, strings (with the escapes the emitters produce), numbers, bools
-//! and null.
+//! full reports, [`crate::partial::PartialReport`] shard partials,
+//! [`crate::trend::BenchArtifact`] bench-trend files and crosscheck
+//! reports). Supports objects, arrays, strings (with the escapes the
+//! emitters produce), numbers, bools and null; an object that repeats a
+//! key is refused.
+//!
+//! Readers look fields up only through [`Fields`]: a typed accessor per
+//! field, whose error names the artifact location and the field, so a
+//! missing or mistyped field is never filled in with a default.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
@@ -26,6 +32,16 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document.
+    ///
+    /// ```
+    /// use validity_lab::json::Json;
+    ///
+    /// assert!(Json::parse(r#"{"a": 1, "b": 2}"#).is_ok());
+    /// assert_eq!(
+    ///     Json::parse(r#"{"a": 1, "a": 2}"#),
+    ///     Err("duplicate key 'a' at byte 9".to_string())
+    /// );
+    /// ```
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
@@ -100,6 +116,194 @@ impl Json {
             return None;
         }
         Some(n as u64)
+    }
+
+    /// The document's `schema` tag, if it is an object with a string one.
+    pub fn schema_tag(&self) -> Option<&str> {
+        self.get("schema").and_then(Json::as_str)
+    }
+}
+
+/// A type a [`Fields`] accessor can read a field as.
+pub trait FromJson<'a>: Sized {
+    /// What the field must hold, for the mistyped-field error.
+    fn expected() -> String;
+    /// The value, if `v` holds this type.
+    fn from_json(v: &'a Json) -> Option<Self>;
+}
+
+/// `FromJson` for a type read straight off one [`Json`] payload.
+macro_rules! from_json {
+    ($($ty:ty => $expected:literal, $read:expr;)*) => {$(
+        impl<'a> FromJson<'a> for $ty {
+            fn expected() -> String {
+                $expected.into()
+            }
+            fn from_json(v: &'a Json) -> Option<Self> {
+                $read(v)
+            }
+        }
+    )*};
+}
+
+from_json! {
+    &'a Json => "any value", Some;
+    &'a str => "string", Json::as_str;
+    String => "string", |v: &Json| v.as_str().map(String::from);
+    u64 => "integer ≥ 0", Json::as_u64;
+    usize => "integer ≥ 0", |v: &Json| v.as_u64().map(|n| n as usize);
+    f64 => "number", Json::as_num;
+    bool => "bool", Json::as_bool;
+    () => "null", |v: &Json| (*v == Json::Null).then_some(());
+}
+
+/// A nullable field: `null` reads as `None`. The key itself must be
+/// present.
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    fn expected() -> String {
+        format!("{} or null", T::expected())
+    }
+    fn from_json(v: &'a Json) -> Option<Self> {
+        match v {
+            Json::Null => Some(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn expected() -> String {
+        format!("array of {}", T::expected())
+    }
+    fn from_json(v: &'a Json) -> Option<Self> {
+        v.as_arr()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// A two-element array `[a, b]`.
+impl<'a, T: FromJson<'a>> FromJson<'a> for (T, T) {
+    fn expected() -> String {
+        format!("[{0}, {0}]", T::expected())
+    }
+    fn from_json(v: &'a Json) -> Option<Self> {
+        match v.as_arr()? {
+            [a, b] => Some((T::from_json(a)?, T::from_json(b)?)),
+            _ => None,
+        }
+    }
+}
+
+/// One JSON object read as part of a named artifact: the only way a lab
+/// reader looks a field up. Every accessor refuses a missing or mistyped
+/// field with an error naming the location and the field —
+/// `bench@3 suite 'complexity': missing 'violations'` — and the one
+/// default is [`Fields::counter`]'s, for zero counters a writer omits.
+#[derive(Clone, Debug)]
+pub struct Fields<'a> {
+    at: String,
+    json: &'a Json,
+    map: &'a BTreeMap<String, Json>,
+}
+
+impl<'a> Fields<'a> {
+    /// Views `v` as the object at location `at` (e.g. `report@2 cells[3]`).
+    pub fn of(v: &'a Json, at: impl Into<String>) -> Result<Fields<'a>, String> {
+        let at = at.into();
+        match v {
+            Json::Obj(map) => Ok(Fields { at, json: v, map }),
+            _ => Err(format!("{at}: not an object")),
+        }
+    }
+
+    /// Views a whole document as a `kind` of generation `schema` — the one
+    /// schema-tag check every reader runs. Fields are then located under
+    /// the tag's short name (`validity-lab/bench@3` → `bench@3`).
+    ///
+    /// ```
+    /// use validity_lab::json::{Fields, Json};
+    ///
+    /// let doc = Json::parse(r#"{"schema": "validity-lab/bench@3", "suites": 2}"#).unwrap();
+    /// let bench = Fields::tagged(&doc, "validity-lab/bench@3", "bench artifact").unwrap();
+    /// assert_eq!(bench.get::<u64>("suites"), Ok(2));
+    /// assert_eq!(bench.get::<u64>("cells"), Err("bench@3: missing 'cells'".to_string()));
+    /// assert_eq!(
+    ///     Fields::tagged(&doc, "validity-lab/report@2", "lab report").unwrap_err(),
+    ///     "not a lab report: schema 'validity-lab/bench@3' (expected 'validity-lab/report@2')"
+    /// );
+    /// ```
+    pub fn tagged(v: &'a Json, schema: &str, kind: &str) -> Result<Fields<'a>, String> {
+        match v.schema_tag() {
+            Some(tag) if tag == schema => {
+                Fields::of(v, schema.rsplit('/').next().unwrap_or(schema))
+            }
+            Some(tag) => Err(format!(
+                "not a {kind}: schema '{tag}' (expected '{schema}')"
+            )),
+            None => Err(format!(
+                "does not look like a {kind}: it declares no schema (expected '{schema}')"
+            )),
+        }
+    }
+
+    /// The location this object's errors name.
+    pub fn at(&self) -> &str {
+        &self.at
+    }
+
+    /// The object itself.
+    pub fn json(&self) -> &'a Json {
+        self.json
+    }
+
+    /// Relocates this object's errors (e.g. to a suite's name, once read).
+    pub fn named(self, at: impl Into<String>) -> Fields<'a> {
+        Fields {
+            at: at.into(),
+            ..self
+        }
+    }
+
+    /// The required field `key`, read as a `T`.
+    pub fn get<T: FromJson<'a>>(&self, key: &str) -> Result<T, String> {
+        let v = self
+            .map
+            .get(key)
+            .ok_or_else(|| format!("{}: missing '{key}'", self.at))?;
+        T::from_json(v).ok_or_else(|| format!("{}: bad '{key}' (want {})", self.at, T::expected()))
+    }
+
+    /// A zero counter a writer omits: `0` when `key` is absent, otherwise
+    /// a required integer.
+    pub fn counter(&self, key: &str) -> Result<u64, String> {
+        if self.map.contains_key(key) {
+            self.get(key)
+        } else {
+            Ok(0)
+        }
+    }
+
+    /// The required object field `key`.
+    pub fn obj(&self, key: &str) -> Result<Fields<'a>, String> {
+        Fields::of(self.get(key)?, format!("{} {key}", self.at))
+    }
+
+    /// The nullable object field `key` (present, but possibly `null`).
+    pub fn opt_obj(&self, key: &str) -> Result<Option<Fields<'a>>, String> {
+        self.get::<Option<&Json>>(key)?
+            .map(|v| Fields::of(v, format!("{} {key}", self.at)))
+            .transpose()
+    }
+
+    /// The required array-of-objects field `key`, each element located
+    /// as `key[i]`.
+    pub fn objs(&self, key: &str) -> Result<Vec<Fields<'a>>, String> {
+        self.get::<&Json>(key)?
+            .as_arr()
+            .ok_or_else(|| format!("{}: bad '{key}' (want array of object)", self.at))?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| Fields::of(v, format!("{} {key}[{i}]", self.at)))
+            .collect()
     }
 }
 
@@ -263,11 +467,19 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             let val = self.value()?;
-            map.insert(key, val);
+            match map.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(val);
+                }
+                Entry::Occupied(slot) => {
+                    return Err(format!("duplicate key '{}' at byte {at}", slot.key()));
+                }
+            }
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,

@@ -131,4 +131,4 @@ pub use service::{
     execute_service, run_service, ServiceCell, ServiceGroup, ServiceMatrix, ServiceRecord,
     ServiceReport, SERVICE_SCHEMA,
 };
-pub use trend::{compare, BenchArtifact, BenchFit, BenchSuite, TrendDiff, BENCH_SCHEMA};
+pub use trend::{compare, BenchArtifact, BenchSuite, TrendDiff, BENCH_SCHEMA};

@@ -226,25 +226,6 @@ impl fmt::Display for ValiditySpec {
     }
 }
 
-/// The registration record behind one [`ScheduleSpec`] handle (the same
-/// registry shape as `validity_protocols::ProtocolSpec`): a stable name,
-/// a one-line description, whether the schedule injects network faults,
-/// and the factory producing its [`SimBuilder`].
-#[derive(Debug)]
-pub struct ScheduleRecord {
-    /// Presentation / ordering index within the registry.
-    ord: usize,
-    /// The stable registry name (`lab run --schedules <name>`).
-    name: &'static str,
-    /// One-line description for `lab list`.
-    describe: &'static str,
-    /// Whether the schedule runs a faulty network model (loss,
-    /// duplication, partition, churn) rather than a clean delay policy.
-    chaos: bool,
-    /// The builder factory.
-    build: fn(SystemParams, u64) -> SimBuilder,
-}
-
 fn sync(params: SystemParams, seed: u64) -> SimBuilder {
     partial_sync(params, seed).gst(0).net(Arc::new(SyncModel))
 }
@@ -309,128 +290,31 @@ fn flaky(params: SystemParams, seed: u64) -> SimBuilder {
     partial_sync(params, seed).net(Arc::new(Loss::new(duped, 125)))
 }
 
-/// The schedule registry: the four legacy (clean) schedules first, then
-/// the chaos catalogue. Order is presentation order and the `Ord` of the
-/// handles.
-static SCHEDULE_REGISTRY: [ScheduleRecord; 9] = [
-    ScheduleRecord {
-        ord: 0,
-        name: "sync",
-        describe: "GST = 0 — synchrony from the start",
-        chaos: false,
-        build: sync,
-    },
-    ScheduleRecord {
-        ord: 1,
-        name: "partial-sync",
-        describe: "default partial synchrony (GST = 1000, uniform pre-GST jitter)",
-        chaos: false,
-        build: partial_sync,
-    },
-    ScheduleRecord {
-        ord: 2,
-        name: "fixed-slow",
-        describe: "every pre-GST message takes 3δ",
-        chaos: false,
-        build: fixed_slow,
-    },
-    ScheduleRecord {
-        ord: 3,
-        name: "isolate-p1",
-        describe: "all links touching P1 stalled until GST",
-        chaos: false,
-        build: isolate_first,
-    },
-    ScheduleRecord {
-        ord: 4,
-        name: "lossy",
-        describe: "20% of pre-GST sends withheld to their DLS deadline",
-        chaos: true,
-        build: lossy,
-    },
-    ScheduleRecord {
-        ord: 5,
-        name: "dup-storm",
-        describe: "25% of pre-GST deliveries duplicated",
-        chaos: true,
-        build: dup_storm,
-    },
-    ScheduleRecord {
-        ord: 6,
-        name: "partitioned",
-        describe: "two halves cut from each other, healing at GST/2",
-        chaos: true,
-        build: partitioned,
-    },
-    ScheduleRecord {
-        ord: 7,
-        name: "churn",
-        describe: "two nodes crash-recover over staggered pre-GST outages",
-        chaos: true,
-        build: churn,
-    },
-    ScheduleRecord {
-        ord: 8,
-        name: "flaky",
-        describe: "jitter + duplication + loss composed on one link model",
-        chaos: true,
-        build: flaky,
-    },
-];
-
 /// Names a network schedule: GST placement plus the pre-GST network model.
-///
-/// A `ScheduleSpec` is a `Copy` handle onto a [`ScheduleRecord`] in the
-/// static schedule registry — the same shape as the protocol registry —
-/// so the catalogue is open: adding a schedule is adding a record, not
-/// growing a closed enum. The legacy handles keep their historical
-/// constructor names ([`ScheduleSpec::Synchronous`] etc.), so existing
-/// call sites read unchanged.
-#[derive(Clone, Copy)]
-pub struct ScheduleSpec {
-    rec: &'static ScheduleRecord,
-}
-
-#[allow(non_upper_case_globals)] // legacy enum-variant spelling, kept for call-site compatibility
-impl ScheduleSpec {
+/// Declaration order is presentation order and the `Ord`: the four clean
+/// legacy schedules first, then the chaos catalogue.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum ScheduleSpec {
     /// GST = 0 — synchrony from the start.
-    pub const Synchronous: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[0],
-    };
+    Synchronous,
     /// The default partially synchronous setup (GST = 1000, uniform jitter
     /// before it).
-    pub const PartialSync: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[1],
-    };
+    PartialSync,
     /// Every pre-GST message takes `3δ`.
-    pub const FixedSlow: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[2],
-    };
+    FixedSlow,
     /// All links touching `P1` are stalled until GST; everything else is
     /// fast.
-    pub const IsolateFirst: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[3],
-    };
+    IsolateFirst,
     /// 20% pre-GST loss over the default uniform delays.
-    pub const Lossy: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[4],
-    };
+    Lossy,
     /// 25% pre-GST duplication over the default uniform delays.
-    pub const DupStorm: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[5],
-    };
+    DupStorm,
     /// A two-sided partition healing at GST/2.
-    pub const Partitioned: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[6],
-    };
+    Partitioned,
     /// Crash-recovery churn: staggered per-node outages before GST.
-    pub const Churning: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[7],
-    };
+    Churning,
     /// Jitter + duplication + loss composed.
-    pub const Flaky: ScheduleSpec = ScheduleSpec {
-        rec: &SCHEDULE_REGISTRY[8],
-    };
+    Flaky,
 }
 
 impl ScheduleSpec {
@@ -452,8 +336,7 @@ impl ScheduleSpec {
         ScheduleSpec::Flaky,
     ];
 
-    /// Every registered schedule, in presentation order (legacy first,
-    /// then chaos).
+    /// Every schedule, in presentation order (legacy first, then chaos).
     pub const ALL: [ScheduleSpec; 9] = [
         ScheduleSpec::Synchronous,
         ScheduleSpec::PartialSync,
@@ -466,20 +349,42 @@ impl ScheduleSpec {
         ScheduleSpec::Flaky,
     ];
 
-    /// The stable registry name.
+    /// The stable registry name (`lab run --schedules <name>`).
     pub fn name(self) -> &'static str {
-        self.rec.name
+        match self {
+            ScheduleSpec::Synchronous => "sync",
+            ScheduleSpec::PartialSync => "partial-sync",
+            ScheduleSpec::FixedSlow => "fixed-slow",
+            ScheduleSpec::IsolateFirst => "isolate-p1",
+            ScheduleSpec::Lossy => "lossy",
+            ScheduleSpec::DupStorm => "dup-storm",
+            ScheduleSpec::Partitioned => "partitioned",
+            ScheduleSpec::Churning => "churn",
+            ScheduleSpec::Flaky => "flaky",
+        }
     }
 
     /// One-line description for `lab list`.
     pub fn describe(self) -> &'static str {
-        self.rec.describe
+        match self {
+            ScheduleSpec::Synchronous => "GST = 0 — synchrony from the start",
+            ScheduleSpec::PartialSync => {
+                "default partial synchrony (GST = 1000, uniform pre-GST jitter)"
+            }
+            ScheduleSpec::FixedSlow => "every pre-GST message takes 3δ",
+            ScheduleSpec::IsolateFirst => "all links touching P1 stalled until GST",
+            ScheduleSpec::Lossy => "20% of pre-GST sends withheld to their DLS deadline",
+            ScheduleSpec::DupStorm => "25% of pre-GST deliveries duplicated",
+            ScheduleSpec::Partitioned => "two halves cut from each other, healing at GST/2",
+            ScheduleSpec::Churning => "two nodes crash-recover over staggered pre-GST outages",
+            ScheduleSpec::Flaky => "jitter + duplication + loss composed on one link model",
+        }
     }
 
     /// Whether the schedule runs a faulty network model (loss,
     /// duplication, partition, churn) rather than a clean delay policy.
     pub fn is_chaos(self) -> bool {
-        self.rec.chaos
+        ScheduleSpec::CHAOS.contains(&self)
     }
 
     /// Looks a schedule up by its registry name.
@@ -500,42 +405,18 @@ impl ScheduleSpec {
 
     /// The validating simulation builder for one run of this schedule.
     pub fn builder(self, params: SystemParams, seed: u64) -> SimBuilder {
-        (self.rec.build)(params, seed)
-    }
-}
-
-impl PartialEq for ScheduleSpec {
-    fn eq(&self, other: &ScheduleSpec) -> bool {
-        std::ptr::eq(self.rec, other.rec)
-    }
-}
-
-impl Eq for ScheduleSpec {}
-
-impl PartialOrd for ScheduleSpec {
-    fn partial_cmp(&self, other: &ScheduleSpec) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ScheduleSpec {
-    /// Registry order — identical to the declaration order of the old
-    /// closed enum for the legacy schedules, so nothing that sorted by
-    /// the derived variant order changes.
-    fn cmp(&self, other: &ScheduleSpec) -> std::cmp::Ordering {
-        self.rec.ord.cmp(&other.rec.ord)
-    }
-}
-
-impl std::hash::Hash for ScheduleSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.rec.name.hash(state);
-    }
-}
-
-impl fmt::Debug for ScheduleSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ScheduleSpec({})", self.rec.name)
+        let build = match self {
+            ScheduleSpec::Synchronous => sync,
+            ScheduleSpec::PartialSync => partial_sync,
+            ScheduleSpec::FixedSlow => fixed_slow,
+            ScheduleSpec::IsolateFirst => isolate_first,
+            ScheduleSpec::Lossy => lossy,
+            ScheduleSpec::DupStorm => dup_storm,
+            ScheduleSpec::Partitioned => partitioned,
+            ScheduleSpec::Churning => churn,
+            ScheduleSpec::Flaky => flaky,
+        };
+        build(params, seed)
     }
 }
 

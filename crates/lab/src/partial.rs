@@ -46,7 +46,7 @@ use std::fmt::Write as _;
 
 use validity_simnet::NetStats;
 
-use crate::json::Json;
+use crate::json::{Fields, Json};
 use crate::matrix::{
     ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, SamplingSpec, ScenarioMatrix,
     ScheduleSpec, ShardSpec, ValiditySpec, WorkUnit,
@@ -139,51 +139,32 @@ impl PartialReport {
     }
 
     /// Parses a partial-report file, rejecting other schema generations
-    /// (including full reports) with a descriptive error.
+    /// (including full reports) and any missing or mistyped field by name.
     pub fn parse(text: &str) -> Result<PartialReport, String> {
-        let v = Json::parse(text)?;
-        match v.get("schema").and_then(Json::as_str) {
-            Some(PARTIAL_SCHEMA) => {}
-            Some(other) => {
-                return Err(format!(
-                    "not a partial report: schema '{other}' (expected '{PARTIAL_SCHEMA}')"
-                ))
-            }
-            None => return Err("not a partial report: no schema field".into()),
-        }
-        let shard = v.get("shard").ok_or("partial missing 'shard'")?;
+        let json = Json::parse(text)?;
+        let v = Fields::tagged(&json, PARTIAL_SCHEMA, "partial report")?;
+        let shard = v.obj("shard")?;
         let shard = ShardSpec {
-            index: field_usize(shard, "index")?,
-            count: field_usize(shard, "count")?,
+            index: shard.get("index")?,
+            count: shard.get("count")?,
         };
         if shard.index == 0 || shard.index > shard.count {
             return Err(format!("shard {shard} out of range"));
         }
-        let wall_seconds = v
-            .get("wall_seconds")
-            .and_then(Json::as_num)
-            .ok_or("partial missing 'wall_seconds'")?;
-        let matrix = matrix_from_json(v.get("matrix").ok_or("partial missing 'matrix'")?)?;
-        let sampling = v
-            .get("sampling")
-            .and_then(Json::as_arr)
-            .ok_or("partial missing 'sampling'")?
-            .iter()
-            .map(claim_from_json)
-            .collect::<Result<Vec<GroupSampling>, String>>()?;
-        let records = v
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or("partial missing 'records'")?
-            .iter()
-            .map(record_from_json)
-            .collect::<Result<Vec<CellRecord>, String>>()?;
         Ok(PartialReport {
-            matrix,
+            matrix: matrix_from_json(&v.obj("matrix")?)?,
             shard,
-            wall_seconds,
-            records,
-            sampling,
+            wall_seconds: v.get("wall_seconds")?,
+            records: v
+                .objs("records")?
+                .iter()
+                .map(record_from_json)
+                .collect::<Result<_, String>>()?,
+            sampling: v
+                .objs("sampling")?
+                .iter()
+                .map(claim_from_json)
+                .collect::<Result<_, String>>()?,
         })
     }
 }
@@ -501,111 +482,69 @@ fn matrix_json(out: &mut String, m: &ScenarioMatrix) {
     }
 }
 
-fn matrix_from_json(v: &Json) -> Result<ScenarioMatrix, String> {
-    let mut m = ScenarioMatrix::new(
-        v.get("name")
-            .and_then(Json::as_str)
-            .ok_or("matrix missing 'name'")?,
-    );
-    m.protocols = parse_names(v, "protocols", |s| {
+fn matrix_from_json(v: &Fields) -> Result<ScenarioMatrix, String> {
+    let mut m = ScenarioMatrix::new(v.get::<&str>("name")?);
+    m.protocols = names(v, "protocols", |s| {
         ProtocolAxis::parse(s).ok_or_else(|| format!("unknown protocol '{s}'"))
     })?;
-    m.validities = parse_names(v, "validities", |s| {
-        ValiditySpec::parse(s).ok_or_else(|| format!("unknown validity '{s}'"))
-    })?;
-    m.behaviors = parse_names(v, "behaviors", validity_adversary::BehaviorId::parse_or_err)?;
-    m.faults = parse_names(v, "faults", |s| match s {
+    m.validities = names(v, "validities", parse_validity)?;
+    m.behaviors = names(v, "behaviors", validity_adversary::BehaviorId::parse_or_err)?;
+    m.faults = names(v, "faults", |s| match s {
         "max" => Ok(usize::MAX),
         s => s.parse().map_err(|_| format!("bad fault load '{s}'")),
     })?;
-    m.schedules = parse_names(v, "schedules", ScheduleSpec::parse_or_err)?;
-    m.systems = arr_of(v, "systems")?
-        .iter()
-        .map(|pair| {
-            let p = pair.as_arr().filter(|a| a.len() == 2);
-            let p = p.ok_or("bad (n, t) pair in matrix spec")?;
-            Ok((
-                p[0].as_u64().ok_or("bad n")? as usize,
-                p[1].as_u64().ok_or("bad t")? as usize,
-            ))
-        })
-        .collect::<Result<_, String>>()?;
-    let seeds = arr_of(v, "seeds")?;
-    if seeds.len() != 2 {
-        return Err("matrix 'seeds' wants [start, end]".into());
-    }
-    m.seeds =
-        seeds[0].as_u64().ok_or("bad seed start")?..seeds[1].as_u64().ok_or("bad seed end")?;
-    m.classifications = arr_of(v, "classifications")?
+    m.schedules = names(v, "schedules", ScheduleSpec::parse_or_err)?;
+    m.systems = v.get("systems")?;
+    let (start, end) = v.get("seeds")?;
+    m.seeds = start..end;
+    m.classifications = v
+        .objs("classifications")?
         .iter()
         .map(|c| {
             Ok(ClassifyCell {
-                validity: c
-                    .get("validity")
-                    .and_then(Json::as_str)
-                    .and_then(ValiditySpec::parse)
-                    .ok_or("bad classification validity")?,
-                n: field_usize(c, "n")?,
-                t: field_usize(c, "t")?,
-                domain: c.get("domain").and_then(Json::as_u64).ok_or("bad domain")?,
+                validity: parse_validity(c.get("validity")?)?,
+                n: c.get("n")?,
+                t: c.get("t")?,
+                domain: c.get("domain")?,
             })
         })
         .collect::<Result<_, String>>()?;
-    m.fit_measures = parse_names(v, "fit_measures", |s| {
-        FitMeasure::parse(s).ok_or_else(|| format!("unknown fit measure '{s}'"))
-    })?;
-    m.fit_bands = arr_of(v, "fit_bands")?
+    m.fit_measures = names(v, "fit_measures", parse_measure)?;
+    m.fit_bands = v
+        .objs("fit_bands")?
         .iter()
         .map(|b| {
             Ok(FitBand {
-                measure: b
-                    .get("measure")
-                    .and_then(Json::as_str)
-                    .and_then(FitMeasure::parse)
-                    .ok_or("bad band measure")?,
-                lo: b.get("lo").and_then(Json::as_num).ok_or("bad band lo")?,
-                hi: b.get("hi").and_then(Json::as_num).ok_or("bad band hi")?,
-                filter: b
-                    .get("filter")
-                    .and_then(Json::as_str)
-                    .ok_or("bad band filter")?
-                    .to_string(),
+                measure: parse_measure(b.get("measure")?)?,
+                lo: b.get("lo")?,
+                hi: b.get("hi")?,
+                filter: b.get("filter")?,
             })
         })
         .collect::<Result<_, String>>()?;
-    m.fit_axis = v
-        .get("fit_axis")
-        .and_then(Json::as_str)
-        .and_then(FitAxis::parse)
-        .ok_or("bad 'fit_axis'")?;
-    m.sampling = match v.get("sampling") {
-        None | Some(Json::Null) => None,
-        Some(s) => Some(SamplingSpec {
-            precision: s
-                .get("precision")
-                .and_then(Json::as_num)
-                .ok_or("bad sampling precision")?,
-            batch: field_u64(s, "batch")?,
-            max_seeds: field_u64(s, "max_seeds")?,
-        }),
-    };
-    m.max_steps = match v.get("max_steps") {
-        None | Some(Json::Null) => None,
-        Some(n) => Some(n.as_u64().ok_or("bad max_steps")?),
-    };
+    let axis = v.get("fit_axis")?;
+    m.fit_axis = FitAxis::parse(axis).ok_or_else(|| format!("unknown fit axis '{axis}'"))?;
+    m.sampling = v
+        .opt_obj("sampling")?
+        .map(|s| {
+            Ok::<_, String>(SamplingSpec {
+                precision: s.get("precision")?,
+                batch: s.get("batch")?,
+                max_seeds: s.get("max_seeds")?,
+            })
+        })
+        .transpose()?;
+    m.max_steps = v.get("max_steps")?;
     Ok(m)
 }
 
-fn claim_from_json(v: &Json) -> Result<GroupSampling, String> {
+fn claim_from_json(v: &Fields) -> Result<GroupSampling, String> {
     Ok(GroupSampling {
-        key: field_str(v, "key")?.to_string(),
-        consumed: field_u64(v, "consumed")?,
-        batches: field_u64(v, "batches")?,
-        stable: field_bool(v, "stable")?,
-        achieved: match v.get("achieved") {
-            None | Some(Json::Null) => None,
-            Some(a) => Some(a.as_num().ok_or("bad 'achieved'")?),
-        },
+        key: v.get("key")?,
+        consumed: v.get("consumed")?,
+        batches: v.get("batches")?,
+        stable: v.get("stable")?,
+        achieved: v.get("achieved")?,
     })
 }
 
@@ -617,51 +556,21 @@ fn sep(i: usize) -> &'static str {
     }
 }
 
-fn arr_of<'a>(v: &'a Json, field: &str) -> Result<&'a [Json], String> {
-    v.get(field)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("matrix spec missing '{field}'"))
-}
-
-fn parse_names<'a, T>(
-    v: &'a Json,
+/// Reads the string array `field` through a registry's name parser.
+fn names<'a, T>(
+    v: &Fields<'a>,
     field: &str,
     parse: impl Fn(&'a str) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
-    arr_of(v, field)?
-        .iter()
-        .map(|j| {
-            parse(
-                j.as_str()
-                    .ok_or_else(|| format!("non-string in '{field}'"))?,
-            )
-        })
-        .collect()
+    v.get::<Vec<&str>>(field)?.into_iter().map(parse).collect()
 }
 
-fn field_usize(v: &Json, field: &str) -> Result<usize, String> {
-    v.get(field)
-        .and_then(Json::as_u64)
-        .map(|n| n as usize)
-        .ok_or_else(|| format!("missing or bad '{field}'"))
+fn parse_validity(s: &str) -> Result<ValiditySpec, String> {
+    ValiditySpec::parse(s).ok_or_else(|| format!("unknown validity '{s}'"))
 }
 
-fn field_u64(v: &Json, field: &str) -> Result<u64, String> {
-    v.get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or bad '{field}'"))
-}
-
-fn field_bool(v: &Json, field: &str) -> Result<bool, String> {
-    v.get(field)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing or bad '{field}'"))
-}
-
-fn field_str<'a>(v: &'a Json, field: &str) -> Result<&'a str, String> {
-    v.get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or bad '{field}'"))
+fn parse_measure(s: &str) -> Result<FitMeasure, String> {
+    FitMeasure::parse(s).ok_or_else(|| format!("unknown fit measure '{s}'"))
 }
 
 // ---------------------------------------------------------------------------
@@ -770,75 +679,57 @@ fn stats_json(out: &mut String, s: &NetStats) {
     );
 }
 
-fn record_from_json(v: &Json) -> Result<CellRecord, String> {
-    let key = field_str(v, "key")?.to_string();
-    let group = field_str(v, "group")?.to_string();
-    let outcome = match field_str(v, "type")? {
+fn record_from_json(v: &Fields) -> Result<CellRecord, String> {
+    let outcome = match v.get::<&str>("type")? {
         "run" => Outcome::Run(RunRecord {
             // Not serialized: timing-only, irrelevant to merged artifacts.
             events: 0,
-            decided: field_bool(v, "decided")?,
-            agreement: field_bool(v, "agreement")?,
-            validity_ok: match v.get("validity_ok") {
-                None | Some(Json::Null) => None,
-                Some(b) => Some(b.as_bool().ok_or("bad 'validity_ok'")?),
-            },
-            messages_after_gst: field_u64(v, "messages_after_gst")?,
-            words_after_gst: field_u64(v, "words_after_gst")?,
-            messages_total: field_u64(v, "messages_total")?,
-            words_total: field_u64(v, "words_total")?,
-            latency: field_u64(v, "latency")?,
-            decision: field_str(v, "decision")?.to_string(),
-            quarantined: field_bool(v, "quarantined")?,
-            stats: stats_from_json(v.get("stats").ok_or("record missing 'stats'")?)?,
+            decided: v.get("decided")?,
+            agreement: v.get("agreement")?,
+            validity_ok: v.get("validity_ok")?,
+            messages_after_gst: v.get("messages_after_gst")?,
+            words_after_gst: v.get("words_after_gst")?,
+            messages_total: v.get("messages_total")?,
+            words_total: v.get("words_total")?,
+            latency: v.get("latency")?,
+            decision: v.get("decision")?,
+            quarantined: v.get("quarantined")?,
+            stats: stats_from_json(&v.obj("stats")?)?,
         }),
         "classify" => Outcome::Classify(ClassifyRecord {
-            verdict: field_str(v, "verdict")?.to_string(),
-            certificate: field_str(v, "certificate")?.to_string(),
-            high_resilience: field_bool(v, "high_resilience")?,
-            theorem1_consistent: field_bool(v, "theorem1_consistent")?,
-            cost: field_u64(v, "cost")?,
+            verdict: v.get("verdict")?,
+            certificate: v.get("certificate")?,
+            high_resilience: v.get("high_resilience")?,
+            theorem1_consistent: v.get("theorem1_consistent")?,
+            cost: v.get("cost")?,
         }),
-        other => return Err(format!("unknown record type '{other}'")),
+        other => return Err(format!("{}: unknown record type '{other}'", v.at())),
     };
     Ok(CellRecord {
-        key,
-        group,
+        key: v.get("key")?,
+        group: v.get("group")?,
         outcome,
     })
 }
 
-fn stats_from_json(v: &Json) -> Result<NetStats, String> {
-    let counts = |field: &str| -> Result<Vec<u64>, String> {
-        arr_of(v, field)?
-            .iter()
-            .map(|c| c.as_u64().ok_or_else(|| format!("bad count in '{field}'")))
-            .collect()
-    };
-    let opt_time = |field: &str| -> Result<Option<u64>, String> {
-        match v.get(field) {
-            None | Some(Json::Null) => Ok(None),
-            Some(t) => Ok(Some(t.as_u64().ok_or_else(|| format!("bad '{field}'"))?)),
-        }
-    };
+fn stats_from_json(v: &Fields) -> Result<NetStats, String> {
     Ok(NetStats {
-        messages_after_gst: field_u64(v, "messages_after_gst")?,
-        words_after_gst: field_u64(v, "words_after_gst")?,
-        messages_total: field_u64(v, "messages_total")?,
-        words_total: field_u64(v, "words_total")?,
-        byzantine_messages: field_u64(v, "byzantine_messages")?,
-        sent_by: counts("sent_by")?,
-        received_by: counts("received_by")?,
-        deliveries: field_u64(v, "deliveries")?,
-        timer_fires: field_u64(v, "timer_fires")?,
-        // Absent in records from clean schedules (and all pre-chaos ones).
-        dropped: v.get("dropped").and_then(Json::as_u64).unwrap_or(0),
-        duplicated: v.get("duplicated").and_then(Json::as_u64).unwrap_or(0),
-        // Absent unless an adaptive behaviour self-reported.
-        equivocations: v.get("equivocations").and_then(Json::as_u64).unwrap_or(0),
-        omissions: v.get("omissions").and_then(Json::as_u64).unwrap_or(0),
-        first_decision_at: opt_time("first_decision_at")?,
-        last_decision_at: opt_time("last_decision_at")?,
+        messages_after_gst: v.get("messages_after_gst")?,
+        words_after_gst: v.get("words_after_gst")?,
+        messages_total: v.get("messages_total")?,
+        words_total: v.get("words_total")?,
+        byzantine_messages: v.get("byzantine_messages")?,
+        sent_by: v.get("sent_by")?,
+        received_by: v.get("received_by")?,
+        deliveries: v.get("deliveries")?,
+        timer_fires: v.get("timer_fires")?,
+        // Written only when nonzero (see `stats_json`).
+        dropped: v.counter("dropped")?,
+        duplicated: v.counter("duplicated")?,
+        equivocations: v.counter("equivocations")?,
+        omissions: v.counter("omissions")?,
+        first_decision_at: v.get("first_decision_at")?,
+        last_decision_at: v.get("last_decision_at")?,
     })
 }
 
@@ -867,7 +758,8 @@ mod tests {
             let m = suites::build(name).expect(name);
             let mut text = String::new();
             matrix_json(&mut text, &m);
-            let back = matrix_from_json(&Json::parse(&text).expect(name)).expect(name);
+            let json = Json::parse(&text).expect(name);
+            let back = matrix_from_json(&Fields::of(&json, "matrix").unwrap()).expect(name);
             // Spec equality is byte equality of the canonical rendering.
             let mut again = String::new();
             matrix_json(&mut again, &back);

@@ -784,8 +784,9 @@ fn group_json(out: &mut String, g: &GroupSummary) {
 }
 
 /// Emits the fit-result core of a [`FitRow`] — exponent, constant, `r²`,
-/// band, band verdict — shared by the report emitter and `lab trend`'s
-/// artifact writer, so the two cannot drift apart.
+/// band, band verdict. The report's fit rows and the bench artifact's
+/// ([`crate::trend::BenchArtifact::to_json`]) both write it, after their
+/// own `key` and `measure`, so the two cannot drift apart.
 pub fn fit_core_json(out: &mut String, f: &FitRow) {
     match &f.fit {
         Some(p) => {

@@ -177,6 +177,15 @@ pub fn is_stable(records: &[CellRecord], measures: &[FitMeasure], precision: f64
         })
 }
 
+/// The stopping rule, checked after each batch: a group stops once its
+/// records meet the precision target, or when one more batch would pass
+/// the seed cap. The executor's seed ladder and the merge's replay
+/// ([`expected_consumed`]) both ask this one predicate.
+pub fn should_stop(records: &[CellRecord], spec: &SamplingSpec, measures: &[FitMeasure]) -> bool {
+    is_stable(records, measures, spec.precision)
+        || records.len() as u64 + spec.batch_size() > spec.max_seeds
+}
+
 /// Replays the stopping rule over a group's records and returns the seed
 /// count the rule commits to — the "commit" half of the two-phase shard
 /// protocol. A complete group satisfies `expected_consumed == len`; any
@@ -195,8 +204,7 @@ pub fn expected_consumed(
             // next checkpoint so the caller sees the length mismatch.
             return k;
         }
-        if is_stable(&records[..k as usize], measures, spec.precision) || k + batch > spec.max_seeds
-        {
+        if should_stop(&records[..k as usize], spec, measures) {
             return k;
         }
         k += batch;

@@ -14,14 +14,17 @@
 //! new groups and wall-time movement are reported but not gated (wall
 //! clock depends on CI hardware; the exponents do not).
 //!
-//! The parser ignores unknown fields and refuses every file whose
-//! `schema` tag is not [`BENCH_SCHEMA`], an untagged file included.
+//! The parser ignores unknown fields, refuses every file whose `schema`
+//! tag is not [`BENCH_SCHEMA`] (an untagged file included), and refuses a
+//! missing or mistyped field by name.
 
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::json::Json;
-use crate::report::{json_str, SweepReport};
+use crate::json::{Fields, Json};
+use crate::matrix::FitMeasure;
+use crate::report::{fit_core_json, json_str, FitRow, SweepReport};
+use crate::PowerFit;
 
 /// Schema tag written into new bench-trend artifacts.
 pub const BENCH_SCHEMA: &str = "validity-lab/bench@3";
@@ -40,38 +43,20 @@ pub struct BenchSampling {
 }
 
 impl BenchSampling {
-    /// Parses a suite entry's `sampling` field (shared by the artifact
-    /// parser and the from-reports path, so the two cannot drift apart).
-    /// `None` for an absent or `null` field — a fixed-seed sweep.
-    fn from_json(v: Option<&Json>) -> Option<BenchSampling> {
-        match v {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(BenchSampling {
-                precision: s.get("precision").and_then(Json::as_num).unwrap_or(0.0),
-                seeds_consumed: s.get("seeds_consumed").and_then(Json::as_u64).unwrap_or(0),
-                capped: s.get("capped").and_then(Json::as_u64).unwrap_or(0),
-            }),
-        }
+    /// Reads a suite entry's or a report's nullable `sampling` field
+    /// (`null` for a fixed-seed sweep), so the artifact parser and the
+    /// from-reports path cannot drift apart.
+    fn from_json(v: &Fields) -> Result<Option<BenchSampling>, String> {
+        v.opt_obj("sampling")?
+            .map(|s| {
+                Ok(BenchSampling {
+                    precision: s.get("precision")?,
+                    seeds_consumed: s.get("seeds_consumed")?,
+                    capped: s.get("capped")?,
+                })
+            })
+            .transpose()
     }
-}
-
-/// One fitted measure of one fit group, as recorded in the artifact.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchFit {
-    /// The fit-group key (a [`crate::matrix::RunCell::fit_key`]).
-    pub key: String,
-    /// The fitted measure's registry name (`messages`, `words`, ...).
-    pub measure: String,
-    /// Fitted exponent (`None` when the sweep's points could not be fit).
-    pub exponent: Option<f64>,
-    /// Fitted constant.
-    pub constant: Option<f64>,
-    /// Coefficient of determination of the fit.
-    pub r_squared: Option<f64>,
-    /// Declared expected band, if the suite ships one.
-    pub band: Option<(f64, f64)>,
-    /// Whether the exponent sat inside the band.
-    pub within_band: Option<bool>,
 }
 
 /// One suite's entry in the artifact.
@@ -93,8 +78,10 @@ pub struct BenchSuite {
     pub axis: String,
     /// Adaptive-sampling metadata (`None` for fixed-seed sweeps).
     pub sampling: Option<BenchSampling>,
-    /// Every fit row of the suite's report.
-    pub fits: Vec<BenchFit>,
+    /// Every fit row of the suite's report. The artifact records each
+    /// row's fit core but not its points, so rows read back from a file
+    /// have none.
+    pub fits: Vec<FitRow>,
 }
 
 impl BenchSuite {
@@ -112,70 +99,31 @@ impl BenchSuite {
                 seeds_consumed: s.seeds_consumed(),
                 capped: s.capped(),
             }),
-            fits: report
-                .fits
-                .iter()
-                .map(|f| BenchFit {
-                    key: f.key.clone(),
-                    measure: f.measure.name().to_string(),
-                    exponent: f.fit.map(|p| p.exponent),
-                    constant: f.fit.map(|p| p.constant),
-                    r_squared: f.fit.map(|p| p.r_squared),
-                    band: f.band,
-                    within_band: f.within_band,
-                })
-                .collect(),
+            fits: report.fits.clone(),
         }
     }
 
-    /// Builds a suite entry from a **full report** JSON document (the file
-    /// `lab run`/`lab merge` writes), for a trend gate that consumes
-    /// merged reports instead of re-sweeping. The violation count is
-    /// recomputed from the report's groups with the same arithmetic as
-    /// [`SweepReport::violations`].
-    pub fn from_report_json(v: &Json) -> Result<BenchSuite, String> {
-        let suite = v
-            .get("matrix")
-            .and_then(Json::as_str)
-            .ok_or("report missing 'matrix'")?
-            .to_string();
-        let cells = v
-            .get("cell_count")
-            .and_then(Json::as_u64)
-            .ok_or("report missing 'cell_count'")?;
+    /// Builds a suite entry from a **full report** (the file `lab run` /
+    /// `lab merge` writes, already checked to be one), for a trend gate
+    /// that consumes merged reports instead of re-sweeping. The violation
+    /// count is recomputed from the report's groups with the same
+    /// arithmetic as [`SweepReport::violations`].
+    pub fn from_report_json(v: &Fields) -> Result<BenchSuite, String> {
         let mut violations = 0u64;
-        for g in v.get("groups").and_then(Json::as_arr).unwrap_or(&[]) {
-            let count = |f: &str| g.get(f).and_then(Json::as_u64).unwrap_or(0);
-            violations += count("agreement_failures")
-                + count("validity_failures")
-                + count("runs").saturating_sub(count("decided"));
+        for g in v.objs("groups")? {
+            violations += g.get::<u64>("agreement_failures")?
+                + g.get::<u64>("validity_failures")?
+                + g.get::<u64>("runs")?.saturating_sub(g.get("decided")?);
         }
-        let quarantined = v
-            .get("quarantined")
-            .and_then(Json::as_arr)
-            .map_or(0, |a| a.len() as u64);
-        let axis = v
-            .get("fit_axis")
-            .and_then(Json::as_str)
-            .unwrap_or("n")
-            .to_string();
-        let sampling = BenchSampling::from_json(v.get("sampling"));
-        let fits = v
-            .get("fits")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(parse_fit)
-            .collect::<Result<Vec<BenchFit>, String>>()?;
         Ok(BenchSuite {
-            suite,
+            suite: v.get("matrix")?,
             wall_seconds: None,
-            cells,
+            cells: v.get("cell_count")?,
             violations,
-            quarantined,
-            axis,
-            sampling,
-            fits,
+            quarantined: v.get::<Vec<&str>>("quarantined")?.len() as u64,
+            axis: v.get("fit_axis")?,
+            sampling: BenchSampling::from_json(v)?,
+            fits: fits_from_json(v)?,
         })
     }
 }
@@ -221,20 +169,12 @@ impl BenchArtifact {
                 }
                 let _ = write!(
                     out,
-                    "{{\"key\": {}, \"measure\": {}, \"exponent\": {}, \
-                     \"constant\": {}, \"r_squared\": {}, \"band\": {}, \
-                     \"within_band\": {}}}",
+                    "{{\"key\": {}, \"measure\": {}, ",
                     json_str(&f.key),
-                    json_str(&f.measure),
-                    opt_float(f.exponent),
-                    opt_float(f.constant),
-                    opt_float(f.r_squared),
-                    match f.band {
-                        Some((lo, hi)) => format!("[{lo:.4}, {hi:.4}]"),
-                        None => "null".to_string(),
-                    },
-                    f.within_band.map_or("null".to_string(), |b| b.to_string()),
+                    json_str(f.measure.name())
                 );
+                fit_core_json(&mut out, f);
+                out.push('}');
             }
             out.push_str("]}");
             out.push_str(if si + 1 == self.suites.len() {
@@ -248,47 +188,26 @@ impl BenchArtifact {
     }
 
     /// Parses an artifact; a file tagged with any schema other than
-    /// [`BENCH_SCHEMA`], or with none, is refused.
+    /// [`BENCH_SCHEMA`], or with none, is refused, and so is a missing
+    /// or mistyped field.
     pub fn parse(text: &str) -> Result<BenchArtifact, String> {
-        let v = Json::parse(text)?;
-        match v.get("schema").and_then(Json::as_str) {
-            Some(BENCH_SCHEMA) => {}
-            other => {
-                return Err(format!(
-                    "unsupported bench artifact schema '{}' (this lab reads '{BENCH_SCHEMA}')",
-                    other.unwrap_or("none")
-                ))
-            }
-        }
+        let json = Json::parse(text)?;
+        let v = Fields::tagged(&json, BENCH_SCHEMA, "bench artifact")?;
         let suites = v
-            .get("suites")
-            .and_then(Json::as_arr)
-            .ok_or("bench artifact missing 'suites'")?
-            .iter()
+            .objs("suites")?
+            .into_iter()
             .map(|s| {
+                let suite: String = s.get("suite")?;
+                let s = s.named(format!("{} suite '{suite}'", v.at()));
                 Ok(BenchSuite {
-                    suite: s
-                        .get("suite")
-                        .and_then(Json::as_str)
-                        .ok_or("suite entry missing 'suite'")?
-                        .to_string(),
-                    wall_seconds: s.get("wall_seconds").and_then(Json::as_num),
-                    cells: s.get("cells").and_then(Json::as_u64).unwrap_or(0),
-                    violations: s.get("violations").and_then(Json::as_u64).unwrap_or(0),
-                    quarantined: s.get("quarantined").and_then(Json::as_u64).unwrap_or(0),
-                    axis: s
-                        .get("axis")
-                        .and_then(Json::as_str)
-                        .ok_or("suite entry missing 'axis'")?
-                        .to_string(),
-                    sampling: BenchSampling::from_json(s.get("sampling")),
-                    fits: s
-                        .get("fits")
-                        .and_then(Json::as_arr)
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(parse_fit)
-                        .collect::<Result<Vec<BenchFit>, String>>()?,
+                    suite,
+                    wall_seconds: s.get("wall_seconds")?,
+                    cells: s.get("cells")?,
+                    violations: s.get("violations")?,
+                    quarantined: s.get("quarantined")?,
+                    axis: s.get("axis")?,
+                    sampling: BenchSampling::from_json(&s)?,
+                    fits: fits_from_json(&s)?,
                 })
             })
             .collect::<Result<Vec<BenchSuite>, String>>()?;
@@ -296,38 +215,37 @@ impl BenchArtifact {
     }
 }
 
-fn opt_float(f: Option<f64>) -> String {
-    f.map_or("null".to_string(), |f| format!("{f:.4}"))
-}
-
-fn parse_fit(v: &Json) -> Result<BenchFit, String> {
-    let band = match v.get("band") {
-        None | Some(Json::Null) => None,
-        Some(b) => {
-            let b = b.as_arr().filter(|a| a.len() == 2).ok_or("bad 'band'")?;
-            Some((
-                b[0].as_num().ok_or("bad band lo")?,
-                b[1].as_num().ok_or("bad band hi")?,
-            ))
-        }
-    };
-    Ok(BenchFit {
-        key: v
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or("fit missing 'key'")?
-            .to_string(),
-        measure: v
-            .get("measure")
-            .and_then(Json::as_str)
-            .ok_or("fit missing 'measure'")?
-            .to_string(),
-        exponent: v.get("exponent").and_then(Json::as_num),
-        constant: v.get("constant").and_then(Json::as_num),
-        r_squared: v.get("r_squared").and_then(Json::as_num),
-        band,
-        within_band: v.get("within_band").and_then(Json::as_bool),
-    })
+/// Reads the `fits` rows of a suite entry or a report: key, measure and
+/// the fit core [`fit_core_json`] writes. A report row's `points` are not
+/// read.
+fn fits_from_json(v: &Fields) -> Result<Vec<FitRow>, String> {
+    v.objs("fits")?
+        .iter()
+        .map(|f| {
+            let measure = f.get("measure")?;
+            let fit = match f.get::<Option<f64>>("exponent")? {
+                Some(exponent) => Some(PowerFit {
+                    exponent,
+                    constant: f.get("constant")?,
+                    r_squared: f.get("r_squared")?,
+                }),
+                None => {
+                    f.get::<()>("constant")?;
+                    f.get::<()>("r_squared")?;
+                    None
+                }
+            };
+            Ok(FitRow {
+                key: f.get("key")?,
+                measure: FitMeasure::parse(measure)
+                    .ok_or_else(|| format!("{}: unknown fit measure '{measure}'", f.at()))?,
+                points: Vec::new(),
+                fit,
+                band: f.get("band")?,
+                within_band: f.get("within_band")?,
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -390,8 +308,8 @@ pub struct TrendRow {
     pub suite: String,
     /// Fit-group key.
     pub key: String,
-    /// Measure name.
-    pub measure: String,
+    /// The fitted measure.
+    pub measure: FitMeasure,
     /// Baseline exponent, when the baseline had this group.
     pub baseline_exponent: Option<f64>,
     /// Current exponent, when the current sweep fitted this group.
@@ -503,16 +421,18 @@ impl TrendDiff {
 /// use validity_lab::trend::{compare, BenchArtifact};
 ///
 /// let base = BenchArtifact::parse(r#"{"schema": "validity-lab/bench@3", "suites":
-///     [{"suite": "s", "axis": "n", "fits":
-///       [{"key": "g", "measure": "messages", "exponent": 2.0}]}]}"#).unwrap();
+///     [{"suite": "s", "wall_seconds": null, "cells": 4, "violations": 0,
+///       "quarantined": 0, "axis": "n", "sampling": null, "fits":
+///       [{"key": "g", "measure": "messages", "exponent": 2.0, "constant": 1.0,
+///         "r_squared": 1.0, "band": null, "within_band": null}]}]}"#).unwrap();
 /// let mut cur = base.clone();
 /// assert_eq!(compare(&cur, &base, 0.25).regressions(), 0);
-/// cur.suites[0].fits[0].exponent = Some(2.9); // drifted past ±0.25
+/// cur.suites[0].fits[0].fit.as_mut().unwrap().exponent = 2.9; // drifted past ±0.25
 /// assert_eq!(compare(&cur, &base, 0.25).regressions(), 1);
 /// ```
 pub fn compare(current: &BenchArtifact, baseline: &BenchArtifact, tolerance: f64) -> TrendDiff {
     let mut rows = Vec::new();
-    let baseline_fits: Vec<(&BenchSuite, &BenchFit)> = baseline
+    let baseline_fits: Vec<(&BenchSuite, &FitRow)> = baseline
         .suites
         .iter()
         .flat_map(|s| s.fits.iter().map(move |f| (s, f)))
@@ -529,13 +449,15 @@ pub fn compare(current: &BenchArtifact, baseline: &BenchArtifact, tolerance: f64
                     matched[i] = true;
                     baseline_fits[i].1
                 });
+            let exponent = fit.fit.map(|p| p.exponent);
+            let base_exponent = base.and_then(|b| b.fit).map(|p| p.exponent);
             let status = match base {
                 None => TrendStatus::New,
-                Some(b) => {
+                Some(_) => {
                     if fit.within_band == Some(false) {
                         TrendStatus::OutOfBand
                     } else {
-                        match (b.exponent, fit.exponent) {
+                        match (base_exponent, exponent) {
                             (Some(be), Some(ce)) if (ce - be).abs() > tolerance => {
                                 TrendStatus::Drift
                             }
@@ -548,9 +470,9 @@ pub fn compare(current: &BenchArtifact, baseline: &BenchArtifact, tolerance: f64
             rows.push(TrendRow {
                 suite: suite.suite.clone(),
                 key: fit.key.clone(),
-                measure: fit.measure.clone(),
-                baseline_exponent: base.and_then(|b| b.exponent),
-                current_exponent: fit.exponent,
+                measure: fit.measure,
+                baseline_exponent: base_exponent,
+                current_exponent: exponent,
                 status,
             });
         }
@@ -560,8 +482,8 @@ pub fn compare(current: &BenchArtifact, baseline: &BenchArtifact, tolerance: f64
             rows.push(TrendRow {
                 suite: bs.suite.clone(),
                 key: bf.key.clone(),
-                measure: bf.measure.clone(),
-                baseline_exponent: bf.exponent,
+                measure: bf.measure,
+                baseline_exponent: bf.fit.map(|p| p.exponent),
                 current_exponent: None,
                 status: TrendStatus::Removed,
             });
@@ -591,19 +513,22 @@ pub fn compare(current: &BenchArtifact, baseline: &BenchArtifact, tolerance: f64
 mod tests {
     use super::*;
 
-    fn fit(key: &str, exponent: Option<f64>, within_band: Option<bool>) -> BenchFit {
-        BenchFit {
+    fn fit(key: &str, exponent: Option<f64>, within_band: Option<bool>) -> FitRow {
+        FitRow {
             key: key.into(),
-            measure: "messages".into(),
-            exponent,
-            constant: exponent.map(|_| 3.0),
-            r_squared: exponent.map(|_| 0.999),
+            measure: FitMeasure::Messages,
+            points: Vec::new(),
+            fit: exponent.map(|exponent| PowerFit {
+                exponent,
+                constant: 3.0,
+                r_squared: 0.999,
+            }),
             band: within_band.map(|_| (1.7, 2.3)),
             within_band,
         }
     }
 
-    fn artifact(fits: Vec<BenchFit>) -> BenchArtifact {
+    fn artifact(fits: Vec<FitRow>) -> BenchArtifact {
         BenchArtifact {
             suites: vec![BenchSuite {
                 suite: "universal".into(),
@@ -629,7 +554,7 @@ mod tests {
         let back = BenchArtifact::parse(&text).expect("round-trip");
         assert_eq!(back.suites[0].suite, "universal");
         assert_eq!(back.suites[0].fits.len(), 2);
-        assert_eq!(back.suites[0].fits[1].exponent, None);
+        assert_eq!(back.suites[0].fits[1].fit, None);
         assert_eq!(back.suites[0].fits[0].band, Some((1.7, 2.3)));
         // The rendering of a parsed artifact is stable.
         assert_eq!(
@@ -643,12 +568,15 @@ mod tests {
         // Neither older generation is read any more: each is refused by
         // name, like any foreign tag.
         let refused = |text: &str, tag: &str| {
-            assert_eq!(
-                BenchArtifact::parse(text).unwrap_err(),
+            let want = if tag == "none" {
                 format!(
-                    "unsupported bench artifact schema '{tag}' (this lab reads '{BENCH_SCHEMA}')"
+                    "does not look like a bench artifact: it declares no schema \
+                     (expected '{BENCH_SCHEMA}')"
                 )
-            );
+            } else {
+                format!("not a bench artifact: schema '{tag}' (expected '{BENCH_SCHEMA}')")
+            };
+            assert_eq!(BenchArtifact::parse(text).unwrap_err(), want);
         };
         let untagged = r#"{"suites": [{"suite": "complexity", "wall_seconds": 1.5,
             "cells": 72, "violations": 0, "quarantined": 0, "fits":

@@ -298,9 +298,41 @@ fn hand_written_v1_partial_is_refused_even_when_retagged() {
 }"#;
     let err = PartialReport::parse(v1).unwrap_err();
     assert!(err.contains("schema 'validity-lab/partial@1'"), "{err}");
-    // Retagging it does not help: the fields partial@2 added are required.
-    let retagged = v1.replace("partial@1", "partial@2");
-    assert!(PartialReport::parse(&retagged).is_err());
+    // Retagging it does not help: each field partial@2 added is required,
+    // and the reader names the one it misses until all are there.
+    let mut retagged = v1.replace("partial@1", "partial@2");
+    for (missing, completion) in [
+        (
+            "partial@2 matrix: missing 'fit_axis'",
+            (
+                "\"max_steps\": null",
+                "\"max_steps\": null, \"fit_axis\": \"n\"",
+            ),
+        ),
+        (
+            "partial@2 matrix: missing 'sampling'",
+            (
+                "\"max_steps\": null",
+                "\"max_steps\": null, \"sampling\": null",
+            ),
+        ),
+        (
+            "partial@2 records[0]: missing 'cost'",
+            (
+                "\"theorem1_consistent\": true",
+                "\"theorem1_consistent\": true, \"cost\": 4",
+            ),
+        ),
+        (
+            "partial@2: missing 'sampling'",
+            ("\"records\": [", "\"sampling\": [], \"records\": ["),
+        ),
+    ] {
+        assert_eq!(PartialReport::parse(&retagged).unwrap_err(), missing);
+        retagged = retagged.replacen(completion.0, completion.1, 1);
+    }
+    let completed = PartialReport::parse(&retagged).expect("every partial@2 field present");
+    assert_eq!(completed.records.len(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@
 //!    table the binary validates against.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
 //!    flags it would otherwise ignore, an empty or reversed `--seeds`
-//!    range is an error on every driver, and so are a repeated flag and a
-//!    flag sitting where another flag's value belongs.
+//!    range and a zero `--max-steps` budget are errors on every driver,
+//!    and so are a repeated flag and a flag sitting where another flag's
+//!    value belongs.
 
 use std::process::{Command as Process, Output};
 
@@ -185,6 +186,35 @@ fn empty_or_reversed_seed_ranges_are_refused_by_every_driver() {
         let out = lab(&args);
         assert!(out.status.success(), "{args:?}: {}", stderr(&out));
     }
+}
+
+#[test]
+fn a_zero_step_budget_is_refused_by_every_driver() {
+    // `--max-steps 0` quarantines every run before its first event, and
+    // crosscheck used to pass that grid vacuously (exit 0, "full": 0).
+    for prefix in [
+        vec!["run", "--suite", "quick"],
+        vec!["crosscheck"],
+        vec!["mutate"],
+    ] {
+        let mut args = prefix.clone();
+        args.extend(["--max-steps", "0", "--dry-run"]);
+        let out = lab(&args);
+        assert!(!out.status.success(), "{args:?} accepted a zero budget");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--max-steps 0"),
+            "{args:?} must name the flag; got: {err}"
+        );
+        // The boundary the check must not move: one step is a budget.
+        let mut args = prefix.clone();
+        args.extend(["--max-steps", "1", "--dry-run"]);
+        let out = lab(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+    }
+    let out = lab(&["crosscheck", "--max-steps", "0"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
 }
 
 #[test]

@@ -335,10 +335,20 @@ mod cli {
         let tag = "\"schema\": \"validity-lab/report@2\"";
         let malformed = dir.join("malformed.json").display().to_string();
         for (text, complaint) in [
-            (format!("{{{tag}}}"), "has no 'cells' array"),
+            (format!("{{{tag}}}"), "report@2: missing 'cells'"),
             (
                 format!("{{{tag}, \"cells\": [{{\"key\": \"a\"}}, {{\"type\": \"run\"}}]}}"),
-                "cell 1 has no string 'key'",
+                "report@2 cells[1]: missing 'key'",
+            ),
+            (
+                format!("{{{tag}, \"cells\": [{{\"key\": 7}}]}}"),
+                "report@2 cells[0]: bad 'key' (want string)",
+            ),
+            // A repeated key would otherwise keep only its last value and
+            // could compare "identical" to a report it differs from.
+            (
+                format!("{{{tag}, \"cells\": [{{\"key\": \"a\", \"decided\": false, \"decided\": true}}]}}"),
+                "duplicate key 'decided' at byte 77",
             ),
             (
                 format!("{{{tag}, \"cells\": [{{\"key\": \"a\"}}, {{\"key\": \"a\"}}]}}"),

@@ -74,9 +74,9 @@ fn trend_gate_passes_on_itself_and_fails_on_a_regressed_baseline() {
         .suites
         .iter_mut()
         .flat_map(|s| s.fits.iter_mut())
-        .find(|f| f.exponent.is_some())
+        .find_map(|f| f.fit.as_mut())
         .expect("artifact carries a fitted exponent");
-    *fit.exponent.as_mut().unwrap() -= 1.0;
+    fit.exponent -= 1.0;
     let regressed = dir.join("regressed.json").display().to_string();
     std::fs::write(&regressed, baseline.to_json()).expect("write baseline");
 
@@ -141,7 +141,7 @@ fn update_baseline_regenerates_the_file_in_place_with_stable_shape() {
         .expect("spawn lab");
     assert!(out.status.success(), "{out:?}");
     let mut stale = BenchArtifact::parse(&std::fs::read_to_string(&bench).unwrap()).unwrap();
-    *stale.suites[0].fits[0].exponent.as_mut().unwrap() += 2.0;
+    stale.suites[0].fits[0].fit.as_mut().unwrap().exponent += 2.0;
     std::fs::write(&baseline, stale.to_json()).unwrap();
     let out = Command::new(LAB)
         .args([
