@@ -32,6 +32,7 @@ use std::ops::Range;
 use std::process::ExitCode;
 
 use validity_adversary::BehaviorId;
+use validity_core::SystemParams;
 use validity_lab::flags::{self, Command};
 use validity_lab::json::{Fields, Json};
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
@@ -96,29 +97,9 @@ const USAGE: &str = "\
     \x20        [--threads N] [--out FILE] [--baseline FILE] [--tolerance X]\n\
     \x20        [--update-baseline]";
 
-/// Suites the CLI runs outside the [`ScenarioMatrix`] engine; `lab run
-/// --suite <name>` delegates them to their own drivers.
-const EXTRA_SUITES: [(&str, &str); 3] = [
-    (
-        "service",
-        "repeated consensus as a replicated service (throughput/latency)",
-    ),
-    (
-        "crosscheck",
-        "differential oracle: every engine + classifier cross-checked per cell",
-    ),
-    (
-        "mutate",
-        "fault injection: every engine × mutation operator, kill matrix over the oracle",
-    ),
-];
-
 fn list(names_only: bool) {
     if names_only {
         for name in suites::ALL {
-            println!("{name}");
-        }
-        for (name, _) in EXTRA_SUITES {
             println!("{name}");
         }
         return;
@@ -126,9 +107,6 @@ fn list(names_only: bool) {
     println!("suites:");
     for name in suites::ALL {
         println!("  {name:12} {}", suites::describe(name).unwrap_or(""));
-    }
-    for (name, describe) in EXTRA_SUITES {
-        println!("  {name:12} {describe}");
     }
     println!("\nprotocols (raw; prefix with 'universal/' to wrap in Algorithm 2):");
     for spec in vector_registry::<u64>() {
@@ -333,7 +311,10 @@ fn write_timeline(timeline: &Timeline, base: &str, label: &str) -> Result<(), St
 }
 
 fn build_suite(name: &str) -> Result<ScenarioMatrix, String> {
-    suites::build(name).ok_or_else(|| format!("unknown suite '{name}'; see `lab list`"))
+    suites::build(name).ok_or_else(|| match name {
+        "service" | "crosscheck" | "mutate" => format!("'{name}' is a driver: run `lab {name}`"),
+        _ => format!("unknown suite '{name}'; see `lab list`"),
+    })
 }
 
 fn parse_list<T>(
@@ -396,13 +377,44 @@ fn build_custom(args: &Args) -> Result<ScenarioMatrix, String> {
             ))
         })
         .collect::<Result<Vec<(usize, usize)>, String>>()?;
-    m.seeds = args.seeds()?.unwrap_or(0..4);
+    m.seeds = 0..4; // `--seeds` applies through `tune_grid`
     m.fit_measures = parse_list(
         args.value("--fits").unwrap_or(""),
         "fit measure",
         FitMeasure::parse,
     )?;
+    refuse_vacuous(&m)?;
     Ok(m)
+}
+
+/// Refuses a custom matrix that enumerates no cell, naming the flag that
+/// emptied it: a zero-cell sweep passes every gate vacuously.
+fn refuse_vacuous(m: &ScenarioMatrix) -> Result<(), String> {
+    if !m.run_templates().is_empty() {
+        return Ok(());
+    }
+    let valid_system = |&(n, t): &(usize, usize)| SystemParams::new(n, t).is_ok();
+    let (flag, why) = [
+        ("--protocols", m.protocols.is_empty(), "lists nothing"),
+        ("--validities", m.validities.is_empty(), "lists nothing"),
+        ("--behaviors", m.behaviors.is_empty(), "lists nothing"),
+        ("--faults", m.faults.is_empty(), "lists nothing"),
+        ("--schedules", m.schedules.is_empty(), "lists nothing"),
+        (
+            "--systems",
+            !m.systems.iter().any(valid_system),
+            "lists no valid (n, t) pair (want 0 < t < n)",
+        ),
+    ]
+    .into_iter()
+    .find_map(|(flag, empty, why)| empty.then_some((flag, why)))
+    .unwrap_or((
+        "--validities",
+        "lists no property with a closed-form Λ, which universal protocols need",
+    ));
+    Err(format!(
+        "the custom matrix enumerates no cell: {flag} {why}"
+    ))
 }
 
 /// Parses the adaptive-sampling flags: `--adaptive` enables the defaults,
@@ -454,16 +466,6 @@ fn parse_sampling(args: &Args) -> Result<Option<SamplingSpec>, String> {
 }
 
 fn run(rest: &[&str]) -> CmdResult {
-    // The driver suites run outside the sweep engine (a repeated-consensus
-    // pipeline, a differential oracle, a fault-injection harness); `lab run
-    // --suite <driver>` is a synonym for the driver's own subcommand with
-    // the same argv.
-    match rest.windows(2).find(|w| w[0] == "--suite").map(|w| w[1]) {
-        Some("service") => return service_cmd(rest),
-        Some("crosscheck") => return crosscheck_cmd(rest),
-        Some("mutate") => return mutate_cmd(rest),
-        _ => {}
-    }
     let command = if rest.contains(&"--suite") {
         Command::RunSuite
     } else {
@@ -475,9 +477,7 @@ fn run(rest: &[&str]) -> CmdResult {
         Some(name) => build_suite(name)?,
         None => build_custom(&args)?,
     };
-    if let Some(n) = args.max_steps()? {
-        matrix.max_steps = Some(n);
-    }
+    tune_grid(&args, &mut matrix)?;
     if let Some(name) = args.value("--fit-axis") {
         matrix.fit_axis = FitAxis::parse(name)
             .ok_or_else(|| format!("unknown fit axis '{name}'; see `lab list`"))?;
@@ -632,23 +632,11 @@ fn run(rest: &[&str]) -> CmdResult {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Validates a driver command's argv, including the `--suite` a `lab run
-/// --suite <driver>` synonym carries along.
-fn driver_args<'a>(command: Command, suite: &str, rest: &[&'a str]) -> Result<Args<'a>, String> {
-    let args = Args::parse(command, rest)?;
-    match args.value("--suite") {
-        Some(name) if name != suite => Err(format!(
-            "`lab {suite}` runs the {suite} suite; for '{name}' use `lab run --suite`"
-        )),
-        _ => Ok(args),
-    }
-}
-
 /// `lab service`: run the repeated-consensus service suite and emit the
 /// throughput/latency report. The report bytes are deterministic and
 /// thread-count independent, like every other lab artifact.
 fn service_cmd(rest: &[&str]) -> CmdResult {
-    let args = driver_args(Command::Service, "service", rest)?;
+    let args = Args::parse(Command::Service, rest)?;
     let threads = args.threads()?;
     let mut matrix = ServiceMatrix::suite();
     if let Some(seeds) = args.seeds()? {
@@ -721,7 +709,7 @@ fn service_cmd(rest: &[&str]) -> CmdResult {
 /// round-trip mismatch. The report bytes are deterministic and
 /// thread-count independent, like every other lab artifact.
 fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
-    let args = driver_args(Command::Crosscheck, "crosscheck", rest)?;
+    let args = Args::parse(Command::Crosscheck, rest)?;
     let threads = args.threads()?;
     // --chaos swaps in the faulty-network grid (every ScheduleSpec::CHAOS
     // schedule), --adaptive the observing-adversary grid; the default grid
@@ -736,25 +724,20 @@ fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
         (false, true) => CrosscheckMatrix::adaptive(),
         (false, false) => CrosscheckMatrix::suite(),
     };
-    if let Some(seeds) = args.seeds()? {
-        matrix.seeds = seeds;
-    }
-    if let Some(n) = args.max_steps()? {
-        matrix.max_steps = Some(n);
-    }
+    tune_grid(&args, &mut matrix.scenarios)?;
     if args.has("--dry-run") {
         println!(
             "{}: {} cells ({} engine column(s) + classifier; seeds {:?})",
-            matrix.name,
+            matrix.scenarios.name,
             matrix.len(),
             matrix.engines.len(),
-            matrix.seeds,
+            matrix.scenarios.seeds,
         );
         return Ok(ExitCode::SUCCESS);
     }
     eprintln!(
         "crosscheck '{}': {} cells × {} engine(s) on {} worker thread(s)...",
-        matrix.name,
+        matrix.scenarios.name,
         matrix.len(),
         matrix.engines.len(),
         SweepEngine::new(threads).threads(),
@@ -810,6 +793,15 @@ fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
     })
 }
 
+/// Applies `--seeds` and `--max-steps`, where given, to a scenario grid.
+fn tune_grid(args: &Args, grid: &mut ScenarioMatrix) -> Result<(), String> {
+    if let Some(seeds) = args.seeds()? {
+        grid.seeds = seeds;
+    }
+    grid.max_steps = args.max_steps()?.or(grid.max_steps);
+    Ok(())
+}
+
 /// `lab mutate`: the fault-injection harness. Plants every mutation
 /// operator into every registry engine, runs the crosscheck oracle plus
 /// the validity checks over each `(engine × operator)` mutant next to the
@@ -818,7 +810,7 @@ fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
 /// survivor, or a stale catalogue entry. Bytes are deterministic and
 /// thread-count independent, like every other lab artifact.
 fn mutate_cmd(rest: &[&str]) -> CmdResult {
-    let args = driver_args(Command::Mutate, "mutate", rest)?;
+    let args = Args::parse(Command::Mutate, rest)?;
     let threads = args.threads()?;
     let mut matrix = MutateMatrix::suite();
     if let Some(ops) = args.value("--operators") {
@@ -834,28 +826,28 @@ fn mutate_cmd(rest: &[&str]) -> CmdResult {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        if matrix.operators.is_empty() {
+            return Err(format!(
+                "--operators '{ops}' names no operator; see `lab list`"
+            ));
+        }
     }
-    if let Some(seeds) = args.seeds()? {
-        matrix.grid.seeds = seeds;
-    }
-    if let Some(n) = args.max_steps()? {
-        matrix.grid.max_steps = Some(n);
-    }
+    tune_grid(&args, &mut matrix.grid.scenarios)?;
     if args.has("--dry-run") {
         println!(
             "{}: {} cells × ({} engine(s) + {} mutant(s)) = {} runs (seeds {:?})",
-            matrix.grid.name,
+            matrix.grid.scenarios.name,
             matrix.grid.len(),
             matrix.grid.engines.len(),
             matrix.mutants().len(),
             matrix.len(),
-            matrix.grid.seeds,
+            matrix.grid.scenarios.seeds,
         );
         return Ok(ExitCode::SUCCESS);
     }
     eprintln!(
         "mutate '{}': {} cells × ({} engine(s) + {} mutant(s)) on {} worker thread(s)...",
-        matrix.grid.name,
+        matrix.grid.scenarios.name,
         matrix.grid.len(),
         matrix.grid.engines.len(),
         matrix.mutants().len(),

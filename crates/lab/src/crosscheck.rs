@@ -5,11 +5,11 @@
 //! refuses) the *same* verdicts regardless of which algorithm decides it —
 //! which makes every protocol in this repo an independent oracle for every
 //! other one, and the static classifier an oracle for all of them at once.
-//! A [`CrosscheckMatrix`] enumerates scenario cells `(property, behavior,
-//! fault, schedule, (n, t), seed)` through the same skeleton as
-//! [`ScenarioMatrix`], runs every registered engine (wrapped in
-//! `Universal`) plus the solvability classifier on each cell, and grades
-//! the outcome with an [`AgreementLevel`]:
+//! A [`CrosscheckMatrix`] wraps a [`ScenarioMatrix`]: on each of its
+//! [`RunCell`]s `(property, behavior, fault, schedule, (n, t), seed)` it
+//! runs every registered engine (wrapped in `Universal`) plus the
+//! solvability classifier, and grades the outcome with an
+//! [`AgreementLevel`]:
 //!
 //! * **full** — every engine ran, told the same story (decided, Agreement
 //!   held, decisions admissible), and the story matches the classifier's
@@ -39,7 +39,6 @@
 //! [`Applicability`]: validity_protocols::registry::Applicability
 
 use std::fmt;
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
@@ -72,118 +71,57 @@ pub fn classifier_in_band(n: usize, domain: u64) -> bool {
         .is_some_and(|configs| configs <= CLASSIFIER_CONFIG_BUDGET)
 }
 
-/// One crosscheck cell: a scenario with the protocol axis *removed* —
-/// every engine column runs this same cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrosscheckCell {
-    /// The validity property every column solves (or classifies).
-    pub validity: ValiditySpec,
-    /// Byzantine behaviour filling the faulty slots.
-    pub behavior: BehaviorId,
-    /// Number of faulty slots (`≤ t`).
-    pub byz: usize,
-    /// The declared fault-axis load `byz` was clamped from.
-    pub fault: usize,
-    /// Network schedule.
-    pub schedule: ScheduleSpec,
-    /// System size.
-    pub n: usize,
-    /// Fault threshold.
-    pub t: usize,
-    /// Simulation seed (also derives the PKI).
-    pub seed: u64,
+/// The crosscheck cell's stable key: the scenario without its protocol,
+/// because every engine column runs the same cell.
+pub fn key(cell: &RunCell) -> String {
+    format!(
+        "crosscheck/{}/{}x{}/{}/n{}t{}/s{}",
+        validity_of(cell),
+        cell.behavior,
+        cell.byz,
+        cell.schedule,
+        cell.n,
+        cell.t,
+        cell.seed,
+    )
 }
 
-impl CrosscheckCell {
-    /// The cell's stable key.
-    pub fn key(&self) -> String {
-        format!(
-            "crosscheck/{}/{}x{}/{}/n{}t{}/s{}",
-            self.validity, self.behavior, self.byz, self.schedule, self.n, self.t, self.seed,
-        )
-    }
-
-    /// The classifier column over a reference domain of `domain` values;
-    /// `None` when the configuration space is out of its band.
-    pub fn classify(&self, domain: u64) -> Option<Classification<u64>> {
-        classifier_in_band(self.n, domain).then(|| {
-            let params =
-                SystemParams::new(self.n, self.t).expect("matrix enumerated an invalid (n, t)");
-            classify(
-                &self.validity.property(self.t),
-                params,
-                &Domain::range(domain),
-            )
-        })
-    }
-
-    /// One engine column: runs `engine`, `Universal`-wrapped, on this cell
-    /// under the step budget. `None` when the cell's `(n, t)` is outside
-    /// the engine's registered band.
-    pub fn run_engine(&self, engine: VectorSpec, max_steps: Option<u64>) -> Option<RunRecord> {
-        engine.applicable_to(self.n, self.t).then(|| {
-            let spec = CellSpec::Run(RunCell {
-                protocol: ProtocolAxis::wrapped(engine),
-                validity: Some(self.validity),
-                behavior: self.behavior,
-                byz: self.byz,
-                fault: self.fault,
-                schedule: self.schedule,
-                n: self.n,
-                t: self.t,
-                seed: self.seed,
-            });
-            let Outcome::Run(r) = execute_with_budget(&spec, max_steps).outcome else {
-                unreachable!("run cells produce run outcomes")
-            };
-            r
-        })
-    }
+fn validity_of(cell: &RunCell) -> ValiditySpec {
+    cell.validity
+        .expect("crosscheck cells run under Universal, so they carry a validity")
 }
 
-/// The crosscheck axes: a scenario grid crossed against an engine list
-/// instead of a protocol axis.
+/// The crosscheck grid: a [`ScenarioMatrix`] whose run cells every engine
+/// column and the classifier are crossed against.
+///
+/// Of the scenario matrix the crosscheck reads the axes, `seeds` and
+/// `max_steps`. Its protocol axis is one `Universal`-wrapped placeholder,
+/// so the enumeration keeps the sweep engine's validity axis, collapse
+/// rules (zero fault load collapses the behaviour axis, `Λ`-less
+/// properties are skipped, invalid `(n, t)` pairs are dropped) and group
+/// dedup; each engine column then replaces the protocol with its own.
 #[derive(Clone, Debug)]
 pub struct CrosscheckMatrix {
-    /// Matrix name.
-    pub name: String,
+    /// The scenario grid (its name names the report).
+    pub scenarios: ScenarioMatrix,
     /// The engine columns (normally the whole registry; tests may inject
     /// extra in-test engines to prove the oracle bites).
     pub engines: Vec<VectorSpec>,
-    /// Validity axis (must have a closed-form `Λ`; others are skipped by
-    /// the scenario skeleton).
-    pub validities: Vec<ValiditySpec>,
-    /// Byzantine-behaviour axis.
-    pub behaviors: Vec<BehaviorId>,
-    /// Fault-load axis (each clamped to the cell's `t`).
-    pub faults: Vec<usize>,
-    /// Schedule axis.
-    pub schedules: Vec<ScheduleSpec>,
-    /// `(n, t)` axis.
-    pub systems: Vec<(usize, usize)>,
-    /// Seed axis.
-    pub seeds: Range<u64>,
     /// Reference domain size for the classifier column.
     pub domain: u64,
-    /// Per-run step budget (quarantine beyond it); `None` = simulator
-    /// defaults.
-    pub max_steps: Option<u64>,
 }
 
 impl CrosscheckMatrix {
     /// An empty matrix with the given name over the registered engines.
     pub fn new(name: impl Into<String>) -> CrosscheckMatrix {
+        let engines = vector_registry().to_vec();
+        let mut scenarios = ScenarioMatrix::new(name);
+        scenarios.protocols = vec![ProtocolAxis::wrapped(engines[0])];
+        scenarios.behaviors = vec![BehaviorId::Silent];
         CrosscheckMatrix {
-            name: name.into(),
-            engines: vector_registry().to_vec(),
-            validities: Vec::new(),
-            behaviors: vec![BehaviorId::Silent],
-            faults: vec![0],
-            schedules: Vec::new(),
-            systems: Vec::new(),
-            seeds: 0..1,
+            scenarios,
+            engines,
             domain: 2,
-            max_steps: None,
         }
     }
 
@@ -194,16 +132,16 @@ impl CrosscheckMatrix {
     /// and the classifier is out of its tractability band there).
     pub fn suite() -> CrosscheckMatrix {
         let mut m = CrosscheckMatrix::new("crosscheck");
-        m.validities = vec![
+        let s = &mut m.scenarios;
+        s.validities = vec![
             ValiditySpec::Strong,
             ValiditySpec::Median,
             ValiditySpec::ConvexHull,
         ];
-        m.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
-        m.faults = vec![0, usize::MAX];
-        m.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
-        m.systems = vec![(4, 1), (7, 2), (16, 5)];
-        m.seeds = 0..1;
+        s.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
+        s.faults = vec![0, usize::MAX];
+        s.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
+        s.systems = vec![(4, 1), (7, 2), (16, 5)];
         m
     }
 
@@ -217,16 +155,16 @@ impl CrosscheckMatrix {
     /// expected-divergence is a bug.
     pub fn chaos() -> CrosscheckMatrix {
         let mut m = CrosscheckMatrix::new("crosscheck-chaos");
-        m.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
-        m.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
-        m.faults = vec![0, usize::MAX];
-        m.schedules = ScheduleSpec::CHAOS.to_vec();
-        m.systems = vec![(4, 1), (7, 2)];
-        m.seeds = 0..1;
+        let s = &mut m.scenarios;
+        s.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
+        s.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
+        s.faults = vec![0, usize::MAX];
+        s.schedules = ScheduleSpec::CHAOS.to_vec();
+        s.systems = vec![(4, 1), (7, 2)];
         // Chaos cells can legitimately run long (loss withholds messages
         // until GST); the budget quarantines divergence instead of
         // hanging the gate.
-        m.max_steps = Some(5_000_000);
+        s.max_steps = Some(5_000_000);
         m
     }
 
@@ -240,61 +178,22 @@ impl CrosscheckMatrix {
     /// cell above expected-divergence is a bug.
     pub fn adaptive() -> CrosscheckMatrix {
         let mut m = CrosscheckMatrix::new("crosscheck-adaptive");
-        m.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
-        m.behaviors = BehaviorId::ADAPTIVE.to_vec();
-        m.faults = vec![usize::MAX];
-        m.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
-        m.systems = vec![(4, 1), (7, 2)];
-        m.seeds = 0..2;
+        let s = &mut m.scenarios;
+        s.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
+        s.behaviors = BehaviorId::ADAPTIVE.to_vec();
+        s.faults = vec![usize::MAX];
+        s.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
+        s.systems = vec![(4, 1), (7, 2)];
+        s.seeds = 0..2;
         // adaptive-flood starves its victim indefinitely; the budget turns
         // those cells into quarantines instead of a hung gate.
-        m.max_steps = Some(5_000_000);
+        s.max_steps = Some(5_000_000);
         m
     }
 
-    /// The scenario skeleton, enumerated through
-    /// [`ScenarioMatrix::run_templates`] so the crosscheck grid inherits
-    /// exactly the sweep engine's axis order, collapse rules (zero fault
-    /// load collapses the behaviour axis, `Λ`-less properties are
-    /// skipped, invalid `(n, t)` pairs are dropped), and group dedup. The
-    /// protocol column of the skeleton is a placeholder — crosscheck fans
-    /// every cell out over [`CrosscheckMatrix::engines`] instead.
-    fn templates(&self) -> Vec<RunCell> {
-        let Some(&placeholder) = self.engines.first() else {
-            return Vec::new();
-        };
-        let mut skeleton = ScenarioMatrix::new(self.name.clone());
-        skeleton.protocols = vec![ProtocolAxis::wrapped(placeholder)];
-        skeleton.validities = self.validities.clone();
-        skeleton.behaviors = self.behaviors.clone();
-        skeleton.faults = self.faults.clone();
-        skeleton.schedules = self.schedules.clone();
-        skeleton.systems = self.systems.clone();
-        skeleton.seeds = self.seeds.clone();
-        skeleton.run_templates()
-    }
-
-    /// Enumerates the matrix into a deterministically ordered cell list
-    /// (scenario skeleton × seed).
-    pub fn cells(&self) -> Vec<CrosscheckCell> {
-        let mut out = Vec::new();
-        for template in self.templates() {
-            for seed in self.seeds.clone() {
-                out.push(CrosscheckCell {
-                    validity: template
-                        .validity
-                        .expect("wrapped skeleton cells always carry a validity"),
-                    behavior: template.behavior,
-                    byz: template.byz,
-                    fault: template.fault,
-                    schedule: template.schedule,
-                    n: template.n,
-                    t: template.t,
-                    seed,
-                });
-            }
-        }
-        out
+    /// The scenario matrix's run cells, in its template × seed order.
+    pub fn cells(&self) -> Vec<RunCell> {
+        self.scenarios.run_cells().collect()
     }
 
     /// Total cell count.
@@ -305,6 +204,32 @@ impl CrosscheckMatrix {
     /// Whether the matrix enumerates no cells.
     pub fn is_empty(&self) -> bool {
         self.cells().is_empty()
+    }
+
+    /// The classifier column of `cell` over the reference domain; `None`
+    /// when the configuration space is out of its band.
+    pub fn classify(&self, cell: &RunCell) -> Option<Classification<u64>> {
+        classifier_in_band(cell.n, self.domain).then(|| {
+            let params =
+                SystemParams::new(cell.n, cell.t).expect("matrix enumerated an invalid (n, t)");
+            let property = validity_of(cell).property(cell.t);
+            classify(&property, params, &Domain::range(self.domain))
+        })
+    }
+
+    /// One engine column: runs `engine`, `Universal`-wrapped, on `cell`
+    /// under the step budget. `None` when the cell's `(n, t)` is outside
+    /// the engine's registered band.
+    pub fn run_engine(&self, cell: &RunCell, engine: VectorSpec) -> Option<RunRecord> {
+        engine.applicable_to(cell.n, cell.t).then(|| {
+            let protocol = ProtocolAxis::wrapped(engine);
+            let spec = CellSpec::Run(RunCell { protocol, ..*cell });
+            let Outcome::Run(r) = execute_with_budget(&spec, self.scenarios.max_steps).outcome
+            else {
+                unreachable!("run cells produce run outcomes")
+            };
+            r
+        })
     }
 }
 
@@ -513,23 +438,18 @@ pub(crate) fn grade_runs(
     (columns, finding)
 }
 
-/// Executes one crosscheck cell: the classifier column (when in band)
-/// plus every engine column, graded. Pure function of the cell, so the
-/// worker pool can fan cells out in any order.
-pub fn execute_crosscheck(
-    cell: &CrosscheckCell,
-    engines: &[VectorSpec],
-    domain: u64,
-    max_steps: Option<u64>,
-) -> CrosscheckRecord {
-    let classifier = cell.classify(domain);
-    let runs = engines.iter().map(|&engine| {
-        let run = cell.run_engine(engine, max_steps);
+/// Executes one crosscheck cell of `matrix`: the classifier column (when
+/// in band) plus every engine column, graded. Pure function of the cell,
+/// so the worker pool can fan cells out in any order.
+pub fn execute_crosscheck(matrix: &CrosscheckMatrix, cell: &RunCell) -> CrosscheckRecord {
+    let classifier = matrix.classify(cell);
+    let runs = matrix.engines.iter().map(|&engine| {
+        let run = matrix.run_engine(cell, engine);
         (engine.name(), run.as_ref().map(RunRecord::verdict))
     });
     let (columns, detail) = grade_runs(classifier.as_ref(), runs);
     CrosscheckRecord {
-        key: cell.key(),
+        key: key(cell),
         verdict: classifier.map(|c| c.label()),
         columns,
         detail,
@@ -744,7 +664,7 @@ pub fn run_crosscheck(
     let started = Instant::now();
     let cells = matrix.cells();
     let results = pool::ordered_map(threads, cells.len(), |i| {
-        execute_crosscheck(&cells[i], &matrix.engines, matrix.domain, matrix.max_steps)
+        execute_crosscheck(matrix, &cells[i])
     });
     let mut records = Vec::with_capacity(cells.len());
     let mut timings = Vec::with_capacity(cells.len());
@@ -757,7 +677,7 @@ pub fn run_crosscheck(
         records.push(record);
     }
     let report = CrosscheckReport {
-        name: matrix.name.clone(),
+        name: matrix.scenarios.name.clone(),
         engines: matrix.engines.iter().map(|e| e.name()).collect(),
         cells: records,
     };
@@ -772,13 +692,13 @@ mod tests {
 
     fn tiny() -> CrosscheckMatrix {
         let mut m = CrosscheckMatrix::suite();
-        m.name = "crosscheck-tiny".into();
-        m.validities = vec![ValiditySpec::Median];
-        m.behaviors = vec![BehaviorId::Silent];
-        m.faults = vec![usize::MAX];
-        m.schedules = vec![ScheduleSpec::Synchronous];
-        m.systems = vec![(4, 1)];
-        m.seeds = 0..1;
+        let s = &mut m.scenarios;
+        s.name = "crosscheck-tiny".into();
+        s.validities = vec![ValiditySpec::Median];
+        s.behaviors = vec![BehaviorId::Silent];
+        s.faults = vec![usize::MAX];
+        s.schedules = vec![ScheduleSpec::Synchronous];
+        s.systems = vec![(4, 1)];
         m
     }
 
@@ -992,12 +912,12 @@ mod tests {
         let m = CrosscheckMatrix::suite();
         let cells = m.cells();
         assert!(!cells.is_empty());
-        let keys: Vec<String> = cells.iter().map(|c| c.key()).collect();
+        let keys: Vec<String> = cells.iter().map(key).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), keys.len(), "duplicate cells");
-        assert_eq!(keys, m.cells().iter().map(|c| c.key()).collect::<Vec<_>>());
+        assert_eq!(keys, m.cells().iter().map(key).collect::<Vec<_>>());
         // The suite must actually exercise applicability divergence: at
         // (16, 5) only the unbounded engine is in band, and the
         // classifier's 2¹⁶-configuration space is out of its budget.
@@ -1014,11 +934,11 @@ mod tests {
         // smoke's job): every faulty-network schedule, one validity, one
         // behavior, smallest system — the oracles must never split.
         let mut m = CrosscheckMatrix::chaos();
-        m.validities = vec![ValiditySpec::Median];
-        m.behaviors = vec![BehaviorId::Silent];
-        m.faults = vec![usize::MAX];
-        m.systems = vec![(4, 1)];
-        assert!(m.schedules.iter().all(|s| s.is_chaos()));
+        m.scenarios.validities = vec![ValiditySpec::Median];
+        m.scenarios.behaviors = vec![BehaviorId::Silent];
+        m.scenarios.faults = vec![usize::MAX];
+        m.scenarios.systems = vec![(4, 1)];
+        assert!(m.scenarios.schedules.iter().all(|s| s.is_chaos()));
         let (report, _, _) = run_crosscheck(&m, 0);
         assert!(
             report.disagreements().is_empty(),
@@ -1047,8 +967,8 @@ mod tests {
     #[test]
     fn report_is_byte_identical_across_thread_counts() {
         let mut m = tiny();
-        m.systems = vec![(4, 1), (7, 2)];
-        m.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
+        m.scenarios.systems = vec![(4, 1), (7, 2)];
+        m.scenarios.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
         let (one, _, _) = run_crosscheck(&m, 1);
         let (many, _, _) = run_crosscheck(&m, 0);
         assert_eq!(one.to_json(), many.to_json());
@@ -1058,9 +978,9 @@ mod tests {
     #[test]
     fn timings_name_every_cell_in_matrix_order() {
         let mut m = tiny();
-        m.seeds = 0..3;
+        m.scenarios.seeds = 0..3;
         let (report, _, timings) = run_crosscheck(&m, 2);
-        let keys: Vec<String> = m.cells().iter().map(|c| c.key()).collect();
+        let keys: Vec<String> = m.cells().iter().map(key).collect();
         let timed: Vec<&str> = timings.iter().map(|t| t.label.as_str()).collect();
         assert_eq!(timed, keys);
         assert_eq!(report.cells.len(), keys.len());

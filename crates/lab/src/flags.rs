@@ -21,11 +21,11 @@ pub enum Command {
     Run,
     /// `lab run --suite <sweep suite>`: the suite fixes the axes.
     RunSuite,
-    /// `lab service` (and its synonym `lab run --suite service`).
+    /// `lab service`.
     Service,
-    /// `lab crosscheck` (and `lab run --suite crosscheck`).
+    /// `lab crosscheck`.
     Crosscheck,
-    /// `lab mutate` (and `lab run --suite mutate`).
+    /// `lab mutate`.
     Mutate,
     /// `lab trend`.
     Trend,
@@ -143,11 +143,7 @@ const FIXED_AXES: &[(Command, &str)] = &[
 
 /// Every flag of every flag-taking `lab` subcommand.
 pub const FLAGS: &[Flag] = &[
-    value(
-        "--suite",
-        &[Run, RunSuite, Service, Crosscheck, Mutate],
-        &[],
-    ),
+    value("--suite", SWEEP, &[]),
     value(
         "--threads",
         &[Run, RunSuite, Service, Crosscheck, Mutate, Trend],

@@ -102,7 +102,7 @@ pub mod trend;
 
 pub use crosscheck::{
     classifier_in_band, compare_emitted, execute_crosscheck, grade, run_crosscheck, AgreementLevel,
-    CrosscheckCell, CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, EngineColumn, Finding,
+    CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, EngineColumn, Finding,
     CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
 };
 pub use executor::{

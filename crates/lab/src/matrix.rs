@@ -990,25 +990,26 @@ impl ScenarioMatrix {
         out
     }
 
+    /// The run product in axis order (protocol, validity, behavior, fault
+    /// load, schedule, system, seed): every [`ScenarioMatrix::run_templates`]
+    /// group crossed with the seed range.
+    pub fn run_cells(&self) -> impl Iterator<Item = RunCell> + '_ {
+        self.run_templates()
+            .into_iter()
+            .flat_map(|template| self.seeds.clone().map(move |seed| template.with_seed(seed)))
+    }
+
     /// Enumerates the matrix into a deterministically ordered cell list:
-    /// classification cells first, then the run product in axis order
-    /// (protocol, validity, behavior, fault load, schedule, system, seed).
+    /// classification cells first, then [`ScenarioMatrix::run_cells`].
     ///
     /// For an adaptive matrix this is the *static* enumeration over the
     /// declared seed range; the engine's realized cell list depends on
     /// each group's stopping decision (see [`ScenarioMatrix::work_units`]).
     pub fn cells(&self) -> Vec<CellSpec> {
-        let mut out: Vec<CellSpec> = self
-            .classifications
-            .iter()
-            .map(|c| CellSpec::Classify(*c))
-            .collect();
-        for template in self.run_templates() {
-            for seed in self.seeds.clone() {
-                out.push(CellSpec::Run(template.with_seed(seed)));
-            }
-        }
-        out
+        let classify = self.classifications.iter().map(|c| CellSpec::Classify(*c));
+        classify
+            .chain(self.run_cells().map(CellSpec::Run))
+            .collect()
     }
 
     /// Enumerates the matrix's *work units* — the granularity adaptive

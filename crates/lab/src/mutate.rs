@@ -37,11 +37,10 @@
 
 use std::time::{Duration, Instant};
 
-use validity_adversary::BehaviorId;
 use validity_core::Classification;
 use validity_protocols::{mutant_spec, MutationOp, VectorSpec};
 
-use crate::crosscheck::{grade_runs, AgreementLevel, CrosscheckMatrix, Finding};
+use crate::crosscheck::{self, grade_runs, AgreementLevel, CrosscheckMatrix, Finding};
 use crate::matrix::{ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
@@ -74,17 +73,16 @@ impl MutateMatrix {
     /// `cells × (engines + mutants)` simulations.
     pub fn suite() -> MutateMatrix {
         let mut grid = CrosscheckMatrix::new("mutate");
-        grid.validities = vec![ValiditySpec::Strong];
-        grid.behaviors = vec![BehaviorId::Silent];
-        grid.faults = vec![0, usize::MAX];
-        grid.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
-        grid.systems = vec![(4, 1), (7, 2)];
-        grid.seeds = 0..1;
+        let s = &mut grid.scenarios;
+        s.validities = vec![ValiditySpec::Strong];
+        s.faults = vec![0, usize::MAX];
+        s.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
+        s.systems = vec![(4, 1), (7, 2)];
         // A mutant may legitimately stall (skip-broadcast starves a
         // quorum); the budget turns that into a quarantine verdict the
         // divergence check can convict, instead of a hung gate. The
         // largest clean run on this grid takes 1 755 events.
-        grid.max_steps = Some(50_000);
+        s.max_steps = Some(50_000);
         MutateMatrix {
             grid,
             operators: MutationOp::ALL.to_vec(),
@@ -406,7 +404,9 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
         .chain(mutants.iter().map(|&(_, _, spec)| spec))
         .collect();
     let mut results = pool::ordered_map(threads, cells.len() * columns.len(), |k| {
-        cells[k / columns.len()].run_engine(columns[k % columns.len()], matrix.grid.max_steps)
+        matrix
+            .grid
+            .run_engine(&cells[k / columns.len()], columns[k % columns.len()])
     })
     .map(|(run, _wall)| run);
     let runs: Vec<Vec<Option<RunRecord>>> = cells
@@ -417,7 +417,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
     // Classifier column, once per cell (cheap at grid sizes).
     let classifiers: Vec<Option<Classification<u64>>> = cells
         .iter()
-        .map(|cell| cell.classify(matrix.grid.domain))
+        .map(|cell| matrix.grid.classify(cell))
         .collect();
     // Rule 1: the oracle ensemble's disagreement on cell `i` — the clean
     // columns, plus column `mutant` when given.
@@ -431,7 +431,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
     };
     // Baseline: the clean registry must not disagree with itself.
     let false_kills = (0..cells.len())
-        .filter_map(|i| Some((cells[i].key(), disagreement(i, None)?)))
+        .filter_map(|i| Some((crosscheck::key(&cells[i]), disagreement(i, None)?)))
         .collect();
     // Each mutant dies at its first conviction in cell order.
     let fates = mutants
@@ -444,7 +444,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
                 let evidence = disagreement(i, Some(column))
                     .or_else(|| judge(engines[e], row[e].as_ref()?, row[column].as_ref()?))?;
                 Some(Fate::Killed {
-                    cell: cells[i].key(),
+                    cell: crosscheck::key(&cells[i]),
                     evidence,
                 })
             });
@@ -457,7 +457,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
         })
         .collect();
     let report = MutateReport {
-        name: matrix.grid.name.clone(),
+        name: matrix.grid.scenarios.name.clone(),
         engines,
         operators: matrix.operators.clone(),
         cells: cells.len(),
@@ -474,9 +474,9 @@ mod tests {
     /// A one-cell matrix over a trimmed corpus, for fast unit tests.
     fn tiny(operators: Vec<MutationOp>) -> MutateMatrix {
         let mut m = MutateMatrix::suite();
-        m.grid.schedules = vec![ScheduleSpec::Synchronous];
-        m.grid.systems = vec![(4, 1)];
-        m.grid.faults = vec![0];
+        m.grid.scenarios.schedules = vec![ScheduleSpec::Synchronous];
+        m.grid.scenarios.systems = vec![(4, 1)];
+        m.grid.scenarios.faults = vec![0];
         m.operators = operators;
         m
     }

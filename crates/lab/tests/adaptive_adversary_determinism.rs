@@ -40,10 +40,6 @@ const ADAPTIVE_CROSSCHECK_JSON: &str =
 const ADAPTIVE_CROSSCHECK_MD: &str =
     "be21561aac6c9e5aa1f6b0b308ffa32cf47a70da4c11883f46271b08478ebf90";
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 #[test]
 fn every_adaptive_behavior_sweeps_byte_identically_across_thread_counts() {
     for behavior in BehaviorId::ADAPTIVE {
@@ -75,12 +71,12 @@ fn adaptive_suite_matches_golden_fingerprint() {
     let (report, _) = SweepEngine::new(0).run(&m);
     assert_eq!(report.violations(), 0);
     assert_eq!(
-        hex(sha256(report.to_json()).as_ref()),
+        sha256(report.to_json()).to_hex(),
         ADAPTIVE_SWEEP_JSON,
         "adaptive sweep JSON drifted from its recorded fingerprint"
     );
     assert_eq!(
-        hex(sha256(report.to_markdown()).as_ref()),
+        sha256(report.to_markdown()).to_hex(),
         ADAPTIVE_SWEEP_MD,
         "adaptive sweep Markdown drifted from its recorded fingerprint"
     );
@@ -101,12 +97,12 @@ fn adaptive_crosscheck_is_byte_identical_and_matches_golden_fingerprint() {
     assert!(one.count(AgreementLevel::Full) > 0);
 
     assert_eq!(
-        hex(sha256(one.to_json()).as_ref()),
+        sha256(one.to_json()).to_hex(),
         ADAPTIVE_CROSSCHECK_JSON,
         "adaptive crosscheck JSON drifted from its recorded fingerprint"
     );
     assert_eq!(
-        hex(sha256(one.to_markdown()).as_ref()),
+        sha256(one.to_markdown()).to_hex(),
         ADAPTIVE_CROSSCHECK_MD,
         "adaptive crosscheck Markdown drifted from its recorded fingerprint"
     );

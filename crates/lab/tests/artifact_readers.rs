@@ -127,7 +127,7 @@ fn crosscheck() -> &'static Artifact {
     static A: OnceLock<Artifact> = OnceLock::new();
     A.get_or_init(|| {
         let mut m = CrosscheckMatrix::suite();
-        m.systems = vec![(4, 1)];
+        m.scenarios.systems = vec![(4, 1)];
         let (report, _, _) = run_crosscheck(&m, 2);
         Artifact {
             text: report.to_json(),

@@ -1,36 +1,48 @@
-//! CLI parity of the suite synonym paths, and the flag table end to end.
+//! The `lab` CLI's flag surface, end to end. Pinned here:
 //!
-//! `lab run --suite service` delegates to the service driver,
-//! `lab run --suite crosscheck` to the crosscheck driver and
-//! `lab run --suite mutate` to the mutate driver, each with its argv
-//! intact — so the synonym and the direct subcommand must behave
-//! identically. Pinned here:
-//!
-//! 1. **Dry-run parity.** `lab run --suite <x> --dry-run` and
-//!    `lab <x> --dry-run` print the same cell count (byte-identical
-//!    stdout). A count that differs between the two spellings would mean
-//!    the synonym path silently runs a different grid.
+//! 1. **One door per driver.** `lab service`, `lab crosscheck` and
+//!    `lab mutate` are the only way to run a driver: `lab run --suite`
+//!    takes sweep suites only, and `lab list --names` prints exactly
+//!    those.
 //! 2. **The flag table is the behaviour.** Every `(command, flag)` pair of
-//!    [`validity_lab::flags::FLAGS`] is driven through the real binary, on
-//!    every spelling of the command: accepted flags pass validation,
-//!    refused flags are refused with the flag named, everything else is an
-//!    unknown option. Nothing is mirrored by hand — the test walks the
-//!    table the binary validates against.
+//!    [`validity_lab::flags::FLAGS`] is driven through the real binary:
+//!    accepted flags pass validation, refused flags are refused with the
+//!    flag named, everything else is an unknown option. Nothing is
+//!    mirrored by hand — the test walks the table the binary validates
+//!    against.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
-//!    flags it would otherwise ignore, an empty or reversed `--seeds`
-//!    range and a zero `--max-steps` budget are errors on every driver,
-//!    and so are a repeated flag and a flag sitting where another flag's
+//!    flags it would otherwise ignore; a custom matrix that enumerates no
+//!    cell, an empty operator list, an empty or reversed `--seeds` range
+//!    and a zero `--max-steps` budget are errors that name the flag; and
+//!    so are a repeated flag and a flag sitting where another flag's
 //!    value belongs.
 
 use std::process::{Command as Process, Output};
 
 use validity_lab::flags::{Command, FLAGS};
+use validity_lab::suites;
 
 fn lab(args: &[&str]) -> Output {
     Process::new(env!("CARGO_BIN_EXE_lab"))
         .args(args)
         .output()
         .expect("spawn lab binary")
+}
+
+/// Runs `lab` in an empty directory of its own and counts the files the
+/// run left there.
+fn lab_in_empty_dir(args: &[&str]) -> (Output, usize) {
+    let dir =
+        std::env::temp_dir().join(format!("lab-cli-{}-{}", std::process::id(), args.join("_")));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Process::new(env!("CARGO_BIN_EXE_lab"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn lab binary");
+    let written = std::fs::read_dir(&dir).unwrap().count();
+    std::fs::remove_dir_all(&dir).unwrap();
+    (out, written)
 }
 
 fn stdout(out: &Output) -> String {
@@ -41,92 +53,138 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Every argv prefix that reaches `command`'s flag surface.
-fn spellings(command: Command) -> Vec<Vec<&'static str>> {
+/// The argv prefix that reaches `command`'s flag surface.
+fn spelling(command: Command) -> Vec<&'static str> {
     match command {
-        Command::Run => vec![vec!["run"]],
-        Command::RunSuite => vec![vec!["run", "--suite", "quick"]],
-        Command::Service => vec![vec!["service"], vec!["run", "--suite", "service"]],
-        Command::Crosscheck => vec![vec!["crosscheck"], vec!["run", "--suite", "crosscheck"]],
-        Command::Mutate => vec![vec!["mutate"], vec!["run", "--suite", "mutate"]],
-        Command::Trend => vec![vec!["trend"]],
-        Command::Merge => vec![vec!["merge"]],
+        Command::Run => vec!["run"],
+        Command::RunSuite => vec!["run", "--suite", "quick"],
+        Command::Service => vec!["service"],
+        Command::Crosscheck => vec!["crosscheck"],
+        Command::Mutate => vec!["mutate"],
+        Command::Trend => vec!["trend"],
+        Command::Merge => vec!["merge"],
     }
 }
 
 #[test]
 fn every_command_flag_pair_behaves_as_the_table_says() {
     for command in Command::ALL {
-        for prefix in spellings(command) {
-            for flag in FLAGS {
-                if prefix.contains(&flag.name) {
-                    continue; // the spelling itself already exercises it
-                }
-                // Validation is one left-to-right pass, so a trailing stray
-                // positional turns "this flag passed validation" into a
-                // prompt, side-effect-free exit for every command — even
-                // the ones with no --dry-run. `lab merge` takes positionals:
-                // there the stray is a partial that does not exist.
-                let mut args = prefix.clone();
-                args.push(flag.name);
-                if flag.takes_value {
-                    args.push("0");
-                }
-                args.push("stray");
-                let out = lab(&args);
-                let err = stderr(&out);
-                assert!(!out.status.success(), "{args:?} must not succeed");
-                let want = if let Some(why) = flag.refusal(command) {
-                    format!(
-                        "{} is not available with `{}`: {why}",
-                        flag.name,
-                        command.invocation()
-                    )
-                } else if !flag.accepted.contains(&command) {
-                    format!("unknown option '{}'", flag.name)
-                } else if command.takes_positionals() {
-                    "cannot read stray".to_string()
-                } else {
-                    "unexpected argument 'stray'".to_string()
-                };
-                assert!(err.contains(&want), "{args:?}: want `{want}`, got: {err}");
+        let prefix = spelling(command);
+        for flag in FLAGS {
+            if prefix.contains(&flag.name) {
+                continue; // the spelling itself already exercises it
             }
+            // Validation is one left-to-right pass, so a trailing stray
+            // positional turns "this flag passed validation" into a
+            // prompt, side-effect-free exit for every command — even the
+            // ones with no --dry-run. `lab merge` takes positionals: there
+            // the stray is a partial that does not exist.
+            let mut args = prefix.clone();
+            args.push(flag.name);
+            if flag.takes_value {
+                args.push("0");
+            }
+            args.push("stray");
+            let out = lab(&args);
+            let err = stderr(&out);
+            assert!(!out.status.success(), "{args:?} must not succeed");
+            let want = if let Some(why) = flag.refusal(command) {
+                format!(
+                    "{} is not available with `{}`: {why}",
+                    flag.name,
+                    command.invocation()
+                )
+            } else if !flag.accepted.contains(&command) {
+                format!("unknown option '{}'", flag.name)
+            } else if command.takes_positionals() {
+                "cannot read stray".to_string()
+            } else {
+                "unexpected argument 'stray'".to_string()
+            };
+            assert!(err.contains(&want), "{args:?}: want `{want}`, got: {err}");
         }
     }
 }
 
 #[test]
-fn dry_run_counts_match_across_spellings() {
+fn each_driver_has_one_door() {
     for driver in ["service", "crosscheck", "mutate"] {
         let direct = lab(&[driver, "--dry-run"]);
-        let synonym = lab(&["run", "--suite", driver, "--dry-run"]);
         assert!(direct.status.success(), "{}", stderr(&direct));
-        assert!(synonym.status.success(), "{}", stderr(&synonym));
-        assert_eq!(stdout(&direct), stdout(&synonym));
-        assert!(
-            stdout(&direct).contains(" cells "),
-            "dry-run must print a cell count: {}",
-            stdout(&direct)
-        );
+        assert!(stdout(&direct).contains(" cells "), "{}", stdout(&direct));
+        // `lab run --suite <driver>` used to run the driver too.
+        let out = lab(&["run", "--suite", driver, "--dry-run"]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let want = format!("'{driver}' is a driver: run `lab {driver}`");
+        assert!(stderr(&out).contains(&want), "{}", stderr(&out));
     }
+    let names = lab(&["list", "--names"]);
+    assert!(names.status.success(), "{}", stderr(&names));
+    assert_eq!(stdout(&names).lines().collect::<Vec<_>>(), suites::ALL);
 }
 
 #[test]
-fn accepted_flags_still_work_on_the_synonym_path() {
-    // The synonym path forwards value flags, not just switches: a seed
-    // override must change the enumerated count the same way on both
-    // spellings.
-    for (driver, seeds) in [("service", "0..4"), ("crosscheck", "0..2")] {
-        let direct = lab(&[driver, "--seeds", seeds, "--dry-run"]);
-        let synonym = lab(&["run", "--suite", driver, "--seeds", seeds, "--dry-run"]);
-        assert!(direct.status.success(), "{}", stderr(&direct));
-        assert_eq!(stdout(&direct), stdout(&synonym));
+fn a_custom_matrix_with_no_cell_is_refused_by_the_flag_that_emptied_it() {
+    // Each used to print `custom: 0 cells` and exit 0.
+    for (axis, why) in [
+        (["--validities", ","], "--validities lists nothing"),
+        (
+            ["--validities", "parity"],
+            "--validities lists no property with a closed-form Λ",
+        ),
+        (["--systems", ";"], "--systems lists no valid (n, t) pair"),
+        (["--systems", "3,3"], "--systems lists no valid (n, t) pair"),
+        (["--protocols", ","], "--protocols lists nothing"),
+        (["--behaviors", ","], "--behaviors lists nothing"),
+        (["--faults", ","], "--faults lists nothing"),
+        (["--schedules", ","], "--schedules lists nothing"),
+    ] {
+        for tail in [&["--dry-run"][..], &[][..]] {
+            let mut args = vec!["run", axis[0], axis[1]];
+            args.extend(tail);
+            let (out, written) = lab_in_empty_dir(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            assert_eq!(written, 0, "{args:?} wrote a report");
+            let err = stderr(&out);
+            assert!(err.contains(why), "{args:?} must name the flag; got: {err}");
+        }
+    }
+    // The boundary the check must not move: a raw protocol ignores the
+    // validity axis, so an empty one still leaves cells.
+    let out = lab(&[
+        "run",
+        "--protocols",
+        "alg1-auth",
+        "--validities",
+        ",",
+        "--dry-run",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).starts_with("custom: 8 cells"),
+        "{}",
+        stdout(&out)
+    );
+}
+
+#[test]
+fn an_empty_operator_list_is_refused() {
+    // Used to run "0 mutant(s): 0 killed" and exit 0.
+    for tail in [&["--dry-run"][..], &[][..]] {
+        let mut args = vec!["mutate", "--operators", ","];
+        args.extend(tail);
+        let (out, written) = lab_in_empty_dir(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(written, 0, "{args:?} wrote a report");
+        let err = stderr(&out);
         assert!(
-            stdout(&direct).contains(&format!("seeds {seeds}")),
-            "{}",
-            stdout(&direct)
+            err.contains("--operators ',' names no operator"),
+            "{args:?} must name the flag; got: {err}"
         );
     }
+    let out = lab(&["mutate", "--operators", "shift-proposal", "--dry-run"]);
+    assert!(out.status.success(), "{}", stderr(&out));
 }
 
 #[test]
@@ -163,12 +221,7 @@ fn a_built_in_suite_refuses_the_custom_axis_flags_it_would_ignore() {
 
 #[test]
 fn empty_or_reversed_seed_ranges_are_refused_by_every_driver() {
-    let mut spellings: Vec<Vec<&str>> = vec![vec!["run"]];
-    for driver in ["service", "crosscheck", "mutate"] {
-        spellings.push(vec![driver]);
-        spellings.push(vec!["run", "--suite", driver]);
-    }
-    for prefix in spellings {
+    for prefix in ["run", "service", "crosscheck", "mutate"].map(|c| vec![c]) {
         for seeds in ["2..2", "3..1"] {
             let mut args = prefix.clone();
             args.extend(["--seeds", seeds, "--dry-run"]);
@@ -231,10 +284,7 @@ fn a_repeated_flag_is_refused_instead_of_taking_the_first() {
                 "--dry-run",
             ],
         ),
-        (
-            "--dry-run",
-            vec!["run", "--suite", "service", "--dry-run", "--dry-run"],
-        ),
+        ("--dry-run", vec!["service", "--dry-run", "--dry-run"]),
         (
             "--threads",
             vec!["run", "--threads", "1", "--threads", "2", "--dry-run"],

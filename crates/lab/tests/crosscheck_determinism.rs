@@ -28,10 +28,6 @@ const CROSSCHECK_JSON: &str = "b3a8962d15124d980888db423516f66171c09c86c5d5e6f03
 /// SHA-256 of the same suite's Markdown rendering.
 const CROSSCHECK_MD: &str = "4849e8c8fb34dab9878112bd9ed15bd24016ddb129bb92b94bbaa5d645d3b656";
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 #[test]
 fn crosscheck_suite_is_byte_identical_across_thread_counts() {
     let matrix = CrosscheckMatrix::suite();
@@ -62,12 +58,12 @@ fn crosscheck_suite_is_byte_identical_across_thread_counts() {
 fn crosscheck_suite_matches_golden_fingerprint() {
     let (report, _, _) = run_crosscheck(&CrosscheckMatrix::suite(), 0);
     assert_eq!(
-        hex(sha256(report.to_json()).as_ref()),
+        sha256(report.to_json()).to_hex(),
         CROSSCHECK_JSON,
         "crosscheck JSON drifted from its recorded fingerprint"
     );
     assert_eq!(
-        hex(sha256(report.to_markdown()).as_ref()),
+        sha256(report.to_markdown()).to_hex(),
         CROSSCHECK_MD,
         "crosscheck Markdown drifted from its recorded fingerprint"
     );

@@ -30,10 +30,6 @@ const QUICK_FIXED_MD: &str = "e48bbae9744372d5c561bb564f5cd763d07716124b1edead90
 const QUICK_ADAPTIVE_JSON: &str =
     "9a837f4568e00f37d5a6b720c219f0de3913adc0542befb157fafc1d3c682b2b";
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 fn quick_report(threads: usize, adaptive: bool) -> SweepReport {
     quick_report_observed(threads, adaptive, false)
 }
@@ -52,12 +48,12 @@ fn quick_suite_fixed_report_matches_pre_refactor_fingerprint() {
     for threads in [1, 0] {
         let report = quick_report(threads, false);
         assert_eq!(
-            hex(sha256(report.to_json()).as_ref()),
+            sha256(report.to_json()).to_hex(),
             QUICK_FIXED_JSON,
             "quick JSON drifted from the pre-refactor engine (threads {threads})"
         );
         assert_eq!(
-            hex(sha256(report.to_markdown()).as_ref()),
+            sha256(report.to_markdown()).to_hex(),
             QUICK_FIXED_MD,
             "quick Markdown drifted from the pre-refactor engine (threads {threads})"
         );
@@ -69,7 +65,7 @@ fn quick_suite_adaptive_report_matches_pre_refactor_fingerprint() {
     for threads in [1, 0] {
         let report = quick_report(threads, true);
         assert_eq!(
-            hex(sha256(report.to_json()).as_ref()),
+            sha256(report.to_json()).to_hex(),
             QUICK_ADAPTIVE_JSON,
             "adaptive quick JSON drifted from the pre-refactor engine (threads {threads})"
         );
@@ -84,18 +80,18 @@ fn quick_suite_adaptive_report_matches_pre_refactor_fingerprint() {
 fn observed_runs_match_the_unobserved_fingerprints() {
     let report = quick_report_observed(0, false, true);
     assert_eq!(
-        hex(sha256(report.to_json()).as_ref()),
+        sha256(report.to_json()).to_hex(),
         QUICK_FIXED_JSON,
         "--observe changed the canonical quick JSON"
     );
     assert_eq!(
-        hex(sha256(report.to_markdown()).as_ref()),
+        sha256(report.to_markdown()).to_hex(),
         QUICK_FIXED_MD,
         "--observe changed the canonical quick Markdown"
     );
     let adaptive = quick_report_observed(0, true, true);
     assert_eq!(
-        hex(sha256(adaptive.to_json()).as_ref()),
+        sha256(adaptive.to_json()).to_hex(),
         QUICK_ADAPTIVE_JSON,
         "--observe changed the canonical adaptive quick JSON"
     );

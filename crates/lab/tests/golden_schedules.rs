@@ -42,10 +42,6 @@ const LEGACY_SCHEDULE_JSON: [(&str, &str); 4] = [
     ),
 ];
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 /// A small fixed matrix that still exercises both the pre- and post-GST
 /// delay paths of one schedule: the universal wrapper over the
 /// authenticated engine, two behaviors (one silent, one equivocating),
@@ -74,7 +70,7 @@ fn every_legacy_schedule_matches_its_pre_netmodel_fingerprint() {
         for threads in [1, 0] {
             let report = schedule_report(schedule, threads);
             assert_eq!(
-                hex(sha256(report.to_json()).as_ref()),
+                sha256(report.to_json()).to_hex(),
                 want,
                 "schedule '{name}' JSON drifted from the pre-NetModel engine (threads {threads})"
             );

@@ -30,10 +30,6 @@ const MUTATE_JSON: &str = "a5cca01dc757f3c25754e1dac651958fac96ed6af4cc599159faa
 /// SHA-256 of the same corpus's Markdown rendering.
 const MUTATE_MD: &str = "219a8d5d34801cb05094be232c075e2c824f9707505fc9967859d01df865ead7";
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 #[test]
 fn kill_matrix_is_byte_identical_across_thread_counts() {
     let matrix = MutateMatrix::suite();
@@ -70,12 +66,12 @@ fn kill_matrix_is_byte_identical_across_thread_counts() {
 fn kill_matrix_matches_golden_fingerprint() {
     let (report, _) = run_mutate(&MutateMatrix::suite(), 0);
     assert_eq!(
-        hex(sha256(report.to_json()).as_ref()),
+        sha256(report.to_json()).to_hex(),
         MUTATE_JSON,
         "mutate JSON drifted from its recorded fingerprint"
     );
     assert_eq!(
-        hex(sha256(report.to_markdown()).as_ref()),
+        sha256(report.to_markdown()).to_hex(),
         MUTATE_MD,
         "mutate Markdown drifted from its recorded fingerprint"
     );

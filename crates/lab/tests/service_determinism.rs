@@ -34,10 +34,6 @@ const SERVICE_JSON: &str = "b607dfd5cff2cfaad9b3b7ca7c368a270f275fda4d8cba7f4a43
 /// SHA-256 of the same suite's Markdown rendering.
 const SERVICE_MD: &str = "6391ba79f11fdd595a96ffb642af2358490b0d683485eef26e60c82448730cfc";
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 #[test]
 fn service_suite_is_byte_identical_across_thread_counts() {
     let matrix = ServiceMatrix::suite();
@@ -54,12 +50,12 @@ fn service_suite_is_byte_identical_across_thread_counts() {
 fn service_suite_matches_golden_fingerprint() {
     let (report, _, _) = run_service(&ServiceMatrix::suite(), 0);
     assert_eq!(
-        hex(sha256(report.to_json()).as_ref()),
+        sha256(report.to_json()).to_hex(),
         SERVICE_JSON,
         "service JSON drifted from its recorded fingerprint"
     );
     assert_eq!(
-        hex(sha256(report.to_markdown()).as_ref()),
+        sha256(report.to_markdown()).to_hex(),
         SERVICE_MD,
         "service Markdown drifted from its recorded fingerprint"
     );
