@@ -13,10 +13,10 @@
 //!
 //! Two of the paper's findings become visible here:
 //!
-//! * refinement does **not** preserve solvability in either direction —
-//!   Exact-Median refines (is stricter than) the solvable Median-with-slack
-//!   yet is unsolvable, while the trivial property is refined by everything
-//!   and always solvable;
+//! * solvability and triviality are **upward-closed** under refinement, and
+//!   only downward can it fail: Exact-Median refines the solvable
+//!   Median-with-slack yet is unsolvable (checked over the `fig1` grid by
+//!   `tests/theorems.rs::refinement_preserves_solvability_upward_only`);
 //! * the paper's actual "strongest" notion is different: *Vector Validity*
 //!   is strongest in the sense that a solution to vector consensus yields a
 //!   solution to every solvable property at no extra cost (§5.2.2) — a
@@ -94,102 +94,5 @@ pub fn compare<V: Value>(
             val1_exceeds_at: a,
             val2_exceeds_at: b,
         },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::solvability::classify;
-    use crate::validity::{
-        ConvexHullValidity, CorrectProposalValidity, ExactMedianValidity, MedianValidity,
-        ParityValidity, StrongValidity, TrivialValidity, WeakValidity,
-    };
-
-    fn params() -> SystemParams {
-        SystemParams::new(4, 1).unwrap()
-    }
-
-    #[test]
-    fn strong_refines_weak() {
-        let d = Domain::binary();
-        let cmp = compare(&StrongValidity, &WeakValidity, params(), &d);
-        assert!(cmp.is_refinement());
-        assert!(matches!(cmp, Comparison::Refines { .. }));
-    }
-
-    #[test]
-    fn correct_proposal_refines_strong() {
-        let d = Domain::range(3);
-        let cmp = compare(&CorrectProposalValidity, &StrongValidity, params(), &d);
-        assert!(cmp.is_refinement());
-    }
-
-    #[test]
-    fn exact_median_refines_median_refines_hull() {
-        let d = Domain::range(3);
-        assert!(compare(
-            &ExactMedianValidity,
-            &MedianValidity::with_slack(1),
-            params(),
-            &d
-        )
-        .is_refinement());
-        assert!(compare(
-            &MedianValidity::with_slack(1),
-            &ConvexHullValidity,
-            params(),
-            &d
-        )
-        .is_refinement());
-    }
-
-    #[test]
-    fn everything_refines_trivial() {
-        let d = Domain::binary();
-        let trivial = TrivialValidity::new(0u64);
-        assert!(compare(&StrongValidity, &trivial, params(), &d).is_refinement());
-        assert!(compare(&ParityValidity, &trivial, params(), &d).is_refinement());
-        assert!(compare(&ExactMedianValidity, &trivial, params(), &d).is_refinement());
-    }
-
-    #[test]
-    fn parity_and_strong_are_incomparable() {
-        let d = Domain::binary();
-        let cmp = compare(&ParityValidity, &StrongValidity, params(), &d);
-        assert!(matches!(cmp, Comparison::Incomparable { .. }));
-    }
-
-    #[test]
-    fn comparison_is_reflexively_equivalent() {
-        let d = Domain::binary();
-        assert_eq!(
-            compare(&StrongValidity, &StrongValidity, params(), &d),
-            Comparison::Equivalent
-        );
-    }
-
-    #[test]
-    fn comparison_is_antisymmetric_in_direction() {
-        let d = Domain::binary();
-        let ab = compare(&StrongValidity, &WeakValidity, params(), &d);
-        let ba = compare(&WeakValidity, &StrongValidity, params(), &d);
-        assert!(matches!(ab, Comparison::Refines { .. }));
-        assert!(matches!(ba, Comparison::RefinedBy { .. }));
-    }
-
-    /// The paper-level insight: refinement does NOT preserve solvability in
-    /// either direction.
-    #[test]
-    fn refinement_does_not_order_solvability() {
-        let p = params();
-        let d = Domain::binary();
-        // Exact-Median refines Median(slack 1)…
-        assert!(
-            compare(&ExactMedianValidity, &MedianValidity::with_slack(1), p, &d).is_refinement()
-        );
-        // …but the finer property is unsolvable while the coarser is solvable.
-        assert!(!classify(&ExactMedianValidity, p, &d).is_solvable());
-        assert!(classify(&MedianValidity::with_slack(1), p, &d).is_solvable());
     }
 }

@@ -18,8 +18,8 @@
 //!   machine-checkable witnesses (module [`solvability`]);
 //! * the canonical-similarity decision checker of Lemma 1 (module
 //!   [`canonical`]);
-//! * the Appendix C extended formalism for blockchain-style validity
-//!   (module [`extended`]).
+//! * §1's hierarchy of validity properties, under which solvability and
+//!   triviality are upward-closed (module [`hierarchy`]).
 //!
 //! ## Example: classifying a validity property
 //!
@@ -43,7 +43,6 @@
 
 pub mod canonical;
 pub mod config;
-pub mod extended;
 pub mod hierarchy;
 pub mod lambda;
 pub mod process;

@@ -115,11 +115,6 @@ where
         self.vectors.get(h)
     }
 
-    /// Whether this process has stopped participating.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Starts disseminating `vector` (line 8).
     pub fn disseminate(
         &mut self,

@@ -493,11 +493,6 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         &self.probe
     }
 
-    /// Mutable access to the probe.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
-    }
-
     /// Consumes the simulation and returns the probe.
     pub fn into_probe(self) -> P {
         self.probe

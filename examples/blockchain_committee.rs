@@ -1,26 +1,19 @@
-//! A committee-based blockchain — the Appendix C motivating scenario for
-//! the *extended formalism* and External Validity.
+//! A committee-based blockchain — the paper's motivating scenario for
+//! External Validity.
 //!
 //! Clients sign transactions; committee servers each pick up one pending
 //! transaction and run **vector consensus** (Algorithm 1) to agree on the
 //! block content: the decided vector of `n − t` transactions *is* the
 //! block. External Validity ("every transaction in the block carries a
-//! valid client signature") is checked with the Appendix C machinery:
-//! servers cannot forge client signatures, so the decision space is only
-//! *discoverable* from the inputs — exactly what the `discover` function
-//! and Assumptions 1–2 capture.
+//! valid client signature") is the signature predicate applied to each
+//! block transaction, and Vector Validity checks that every one of them is
+//! a correct server's own proposal.
 //!
 //! ```sh
 //! cargo run --example blockchain_committee
 //! ```
 
-use std::collections::BTreeSet;
-
 use consensus_validity::prelude::*;
-use validity_core::extended::{
-    check_assumption_1, check_assumption_2, Discover, ExtInputConfig, ExtValidityProperty,
-    ExternalValidity,
-};
 
 /// A signed transaction: `payload#tag` where the tag is issued by the
 /// client wallet. (Tag = truncated SHA-256 of the wallet secret and
@@ -41,17 +34,6 @@ fn tx_is_valid(tx: &str) -> bool {
     };
     let expect = validity_crypto::sha256(format!("wallet:{wallet}:{payload}"));
     tag == &expect.to_hex()[..12]
-}
-
-/// Appendix C discovery: from a set of known signed transactions, the
-/// discoverable "blocks" are the transactions themselves (servers can
-/// reorder but never mint signatures).
-struct TxDiscover;
-
-impl Discover<String, String> for TxDiscover {
-    fn discover(&self, inputs: &BTreeSet<String>) -> BTreeSet<String> {
-        inputs.clone()
-    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -103,31 +85,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  from {server}: {tx}");
     }
 
-    // --- External Validity over the block content (Appendix C property).
-    let external = ExternalValidity::new("client-signed", |tx: &String| tx_is_valid(tx));
-    let actual = InputConfig::from_pairs(params, (0..3).map(|i| (i, mempool[i].clone())))?;
-    let ext_config = ExtInputConfig::new(actual.clone(), [mempool[3].clone()])?;
-    for (_, tx) in block.pairs() {
-        assert!(
-            external.is_admissible(&ext_config, tx),
-            "block contains an unsigned transaction"
-        );
-    }
+    // --- External Validity over the block content: every transaction
+    // carries a valid client signature.
+    assert!(
+        block.pairs().all(|(_, tx)| tx_is_valid(tx)),
+        "block contains an unsigned transaction"
+    );
     println!("\n✔ External Validity: every block transaction is client-signed");
 
-    // --- Vector Validity against the formalism: no correct server is
-    // misrepresented in the block.
+    // --- Vector Validity against the formalism: every block transaction is
+    // a correct server's own proposal, so the silent server's pool
+    // transaction is not needed to build the block.
+    let actual = InputConfig::from_pairs(params, (0..3).map(|i| (i, mempool[i].clone())))?;
     check_decision(&VectorValidity, &actual, &block)
         .map_err(|v| format!("vector validity violated: {v:?}"))?;
     println!("✔ Vector Validity: no correct server's transaction was altered");
-
-    // --- Assumptions 1–2 of the extended formalism.
-    for (_, tx) in block.pairs() {
-        assert!(check_assumption_1(&TxDiscover, &ext_config, tx));
-        // Server 4 was silent, so its pool transaction must NOT be needed:
-        assert!(check_assumption_2(&TxDiscover, &ext_config, tx));
-    }
-    println!("✔ Assumptions 1–2: the block is discoverable from correct inputs alone");
     println!("\nblockchain_committee OK");
     Ok(())
 }

@@ -53,6 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let verdict = classify(&prop, params, &domain);
         println!("{:<50} {}", prop.name(), verdict);
+        assert!(
+            params.supports_non_trivial() || !verdict.is_solvable() || verdict.is_trivial(),
+            "Theorem 1: solvable at n ≤ 3t must be trivial"
+        );
         match &verdict {
             Classification::Trivial { witness } => {
                 println!(
@@ -80,5 +84,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
+    println!("\nvalidity_explorer OK");
     Ok(())
 }

@@ -3,10 +3,13 @@
 
 mod common;
 
+use std::collections::BTreeMap;
+
 use common::{all_but_last, decide, run_cell};
 use consensus_validity::prelude::*;
 use validity_adversary::half_t;
-use validity_core::{enumerate_configs_of_size, DynValidity};
+use validity_core::{compare, enumerate_configs_of_size, Comparison, DynValidity, Value};
+use validity_lab::suites::fig1;
 use validity_lab::{try_fit_exponent, ScheduleSpec, ValiditySpec};
 
 /// A constructor for the `Λ` plugged into `Universal`.
@@ -65,19 +68,41 @@ fn theorem_2_always_admissible_procedure() {
 }
 
 /// **Theorem 3** (necessity of C_S): properties violating the similarity
-/// condition admit no Λ — and the brute-force Λ indeed fails exactly where
-/// the classifier says.
+/// condition admit no Λ — across the `fig1` grid, exactly the cells the
+/// classifier reports as C_S violations, each witness certifying that the
+/// admissible sets over its similar configurations share no value.
 #[test]
 fn theorem_3_similarity_condition_necessity() {
-    let domain = Domain::binary();
-    let params = SystemParams::new(4, 1).unwrap();
-    match classify(&ParityValidity, params, &domain) {
-        Classification::Unsolvable(UnsolvableReason::SimilarityViolation { config }) => {
-            let truth = admissible_intersection(&ParityValidity, &config, &domain);
-            assert!(truth.is_empty(), "the witness must certify ∩ = ∅");
+    let mut violations = Vec::new();
+    for cell in fig1().classifications {
+        let params = SystemParams::new(cell.n, cell.t).unwrap();
+        let domain = Domain::range(cell.domain);
+        let prop = cell.validity.property(cell.t);
+        if let Classification::Unsolvable(UnsolvableReason::SimilarityViolation { config }) =
+            classify(&prop, params, &domain)
+        {
+            let truth = admissible_intersection(&prop, &config, &domain);
+            assert!(
+                truth.is_empty(),
+                "{}: the witness must certify ∩ = ∅",
+                cell.key()
+            );
+            violations.push((cell.validity, cell.n, cell.t, cell.domain));
         }
-        other => panic!("parity must violate C_S, got {other:?}"),
     }
+    use ValiditySpec::{CorrectProposal, ExactMedian, Parity};
+    assert_eq!(
+        violations,
+        [
+            (ExactMedian, 4, 1, 2),
+            (Parity, 4, 1, 2),
+            (CorrectProposal, 4, 1, 3),
+            (ExactMedian, 4, 1, 3),
+            (Parity, 4, 1, 3),
+            (ExactMedian, 7, 2, 2),
+            (Parity, 7, 2, 2),
+        ]
+    );
 }
 
 /// **Theorem 4**: Universal stays above the (⌈t/2⌉)² floor under the
@@ -203,4 +228,121 @@ fn vector_validity_is_a_strongest_property() {
     }
     let floor = |n: usize| half_t((n - 1) / 3).pow(2);
     assert!(floor(sizes[0]) < floor(sizes[4]));
+}
+
+/// The mirror image of a comparison: what `compare(b, a)` must return when
+/// `compare(a, b)` returned `c`.
+fn mirror<V: Value>(c: Comparison<V>) -> Comparison<V> {
+    match c {
+        Comparison::Equivalent => Comparison::Equivalent,
+        Comparison::Refines { strict_at } => Comparison::RefinedBy { strict_at },
+        Comparison::RefinedBy { strict_at } => Comparison::Refines { strict_at },
+        Comparison::Incomparable {
+            val1_exceeds_at,
+            val2_exceeds_at,
+        } => Comparison::Incomparable {
+            val1_exceeds_at: val2_exceeds_at,
+            val2_exceeds_at: val1_exceeds_at,
+        },
+    }
+}
+
+/// **§1 — the hierarchy of validity properties.** `val₁` refines `val₂`
+/// when `val₁(c) ⊆ val₂(c)` everywhere, so any algorithm for `val₁` solves
+/// `val₂`: across every `fig1` regime, solvability and triviality pass
+/// from each property to every property it refines into, while every
+/// `n > 3t` regime has a solvable property refined by an unsolvable one.
+#[test]
+fn refinement_preserves_solvability_upward_only() {
+    let mut regimes: BTreeMap<(usize, usize, u64), Vec<ValiditySpec>> = BTreeMap::new();
+    for cell in fig1().classifications {
+        regimes
+            .entry((cell.n, cell.t, cell.domain))
+            .or_default()
+            .push(cell.validity);
+    }
+    let mut relations = BTreeMap::new();
+    let mut downward = Vec::new();
+    for (&regime, specs) in &regimes {
+        let (n, t, d) = regime;
+        let params = SystemParams::new(n, t).unwrap();
+        let domain = Domain::range(d);
+        let props: Vec<_> = specs
+            .iter()
+            .map(|&spec| {
+                let prop = spec.property(t);
+                let verdict = classify(&prop, params, &domain);
+                (spec, prop, verdict)
+            })
+            .collect();
+        for (a, prop_a, verdict_a) in &props {
+            // (a) reflexivity
+            assert_eq!(
+                compare(prop_a, prop_a, params, &domain),
+                Comparison::Equivalent,
+                "{a} at {regime:?}"
+            );
+            for (b, prop_b, verdict_b) in &props {
+                if a == b {
+                    continue;
+                }
+                let ab = compare(prop_a, prop_b, params, &domain);
+                // (b) the two directions are mirror images
+                assert_eq!(
+                    mirror(ab.clone()),
+                    compare(prop_b, prop_a, params, &domain),
+                    "{a} vs {b} at {regime:?}"
+                );
+                if ab.is_refinement() {
+                    // (c) upward closure
+                    assert!(
+                        !verdict_a.is_solvable() || verdict_b.is_solvable(),
+                        "{a} ⊑ {b} at {regime:?}: solvable refines unsolvable"
+                    );
+                    assert!(
+                        !verdict_a.is_trivial() || verdict_b.is_trivial(),
+                        "{a} ⊑ {b} at {regime:?}: trivial refines non-trivial"
+                    );
+                    if !verdict_a.is_solvable() && verdict_b.is_solvable() {
+                        downward.push((regime, *a, *b));
+                    }
+                }
+                relations.insert((regime, *a, *b), ab);
+            }
+        }
+        // (d) the downward direction fails wherever non-trivial properties
+        // are solvable at all
+        if params.supports_non_trivial() {
+            assert!(
+                downward.iter().any(|&(r, ..)| r == regime),
+                "no unsolvable refinement of a solvable property at {regime:?}"
+            );
+        }
+    }
+
+    // (e) the relations the catalog is known for
+    use ValiditySpec::*;
+    let refines = |regime, a, b| matches!(relations[&(regime, a, b)], Comparison::Refines { .. });
+    for (&regime, specs) in &regimes {
+        for &spec in specs.iter().filter(|&&spec| spec != Trivial) {
+            assert!(
+                refines(regime, spec, Trivial),
+                "{spec} ⋢ trivial at {regime:?}"
+            );
+        }
+    }
+    for (a, b) in [
+        (CorrectProposal, Strong),
+        (Strong, Weak),
+        (ExactMedian, Median),
+        (Median, ConvexHull),
+    ] {
+        assert!(refines((4, 1, 3), a, b), "{a} ⋢ {b} at (4, 1, 3)");
+    }
+    assert!(refines((4, 1, 2), Strong, Weak));
+    assert!(downward.contains(&((4, 1, 2), ExactMedian, Median)));
+    assert!(matches!(
+        relations[&((4, 1, 2), Parity, Strong)],
+        Comparison::Incomparable { .. }
+    ));
 }
