@@ -96,3 +96,100 @@ pub fn compare<V: Value>(
         },
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::solvability::classify;
+    use crate::validity::{
+        ConvexHullValidity, CorrectProposalValidity, ExactMedianValidity, MedianValidity,
+        ParityValidity, StrongValidity, TrivialValidity, WeakValidity,
+    };
+
+    fn params() -> SystemParams {
+        SystemParams::new(4, 1).unwrap()
+    }
+
+    #[test]
+    fn strong_refines_weak() {
+        let d = Domain::binary();
+        let cmp = compare(&StrongValidity, &WeakValidity, params(), &d);
+        assert!(cmp.is_refinement());
+        assert!(matches!(cmp, Comparison::Refines { .. }));
+    }
+
+    #[test]
+    fn correct_proposal_refines_strong() {
+        let d = Domain::range(3);
+        let cmp = compare(&CorrectProposalValidity, &StrongValidity, params(), &d);
+        assert!(cmp.is_refinement());
+    }
+
+    #[test]
+    fn exact_median_refines_median_refines_hull() {
+        let d = Domain::range(3);
+        assert!(compare(
+            &ExactMedianValidity,
+            &MedianValidity::with_slack(1),
+            params(),
+            &d
+        )
+        .is_refinement());
+        assert!(compare(
+            &MedianValidity::with_slack(1),
+            &ConvexHullValidity,
+            params(),
+            &d
+        )
+        .is_refinement());
+    }
+
+    #[test]
+    fn everything_refines_trivial() {
+        let d = Domain::binary();
+        let trivial = TrivialValidity::new(0u64);
+        assert!(compare(&StrongValidity, &trivial, params(), &d).is_refinement());
+        assert!(compare(&ParityValidity, &trivial, params(), &d).is_refinement());
+        assert!(compare(&ExactMedianValidity, &trivial, params(), &d).is_refinement());
+    }
+
+    #[test]
+    fn parity_and_strong_are_incomparable() {
+        let d = Domain::binary();
+        let cmp = compare(&ParityValidity, &StrongValidity, params(), &d);
+        assert!(matches!(cmp, Comparison::Incomparable { .. }));
+    }
+
+    #[test]
+    fn comparison_is_reflexively_equivalent() {
+        let d = Domain::binary();
+        assert_eq!(
+            compare(&StrongValidity, &StrongValidity, params(), &d),
+            Comparison::Equivalent
+        );
+    }
+
+    #[test]
+    fn comparison_is_antisymmetric_in_direction() {
+        let d = Domain::binary();
+        let ab = compare(&StrongValidity, &WeakValidity, params(), &d);
+        let ba = compare(&WeakValidity, &StrongValidity, params(), &d);
+        assert!(matches!(ab, Comparison::Refines { .. }));
+        assert!(matches!(ba, Comparison::RefinedBy { .. }));
+    }
+
+    /// The paper-level insight: refinement does NOT carry solvability
+    /// downward — a refinement of a solvable property may be unsolvable.
+    #[test]
+    fn refinement_does_not_order_solvability() {
+        let p = params();
+        let d = Domain::binary();
+        // Exact-Median refines Median(slack 1)…
+        assert!(
+            compare(&ExactMedianValidity, &MedianValidity::with_slack(1), p, &d).is_refinement()
+        );
+        // …but the finer property is unsolvable while the coarser is solvable.
+        assert!(!classify(&ExactMedianValidity, p, &d).is_solvable());
+        assert!(classify(&MedianValidity::with_slack(1), p, &d).is_solvable());
+    }
+}
