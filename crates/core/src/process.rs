@@ -298,17 +298,6 @@ impl SystemParams {
         Ok(SystemParams { n, t })
     }
 
-    /// Creates parameters with the maximum `t` such that `n > 3t`
-    /// (i.e. `t = ⌊(n−1)/3⌋`), the standard optimal-resilience setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamError`] if `n < 4` (no valid `t ≥ 1` exists) or `n` is
-    /// too large.
-    pub fn optimal_resilience(n: usize) -> Result<Self, ParamError> {
-        SystemParams::new(n, (n.saturating_sub(1)) / 3)
-    }
-
     /// Total number of processes `n`.
     #[inline]
     pub fn n(&self) -> usize {
@@ -444,7 +433,8 @@ mod tests {
 
     #[test]
     fn optimal_resilience_picks_largest_t() {
-        let p = SystemParams::optimal_resilience(10).unwrap();
+        // t = ⌊(n − 1)/3⌋ is the largest t with n > 3t.
+        let p = SystemParams::new(10, (10 - 1) / 3).unwrap();
         assert_eq!(p.t(), 3);
         assert!(p.supports_non_trivial());
         assert!(!SystemParams::new(10, 4).unwrap().supports_non_trivial());

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use validity_core::ProcessId;
 
-use crate::sha256::{sha256, Digest, Sha256};
+use crate::sha256::{Digest, Sha256};
 
 /// A digital signature `⟨m⟩_{σ_i}`: the claimed signer plus the tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,11 +199,6 @@ pub fn message_bytes(domain: &str, parts: &[&[u8]]) -> Vec<u8> {
     out
 }
 
-/// Convenience: digest of [`message_bytes`].
-pub fn message_digest(domain: &str, parts: &[&[u8]]) -> Digest {
-    sha256(message_bytes(domain, parts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +304,7 @@ mod tests {
         let a = message_bytes("d", &[b"ab", b"c"]);
         let b = message_bytes("d", &[b"a", b"bc"]);
         assert_ne!(a, b);
-        assert_ne!(message_digest("d1", &[b"x"]), message_digest("d2", &[b"x"]));
+        // And the domain tag separates otherwise equal messages.
+        assert_ne!(message_bytes("d1", &[b"x"]), message_bytes("d2", &[b"x"]));
     }
 }

@@ -14,7 +14,6 @@
 //! lab run --protocols universal/alg1-auth --validities strong --behaviors two-faced \
 //!         --schedules partial-sync --systems 4,1 --faults max --seeds 0..1 --observe
 //! lab run --suite complexity --shard 2/4 --json part2.json
-//! lab run --suite complexity --adaptive --precision 0.05 --batch 2 --max-seeds 16
 //! lab run --protocols universal/alg1-auth --validities strong,median \
 //!         --behaviors silent,crash --schedules sync,partial-sync \
 //!         --systems 4,1;7,2 --faults 0,max --seeds 0..8 \
@@ -40,8 +39,8 @@ use validity_lab::{
     compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, run_crosscheck,
     run_mutate, run_service, slowest_first_markdown, suites, timeline_for, timing_markdown,
     AgreementLevel, CrosscheckMatrix, Fate, FitAxis, FitMeasure, MutateMatrix, PartialReport,
-    ProtocolAxis, SamplingSpec, ScenarioMatrix, ScheduleSpec, ServiceMatrix, ShardSpec,
-    SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, REPORT_SCHEMA,
+    ProtocolAxis, ScenarioMatrix, ScheduleSpec, ServiceMatrix, ShardSpec, SweepEngine,
+    ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, REPORT_SCHEMA,
 };
 use validity_protocols::{vector_registry, MutationOp};
 use validity_simnet::Timeline;
@@ -78,12 +77,10 @@ const USAGE: &str = "\
     lab list [--names]\n\
     lab run --suite <name> [--threads N] [--json FILE] [--md FILE]\n\
     \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
-    \x20        [--adaptive] [--precision X] [--batch N] [--max-seeds N]\n\
     lab run --protocols P,.. --validities V,.. --behaviors B,..\n\
     \x20        --schedules S,.. --systems n,t;n,t --faults 0,max --seeds a..b\n\
     \x20        [--fits messages,words,latency] [--fit-axis n|t|domain]\n\
     \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
-    \x20        [--adaptive] [--precision X] [--batch N] [--max-seeds N]\n\
     lab service [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
     \x20        [--slots N] [--pipelines 1,2,..] [--batches 1,8,..]\n\
     \x20        [--dry-run] [--timing]\n\
@@ -417,54 +414,6 @@ fn refuse_vacuous(m: &ScenarioMatrix) -> Result<(), String> {
     ))
 }
 
-/// Parses the adaptive-sampling flags: `--adaptive` enables the defaults,
-/// and any of `--precision` / `--batch` / `--max-seeds` both enables and
-/// overrides. `Ok(None)` = fixed-seed sweep.
-fn parse_sampling(args: &Args) -> Result<Option<SamplingSpec>, String> {
-    let precision = args.value("--precision");
-    let batch = args.value("--batch");
-    let max_seeds = args.value("--max-seeds");
-    if !args.has("--adaptive") && precision.is_none() && batch.is_none() && max_seeds.is_none() {
-        return Ok(None);
-    }
-    let mut spec = SamplingSpec::default();
-    if let Some(p) = precision {
-        spec.precision = p
-            .parse()
-            .ok()
-            .filter(|x: &f64| x.is_finite() && *x >= 0.0)
-            .ok_or_else(|| format!("--precision wants a finite non-negative number, got '{p}'"))?;
-    }
-    if let Some(b) = batch {
-        spec.batch = b
-            .parse()
-            .ok()
-            .filter(|n: &u64| *n >= 1)
-            .ok_or_else(|| format!("--batch wants a positive seed count, got '{b}'"))?;
-    }
-    if let Some(s) = max_seeds {
-        spec.max_seeds = s
-            .parse()
-            .ok()
-            .filter(|n: &u64| *n >= 1)
-            .ok_or_else(|| format!("--max-seeds wants a positive seed count, got '{s}'"))?;
-    }
-    if spec.batch > spec.max_seeds {
-        if batch.is_none() {
-            // Only the cap was given: shrink the *default* batch to fit it
-            // rather than erroring about a flag the user never passed.
-            spec.batch = spec.max_seeds;
-        } else {
-            return Err(format!(
-                "--batch {} exceeds --max-seeds {}: the pilot batch alone \
-                 would blow the per-group seed cap",
-                spec.batch, spec.max_seeds
-            ));
-        }
-    }
-    Ok(Some(spec))
-}
-
 fn run(rest: &[&str]) -> CmdResult {
     let command = if rest.contains(&"--suite") {
         Command::RunSuite
@@ -506,38 +455,13 @@ fn run(rest: &[&str]) -> CmdResult {
             matrix.fit_axis,
         ));
     }
-    if let Some(sampling) = parse_sampling(&args)? {
-        if !matrix.fit_measures.iter().any(|m| m.is_run_measure()) {
-            eprintln!(
-                "warning: adaptive sampling with no run fit measure declared — \
-                 there is nothing to estimate, so every group stops \
-                 (vacuously stable) after its pilot batch; add --fits or \
-                 pick a fit-bearing suite for precision-targeted sampling"
-            );
-        }
-        matrix.sampling = Some(sampling);
-    }
     // An explicit `--shard` always takes the partial-report path, even
     // for the degenerate 1/1 partition: a pipeline parameterized over the
     // shard count must get a mergeable partial at m = 1 too, not a full
     // report that `lab merge` then refuses.
     let shard = args.value("--shard").map(ShardSpec::parse).transpose()?;
     if args.has("--dry-run") {
-        if let Some(spec) = matrix.sampling {
-            let units = matrix.work_units();
-            let owned = shard.map_or(units.len(), |s| matrix.shard_units(s).len());
-            println!(
-                "{}: adaptive over {} of {} work unit(s); batches of {} up to {} \
-                 seed(s)/group at precision {} (axis {})",
-                matrix.name,
-                owned,
-                units.len(),
-                spec.batch,
-                spec.max_seeds,
-                spec.precision,
-                matrix.fit_axis,
-            );
-        } else if let Some(shard) = shard {
+        if let Some(shard) = shard {
             println!(
                 "{}: shard {} owns {} of {} cells",
                 matrix.name,
@@ -568,21 +492,12 @@ fn run(rest: &[&str]) -> CmdResult {
         return run_shard(&args, &matrix, shard, threads);
     }
     let engine = SweepEngine::new(threads).observe(observing);
-    match matrix.sampling {
-        Some(spec) => eprintln!(
-            "sweep '{}': adaptive over {} work unit(s) (precision {}) on {} worker thread(s)...",
-            matrix.name,
-            matrix.work_units().len(),
-            spec.precision,
-            engine.threads()
-        ),
-        None => eprintln!(
-            "sweep '{}': {} cells on {} worker thread(s)...",
-            matrix.name,
-            matrix.len(),
-            engine.threads()
-        ),
-    }
+    eprintln!(
+        "sweep '{}': {} cells on {} worker thread(s)...",
+        matrix.name,
+        matrix.len(),
+        engine.threads()
+    );
     let (report, sweep) = engine.run(&matrix);
     eprintln!(
         "done in {:.3}s wall ({} cells, {} violations, {} quarantined, {} fit(s) out of band)",
@@ -592,14 +507,6 @@ fn run(rest: &[&str]) -> CmdResult {
         report.quarantined.len(),
         report.fits_out_of_band(),
     );
-    if let Some(s) = &report.sampling {
-        eprintln!(
-            "adaptive sampling: {} seed(s) consumed over {} group(s), {} capped",
-            s.seeds_consumed(),
-            s.groups.len(),
-            s.capped(),
-        );
-    }
 
     let (json_path, md_path) = args.report_paths(&matrix.name);
     // `--timing` and `--observe` append extra sections to the Markdown
@@ -610,13 +517,13 @@ fn run(rest: &[&str]) -> CmdResult {
     let mut markdown = report.to_markdown();
     if args.has("--timing") {
         markdown.push('\n');
-        markdown.push_str(&timing_markdown(&sweep.timings, matrix.sampling.is_some()));
+        markdown.push_str(&timing_markdown(&sweep.timings));
     }
     if observing {
         markdown.push('\n');
         markdown.push_str(&observe_markdown(&sweep.observed));
         // Side artifacts: the full-histogram JSON, plus a timeline export
-        // of the hottest observed unit (deterministic choice — events are
+        // of the hottest observed cell (deterministic choice — events are
         // seeded, so reruns pick the same cell).
         let base = json_path.strip_suffix(".json").unwrap_or(&json_path);
         let observe_path = format!("{base}.observe.json");
@@ -897,24 +804,14 @@ fn run_shard(args: &Args, matrix: &ScenarioMatrix, shard: ShardSpec, threads: us
         return Err("--md is not available with --shard: merge the partials first".to_string());
     }
     let engine = SweepEngine::new(threads);
-    match matrix.sampling {
-        Some(_) => eprintln!(
-            "sweep '{}' shard {}: adaptive over {} of {} work unit(s) on {} worker thread(s)...",
-            matrix.name,
-            shard,
-            matrix.shard_units(shard).len(),
-            matrix.work_units().len(),
-            engine.threads()
-        ),
-        None => eprintln!(
-            "sweep '{}' shard {}: {} of {} cells on {} worker thread(s)...",
-            matrix.name,
-            shard,
-            matrix.shard_cells(shard).len(),
-            matrix.len(),
-            engine.threads()
-        ),
-    }
+    eprintln!(
+        "sweep '{}' shard {}: {} of {} cells on {} worker thread(s)...",
+        matrix.name,
+        shard,
+        matrix.shard_cells(shard).len(),
+        matrix.len(),
+        engine.threads()
+    );
     let sweep = engine.execute_shard(matrix, shard);
     let partial = PartialReport::new(
         matrix.clone(),

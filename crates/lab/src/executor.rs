@@ -1,12 +1,12 @@
 //! The multi-threaded sweep executor.
 //!
 //! Simulations are deterministic, independent, and CPU-bound, so a sweep is
-//! embarrassingly parallel: cells (or adaptive work units) fan out over the
-//! lab's one worker pool (the private `pool` module, shared with the service,
-//! crosscheck and mutate drivers), which hands results back **in matrix
-//! order**. That makes every downstream artifact (aggregation, JSON,
-//! Markdown) independent of the worker count and of scheduling noise — run
-//! the same matrix on 1 thread or 16 and the report bytes are identical.
+//! embarrassingly parallel: cells fan out over the lab's one worker pool
+//! (the private `pool` module, shared with the service, crosscheck and
+//! mutate drivers), which hands results back **in matrix order**. That
+//! makes every downstream artifact (aggregation, JSON, Markdown)
+//! independent of the worker count and of scheduling noise — run the same
+//! matrix on 1 thread or 16 and the report bytes are identical.
 //! The executor's only nondeterministic observable is wall-clock time,
 //! which is reported separately and never enters reports.
 
@@ -14,15 +14,11 @@ use std::time::{Duration, Instant};
 
 use validity_simnet::Metrics;
 
-use crate::matrix::{CellSpec, RunCell, SamplingSpec, ScenarioMatrix, ShardSpec, WorkUnit};
+use crate::matrix::{CellSpec, ScenarioMatrix, ShardSpec};
 use crate::observe::CellObservation;
 use crate::pool;
 use crate::report::SweepReport;
-use crate::runner::{
-    execute_run_with_context, execute_run_with_probe, execute_with_budget, CellRecord,
-    GroupContext, Outcome,
-};
-use crate::sampling;
+use crate::runner::{execute_with_budget, run_cell, CellRecord, Outcome};
 
 /// The sweep engine: a worker-pool width plus an observe switch.
 #[derive(Clone, Copy, Debug)]
@@ -40,13 +36,11 @@ pub struct SweepRun {
     pub threads: usize,
     /// Wall-clock duration of the sweep (excluded from reports).
     pub wall: Duration,
-    /// Per-cell wall clock (fixed sweeps) or per-work-unit wall clock
-    /// (adaptive sweeps), in record/unit order. Like `wall`, this is a
+    /// Per-cell wall clock, in record order. Like `wall`, this is a
     /// nondeterministic observable: it feeds the `--timing` harness and
     /// never enters canonical reports.
     pub timings: Vec<CellTiming>,
-    /// Per-cell (fixed sweeps) or per-work-unit (adaptive sweeps) engine
-    /// metrics, aligned with `timings`, when the engine ran with
+    /// Per-run-cell engine metrics, in record order, when the engine ran with
     /// [`SweepEngine::observe`]. Unlike `timings` these are fully
     /// deterministic — but still non-canonical: they feed the `--observe`
     /// section and artifacts, never the report. Classification cells run
@@ -54,42 +48,28 @@ pub struct SweepRun {
     pub observed: Vec<CellObservation>,
 }
 
-/// Wall-clock cost of one executed cell (or adaptive work unit) of any
-/// driver — sweep, service or crosscheck.
+/// Wall-clock cost of one executed cell of any driver — sweep, service or
+/// crosscheck.
 #[derive(Clone, Debug)]
 pub struct CellTiming {
-    /// The cell's key (fixed sweeps, service and crosscheck cells) or the
-    /// group key (adaptive units).
+    /// The cell's key.
     pub label: String,
     /// Simulator events processed (classification cells report their
     /// admissibility-evaluation cost instead; service and crosscheck cells
     /// count none and report 0).
     pub events: u64,
-    /// Wall-clock duration of the cell/unit.
+    /// Wall-clock duration of the cell.
     pub wall: Duration,
 }
 
-/// Renders the timing table appended to Markdown output under `--timing`.
-///
-/// `adaptive` selects the row-unit label: a fixed sweep times each *cell*,
-/// an adaptive sweep times each *work unit* (a whole seed ladder, many
-/// cells deep, or one classification cell). The header names the unit so
-/// the two modes cannot be misread as comparable events/sec figures.
-pub fn timing_markdown(timings: &[CellTiming], adaptive: bool) -> String {
+/// Renders the timing table appended to Markdown output under `--timing`:
+/// one row per cell.
+pub fn timing_markdown(timings: &[CellTiming]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("## Timing (wall clock; never part of canonical reports)\n\n");
-    if adaptive {
-        out.push_str(
-            "Adaptive sampling: one row per **work unit** (a full seed \
-             ladder, or one classification cell) — events/sec is per unit \
-             and not comparable with fixed-sweep per-cell rows.\n\n",
-        );
-        out.push_str("| work unit | events | wall ms | events/sec |\n|---|---|---|---|\n");
-    } else {
-        out.push_str("One row per **cell** (single seed).\n\n");
-        out.push_str("| cell | events | wall ms | events/sec |\n|---|---|---|---|\n");
-    }
+    out.push_str("One row per **cell** (single seed).\n\n");
+    out.push_str("| cell | events | wall ms | events/sec |\n|---|---|---|---|\n");
     let mut events_total = 0u64;
     let mut wall_total = Duration::ZERO;
     for t in timings {
@@ -148,45 +128,6 @@ fn record_events(record: &CellRecord) -> u64 {
     }
 }
 
-/// The adversary's self-reported `(equivocations, omissions)` for one
-/// record — zero everywhere except under behaviours that file them.
-fn record_adversary_notes(record: &CellRecord) -> (u64, u64) {
-    match &record.outcome {
-        Outcome::Run(r) => (r.stats.equivocations, r.stats.omissions),
-        Outcome::Classify(_) => (0, 0),
-    }
-}
-
-/// Files one executed pool item — a cell, or an adaptive work unit with
-/// all its records — as a timing row plus, when it ran probed, an
-/// observation.
-fn file_item(
-    label: String,
-    records: &[CellRecord],
-    wall: Duration,
-    metrics: Option<Metrics>,
-    timings: &mut Vec<CellTiming>,
-    observed: &mut Vec<CellObservation>,
-) {
-    if let Some(metrics) = metrics {
-        let (equivocations, omissions) = records
-            .iter()
-            .map(record_adversary_notes)
-            .fold((0, 0), |(e, o), (de, dol)| (e + de, o + dol));
-        observed.push(CellObservation {
-            label: label.clone(),
-            metrics,
-            equivocations,
-            omissions,
-        });
-    }
-    timings.push(CellTiming {
-        label,
-        events: records.iter().map(record_events).sum(),
-        wall,
-    });
-}
-
 impl SweepEngine {
     /// Creates an engine with the given worker count; `0` means one worker
     /// per available core.
@@ -203,7 +144,7 @@ impl SweepEngine {
     }
 
     /// Enables (or disables) engine observation: run cells execute with a
-    /// [`Metrics`] probe attached and the sweep returns per-cell/unit
+    /// [`Metrics`] probe attached and the sweep returns per-cell
     /// [`CellObservation`]s. Records and reports are byte-identical either
     /// way — probes observe, never perturb (builder-style).
     pub fn observe(mut self, on: bool) -> Self {
@@ -230,20 +171,9 @@ impl SweepEngine {
     /// cell execution is a pure function of the cell — which is what lets
     /// [`crate::partial::merge`] reassemble byte-identical reports from
     /// partial runs on different processes or machines.
-    ///
-    /// Adaptive matrices ([`ScenarioMatrix::sampling`]) run the per-group
-    /// seed ladder instead of the fixed seed range, and shard at the
-    /// *work-unit* granularity (round-robin over classification cells and
-    /// whole run groups): a group's stopping decision depends on its own
-    /// records, so the shard that owns a group runs its entire seed ladder
-    /// and arrives at exactly the stopping point the unsharded run would —
-    /// no coordination, same bytes.
     pub fn execute_shard(&self, matrix: &ScenarioMatrix, shard: ShardSpec) -> SweepRun {
-        let (records, wall, timings, observed) = if matrix.sampling.is_some() {
-            self.execute_units(matrix, &matrix.shard_units(shard))
-        } else {
-            self.execute_cells(&matrix.shard_cells(shard), matrix.max_steps)
-        };
+        let (records, wall, timings, observed) =
+            self.execute_cells(&matrix.shard_cells(shard), matrix.max_steps);
         SweepRun {
             records,
             threads: self.threads,
@@ -270,9 +200,7 @@ impl SweepEngine {
         let results = pool::ordered_map(self.threads, cells.len(), |i| {
             match (&cells[i], self.observe) {
                 (CellSpec::Run(c), true) => {
-                    let ctx = GroupContext::new(c, max_steps);
-                    let probe = Metrics::new(ctx.round_width());
-                    let (record, m) = execute_run_with_probe(&ctx, c.seed, probe);
+                    let (record, m) = run_cell(c, max_steps, Metrics::new);
                     (record, Some(m))
                 }
                 (cell, _) => (execute_with_budget(cell, max_steps), None),
@@ -282,80 +210,20 @@ impl SweepEngine {
         let mut timings = Vec::with_capacity(cells.len());
         let mut observed = Vec::new();
         for ((record, metrics), wall) in results {
-            let label = record.key.clone();
-            let one = std::slice::from_ref(&record);
-            file_item(label, one, wall, metrics, &mut timings, &mut observed);
-            records.push(record);
-        }
-        (records, started.elapsed(), timings, observed)
-    }
-
-    /// Executes a pre-enumerated work-unit list under the matrix's
-    /// sampling spec — the adaptive counterpart of
-    /// [`SweepEngine::execute_cells`]. Units fan out across the worker
-    /// pool; results are read back in unit order (then seed order within
-    /// a group), so the flattened record list is independent of the
-    /// worker count.
-    pub fn execute_units(
-        &self,
-        matrix: &ScenarioMatrix,
-        units: &[WorkUnit],
-    ) -> (
-        Vec<CellRecord>,
-        Duration,
-        Vec<CellTiming>,
-        Vec<CellObservation>,
-    ) {
-        let spec = matrix
-            .sampling
-            .expect("execute_units requires an adaptive matrix");
-        let started = Instant::now();
-        let results = pool::ordered_map(self.threads, units.len(), |i| match &units[i] {
-            WorkUnit::Classify(c) => (
-                vec![execute_with_budget(
-                    &CellSpec::Classify(*c),
-                    matrix.max_steps,
-                )],
-                None,
-            ),
-            WorkUnit::Group(template) if self.observe => {
-                let (records, m) = run_adaptive_group_observed(
-                    template,
-                    &spec,
-                    &matrix.fit_measures,
-                    matrix.seeds.start,
-                    matrix.max_steps,
-                );
-                (records, Some(m))
+            if let (Some(metrics), Outcome::Run(r)) = (metrics, &record.outcome) {
+                observed.push(CellObservation {
+                    label: record.key.clone(),
+                    metrics,
+                    equivocations: r.stats.equivocations,
+                    omissions: r.stats.omissions,
+                });
             }
-            WorkUnit::Group(template) => (
-                run_adaptive_group(
-                    template,
-                    &spec,
-                    &matrix.fit_measures,
-                    matrix.seeds.start,
-                    matrix.max_steps,
-                ),
-                None,
-            ),
-        });
-        let mut records = Vec::new();
-        let mut timings = Vec::with_capacity(units.len());
-        let mut observed = Vec::new();
-        for (((unit_records, metrics), wall), unit) in results.zip(units) {
-            let label = match unit {
-                WorkUnit::Classify(c) => c.key(),
-                WorkUnit::Group(template) => template.group_key(),
-            };
-            file_item(
-                label,
-                &unit_records,
+            timings.push(CellTiming {
+                label: record.key.clone(),
+                events: record_events(&record),
                 wall,
-                metrics,
-                &mut timings,
-                &mut observed,
-            );
-            records.extend(unit_records);
+            });
+            records.push(record);
         }
         (records, started.elapsed(), timings, observed)
     }
@@ -366,93 +234,6 @@ impl SweepEngine {
         let run = self.execute(matrix);
         let report = SweepReport::aggregate_matrix(matrix, &run.records);
         (report, run)
-    }
-}
-
-/// Runs one group's adaptive seed ladder: batches of `spec.batch` seeds
-/// from `first_seed`, stopping at the first stable prefix or when the next
-/// batch would exceed the seed cap. The result is a pure function of the
-/// group template and the spec — the invariant the whole adaptive
-/// determinism story (worker counts, shard layouts, merge verification)
-/// rests on.
-pub fn run_adaptive_group(
-    template: &RunCell,
-    spec: &SamplingSpec,
-    measures: &[crate::matrix::FitMeasure],
-    first_seed: u64,
-    max_steps: Option<u64>,
-) -> Vec<CellRecord> {
-    // Everything seed-invariant (the SimBuilder with its start_times vector
-    // and schedule closures, the validity property, the actual-input
-    // configuration) is built once for the whole ladder instead of once
-    // per seed.
-    let context = GroupContext::new(template, max_steps);
-    run_ladder(
-        &context,
-        template,
-        spec,
-        measures,
-        first_seed,
-        execute_run_with_context,
-    )
-}
-
-/// [`run_adaptive_group`] with a [`Metrics`] probe on every seed, folded
-/// into one per-group observation. The record ladder — including its
-/// stopping point — is byte-identical to the unobserved one: the probe is
-/// outside the stability decision entirely.
-pub(crate) fn run_adaptive_group_observed(
-    template: &RunCell,
-    spec: &SamplingSpec,
-    measures: &[crate::matrix::FitMeasure],
-    first_seed: u64,
-    max_steps: Option<u64>,
-) -> (Vec<CellRecord>, Metrics) {
-    let context = GroupContext::new(template, max_steps);
-    let mut metrics = Metrics::new(context.round_width());
-    let records = run_ladder(
-        &context,
-        template,
-        spec,
-        measures,
-        first_seed,
-        |ctx, seed| {
-            let (record, m) = execute_run_with_probe(ctx, seed, Metrics::new(ctx.round_width()));
-            metrics.merge(&m);
-            record
-        },
-    );
-    (records, metrics)
-}
-
-/// The shared seed-ladder loop: batches of `spec.batch` seeds from
-/// `first_seed`, stopping where [`sampling::should_stop`] says. `exec`
-/// runs one seed; the stopping decision is a pure function of the
-/// records it returns.
-fn run_ladder(
-    context: &GroupContext,
-    template: &RunCell,
-    spec: &SamplingSpec,
-    measures: &[crate::matrix::FitMeasure],
-    first_seed: u64,
-    mut exec: impl FnMut(&GroupContext, u64) -> CellRecord,
-) -> Vec<CellRecord> {
-    let batch = spec.batch_size();
-    let mut records: Vec<CellRecord> = Vec::new();
-    loop {
-        let from = records.len() as u64;
-        for s in from..from + batch {
-            records.push(exec(context, first_seed + s));
-        }
-        if sampling::should_stop(&records, spec, measures) {
-            debug_assert_eq!(
-                sampling::expected_consumed(&records, spec, measures),
-                records.len() as u64,
-                "adaptive loop and replay disagree for {}",
-                template.group_key()
-            );
-            return records;
-        }
     }
 }
 
@@ -527,35 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_observation_pools_the_whole_ladder() {
-        let mut m = matrix();
-        m.sampling = Some(crate::matrix::SamplingSpec::default());
-        let plain = SweepEngine::new(2).execute(&m);
-        let observed = SweepEngine::new(2).observe(true).execute(&m);
-        assert_eq!(plain.records, observed.records);
-        // One observation per run group (this matrix has no classify cells).
-        assert_eq!(observed.observed.len(), observed.timings.len());
-        for (obs, timing) in observed.observed.iter().zip(&observed.timings) {
-            assert_eq!(obs.label, timing.label);
-            assert_eq!(obs.metrics.events, timing.events);
-        }
-    }
-
-    #[test]
     fn execute_is_the_full_shard_in_both_modes() {
-        let mut m = matrix();
-        for sampling in [None, Some(crate::matrix::SamplingSpec::default())] {
-            m.sampling = sampling;
-            let whole = SweepEngine::new(2).execute(&m);
-            let sharded = SweepEngine::new(2).execute_shard(&m, ShardSpec::full());
-            assert_eq!(whole.records, sharded.records);
-            assert_eq!(whole.threads, 2);
-            let halves: usize = (1..=2)
-                .map(|index| ShardSpec { index, count: 2 })
-                .map(|shard| SweepEngine::new(1).execute_shard(&m, shard).records.len())
-                .sum();
-            assert_eq!(halves, whole.records.len());
-        }
+        let m = matrix();
+        let whole = SweepEngine::new(2).execute(&m);
+        let sharded = SweepEngine::new(2).execute_shard(&m, ShardSpec::full());
+        assert_eq!(whole.records, sharded.records);
+        assert_eq!(whole.threads, 2);
+        let halves: usize = (1..=2)
+            .map(|index| ShardSpec { index, count: 2 })
+            .map(|shard| SweepEngine::new(1).execute_shard(&m, shard).records.len())
+            .sum();
+        assert_eq!(halves, whole.records.len());
     }
 
     #[test]
@@ -577,11 +340,8 @@ mod tests {
             events: 10,
             wall: Duration::from_millis(1),
         }];
-        let fixed = timing_markdown(&timings, false);
-        let adaptive = timing_markdown(&timings, true);
-        assert!(fixed.contains("| cell |"));
-        assert!(fixed.contains("per **cell**"));
-        assert!(adaptive.contains("| work unit |"));
-        assert!(adaptive.contains("not comparable"));
+        let md = timing_markdown(&timings);
+        assert!(md.contains("| cell |"));
+        assert!(md.contains("per **cell**"));
     }
 }

@@ -126,8 +126,6 @@ const SERVICE_FIXES_AXES: &str =
     "the service suite fixes its axes; tune --slots/--pipelines/--batches/--seeds instead";
 const CROSSCHECK_FIXES_AXES: &str =
     "the crosscheck suite fixes its axes; tune --seeds/--max-steps instead";
-const SERVICE_NO_SAMPLING: &str =
-    "adaptive sampling targets fit precision, which service reports do not compute";
 const SERVICE_NO_FITS: &str = "service reports carry throughput and latency, not complexity fits";
 const CROSSCHECK_NO_FITS: &str = "crosscheck reports carry agreement levels, not complexity fits";
 const CROSSCHECK_NO_PIPELINING: &str =
@@ -213,45 +211,6 @@ pub const FLAGS: &[Flag] = &[
         ],
     ),
     value(
-        "--precision",
-        SWEEP,
-        &[
-            (Service, SERVICE_NO_SAMPLING),
-            (
-                Crosscheck,
-                "adaptive sampling targets fit precision, which crosscheck reports do not compute",
-            ),
-        ],
-    ),
-    value(
-        "--batch",
-        SWEEP,
-        &[
-            (
-                Service,
-                "ambiguous with the service batching axis; use --batches (client batching) \
-                 — adaptive sampling is not available here",
-            ),
-            (Crosscheck, "adaptive sampling is not available here"),
-        ],
-    ),
-    value(
-        "--max-seeds",
-        SWEEP,
-        &[
-            (
-                Service,
-                "adaptive sampling targets fit precision, which service reports do not compute; \
-                 set the seed axis directly with --seeds a..b",
-            ),
-            (
-                Crosscheck,
-                "adaptive sampling targets fit precision, which crosscheck reports do not \
-                 compute; set the seed axis directly with --seeds a..b",
-            ),
-        ],
-    ),
-    value(
         "--slots",
         &[Service],
         &[(Crosscheck, CROSSCHECK_NO_PIPELINING)],
@@ -276,14 +235,9 @@ pub const FLAGS: &[Flag] = &[
     value("--baseline", &[Trend], &[]),
     value("--tolerance", &[Trend], &[]),
     switch("--dry-run", REPORTING, &[]),
-    // Under crosscheck `--adaptive` selects the adaptive-*adversary* grid:
-    // the sweep engine's adaptive *sampling* has no meaning for agreement
-    // grading, so the flag is free there.
-    switch(
-        "--adaptive",
-        &[Run, RunSuite, Crosscheck],
-        &[(Service, SERVICE_NO_SAMPLING)],
-    ),
+    // `--adaptive` selects the adaptive-*adversary* crosscheck grid; sweeps
+    // reach those adversaries through `--suite adaptive` or `--behaviors`.
+    switch("--adaptive", &[Crosscheck], &[]),
     switch("--timing", &[Run, RunSuite, Service, Crosscheck], &[]),
     switch(
         "--observe",

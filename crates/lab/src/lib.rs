@@ -12,7 +12,8 @@
 //!   the experiment axes: protocol (the [`validity_protocols`] registry,
 //!   raw or under `Universal`), validity property, Byzantine behaviour
 //!   ([`validity_adversary::BehaviorId`]), network schedule, fault load,
-//!   `(n, t)`, and seed — plus a grid of solvability-classification cells.
+//!   `(n, t)`, and a fixed seed range — plus a grid of
+//!   solvability-classification cells.
 //!   Enumeration order is deterministic, and incompatible combinations
 //!   (e.g. `Universal` with a property that violates `C_S`) are skipped.
 //! * **[`SweepEngine`]** (module [`executor`]) — fans the cells out across
@@ -27,18 +28,10 @@
 //!   validity violations) with JSON and Markdown emitters.
 //! * **[`suites`]** — curated matrices reproducing the paper's experiment
 //!   families, including the Figure-1 classification grid as one sweep.
-//! * **[`sampling`]** (with [`SamplingSpec`] in [`matrix`]) — adaptive,
-//!   precision-targeted seed budgets: each run group consumes seeds in
-//!   deterministic batches until every fitted measure's 95% CI is tight
-//!   enough or a cap is hit, so stable groups stop early and noisy groups
-//!   get the budget — at bytes identical across worker counts and shard
-//!   layouts.
 //! * **[`partial`]** (with [`ShardSpec`] in [`matrix`]) — horizontal
 //!   scale-out: `lab run --shard i/m` executes one deterministic slice of
 //!   a matrix and emits a partial report; `lab merge` recombines all `m`
-//!   partials into a report **byte-identical** to an unsharded run. For
-//!   adaptive sweeps the merge runs a two-phase measure/commit protocol,
-//!   replaying every shard's stopping decision before accepting it.
+//!   partials into a report **byte-identical** to an unsharded run.
 //! * **[`trend`]** — the versioned `BENCH_lab.json` artifact plus
 //!   historical comparison: `lab trend --baseline` diffs today's fitted
 //!   exponents against a previous artifact and fails on regressions.
@@ -95,7 +88,6 @@ pub mod partial;
 mod pool;
 pub mod report;
 pub mod runner;
-pub mod sampling;
 pub mod service;
 pub mod suites;
 pub mod trend;
@@ -105,13 +97,11 @@ pub use crosscheck::{
     CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, EngineColumn, Finding,
     CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
 };
-pub use executor::{
-    run_adaptive_group, slowest_first_markdown, timing_markdown, CellTiming, SweepEngine, SweepRun,
-};
+pub use executor::{slowest_first_markdown, timing_markdown, CellTiming, SweepEngine, SweepRun};
 pub use fit::{try_fit_exponent, PowerFit};
 pub use matrix::{
-    CellSpec, ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, RunCell, SamplingSpec,
-    ScenarioMatrix, ScheduleSpec, ShardSpec, ValiditySpec, WorkUnit,
+    CellSpec, ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, RunCell, ScenarioMatrix,
+    ScheduleSpec, ShardSpec, ValiditySpec,
 };
 pub use mutate::{
     run_mutate, Fate, MutantFate, MutateMatrix, MutateReport, CATALOGUED_EQUIVALENT, MUTATE_SCHEMA,
@@ -121,12 +111,11 @@ pub use observe::{
     OBSERVE_SCHEMA,
 };
 pub use partial::{merge, PartialReport, PARTIAL_SCHEMA};
-pub use report::{FitRow, GroupSummary, SamplingSection, SweepReport, REPORT_SCHEMA};
+pub use report::{FitRow, GroupSummary, SweepReport, REPORT_SCHEMA};
 pub use runner::{
     execute, execute_with_budget, CellRecord, ClassifyRecord, Outcome, RunRecord, Verdict,
     ViolationKind,
 };
-pub use sampling::GroupSampling;
 pub use service::{
     execute_service, run_service, ServiceCell, ServiceGroup, ServiceMatrix, ServiceRecord,
     ServiceReport, SERVICE_SCHEMA,

@@ -542,48 +542,6 @@ impl fmt::Display for FitAxis {
     }
 }
 
-/// Adaptive-sampling parameters: how precisely each run group's fitted
-/// measures must be estimated, and what budget the estimation may spend.
-///
-/// With a `SamplingSpec`, the engine runs each group's seeds in
-/// deterministic batches and stops as soon as every fitted measure's 95%
-/// confidence interval is tight enough — *relative half-width*
-/// `1.96·s/(√k·mean) ≤ precision` — or the seed cap is reached. Stable
-/// groups stop early; noisy groups get more budget; and because the
-/// decision is a pure function of the group's own records, adaptive
-/// sweeps stay byte-identical across worker counts and shard layouts.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SamplingSpec {
-    /// Target relative half-width of the 95% CI on each fitted measure's
-    /// mean.
-    pub precision: f64,
-    /// Seeds per batch (the pilot batch and every extension).
-    pub batch: u64,
-    /// Hard cap on seeds per group; a group still unstable here is
-    /// reported as *capped* in the `sampling` section.
-    pub max_seeds: u64,
-}
-
-impl Default for SamplingSpec {
-    /// The CLI's `--adaptive` defaults: 5% relative half-width, batches of
-    /// 2 seeds, at most 16 seeds per group.
-    fn default() -> Self {
-        SamplingSpec {
-            precision: 0.05,
-            batch: 2,
-            max_seeds: 16,
-        }
-    }
-}
-
-impl SamplingSpec {
-    /// Seeds per batch, defended against a zero batch (the adaptive loop
-    /// always runs whole batches, so a batch must make progress).
-    pub fn batch_size(&self) -> u64 {
-        self.batch.max(1)
-    }
-}
-
 /// A per-run measure a matrix can ask the report to power-law-fit against
 /// its declared [`FitAxis`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -840,28 +798,6 @@ impl CellSpec {
     }
 }
 
-/// A unit of adaptive work: one classification cell, or one run group
-/// whose seed count the engine decides as it goes.
-#[derive(Clone, Debug)]
-pub enum WorkUnit {
-    /// Run the solvability classifier once.
-    Classify(ClassifyCell),
-    /// Run the group's adaptive seed ladder (the [`RunCell`] is the
-    /// group's template, carrying the first seed).
-    Group(RunCell),
-}
-
-impl WorkUnit {
-    /// The unit's stable key: the cell key for a classification, the
-    /// group key for a run group.
-    pub fn key(&self) -> String {
-        match self {
-            WorkUnit::Classify(c) => c.key(),
-            WorkUnit::Group(g) => g.group_key(),
-        }
-    }
-}
-
 /// The cartesian product of every axis, plus a classification grid.
 #[derive(Clone, Debug)]
 pub struct ScenarioMatrix {
@@ -898,12 +834,6 @@ pub struct ScenarioMatrix {
     /// simulator events is aborted and reported as *quarantined* instead of
     /// hanging the sweep. `None` = the simulator's own (very large) limit.
     pub max_steps: Option<u64>,
-    /// Adaptive sampling: when set, the seed axis is no longer a fixed
-    /// range — each run group starts at `seeds.start` and consumes
-    /// deterministic batches until its fitted measures stabilize at the
-    /// target precision or the per-group cap is hit (`seeds.end` is
-    /// ignored). `None` = the classic fixed-seed sweep.
-    pub sampling: Option<SamplingSpec>,
 }
 
 impl ScenarioMatrix {
@@ -923,16 +853,14 @@ impl ScenarioMatrix {
             fit_axis: FitAxis::N,
             fit_bands: Vec::new(),
             max_steps: None,
-            sampling: None,
         }
     }
 
     /// Enumerates the run-group templates in deterministic axis order
     /// (protocol, validity, behavior, fault load, schedule, system), one
-    /// [`RunCell`] per group with `seed = seeds.start`. This is the seed-
-    /// free skeleton both enumerations build on: [`ScenarioMatrix::cells`]
-    /// crosses it with the seed range, the adaptive engine crosses it with
-    /// as many seeds as each group turns out to need.
+    /// [`RunCell`] per group with `seed = seeds.start`: the seed-free
+    /// skeleton [`ScenarioMatrix::run_cells`] crosses with the seed range,
+    /// and the group metadata the report's fits read.
     ///
     /// Incompatible combinations are skipped rather than failed:
     /// `universal` requires a property with a closed-form `Λ`; raw vector
@@ -1001,42 +929,10 @@ impl ScenarioMatrix {
 
     /// Enumerates the matrix into a deterministically ordered cell list:
     /// classification cells first, then [`ScenarioMatrix::run_cells`].
-    ///
-    /// For an adaptive matrix this is the *static* enumeration over the
-    /// declared seed range; the engine's realized cell list depends on
-    /// each group's stopping decision (see [`ScenarioMatrix::work_units`]).
     pub fn cells(&self) -> Vec<CellSpec> {
         let classify = self.classifications.iter().map(|c| CellSpec::Classify(*c));
         classify
             .chain(self.run_cells().map(CellSpec::Run))
-            .collect()
-    }
-
-    /// Enumerates the matrix's *work units* — the granularity adaptive
-    /// execution and adaptive sharding operate on: each classification
-    /// cell is one unit, and each run group is one unit (the unit owns the
-    /// group's entire adaptive seed ladder, so the stopping decision is a
-    /// pure function of the unit's own records and shards never have to
-    /// coordinate mid-sweep).
-    pub fn work_units(&self) -> Vec<WorkUnit> {
-        let mut out: Vec<WorkUnit> = self
-            .classifications
-            .iter()
-            .map(|c| WorkUnit::Classify(*c))
-            .collect();
-        out.extend(self.run_templates().into_iter().map(WorkUnit::Group));
-        out
-    }
-
-    /// The sub-list of [`ScenarioMatrix::work_units`] owned by one shard
-    /// of an `m`-way partition (round-robin over the unit index, exactly
-    /// like [`ScenarioMatrix::shard_cells`] over cells).
-    pub fn shard_units(&self, shard: ShardSpec) -> Vec<WorkUnit> {
-        self.work_units()
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| shard.owns(i))
-            .map(|(_, u)| u)
             .collect()
     }
 
@@ -1202,32 +1098,6 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), templates.len());
-    }
-
-    #[test]
-    fn work_units_partition_like_cells() {
-        let mut m = small_matrix();
-        m.classifications = vec![ClassifyCell {
-            validity: ValiditySpec::Parity,
-            n: 4,
-            t: 1,
-            domain: 2,
-        }];
-        let units = m.work_units();
-        // Classifications first, then one unit per run group.
-        assert_eq!(units.len(), 1 + m.run_templates().len());
-        assert!(matches!(units[0], WorkUnit::Classify(_)));
-        // Shard units are disjoint and covering, like shard_cells.
-        for count in 1..=4usize {
-            let mut covered: Vec<String> = (1..=count)
-                .flat_map(|index| m.shard_units(ShardSpec { index, count }))
-                .map(|u| u.key())
-                .collect();
-            covered.sort();
-            let mut all: Vec<String> = units.iter().map(|u| u.key()).collect();
-            all.sort();
-            assert_eq!(covered, all, "unit partition broken at m={count}");
-        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Sweep observability: per-cell engine metrics and their renderings.
 //!
 //! When the engine runs with [`crate::SweepEngine::observe`], every run
-//! cell (or adaptive work unit) executes with a
-//! [`validity_simnet::Metrics`] probe attached and the sweep returns one
-//! [`CellObservation`] per observed unit. This module renders those
+//! cell executes with a [`validity_simnet::Metrics`] probe attached and
+//! the sweep returns one [`CellObservation`] per run cell. This module renders those
 //! observations:
 //!
 //! * [`observe_markdown`] — the non-canonical `## Observability` section
@@ -22,20 +21,19 @@
 
 use validity_simnet::{Hist, Metrics, Timeline};
 
-use crate::matrix::{CellSpec, ScenarioMatrix, WorkUnit};
+use crate::matrix::ScenarioMatrix;
 use crate::report::json_str;
-use crate::runner::{execute_run_with_probe, GroupContext};
+use crate::runner::run_cell;
 
 /// The `--observe` artifact schema tag.
 pub const OBSERVE_SCHEMA: &str = "validity-lab/observe@1";
 
-/// Engine metrics for one executed cell (fixed sweeps) or one work unit
-/// (adaptive sweeps — the whole seed ladder pooled).
+/// Engine metrics for one executed run cell.
 #[derive(Clone, Debug)]
 pub struct CellObservation {
-    /// The cell key (fixed sweeps) or group key (adaptive units).
+    /// The cell key.
     pub label: String,
-    /// The pooled engine metrics.
+    /// The cell's engine metrics.
     pub metrics: Metrics,
     /// Equivocations the cell's adversary reported about itself (zero for
     /// every oblivious behaviour).
@@ -171,40 +169,18 @@ pub fn observe_json(suite: &str, observed: &[CellObservation]) -> String {
     out
 }
 
-/// Re-runs the labeled cell (fixed sweeps) or the labeled group's first
-/// seed (adaptive sweeps) with a [`Timeline`] probe and returns the
+/// Re-runs the labeled run cell with a [`Timeline`] probe and returns the
 /// recorded timeline. Deterministic: the replay is the same seeded
 /// execution the sweep ran. Returns `None` for classification cells and
 /// unknown labels.
 pub fn timeline_for(matrix: &ScenarioMatrix, label: &str) -> Option<Timeline> {
-    if matrix.sampling.is_some() {
-        for unit in matrix.work_units() {
-            if let WorkUnit::Group(template) = unit {
-                if template.group_key() == label {
-                    let ctx = GroupContext::new(&template, matrix.max_steps);
-                    let (_, timeline) =
-                        execute_run_with_probe(&ctx, matrix.seeds.start, Timeline::new());
-                    return Some(timeline);
-                }
-            }
-        }
-        return None;
-    }
-    for cell in matrix.cells() {
-        if let CellSpec::Run(c) = cell {
-            if c.key() == label {
-                let ctx = GroupContext::new(&c, matrix.max_steps);
-                let (_, timeline) = execute_run_with_probe(&ctx, c.seed, Timeline::new());
-                return Some(timeline);
-            }
-        }
-    }
-    None
+    let cell = matrix.run_cells().find(|c| c.key() == label)?;
+    Some(run_cell(&cell, matrix.max_steps, |_| Timeline::new()).1)
 }
 
-/// The label of the hottest observed unit by simulator events —
-/// deterministic (events are seeded), so it is the natural default target
-/// for timeline export. Ties break toward the earlier unit.
+/// The hottest observed cell by simulator events — deterministic (events
+/// are seeded), so it is the natural default target for timeline export.
+/// Ties break toward the earlier cell.
 pub fn hottest_by_events(observed: &[CellObservation]) -> Option<&CellObservation> {
     observed.iter().reduce(|best, o| {
         if o.metrics.events > best.metrics.events {
@@ -258,9 +234,9 @@ mod tests {
         let hot = hottest_by_events(&run.observed).expect("observed cells");
         let timeline = timeline_for(&m, &hot.label).expect("run cell label resolves");
         assert!(!timeline.is_empty());
-        // Fixed sweep: the replay is the same seeded run the sweep
-        // observed, so the timeline's entries are exactly the per-process
-        // events the metrics counted (dispatches plus decides and halts).
+        // The replay is the same seeded run the sweep observed, so the
+        // timeline's entries are exactly the per-process events the
+        // metrics counted (dispatches plus decides and halts).
         let hm = &hot.metrics;
         assert_eq!(
             timeline.len() as u64,

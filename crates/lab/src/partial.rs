@@ -24,22 +24,9 @@
 //!
 //! The partial format is versioned ([`PARTIAL_SCHEMA`]); `lab merge` and
 //! `lab diff` refuse artifacts from a different schema generation instead
-//! of producing silently wrong output.
-//!
-//! ## Adaptive sweeps: the two-phase "measure then commit" protocol
-//!
-//! For an adaptive matrix the realized seed count of a group is decided by
-//! the data, so shards partition the matrix at the *work-unit* level
-//! (classification cells and whole run groups) and the merge must prove
-//! that every shard stopped each of its groups exactly where the rule
-//! says. The partial is the **measure** phase: it carries the shard's
-//! records plus its claimed per-group stopping decisions (`sampling`).
-//! [`merge`] is the **commit** phase: it replays the stopping rule over
-//! each group's records ([`crate::sampling::expected_consumed`]) and
-//! refuses the merge when any shard's claim — or record count — disagrees
-//! with the rule. Only decisions every participant re-derives identically
-//! enter the merged report, which is what keeps sharded adaptive runs
-//! byte-identical to unsharded ones.
+//! of producing silently wrong output. Two `partial@2` keys are constants
+//! kept for the bytes and never read: the matrix's `"sampling": null` and
+//! the top-level `"sampling": []`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -48,12 +35,11 @@ use validity_simnet::NetStats;
 
 use crate::json::{Fields, Json};
 use crate::matrix::{
-    ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, SamplingSpec, ScenarioMatrix,
-    ScheduleSpec, ShardSpec, ValiditySpec, WorkUnit,
+    ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, ScenarioMatrix, ScheduleSpec,
+    ShardSpec, ValiditySpec,
 };
 use crate::report::{json_str, SweepReport};
 use crate::runner::{CellRecord, ClassifyRecord, Outcome, RunRecord};
-use crate::sampling::{evaluate, expected_consumed, GroupSampling};
 
 /// Schema tag of partial (sharded) report files.
 pub const PARTIAL_SCHEMA: &str = "validity-lab/partial@2";
@@ -71,36 +57,21 @@ pub struct PartialReport {
     pub wall_seconds: f64,
     /// The shard's cell records, in matrix order.
     pub records: Vec<CellRecord>,
-    /// Measure-phase claims of an adaptive shard: the stopping decision
-    /// for every run group this shard owns, in unit order. Empty for
-    /// fixed-seed sweeps.
-    pub sampling: Vec<GroupSampling>,
 }
 
 impl PartialReport {
-    /// Builds a partial from a shard's executed records, deriving the
-    /// measure-phase sampling claims from the records themselves (for an
-    /// adaptive matrix) so the artifact and the stopping rule cannot
-    /// disagree at the source.
+    /// Builds a partial from a shard's executed records.
     pub fn new(
         matrix: ScenarioMatrix,
         shard: ShardSpec,
         wall_seconds: f64,
         records: Vec<CellRecord>,
     ) -> PartialReport {
-        let sampling = match matrix.sampling {
-            None => Vec::new(),
-            Some(spec) => crate::sampling::group_slices(&records)
-                .into_iter()
-                .map(|(key, slice)| evaluate(key, slice, &spec, &matrix.fit_measures))
-                .collect(),
-        };
         PartialReport {
             matrix,
             shard,
             wall_seconds,
             records,
-            sampling,
         }
     }
 
@@ -117,14 +88,7 @@ impl PartialReport {
         let _ = writeln!(out, "  \"wall_seconds\": {:.3},", self.wall_seconds);
         out.push_str("  \"matrix\": ");
         matrix_json(&mut out, &self.matrix);
-        out.push_str(",\n  \"sampling\": [");
-        for (i, claim) in self.sampling.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&claim.to_json());
-        }
-        out.push_str("],\n  \"records\": [\n");
+        out.push_str(",\n  \"sampling\": [],\n  \"records\": [\n");
         for (i, rec) in self.records.iter().enumerate() {
             out.push_str("    ");
             record_json(&mut out, rec);
@@ -159,11 +123,6 @@ impl PartialReport {
                 .objs("records")?
                 .iter()
                 .map(record_from_json)
-                .collect::<Result<_, String>>()?,
-            sampling: v
-                .objs("sampling")?
-                .iter()
-                .map(claim_from_json)
                 .collect::<Result<_, String>>()?,
         })
     }
@@ -225,10 +184,6 @@ pub fn merge(partials: &[PartialReport]) -> Result<(SweepReport, ScenarioMatrix)
             missing[0],
         ));
     }
-    if first.matrix.sampling.is_some() {
-        let report = merge_adaptive(partials, &first.matrix)?;
-        return Ok((report, first.matrix.clone()));
-    }
     // Indices are 1..=count, distinct, and there are exactly `count` of
     // them: all shards are present. One enumeration of the matrix now
     // serves both the per-shard assignment check and the final ordering —
@@ -267,132 +222,6 @@ pub fn merge(partials: &[PartialReport]) -> Result<(SweepReport, ScenarioMatrix)
         .collect::<Result<_, String>>()?;
     let report = SweepReport::aggregate_matrix(&first.matrix, &ordered);
     Ok((report, first.matrix.clone()))
-}
-
-/// The commit phase of an adaptive merge: validates every shard's records
-/// against its work-unit assignment, replays each group's stopping rule
-/// over the shard's own records, cross-checks the shard's measure-phase
-/// claims, and reassembles the records in unit order — exactly the list
-/// the unsharded adaptive run produces.
-fn merge_adaptive(
-    partials: &[PartialReport],
-    matrix: &ScenarioMatrix,
-) -> Result<SweepReport, String> {
-    let spec = matrix.sampling.expect("adaptive merge without a spec");
-    let units = matrix.work_units();
-    let count = partials.first().expect("validated non-empty").shard.count;
-    // Per-unit record slots, filled by whichever shard owns the unit.
-    let mut unit_records: Vec<Option<Vec<CellRecord>>> = vec![None; units.len()];
-    for p in partials {
-        let mut cursor = 0usize;
-        for (unit_index, unit) in units.iter().enumerate() {
-            if !p.shard.owns(unit_index) {
-                continue;
-            }
-            match unit {
-                WorkUnit::Classify(c) => {
-                    let rec = p.records.get(cursor).ok_or_else(|| {
-                        format!(
-                            "shard {}: missing record for classification '{}'",
-                            p.shard,
-                            c.key()
-                        )
-                    })?;
-                    if rec.key != c.key() {
-                        return Err(format!(
-                            "shard {}: expected classification '{}', found '{}'",
-                            p.shard,
-                            c.key(),
-                            rec.key
-                        ));
-                    }
-                    unit_records[unit_index] = Some(vec![rec.clone()]);
-                    cursor += 1;
-                }
-                WorkUnit::Group(template) => {
-                    let group_key = template.group_key();
-                    let start = cursor;
-                    while cursor < p.records.len() && p.records[cursor].group == group_key {
-                        cursor += 1;
-                    }
-                    let slice = &p.records[start..cursor];
-                    if slice.is_empty() {
-                        return Err(format!(
-                            "shard {}: no records for group '{group_key}'",
-                            p.shard
-                        ));
-                    }
-                    // Seed ladder integrity: consecutive seeds from the
-                    // matrix's first seed.
-                    for (i, rec) in slice.iter().enumerate() {
-                        let expected_key = template.with_seed(matrix.seeds.start + i as u64).key();
-                        if rec.key != expected_key {
-                            return Err(format!(
-                                "shard {}: group '{group_key}' record {i} is '{}', \
-                                 expected '{expected_key}'",
-                                p.shard, rec.key
-                            ));
-                        }
-                    }
-                    // Commit: replay the stopping rule; the shard must
-                    // have stopped exactly where the rule does.
-                    let committed = expected_consumed(slice, &spec, &matrix.fit_measures);
-                    if committed != slice.len() as u64 {
-                        return Err(format!(
-                            "shard {}: adaptive stopping for group '{group_key}' \
-                             disagrees with the committed rule (shard ran {} \
-                             seed(s), rule commits {committed})",
-                            p.shard,
-                            slice.len(),
-                        ));
-                    }
-                    // And the shard's measure-phase claim must match the
-                    // re-derived decision (compared through the canonical
-                    // rendering, so float formatting cannot drift).
-                    let derived = evaluate(&group_key, slice, &spec, &matrix.fit_measures);
-                    let claim =
-                        p.sampling
-                            .iter()
-                            .find(|s| s.key == group_key)
-                            .ok_or_else(|| {
-                                format!(
-                                    "shard {}: no sampling claim for group '{group_key}'",
-                                    p.shard
-                                )
-                            })?;
-                    if claim.to_json() != derived.to_json() {
-                        return Err(format!(
-                            "shard {}: sampling claim for group '{group_key}' does \
-                             not match the records ({} vs {})",
-                            p.shard,
-                            claim.to_json(),
-                            derived.to_json()
-                        ));
-                    }
-                    unit_records[unit_index] = Some(slice.to_vec());
-                }
-            }
-        }
-        if cursor != p.records.len() {
-            return Err(format!(
-                "shard {}: {} record(s) beyond its work-unit assignment",
-                p.shard,
-                p.records.len() - cursor
-            ));
-        }
-    }
-    let mut ordered: Vec<CellRecord> = Vec::new();
-    for (unit_index, slot) in unit_records.into_iter().enumerate() {
-        let records = slot.ok_or_else(|| {
-            format!(
-                "work unit '{}' covered by no shard (a {count}-way partition \
-                 must cover every unit)",
-                units[unit_index].key()
-            )
-        })?;
-        ordered.extend(records);
-    }
-    Ok(SweepReport::aggregate_matrix(matrix, &ordered))
 }
 
 // ---------------------------------------------------------------------------
@@ -463,17 +292,11 @@ fn matrix_json(out: &mut String, m: &ScenarioMatrix) {
             json_str(&b.filter)
         );
     }
-    let _ = write!(out, "], \"fit_axis\": {}", json_str(m.fit_axis.name()));
-    match m.sampling {
-        Some(s) => {
-            let _ = write!(
-                out,
-                ", \"sampling\": {{\"precision\": {}, \"batch\": {}, \"max_seeds\": {}}}",
-                s.precision, s.batch, s.max_seeds
-            );
-        }
-        None => out.push_str(", \"sampling\": null"),
-    }
+    let _ = write!(
+        out,
+        "], \"fit_axis\": {}, \"sampling\": null",
+        json_str(m.fit_axis.name())
+    );
     match m.max_steps {
         Some(n) => {
             let _ = write!(out, ", \"max_steps\": {n}}}");
@@ -524,28 +347,8 @@ fn matrix_from_json(v: &Fields) -> Result<ScenarioMatrix, String> {
         .collect::<Result<_, String>>()?;
     let axis = v.get("fit_axis")?;
     m.fit_axis = FitAxis::parse(axis).ok_or_else(|| format!("unknown fit axis '{axis}'"))?;
-    m.sampling = v
-        .opt_obj("sampling")?
-        .map(|s| {
-            Ok::<_, String>(SamplingSpec {
-                precision: s.get("precision")?,
-                batch: s.get("batch")?,
-                max_seeds: s.get("max_seeds")?,
-            })
-        })
-        .transpose()?;
     m.max_steps = v.get("max_steps")?;
     Ok(m)
-}
-
-fn claim_from_json(v: &Fields) -> Result<GroupSampling, String> {
-    Ok(GroupSampling {
-        key: v.get("key")?,
-        consumed: v.get("consumed")?,
-        batches: v.get("batches")?,
-        stable: v.get("stable")?,
-        achieved: v.get("achieved")?,
-    })
 }
 
 fn sep(i: usize) -> &'static str {

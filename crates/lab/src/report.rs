@@ -11,8 +11,7 @@
 //! law `y ≈ c·xᵏ` is fitted to each group, and the report gains a `fits`
 //! section with exponent, constant, `r²`, and any declared expected band —
 //! the paper's asymptotic shapes as first-class, regression-checked
-//! outputs. Adaptive sweeps additionally gain a `sampling` section
-//! recording each group's stopping decision.
+//! outputs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -20,9 +19,8 @@ use std::fmt::Write as _;
 use validity_simnet::{NetStats, Time};
 
 use crate::fit::{try_fit_exponent, PowerFit};
-use crate::matrix::{FitAxis, FitMeasure, RunCell, SamplingSpec, ScenarioMatrix};
+use crate::matrix::{FitAxis, FitMeasure, RunCell, ScenarioMatrix};
 use crate::runner::{CellRecord, ClassifyRecord, Outcome, RunRecord};
-use crate::sampling::GroupSampling;
 
 /// Statistics of one u64-valued measure across a group's runs.
 ///
@@ -139,7 +137,8 @@ pub struct FitRow {
 /// generations instead of producing a silently meaningless diff.
 ///
 /// `report@2` added the top-level `fit_axis` and `sampling` fields and the
-/// per-classification `cost` counter. A `report@1` file would diff against
+/// per-classification `cost` counter; `sampling` is always `null` now (no
+/// sweep samples adaptively) and kept so the bytes do not change. A `report@1` file would diff against
 /// a `report@2` one as a wall of spurious cell differences, so full-report
 /// readers accept only their own generation and `lab diff` names both tags
 /// on a mismatch.
@@ -152,28 +151,6 @@ pub struct ClassifyRow {
     pub key: String,
     /// The classifier's output.
     pub record: ClassifyRecord,
-}
-
-/// The report's adaptive-sampling section: the spec the sweep ran under
-/// and, per run group, what the stopping rule decided.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SamplingSection {
-    /// The sampling parameters the matrix declared.
-    pub spec: SamplingSpec,
-    /// Per-group outcomes, in group (first-appearance) order.
-    pub groups: Vec<GroupSampling>,
-}
-
-impl SamplingSection {
-    /// Total seeds consumed across all groups.
-    pub fn seeds_consumed(&self) -> u64 {
-        self.groups.iter().map(|g| g.consumed).sum()
-    }
-
-    /// Number of groups that stopped at the seed cap without stabilizing.
-    pub fn capped(&self) -> u64 {
-        self.groups.iter().filter(|g| !g.stable).count() as u64
-    }
 }
 
 /// The full, deterministic sweep report.
@@ -206,8 +183,6 @@ pub struct SweepReport {
     pub fit_axis: FitAxis,
     /// Keys of quarantined cells (step budget exceeded), in matrix order.
     pub quarantined: Vec<String>,
-    /// The adaptive-sampling section (`None` for fixed-seed sweeps).
-    pub sampling: Option<SamplingSection>,
 }
 
 impl SweepReport {
@@ -228,9 +203,7 @@ impl SweepReport {
     fn fold(name: &str, records: &[CellRecord], matrix: Option<&ScenarioMatrix>) -> SweepReport {
         // Per-group metadata (fit x-coordinate, fit key) comes from
         // re-enumerating the matrix's run-group templates: records carry
-        // their group key, so the lookup is order-insensitive — and, for
-        // adaptive sweeps, seed-count-insensitive (every seed of a group
-        // shares the template).
+        // their group key, so the lookup is order-insensitive.
         let axis = matrix.map_or(FitAxis::N, |m| m.fit_axis);
         let group_meta: BTreeMap<String, RunCell> = matrix
             .map(|m| {
@@ -290,17 +263,6 @@ impl SweepReport {
             }
         }
         let fits = matrix.map_or_else(Vec::new, |m| compute_fits(m, &groups, &classifications));
-        let sampling = matrix.and_then(|m| {
-            let spec = m.sampling?;
-            let outcomes = crate::sampling::group_slices(records)
-                .into_iter()
-                .map(|(key, slice)| crate::sampling::evaluate(key, slice, &spec, &m.fit_measures))
-                .collect();
-            Some(SamplingSection {
-                spec,
-                groups: outcomes,
-            })
-        });
         SweepReport {
             matrix: name.to_string(),
             cells: records.to_vec(),
@@ -309,7 +271,6 @@ impl SweepReport {
             fits,
             fit_axis: axis,
             quarantined,
-            sampling,
         }
     }
 
@@ -384,29 +345,8 @@ impl SweepReport {
             }
             out.push_str(&json_str(key));
         }
-        out.push_str("],\n  \"sampling\": ");
-        match &self.sampling {
-            None => out.push_str("null"),
-            Some(s) => {
-                let _ = write!(
-                    out,
-                    "{{\n    \"precision\": {:.4}, \"batch\": {}, \"max_seeds\": {},\n    \
-                     \"seeds_consumed\": {}, \"capped\": {},\n    \"groups\": [\n",
-                    s.spec.precision,
-                    s.spec.batch,
-                    s.spec.max_seeds,
-                    s.seeds_consumed(),
-                    s.capped(),
-                );
-                for (i, g) in s.groups.iter().enumerate() {
-                    out.push_str("      ");
-                    out.push_str(&g.to_json());
-                    out.push_str(if i + 1 == s.groups.len() { "\n" } else { ",\n" });
-                }
-                out.push_str("    ]\n  }");
-            }
-        }
-        out.push_str("\n}\n");
+        // `sampling` is a constant `null` (see [`REPORT_SCHEMA`]).
+        out.push_str("],\n  \"sampling\": null\n}\n");
         out
     }
 
@@ -451,33 +391,6 @@ impl SweepReport {
             );
             for key in &self.quarantined {
                 let _ = writeln!(out, "- `{key}`");
-            }
-            out.push('\n');
-        }
-        if let Some(s) = &self.sampling {
-            out.push_str("## Adaptive sampling\n\n");
-            let _ = writeln!(
-                out,
-                "Target precision {:.4} (relative 95% CI half-width), batches of {}, \
-                 cap {} seeds/group; {} seed(s) consumed, {} group(s) capped.\n",
-                s.spec.precision,
-                s.spec.batch,
-                s.spec.max_seeds,
-                s.seeds_consumed(),
-                s.capped(),
-            );
-            out.push_str("| group | seeds | batches | achieved ρ | status |\n");
-            out.push_str("|---|---|---|---|---|\n");
-            for g in &s.groups {
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {} | {} | {} |",
-                    g.key,
-                    g.consumed,
-                    g.batches,
-                    g.achieved.map_or("-".to_string(), |a| format!("{a:.4}")),
-                    if g.stable { "stable" } else { "✘ CAPPED" },
-                );
             }
             out.push('\n');
         }

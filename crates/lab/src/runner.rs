@@ -184,7 +184,7 @@ pub fn execute(cell: &CellSpec) -> CellRecord {
 /// that processes more than `max_steps` simulator events.
 pub fn execute_with_budget(cell: &CellSpec, max_steps: Option<u64>) -> CellRecord {
     match cell {
-        CellSpec::Run(c) => execute_run_with_context(&GroupContext::new(c, max_steps), c.seed),
+        CellSpec::Run(c) => run_cell(c, max_steps, |_| NoProbe).0,
         CellSpec::Classify(c) => CellRecord {
             key: c.key(),
             group: c.key(),
@@ -197,83 +197,27 @@ fn params_of(n: usize, t: usize) -> SystemParams {
     SystemParams::new(n, t).expect("matrix enumerated an invalid (n, t)")
 }
 
-/// The seed-invariant part of executing one run cell.
-///
-/// The adaptive seed ladder ([`crate::executor::run_adaptive_group`])
-/// executes the *same* cell template at many seeds; everything here — the
-/// simulator configuration (including its `start_times` vector and any
-/// per-link schedule closure), the validity property, the actual input
-/// configuration the admissibility check compares against, and the step
-/// budget — is a pure function of the template, so it is built once per
-/// group instead of once per seed.
-pub(crate) struct GroupContext {
-    cell: RunCell,
-    params: SystemParams,
-    /// Budgeted builder template; per-seed execution clones it and swaps
-    /// the seed, and `build` validates the nodes against it.
-    builder: SimBuilder,
-    /// Universal path: the property and actual inputs for the
-    /// admissibility check (`None` for raw vector cells).
-    universal: Option<UniversalContext>,
-}
-
-struct UniversalContext {
-    validity: ValiditySpec,
-    property: validity_core::DynValidity<u64>,
-    actual: InputConfig<u64>,
-}
-
-impl GroupContext {
-    /// Builds the context for `template` (the template's own seed is
-    /// irrelevant; callers pass the per-cell seed at execution time).
-    pub(crate) fn new(template: &RunCell, max_steps: Option<u64>) -> GroupContext {
-        let params = params_of(template.n, template.t);
-        let builder = budgeted(template.schedule.builder(params, 0), max_steps);
-        let universal = template.protocol.universal.then(|| {
-            let validity = template
-                .validity
-                .expect("universal cells always carry a validity");
-            UniversalContext {
-                validity,
-                property: validity.property(params.t()),
-                actual: actual_config(params, template.byz, |i| validity.input_for(i)),
-            }
-        });
-        GroupContext {
-            cell: *template,
-            params,
-            builder,
-            universal,
-        }
-    }
-
-    /// The cell's `δ` — the natural round width for a
-    /// [`validity_simnet::Metrics`] probe observing this group.
-    pub(crate) fn round_width(&self) -> Time {
-        self.builder.config().delta
-    }
-}
-
-/// Executes the context's cell template at `seed` (see [`GroupContext`]).
-pub(crate) fn execute_run_with_context(ctx: &GroupContext, seed: u64) -> CellRecord {
-    execute_run_with_probe(ctx, seed, NoProbe).0
-}
-
-/// Executes the context's cell template at `seed` with an instrumentation
-/// probe attached, returning the probe alongside the record. The record is
-/// byte-identical to the unprobed one — probes observe, never perturb —
-/// which is what keeps `--observe` runs on the canonical fingerprints.
-pub(crate) fn execute_run_with_probe<P: Probe>(
-    ctx: &GroupContext,
-    seed: u64,
-    probe: P,
+/// Executes one run cell under `max_steps` with the instrumentation probe
+/// `probe(δ)` attached (`δ` the cell's round width, which a
+/// [`validity_simnet::Metrics`] probe buckets by), returning the probe
+/// alongside the record. The record is byte-identical to the unprobed
+/// one — probes observe, never perturb — which is what keeps `--observe`
+/// runs on the canonical fingerprints.
+pub(crate) fn run_cell<P: Probe>(
+    cell: &RunCell,
+    max_steps: Option<u64>,
+    probe: impl FnOnce(Time) -> P,
 ) -> (CellRecord, P) {
-    let mut cell = ctx.cell;
-    cell.seed = seed;
-    let (record, probe) = if ctx.universal.is_some() {
-        run_universal(&cell, ctx, seed, probe)
+    let params = params_of(cell.n, cell.t);
+    let builder = budgeted(cell.schedule.builder(params, cell.seed), max_steps);
+    let probe = probe(builder.config().delta);
+    let (record, probe) = if cell.protocol.universal {
+        let validity = cell
+            .validity
+            .expect("universal cells always carry a validity");
+        run_universal(cell, params, validity, builder, probe)
     } else {
-        run_raw(&cell, ctx, seed, probe)
+        run_raw(cell, params, builder, probe)
     };
     (
         CellRecord {
@@ -341,18 +285,14 @@ fn budgeted(builder: SimBuilder, max_steps: Option<u64>) -> SimBuilder {
 
 fn run_universal<P: Probe>(
     cell: &RunCell,
-    gctx: &GroupContext,
-    seed: u64,
+    params: SystemParams,
+    validity: ValiditySpec,
+    builder: SimBuilder,
     probe: P,
 ) -> (RunRecord, P) {
-    let params = gctx.params;
-    let uni = gctx
-        .universal
-        .as_ref()
-        .expect("run_universal requires a universal context");
-    let validity = uni.validity;
-    let ctx = ProtocolContext::new(params, seed);
-    let builder = gctx.builder.clone().seed(seed);
+    let property = validity.property(params.t());
+    let actual = actual_config(params, cell.byz, |i| validity.input_for(i));
+    let ctx = ProtocolContext::new(params, cell.seed);
     let gst = builder.config().gst;
     let engine = cell.protocol.engine;
     let mk = |p: ProcessId, face: u64| {
@@ -372,16 +312,17 @@ fn run_universal<P: Probe>(
     let mut sim = builder
         .build_with_probe(nodes, probe)
         .expect("matrix-derived configurations always validate");
-    let record = collect(&mut sim, |v: &u64| {
-        uni.property.is_admissible(&uni.actual, v)
-    });
+    let record = collect(&mut sim, |v: &u64| property.is_admissible(&actual, v));
     (record, sim.into_probe())
 }
 
-fn run_raw<P: Probe>(cell: &RunCell, gctx: &GroupContext, seed: u64, probe: P) -> (RunRecord, P) {
-    let params = gctx.params;
-    let ctx = ProtocolContext::new(params, seed);
-    let builder = gctx.builder.clone().seed(seed);
+fn run_raw<P: Probe>(
+    cell: &RunCell,
+    params: SystemParams,
+    builder: SimBuilder,
+    probe: P,
+) -> (RunRecord, P) {
+    let ctx = ProtocolContext::new(params, cell.seed);
     let gst = builder.config().gst;
     let engine = cell.protocol.engine;
     let input_of = |i: usize| (i as u64) * 10;

@@ -29,36 +29,6 @@ use crate::PowerFit;
 /// Schema tag written into new bench-trend artifacts.
 pub const BENCH_SCHEMA: &str = "validity-lab/bench@3";
 
-/// Adaptive-sampling metadata of one suite entry, as recorded in the
-/// artifact: enough to see at a glance how much seed budget a
-/// suite spent and whether any group failed to stabilize.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BenchSampling {
-    /// The sweep's target precision (relative 95% CI half-width).
-    pub precision: f64,
-    /// Total seeds consumed across the suite's run groups.
-    pub seeds_consumed: u64,
-    /// Groups that hit the seed cap without stabilizing.
-    pub capped: u64,
-}
-
-impl BenchSampling {
-    /// Reads a suite entry's or a report's nullable `sampling` field
-    /// (`null` for a fixed-seed sweep), so the artifact parser and the
-    /// from-reports path cannot drift apart.
-    fn from_json(v: &Fields) -> Result<Option<BenchSampling>, String> {
-        v.opt_obj("sampling")?
-            .map(|s| {
-                Ok(BenchSampling {
-                    precision: s.get("precision")?,
-                    seeds_consumed: s.get("seeds_consumed")?,
-                    capped: s.get("capped")?,
-                })
-            })
-            .transpose()
-    }
-}
-
 /// One suite's entry in the artifact.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchSuite {
@@ -76,8 +46,6 @@ pub struct BenchSuite {
     pub quarantined: u64,
     /// The x-axis the suite's fits ran along (`"n"`, `"t"`, `"domain"`).
     pub axis: String,
-    /// Adaptive-sampling metadata (`None` for fixed-seed sweeps).
-    pub sampling: Option<BenchSampling>,
     /// Every fit row of the suite's report. The artifact records each
     /// row's fit core but not its points, so rows read back from a file
     /// have none.
@@ -94,11 +62,6 @@ impl BenchSuite {
             violations: report.violations(),
             quarantined: report.quarantined.len() as u64,
             axis: report.fit_axis.name().to_string(),
-            sampling: report.sampling.as_ref().map(|s| BenchSampling {
-                precision: s.spec.precision,
-                seeds_consumed: s.seeds_consumed(),
-                capped: s.capped(),
-            }),
             fits: report.fits.clone(),
         }
     }
@@ -122,7 +85,6 @@ impl BenchSuite {
             violations,
             quarantined: v.get::<Vec<&str>>("quarantined")?.len() as u64,
             axis: v.get("fit_axis")?,
-            sampling: BenchSampling::from_json(v)?,
             fits: fits_from_json(v)?,
         })
     }
@@ -136,7 +98,8 @@ pub struct BenchArtifact {
 }
 
 impl BenchArtifact {
-    /// Renders the versioned artifact.
+    /// Renders the versioned artifact. Each suite's `"sampling": null` is
+    /// a constant kept for the bytes; no reader looks at it.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -147,7 +110,7 @@ impl BenchArtifact {
                 out,
                 "    {{\"suite\": {}, \"wall_seconds\": {}, \"cells\": {}, \
                  \"violations\": {}, \"quarantined\": {}, \"axis\": {}, \
-                 \"sampling\": {}, \"fits\": [",
+                 \"sampling\": null, \"fits\": [",
                 json_str(&s.suite),
                 s.wall_seconds
                     .map_or("null".to_string(), |w| format!("{w:.3}")),
@@ -155,13 +118,6 @@ impl BenchArtifact {
                 s.violations,
                 s.quarantined,
                 json_str(&s.axis),
-                match s.sampling {
-                    Some(sa) => format!(
-                        "{{\"precision\": {:.4}, \"seeds_consumed\": {}, \"capped\": {}}}",
-                        sa.precision, sa.seeds_consumed, sa.capped
-                    ),
-                    None => "null".to_string(),
-                },
             );
             for (fi, f) in s.fits.iter().enumerate() {
                 if fi > 0 {
@@ -206,7 +162,6 @@ impl BenchArtifact {
                     violations: s.get("violations")?,
                     quarantined: s.get("quarantined")?,
                     axis: s.get("axis")?,
-                    sampling: BenchSampling::from_json(&s)?,
                     fits: fits_from_json(&s)?,
                 })
             })
@@ -537,7 +492,6 @@ mod tests {
                 violations: 0,
                 quarantined: 0,
                 axis: "n".into(),
-                sampling: None,
                 fits,
             }],
         }
@@ -604,24 +558,12 @@ mod tests {
     fn axis_and_sampling_metadata_round_trip() {
         let mut a = artifact(vec![fit("g", Some(2.0), Some(true))]);
         a.suites[0].axis = "domain".into();
-        a.suites[0].sampling = Some(BenchSampling {
-            precision: 0.05,
-            seeds_consumed: 50,
-            capped: 1,
-        });
         let text = a.to_json();
         assert!(text.contains("\"axis\": \"domain\""));
-        assert!(text.contains("\"seeds_consumed\": 50"));
+        assert!(text.contains("\"sampling\": null"));
         let back = BenchArtifact::parse(&text).expect("round-trip");
         assert_eq!(back.suites[0].axis, "domain");
-        assert_eq!(
-            back.suites[0].sampling,
-            Some(BenchSampling {
-                precision: 0.05,
-                seeds_consumed: 50,
-                capped: 1,
-            })
-        );
+        assert_eq!(back.to_json(), text);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use validity_lab::json::{Fields, Json};
 use validity_lab::report::{json_str, REPORT_SCHEMA};
 use validity_lab::{
     compare_emitted, run_crosscheck, suites, BenchArtifact, BenchSuite, CrosscheckMatrix,
-    FitMeasure, PartialReport, SamplingSpec, ShardSpec, SweepEngine,
+    FitMeasure, PartialReport, ShardSpec, SweepEngine,
 };
 
 /// One artifact and its reader: the rendered text, the Markdown a
@@ -25,17 +25,11 @@ struct Artifact {
     required: fn(&str) -> bool,
 }
 
-/// The `quick` suite with a fitted measure and adaptive sampling, so the
-/// report carries fit rows and a sampling section and the partial carries
-/// stopping claims.
+/// The `quick` suite with a fitted measure, so the report carries fit
+/// rows.
 fn sweep() -> validity_lab::ScenarioMatrix {
     let mut m = suites::build("quick").expect("built-in suite");
     m.fit_measures = vec![FitMeasure::Messages];
-    m.sampling = Some(SamplingSpec {
-        precision: 0.5,
-        batch: 2,
-        max_seeds: 4,
-    });
     m
 }
 
@@ -69,10 +63,6 @@ fn report() -> &'static Artifact {
                 "groups[].agreement_failures",
                 "groups[].validity_failures",
                 "quarantined",
-                "sampling",
-                "sampling.precision",
-                "sampling.seeds_consumed",
-                "sampling.capped",
                 "fits",
             ];
             read.contains(&path) || (path.starts_with("fits[].") && path != "fits[].points")
@@ -90,11 +80,13 @@ fn partial() -> &'static Artifact {
             text: PartialReport::new(m, shard, 0.5, run.records).to_json(),
             read: |_, text| PartialReport::parse(text).map(drop),
             md: String::new(),
-            // Every field but the zero counters a writer may omit.
+            // Every field but the zero counters a writer may omit and the
+            // constant `sampling` keys no reader looks at.
             required: |path| {
-                !["dropped", "duplicated", "equivocations", "omissions"]
-                    .iter()
-                    .any(|c| path == format!("records[].stats.{c}"))
+                !["sampling", "matrix.sampling"].contains(&path)
+                    && !["dropped", "duplicated", "equivocations", "omissions"]
+                        .iter()
+                        .any(|c| path == format!("records[].stats.{c}"))
             },
         }
     })
@@ -118,7 +110,8 @@ fn bench() -> &'static Artifact {
             text: artifact.to_json(),
             read: |_, text| BenchArtifact::parse(text).map(drop),
             md: String::new(),
-            required: |_| true,
+            // Every field but the constant `sampling` no reader looks at.
+            required: |path| path != "suites[].sampling",
         }
     })
 }
@@ -285,6 +278,38 @@ fn the_untouched_committed_baseline_still_reads() {
         baseline.to_json(),
         text,
         "the baseline re-renders byte for byte"
+    );
+}
+
+/// `lab diff` names both schema tags when two *full* reports come from
+/// different generations.
+#[test]
+fn diff_names_both_tags_on_full_report_schema_mismatch() {
+    let dir = std::env::temp_dir().join(format!("lab-readers-{}-diff", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp workdir");
+    let a = dir.join("a.json").display().to_string();
+    let b = dir.join("b.json").display().to_string();
+    std::fs::write(
+        &a,
+        "{\"schema\": \"validity-lab/report@1\", \"cells\": []}\n",
+    )
+    .unwrap();
+    std::fs::write(
+        &b,
+        "{\"schema\": \"validity-lab/report@2\", \"cells\": []}\n",
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lab"))
+        .args(["diff", &a, &b])
+        .output()
+        .expect("spawn lab");
+    assert!(!out.status.success(), "diff accepted mismatched schemas");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("schema-version mismatch")
+            && err.contains("report@1")
+            && err.contains("report@2"),
+        "unhelpful error: {err}"
     );
 }
 

@@ -9,7 +9,7 @@
 //!    accepted flags pass validation, refused flags are refused with the
 //!    flag named, everything else is an unknown option. Nothing is
 //!    mirrored by hand — the test walks the table the binary validates
-//!    against.
+//!    against. The adaptive-sampling flags are unknown to `lab run`.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
 //!    flags it would otherwise ignore; a custom matrix that enumerates no
 //!    cell, an empty operator list, an empty or reversed `--seeds` range
@@ -122,6 +122,30 @@ fn each_driver_has_one_door() {
     let names = lab(&["list", "--names"]);
     assert!(names.status.success(), "{}", stderr(&names));
     assert_eq!(stdout(&names).lines().collect::<Vec<_>>(), suites::ALL);
+}
+
+#[test]
+fn lab_run_refuses_the_sampling_flags_as_unknown_options() {
+    // Every sweep runs its fixed seed range: none of these selects a
+    // seed policy any more, so each is refused by name under either
+    // spelling of `lab run`.
+    for prefix in [spelling(Command::Run), spelling(Command::RunSuite)] {
+        for flag in [
+            &["--adaptive"][..],
+            &["--precision", "0.05"],
+            &["--batch", "2"],
+            &["--max-seeds", "16"],
+        ] {
+            let mut args = prefix.clone();
+            args.extend_from_slice(flag);
+            args.push("--dry-run");
+            let out = lab(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+            let want = format!("unknown option '{}'", flag[0]);
+            assert!(stderr(&out).contains(&want), "{args:?}: {}", stderr(&out));
+        }
+    }
 }
 
 #[test]

@@ -176,6 +176,90 @@ fn merged_complexity_sweep_matches_single_process_bytes() {
     }
 }
 
+#[test]
+fn partial_reader_refuses_an_older_generation_by_name() {
+    // A shard of another generation never reaches the merge: the reader
+    // refuses it by name, so a merged set is single-generation by
+    // construction.
+    let m = suites::build("quick").expect("built-in suite");
+    let shard = ShardSpec { index: 2, count: 2 };
+    let run = SweepEngine::new(2).execute_shard(&m, shard);
+    let partial = PartialReport::new(m.clone(), shard, run.wall.as_secs_f64(), run.records);
+    assert!(PartialReport::parse(&partial.to_json()).is_ok());
+    let downgraded = partial
+        .to_json()
+        .replace(validity_lab::PARTIAL_SCHEMA, "validity-lab/partial@1");
+    assert_eq!(
+        PartialReport::parse(&downgraded).unwrap_err(),
+        "not a partial report: schema 'validity-lab/partial@1' \
+         (expected 'validity-lab/partial@2')"
+    );
+}
+
+#[test]
+fn incomplete_merge_names_the_missing_shard_indices() {
+    let m = suites::build("quick").expect("built-in suite");
+    let engine = SweepEngine::new(2);
+    let partial_of = |index: usize| {
+        let shard = ShardSpec { index, count: 4 };
+        let run = engine.execute_shard(&m, shard);
+        PartialReport::new(m.clone(), shard, run.wall.as_secs_f64(), run.records)
+    };
+    let err = merge(&[partial_of(1), partial_of(3)]).unwrap_err();
+    assert!(err.contains("incomplete"), "{err}");
+    assert!(
+        err.contains("missing shard index(es) 2, 4"),
+        "the missing indices must be named: {err}"
+    );
+}
+
+#[test]
+fn hand_written_v1_partial_is_refused_even_when_retagged() {
+    // A hand-written partial@1 (no fit_axis, no classify cost) is refused
+    // by name, not read with defaulted fields.
+    let v1 = r#"{
+  "schema": "validity-lab/partial@1",
+  "shard": {"index": 1, "count": 1},
+  "wall_seconds": 0.001,
+  "matrix": {"name": "legacy", "protocols": ["alg1-auth"], "validities": [],
+             "behaviors": ["silent"], "faults": ["0"], "schedules": ["sync"],
+             "systems": [[4, 1]], "seeds": [0, 1], "classifications":
+             [{"validity": "parity", "n": 4, "t": 1, "domain": 2}],
+             "fit_measures": [], "fit_bands": [], "max_steps": null},
+  "records": [
+    {"key": "classify/parity/n4t1/d2", "group": "classify/parity/n4t1/d2",
+     "type": "classify", "verdict": "unsolvable (C_S violated)",
+     "certificate": "x", "high_resilience": true, "theorem1_consistent": true}
+  ]
+}"#;
+    let err = PartialReport::parse(v1).unwrap_err();
+    assert!(err.contains("schema 'validity-lab/partial@1'"), "{err}");
+    // Retagging it does not help: each field partial@2 added is required,
+    // and the reader names the one it misses until all are there.
+    let mut retagged = v1.replace("partial@1", "partial@2");
+    for (missing, completion) in [
+        (
+            "partial@2 matrix: missing 'fit_axis'",
+            (
+                "\"max_steps\": null",
+                "\"max_steps\": null, \"fit_axis\": \"n\"",
+            ),
+        ),
+        (
+            "partial@2 records[0]: missing 'cost'",
+            (
+                "\"theorem1_consistent\": true",
+                "\"theorem1_consistent\": true, \"cost\": 4",
+            ),
+        ),
+    ] {
+        assert_eq!(PartialReport::parse(&retagged).unwrap_err(), missing);
+        retagged = retagged.replacen(completion.0, completion.1, 1);
+    }
+    let completed = PartialReport::parse(&retagged).expect("every partial@2 field present");
+    assert_eq!(completed.records.len(), 1);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end through the CLI: separate OS processes per shard, artifacts on
 // disk, exit codes as CI would see them.

@@ -80,11 +80,6 @@ impl<P: Clone> SlowBroadcast<P> {
         self.halted = true;
     }
 
-    /// Whether every recipient has been served.
-    pub fn is_done(&self, env: &Env) -> bool {
-        self.next >= env.n()
-    }
-
     fn send_next<M, O>(
         &mut self,
         wrap: impl Fn(P) -> M,
@@ -164,7 +159,7 @@ mod tests {
         let steps = tick(&mut sb, &e);
         assert_eq!(steps.len(), 1); // last send, no trailing timer
         assert!(matches!(steps[0], Step::Send(ProcessId(3), 7)));
-        assert!(sb.is_done(&e));
+        assert_eq!(sb.next, e.n(), "every recipient served");
         assert!(tick(&mut sb, &e).is_empty());
     }
 

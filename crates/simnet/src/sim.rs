@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use validity_core::{ProcessId, ProcessSet, SystemParams};
+use validity_core::{ProcessId, SystemParams};
 
 use crate::net::{CachedUniform, Delivery, LinkCtx, NetModel, UniformModel};
 use crate::node::{ByzStep, Byzantine, Env, Machine, Step};
@@ -498,16 +498,6 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         self.probe
     }
 
-    /// The set of correct processes (`Corr_A(E)`).
-    pub fn correct_set(&self) -> ProcessSet {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| k.is_correct())
-            .map(|(i, _)| ProcessId::from_index(i))
-            .collect()
-    }
-
     /// Collected statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -959,7 +949,8 @@ mod tests {
         assert_eq!(sim.run_until_decided(), RunOutcome::AllDecided);
         // The byzantine node never decides.
         assert!(sim.decisions()[3].is_none());
-        assert_eq!(sim.correct_set().len(), 3);
+        // The three correct ones all do.
+        assert_eq!(sim.decisions().iter().flatten().count(), 3);
     }
 
     #[test]
