@@ -1,6 +1,6 @@
-//! The `lab` CLI: run scenario sweeps (whole or sharded), list the
-//! registries, merge shard partials, diff reports, and emit / gate on the
-//! CI bench-trend artifact.
+//! The `lab` CLI: run scenario sweeps, list the registries, diff reports,
+//! and emit / gate on the CI bench-trend artifact. Every sweep runs in one
+//! process.
 //!
 //! ```text
 //! lab list [--names]
@@ -13,16 +13,14 @@
 //! lab run --suite quick --observe --timing
 //! lab run --protocols universal/alg1-auth --validities strong --behaviors two-faced \
 //!         --schedules partial-sync --systems 4,1 --faults max --seeds 0..1 --observe
-//! lab run --suite complexity --shard 2/4 --json part2.json
 //! lab run --protocols universal/alg1-auth --validities strong,median \
 //!         --behaviors silent,crash --schedules sync,partial-sync \
 //!         --systems 4,1;7,2 --faults 0,max --seeds 0..8 \
 //!         --fits messages,words --fit-axis n --max-steps 5000000
-//! lab merge part1.json part2.json part3.json part4.json --json full.json
 //! lab diff fig1.json other.json
 //! lab trend --out BENCH_lab.json
-//! lab trend --from-reports complexity.json,universal.json \
-//!           --baseline BENCH_lab_baseline.json --out BENCH_lab.json
+//! lab trend --suites complexity,universal --baseline BENCH_lab_baseline.json \
+//!           --out BENCH_lab.json
 //! lab trend --update-baseline
 //! ```
 
@@ -36,11 +34,10 @@ use validity_lab::flags::{self, Command};
 use validity_lab::json::{Fields, Json};
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
-    compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, run_crosscheck,
-    run_mutate, run_service, slowest_first_markdown, suites, timeline_for, timing_markdown,
-    AgreementLevel, CrosscheckMatrix, Fate, FitAxis, FitMeasure, MutateMatrix, PartialReport,
-    ProtocolAxis, ScenarioMatrix, ScheduleSpec, ServiceMatrix, ShardSpec, SweepEngine,
-    ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, REPORT_SCHEMA,
+    compare_emitted, hottest_by_events, observe_json, observe_markdown, run_crosscheck, run_mutate,
+    run_service, slowest_first_markdown, suites, timeline_for, timing_markdown, AgreementLevel,
+    CrosscheckMatrix, Fate, FitAxis, FitMeasure, MutateMatrix, ProtocolAxis, ScenarioMatrix,
+    ScheduleSpec, ServiceMatrix, SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, REPORT_SCHEMA,
 };
 use validity_protocols::{vector_registry, MutationOp};
 use validity_simnet::Timeline;
@@ -61,7 +58,6 @@ fn main() -> ExitCode {
         Some((&"service", rest)) => service_cmd(rest),
         Some((&"crosscheck", rest)) => crosscheck_cmd(rest),
         Some((&"mutate", rest)) => mutate_cmd(rest),
-        Some((&"merge", rest)) => merge_cmd(rest),
         Some((&"diff", rest)) => diff(rest),
         Some((&"trend", rest)) => trend(rest),
         _ => Err(USAGE.to_string()),
@@ -73,14 +69,14 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-    usage: lab <list | run | service | crosscheck | mutate | merge | diff | trend> ...\n\n\
+    usage: lab <list | run | service | crosscheck | mutate | diff | trend> ...\n\n\
     lab list [--names]\n\
     lab run --suite <name> [--threads N] [--json FILE] [--md FILE]\n\
-    \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
+    \x20        [--max-steps N] [--dry-run] [--timing] [--observe]\n\
     lab run --protocols P,.. --validities V,.. --behaviors B,..\n\
     \x20        --schedules S,.. --systems n,t;n,t --faults 0,max --seeds a..b\n\
     \x20        [--fits messages,words,latency] [--fit-axis n|t|domain]\n\
-    \x20        [--max-steps N] [--shard i/m] [--dry-run] [--timing] [--observe]\n\
+    \x20        [--max-steps N] [--dry-run] [--timing] [--observe]\n\
     lab service [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
     \x20        [--slots N] [--pipelines 1,2,..] [--batches 1,8,..]\n\
     \x20        [--dry-run] [--timing]\n\
@@ -88,10 +84,9 @@ const USAGE: &str = "\
     \x20        [--max-steps N] [--chaos | --adaptive] [--dry-run] [--timing]\n\
     lab mutate [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
     \x20        [--max-steps N] [--operators a,b,..] [--dry-run]\n\
-    lab merge <partial.json>... [--json FILE] [--md FILE]\n\
     lab diff <a.json> <b.json>\n\
-    lab trend [--suites a,b,.. | --from-reports a.json,b.json]\n\
-    \x20        [--threads N] [--out FILE] [--baseline FILE] [--tolerance X]\n\
+    lab trend [--suites a,b,..] [--threads N] [--out FILE]\n\
+    \x20        [--baseline FILE] [--tolerance X]\n\
     \x20        [--update-baseline]";
 
 fn list(names_only: bool) {
@@ -146,8 +141,6 @@ fn list(names_only: bool) {
 /// flag) when it takes one.
 struct Args<'a> {
     given: Vec<(&'static str, &'a str)>,
-    /// The bare arguments, for the commands that take them.
-    positionals: Vec<&'a str>,
 }
 
 impl<'a> Args<'a> {
@@ -156,15 +149,10 @@ impl<'a> Args<'a> {
     /// scenario is worse than an error).
     fn parse(command: Command, argv: &[&'a str]) -> Result<Args<'a>, String> {
         let mut given: Vec<(&'static str, &'a str)> = Vec::new();
-        let mut positionals = Vec::new();
         let mut rest = argv.iter();
         while let Some(&arg) = rest.next() {
             if !arg.starts_with("--") {
-                if !command.takes_positionals() {
-                    return Err(format!("unexpected argument '{arg}'"));
-                }
-                positionals.push(arg);
-                continue;
+                return Err(format!("unexpected argument '{arg}'"));
             }
             let flag = flags::find(arg);
             if let Some(why) = flag.and_then(|f| f.refusal(command)) {
@@ -200,7 +188,7 @@ impl<'a> Args<'a> {
             };
             given.push((flag.name, value));
         }
-        Ok(Args { given, positionals })
+        Ok(Args { given })
     }
 
     fn has(&self, flag: &str) -> bool {
@@ -455,42 +443,19 @@ fn run(rest: &[&str]) -> CmdResult {
             matrix.fit_axis,
         ));
     }
-    // An explicit `--shard` always takes the partial-report path, even
-    // for the degenerate 1/1 partition: a pipeline parameterized over the
-    // shard count must get a mergeable partial at m = 1 too, not a full
-    // report that `lab merge` then refuses.
-    let shard = args.value("--shard").map(ShardSpec::parse).transpose()?;
     if args.has("--dry-run") {
-        if let Some(shard) = shard {
-            println!(
-                "{}: shard {} owns {} of {} cells",
-                matrix.name,
-                shard,
-                matrix.shard_cells(shard).len(),
-                matrix.len(),
-            );
-        } else {
-            println!(
-                "{}: {} cells ({} fit measure(s), max_steps {})",
-                matrix.name,
-                matrix.len(),
-                matrix.fit_measures.len(),
-                matrix
-                    .max_steps
-                    .map_or("none".to_string(), |n| n.to_string()),
-            );
-        }
+        println!(
+            "{}: {} cells ({} fit measure(s), max_steps {})",
+            matrix.name,
+            matrix.len(),
+            matrix.fit_measures.len(),
+            matrix
+                .max_steps
+                .map_or("none".to_string(), |n| n.to_string()),
+        );
         return Ok(ExitCode::SUCCESS);
     }
     let observing = args.has("--observe");
-    if let Some(shard) = shard {
-        if observing {
-            return Err("--observe is not available with --shard: observations are \
-                 per-process; run the whole matrix observed"
-                .to_string());
-        }
-        return run_shard(&args, &matrix, shard, threads);
-    }
     let engine = SweepEngine::new(threads).observe(observing);
     eprintln!(
         "sweep '{}': {} cells on {} worker thread(s)...",
@@ -795,98 +760,8 @@ fn mutate_cmd(rest: &[&str]) -> CmdResult {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `lab run --shard i/m`: execute one deterministic slice of the matrix
-/// and write a partial report for `lab merge` to recombine. Partials are
-/// machine-facing merge inputs, so only JSON is emitted (`--md` is
-/// rejected rather than silently ignored).
-fn run_shard(args: &Args, matrix: &ScenarioMatrix, shard: ShardSpec, threads: usize) -> CmdResult {
-    if args.has("--md") {
-        return Err("--md is not available with --shard: merge the partials first".to_string());
-    }
-    let engine = SweepEngine::new(threads);
-    eprintln!(
-        "sweep '{}' shard {}: {} of {} cells on {} worker thread(s)...",
-        matrix.name,
-        shard,
-        matrix.shard_cells(shard).len(),
-        matrix.len(),
-        engine.threads()
-    );
-    let sweep = engine.execute_shard(matrix, shard);
-    let partial = PartialReport::new(
-        matrix.clone(),
-        shard,
-        sweep.wall.as_secs_f64(),
-        sweep.records,
-    );
-    eprintln!(
-        "done in {:.3}s wall ({} cells)",
-        partial.wall_seconds,
-        partial.records.len(),
-    );
-    let json_path = args.value("--json").map_or_else(
-        || {
-            format!(
-                "lab-{}-shard{}of{}.json",
-                matrix.name, shard.index, shard.count
-            )
-        },
-        String::from,
-    );
-    write_file(&json_path, &partial.to_json())?;
-    eprintln!("partial report: {json_path}");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `lab merge`: recombine all `m` partials of a sharded sweep into the
-/// full report — byte-identical to what a single unsharded process would
-/// have written.
-fn merge_cmd(rest: &[&str]) -> CmdResult {
-    let args = Args::parse(Command::Merge, rest)?;
-    if args.positionals.is_empty() {
-        return Err("usage: lab merge <partial.json>... [--json FILE] [--md FILE]".to_string());
-    }
-    let partials = args
-        .positionals
-        .iter()
-        .map(|path| PartialReport::parse(&read_file(path)?).map_err(|e| format!("{path}: {e}")))
-        .collect::<Result<Vec<PartialReport>, String>>()?;
-    let (report, matrix) = merge(&partials).map_err(|e| format!("merge failed: {e}"))?;
-    eprintln!(
-        "merged {} partial(s): {} cells, {} violations, {} quarantined, {} fit(s) out of band",
-        partials.len(),
-        report.cells.len(),
-        report.violations(),
-        report.quarantined.len(),
-        report.fits_out_of_band(),
-    );
-    let (json_path, md_path) = args.report_paths(&matrix.name);
-    write_reports(
-        &json_path,
-        &report.to_json(),
-        &md_path,
-        &report.to_markdown(),
-    )?;
-    Ok(ExitCode::SUCCESS)
-}
-
 fn load(path: &str) -> Result<Json, String> {
     Json::parse(&read_file(path)?).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Refuses to read anything that is not a same-generation full report: a
-/// partial (sharded) report would diff as a wall of spurious only-in-one
-/// cells, and a future schema generation could differ in ways the cell
-/// comparison does not see. Both get a clear error instead, and so does
-/// a document with no schema tag at all.
-fn check_diffable<'a>(path: &str, v: &'a Json) -> Result<Fields<'a>, String> {
-    if v.schema_tag() == Some(PARTIAL_SCHEMA) {
-        return Err(format!(
-            "{path} is a partial (sharded) report: run `lab merge` on all \
-             shards first, then diff the merged report"
-        ));
-    }
-    Fields::tagged(v, REPORT_SCHEMA, "lab report").map_err(|e| format!("{path}: {e}"))
 }
 
 fn diff(rest: &[&str]) -> CmdResult {
@@ -908,12 +783,14 @@ fn diff(rest: &[&str]) -> CmdResult {
         }
     }
     // Index both reports by cell key once; the comparison is then linear.
-    // Cells that cannot be told apart would collapse in the index and
-    // compare as fewer cells than the files hold, so they are refused.
+    // Anything but a same-generation full report (a partial, a future
+    // schema, an untagged document) is refused by its schema tag, and
+    // cells that cannot be told apart would collapse in the index and
+    // compare as fewer cells than the files hold, so they are refused too.
     type Index<'a> = std::collections::BTreeMap<&'a str, &'a Json>;
     fn keyed_cells<'a>(path: &str, v: &'a Json) -> Result<(Vec<&'a str>, Index<'a>), String> {
-        let cells = check_diffable(path, v)?
-            .objs("cells")
+        let cells = Fields::tagged(v, REPORT_SCHEMA, "lab report")
+            .and_then(|report| report.objs("cells"))
             .map_err(|e| format!("{path}: {e}"))?;
         let (mut order, mut index) = (Vec::with_capacity(cells.len()), Index::new());
         for cell in &cells {
@@ -959,10 +836,9 @@ fn diff(rest: &[&str]) -> CmdResult {
     })
 }
 
-/// `lab trend`: assemble the bench-trend artifact — by sweeping fit-bearing
+/// `lab trend`: assemble the bench-trend artifact by sweeping fit-bearing
 /// suites (default: the four complexity-family suites
-/// `complexity,universal,nonauth,subcubic`) or from already-merged full
-/// reports (`--from-reports`) — write it to `--out`, and gate:
+/// `complexity,universal,nonauth,subcubic`), write it to `--out`, and gate:
 ///
 /// * always: fail if any fitted exponent left its declared band or any
 ///   cell misbehaved (violations / quarantine);
@@ -973,70 +849,43 @@ fn diff(rest: &[&str]) -> CmdResult {
 ///
 /// Wall time is deliberately kept *out* of `lab run` reports (they are
 /// byte-deterministic); the trend artifact is the one place it belongs.
-/// Artifacts assembled with `--from-reports` carry `wall_seconds: null`.
 fn trend(rest: &[&str]) -> CmdResult {
     let args = Args::parse(Command::Trend, rest)?;
     let threads = args.threads()?;
     let tolerance = args.tolerance()?.unwrap_or(0.25);
     let out_path = args.value("--out").unwrap_or("BENCH_lab.json");
 
-    let artifact = match args.value("--from-reports") {
-        Some(_) if args.has("--suites") => {
-            return Err("--from-reports and --suites are mutually exclusive".to_string());
+    let names = args
+        .value("--suites")
+        .unwrap_or("complexity,universal,nonauth,subcubic")
+        .split(',')
+        .filter(|s| !s.is_empty());
+    let engine = SweepEngine::new(threads);
+    let mut suites_out = Vec::new();
+    for name in names {
+        let matrix = build_suite(name)?;
+        eprintln!("trend: sweeping '{name}' ({} cells)...", matrix.len());
+        let (report, sweep) = engine.run(&matrix);
+        for f in &report.fits {
+            eprintln!(
+                "  {} {}: exponent {} (band {})",
+                f.key,
+                f.measure,
+                f.fit
+                    .map_or("unfittable".to_string(), |p| format!("{:.3}", p.exponent)),
+                match f.band {
+                    Some((lo, hi)) => format!("[{lo}, {hi}]"),
+                    None => "-".to_string(),
+                },
+            );
         }
-        Some(paths) => {
-            let mut suites_out = Vec::new();
-            for path in paths.split(',').filter(|s| !s.is_empty()) {
-                let v = load(path)?;
-                let s = BenchSuite::from_report_json(&check_diffable(path, &v)?)
-                    .map_err(|e| format!("{path}: {e}"))?;
-                eprintln!(
-                    "trend: report '{path}' ({} = {} cells, {} fit rows)",
-                    s.suite,
-                    s.cells,
-                    s.fits.len()
-                );
-                suites_out.push(s);
-            }
-            if suites_out.is_empty() {
-                return Err("--from-reports wants at least one report file".to_string());
-            }
-            BenchArtifact { suites: suites_out }
-        }
-        None => {
-            let names = args
-                .value("--suites")
-                .unwrap_or("complexity,universal,nonauth,subcubic")
-                .split(',')
-                .filter(|s| !s.is_empty());
-            let engine = SweepEngine::new(threads);
-            let mut suites_out = Vec::new();
-            for name in names {
-                let matrix = build_suite(name)?;
-                eprintln!("trend: sweeping '{name}' ({} cells)...", matrix.len());
-                let (report, sweep) = engine.run(&matrix);
-                for f in &report.fits {
-                    eprintln!(
-                        "  {} {}: exponent {} (band {})",
-                        f.key,
-                        f.measure,
-                        f.fit
-                            .map_or("unfittable".to_string(), |p| format!("{:.3}", p.exponent)),
-                        match f.band {
-                            Some((lo, hi)) => format!("[{lo}, {hi}]"),
-                            None => "-".to_string(),
-                        },
-                    );
-                }
-                suites_out.push(BenchSuite::from_sweep(
-                    name,
-                    &report,
-                    Some(sweep.wall.as_secs_f64()),
-                ));
-            }
-            BenchArtifact { suites: suites_out }
-        }
-    };
+        suites_out.push(BenchSuite::from_sweep(
+            name,
+            &report,
+            Some(sweep.wall.as_secs_f64()),
+        ));
+    }
+    let artifact = BenchArtifact { suites: suites_out };
 
     write_file(out_path, &artifact.to_json())?;
     eprintln!("trend artifact: {out_path}");

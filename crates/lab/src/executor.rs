@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use validity_simnet::Metrics;
 
-use crate::matrix::{CellSpec, ScenarioMatrix, ShardSpec};
+use crate::matrix::{CellSpec, ScenarioMatrix};
 use crate::observe::CellObservation;
 use crate::pool;
 use crate::report::SweepReport;
@@ -158,22 +158,10 @@ impl SweepEngine {
     }
 
     /// Executes every cell of `matrix` (under its step budget, if any) and
-    /// returns the ordered records: [`SweepEngine::execute_shard`] of the
-    /// trivial one-shard partition.
+    /// returns the ordered records.
     pub fn execute(&self, matrix: &ScenarioMatrix) -> SweepRun {
-        self.execute_shard(matrix, ShardSpec::full())
-    }
-
-    /// Executes one shard of `matrix` (see [`crate::matrix::ShardSpec`]):
-    /// only the cells the shard owns run, in matrix order, under the
-    /// matrix's step budget. The records are exactly the sub-list an
-    /// unsharded [`SweepEngine::execute`] would produce for those cells —
-    /// cell execution is a pure function of the cell — which is what lets
-    /// [`crate::partial::merge`] reassemble byte-identical reports from
-    /// partial runs on different processes or machines.
-    pub fn execute_shard(&self, matrix: &ScenarioMatrix, shard: ShardSpec) -> SweepRun {
         let (records, wall, timings, observed) =
-            self.execute_cells(&matrix.shard_cells(shard), matrix.max_steps);
+            self.execute_cells(&matrix.cells(), matrix.max_steps);
         SweepRun {
             records,
             threads: self.threads,
@@ -305,20 +293,6 @@ mod tests {
                 obs.label
             );
         }
-    }
-
-    #[test]
-    fn execute_is_the_full_shard_in_both_modes() {
-        let m = matrix();
-        let whole = SweepEngine::new(2).execute(&m);
-        let sharded = SweepEngine::new(2).execute_shard(&m, ShardSpec::full());
-        assert_eq!(whole.records, sharded.records);
-        assert_eq!(whole.threads, 2);
-        let halves: usize = (1..=2)
-            .map(|index| ShardSpec { index, count: 2 })
-            .map(|shard| SweepEngine::new(1).execute_shard(&m, shard).records.len())
-            .sum();
-        assert_eq!(halves, whole.records.len());
     }
 
     #[test]

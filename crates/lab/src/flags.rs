@@ -9,10 +9,10 @@
 //!
 //! A flag that is neither accepted nor refused by a command is simply
 //! *unknown* there. Refusals exist where silence would mislead: a user who
-//! passes `--shard` to `lab service` believes sharding is in effect, and a
-//! named error beats a silently ignored flag.
+//! passes `--observe` to `lab service` believes engine metrics are being
+//! collected, and a named error beats a silently ignored flag.
 
-use Command::{Crosscheck, Merge, Mutate, Run, RunSuite, Service, Trend};
+use Command::{Crosscheck, Mutate, Run, RunSuite, Service, Trend};
 
 /// A `lab` subcommand (or `lab run` mode) with its own flag surface.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,13 +29,11 @@ pub enum Command {
     Mutate,
     /// `lab trend`.
     Trend,
-    /// `lab merge <partial.json>...`.
-    Merge,
 }
 
 impl Command {
     /// Every command of the table.
-    pub const ALL: [Command; 7] = [Run, RunSuite, Service, Crosscheck, Mutate, Trend, Merge];
+    pub const ALL: [Command; 6] = [Run, RunSuite, Service, Crosscheck, Mutate, Trend];
 
     /// How diagnostics name the command (`lab service`, `lab run --suite`).
     pub fn invocation(self) -> &'static str {
@@ -46,14 +44,7 @@ impl Command {
             Crosscheck => "lab crosscheck",
             Mutate => "lab mutate",
             Trend => "lab trend",
-            Merge => "lab merge",
         }
-    }
-
-    /// Whether bare (non-`--`) arguments are the command's inputs. Every
-    /// other command refuses them.
-    pub fn takes_positionals(self) -> bool {
-        self == Merge
     }
 }
 
@@ -118,7 +109,6 @@ const fn switch(
 
 const SWEEP: &[Command] = &[Run, RunSuite];
 const REPORTING: &[Command] = &[Run, RunSuite, Service, Crosscheck, Mutate];
-const REPORT_FILES: &[Command] = &[Run, RunSuite, Service, Crosscheck, Mutate, Merge];
 
 const SUITE_FIXES_AXES: &str =
     "a built-in suite fixes its axes; drop `--suite` to build a custom matrix";
@@ -147,8 +137,8 @@ pub const FLAGS: &[Flag] = &[
         &[Run, RunSuite, Service, Crosscheck, Mutate, Trend],
         &[],
     ),
-    value("--json", REPORT_FILES, &[]),
-    value("--md", REPORT_FILES, &[]),
+    value("--json", REPORTING, &[]),
+    value("--md", REPORTING, &[]),
     value(
         "--protocols",
         &[Run],
@@ -195,22 +185,6 @@ pub const FLAGS: &[Flag] = &[
         )],
     ),
     value(
-        "--shard",
-        SWEEP,
-        &[
-            (
-                Service,
-                "service sweeps are small and there is no partial service report to merge; \
-                 run unsharded",
-            ),
-            (
-                Crosscheck,
-                "the crosscheck grid is small and there is no partial crosscheck report to \
-                 merge; run unsharded",
-            ),
-        ],
-    ),
-    value(
         "--slots",
         &[Service],
         &[(Crosscheck, CROSSCHECK_NO_PIPELINING)],
@@ -231,7 +205,6 @@ pub const FLAGS: &[Flag] = &[
     value("--operators", &[Mutate], &[]),
     value("--out", &[Trend], &[]),
     value("--suites", &[Trend], &[]),
-    value("--from-reports", &[Trend], &[]),
     value("--baseline", &[Trend], &[]),
     value("--tolerance", &[Trend], &[]),
     switch("--dry-run", REPORTING, &[]),

@@ -1,6 +1,6 @@
 //! A minimal JSON reader — just enough for the `lab` CLI to load the
 //! artifacts the lab itself emits ([`crate::report::SweepReport::to_json`]
-//! full reports, [`crate::partial::PartialReport`] shard partials,
+//! full reports, [`crate::partial::PartialReport`] partials,
 //! [`crate::trend::BenchArtifact`] bench-trend files and crosscheck
 //! reports). Supports objects, arrays, strings (with the escapes the
 //! emitters produce), numbers, bools and null; an object that repeats a
@@ -285,13 +285,6 @@ impl<'a> Fields<'a> {
     /// The required object field `key`.
     pub fn obj(&self, key: &str) -> Result<Fields<'a>, String> {
         Fields::of(self.get(key)?, format!("{} {key}", self.at))
-    }
-
-    /// The nullable object field `key` (present, but possibly `null`).
-    pub fn opt_obj(&self, key: &str) -> Result<Option<Fields<'a>>, String> {
-        self.get::<Option<&Json>>(key)?
-            .map(|v| Fields::of(v, format!("{} {key}", self.at)))
-            .transpose()
     }
 
     /// The required array-of-objects field `key`, each element located

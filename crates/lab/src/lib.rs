@@ -28,10 +28,10 @@
 //!   validity violations) with JSON and Markdown emitters.
 //! * **[`suites`]** — curated matrices reproducing the paper's experiment
 //!   families, including the Figure-1 classification grid as one sweep.
-//! * **[`partial`]** (with [`ShardSpec`] in [`matrix`]) — horizontal
-//!   scale-out: `lab run --shard i/m` executes one deterministic slice of
-//!   a matrix and emits a partial report; `lab merge` recombines all `m`
-//!   partials into a report **byte-identical** to an unsharded run.
+//! * **[`partial`]** — partial reports: one [`ShardSpec`] slice of a
+//!   matrix's records, and the [`merge`] that rebuilds the single-process
+//!   report from all `m` of them byte for byte. A library round trip
+//!   only: every `lab` sweep runs in one process.
 //! * **[`trend`]** — the versioned `BENCH_lab.json` artifact plus
 //!   historical comparison: `lab trend --baseline` diffs today's fitted
 //!   exponents against a previous artifact and fails on regressions.
@@ -56,7 +56,7 @@
 //! * **[`flags`]** — the CLI's one flag table: every `--flag`, the
 //!   commands that accept it, and the reason where a command refuses it.
 //! * the **`lab`** binary — `run` / `service` / `crosscheck` / `mutate` /
-//!   `list` / `diff` / `merge` / `trend` over all of the above,
+//!   `list` / `diff` / `trend` over all of the above,
 //!   validating every argv against [`flags`].
 //!
 //! ## Example
@@ -101,7 +101,7 @@ pub use executor::{slowest_first_markdown, timing_markdown, CellTiming, SweepEng
 pub use fit::{try_fit_exponent, PowerFit};
 pub use matrix::{
     CellSpec, ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, RunCell, ScenarioMatrix,
-    ScheduleSpec, ShardSpec, ValiditySpec,
+    ScheduleSpec, ValiditySpec,
 };
 pub use mutate::{
     run_mutate, Fate, MutantFate, MutateMatrix, MutateReport, CATALOGUED_EQUIVALENT, MUTATE_SCHEMA,
@@ -110,7 +110,7 @@ pub use observe::{
     hottest_by_events, observe_json, observe_markdown, timeline_for, CellObservation,
     OBSERVE_SCHEMA,
 };
-pub use partial::{merge, PartialReport, PARTIAL_SCHEMA};
+pub use partial::{merge, PartialReport, ShardSpec, PARTIAL_SCHEMA};
 pub use report::{FitRow, GroupSummary, SweepReport, REPORT_SCHEMA};
 pub use runner::{
     execute, execute_with_budget, CellRecord, ClassifyRecord, Outcome, RunRecord, Verdict,

@@ -22,76 +22,6 @@ use validity_simnet::{
     SyncModel, Time, UniformModel, DEFAULT_DELTA, DEFAULT_GST,
 };
 
-/// One shard of an `m`-way partition of a matrix — `--shard i/m` on the
-/// CLI, with `index` 1-based.
-///
-/// Cells are assigned round-robin over the matrix enumeration index:
-/// shard `i` owns every cell whose index `≡ i − 1 (mod m)`. The
-/// assignment is a pure function of the matrix and `(i, m)` — it does not
-/// depend on worker counts, hostnames, or anything else about the process
-/// executing the shard — so `m` processes on `m` machines enumerate
-/// identical partitions.
-///
-/// ```
-/// use validity_lab::ShardSpec;
-///
-/// let s = ShardSpec::parse("2/4").unwrap();
-/// assert_eq!((s.index, s.count), (2, 4));
-/// assert!(s.owns(1) && s.owns(5) && !s.owns(0));
-/// assert!(ShardSpec::parse("0/4").is_err()); // 1-based
-/// assert!(ShardSpec::parse("5/4").is_err());
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ShardSpec {
-    /// Which shard this is, in `1..=count`.
-    pub index: usize,
-    /// Total number of shards in the partition.
-    pub count: usize,
-}
-
-impl ShardSpec {
-    /// The trivial partition: one shard owning every cell.
-    pub fn full() -> ShardSpec {
-        ShardSpec { index: 1, count: 1 }
-    }
-
-    /// Whether this is the trivial (unsharded) partition.
-    pub fn is_full(&self) -> bool {
-        self.count == 1
-    }
-
-    /// Parses `i/m` with `1 ≤ i ≤ m`.
-    pub fn parse(text: &str) -> Result<ShardSpec, String> {
-        let (i, m) = text
-            .split_once('/')
-            .ok_or_else(|| format!("bad shard '{text}' (want i/m, e.g. 2/4)"))?;
-        let index: usize = i
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad shard index '{i}'"))?;
-        let count: usize = m
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad shard count '{m}'"))?;
-        if count == 0 || index == 0 || index > count {
-            return Err(format!("shard '{text}' out of range (want 1 ≤ i ≤ m)"));
-        }
-        Ok(ShardSpec { index, count })
-    }
-
-    /// Whether this shard owns the cell at the given matrix-enumeration
-    /// index.
-    pub fn owns(&self, cell_index: usize) -> bool {
-        cell_index % self.count == self.index - 1
-    }
-}
-
-impl fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
 /// Names a validity property from the paper's catalog, with enough
 /// structure to build both the property (for admissibility checks and
 /// classification) and, when one exists, its closed-form `Λ` (for running
@@ -936,38 +866,6 @@ impl ScenarioMatrix {
             .collect()
     }
 
-    /// The sub-list of [`ScenarioMatrix::cells`] owned by one shard of an
-    /// `m`-way partition, in matrix order.
-    ///
-    /// Shards are assigned round-robin over the enumeration index (see
-    /// [`ShardSpec::owns`]), so for any `m` the shards are pairwise
-    /// disjoint, their union is exactly [`ScenarioMatrix::cells`], and the
-    /// partition is stable across processes: every participant that can
-    /// build the matrix computes the same sub-lists.
-    ///
-    /// ```
-    /// use validity_lab::{suites, ShardSpec};
-    ///
-    /// let m = suites::build("quick").unwrap();
-    /// let all = m.cells();
-    /// let mut merged: Vec<_> = (1..=3)
-    ///     .flat_map(|i| m.shard_cells(ShardSpec { index: i, count: 3 }))
-    ///     .map(|c| c.key())
-    ///     .collect();
-    /// merged.sort();
-    /// let mut keys: Vec<_> = all.iter().map(|c| c.key()).collect();
-    /// keys.sort();
-    /// assert_eq!(merged, keys);
-    /// ```
-    pub fn shard_cells(&self, shard: ShardSpec) -> Vec<CellSpec> {
-        self.cells()
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| shard.owns(i))
-            .map(|(_, c)| c)
-            .collect()
-    }
-
     /// Total cell count (what [`ScenarioMatrix::cells`] will produce).
     pub fn len(&self) -> usize {
         self.cells().len()
@@ -1164,52 +1062,6 @@ mod tests {
         cell.n = 7;
         cell.t = 2; // byz == t here, but the declared load is still 2
         assert_eq!(cell.fit_key(), two_faults);
-    }
-
-    #[test]
-    fn shard_parse_rejects_malformed_and_out_of_range() {
-        assert_eq!(
-            ShardSpec::parse("1/1"),
-            Ok(ShardSpec { index: 1, count: 1 })
-        );
-        assert_eq!(
-            ShardSpec::parse("4/8"),
-            Ok(ShardSpec { index: 4, count: 8 })
-        );
-        for bad in ["", "3", "0/4", "5/4", "1/0", "a/b", "1//2"] {
-            assert!(ShardSpec::parse(bad).is_err(), "accepted '{bad}'");
-        }
-        assert!(ShardSpec::full().is_full());
-        assert!(!ShardSpec { index: 1, count: 2 }.is_full());
-    }
-
-    #[test]
-    fn shards_partition_the_matrix_in_order() {
-        let m = small_matrix();
-        let all: Vec<String> = m.cells().iter().map(|c| c.key()).collect();
-        for count in 1..=8 {
-            let mut covered: Vec<String> = Vec::new();
-            for index in 1..=count {
-                let shard = m.shard_cells(ShardSpec { index, count });
-                // Each shard is a subsequence of the full enumeration.
-                let mut cursor = 0usize;
-                for cell in &shard {
-                    let key = cell.key();
-                    let pos = all[cursor..]
-                        .iter()
-                        .position(|k| *k == key)
-                        .unwrap_or_else(|| panic!("{key} out of order at m={count}"));
-                    cursor += pos + 1;
-                    covered.push(key);
-                }
-            }
-            // Disjoint and covering: the union (sorted) is exactly the
-            // matrix.
-            covered.sort();
-            let mut expected = all.clone();
-            expected.sort();
-            assert_eq!(covered, expected, "partition broken at m={count}");
-        }
     }
 
     #[test]

@@ -1,48 +1,78 @@
-//! Sharded sweeps: partial reports and their merge.
+//! Partial reports and their merge.
 //!
-//! A sweep can be split across processes (or machines) with
-//! `lab run --shard i/m`: each process executes one [`ShardSpec`] of the
-//! matrix and emits a **partial report** — the shard's full-fidelity cell
-//! records plus enough provenance to recombine them. `lab merge` then takes
-//! all `m` partials and reproduces the report an unsharded single-process
-//! run would have produced, **byte-for-byte**: aggregates, fits, and
-//! quarantine sections are recomputed over the merged records through the
-//! exact same [`SweepReport::aggregate_matrix`] path.
+//! A **partial report** holds the records of one [`ShardSpec`] of a
+//! matrix — a round-robin slice of its cells — plus enough provenance to
+//! recombine them. [`merge`] takes all `m` partials and reproduces the
+//! report one [`crate::SweepEngine::run`] of the whole matrix writes,
+//! **byte-for-byte**: aggregates, fits, and quarantine sections are
+//! recomputed over the merged records through the exact same
+//! [`SweepReport::aggregate_matrix`] path.
+//!
+//! No `lab` command writes or reads a partial: every sweep runs in one
+//! process. The format stays as a library round trip whose merged bytes
+//! must equal the single-process report, which is what the benchmark's
+//! `lab.partial.*` and `lab.merge.ms` layer metrics time.
 //!
 //! Three properties make the byte-identity guarantee hold:
 //!
 //! 1. cell execution is a pure function of the cell (see [`crate::runner`]),
-//!    so a record computed on shard `i` equals the record the unsharded run
-//!    would compute;
+//!    so a record in shard `i` equals the record the whole run computes;
 //! 2. the partial carries every record field — including the pooled
 //!    [`NetStats`] counters the compact report JSON omits — as exact
 //!    integers, so parsing a partial reconstructs the in-memory records
 //!    losslessly;
 //! 3. the partial embeds the full matrix specification, so the merge can
 //!    re-enumerate the matrix, restore matrix order, and re-run the same
-//!    deterministic aggregation the unsharded path uses.
+//!    deterministic aggregation the single-process path uses.
 //!
-//! The partial format is versioned ([`PARTIAL_SCHEMA`]); `lab merge` and
-//! `lab diff` refuse artifacts from a different schema generation instead
-//! of producing silently wrong output. Two `partial@2` keys are constants
+//! The partial format is versioned ([`PARTIAL_SCHEMA`]); the reader
+//! refuses artifacts from a different schema generation instead of
+//! producing silently wrong output. Two `partial@2` keys are constants
 //! kept for the bytes and never read: the matrix's `"sampling": null` and
 //! the top-level `"sampling": []`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use validity_simnet::NetStats;
 
 use crate::json::{Fields, Json};
 use crate::matrix::{
     ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, ScenarioMatrix, ScheduleSpec,
-    ShardSpec, ValiditySpec,
+    ValiditySpec,
 };
 use crate::report::{json_str, SweepReport};
 use crate::runner::{CellRecord, ClassifyRecord, Outcome, RunRecord};
 
-/// Schema tag of partial (sharded) report files.
+/// Schema tag of partial report files.
 pub const PARTIAL_SCHEMA: &str = "validity-lab/partial@2";
+
+/// One shard of an `m`-way partition of a matrix, with `index` 1-based.
+///
+/// Cells are assigned round-robin over the matrix enumeration index:
+/// shard `i` owns every cell whose index `≡ i − 1 (mod m)`, so the
+/// assignment is a pure function of the matrix and `(i, m)`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ShardSpec {
+    /// Which shard this is, in `1..=count`.
+    pub index: usize,
+    /// Total number of shards in the partition.
+    pub count: usize,
+}
+
+impl ShardSpec {
+    /// Whether this shard owns the cell at the given matrix-enumeration
+    /// index.
+    pub fn owns(&self, cell_index: usize) -> bool {
+        cell_index % self.count == self.index - 1
+    }
+}
+
+impl fmt::Display for ShardSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.index, self.count)
+    }
+}
 
 /// One shard's worth of a sweep: records plus merge provenance.
 #[derive(Clone, Debug)]
@@ -129,7 +159,7 @@ impl PartialReport {
 }
 
 /// Merges all `m` partials of one sweep back into the full deterministic
-/// report (byte-identical to an unsharded run of the same matrix).
+/// report (byte-identical to a single-process run of the same matrix).
 ///
 /// Validates the set before touching a record: every partial must come
 /// from the same matrix (compared by serialized specification), declare
@@ -177,11 +207,9 @@ pub fn merge(partials: &[PartialReport]) -> Result<(SweepReport, ScenarioMatrix)
     if !missing.is_empty() {
         return Err(format!(
             "incomplete merge: got {} partial(s) of a {count}-way shard — \
-             missing shard index(es) {} (re-run `lab run --shard {}/{count}` \
-             for each and merge again)",
+             missing shard index(es) {}",
             partials.len(),
             missing.join(", "),
-            missing[0],
         ));
     }
     // Indices are 1..=count, distinct, and there are exactly `count` of
@@ -542,17 +570,39 @@ mod tests {
     use crate::executor::SweepEngine;
     use crate::suites;
 
+    /// The `quick` suite run once in one process, its records cut into
+    /// `count` shards by [`ShardSpec::owns`].
     fn quick_partials(count: usize) -> (ScenarioMatrix, Vec<PartialReport>) {
         let m = suites::build("quick").expect("built-in suite");
-        let engine = SweepEngine::new(2);
+        let records = SweepEngine::new(2).execute(&m).records;
         let partials = (1..=count)
             .map(|index| {
                 let shard = ShardSpec { index, count };
-                let run = engine.execute_shard(&m, shard);
-                PartialReport::new(m.clone(), shard, run.wall.as_secs_f64(), run.records)
+                let owned = records
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| shard.owns(i))
+                    .map(|(_, r)| r.clone())
+                    .collect();
+                PartialReport::new(m.clone(), shard, 0.0, owned)
             })
             .collect();
         (m, partials)
+    }
+
+    /// Every cell index belongs to exactly one shard of any partition:
+    /// shard `i` of `m` owns index `j` iff `j ≡ i − 1 (mod m)`.
+    #[test]
+    fn shards_partition_the_matrix_in_order() {
+        let cells = suites::build("quick").expect("built-in suite").len();
+        for count in 1..=8 {
+            for cell in 0..cells {
+                let owners: Vec<usize> = (1..=count)
+                    .filter(|&index| ShardSpec { index, count }.owns(cell))
+                    .collect();
+                assert_eq!(owners, [cell % count + 1], "cell {cell} at m={count}");
+            }
+        }
     }
 
     #[test]

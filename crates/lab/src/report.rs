@@ -103,11 +103,12 @@ pub struct GroupSummary {
     /// measures above do not track.
     pub pooled: NetStats,
     /// The group's coordinate on the matrix's [`FitAxis`] (`n`, or the
-    /// Byzantine count for the fault axis; 0 when aggregated without a
-    /// matrix).
+    /// Byzantine count for the fault axis; 0 when the matrix enumerates no
+    /// such group).
     pub fit_x: u64,
     /// The [`RunCell::fit_key_on`] bucket for the matrix's axis (empty
-    /// when aggregated without a matrix, or under the domain axis).
+    /// when the matrix enumerates no such group, or under the domain
+    /// axis).
     pub fit_key: String,
 }
 
@@ -175,44 +176,29 @@ pub struct SweepReport {
     /// Classification results, in matrix order.
     pub classifications: Vec<ClassifyRow>,
     /// Power-law fits, in (measure, fit-group first-appearance) order.
-    /// Empty unless aggregated via [`SweepReport::aggregate_matrix`] on a
-    /// matrix declaring fit measures.
+    /// Empty unless the matrix declares fit measures.
     pub fits: Vec<FitRow>,
     /// The x-axis the fits ran along (the matrix's declared
-    /// [`FitAxis`]; `n` when aggregated without a matrix).
+    /// [`FitAxis`]).
     pub fit_axis: FitAxis,
     /// Keys of quarantined cells (step budget exceeded), in matrix order.
     pub quarantined: Vec<String>,
 }
 
 impl SweepReport {
-    /// Folds ordered cell records into a report, with no fit section (the
-    /// records alone do not carry the `(n, t)` metadata fits group by; use
-    /// [`SweepReport::aggregate_matrix`] for that).
-    pub fn aggregate(matrix: &str, records: &[CellRecord]) -> SweepReport {
-        Self::fold(matrix, records, None)
-    }
-
     /// Folds ordered cell records into a report for `matrix`, computing the
     /// fit groups its [`FitMeasure`]s declare and checking its expected
     /// exponent bands.
     pub fn aggregate_matrix(matrix: &ScenarioMatrix, records: &[CellRecord]) -> SweepReport {
-        Self::fold(&matrix.name, records, Some(matrix))
-    }
-
-    fn fold(name: &str, records: &[CellRecord], matrix: Option<&ScenarioMatrix>) -> SweepReport {
         // Per-group metadata (fit x-coordinate, fit key) comes from
         // re-enumerating the matrix's run-group templates: records carry
         // their group key, so the lookup is order-insensitive.
-        let axis = matrix.map_or(FitAxis::N, |m| m.fit_axis);
+        let axis = matrix.fit_axis;
         let group_meta: BTreeMap<String, RunCell> = matrix
-            .map(|m| {
-                m.run_templates()
-                    .into_iter()
-                    .map(|c| (c.group_key(), c))
-                    .collect()
-            })
-            .unwrap_or_default();
+            .run_templates()
+            .into_iter()
+            .map(|c| (c.group_key(), c))
+            .collect();
         let mut groups: Vec<GroupSummary> = Vec::new();
         let mut classifications = Vec::new();
         let mut quarantined = Vec::new();
@@ -262,9 +248,9 @@ impl SweepReport {
                 }
             }
         }
-        let fits = matrix.map_or_else(Vec::new, |m| compute_fits(m, &groups, &classifications));
+        let fits = compute_fits(matrix, &groups, &classifications);
         SweepReport {
-            matrix: name.to_string(),
+            matrix: matrix.name.clone(),
             cells: records.to_vec(),
             groups,
             classifications,
@@ -782,7 +768,7 @@ mod tests {
             record("g2/s0", "g2", 50, 300),
             record("g1/s1", "g1", 20, 200),
         ];
-        let report = SweepReport::aggregate("t", &records);
+        let report = SweepReport::aggregate_matrix(&ScenarioMatrix::new("t"), &records);
         assert_eq!(report.groups.len(), 2);
         assert_eq!(report.groups[0].key, "g1");
         assert_eq!(report.groups[0].runs, 2);
@@ -808,7 +794,7 @@ mod tests {
                 outcome: Outcome::Run(undecided),
             },
         ];
-        let report = SweepReport::aggregate("t", &records);
+        let report = SweepReport::aggregate_matrix(&ScenarioMatrix::new("t"), &records);
         let g = &report.groups[0];
         assert_eq!(g.runs, 2);
         assert_eq!(g.decided, 1);
@@ -830,7 +816,7 @@ mod tests {
             group: "g".into(),
             outcome: Outcome::Run(bad),
         }];
-        let report = SweepReport::aggregate("t", &records);
+        let report = SweepReport::aggregate_matrix(&ScenarioMatrix::new("t"), &records);
         assert_eq!(report.violations(), 2);
     }
 
@@ -843,7 +829,7 @@ mod tests {
     #[test]
     fn reports_render_and_are_deterministic() {
         let records = vec![record("g1/s0", "g1", 10, 100)];
-        let report = SweepReport::aggregate("demo", &records);
+        let report = SweepReport::aggregate_matrix(&ScenarioMatrix::new("demo"), &records);
         assert_eq!(report.to_json(), report.to_json());
         assert!(report.to_json().contains("\"matrix\": \"demo\""));
         assert!(report.to_markdown().contains("| g1 |"));
@@ -871,7 +857,7 @@ mod tests {
                 outcome: Outcome::Run(bad),
             },
         ];
-        let report = SweepReport::aggregate("t", &records);
+        let report = SweepReport::aggregate_matrix(&ScenarioMatrix::new("t"), &records);
         assert_eq!(report.quarantined, vec!["g/s1".to_string()]);
         let g = &report.groups[0];
         assert_eq!(g.runs, 2);
@@ -970,7 +956,8 @@ mod tests {
         #[test]
         fn aggregate_without_matrix_has_no_fit_section() {
             let (_, records) = matrix_and_records();
-            let report = SweepReport::aggregate("fit-test", &records);
+            // An empty matrix declares no fit measure.
+            let report = SweepReport::aggregate_matrix(&ScenarioMatrix::new("fit-test"), &records);
             assert!(report.fits.is_empty());
             assert!(report.to_json().contains("\"fits\": [\n  ]"));
         }

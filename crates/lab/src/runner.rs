@@ -4,11 +4,6 @@
 //! Everything here is a pure function of the cell — no globals, no clocks,
 //! no thread-local state — which is what lets the executor fan cells out
 //! across any number of workers and still aggregate byte-identical results.
-//! The same purity is what makes sharded sweeps sound: a record computed
-//! by shard `i/m` on one machine equals the record an unsharded run would
-//! compute for that cell, so [`crate::partial::merge`] can reassemble the
-//! exact single-process report from partial runs — no cross-process state
-//! exists for the shards to disagree about.
 
 use validity_core::{
     classify_with_cost, Classification, Domain, InputConfig, ProcessId, SystemParams,

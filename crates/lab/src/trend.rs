@@ -34,9 +34,7 @@ pub const BENCH_SCHEMA: &str = "validity-lab/bench@3";
 pub struct BenchSuite {
     /// Suite name.
     pub suite: String,
-    /// Wall-clock seconds of the sweep. `None` when the artifact was
-    /// assembled from merged shard reports (a merged report is
-    /// byte-deterministic and so carries no wall time).
+    /// Wall-clock seconds of the sweep (`None` when unmeasured).
     pub wall_seconds: Option<f64>,
     /// Cell count.
     pub cells: u64,
@@ -64,29 +62,6 @@ impl BenchSuite {
             axis: report.fit_axis.name().to_string(),
             fits: report.fits.clone(),
         }
-    }
-
-    /// Builds a suite entry from a **full report** (the file `lab run` /
-    /// `lab merge` writes, already checked to be one), for a trend gate
-    /// that consumes merged reports instead of re-sweeping. The violation
-    /// count is recomputed from the report's groups with the same
-    /// arithmetic as [`SweepReport::violations`].
-    pub fn from_report_json(v: &Fields) -> Result<BenchSuite, String> {
-        let mut violations = 0u64;
-        for g in v.objs("groups")? {
-            violations += g.get::<u64>("agreement_failures")?
-                + g.get::<u64>("validity_failures")?
-                + g.get::<u64>("runs")?.saturating_sub(g.get("decided")?);
-        }
-        Ok(BenchSuite {
-            suite: v.get("matrix")?,
-            wall_seconds: None,
-            cells: v.get("cell_count")?,
-            violations,
-            quarantined: v.get::<Vec<&str>>("quarantined")?.len() as u64,
-            axis: v.get("fit_axis")?,
-            fits: fits_from_json(v)?,
-        })
     }
 }
 

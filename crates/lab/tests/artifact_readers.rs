@@ -33,14 +33,14 @@ fn sweep() -> validity_lab::ScenarioMatrix {
     m
 }
 
-/// What `lab diff` and `lab trend --from-reports` read of a full report.
+/// What `lab diff` reads of a full report.
 fn read_report(_: &Artifact, text: &str) -> Result<(), String> {
     let doc = Json::parse(text)?;
     let report = Fields::tagged(&doc, REPORT_SCHEMA, "lab report")?;
     for cell in report.objs("cells")? {
         cell.get::<&str>("key")?;
     }
-    BenchSuite::from_report_json(&report).map(drop)
+    Ok(())
 }
 
 fn report() -> &'static Artifact {
@@ -49,24 +49,7 @@ fn report() -> &'static Artifact {
         text: SweepEngine::new(2).run(&sweep()).0.to_json(),
         read: read_report,
         md: String::new(),
-        required: |path| {
-            let read = [
-                "schema",
-                "matrix",
-                "fit_axis",
-                "cell_count",
-                "cells",
-                "cells[].key",
-                "groups",
-                "groups[].runs",
-                "groups[].decided",
-                "groups[].agreement_failures",
-                "groups[].validity_failures",
-                "quarantined",
-                "fits",
-            ];
-            read.contains(&path) || (path.starts_with("fits[].") && path != "fits[].points")
-        },
+        required: |path| ["schema", "cells", "cells[].key"].contains(&path),
     })
 }
 
@@ -75,9 +58,16 @@ fn partial() -> &'static Artifact {
     A.get_or_init(|| {
         let m = sweep();
         let shard = ShardSpec { index: 1, count: 2 };
-        let run = SweepEngine::new(2).execute_shard(&m, shard);
+        let owned = SweepEngine::new(2)
+            .execute(&m)
+            .records
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| shard.owns(i))
+            .map(|(_, r)| r)
+            .collect();
         Artifact {
-            text: PartialReport::new(m, shard, 0.5, run.records).to_json(),
+            text: PartialReport::new(m, shard, 0.5, owned).to_json(),
             read: |_, text| PartialReport::parse(text).map(drop),
             md: String::new(),
             // Every field but the zero counters a writer may omit and the
@@ -279,6 +269,102 @@ fn the_untouched_committed_baseline_still_reads() {
         text,
         "the baseline re-renders byte for byte"
     );
+}
+
+/// `lab diff` refuses anything but a same-generation full report with a
+/// named error instead of a spurious cell-by-cell diff (or a panic): a
+/// partial report by its `partial@2` tag, a future schema, an untagged
+/// document, and a tagged one with missing, mistyped, repeated or
+/// colliding fields — on either side of the diff.
+#[test]
+fn diff_rejects_partial_reports_with_clear_error() {
+    let dir = std::env::temp_dir().join(format!("lab-readers-{}-partial", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp workdir");
+    let lab = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_lab"))
+            .args(args)
+            .output()
+            .expect("spawn lab")
+    };
+    let part = dir.join("part.json").display().to_string();
+    let full = dir.join("full.json").display().to_string();
+    std::fs::write(&part, &partial().text).unwrap();
+    std::fs::write(&full, &report().text).unwrap();
+    for pair in [[&part, &full], [&full, &part]] {
+        let out = lab(&["diff", pair[0], pair[1]]);
+        assert_eq!(out.status.code(), Some(1), "diff accepted a partial report");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("schema 'validity-lab/partial@2'"),
+            "unhelpful error: {err}"
+        );
+    }
+    // A fabricated future schema is a clear mismatch error, too.
+    let future = dir.join("future.json").display().to_string();
+    std::fs::write(
+        &future,
+        "{\"schema\": \"validity-lab/report@9\", \"cells\": []}\n",
+    )
+    .unwrap();
+    let out = lab(&["diff", &future, &full]);
+    assert!(!out.status.success(), "diff accepted an unknown schema");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("schema"), "unhelpful error: {err}");
+    // A schema-less document that is not report-shaped (e.g. a legacy
+    // bench artifact) must error, not zero-diff as an empty report.
+    let stray = dir.join("stray.json").display().to_string();
+    std::fs::write(&stray, "{\"suites\": []}\n").unwrap();
+    let out = lab(&["diff", &stray, &full]);
+    assert!(!out.status.success(), "diff accepted a non-report document");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("does not look like a lab report"),
+        "unhelpful error: {err}"
+    );
+    // Tagged as a report but not one: each is a named error on either
+    // side of the diff, never "identical: 0 cells match".
+    let tag = "\"schema\": \"validity-lab/report@2\"";
+    let malformed = dir.join("malformed.json").display().to_string();
+    for (text, complaint) in [
+        (format!("{{{tag}}}"), "report@2: missing 'cells'"),
+        (
+            format!("{{{tag}, \"cells\": [{{\"key\": \"a\"}}, {{\"type\": \"run\"}}]}}"),
+            "report@2 cells[1]: missing 'key'",
+        ),
+        (
+            format!("{{{tag}, \"cells\": [{{\"key\": 7}}]}}"),
+            "report@2 cells[0]: bad 'key' (want string)",
+        ),
+        // A repeated key would otherwise keep only its last value and
+        // could compare "identical" to a report it differs from.
+        (
+            format!(
+                "{{{tag}, \"cells\": [{{\"key\": \"a\", \"decided\": false, \"decided\": true}}]}}"
+            ),
+            "duplicate key 'decided' at byte 77",
+        ),
+        (
+            format!("{{{tag}, \"cells\": [{{\"key\": \"a\"}}, {{\"key\": \"a\"}}]}}"),
+            "two cells share the key 'a'",
+        ),
+        (
+            format!("{{{tag}, \"cells\": [], \"x\": 1e999999}}"),
+            "number out of range at byte 54",
+        ),
+    ] {
+        std::fs::write(&malformed, &text).unwrap();
+        for pair in [
+            [&malformed, &full],
+            [&full, &malformed],
+            [&malformed, &malformed],
+        ] {
+            let out = lab(&["diff", pair[0], pair[1]]);
+            assert_eq!(out.status.code(), Some(1), "{text}: {out:?}");
+            assert!(out.stdout.is_empty(), "{text}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(complaint), "{text}: unhelpful error: {err}");
+        }
+    }
 }
 
 /// `lab diff` names both schema tags when two *full* reports come from

@@ -9,7 +9,9 @@
 //!    accepted flags pass validation, refused flags are refused with the
 //!    flag named, everything else is an unknown option. Nothing is
 //!    mirrored by hand — the test walks the table the binary validates
-//!    against. The adaptive-sampling flags are unknown to `lab run`.
+//!    against. The adaptive-sampling flags are unknown to `lab run`, and
+//!    every sweep runs in one process: `--shard` and `--from-reports` are
+//!    unknown options and `lab merge` is no command.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
 //!    flags it would otherwise ignore; a custom matrix that enumerates no
 //!    cell, an empty operator list, an empty or reversed `--seeds` range
@@ -62,7 +64,6 @@ fn spelling(command: Command) -> Vec<&'static str> {
         Command::Crosscheck => vec!["crosscheck"],
         Command::Mutate => vec!["mutate"],
         Command::Trend => vec!["trend"],
-        Command::Merge => vec!["merge"],
     }
 }
 
@@ -77,8 +78,7 @@ fn every_command_flag_pair_behaves_as_the_table_says() {
             // Validation is one left-to-right pass, so a trailing stray
             // positional turns "this flag passed validation" into a
             // prompt, side-effect-free exit for every command — even the
-            // ones with no --dry-run. `lab merge` takes positionals: there
-            // the stray is a partial that does not exist.
+            // ones with no --dry-run.
             let mut args = prefix.clone();
             args.push(flag.name);
             if flag.takes_value {
@@ -96,8 +96,6 @@ fn every_command_flag_pair_behaves_as_the_table_says() {
                 )
             } else if !flag.accepted.contains(&command) {
                 format!("unknown option '{}'", flag.name)
-            } else if command.takes_positionals() {
-                "cannot read stray".to_string()
             } else {
                 "unexpected argument 'stray'".to_string()
             };
@@ -146,6 +144,33 @@ fn lab_run_refuses_the_sampling_flags_as_unknown_options() {
             assert!(stderr(&out).contains(&want), "{args:?}: {}", stderr(&out));
         }
     }
+}
+
+#[test]
+fn every_sweep_runs_in_one_process() {
+    // `lab run --shard i/m` wrote a partial report, `lab merge`
+    // recombined partials, and `lab trend --from-reports` read merged
+    // reports: each is gone, refused by name.
+    for (args, want) in [
+        (
+            &["run", "--suite", "quick", "--shard", "1/2"][..],
+            "unknown option '--shard'",
+        ),
+        (
+            &["trend", "--from-reports", "x.json"],
+            "unknown option '--from-reports'",
+        ),
+    ] {
+        let out = lab(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(stderr(&out).contains(want), "{args:?}: {}", stderr(&out));
+    }
+    let out = lab(&["merge", "a.json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let usage = stderr(&out);
+    let first = usage.lines().next().unwrap_or("");
+    assert!(first.starts_with("usage: lab <"), "{usage}");
+    assert!(!first.contains("merge"), "{usage}");
 }
 
 #[test]
@@ -312,11 +337,6 @@ fn a_repeated_flag_is_refused_instead_of_taking_the_first() {
         (
             "--threads",
             vec!["run", "--threads", "1", "--threads", "2", "--dry-run"],
-        ),
-        // Used to write x.json: merge's own argv loop took the first.
-        (
-            "--json",
-            vec!["merge", "a.json", "--json", "x.json", "--json", "y.json"],
         ),
     ] {
         let out = lab(&args);

@@ -85,11 +85,11 @@ fn chaos_stats_round_trip_through_partial_reports() {
         ScheduleSpec::parse("lossy").unwrap(),
         ScheduleSpec::parse("dup-storm").unwrap(),
     ];
-    let engine = SweepEngine::new(0);
-    let run = engine.execute_shard(&m, ShardSpec::full());
+    // One shard of one owns every cell.
+    let run = SweepEngine::new(0).execute(&m);
     let partial = PartialReport::new(
         m.clone(),
-        ShardSpec::full(),
+        ShardSpec { index: 1, count: 1 },
         run.wall.as_secs_f64(),
         run.records,
     );

@@ -1,5 +1,6 @@
 //! The paper's complexity claims, asserted on the built-in suites that
-//! carry them: Theorem 5 (`universal`), Appendix B.2 (`nonauth`),
+//! carry them: §3.1's message and word growth across algorithms
+//! (`complexity`), Theorem 5 (`universal`), Appendix B.2 (`nonauth`),
 //! Appendix B.3 (`subcubic`), the schedule-insensitivity of the
 //! measurements themselves (`schedules`), and §4–5's classifier as a cost
 //! curve over the domain size (`classifier-domain`) — plus the fault axis
@@ -81,7 +82,8 @@ fn schedules(report: &SweepReport) {
 #[test]
 fn paper_suites_are_clean_and_their_fits_sit_in_band() {
     type Claim = fn(&SweepReport);
-    let suites: [(&str, Claim); 4] = [
+    let suites: [(&str, Claim); 5] = [
+        ("complexity", |_| ()),
         ("universal", |_| ()),
         ("nonauth", nonauth),
         ("subcubic", subcubic),

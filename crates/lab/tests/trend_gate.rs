@@ -2,10 +2,10 @@
 //! synthetically regressed baseline must flip the exit code, because that
 //! exit code is exactly what CI gates on.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::{Command, Output};
 
-use validity_lab::{suites, BenchArtifact, SweepEngine};
+use validity_lab::BenchArtifact;
 
 const LAB: &str = env!("CARGO_BIN_EXE_lab");
 
@@ -15,31 +15,23 @@ fn workdir(name: &str) -> PathBuf {
     dir
 }
 
-/// A merged-report file for a small fit-bearing sweep (the `nonauth`
-/// suite trimmed to its three smallest sizes), produced through the
-/// library so the test spends its budget on the CLI paths under test.
-fn write_report(dir: &Path) -> String {
-    let mut m = suites::build("nonauth").expect("built-in suite");
-    m.systems.truncate(3);
-    let (report, _) = SweepEngine::new(2).run(&m);
-    assert!(!report.fits.is_empty());
-    let path = dir.join("nonauth.json").display().to_string();
-    std::fs::write(&path, report.to_json()).expect("write report");
-    path
+/// `lab trend` over the `complexity` suite (72 cells with banded fits),
+/// with `extra` flags appended.
+fn trend(out: &str, extra: &[&str]) -> Output {
+    Command::new(LAB)
+        .args(["trend", "--suites", "complexity", "--out", out])
+        .args(extra)
+        .output()
+        .expect("spawn lab")
 }
 
 #[test]
 fn trend_gate_passes_on_itself_and_fails_on_a_regressed_baseline() {
     let dir = workdir("gate");
-    let report = write_report(&dir);
     let bench = dir.join("bench.json").display().to_string();
 
-    // Assemble the artifact from the report file; nothing is out of band,
-    // so with no baseline the gate passes.
-    let out = Command::new(LAB)
-        .args(["trend", "--from-reports", &report, "--out", &bench])
-        .output()
-        .expect("spawn lab");
+    // Nothing is out of band, so with no baseline the gate passes.
+    let out = trend(&bench, &[]);
     assert!(
         out.status.success(),
         "trend failed on a healthy sweep: {}",
@@ -47,18 +39,10 @@ fn trend_gate_passes_on_itself_and_fails_on_a_regressed_baseline() {
     );
 
     // Against itself as baseline: zero drift, still passing.
-    let out = Command::new(LAB)
-        .args([
-            "trend",
-            "--from-reports",
-            &report,
-            "--baseline",
-            &bench,
-            "--out",
-            &dir.join("bench2.json").display().to_string(),
-        ])
-        .output()
-        .expect("spawn lab");
+    let out = trend(
+        &dir.join("bench2.json").display().to_string(),
+        &["--baseline", &bench],
+    );
     assert!(
         out.status.success(),
         "self-baseline regressed: {}",
@@ -67,110 +51,76 @@ fn trend_gate_passes_on_itself_and_fails_on_a_regressed_baseline() {
 
     // Synthetically regress the baseline: shift the first recorded
     // exponent far outside any tolerance, as if history said the sweep
-    // used to be much cheaper.
+    // used to be much cheaper, and record a fit group the sweep no longer
+    // produces.
     let text = std::fs::read_to_string(&bench).expect("read artifact");
     let mut baseline = BenchArtifact::parse(&text).expect("parse artifact");
-    let fit = baseline
-        .suites
-        .iter_mut()
-        .flat_map(|s| s.fits.iter_mut())
-        .find_map(|f| f.fit.as_mut())
-        .expect("artifact carries a fitted exponent");
-    fit.exponent -= 1.0;
+    let fits = &mut baseline.suites[0].fits;
+    let mut vanished = fits[0].clone();
+    vanished.key.push_str("/vanished");
+    fits.push(vanished);
+    fits[0]
+        .fit
+        .as_mut()
+        .expect("artifact carries a fitted exponent")
+        .exponent -= 1.0;
     let regressed = dir.join("regressed.json").display().to_string();
     std::fs::write(&regressed, baseline.to_json()).expect("write baseline");
 
-    let out = Command::new(LAB)
-        .args([
-            "trend",
-            "--from-reports",
-            &report,
-            "--baseline",
-            &regressed,
-            "--out",
-            &dir.join("bench3.json").display().to_string(),
-        ])
-        .output()
-        .expect("spawn lab");
+    let out = trend(
+        &dir.join("bench3.json").display().to_string(),
+        &["--baseline", &regressed],
+    );
     assert!(
         !out.status.success(),
         "trend passed against a regressed baseline"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("DRIFT"), "no drift row rendered:\n{stdout}");
+    assert!(
+        stdout.contains("✘ DRIFT"),
+        "no drift row rendered:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("✘ REMOVED"),
+        "no removed row rendered:\n{stdout}"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("regression"),
+        stderr.contains("2 regression(s)"),
         "no regression summary:\n{stderr}"
     );
 
-    // A generous tolerance waives the same drift.
-    let out = Command::new(LAB)
-        .args([
-            "trend",
-            "--from-reports",
-            &report,
-            "--baseline",
-            &regressed,
-            "--tolerance",
-            "5.0",
-            "--out",
-            &dir.join("bench4.json").display().to_string(),
-        ])
-        .output()
-        .expect("spawn lab");
+    // A generous tolerance waives the drift, never the vanished group.
+    let out = trend(
+        &dir.join("bench4.json").display().to_string(),
+        &["--baseline", &regressed, "--tolerance", "5.0"],
+    );
+    assert!(!out.status.success(), "a tolerance waived a removed group");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        out.status.success(),
-        "tolerance not honored: {}",
-        String::from_utf8_lossy(&out.stdout)
+        stderr.contains("1 regression(s)"),
+        "tolerance not honored:\n{stderr}"
     );
 }
 
 #[test]
 fn update_baseline_regenerates_the_file_in_place_with_stable_shape() {
     let dir = workdir("update");
-    let report = write_report(&dir);
     let baseline = dir.join("baseline.json").display().to_string();
     let bench = dir.join("bench.json").display().to_string();
 
     // Seed a stale baseline whose exponent has drifted far from today's
     // measurement: gating against it must fail...
-    let out = Command::new(LAB)
-        .args(["trend", "--from-reports", &report, "--out", &bench])
-        .output()
-        .expect("spawn lab");
+    let out = trend(&bench, &[]);
     assert!(out.status.success(), "{out:?}");
     let mut stale = BenchArtifact::parse(&std::fs::read_to_string(&bench).unwrap()).unwrap();
     stale.suites[0].fits[0].fit.as_mut().unwrap().exponent += 2.0;
     std::fs::write(&baseline, stale.to_json()).unwrap();
-    let out = Command::new(LAB)
-        .args([
-            "trend",
-            "--from-reports",
-            &report,
-            "--baseline",
-            &baseline,
-            "--out",
-            &bench,
-        ])
-        .output()
-        .expect("spawn lab");
+    let out = trend(&bench, &["--baseline", &baseline]);
     assert!(!out.status.success(), "stale baseline must gate");
 
     // ...until --update-baseline regenerates it in place.
-    let out = Command::new(LAB)
-        .args([
-            "trend",
-            "--from-reports",
-            &report,
-            "--update-baseline",
-            "--baseline",
-            &baseline,
-            "--out",
-            &bench,
-        ])
-        .output()
-        .expect("spawn lab");
+    let out = trend(&bench, &["--update-baseline", "--baseline", &baseline]);
     assert!(
         out.status.success(),
         "update failed: {}",
@@ -184,18 +134,7 @@ fn update_baseline_regenerates_the_file_in_place_with_stable_shape() {
     assert!(updated.starts_with("{\n  \"schema\": \"validity-lab/bench@3\","));
 
     // And the fresh baseline now gates clean.
-    let out = Command::new(LAB)
-        .args([
-            "trend",
-            "--from-reports",
-            &report,
-            "--baseline",
-            &baseline,
-            "--out",
-            &bench,
-        ])
-        .output()
-        .expect("spawn lab");
+    let out = trend(&bench, &["--baseline", &baseline]);
     assert!(
         out.status.success(),
         "updated baseline still regresses: {}",
@@ -206,40 +145,15 @@ fn update_baseline_regenerates_the_file_in_place_with_stable_shape() {
 #[test]
 fn trend_rejects_degenerate_tolerances() {
     // A NaN tolerance would make every drift comparison false and so
-    // silently disable the gate; negative would flag everything.
+    // silently disable the gate; negative would flag everything. The
+    // tolerance is read before any sweep runs.
     for bad in ["nan", "inf", "-0.5", "abc"] {
         let out = Command::new(LAB)
-            .args(["trend", "--from-reports", "x.json", "--tolerance", bad])
+            .args(["trend", "--tolerance", bad])
             .output()
             .expect("spawn lab");
         assert!(!out.status.success(), "accepted --tolerance {bad}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("tolerance"), "unhelpful error: {err}");
     }
-}
-
-#[test]
-fn trend_from_reports_rejects_partial_artifacts() {
-    let dir = workdir("reject");
-    let partial = dir.join("part.json").display().to_string();
-    let out = Command::new(LAB)
-        .args([
-            "run", "--suite", "quick", "--shard", "1/2", "--json", &partial,
-        ])
-        .output()
-        .expect("spawn lab");
-    assert!(out.status.success(), "{out:?}");
-    let out = Command::new(LAB)
-        .args([
-            "trend",
-            "--from-reports",
-            &partial,
-            "--out",
-            &dir.join("bench.json").display().to_string(),
-        ])
-        .output()
-        .expect("spawn lab");
-    assert!(!out.status.success(), "trend accepted a partial report");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("lab merge"), "unhelpful error: {err}");
 }

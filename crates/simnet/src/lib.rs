@@ -63,8 +63,8 @@
 //! ```
 //!
 //! [`SimBuilder`] is the only way to build a [`Simulation`]: it validates
-//! the node count, fault threshold, start times and `δ` and returns a
-//! named [`BuildError`]; [`SimBuilder::config`] reads the assembled
+//! the node count, fault threshold and `δ` and returns a named
+//! [`BuildError`]; [`SimBuilder::config`] reads the assembled
 //! [`SimConfig`] back. The pre-GST network is one [`NetModel`]
 //! (`SimBuilder::new(p).net(..)`, see [`net`]); instrumentation is one
 //! [`Probe`] (`build_with_probe`, read back with `Simulation::probe`):

@@ -18,7 +18,7 @@
 //! no mutable state and never observes protocol state. Composition order
 //! fixes draw order — a wrapper always runs its inner model first, then
 //! makes its own draws — so a seeded execution over any model tree is
-//! replayable, byte-for-byte, across thread counts and process shards.
+//! replayable, byte-for-byte, across thread counts.
 //!
 //! The base models' draw counts are part of that contract — every
 //! committed golden fingerprint depends on them: [`SyncModel`],

@@ -73,17 +73,13 @@ pub struct SimConfig {
     pub max_time: Time,
     /// Hard stop: maximum number of events processed.
     pub max_events: u64,
-    /// Per-process start times (all correct processes must start by GST,
-    /// per §3.1; the merge constructions stagger starts *before* that).
-    pub start_times: Vec<Time>,
 }
 
 /// A validation failure reported by [`SimBuilder::build`] /
 /// [`SimBuilder::build_with_probe`]: the model conditions of §3.1 (`n`
-/// nodes, at most `t` faulty, `δ ≥ 1`, one start time per process) checked
-/// against the configured `(n, t)`. Harnesses (the lab runner, service
-/// drivers, CLIs) refuse a bad configuration with this named error instead
-/// of crashing a sweep.
+/// nodes, at most `t` faulty, `δ ≥ 1`) checked against the configured
+/// `(n, t)`. Harnesses (the lab runner, service drivers, CLIs) refuse a
+/// bad configuration with this named error instead of crashing a sweep.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
     /// `nodes.len()` does not equal `n`.
@@ -100,13 +96,6 @@ pub enum BuildError {
         /// The number of Byzantine slots supplied.
         got: usize,
     },
-    /// `start_times.len()` does not equal `n`.
-    StartTimes {
-        /// The configured `n`.
-        expected: usize,
-        /// The start-time vector's actual length.
-        got: usize,
-    },
     /// `δ = 0`: the post-GST delay bound must be at least one tick.
     ZeroDelta,
 }
@@ -120,9 +109,6 @@ impl fmt::Display for BuildError {
             BuildError::TooManyFaulty { t, got } => {
                 write!(f, "{got} Byzantine nodes exceeds t = {t}")
             }
-            BuildError::StartTimes { expected, got } => {
-                write!(f, "need n = {expected} start times, got {got}")
-            }
             BuildError::ZeroDelta => write!(f, "δ must be ≥ 1 tick"),
         }
     }
@@ -131,7 +117,7 @@ impl fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// The only way to build a [`Simulation`]. Collects the knobs of a
-/// [`SimConfig`] (seed, GST, δ, network model, limits, start times) and
+/// [`SimConfig`] (seed, GST, δ, network model, limits) and
 /// checks the node vector against the system parameters at
 /// [`SimBuilder::build`] time, returning a [`BuildError`] instead of
 /// panicking.
@@ -180,7 +166,6 @@ impl SimBuilder {
                 seed: 0,
                 max_time: Time::MAX / 4,
                 max_events: 50_000_000,
-                start_times: vec![0; params.n()],
             },
         }
     }
@@ -221,12 +206,6 @@ impl SimBuilder {
         self
     }
 
-    /// Sets per-process start times (validated against `n` at build time).
-    pub fn start_times(mut self, starts: Vec<Time>) -> SimBuilder {
-        self.cfg.start_times = starts;
-        self
-    }
-
     /// The configuration as assembled so far.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
@@ -258,12 +237,6 @@ impl SimBuilder {
             return Err(BuildError::TooManyFaulty {
                 t: cfg.params.t(),
                 got: faulty,
-            });
-        }
-        if cfg.start_times.len() != n {
-            return Err(BuildError::StartTimes {
-                expected: n,
-                got: cfg.start_times.len(),
             });
         }
         if cfg.delta == 0 {
@@ -474,14 +447,14 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             byz_sink: ByzSink::new(),
             probe,
         };
-        // Start events are pushed in process order; within one tick the
-        // queue's FIFO order preserves it (the old scheduler's seq = i).
+        // Every process starts at tick 0. Start events are pushed in
+        // process order; within one tick the queue's FIFO order preserves
+        // it (the old scheduler's seq = i).
         for i in 0..n {
-            let at = sim.config.start_times[i];
             let node = ProcessId::from_index(i);
-            sim.queue.push(at, Event::Start { node });
+            sim.queue.push(0, Event::Start { node });
             if P::ENABLED {
-                sim.probe.on_queue_push(at, sim.queue.len());
+                sim.probe.on_queue_push(0, sim.queue.len());
             }
         }
         sim
@@ -1050,18 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn staggered_starts_respected() {
-        let mut sim = SimBuilder::new(params())
-            .seed(7)
-            .start_times(vec![0, 0, 0, 900])
-            .build(quorum_nodes(0))
-            .expect("valid configuration");
-        sim.run_until_decided();
-        // The late starter's broadcast happens at ≥ 900.
-        assert!(sim.stats().last_decision_at.unwrap() >= 900 || sim.decisions()[3].is_some());
-    }
-
-    #[test]
     fn too_many_byzantine_rejected() {
         let err = SimBuilder::new(params())
             .build(quorum_nodes(2))
@@ -1075,11 +1036,10 @@ mod tests {
     /// `build_with_probe` refuse the same setups with the same error.
     #[test]
     fn invalid_setups_are_refused_on_both_doors() {
-        // (δ, start-time count, node count, Byzantine slots) → error
+        // (δ, node count, Byzantine slots) → error
         let cases = [
             (
                 DEFAULT_DELTA,
-                4,
                 3,
                 0,
                 BuildError::NodeCount {
@@ -1090,27 +1050,14 @@ mod tests {
             (
                 DEFAULT_DELTA,
                 4,
-                4,
                 2,
                 BuildError::TooManyFaulty { t: 1, got: 2 },
             ),
-            (
-                DEFAULT_DELTA,
-                3,
-                4,
-                0,
-                BuildError::StartTimes {
-                    expected: 4,
-                    got: 3,
-                },
-            ),
-            (0, 4, 4, 0, BuildError::ZeroDelta),
+            (0, 4, 0, BuildError::ZeroDelta),
         ];
-        for (delta, starts, count, byz, want) in cases {
+        for (delta, count, byz, want) in cases {
             let nodes = || -> Vec<_> { quorum_nodes(byz).into_iter().take(count).collect() };
-            let builder = SimBuilder::new(params())
-                .delta(delta)
-                .start_times(vec![0; starts]);
+            let builder = SimBuilder::new(params()).delta(delta);
             assert_eq!(builder.clone().build(nodes()).err(), Some(want.clone()));
             let probed = builder.build_with_probe(nodes(), crate::probe::Metrics::new(delta));
             assert_eq!(probed.err(), Some(want));
