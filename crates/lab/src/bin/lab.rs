@@ -6,17 +6,17 @@
 //! lab list [--names]
 //! lab run --suite fig1 --threads 8 --json fig1.json --md fig1.md
 //! lab service --threads 8 --json service.json --md service.md
-//! lab service --slots 8 --pipelines 1,2,4 --batches 1,8 --seeds 0..4 --timing
+//! lab service --slots 8 --pipelines 1,2,4 --batches 1,8 --seeds 0..4
 //! lab crosscheck --threads 8 --json crosscheck.json --md crosscheck.md
-//! lab crosscheck --seeds 0..4 --max-steps 5000000 --timing
+//! lab crosscheck --seeds 0..4 --max-steps 5000000
 //! lab run --suite universal --dry-run
-//! lab run --suite quick --observe --timing
+//! lab run --suite quick --observe
 //! lab run --protocols universal/alg1-auth --validities strong --behaviors two-faced \
 //!         --schedules partial-sync --systems 4,1 --faults max --seeds 0..1 --observe
 //! lab run --protocols universal/alg1-auth --validities strong,median \
 //!         --behaviors silent,crash --schedules sync,partial-sync \
 //!         --systems 4,1;7,2 --faults 0,max --seeds 0..8 \
-//!         --fits messages,words --fit-axis n --max-steps 5000000
+//!         --fits messages,words --max-steps 5000000
 //! lab diff fig1.json other.json
 //! lab trend --out BENCH_lab.json
 //! lab trend --suites complexity,universal --baseline BENCH_lab_baseline.json \
@@ -35,9 +35,9 @@ use validity_lab::json::{Fields, Json};
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
     compare_emitted, hottest_by_events, observe_json, observe_markdown, run_crosscheck, run_mutate,
-    run_service, slowest_first_markdown, suites, timeline_for, timing_markdown, AgreementLevel,
-    CrosscheckMatrix, Fate, FitAxis, FitMeasure, MutateMatrix, ProtocolAxis, ScenarioMatrix,
-    ScheduleSpec, ServiceMatrix, SweepEngine, ValiditySpec, CATALOGUED_EQUIVALENT, REPORT_SCHEMA,
+    run_service, suites, timeline_for, AgreementLevel, CrosscheckMatrix, Fate, FitMeasure,
+    MutateMatrix, ProtocolAxis, ScenarioMatrix, ScheduleSpec, ServiceMatrix, SweepEngine,
+    ValiditySpec, CATALOGUED_EQUIVALENT, REPORT_SCHEMA,
 };
 use validity_protocols::{vector_registry, MutationOp};
 use validity_simnet::Timeline;
@@ -72,16 +72,14 @@ const USAGE: &str = "\
     usage: lab <list | run | service | crosscheck | mutate | diff | trend> ...\n\n\
     lab list [--names]\n\
     lab run --suite <name> [--threads N] [--json FILE] [--md FILE]\n\
-    \x20        [--max-steps N] [--dry-run] [--timing] [--observe]\n\
+    \x20        [--max-steps N] [--dry-run] [--observe]\n\
     lab run --protocols P,.. --validities V,.. --behaviors B,..\n\
     \x20        --schedules S,.. --systems n,t;n,t --faults 0,max --seeds a..b\n\
-    \x20        [--fits messages,words,latency] [--fit-axis n|t|domain]\n\
-    \x20        [--max-steps N] [--dry-run] [--timing] [--observe]\n\
+    \x20        [--fits messages,words,latency] [--max-steps N] [--dry-run] [--observe]\n\
     lab service [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
-    \x20        [--slots N] [--pipelines 1,2,..] [--batches 1,8,..]\n\
-    \x20        [--dry-run] [--timing]\n\
+    \x20        [--slots N] [--pipelines 1,2,..] [--batches 1,8,..] [--dry-run]\n\
     lab crosscheck [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
-    \x20        [--max-steps N] [--chaos | --adaptive] [--dry-run] [--timing]\n\
+    \x20        [--max-steps N] [--chaos | --adaptive] [--dry-run]\n\
     lab mutate [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
     \x20        [--max-steps N] [--operators a,b,..] [--dry-run]\n\
     lab diff <a.json> <b.json>\n\
@@ -125,13 +123,9 @@ fn list(names_only: bool) {
     for s in ScheduleSpec::ALL {
         println!("  {}", s.name());
     }
-    println!("\nfit measures (for --fits):");
+    println!("\nfit measures (for --fits), each fitted along its own axis:");
     for m in FitMeasure::ALL {
-        println!("  {}", m.name());
-    }
-    println!("\nfit axes (for --fit-axis):");
-    for a in FitAxis::ALL {
-        println!("  {}", a.name());
+        println!("  {:14} {}", m.name(), m.axis());
     }
 }
 
@@ -368,6 +362,13 @@ fn build_custom(args: &Args) -> Result<ScenarioMatrix, String> {
         "fit measure",
         FitMeasure::parse,
     )?;
+    if m.fit_measures.contains(&FitMeasure::ClassifyCost) {
+        return Err(
+            "--fits classify-cost: a custom grid has no classification cells to fit \
+             (the classifier-domain suite fits them)"
+                .to_string(),
+        );
+    }
     refuse_vacuous(&m)?;
     Ok(m)
 }
@@ -415,34 +416,6 @@ fn run(rest: &[&str]) -> CmdResult {
         None => build_custom(&args)?,
     };
     tune_grid(&args, &mut matrix)?;
-    if let Some(name) = args.value("--fit-axis") {
-        matrix.fit_axis = FitAxis::parse(name)
-            .ok_or_else(|| format!("unknown fit axis '{name}'; see `lab list`"))?;
-    }
-    // A measure that cannot fit along the declared axis would silently
-    // produce an empty fits section — a sweep that quietly measures
-    // nothing is worse than an error.
-    let incompatible: Vec<&str> = matrix
-        .fit_measures
-        .iter()
-        .filter(|m| {
-            if matrix.fit_axis == FitAxis::Domain {
-                m.is_run_measure()
-            } else {
-                !m.is_run_measure()
-            }
-        })
-        .map(|m| m.name())
-        .collect();
-    if !incompatible.is_empty() {
-        return Err(format!(
-            "fit measure(s) {} cannot fit along axis '{}': run measures \
-             (messages/words/latency) pair with axes n and t, classify-cost \
-             with axis domain",
-            incompatible.join(", "),
-            matrix.fit_axis,
-        ));
-    }
     if args.has("--dry-run") {
         println!(
             "{}: {} cells ({} fit measure(s), max_steps {})",
@@ -463,10 +436,9 @@ fn run(rest: &[&str]) -> CmdResult {
         matrix.len(),
         engine.threads()
     );
-    let (report, sweep) = engine.run(&matrix);
+    let (report, observed) = engine.run(&matrix);
     eprintln!(
-        "done in {:.3}s wall ({} cells, {} violations, {} quarantined, {} fit(s) out of band)",
-        sweep.wall.as_secs_f64(),
+        "done ({} cells, {} violations, {} quarantined, {} fit(s) out of band)",
         report.cells.len(),
         report.violations(),
         report.quarantined.len(),
@@ -474,27 +446,22 @@ fn run(rest: &[&str]) -> CmdResult {
     );
 
     let (json_path, md_path) = args.report_paths(&matrix.name);
-    // `--timing` and `--observe` append extra sections to the Markdown
-    // output only. The JSON report and the default Markdown stay
-    // byte-identical to plain runs — timing is nondeterministic, and even
-    // the deterministic observe metrics must never leak into canonical
+    // `--observe` appends a section to the Markdown output only. The JSON
+    // report and the default Markdown stay byte-identical to plain runs:
+    // even deterministic observe metrics must never leak into canonical
     // artifacts (their fingerprints cannot depend on instrumentation).
     let mut markdown = report.to_markdown();
-    if args.has("--timing") {
-        markdown.push('\n');
-        markdown.push_str(&timing_markdown(&sweep.timings));
-    }
     if observing {
         markdown.push('\n');
-        markdown.push_str(&observe_markdown(&sweep.observed));
+        markdown.push_str(&observe_markdown(&observed));
         // Side artifacts: the full-histogram JSON, plus a timeline export
         // of the hottest observed cell (deterministic choice — events are
         // seeded, so reruns pick the same cell).
         let base = json_path.strip_suffix(".json").unwrap_or(&json_path);
         let observe_path = format!("{base}.observe.json");
-        write_file(&observe_path, &observe_json(&matrix.name, &sweep.observed))?;
+        write_file(&observe_path, &observe_json(&matrix.name, &observed))?;
         eprintln!("observe artifact: {observe_path}");
-        if let Some(hot) = hottest_by_events(&sweep.observed) {
+        if let Some(hot) = hottest_by_events(&observed) {
             if let Some(timeline) = timeline_for(&matrix, &hot.label) {
                 write_timeline(&timeline, &format!("{base}.timeline"), &hot.label)?;
             }
@@ -552,21 +519,20 @@ fn service_cmd(rest: &[&str]) -> CmdResult {
         matrix.len(),
         SweepEngine::new(threads).threads(),
     );
-    let (report, wall, timings) = run_service(&matrix, threads);
+    let (report, ..) = run_service(&matrix, threads);
     eprintln!(
-        "done in {:.3}s wall ({} cells, {} group(s), {} failure(s))",
-        wall.as_secs_f64(),
+        "done ({} cells, {} group(s), {} failure(s))",
         report.cells.len(),
         report.groups.len(),
         report.failures(),
     );
     let (json_path, md_path) = args.report_paths("service");
-    let mut markdown = report.to_markdown();
-    if args.has("--timing") {
-        markdown.push('\n');
-        markdown.push_str(&slowest_first_markdown(&timings));
-    }
-    write_reports(&json_path, &report.to_json(), &md_path, &markdown)?;
+    write_reports(
+        &json_path,
+        &report.to_json(),
+        &md_path,
+        &report.to_markdown(),
+    )?;
     if report.failures() > 0 {
         eprintln!("SERVICE FAILURE: {} run(s) failed", report.failures());
         return Ok(ExitCode::from(1));
@@ -614,27 +580,22 @@ fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
         matrix.engines.len(),
         SweepEngine::new(threads).threads(),
     );
-    let (report, wall, timings) = run_crosscheck(&matrix, threads);
+    let report = run_crosscheck(&matrix, threads);
     let full = report.count(AgreementLevel::Full);
     let expected = report.count(AgreementLevel::ExpectedDivergence);
     let disagreements = report.disagreements();
     eprintln!(
-        "done in {:.3}s wall ({} cells: {} full, {} expected-divergence, {} DISAGREEMENT)",
-        wall.as_secs_f64(),
+        "done ({} cells: {} full, {} expected-divergence, {} DISAGREEMENT)",
         report.cells.len(),
         full,
         expected,
         disagreements.len(),
     );
     let json = report.to_json();
-    let mut markdown = report.to_markdown();
+    let markdown = report.to_markdown();
     // The emitters are columns of the oracle too: a drifting renderer
     // fails the gate just like a drifting engine.
     let emitter_mismatches = compare_emitted(&json, &markdown);
-    if args.has("--timing") {
-        markdown.push('\n');
-        markdown.push_str(&slowest_first_markdown(&timings));
-    }
     let (json_path, md_path) = args.report_paths("crosscheck");
     write_reports(&json_path, &json, &md_path, &markdown)?;
     let mut failed = false;
@@ -725,10 +686,9 @@ fn mutate_cmd(rest: &[&str]) -> CmdResult {
         matrix.mutants().len(),
         SweepEngine::new(threads).threads(),
     );
-    let (report, wall) = run_mutate(&matrix, threads);
+    let report = run_mutate(&matrix, threads);
     eprintln!(
-        "done in {:.3}s wall ({} mutant(s): {} killed, {} survived; {} baseline false kill(s))",
-        wall.as_secs_f64(),
+        "done ({} mutant(s): {} killed, {} survived; {} baseline false kill(s))",
         report.fates.len(),
         report.killed(),
         report.fates.len() - report.killed(),
@@ -847,25 +807,30 @@ fn diff(rest: &[&str]) -> CmdResult {
 ///   `--tolerance`, band escapes, vanished fit groups) — CI gates on
 ///   history, not just static bands.
 ///
-/// Wall time is deliberately kept *out* of `lab run` reports (they are
-/// byte-deterministic); the trend artifact is the one place it belongs.
+/// The lab measures no wall clock (the benchmark does): every suite's
+/// `wall_seconds` is `null`. A `--suites` list that names no suite is
+/// refused — a zero-suite artifact passes every gate vacuously.
 fn trend(rest: &[&str]) -> CmdResult {
     let args = Args::parse(Command::Trend, rest)?;
     let threads = args.threads()?;
     let tolerance = args.tolerance()?.unwrap_or(0.25);
     let out_path = args.value("--out").unwrap_or("BENCH_lab.json");
 
-    let names = args
+    let list = args
         .value("--suites")
-        .unwrap_or("complexity,universal,nonauth,subcubic")
-        .split(',')
-        .filter(|s| !s.is_empty());
+        .unwrap_or("complexity,universal,nonauth,subcubic");
+    let names: Vec<&str> = list.split(',').filter(|s| !s.is_empty()).collect();
+    if names.is_empty() {
+        return Err(format!(
+            "--suites '{list}' names no suite; see `lab list --names`"
+        ));
+    }
     let engine = SweepEngine::new(threads);
     let mut suites_out = Vec::new();
     for name in names {
         let matrix = build_suite(name)?;
         eprintln!("trend: sweeping '{name}' ({} cells)...", matrix.len());
-        let (report, sweep) = engine.run(&matrix);
+        let (report, _) = engine.run(&matrix);
         for f in &report.fits {
             eprintln!(
                 "  {} {}: exponent {} (band {})",
@@ -879,11 +844,7 @@ fn trend(rest: &[&str]) -> CmdResult {
                 },
             );
         }
-        suites_out.push(BenchSuite::from_sweep(
-            name,
-            &report,
-            Some(sweep.wall.as_secs_f64()),
-        ));
+        suites_out.push(BenchSuite::from_sweep(name, &report));
     }
     let artifact = BenchArtifact { suites: suites_out };
 

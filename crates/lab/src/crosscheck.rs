@@ -39,13 +39,11 @@
 //! [`Applicability`]: validity_protocols::registry::Applicability
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
 use validity_core::{classify, Classification, Domain, SystemParams};
 use validity_protocols::registry::{vector_registry, VectorSpec};
 
-use crate::executor::CellTiming;
 use crate::json::{Fields, Json};
 use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
 use crate::pool;
@@ -654,34 +652,19 @@ pub fn compare_emitted(json: &str, md: &str) -> Vec<String> {
 
 /// Runs a crosscheck matrix on `threads` workers (0 = one per core) and
 /// collects in matrix order — report bytes are independent of the worker
-/// count, exactly like every other lab artifact. The timings are per-cell
-/// wall clock (all of a cell's columns) in matrix order — diagnostic only,
-/// never part of the report.
-pub fn run_crosscheck(
-    matrix: &CrosscheckMatrix,
-    threads: usize,
-) -> (CrosscheckReport, Duration, Vec<CellTiming>) {
-    let started = Instant::now();
+/// count, exactly like every other lab artifact.
+pub fn run_crosscheck(matrix: &CrosscheckMatrix, threads: usize) -> CrosscheckReport {
     let cells = matrix.cells();
-    let results = pool::ordered_map(threads, cells.len(), |i| {
+    let records = pool::ordered_map(threads, cells.len(), |i| {
         execute_crosscheck(matrix, &cells[i])
-    });
-    let mut records = Vec::with_capacity(cells.len());
-    let mut timings = Vec::with_capacity(cells.len());
-    for (record, wall) in results {
-        timings.push(CellTiming {
-            label: record.key.clone(),
-            events: 0,
-            wall,
-        });
-        records.push(record);
-    }
-    let report = CrosscheckReport {
+    })
+    .map(|(record, _wall)| record)
+    .collect();
+    CrosscheckReport {
         name: matrix.scenarios.name.clone(),
         engines: matrix.engines.iter().map(|e| e.name()).collect(),
         cells: records,
-    };
-    (report, started.elapsed(), timings)
+    }
 }
 
 #[cfg(test)]
@@ -939,7 +922,7 @@ mod tests {
         m.scenarios.faults = vec![usize::MAX];
         m.scenarios.systems = vec![(4, 1)];
         assert!(m.scenarios.schedules.iter().all(|s| s.is_chaos()));
-        let (report, _, _) = run_crosscheck(&m, 0);
+        let report = run_crosscheck(&m, 0);
         assert!(
             report.disagreements().is_empty(),
             "chaos split the oracles: {report:?}"
@@ -955,7 +938,7 @@ mod tests {
 
     #[test]
     fn tiny_grid_fully_agrees() {
-        let (report, _, _) = run_crosscheck(&tiny(), 0);
+        let report = run_crosscheck(&tiny(), 0);
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.count(AgreementLevel::Full), 1, "{report:?}");
         assert!(report.disagreements().is_empty());
@@ -969,26 +952,15 @@ mod tests {
         let mut m = tiny();
         m.scenarios.systems = vec![(4, 1), (7, 2)];
         m.scenarios.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
-        let (one, _, _) = run_crosscheck(&m, 1);
-        let (many, _, _) = run_crosscheck(&m, 0);
+        let one = run_crosscheck(&m, 1);
+        let many = run_crosscheck(&m, 0);
         assert_eq!(one.to_json(), many.to_json());
         assert_eq!(one.to_markdown(), many.to_markdown());
     }
 
     #[test]
-    fn timings_name_every_cell_in_matrix_order() {
-        let mut m = tiny();
-        m.scenarios.seeds = 0..3;
-        let (report, _, timings) = run_crosscheck(&m, 2);
-        let keys: Vec<String> = m.cells().iter().map(key).collect();
-        let timed: Vec<&str> = timings.iter().map(|t| t.label.as_str()).collect();
-        assert_eq!(timed, keys);
-        assert_eq!(report.cells.len(), keys.len());
-    }
-
-    #[test]
     fn emitters_round_trip_and_tampering_is_detected() {
-        let (report, _, _) = run_crosscheck(&tiny(), 0);
+        let report = run_crosscheck(&tiny(), 0);
         let json = report.to_json();
         let md = report.to_markdown();
         assert_eq!(compare_emitted(&json, &md), Vec::<String>::new());
@@ -1019,7 +991,7 @@ mod tests {
         // The oracle must not be vacuous: the same grid with only real
         // engines is clean...
         let clean = tiny();
-        let (report, _, _) = run_crosscheck(&clean, 0);
+        let report = run_crosscheck(&clean, 0);
         assert_eq!(report.count(AgreementLevel::Disagreement), 0);
 
         // ...and flips to DISAGREEMENT the moment a deliberately wrong
@@ -1031,7 +1003,7 @@ mod tests {
             "test-only",
             broken_factory,
         ));
-        let (report, _, _) = run_crosscheck(&seeded, 0);
+        let report = run_crosscheck(&seeded, 0);
         let disagreements = report.disagreements();
         assert!(
             !disagreements.is_empty(),

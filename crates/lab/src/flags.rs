@@ -116,8 +116,6 @@ const SERVICE_FIXES_AXES: &str =
     "the service suite fixes its axes; tune --slots/--pipelines/--batches/--seeds instead";
 const CROSSCHECK_FIXES_AXES: &str =
     "the crosscheck suite fixes its axes; tune --seeds/--max-steps instead";
-const SERVICE_NO_FITS: &str = "service reports carry throughput and latency, not complexity fits";
-const CROSSCHECK_NO_FITS: &str = "crosscheck reports carry agreement levels, not complexity fits";
 const CROSSCHECK_NO_PIPELINING: &str =
     "service pipelining does not apply to single-shot crosscheck cells";
 
@@ -167,14 +165,15 @@ pub const FLAGS: &[Flag] = &[
         &[Run],
         &[
             (RunSuite, SUITE_FIXES_AXES),
-            (Service, SERVICE_NO_FITS),
-            (Crosscheck, CROSSCHECK_NO_FITS),
+            (
+                Service,
+                "service reports carry throughput and latency, not complexity fits",
+            ),
+            (
+                Crosscheck,
+                "crosscheck reports carry agreement levels, not complexity fits",
+            ),
         ],
-    ),
-    value(
-        "--fit-axis",
-        SWEEP,
-        &[(Service, SERVICE_NO_FITS), (Crosscheck, CROSSCHECK_NO_FITS)],
     ),
     value(
         "--max-steps",
@@ -211,7 +210,6 @@ pub const FLAGS: &[Flag] = &[
     // `--adaptive` selects the adaptive-*adversary* crosscheck grid; sweeps
     // reach those adversaries through `--suite adaptive` or `--behaviors`.
     switch("--adaptive", &[Crosscheck], &[]),
-    switch("--timing", &[Run, RunSuite, Service, Crosscheck], &[]),
     switch(
         "--observe",
         SWEEP,

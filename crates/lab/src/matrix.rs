@@ -418,48 +418,37 @@ impl fmt::Display for ProtocolAxis {
     }
 }
 
-/// The x-axis a matrix's power-law fits run along.
-///
-/// The paper's complexity claims are parameterized three ways: by the
-/// system size `n` (Theorem 5, Appendix B), by the fault count `t`
-/// (resilience trade-offs), and — for the classifier — by the domain size
-/// `|V|` (the proposition space). A matrix declares which axis its fit
-/// groups vary over; everything held fixed lands in the fit key, and the
-/// declared axis supplies each group's x-coordinates.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+/// The x-axis a power-law fit runs along. It is a property of the fitted
+/// [`FitMeasure`], not a setting: the paper's cost claims are exponents
+/// in the system size `n` (Theorems 4 and 5, Appendix B), and the
+/// classifier's cost grows with the domain size `|V|`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum FitAxis {
-    /// System size `n` (the default, and the paper's usual axis).
-    #[default]
+    /// System size `n`: the axis of every run measure.
     N,
-    /// Fault count: the number of Byzantine slots actually filled.
-    /// Fault-free cells (x = 0) cannot sit on a log–log line and are
-    /// excluded from the fit's points.
-    T,
-    /// Domain size `|V|` — classification cells only (run cells have no
-    /// domain axis and produce no fit rows under it).
+    /// Domain size `|V|`: the axis of the classifier's cost.
     Domain,
 }
 
 impl FitAxis {
     /// Every fit axis, in presentation order.
-    pub const ALL: [FitAxis; 3] = [FitAxis::N, FitAxis::T, FitAxis::Domain];
+    pub const ALL: [FitAxis; 2] = [FitAxis::N, FitAxis::Domain];
 
-    /// The stable registry name.
+    /// The stable name reports label their fits with.
     pub fn name(self) -> &'static str {
         match self {
             FitAxis::N => "n",
-            FitAxis::T => "t",
             FitAxis::Domain => "domain",
         }
     }
 
-    /// Looks an axis up by its registry name.
+    /// Looks an axis up by its name.
     ///
     /// ```
     /// use validity_lab::FitAxis;
     ///
     /// assert_eq!(FitAxis::parse("domain"), Some(FitAxis::Domain));
-    /// assert_eq!(FitAxis::parse("nope"), None);
+    /// assert_eq!(FitAxis::parse("t"), None);
     /// ```
     pub fn parse(name: &str) -> Option<FitAxis> {
         FitAxis::ALL.into_iter().find(|a| a.name() == name)
@@ -472,8 +461,8 @@ impl fmt::Display for FitAxis {
     }
 }
 
-/// A per-run measure a matrix can ask the report to power-law-fit against
-/// its declared [`FitAxis`].
+/// A measure a matrix can ask the report to power-law-fit along the
+/// measure's own [`FitAxis`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum FitMeasure {
     /// Messages sent by correct processes in `[GST, ∞)`.
@@ -483,7 +472,7 @@ pub enum FitMeasure {
     /// Decision latency (time of the last correct decision).
     Latency,
     /// Admissibility evaluations performed by the solvability classifier —
-    /// the cost of a classification cell. Pairs with [`FitAxis::Domain`].
+    /// the cost of a classification cell, fitted along [`FitAxis::Domain`].
     ClassifyCost,
 }
 
@@ -506,10 +495,13 @@ impl FitMeasure {
         }
     }
 
-    /// Whether this measure is observed on run cells (vs classification
-    /// cells).
-    pub fn is_run_measure(self) -> bool {
-        self != FitMeasure::ClassifyCost
+    /// The axis this measure is fitted along: run measures along `n`,
+    /// the classifier's cost along `|V|`.
+    pub fn axis(self) -> FitAxis {
+        match self {
+            FitMeasure::ClassifyCost => FitAxis::Domain,
+            _ => FitAxis::N,
+        }
     }
 
     /// Looks a measure up by its registry name.
@@ -585,8 +577,8 @@ impl ClassifyCell {
     }
 
     /// The key all domain sizes of this configuration share — the
-    /// fit-group bucket under [`FitAxis::Domain`] (the domain becomes the
-    /// fit's x-axis).
+    /// classifier-cost fit-group bucket (the domain becomes the fit's
+    /// x-axis).
     pub fn fit_key(&self) -> String {
         format!("fit/classify/{}/n{}t{}", self.validity, self.n, self.t)
     }
@@ -654,53 +646,19 @@ impl RunCell {
     }
 
     /// The key all sizes and seeds of this configuration share — the
-    /// fit-group bucket under the default [`FitAxis::N`]. Everything from
+    /// run-measure fit-group bucket. Everything from
     /// [`RunCell::group_key`] except `(n, t)` (which becomes the fit's
     /// x-axis) and the raw Byzantine count (which scales with `t`; the
     /// [`RunCell::fault_tag`] stands in).
     pub fn fit_key(&self) -> String {
-        self.fit_key_on(FitAxis::N)
-    }
-
-    /// The fit-group bucket for an arbitrary axis: the axis coordinate is
-    /// dropped from the key (it becomes the x-axis), everything else
-    /// stays.
-    ///
-    /// * [`FitAxis::N`] — drops `(n, t)`, keeps the declared fault tag.
-    /// * [`FitAxis::T`] — drops the fault load (x = the Byzantine count
-    ///   actually filled), keeps `(n, t)`.
-    /// * [`FitAxis::Domain`] — run cells have no domain; they form no fit
-    ///   group (the key is empty).
-    pub fn fit_key_on(&self, axis: FitAxis) -> String {
-        match axis {
-            FitAxis::N => format!(
-                "fit/{}/{}/{}x{}/{}",
-                self.protocol.name(),
-                self.validity.map_or("vector", |v| v.name()),
-                self.behavior,
-                self.fault_tag(),
-                self.schedule,
-            ),
-            FitAxis::T => format!(
-                "fit/{}/{}/{}/{}/n{}t{}",
-                self.protocol.name(),
-                self.validity.map_or("vector", |v| v.name()),
-                self.behavior,
-                self.schedule,
-                self.n,
-                self.t,
-            ),
-            FitAxis::Domain => String::new(),
-        }
-    }
-
-    /// The group's x-coordinate on the given fit axis.
-    pub fn fit_x(&self, axis: FitAxis) -> u64 {
-        match axis {
-            FitAxis::N => self.n as u64,
-            FitAxis::T => self.byz as u64,
-            FitAxis::Domain => 0,
-        }
+        format!(
+            "fit/{}/{}/{}x{}/{}",
+            self.protocol.name(),
+            self.validity.map_or("vector", |v| v.name()),
+            self.behavior,
+            self.fault_tag(),
+            self.schedule,
+        )
     }
 
     /// The same cell at a different seed.
@@ -751,13 +709,11 @@ pub struct ScenarioMatrix {
     pub seeds: Range<u64>,
     /// Additional classification cells (not a product axis).
     pub classifications: Vec<ClassifyCell>,
-    /// Measures to power-law-fit against the declared [`FitAxis`] in the
-    /// report, grouped by [`RunCell::fit_key_on`] (or
-    /// [`ClassifyCell::fit_key`] for the domain axis). Empty = no fit
-    /// section.
+    /// Measures to power-law-fit in the report, each along its own
+    /// [`FitMeasure::axis`], grouped by [`RunCell::fit_key`] (or
+    /// [`ClassifyCell::fit_key`] for the classifier's cost). Empty = no
+    /// fit section.
     pub fit_measures: Vec<FitMeasure>,
-    /// The x-axis the fit groups vary over (default: system size `n`).
-    pub fit_axis: FitAxis,
     /// Expected exponent bands checked against the fitted measures.
     pub fit_bands: Vec<FitBand>,
     /// Per-cell step budget: a run cell processing more than this many
@@ -780,7 +736,6 @@ impl ScenarioMatrix {
             seeds: 0..1,
             classifications: Vec::new(),
             fit_measures: Vec::new(),
-            fit_axis: FitAxis::N,
             fit_bands: Vec::new(),
             max_steps: None,
         }
@@ -874,6 +829,22 @@ impl ScenarioMatrix {
     /// Whether the matrix enumerates no cells.
     pub fn is_empty(&self) -> bool {
         self.cells().is_empty()
+    }
+
+    /// The axis the report labels its fits with: `domain` exactly when
+    /// the declared measures are all the classifier's cost, `n` otherwise
+    /// (no measures included).
+    pub fn fit_axis(&self) -> FitAxis {
+        let classifier_only = !self.fit_measures.is_empty()
+            && self
+                .fit_measures
+                .iter()
+                .all(|m| m.axis() == FitAxis::Domain);
+        if classifier_only {
+            FitAxis::Domain
+        } else {
+            FitAxis::N
+        }
     }
 }
 
@@ -996,35 +967,6 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), templates.len());
-    }
-
-    #[test]
-    fn fit_key_on_t_axis_keeps_size_and_drops_the_fault_load() {
-        let mut cell = RunCell {
-            protocol: ProtocolAxis::raw(auth()),
-            validity: None,
-            behavior: BehaviorId::Silent,
-            byz: 1,
-            fault: 1,
-            schedule: ScheduleSpec::Synchronous,
-            n: 7,
-            t: 2,
-            seed: 0,
-        };
-        let one = cell.fit_key_on(FitAxis::T);
-        assert_eq!(one, "fit/alg1-auth/vector/silent/sync/n7t2");
-        assert_eq!(cell.fit_x(FitAxis::T), 1);
-        // A different fault count lands in the same group (it is the
-        // x-axis), a different size does not.
-        cell.byz = 2;
-        cell.fault = 2;
-        assert_eq!(cell.fit_key_on(FitAxis::T), one);
-        assert_eq!(cell.fit_x(FitAxis::T), 2);
-        cell.n = 10;
-        cell.t = 3;
-        assert_ne!(cell.fit_key_on(FitAxis::T), one);
-        // Run cells form no group on the domain axis.
-        assert!(cell.fit_key_on(FitAxis::Domain).is_empty());
     }
 
     #[test]

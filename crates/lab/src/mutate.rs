@@ -35,8 +35,6 @@
 //! `mutate@1` artifact is byte-identical across worker counts. Base
 //! columns are executed once and shared by every mutant's grading.
 
-use std::time::{Duration, Instant};
-
 use validity_core::Classification;
 use validity_protocols::{mutant_spec, MutationOp, VectorSpec};
 
@@ -391,8 +389,7 @@ fn judge(base: &'static str, b: &RunRecord, m: &RunRecord) -> Option<Finding> {
 /// [`crate::crosscheck::run_crosscheck`], which hands the runs back in
 /// index order, and grading walks them in matrix order — the report bytes
 /// never depend on the worker count.
-pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Duration) {
-    let started = Instant::now();
+pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
     let cells = matrix.grid.cells();
     let mutants = matrix.mutants();
     // All columns of the run, bases first: runs[cell][column].
@@ -456,15 +453,14 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
             }
         })
         .collect();
-    let report = MutateReport {
+    MutateReport {
         name: matrix.grid.scenarios.name.clone(),
         engines,
         operators: matrix.operators.clone(),
         cells: cells.len(),
         false_kills,
         fates,
-    };
-    (report, started.elapsed())
+    }
 }
 
 #[cfg(test)]
@@ -497,7 +493,7 @@ mod tests {
 
     #[test]
     fn shift_proposal_dies_and_the_baseline_stays_clean() {
-        let (report, _) = run_mutate(&tiny(vec![MutationOp::ShiftProposal]), 2);
+        let report = run_mutate(&tiny(vec![MutationOp::ShiftProposal]), 2);
         assert!(report.false_kills.is_empty(), "{:?}", report.false_kills);
         assert_eq!(report.fates.len(), 3);
         for f in &report.fates {
@@ -563,7 +559,7 @@ mod tests {
 
     #[test]
     fn report_renders_json_and_markdown() {
-        let (report, _) = run_mutate(&tiny(vec![MutationOp::ShiftProposal]), 1);
+        let report = run_mutate(&tiny(vec![MutationOp::ShiftProposal]), 1);
         let json = report.to_json();
         assert!(json.contains(MUTATE_SCHEMA));
         assert!(json.contains("\"killed\": true"));
@@ -577,8 +573,8 @@ mod tests {
     #[test]
     fn matrix_bytes_are_thread_count_independent() {
         let m = tiny(vec![MutationOp::ShiftProposal, MutationOp::SkipBroadcast]);
-        let (one, _) = run_mutate(&m, 1);
-        let (four, _) = run_mutate(&m, 4);
+        let one = run_mutate(&m, 1);
+        let four = run_mutate(&m, 4);
         assert_eq!(one.to_json(), four.to_json());
         assert_eq!(one.to_markdown(), four.to_markdown());
     }

@@ -6,8 +6,8 @@
 //! observations:
 //!
 //! * [`observe_markdown`] — the non-canonical `## Observability` section
-//!   `lab run --observe` appends to the Markdown report (mirroring the
-//!   `--timing` section's contract: *never* part of canonical artifacts);
+//!   `lab run --observe` appends to the Markdown report (*never* part of
+//!   canonical artifacts);
 //! * [`observe_json`] — the deterministic `validity-lab/observe@1` side
 //!   artifact with the full histograms and per-round counters;
 //! * [`timeline_for`] — re-runs one labeled cell with a
@@ -214,14 +214,14 @@ mod tests {
     #[test]
     fn markdown_and_json_are_deterministic_and_tagged() {
         let m = matrix();
-        let a = SweepEngine::new(1).observe(true).execute(&m);
-        let b = SweepEngine::new(2).observe(true).execute(&m);
-        let md_a = observe_markdown(&a.observed);
-        let md_b = observe_markdown(&b.observed);
+        let (_, a) = SweepEngine::new(1).observe(true).run(&m);
+        let (_, b) = SweepEngine::new(2).observe(true).run(&m);
+        let md_a = observe_markdown(&a);
+        let md_b = observe_markdown(&b);
         assert_eq!(md_a, md_b, "observations must not depend on threads");
         assert!(md_a.contains("## Observability"));
-        let json = observe_json("observe-test", &a.observed);
-        assert_eq!(json, observe_json("observe-test", &b.observed));
+        let json = observe_json("observe-test", &a);
+        assert_eq!(json, observe_json("observe-test", &b));
         assert!(json.contains(OBSERVE_SCHEMA));
         assert!(json.contains("\"latency\""));
         assert!(json.contains("\"rounds\""));
@@ -230,8 +230,8 @@ mod tests {
     #[test]
     fn timeline_replays_the_labeled_cell() {
         let m = matrix();
-        let run = SweepEngine::new(1).observe(true).execute(&m);
-        let hot = hottest_by_events(&run.observed).expect("observed cells");
+        let (_, observed) = SweepEngine::new(1).observe(true).run(&m);
+        let hot = hottest_by_events(&observed).expect("observed cells");
         let timeline = timeline_for(&m, &hot.label).expect("run cell label resolves");
         assert!(!timeline.is_empty());
         // The replay is the same seeded run the sweep observed, so the

@@ -323,7 +323,7 @@ fn matrix_json(out: &mut String, m: &ScenarioMatrix) {
     let _ = write!(
         out,
         "], \"fit_axis\": {}, \"sampling\": null",
-        json_str(m.fit_axis.name())
+        json_str(m.fit_axis().name())
     );
     match m.max_steps {
         Some(n) => {
@@ -373,8 +373,16 @@ fn matrix_from_json(v: &Fields) -> Result<ScenarioMatrix, String> {
             })
         })
         .collect::<Result<_, String>>()?;
-    let axis = v.get("fit_axis")?;
-    m.fit_axis = FitAxis::parse(axis).ok_or_else(|| format!("unknown fit axis '{axis}'"))?;
+    // The axis follows from the measures; a file that says otherwise was
+    // not written by this lab.
+    let axis: &str = v.get("fit_axis")?;
+    if FitAxis::parse(axis) != Some(m.fit_axis()) {
+        return Err(format!(
+            "{}: fit_axis '{axis}' disagrees with fit_measures, which fit along '{}'",
+            v.at(),
+            m.fit_axis()
+        ));
+    }
     m.max_steps = v.get("max_steps")?;
     Ok(m)
 }
@@ -574,7 +582,7 @@ mod tests {
     /// `count` shards by [`ShardSpec::owns`].
     fn quick_partials(count: usize) -> (ScenarioMatrix, Vec<PartialReport>) {
         let m = suites::build("quick").expect("built-in suite");
-        let records = SweepEngine::new(2).execute(&m).records;
+        let records = SweepEngine::new(2).run(&m).0.cells;
         let partials = (1..=count)
             .map(|index| {
                 let shard = ShardSpec { index, count };
@@ -621,6 +629,34 @@ mod tests {
             let keys: Vec<String> = m.cells().iter().map(|c| c.key()).collect();
             let back_keys: Vec<String> = back.cells().iter().map(|c| c.key()).collect();
             assert_eq!(keys, back_keys, "{name} cells drifted through JSON");
+        }
+    }
+
+    /// The `fit_axis` key is required but derived: a value that
+    /// disagrees with the matrix's measures is refused by name.
+    #[test]
+    fn matrix_reader_refuses_a_fit_axis_its_measures_disagree_with() {
+        for (name, axis, forged) in [
+            ("complexity", "n", "t"),
+            ("complexity", "n", "domain"),
+            ("classifier-domain", "domain", "n"),
+        ] {
+            let mut text = String::new();
+            matrix_json(&mut text, &suites::build(name).expect(name));
+            let text = text.replace(
+                &format!("\"fit_axis\": \"{axis}\""),
+                &format!("\"fit_axis\": \"{forged}\""),
+            );
+            let json = Json::parse(&text).expect(name);
+            let err = matrix_from_json(&Fields::of(&json, "matrix").unwrap()).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "matrix: fit_axis '{forged}' disagrees with fit_measures, \
+                     which fit along '{axis}'"
+                ),
+                "{name}"
+            );
         }
     }
 

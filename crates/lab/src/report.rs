@@ -6,8 +6,9 @@
 //! records in matrix order and use only deterministic arithmetic, so report
 //! bytes are a pure function of the matrix — independent of thread count.
 //! When the matrix declares [`FitMeasure`]s, configurations that differ
-//! only along its [`FitAxis`] (system size by default) additionally fold
-//! into *fit groups*: per-coordinate means become `(x, y)` points, a power
+//! only along a measure's [`FitAxis`] (system size, or the domain size for
+//! the classifier's cost) additionally fold into *fit groups*:
+//! per-coordinate means become `(x, y)` points, a power
 //! law `y ≈ c·xᵏ` is fitted to each group, and the report gains a `fits`
 //! section with exponent, constant, `r²`, and any declared expected band —
 //! the paper's asymptotic shapes as first-class, regression-checked
@@ -102,13 +103,11 @@ pub struct GroupSummary {
     /// the source of delivery/Byzantine-traffic totals, which the scalar
     /// measures above do not track.
     pub pooled: NetStats,
-    /// The group's coordinate on the matrix's [`FitAxis`] (`n`, or the
-    /// Byzantine count for the fault axis; 0 when the matrix enumerates no
-    /// such group).
+    /// The group's coordinate on the run measures' axis, `n` (0 when the
+    /// matrix enumerates no such group).
     pub fit_x: u64,
-    /// The [`RunCell::fit_key_on`] bucket for the matrix's axis (empty
-    /// when the matrix enumerates no such group, or under the domain
-    /// axis).
+    /// The group's [`RunCell::fit_key`] bucket (empty when the matrix
+    /// enumerates no such group).
     pub fit_key: String,
 }
 
@@ -178,8 +177,8 @@ pub struct SweepReport {
     /// Power-law fits, in (measure, fit-group first-appearance) order.
     /// Empty unless the matrix declares fit measures.
     pub fits: Vec<FitRow>,
-    /// The x-axis the fits ran along (the matrix's declared
-    /// [`FitAxis`]).
+    /// The axis the fits are labelled with
+    /// ([`ScenarioMatrix::fit_axis`]).
     pub fit_axis: FitAxis,
     /// Keys of quarantined cells (step budget exceeded), in matrix order.
     pub quarantined: Vec<String>,
@@ -193,7 +192,6 @@ impl SweepReport {
         // Per-group metadata (fit x-coordinate, fit key) comes from
         // re-enumerating the matrix's run-group templates: records carry
         // their group key, so the lookup is order-insensitive.
-        let axis = matrix.fit_axis;
         let group_meta: BTreeMap<String, RunCell> = matrix
             .run_templates()
             .into_iter()
@@ -224,8 +222,8 @@ impl SweepReport {
                                 words_after_gst: MeasureStats::default(),
                                 latency: MeasureStats::default(),
                                 pooled: NetStats::default(),
-                                fit_x: meta.map_or(0, |c| c.fit_x(axis)),
-                                fit_key: meta.map_or_else(String::new, |c| c.fit_key_on(axis)),
+                                fit_x: meta.map_or(0, |c| c.n as u64),
+                                fit_key: meta.map_or_else(String::new, RunCell::fit_key),
                             });
                             groups.last_mut().expect("just pushed")
                         }
@@ -255,7 +253,7 @@ impl SweepReport {
             groups,
             classifications,
             fits,
-            fit_axis: axis,
+            fit_axis: matrix.fit_axis(),
             quarantined,
         }
     }
@@ -453,10 +451,9 @@ impl SweepReport {
 }
 
 /// Folds per-coordinate means into fit rows, one per (declared measure,
-/// fit-group) pair, in deterministic order. Run measures fit group means
-/// against the matrix's run axis (`n` or the fault count); the
-/// classifier-cost measure fits classification cells against the domain
-/// size.
+/// fit-group) pair, in deterministic order, each measure along its own
+/// axis: run measures fit group means against `n`, the classifier-cost
+/// measure fits classification cells against the domain size.
 fn compute_fits(
     matrix: &ScenarioMatrix,
     groups: &[GroupSummary],
@@ -469,16 +466,10 @@ fn compute_fits(
             continue;
         }
         seen_measures.push(measure);
-        if measure.is_run_measure() {
-            // Run measures have no x-coordinate under the domain axis.
-            if matrix.fit_axis == FitAxis::Domain {
-                continue;
-            }
-            rows.extend(run_measure_fits(matrix, groups, measure));
-        } else if matrix.fit_axis == FitAxis::Domain {
-            // Classifier cost pairs with the domain axis only.
-            rows.extend(classify_cost_fits(matrix, classifications));
-        }
+        rows.extend(match measure.axis() {
+            FitAxis::N => run_measure_fits(matrix, groups, measure),
+            FitAxis::Domain => classify_cost_fits(matrix, classifications),
+        });
     }
     rows
 }
@@ -510,8 +501,7 @@ fn fit_row(
     }
 }
 
-/// Fit rows of one run measure: per-coordinate group means along the run
-/// axis, fit-group keys in group (= matrix) first-appearance order.
+/// Fit rows of one run measure: per-size group means, fit-group keys in group (= matrix) first-appearance order.
 fn run_measure_fits(
     matrix: &ScenarioMatrix,
     groups: &[GroupSummary],
@@ -535,11 +525,7 @@ fn run_measure_fits(
                         FitMeasure::Latency => &g.latency,
                         FitMeasure::ClassifyCost => return None,
                     };
-                    // A zero coordinate (a fault-free group on the t axis)
-                    // cannot sit on a log–log line; keeping it would make
-                    // the whole group unfittable instead of just skipping
-                    // the one point.
-                    (stats.count > 0 && g.fit_x > 0)
+                    (stats.count > 0)
                         .then(|| (g.fit_x as f64, stats.sum as f64 / stats.count as f64))
                 })
                 .collect();

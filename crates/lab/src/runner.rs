@@ -45,7 +45,8 @@ pub struct RunRecord {
     pub quarantined: bool,
     /// Simulator events processed (starts + deliveries + timer fires).
     /// Deterministic, but **not** part of any report or partial artifact —
-    /// it exists for the `--timing` harness (events/sec per cell).
+    /// it feeds the per-cell timings the benchmark reads (events/sec per
+    /// cell).
     pub events: u64,
     /// The run's full simulator counters, for [`NetStats::merge`]-based
     /// pooling in the aggregation layer.

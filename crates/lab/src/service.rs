@@ -518,9 +518,9 @@ fn centi(x: u64) -> String {
 
 /// Runs a service matrix on `threads` workers (0 = one per core) and
 /// aggregates in matrix order — the report bytes are independent of the
-/// worker count, exactly like the scenario sweep engine. The timings are
-/// per-cell wall clock in matrix order (diagnostic only — never part of
-/// the report).
+/// worker count, exactly like the scenario sweep engine. The wall clock
+/// and per-cell timings (in matrix order) are the benchmark's; no lab
+/// command reports them.
 pub fn run_service(
     matrix: &ServiceMatrix,
     threads: usize,

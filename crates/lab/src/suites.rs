@@ -8,8 +8,7 @@ use validity_adversary::BehaviorId;
 use validity_protocols::{find_vector, vector_registry};
 
 use crate::matrix::{
-    ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, ScenarioMatrix, ScheduleSpec,
-    ValiditySpec,
+    ClassifyCell, FitBand, FitMeasure, ProtocolAxis, ScenarioMatrix, ScheduleSpec, ValiditySpec,
 };
 
 /// Names of all built-in suites, in presentation order.
@@ -328,7 +327,6 @@ pub fn classifier_domain() -> ScenarioMatrix {
             });
         }
     }
-    m.fit_axis = FitAxis::Domain;
     m.fit_measures = vec![FitMeasure::ClassifyCost];
     // Measured at (4, 1) over |V| ∈ 2..=6: strong/weak ≈ |V|^4.8–5.0,
     // median/convex-hull ≈ |V|^4.25 (their admissible sets prune the
@@ -427,6 +425,8 @@ pub fn adaptive() -> ScenarioMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::FitAxis;
+    use crate::report::SweepReport;
 
     #[test]
     fn every_suite_builds_and_is_nonempty() {
@@ -458,12 +458,40 @@ mod tests {
     #[test]
     fn classifier_domain_fits_cost_against_the_domain_axis() {
         let m = classifier_domain();
-        assert_eq!(m.fit_axis, FitAxis::Domain);
+        assert_eq!(m.fit_axis(), FitAxis::Domain);
         assert_eq!(m.fit_measures, vec![FitMeasure::ClassifyCost]);
         assert!(!m.fit_bands.is_empty());
         // 4 properties × 5 domain sizes, no run cells at all.
         assert_eq!(m.classifications.len(), 20);
         assert_eq!(m.len(), 20);
+    }
+
+    /// A fit's x-axis follows from its measure, and a report's `fit_axis`
+    /// label from the measures its suite declares.
+    #[test]
+    fn each_measure_fits_along_its_own_axis() {
+        let axes: Vec<(FitMeasure, FitAxis)> =
+            FitMeasure::ALL.iter().map(|&m| (m, m.axis())).collect();
+        assert_eq!(
+            axes,
+            [
+                (FitMeasure::Messages, FitAxis::N),
+                (FitMeasure::Words, FitAxis::N),
+                (FitMeasure::Latency, FitAxis::N),
+                (FitMeasure::ClassifyCost, FitAxis::Domain),
+            ]
+        );
+        for name in ALL {
+            let m = build(name).expect(name);
+            let want = if name == "classifier-domain" {
+                "domain"
+            } else {
+                "n"
+            };
+            let json = SweepReport::aggregate_matrix(&m, &[]).to_json();
+            let label = format!("\"fit_axis\": \"{want}\"");
+            assert!(json.contains(&label), "{name} is not labelled {want}");
+        }
     }
 
     #[test]

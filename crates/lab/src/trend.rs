@@ -2,17 +2,19 @@
 //!
 //! `lab trend` distills fit-bearing sweeps into one small JSON artifact
 //! (`BENCH_lab.json`): per suite, the fitted exponents with their expected
-//! bands, plus cell/violation/quarantine counts and wall time. CI uploads
-//! the artifact on every push, turning the repo's perf trajectory into
-//! data.
+//! bands, plus cell/violation/quarantine counts. CI uploads the artifact
+//! on every push, turning the repo's complexity trajectory into data.
 //!
 //! This module makes that trajectory *enforceable*: [`BenchArtifact`] is
 //! the versioned model of the file ([`BENCH_SCHEMA`]), and [`compare`]
 //! diffs a current artifact against a historical baseline — exponent
 //! drift beyond a tolerance, band escapes, and vanished fit groups are
 //! **regressions** (`lab trend --baseline` exits non-zero on any), while
-//! new groups and wall-time movement are reported but not gated (wall
-//! clock depends on CI hardware; the exponents do not).
+//! new groups are reported but not gated.
+//!
+//! The lab measures no wall clock (the benchmark does), so `lab trend`
+//! writes `"wall_seconds": null`; a number an older artifact recorded is
+//! read and re-rendered, never compared.
 //!
 //! The parser ignores unknown fields, refuses every file whose `schema`
 //! tag is not [`BENCH_SCHEMA`] (an untagged file included), and refuses a
@@ -34,7 +36,8 @@ pub const BENCH_SCHEMA: &str = "validity-lab/bench@3";
 pub struct BenchSuite {
     /// Suite name.
     pub suite: String,
-    /// Wall-clock seconds of the sweep (`None` when unmeasured).
+    /// Wall-clock seconds an older artifact recorded for the sweep;
+    /// `None` in every artifact `lab trend` writes now.
     pub wall_seconds: Option<f64>,
     /// Cell count.
     pub cells: u64,
@@ -42,7 +45,7 @@ pub struct BenchSuite {
     pub violations: u64,
     /// Quarantined cell count.
     pub quarantined: u64,
-    /// The x-axis the suite's fits ran along (`"n"`, `"t"`, `"domain"`).
+    /// The axis the suite's fits are labelled with (`"n"` or `"domain"`).
     pub axis: String,
     /// Every fit row of the suite's report. The artifact records each
     /// row's fit core but not its points, so rows read back from a file
@@ -52,10 +55,10 @@ pub struct BenchSuite {
 
 impl BenchSuite {
     /// Builds a suite entry from an in-memory sweep report.
-    pub fn from_sweep(name: &str, report: &SweepReport, wall_seconds: Option<f64>) -> BenchSuite {
+    pub fn from_sweep(name: &str, report: &SweepReport) -> BenchSuite {
         BenchSuite {
             suite: name.to_string(),
-            wall_seconds,
+            wall_seconds: None,
             cells: report.cells.len() as u64,
             violations: report.violations(),
             quarantined: report.quarantined.len() as u64,
@@ -248,25 +251,12 @@ pub struct TrendRow {
     pub status: TrendStatus,
 }
 
-/// One row of the (informational) wall-time table.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WallRow {
-    /// Suite name.
-    pub suite: String,
-    /// Baseline wall seconds, if recorded.
-    pub baseline: Option<f64>,
-    /// Current wall seconds, if recorded.
-    pub current: Option<f64>,
-}
-
 /// The full diff of a current artifact against a historical baseline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrendDiff {
     /// Per-(suite, group, measure) verdicts, current-artifact order with
     /// removed baseline rows appended.
     pub rows: Vec<TrendRow>,
-    /// Per-suite wall-time movement (never gated).
-    pub walls: Vec<WallRow>,
     /// The exponent-drift tolerance the verdicts used.
     pub tolerance: f64,
 }
@@ -281,8 +271,7 @@ impl TrendDiff {
             .count() as u64
     }
 
-    /// Renders the regression table (and the informational wall-time
-    /// table) as Markdown.
+    /// Renders the regression table as Markdown.
     pub fn render_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -317,24 +306,6 @@ impl TrendDiff {
                 r.status,
             );
         }
-        if !self.walls.is_empty() {
-            out.push_str("\n## Wall time (informational, never gated)\n\n");
-            out.push_str("| suite | baseline s | current s | ratio |\n|---|---|---|---|\n");
-            for w in &self.walls {
-                let ratio = match (w.baseline, w.current) {
-                    (Some(b), Some(c)) if b > 0.0 => format!("{:.2}×", c / b),
-                    _ => "-".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {} | {} |",
-                    w.suite,
-                    w.baseline.map_or("-".to_string(), |s| format!("{s:.3}")),
-                    w.current.map_or("-".to_string(), |s| format!("{s:.3}")),
-                    ratio,
-                );
-            }
-        }
         out
     }
 }
@@ -344,8 +315,7 @@ impl TrendDiff {
 ///
 /// Regressions are: a group that vanished, a current exponent outside its
 /// declared band, a fit the current sweep lost, and an exponent that moved
-/// by more than `tolerance`. New groups and wall-time movement are
-/// reported without gating.
+/// by more than `tolerance`. New groups are reported without gating.
 ///
 /// ```
 /// use validity_lab::trend::{compare, BenchArtifact};
@@ -419,24 +389,7 @@ pub fn compare(current: &BenchArtifact, baseline: &BenchArtifact, tolerance: f64
             });
         }
     }
-    let walls = current
-        .suites
-        .iter()
-        .map(|s| WallRow {
-            suite: s.suite.clone(),
-            baseline: baseline
-                .suites
-                .iter()
-                .find(|b| b.suite == s.suite)
-                .and_then(|b| b.wall_seconds),
-            current: s.wall_seconds,
-        })
-        .collect();
-    TrendDiff {
-        rows,
-        walls,
-        tolerance,
-    }
+    TrendDiff { rows, tolerance }
 }
 
 #[cfg(test)]
@@ -575,7 +528,7 @@ mod tests {
         let md = diff.render_markdown();
         assert!(md.contains("✘ DRIFT"));
         assert!(md.contains("✘ REMOVED"));
-        assert!(md.contains("## Wall time"));
+        assert!(!md.contains("Wall time"), "the lab reports no wall clock");
     }
 
     #[test]

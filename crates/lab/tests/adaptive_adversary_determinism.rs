@@ -85,8 +85,8 @@ fn adaptive_suite_matches_golden_fingerprint() {
 #[test]
 fn adaptive_crosscheck_is_byte_identical_and_matches_golden_fingerprint() {
     let matrix = CrosscheckMatrix::adaptive();
-    let (one, _, _) = run_crosscheck(&matrix, 1);
-    let (many, _, _) = run_crosscheck(&matrix, 0);
+    let one = run_crosscheck(&matrix, 1);
+    let many = run_crosscheck(&matrix, 0);
     assert_eq!(one.to_json(), many.to_json());
     assert_eq!(one.to_markdown(), many.to_markdown());
 

@@ -59,8 +59,9 @@ fn partial() -> &'static Artifact {
         let m = sweep();
         let shard = ShardSpec { index: 1, count: 2 };
         let owned = SweepEngine::new(2)
-            .execute(&m)
-            .records
+            .run(&m)
+            .0
+            .cells
             .into_iter()
             .enumerate()
             .filter(|&(i, _)| shard.owns(i))
@@ -91,8 +92,8 @@ fn bench() -> &'static Artifact {
         let (fitted_report, _) = SweepEngine::new(2).run(&fitted);
         let artifact = BenchArtifact {
             suites: vec![
-                BenchSuite::from_sweep("quick", &report, Some(0.25)),
-                BenchSuite::from_sweep("nonauth", &fitted_report, None),
+                BenchSuite::from_sweep("quick", &report),
+                BenchSuite::from_sweep("nonauth", &fitted_report),
             ],
         };
         assert!(artifact.suites[1].fits.iter().any(|f| f.fit.is_some()));
@@ -111,7 +112,7 @@ fn crosscheck() -> &'static Artifact {
     A.get_or_init(|| {
         let mut m = CrosscheckMatrix::suite();
         m.scenarios.systems = vec![(4, 1)];
-        let (report, _, _) = run_crosscheck(&m, 2);
+        let report = run_crosscheck(&m, 2);
         Artifact {
             text: report.to_json(),
             read: |a, text| match compare_emitted(text, &a.md).as_slice() {

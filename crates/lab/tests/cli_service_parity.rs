@@ -9,15 +9,18 @@
 //!    accepted flags pass validation, refused flags are refused with the
 //!    flag named, everything else is an unknown option. Nothing is
 //!    mirrored by hand — the test walks the table the binary validates
-//!    against. The adaptive-sampling flags are unknown to `lab run`, and
+//!    against. The adaptive-sampling flags are unknown to `lab run`;
 //!    every sweep runs in one process: `--shard` and `--from-reports` are
-//!    unknown options and `lab merge` is no command.
+//!    unknown options and `lab merge` is no command; a fit's axis follows
+//!    from its measure and the lab reports no wall clock, so
+//!    `--fit-axis` and `--timing` are unknown options too.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
 //!    flags it would otherwise ignore; a custom matrix that enumerates no
-//!    cell, an empty operator list, an empty or reversed `--seeds` range
-//!    and a zero `--max-steps` budget are errors that name the flag; and
-//!    so are a repeated flag and a flag sitting where another flag's
-//!    value belongs.
+//!    cell, a classifier-cost fit on a grid without classification cells,
+//!    an empty operator or trend-suite list, an empty or reversed
+//!    `--seeds` range and a zero `--max-steps` budget are errors that name
+//!    the flag; and so are a repeated flag and a flag sitting where
+//!    another flag's value belongs.
 
 use std::process::{Command as Process, Output};
 
@@ -171,6 +174,55 @@ fn every_sweep_runs_in_one_process() {
     let first = usage.lines().next().unwrap_or("");
     assert!(first.starts_with("usage: lab <"), "{usage}");
     assert!(!first.contains("merge"), "{usage}");
+}
+
+#[test]
+fn the_fit_axis_and_timing_knobs_are_unknown_options() {
+    // `--fit-axis t` used to exit 0 with every fit row unfittable and
+    // every band disarmed; `--timing` appended wall clock to a report.
+    for (args, want) in [
+        (
+            &["run", "--suite", "complexity", "--fit-axis", "t"][..],
+            "unknown option '--fit-axis'",
+        ),
+        (
+            &["run", "--suite", "quick", "--timing"],
+            "unknown option '--timing'",
+        ),
+    ] {
+        let (out, written) = lab_in_empty_dir(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(written, 0, "{args:?} wrote a report");
+        assert!(stderr(&out).contains(want), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn a_classifier_cost_fit_on_a_custom_grid_is_refused() {
+    // With `--fit-axis domain` this used to exit 0 with an empty `fits`
+    // array: a custom grid has no classification cell to fit.
+    for tail in [&["--dry-run"][..], &[][..]] {
+        let mut args = vec!["run", "--fits", "classify-cost"];
+        args.extend(tail);
+        let (out, written) = lab_in_empty_dir(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(written, 0, "{args:?} wrote a report");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--fits classify-cost: a custom grid has no classification cells"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_trend_suite_list_that_names_no_suite_is_refused() {
+    // Used to write a zero-suite bench artifact and exit 0.
+    let (out, written) = lab_in_empty_dir(&["trend", "--suites", ",", "--out", "x.json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(written, 0, "a refused trend wrote an artifact");
+    let err = stderr(&out);
+    assert!(err.contains("--suites ',' names no suite"), "{err}");
 }
 
 #[test]

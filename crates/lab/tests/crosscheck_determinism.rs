@@ -31,9 +31,9 @@ const CROSSCHECK_MD: &str = "4849e8c8fb34dab9878112bd9ed15bd24016ddb129bb92b94bb
 #[test]
 fn crosscheck_suite_is_byte_identical_across_thread_counts() {
     let matrix = CrosscheckMatrix::suite();
-    let (one, _, _) = run_crosscheck(&matrix, 1);
-    let (two, _, _) = run_crosscheck(&matrix, 2);
-    let (many, _, _) = run_crosscheck(&matrix, 0);
+    let one = run_crosscheck(&matrix, 1);
+    let two = run_crosscheck(&matrix, 2);
+    let many = run_crosscheck(&matrix, 0);
     assert_eq!(one.to_json(), two.to_json());
     assert_eq!(one.to_json(), many.to_json());
     assert_eq!(one.to_markdown(), many.to_markdown());
@@ -56,7 +56,7 @@ fn crosscheck_suite_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn crosscheck_suite_matches_golden_fingerprint() {
-    let (report, _, _) = run_crosscheck(&CrosscheckMatrix::suite(), 0);
+    let report = run_crosscheck(&CrosscheckMatrix::suite(), 0);
     assert_eq!(
         sha256(report.to_json()).to_hex(),
         CROSSCHECK_JSON,

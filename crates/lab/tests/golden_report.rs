@@ -27,7 +27,7 @@ const QUICK_FIXED_MD: &str = "e48bbae9744372d5c561bb564f5cd763d07716124b1edead90
 
 fn quick_report(threads: usize, observe: bool) -> SweepReport {
     let matrix = suites::build("quick").expect("quick suite exists");
-    let (report, _run) = SweepEngine::new(threads).observe(observe).run(&matrix);
+    let (report, _) = SweepEngine::new(threads).observe(observe).run(&matrix);
     report
 }
 

@@ -59,7 +59,7 @@ fn schedule_matrix(schedule: ScheduleSpec) -> ScenarioMatrix {
 }
 
 fn schedule_report(schedule: ScheduleSpec, threads: usize) -> SweepReport {
-    let (report, _run) = SweepEngine::new(threads).run(&schedule_matrix(schedule));
+    let (report, _) = SweepEngine::new(threads).run(&schedule_matrix(schedule));
     report
 }
 

@@ -33,9 +33,9 @@ const MUTATE_MD: &str = "219a8d5d34801cb05094be232c075e2c824f9707505fc9967859d01
 #[test]
 fn kill_matrix_is_byte_identical_across_thread_counts() {
     let matrix = MutateMatrix::suite();
-    let (one, _) = run_mutate(&matrix, 1);
-    let (two, _) = run_mutate(&matrix, 2);
-    let (many, _) = run_mutate(&matrix, 0);
+    let one = run_mutate(&matrix, 1);
+    let two = run_mutate(&matrix, 2);
+    let many = run_mutate(&matrix, 0);
     assert_eq!(one.to_json(), two.to_json());
     assert_eq!(one.to_json(), many.to_json());
     assert_eq!(one.to_markdown(), many.to_markdown());
@@ -64,7 +64,7 @@ fn kill_matrix_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn kill_matrix_matches_golden_fingerprint() {
-    let (report, _) = run_mutate(&MutateMatrix::suite(), 0);
+    let report = run_mutate(&MutateMatrix::suite(), 0);
     assert_eq!(
         sha256(report.to_json()).to_hex(),
         MUTATE_JSON,

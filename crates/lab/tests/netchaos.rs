@@ -86,13 +86,8 @@ fn chaos_stats_round_trip_through_partial_reports() {
         ScheduleSpec::parse("dup-storm").unwrap(),
     ];
     // One shard of one owns every cell.
-    let run = SweepEngine::new(0).execute(&m);
-    let partial = PartialReport::new(
-        m.clone(),
-        ShardSpec { index: 1, count: 1 },
-        run.wall.as_secs_f64(),
-        run.records,
-    );
+    let records = SweepEngine::new(0).run(&m).0.cells;
+    let partial = PartialReport::new(m.clone(), ShardSpec { index: 1, count: 1 }, 0.0, records);
     let wire = partial.to_json();
     let parsed = PartialReport::parse(&wire).expect("partial round-trip");
     let (direct, _) = merge(&[partial]).expect("merge");

@@ -3,14 +3,9 @@
 //! (`complexity`), Theorem 5 (`universal`), Appendix B.2 (`nonauth`),
 //! Appendix B.3 (`subcubic`), the schedule-insensitivity of the
 //! measurements themselves (`schedules`), and §4–5's classifier as a cost
-//! curve over the domain size (`classifier-domain`) — plus the fault axis
-//! the fits can run along instead of `n`.
+//! curve over the domain size (`classifier-domain`).
 
-use validity_lab::{
-    suites, FitAxis, FitMeasure, GroupSummary, PowerFit, ProtocolAxis, ScenarioMatrix,
-    ScheduleSpec, SweepEngine, SweepReport,
-};
-use validity_protocols::find_vector;
+use validity_lab::{suites, FitAxis, FitMeasure, GroupSummary, PowerFit, SweepEngine, SweepReport};
 
 fn fit(report: &SweepReport, key: &str, measure: FitMeasure) -> PowerFit {
     let row = report.fit(key, measure);
@@ -127,29 +122,4 @@ fn classifier_domain_suite_fits_cost_in_band() {
     // The cost counter is visible per cell in both emitters.
     assert!(report.to_json().contains("\"cost\": "));
     assert!(report.to_markdown().contains("| cost |"));
-}
-
-#[test]
-fn fault_axis_fits_group_by_size_and_vary_byz() {
-    // Fit messages against the Byzantine count at fixed n: one group per
-    // (protocol, schedule, n, t), x = byz. The fault-free cell (x = 0)
-    // cannot sit on a log–log line and must be skipped — not poison the
-    // whole group into "unfittable".
-    let mut m = ScenarioMatrix::new("t-axis");
-    m.protocols = vec![ProtocolAxis::raw(find_vector("alg1-auth").unwrap())];
-    m.behaviors = vec![validity_adversary::BehaviorId::Silent];
-    m.faults = vec![0, 1, 2];
-    m.schedules = vec![ScheduleSpec::Synchronous];
-    m.systems = vec![(7, 2)];
-    m.seeds = 0..2;
-    m.fit_measures = vec![FitMeasure::Messages];
-    m.fit_axis = FitAxis::T;
-    let (report, _) = SweepEngine::new(2).run(&m);
-    assert_eq!(report.fit_axis, FitAxis::T);
-    assert_eq!(report.fits.len(), 1, "{:?}", report.fits);
-    let row = &report.fits[0];
-    assert_eq!(row.key, "fit/alg1-auth/vector/silent/sync/n7t2");
-    let xs: Vec<f64> = row.points.iter().map(|p| p.0).collect();
-    assert_eq!(xs, vec![1.0, 2.0], "x = 0 must be excluded");
-    assert!(row.fit.is_some(), "two positive points fit: {row:?}");
 }

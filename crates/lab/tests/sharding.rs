@@ -147,8 +147,8 @@ proptest! {
         count in 1usize..=5,
     ) {
         let m = random_matrix((proto_mask, 1, behavior_mask, fault_mask, 1, 1), seeds, true);
-        let (unsharded, run) = SweepEngine::new(2).run(&m);
-        let (merged, _) = merge(&partials(&m, &run.records, count)).expect("complete merge");
+        let (unsharded, _) = SweepEngine::new(2).run(&m);
+        let (merged, _) = merge(&partials(&m, &unsharded.cells, count)).expect("complete merge");
         prop_assert_eq!(merged.to_json(), unsharded.to_json());
         prop_assert_eq!(merged.to_markdown(), unsharded.to_markdown());
     }
@@ -161,9 +161,9 @@ proptest! {
 #[test]
 fn merged_complexity_sweep_matches_single_process_bytes() {
     let m = suites::build("complexity").expect("built-in suite");
-    let (unsharded, run) = SweepEngine::new(2).run(&m);
+    let (unsharded, _) = SweepEngine::new(2).run(&m);
     for count in [2usize, 4] {
-        let (merged, _) = merge(&partials(&m, &run.records, count)).expect("complete merge");
+        let (merged, _) = merge(&partials(&m, &unsharded.cells, count)).expect("complete merge");
         assert_eq!(
             merged.to_json(),
             unsharded.to_json(),
@@ -184,7 +184,7 @@ fn partial_reader_refuses_an_older_generation_by_name() {
     // refuses it by name, so a merged set is single-generation by
     // construction.
     let m = suites::build("quick").expect("built-in suite");
-    let records = SweepEngine::new(2).execute(&m).records;
+    let records = SweepEngine::new(2).run(&m).0.cells;
     let partial = partials(&m, &records, 2).remove(1);
     let downgraded = partial
         .to_json()
@@ -199,7 +199,7 @@ fn partial_reader_refuses_an_older_generation_by_name() {
 #[test]
 fn incomplete_merge_names_the_missing_shard_indices() {
     let m = suites::build("quick").expect("built-in suite");
-    let records = SweepEngine::new(2).execute(&m).records;
+    let records = SweepEngine::new(2).run(&m).0.cells;
     let mut four = partials(&m, &records, 4);
     four.retain(|p| p.shard.index % 2 == 1);
     let err = merge(&four).unwrap_err();

@@ -1084,8 +1084,8 @@ mod tests {
     }
 
     /// A `Metrics` probe counts from the same hook the engine counter
-    /// increments at, so the two can never drift (the `--timing` /
-    /// `--observe` single-source-of-truth guarantee).
+    /// increments at, so the two can never drift (the single source of
+    /// truth behind the lab's per-cell timings and `--observe` metrics).
     #[test]
     fn metrics_probe_agrees_with_engine_counters() {
         let mut sim = SimBuilder::new(params())

@@ -29,11 +29,10 @@ fn main() {
     // 2. Execute on a worker pool (0 = one worker per core). Identical
     //    reports come back no matter how many workers run.
     let engine = SweepEngine::new(0);
-    let (report, run) = engine.run(&matrix);
+    let (report, _) = engine.run(&matrix);
     println!(
-        "executed on {} worker(s) in {:.3}s wall; {} violations\n",
-        run.threads,
-        run.wall.as_secs_f64(),
+        "executed on {} worker(s); {} violations\n",
+        engine.threads(),
         report.violations()
     );
 
