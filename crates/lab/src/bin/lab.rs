@@ -1,6 +1,6 @@
-//! The `lab` CLI: run scenario sweeps, list the registries, diff reports,
-//! and emit / gate on the CI bench-trend artifact. Every sweep runs in one
-//! process.
+//! The `lab` CLI: run scenario sweeps and the drivers, list the
+//! registries, diff reports. Every sweep runs in one process, and every
+//! command that writes a report exits 1 when the report records a failure.
 //!
 //! ```text
 //! lab list [--names]
@@ -18,10 +18,6 @@
 //!         --systems 4,1;7,2 --faults 0,max --seeds 0..8 \
 //!         --fits messages,words --max-steps 5000000
 //! lab diff fig1.json other.json
-//! lab trend --out BENCH_lab.json
-//! lab trend --suites complexity,universal --baseline BENCH_lab_baseline.json \
-//!           --out BENCH_lab.json
-//! lab trend --update-baseline
 //! ```
 
 use std::collections::BTreeMap;
@@ -32,7 +28,6 @@ use validity_adversary::BehaviorId;
 use validity_core::SystemParams;
 use validity_lab::flags::{self, Command};
 use validity_lab::json::{Fields, Json};
-use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
     compare_emitted, hottest_by_events, observe_json, observe_markdown, run_crosscheck, run_mutate,
     run_service, suites, timeline_for, AgreementLevel, CrosscheckMatrix, Fate, FitMeasure,
@@ -59,7 +54,6 @@ fn main() -> ExitCode {
         Some((&"crosscheck", rest)) => crosscheck_cmd(rest),
         Some((&"mutate", rest)) => mutate_cmd(rest),
         Some((&"diff", rest)) => diff(rest),
-        Some((&"trend", rest)) => trend(rest),
         _ => Err(USAGE.to_string()),
     };
     outcome.unwrap_or_else(|e| {
@@ -69,7 +63,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-    usage: lab <list | run | service | crosscheck | mutate | diff | trend> ...\n\n\
+    usage: lab <list | run | service | crosscheck | mutate | diff> ...\n\n\
     lab list [--names]\n\
     lab run --suite <name> [--threads N] [--json FILE] [--md FILE]\n\
     \x20        [--max-steps N] [--dry-run] [--observe]\n\
@@ -82,10 +76,7 @@ const USAGE: &str = "\
     \x20        [--max-steps N] [--chaos | --adaptive] [--dry-run]\n\
     lab mutate [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
     \x20        [--max-steps N] [--operators a,b,..] [--dry-run]\n\
-    lab diff <a.json> <b.json>\n\
-    lab trend [--suites a,b,..] [--threads N] [--out FILE]\n\
-    \x20        [--baseline FILE] [--tolerance X]\n\
-    \x20        [--update-baseline]";
+    lab diff <a.json> <b.json>";
 
 fn list(names_only: bool) {
     if names_only {
@@ -236,20 +227,6 @@ impl<'a> Args<'a> {
             .transpose()
     }
 
-    /// `--tolerance X`. `f64::from_str` happily parses "nan"/"inf"; a NaN
-    /// tolerance would silently disarm a gate (NaN comparisons are all
-    /// false), so anything non-finite or negative is rejected up front.
-    fn tolerance(&self) -> Result<Option<f64>, String> {
-        self.value("--tolerance")
-            .map(|x| {
-                x.parse()
-                    .ok()
-                    .filter(|x: &f64| x.is_finite() && *x >= 0.0)
-                    .ok_or_else(|| "--tolerance wants a finite non-negative number".to_string())
-            })
-            .transpose()
-    }
-
     /// The `--json` / `--md` report paths, defaulting to `lab-<name>.*`.
     fn report_paths(&self, name: &str) -> (String, String) {
         let path = |flag, ext| {
@@ -262,10 +239,6 @@ impl<'a> Args<'a> {
 
 fn write_file(path: &str, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-fn read_file(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 /// Writes a report's JSON and Markdown files and echoes the Markdown to
@@ -468,6 +441,15 @@ fn run(rest: &[&str]) -> CmdResult {
         }
     }
     write_reports(&json_path, &report.to_json(), &md_path, &markdown)?;
+    let (violations, out_of_band) = (report.violations(), report.fits_out_of_band());
+    if violations + out_of_band > 0 {
+        eprintln!(
+            "SWEEP FAILURE: {violations} violation(s) ({} quarantined), \
+             {out_of_band} fit(s) out of band",
+            report.quarantined.len()
+        );
+        return Ok(ExitCode::from(1));
+    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -721,7 +703,8 @@ fn mutate_cmd(rest: &[&str]) -> CmdResult {
 }
 
 fn load(path: &str) -> Result<Json, String> {
-    Json::parse(&read_file(path)?).map_err(|e| format!("{path}: {e}"))
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn diff(rest: &[&str]) -> CmdResult {
@@ -793,112 +776,5 @@ fn diff(rest: &[&str]) -> CmdResult {
     } else {
         println!("{differences} difference(s)");
         ExitCode::from(1)
-    })
-}
-
-/// `lab trend`: assemble the bench-trend artifact by sweeping fit-bearing
-/// suites (default: the four complexity-family suites
-/// `complexity,universal,nonauth,subcubic`), write it to `--out`, and gate:
-///
-/// * always: fail if any fitted exponent left its declared band or any
-///   cell misbehaved (violations / quarantine);
-/// * with `--baseline FILE`: additionally diff the fresh artifact against
-///   the historical one and fail on regressions (exponent drift beyond
-///   `--tolerance`, band escapes, vanished fit groups) — CI gates on
-///   history, not just static bands.
-///
-/// The lab measures no wall clock (the benchmark does): every suite's
-/// `wall_seconds` is `null`. A `--suites` list that names no suite is
-/// refused — a zero-suite artifact passes every gate vacuously.
-fn trend(rest: &[&str]) -> CmdResult {
-    let args = Args::parse(Command::Trend, rest)?;
-    let threads = args.threads()?;
-    let tolerance = args.tolerance()?.unwrap_or(0.25);
-    let out_path = args.value("--out").unwrap_or("BENCH_lab.json");
-
-    let list = args
-        .value("--suites")
-        .unwrap_or("complexity,universal,nonauth,subcubic");
-    let names: Vec<&str> = list.split(',').filter(|s| !s.is_empty()).collect();
-    if names.is_empty() {
-        return Err(format!(
-            "--suites '{list}' names no suite; see `lab list --names`"
-        ));
-    }
-    let engine = SweepEngine::new(threads);
-    let mut suites_out = Vec::new();
-    for name in names {
-        let matrix = build_suite(name)?;
-        eprintln!("trend: sweeping '{name}' ({} cells)...", matrix.len());
-        let (report, _) = engine.run(&matrix);
-        for f in &report.fits {
-            eprintln!(
-                "  {} {}: exponent {} (band {})",
-                f.key,
-                f.measure,
-                f.fit
-                    .map_or("unfittable".to_string(), |p| format!("{:.3}", p.exponent)),
-                match f.band {
-                    Some((lo, hi)) => format!("[{lo}, {hi}]"),
-                    None => "-".to_string(),
-                },
-            );
-        }
-        suites_out.push(BenchSuite::from_sweep(name, &report));
-    }
-    let artifact = BenchArtifact { suites: suites_out };
-
-    write_file(out_path, &artifact.to_json())?;
-    eprintln!("trend artifact: {out_path}");
-
-    let mut failed = false;
-    let out_of_band: u64 = artifact
-        .suites
-        .iter()
-        .flat_map(|s| &s.fits)
-        .filter(|f| f.within_band == Some(false))
-        .count() as u64;
-    let violations: u64 = artifact.suites.iter().map(|s| s.violations).sum();
-    if out_of_band > 0 || violations > 0 {
-        eprintln!(
-            "TREND FAILURE: {out_of_band} fitted exponent(s) out of band, \
-             {violations} violation(s)"
-        );
-        failed = true;
-    }
-    if args.has("--update-baseline") {
-        // Regenerate the committed baseline in place (same deterministic
-        // schema tag and key order, so the diff is reviewable) instead of
-        // comparing against it — the workflow after an *intentional* perf
-        // change. A sweep that fails its own bands must not become
-        // history.
-        let baseline_path = args
-            .value("--baseline")
-            .unwrap_or("ci/BENCH_lab_baseline.json");
-        if failed {
-            eprintln!("baseline NOT updated: the sweep fails its own gates");
-            return Ok(ExitCode::from(1));
-        }
-        write_file(baseline_path, &artifact.to_json())?;
-        eprintln!("baseline updated: {baseline_path}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    if let Some(baseline_path) = args.value("--baseline") {
-        let baseline = BenchArtifact::parse(&read_file(baseline_path)?)
-            .map_err(|e| format!("{baseline_path}: {e}"))?;
-        let diff = compare(&artifact, &baseline, tolerance);
-        print!("{}", diff.render_markdown());
-        if diff.regressions() > 0 {
-            eprintln!(
-                "TREND FAILURE: {} regression(s) vs baseline {baseline_path}",
-                diff.regressions()
-            );
-            failed = true;
-        }
-    }
-    Ok(if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
     })
 }

@@ -12,7 +12,7 @@
 //! passes `--observe` to `lab service` believes engine metrics are being
 //! collected, and a named error beats a silently ignored flag.
 
-use Command::{Crosscheck, Mutate, Run, RunSuite, Service, Trend};
+use Command::{Crosscheck, Mutate, Run, RunSuite, Service};
 
 /// A `lab` subcommand (or `lab run` mode) with its own flag surface.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -27,13 +27,11 @@ pub enum Command {
     Crosscheck,
     /// `lab mutate`.
     Mutate,
-    /// `lab trend`.
-    Trend,
 }
 
 impl Command {
     /// Every command of the table.
-    pub const ALL: [Command; 6] = [Run, RunSuite, Service, Crosscheck, Mutate, Trend];
+    pub const ALL: [Command; 5] = [Run, RunSuite, Service, Crosscheck, Mutate];
 
     /// How diagnostics name the command (`lab service`, `lab run --suite`).
     pub fn invocation(self) -> &'static str {
@@ -43,7 +41,6 @@ impl Command {
             Service => "lab service",
             Crosscheck => "lab crosscheck",
             Mutate => "lab mutate",
-            Trend => "lab trend",
         }
     }
 }
@@ -130,11 +127,7 @@ const FIXED_AXES: &[(Command, &str)] = &[
 /// Every flag of every flag-taking `lab` subcommand.
 pub const FLAGS: &[Flag] = &[
     value("--suite", SWEEP, &[]),
-    value(
-        "--threads",
-        &[Run, RunSuite, Service, Crosscheck, Mutate, Trend],
-        &[],
-    ),
+    value("--threads", REPORTING, &[]),
     value("--json", REPORTING, &[]),
     value("--md", REPORTING, &[]),
     value(
@@ -202,10 +195,6 @@ pub const FLAGS: &[Flag] = &[
         )],
     ),
     value("--operators", &[Mutate], &[]),
-    value("--out", &[Trend], &[]),
-    value("--suites", &[Trend], &[]),
-    value("--baseline", &[Trend], &[]),
-    value("--tolerance", &[Trend], &[]),
     switch("--dry-run", REPORTING, &[]),
     // `--adaptive` selects the adaptive-*adversary* crosscheck grid; sweeps
     // reach those adversaries through `--suite adaptive` or `--behaviors`.
@@ -228,7 +217,6 @@ pub const FLAGS: &[Flag] = &[
         ],
     ),
     switch("--chaos", &[Crosscheck], &[]),
-    switch("--update-baseline", &[Trend], &[]),
 ];
 
 #[cfg(test)]

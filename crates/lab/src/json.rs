@@ -1,8 +1,7 @@
 //! A minimal JSON reader — just enough for the `lab` CLI to load the
 //! artifacts the lab itself emits ([`crate::report::SweepReport::to_json`]
-//! full reports, [`crate::partial::PartialReport`] partials,
-//! [`crate::trend::BenchArtifact`] bench-trend files and crosscheck
-//! reports). Supports objects, arrays, strings (with the escapes the
+//! full reports, [`crate::partial::PartialReport`] partials and
+//! crosscheck reports). Supports objects, arrays, strings (with the escapes the
 //! emitters produce), numbers, bools and null; an object that repeats a
 //! key is refused.
 //!
@@ -154,7 +153,6 @@ from_json! {
     usize => "integer ≥ 0", |v: &Json| v.as_u64().map(|n| n as usize);
     f64 => "number", Json::as_num;
     bool => "bool", Json::as_bool;
-    () => "null", |v: &Json| (*v == Json::Null).then_some(());
 }
 
 /// A nullable field: `null` reads as `None`. The key itself must be
@@ -196,7 +194,7 @@ impl<'a, T: FromJson<'a>> FromJson<'a> for (T, T) {
 /// One JSON object read as part of a named artifact: the only way a lab
 /// reader looks a field up. Every accessor refuses a missing or mistyped
 /// field with an error naming the location and the field —
-/// `bench@3 suite 'complexity': missing 'violations'` — and the one
+/// `report@2 cells[1]: missing 'key'` — and the one
 /// default is [`Fields::counter`]'s, for zero counters a writer omits.
 #[derive(Clone, Debug)]
 pub struct Fields<'a> {
@@ -217,18 +215,18 @@ impl<'a> Fields<'a> {
 
     /// Views a whole document as a `kind` of generation `schema` — the one
     /// schema-tag check every reader runs. Fields are then located under
-    /// the tag's short name (`validity-lab/bench@3` → `bench@3`).
+    /// the tag's short name (`validity-lab/crosscheck@1` → `crosscheck@1`).
     ///
     /// ```
     /// use validity_lab::json::{Fields, Json};
     ///
-    /// let doc = Json::parse(r#"{"schema": "validity-lab/bench@3", "suites": 2}"#).unwrap();
-    /// let bench = Fields::tagged(&doc, "validity-lab/bench@3", "bench artifact").unwrap();
-    /// assert_eq!(bench.get::<u64>("suites"), Ok(2));
-    /// assert_eq!(bench.get::<u64>("cells"), Err("bench@3: missing 'cells'".to_string()));
+    /// let doc = Json::parse(r#"{"schema": "validity-lab/crosscheck@1", "matrix": "m"}"#).unwrap();
+    /// let report = Fields::tagged(&doc, "validity-lab/crosscheck@1", "crosscheck report").unwrap();
+    /// assert_eq!(report.get::<&str>("matrix"), Ok("m"));
+    /// assert_eq!(report.get::<u64>("cells"), Err("crosscheck@1: missing 'cells'".to_string()));
     /// assert_eq!(
     ///     Fields::tagged(&doc, "validity-lab/report@2", "lab report").unwrap_err(),
-    ///     "not a lab report: schema 'validity-lab/bench@3' (expected 'validity-lab/report@2')"
+    ///     "not a lab report: schema 'validity-lab/crosscheck@1' (expected 'validity-lab/report@2')"
     /// );
     /// ```
     pub fn tagged(v: &'a Json, schema: &str, kind: &str) -> Result<Fields<'a>, String> {
@@ -253,14 +251,6 @@ impl<'a> Fields<'a> {
     /// The object itself.
     pub fn json(&self) -> &'a Json {
         self.json
-    }
-
-    /// Relocates this object's errors (e.g. to a suite's name, once read).
-    pub fn named(self, at: impl Into<String>) -> Fields<'a> {
-        Fields {
-            at: at.into(),
-            ..self
-        }
     }
 
     /// The required field `key`, read as a `T`.

@@ -26,16 +26,17 @@
 //!   its `ordered_map`.
 //! * **[`SweepReport`]** (module [`report`]) — per-configuration
 //!   aggregation (decision latency, message/word complexity, safety and
-//!   validity violations) with JSON and Markdown emitters.
+//!   validity violations), power-law fits checked against their declared
+//!   bands, with JSON and Markdown emitters. `lab run` exits non-zero on
+//!   any violation or out-of-band fit.
 //! * **[`suites`]** — curated matrices reproducing the paper's experiment
 //!   families, including the Figure-1 classification grid as one sweep.
+//!   Every fit row of a fit-bearing suite has a declared band: the lab's
+//!   one complexity contract.
 //! * **[`partial`]** — partial reports: one [`ShardSpec`] slice of a
 //!   matrix's records, and the [`merge`] that rebuilds the single-process
 //!   report from all `m` of them byte for byte. A library round trip
 //!   only: every `lab` sweep runs in one process.
-//! * **[`trend`]** — the versioned `BENCH_lab.json` artifact plus
-//!   historical comparison: `lab trend --baseline` diffs today's fitted
-//!   exponents against a previous artifact and fails on regressions.
 //! * **[`observe`]** — per-cell engine metrics from the simulator's
 //!   zero-cost probe layer (`lab run --observe`): latency and queue-depth
 //!   histograms, per-round traffic, occupancy high-water marks, and the
@@ -57,7 +58,7 @@
 //! * **[`flags`]** — the CLI's one flag table: every `--flag`, the
 //!   commands that accept it, and the reason where a command refuses it.
 //! * the **`lab`** binary — `run` / `service` / `crosscheck` / `mutate` /
-//!   `list` / `diff` / `trend` over all of the above,
+//!   `list` / `diff` over all of the above,
 //!   validating every argv against [`flags`].
 //!
 //! ## Example
@@ -90,7 +91,6 @@ pub mod report;
 pub mod runner;
 pub mod service;
 pub mod suites;
-pub mod trend;
 
 pub use crosscheck::{
     classifier_in_band, compare_emitted, execute_crosscheck, grade, run_crosscheck, AgreementLevel,
@@ -120,4 +120,3 @@ pub use service::{
     execute_service, run_service, ServiceCell, ServiceGroup, ServiceMatrix, ServiceRecord,
     ServiceReport, SERVICE_SCHEMA,
 };
-pub use trend::{compare, BenchArtifact, BenchSuite, TrendDiff, BENCH_SCHEMA};

@@ -127,8 +127,8 @@ pub struct FitRow {
     pub fit: Option<PowerFit>,
     /// The expected exponent band declared by the matrix, if any.
     pub band: Option<(f64, f64)>,
-    /// Whether the fitted exponent lies inside the band (`None` without a
-    /// band or without a fit).
+    /// Whether the fitted exponent lies inside the band: `None` without a
+    /// band, `Some(false)` for a banded row the points cannot fit.
     pub within_band: Option<bool>,
 }
 
@@ -268,8 +268,9 @@ impl SweepReport {
             .sum()
     }
 
-    /// Number of fit rows whose exponent left its declared band — the
-    /// regression signal the `bench-trend` CI job gates on.
+    /// Number of fit rows whose exponent left its declared band, or that
+    /// declare a band but could not be fitted — with [`Self::violations`],
+    /// what `lab run` fails on.
     pub fn fits_out_of_band(&self) -> u64 {
         self.fits
             .iter()
@@ -487,10 +488,10 @@ fn fit_row(
         .iter()
         .find(|b| b.applies_to(measure, key))
         .map(|b| (b.lo, b.hi));
-    let within_band = match (&fit, band) {
-        (Some(f), Some((lo, hi))) => Some(f.exponent >= lo && f.exponent <= hi),
-        _ => None,
-    };
+    // A banded row that cannot be fitted is out of band: its band would
+    // otherwise hold nothing.
+    let within_band =
+        band.map(|(lo, hi)| fit.is_some_and(|f| f.exponent >= lo && f.exponent <= hi));
     FitRow {
         key: key.to_string(),
         measure,
@@ -668,11 +669,20 @@ fn group_json(out: &mut String, g: &GroupSummary) {
     );
 }
 
-/// Emits the fit-result core of a [`FitRow`] — exponent, constant, `r²`,
-/// band, band verdict. The report's fit rows and the bench artifact's
-/// ([`crate::trend::BenchArtifact::to_json`]) both write it, after their
-/// own `key` and `measure`, so the two cannot drift apart.
-pub fn fit_core_json(out: &mut String, f: &FitRow) {
+fn fit_json(out: &mut String, f: &FitRow) {
+    let _ = write!(
+        out,
+        "{{\"key\": {}, \"measure\": {}, \"points\": [",
+        json_str(&f.key),
+        json_str(f.measure.name()),
+    );
+    for (i, (x, y)) in f.points.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "[{x:.0}, {y:.4}]");
+    }
+    out.push_str("], ");
     match &f.fit {
         Some(p) => {
             let _ = write!(
@@ -695,23 +705,6 @@ pub fn fit_core_json(out: &mut String, f: &FitRow) {
         }
         None => out.push_str(", \"within_band\": null"),
     }
-}
-
-fn fit_json(out: &mut String, f: &FitRow) {
-    let _ = write!(
-        out,
-        "{{\"key\": {}, \"measure\": {}, \"points\": [",
-        json_str(&f.key),
-        json_str(f.measure.name()),
-    );
-    for (i, (x, y)) in f.points.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "[{x:.0}, {y:.4}]");
-    }
-    out.push_str("], ");
-    fit_core_json(out, f);
     out.push('}');
 }
 
@@ -948,20 +941,44 @@ mod tests {
             assert!(report.to_json().contains("\"fits\": [\n  ]"));
         }
 
-        #[test]
-        fn single_size_matrix_yields_an_unfittable_row() {
+        /// The matrix and records cut down to the one size `(4, 1)`.
+        fn one_size() -> (ScenarioMatrix, Vec<CellRecord>) {
             let (mut m, records) = matrix_and_records();
             m.systems = vec![(4, 1)];
-            let records: Vec<CellRecord> = records
+            let records = records
                 .into_iter()
                 .filter(|r| r.key.contains("n4t1"))
                 .collect();
+            (m, records)
+        }
+
+        #[test]
+        fn single_size_matrix_yields_an_unfittable_row() {
+            let (mut m, records) = one_size();
+            m.fit_bands.clear();
             let report = SweepReport::aggregate_matrix(&m, &records);
             assert_eq!(report.fits.len(), 2);
             assert_eq!(report.fits[0].points.len(), 1);
             assert!(report.fits[0].fit.is_none());
             assert_eq!(report.fits[0].within_band, None);
+            assert_eq!(report.fits_out_of_band(), 0);
             assert!(report.to_json().contains("\"exponent\": null"));
+        }
+
+        /// A declared band the points cannot be fitted against is out of
+        /// band, not silently disarmed.
+        #[test]
+        fn a_banded_row_that_cannot_be_fitted_is_out_of_band() {
+            let (mut m, records) = one_size();
+            m.fit_bands.retain(|b| b.measure == FitMeasure::Messages);
+            let report = SweepReport::aggregate_matrix(&m, &records);
+            let (msgs, words) = (&report.fits[0], &report.fits[1]);
+            assert!(msgs.fit.is_none() && words.fit.is_none());
+            assert_eq!(msgs.within_band, Some(false));
+            assert_eq!(words.within_band, None, "an unbanded row has no verdict");
+            assert_eq!(report.fits_out_of_band(), 1);
+            assert!(report.to_json().contains("\"within_band\": false"));
+            assert!(report.to_markdown().contains("✘ OUT OF BAND"));
         }
     }
 }

@@ -1,8 +1,18 @@
 //! Curated built-in suites.
 //!
 //! Each suite is a [`ScenarioMatrix`] reproducing (and extending) one of
-//! the paper's experiment families. `lab run --suite <name>` executes one;
+//! the paper's experiment families. `lab run --suite <name>` executes one
+//! and exits non-zero on any violation or out-of-band fit;
 //! `tests/paper_suites.rs` asserts the claims the complexity suites carry.
+//!
+//! Every fit row of a fit-bearing suite has a declared band, one table
+//! line per band: the bands are the lab's only complexity contract. A
+//! band is the exponent the suite measured when the band was declared,
+//! ± 0.25, rounded inward to two decimals and kept inside any wider
+//! paper-derived band the row had before. The ladders stop at n = 13
+//! (19 for `universal`), where lower-order terms still pull the measured
+//! exponents below the asymptotic ones, so several bands exclude the
+//! paper's exponent; each suite says which.
 
 use validity_adversary::BehaviorId;
 use validity_protocols::{find_vector, vector_registry};
@@ -10,6 +20,7 @@ use validity_protocols::{find_vector, vector_registry};
 use crate::matrix::{
     ClassifyCell, FitBand, FitMeasure, ProtocolAxis, ScenarioMatrix, ScheduleSpec, ValiditySpec,
 };
+use FitMeasure::{ClassifyCost, Latency, Messages, Words};
 
 /// Names of all built-in suites, in presentation order.
 pub const ALL: [&str; 10] = [
@@ -106,6 +117,21 @@ pub fn build(name: &str) -> Option<ScenarioMatrix> {
     }
 }
 
+/// Declared exponent bands, one `(key filter, measure, lo, hi)` line each:
+/// the band applies to every fit row of `measure` whose key contains the
+/// filter (see [`FitBand::applies_to`]).
+fn bands(table: &[(&str, FitMeasure, f64, f64)]) -> Vec<FitBand> {
+    table
+        .iter()
+        .map(|&(filter, measure, lo, hi)| FitBand {
+            measure,
+            lo,
+            hi,
+            filter: filter.into(),
+        })
+        .collect()
+}
+
 /// A generous per-cell budget for the complexity-family suites: far above
 /// any healthy run at these sizes, so a diverging cell quarantines instead
 /// of stalling a CI sweep.
@@ -162,8 +188,8 @@ pub fn schedules() -> ScenarioMatrix {
 }
 
 /// Complexity growth: all three vector-consensus engines, raw, across
-/// `(n, t)` at optimal resilience, with fitted growth exponents for the
-/// fault-free curves.
+/// `(n, t)` at optimal resilience, fault-free and under maximum silent
+/// load, with a fitted growth exponent per curve.
 pub fn complexity() -> ScenarioMatrix {
     let mut m = ScenarioMatrix::new("complexity");
     m.protocols = vector_registry()
@@ -176,26 +202,26 @@ pub fn complexity() -> ScenarioMatrix {
     m.schedules = vec![ScheduleSpec::Synchronous];
     m.systems = vec![(4, 1), (7, 2), (10, 3), (13, 4)];
     m.seeds = 0..3;
-    m.fit_measures = vec![FitMeasure::Messages, FitMeasure::Words];
-    m.fit_bands = vec![
-        // Algorithm 1 is the paper's Θ(n²)-message benchmark; at these
-        // sizes the measured exponent sits just under 2 (lower-order terms
-        // still bite at n = 4).
-        FitBand {
-            measure: FitMeasure::Messages,
-            lo: 1.4,
-            hi: 2.3,
-            filter: "fit/alg1-auth/vector/silentx0".into(),
-        },
-        // Algorithm 3 (O(n⁴) asymptotically) must grow at least a full
-        // polynomial degree faster than Algorithm 1.
-        FitBand {
-            measure: FitMeasure::Messages,
-            lo: 2.5,
-            hi: 4.3,
-            filter: "fit/alg3-nonauth/vector/silentx0".into(),
-        },
-    ];
+    m.fit_measures = vec![Messages, Words];
+    // Paper: Algorithm 1 O(n²) messages and O(n³) words, Algorithm 3
+    // O(n⁴) messages, Algorithm 6 O(n² log n) words. At n ≤ 13 no
+    // Algorithm 1 band contains the paper's exponent (2 and 3), nor does
+    // either Algorithm 3 message band (4); Algorithm 6's word bands and
+    // its fault-free message band contain 2.
+    m.fit_bands = bands(&[
+        ("alg1-auth/vector/silentx0/", Messages, 1.45, 1.94),
+        ("alg1-auth/vector/silentxmax/", Messages, 1.36, 1.85),
+        ("alg3-nonauth/vector/silentx0/", Messages, 2.70, 3.19),
+        ("alg3-nonauth/vector/silentxmax/", Messages, 2.62, 3.11),
+        ("alg6-fast/vector/silentx0/", Messages, 1.54, 2.03),
+        ("alg6-fast/vector/silentxmax/", Messages, 1.48, 1.97),
+        ("alg1-auth/vector/silentx0/", Words, 2.17, 2.66),
+        ("alg1-auth/vector/silentxmax/", Words, 2.06, 2.55),
+        ("alg3-nonauth/vector/silentx0/", Words, 2.70, 3.19),
+        ("alg3-nonauth/vector/silentxmax/", Words, 2.61, 3.10),
+        ("alg6-fast/vector/silentx0/", Words, 1.63, 2.12),
+        ("alg6-fast/vector/silentxmax/", Words, 1.57, 2.06),
+    ]);
     m.max_steps = Some(COMPLEXITY_BUDGET);
     m
 }
@@ -219,17 +245,19 @@ pub fn universal() -> ScenarioMatrix {
     m.schedules = vec![ScheduleSpec::Synchronous];
     m.systems = vec![(4, 1), (7, 2), (10, 3), (13, 4), (16, 5), (19, 6)];
     m.seeds = 0..2;
-    m.fit_measures = vec![FitMeasure::Messages, FitMeasure::Words];
-    // The paper's headline: Θ(n²) messages. The fault-free measured
-    // exponent at these sizes is ≈ 1.74 (it climbs toward 2 as lower-order
-    // terms fade); under full Byzantine load fewer correct senders exist,
-    // so that curve sits lower and gets no band.
-    m.fit_bands = vec![FitBand {
-        measure: FitMeasure::Messages,
-        lo: 1.7,
-        hi: 2.3,
-        filter: "silentx0".into(),
-    }];
+    m.fit_measures = vec![Messages, Words];
+    // The paper's headline is Θ(n²) messages, but through n = 19 the
+    // fault-free exponent is ≈ 1.74 and climbs toward 2 as lower-order
+    // terms fade; under full silent load fewer correct senders exist and
+    // the curve sits lower. No band here contains 2 (messages) or 3 (the
+    // O(n³) words). The four properties run the same machine, so one line
+    // per measure and load bands all four.
+    m.fit_bands = bands(&[
+        ("silentx0/", Messages, 1.70, 1.98),
+        ("silentxmax/", Messages, 1.41, 1.90),
+        ("silentx0/", Words, 2.24, 2.73),
+        ("silentxmax/", Words, 2.14, 2.63),
+    ]);
     m.max_steps = Some(COMPLEXITY_BUDGET);
     m
 }
@@ -249,21 +277,15 @@ pub fn nonauth() -> ScenarioMatrix {
     m.schedules = vec![ScheduleSpec::Synchronous];
     m.systems = vec![(4, 1), (7, 2), (10, 3), (13, 4)];
     m.seeds = 0..2;
-    m.fit_measures = vec![FitMeasure::Messages, FitMeasure::Words];
-    m.fit_bands = vec![
-        FitBand {
-            measure: FitMeasure::Messages,
-            lo: 1.4,
-            hi: 2.3,
-            filter: "fit/alg1-auth".into(),
-        },
-        FitBand {
-            measure: FitMeasure::Messages,
-            lo: 2.5,
-            hi: 4.3,
-            filter: "fit/alg3-nonauth".into(),
-        },
-    ];
+    m.fit_measures = vec![Messages, Words];
+    // The same fault-free rows as `complexity`, so the same bands; none
+    // contains the paper's exponent (2 for Algorithm 1, 4 for Algorithm 3).
+    m.fit_bands = bands(&[
+        ("alg1-auth/", Messages, 1.45, 1.94),
+        ("alg3-nonauth/", Messages, 2.70, 3.19),
+        ("alg1-auth/", Words, 2.17, 2.66),
+        ("alg3-nonauth/", Words, 2.70, 3.19),
+    ]);
     m.max_steps = Some(COMPLEXITY_BUDGET);
     m
 }
@@ -284,23 +306,22 @@ pub fn subcubic() -> ScenarioMatrix {
     m.schedules = vec![ScheduleSpec::Synchronous];
     m.systems = vec![(4, 1), (7, 2), (10, 3), (13, 4)];
     m.seeds = 0..2;
-    m.fit_measures = vec![FitMeasure::Words, FitMeasure::Latency];
-    m.fit_bands = vec![
-        // Algorithm 1: O(n³) words; ≈ n^2.4 measured at these sizes.
-        FitBand {
-            measure: FitMeasure::Words,
-            lo: 2.0,
-            hi: 3.1,
-            filter: "fit/alg1-auth/vector/silentx0".into(),
-        },
-        // Algorithm 6: O(n² log n) words; ≈ n^1.9 measured.
-        FitBand {
-            measure: FitMeasure::Words,
-            lo: 1.4,
-            hi: 2.4,
-            filter: "fit/alg6-fast/vector/silentx0".into(),
-        },
-    ];
+    m.fit_measures = vec![Words, Latency];
+    // Words: Algorithm 1 measures ≈ n^2.4 (its bands exclude the paper's
+    // 3), Algorithm 6 ≈ n^1.9 (its bands contain 2). Latency
+    // has no power-law claim: Algorithm 1's is flat and fits poorly
+    // (R² ≈ 0.65), and Algorithm 6's grows exponentially in t, which a
+    // power law in n only tracks over this short ladder.
+    m.fit_bands = bands(&[
+        ("alg1-auth/vector/silentx0/", Words, 2.17, 2.66),
+        ("alg1-auth/vector/silentxmax/", Words, 2.06, 2.55),
+        ("alg6-fast/vector/silentx0/", Words, 1.64, 2.13),
+        ("alg6-fast/vector/silentxmax/", Words, 1.56, 2.05),
+        ("alg1-auth/vector/silentx0/", Latency, -0.32, 0.17),
+        ("alg1-auth/vector/silentxmax/", Latency, -0.14, 0.35),
+        ("alg6-fast/vector/silentx0/", Latency, 0.29, 0.78),
+        ("alg6-fast/vector/silentxmax/", Latency, 0.36, 0.85),
+    ]);
     m.max_steps = Some(COMPLEXITY_BUDGET);
     m
 }
@@ -327,17 +348,12 @@ pub fn classifier_domain() -> ScenarioMatrix {
             });
         }
     }
-    m.fit_measures = vec![FitMeasure::ClassifyCost];
+    m.fit_measures = vec![ClassifyCost];
     // Measured at (4, 1) over |V| ∈ 2..=6: strong/weak ≈ |V|^4.8–5.0,
     // median/convex-hull ≈ |V|^4.25 (their admissible sets prune the
     // similarity enumeration earlier). One generous band covers the
     // family; a classifier rewrite that changes the *shape* escapes it.
-    m.fit_bands = vec![FitBand {
-        measure: FitMeasure::ClassifyCost,
-        lo: 3.8,
-        hi: 5.4,
-        filter: String::new(),
-    }];
+    m.fit_bands = bands(&[("", ClassifyCost, 3.8, 5.4)]);
     m
 }
 

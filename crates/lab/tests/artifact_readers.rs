@@ -1,6 +1,6 @@
 //! The artifact readers refuse malformed input by name. For each artifact
-//! the lab reads back — a `report@2` full report, a `partial@2` shard, a
-//! `bench@3` trend file and a `crosscheck@1` report — a truncated file is
+//! the lab reads back — a `report@2` full report, a `partial@2` shard and
+//! a `crosscheck@1` report — a truncated file is
 //! an error (never a panic, never a partial read), deleting any one field
 //! the reader needs is an error naming that field, and repeating a key is
 //! an error naming the key.
@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use validity_lab::json::{Fields, Json};
 use validity_lab::report::{json_str, REPORT_SCHEMA};
 use validity_lab::{
-    compare_emitted, run_crosscheck, suites, BenchArtifact, BenchSuite, CrosscheckMatrix,
-    FitMeasure, PartialReport, ShardSpec, SweepEngine,
+    compare_emitted, run_crosscheck, suites, CrosscheckMatrix, FitMeasure, PartialReport,
+    ShardSpec, SweepEngine,
 };
 
 /// One artifact and its reader: the rendered text, the Markdown a
@@ -83,30 +83,6 @@ fn partial() -> &'static Artifact {
     })
 }
 
-fn bench() -> &'static Artifact {
-    static A: OnceLock<Artifact> = OnceLock::new();
-    A.get_or_init(|| {
-        let (report, _) = SweepEngine::new(2).run(&sweep());
-        let mut fitted = suites::build("nonauth").expect("built-in suite");
-        fitted.systems.truncate(3);
-        let (fitted_report, _) = SweepEngine::new(2).run(&fitted);
-        let artifact = BenchArtifact {
-            suites: vec![
-                BenchSuite::from_sweep("quick", &report),
-                BenchSuite::from_sweep("nonauth", &fitted_report),
-            ],
-        };
-        assert!(artifact.suites[1].fits.iter().any(|f| f.fit.is_some()));
-        Artifact {
-            text: artifact.to_json(),
-            read: |_, text| BenchArtifact::parse(text).map(drop),
-            md: String::new(),
-            // Every field but the constant `sampling` no reader looks at.
-            required: |path| path != "suites[].sampling",
-        }
-    })
-}
-
 fn crosscheck() -> &'static Artifact {
     static A: OnceLock<Artifact> = OnceLock::new();
     A.get_or_init(|| {
@@ -125,8 +101,8 @@ fn crosscheck() -> &'static Artifact {
     })
 }
 
-fn artifacts() -> [&'static Artifact; 4] {
-    [report(), partial(), bench(), crosscheck()]
+fn artifacts() -> [&'static Artifact; 3] {
+    [report(), partial(), crosscheck()]
 }
 
 /// An edit applied to one object member while re-rendering a document.
@@ -259,17 +235,6 @@ fn repeating_any_key_is_refused_by_name() {
             repeating_is_refused_by_name(a, &members, target);
         }
     }
-}
-
-#[test]
-fn the_untouched_committed_baseline_still_reads() {
-    let text = include_str!("../../../ci/BENCH_lab_baseline.json");
-    let baseline = BenchArtifact::parse(text).expect("committed baseline reads");
-    assert_eq!(
-        baseline.to_json(),
-        text,
-        "the baseline re-renders byte for byte"
-    );
 }
 
 /// `lab diff` refuses anything but a same-generation full report with a
@@ -405,7 +370,7 @@ proptest! {
 
     /// A file cut anywhere before its last byte is refused, not read.
     #[test]
-    fn every_prefix_is_refused(pick in any::<u64>(), which in 0usize..4) {
+    fn every_prefix_is_refused(pick in any::<u64>(), which in 0usize..3) {
         let a = artifacts()[which];
         let end = a.text.trim_end().len();
         let mut cut = (pick % end as u64) as usize;
@@ -419,7 +384,7 @@ proptest! {
     /// Deleting any occurrence of a field the reader needs — in any
     /// record, cell or row, not only the first — names it.
     #[test]
-    fn deleting_any_occurrence_names_it(pick in any::<u64>(), which in 0usize..4) {
+    fn deleting_any_occurrence_names_it(pick in any::<u64>(), which in 0usize..3) {
         let a = artifacts()[which];
         let (_, members) = edited(a, Edit::None);
         let required: Vec<usize> =
@@ -429,7 +394,7 @@ proptest! {
 
     /// Repeating any occurrence of any key is refused, naming the key.
     #[test]
-    fn repeating_any_occurrence_names_it(pick in any::<u64>(), which in 0usize..4) {
+    fn repeating_any_occurrence_names_it(pick in any::<u64>(), which in 0usize..3) {
         let a = artifacts()[which];
         let (_, members) = edited(a, Edit::None);
         repeating_is_refused_by_name(a, &members, (pick % members.len() as u64) as usize);

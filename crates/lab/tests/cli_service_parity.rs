@@ -13,14 +13,18 @@
 //!    every sweep runs in one process: `--shard` and `--from-reports` are
 //!    unknown options and `lab merge` is no command; a fit's axis follows
 //!    from its measure and the lab reports no wall clock, so
-//!    `--fit-axis` and `--timing` are unknown options too.
+//!    `--fit-axis` and `--timing` are unknown options too. Declared bands
+//!    are the only complexity contract, so `trend` is no subcommand.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
 //!    flags it would otherwise ignore; a custom matrix that enumerates no
 //!    cell, a classifier-cost fit on a grid without classification cells,
-//!    an empty operator or trend-suite list, an empty or reversed
-//!    `--seeds` range and a zero `--max-steps` budget are errors that name
-//!    the flag; and so are a repeated flag and a flag sitting where
-//!    another flag's value belongs.
+//!    an empty operator list, an empty or reversed `--seeds` range and a
+//!    zero `--max-steps` budget are errors that name the flag; and so are
+//!    a repeated flag and a flag sitting where another flag's value
+//!    belongs.
+//! 4. **A sweep fails on its own findings.** `lab run` writes both
+//!    reports and then exits 1 when they record a violation or an
+//!    out-of-band fit.
 
 use std::process::{Command as Process, Output};
 
@@ -66,7 +70,6 @@ fn spelling(command: Command) -> Vec<&'static str> {
         Command::Service => vec!["service"],
         Command::Crosscheck => vec!["crosscheck"],
         Command::Mutate => vec!["mutate"],
-        Command::Trend => vec!["trend"],
     }
 }
 
@@ -151,29 +154,59 @@ fn lab_run_refuses_the_sampling_flags_as_unknown_options() {
 
 #[test]
 fn every_sweep_runs_in_one_process() {
-    // `lab run --shard i/m` wrote a partial report, `lab merge`
-    // recombined partials, and `lab trend --from-reports` read merged
-    // reports: each is gone, refused by name.
-    for (args, want) in [
-        (
-            &["run", "--suite", "quick", "--shard", "1/2"][..],
-            "unknown option '--shard'",
-        ),
-        (
-            &["trend", "--from-reports", "x.json"],
-            "unknown option '--from-reports'",
-        ),
+    // `lab run --shard i/m` wrote a partial report and `lab merge`
+    // recombined partials: both are gone, refused by name.
+    let args = ["run", "--suite", "quick", "--shard", "1/2"];
+    let out = lab(&args);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    let err = stderr(&out);
+    assert!(err.contains("unknown option '--shard'"), "{args:?}: {err}");
+    // `lab merge` is gone, and so is `trend`, which held the fitted
+    // exponents to a committed baseline: the suites' bands hold them now.
+    for args in [
+        &["merge", "a.json"][..],
+        &["trend"],
+        &["trend", "--suites", "complexity"],
     ] {
-        let out = lab(args);
+        let (out, written) = lab_in_empty_dir(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
-        assert!(stderr(&out).contains(want), "{args:?}: {}", stderr(&out));
+        assert_eq!(written, 0, "{args:?} wrote a file");
+        let usage = stderr(&out);
+        let first = usage.lines().next().unwrap_or("");
+        assert!(first.starts_with("usage: lab <"), "{args:?}: {usage}");
+        assert!(!first.contains(args[0]), "{args:?}: {usage}");
     }
-    let out = lab(&["merge", "a.json"]);
+}
+
+#[test]
+fn a_sweep_that_records_a_violation_exits_1_after_writing_both_reports() {
+    // A one-event budget quarantines 16 of quick's 18 cells; this used
+    // to exit 0, and only the retired trend gate failed on it.
+    let dir = std::env::temp_dir().join(format!("lab-cli-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (json, md) = (dir.join("q.json"), dir.join("q.md"));
+    let out = lab(&[
+        "run",
+        "--suite",
+        "quick",
+        "--max-steps",
+        "1",
+        "--json",
+        json.to_str().unwrap(),
+        "--md",
+        md.to_str().unwrap(),
+    ]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let usage = stderr(&out);
-    let first = usage.lines().next().unwrap_or("");
-    assert!(first.starts_with("usage: lab <"), "{usage}");
-    assert!(!first.contains("merge"), "{usage}");
+    let report = std::fs::read_to_string(&json).expect("the JSON report is written");
+    assert!(report.contains("\"quarantined\": [\""), "{report}");
+    let markdown = std::fs::read_to_string(&md).expect("the Markdown report is written");
+    assert_eq!(stdout(&out), markdown);
+    let err = stderr(&out);
+    assert!(
+        err.contains("SWEEP FAILURE: 16 violation(s) (16 quarantined), 0 fit(s) out of band"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -213,16 +246,6 @@ fn a_classifier_cost_fit_on_a_custom_grid_is_refused() {
             "{args:?}: {err}"
         );
     }
-}
-
-#[test]
-fn a_trend_suite_list_that_names_no_suite_is_refused() {
-    // Used to write a zero-suite bench artifact and exit 0.
-    let (out, written) = lab_in_empty_dir(&["trend", "--suites", ",", "--out", "x.json"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    assert_eq!(written, 0, "a refused trend wrote an artifact");
-    let err = stderr(&out);
-    assert!(err.contains("--suites ',' names no suite"), "{err}");
 }
 
 #[test]
@@ -414,14 +437,9 @@ fn a_flag_is_never_taken_as_another_flags_value() {
         ),
         ("--md", "--dry-run", vec!["service", "--md", "--dry-run"]),
         (
-            "--out",
-            "--suites",
-            vec!["trend", "--out", "--suites", "quick"],
-        ),
-        (
-            "--baseline",
-            "--tolerance",
-            vec!["trend", "--baseline", "--tolerance", "0.5"],
+            "--operators",
+            "--dry-run",
+            vec!["mutate", "--operators", "--dry-run"],
         ),
     ] {
         let out = Process::new(env!("CARGO_BIN_EXE_lab"))

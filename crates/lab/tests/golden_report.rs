@@ -5,15 +5,14 @@
 //! (`BinaryHeap` scheduler, `Vec<Step>` hook API, per-recipient payload
 //! clones) running `lab run --suite quick` at a fixed seed range. The
 //! optimized engine must reproduce the same report bytes exactly — at
-//! worker counts 1 and default, observed or not — because every
-//! committed baseline (`ci/BENCH_lab_baseline.json`) and every published
-//! number in the repository assumes seeded executions are stable across
-//! engine versions.
+//! worker counts 1 and default, observed or not — because every declared
+//! fit band (`suites.rs`) and every published number in the repository
+//! assumes seeded executions are stable across engine versions.
 //!
 //! If this test fails, the engine's event order or RNG draw order drifted
 //! (see the two-draw invariant on `Simulation::arrival_time`). Do **not**
-//! regenerate the hashes unless the drift is intentional and every
-//! committed baseline is regenerated with it.
+//! regenerate the hashes unless the drift is intentional and every band
+//! and published number it moves is re-checked with it.
 
 use validity_crypto::sha256;
 use validity_lab::{suites, SweepEngine, SweepReport};
