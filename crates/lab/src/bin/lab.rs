@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use validity_adversary::BehaviorId;
@@ -31,10 +32,10 @@ use validity_lab::json::{Fields, Json};
 use validity_lab::{
     compare_emitted, hottest_by_events, observe_json, observe_markdown, run_crosscheck, run_mutate,
     run_service, suites, timeline_for, AgreementLevel, CrosscheckMatrix, Fate, FitMeasure,
-    MutateMatrix, ProtocolAxis, ScenarioMatrix, ScheduleSpec, ServiceMatrix, SweepEngine,
-    ValiditySpec, CATALOGUED_EQUIVALENT, REPORT_SCHEMA,
+    MutateMatrix, MutationOp, ProtocolAxis, ScenarioMatrix, ScheduleSpec, ServiceMatrix,
+    SweepEngine, ValiditySpec, REPORT_SCHEMA,
 };
-use validity_protocols::{vector_registry, MutationOp};
+use validity_protocols::vector_registry;
 use validity_simnet::Timeline;
 
 /// What a subcommand hands back: its exit code, or a one-line diagnostic
@@ -45,10 +46,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
     let outcome = match strs.split_first() {
-        Some((&"list", rest)) => {
-            list(rest.contains(&"--names"));
-            Ok(ExitCode::SUCCESS)
-        }
+        Some((&"list", rest)) => match rest {
+            [] | ["--names"] => {
+                list(!rest.is_empty());
+                Ok(ExitCode::SUCCESS)
+            }
+            _ => Err("usage: lab list [--names]".to_string()),
+        },
         Some((&"run", rest)) => run(rest),
         Some((&"service", rest)) => service_cmd(rest),
         Some((&"crosscheck", rest)) => crosscheck_cmd(rest),
@@ -228,13 +232,35 @@ impl<'a> Args<'a> {
     }
 
     /// The `--json` / `--md` report paths, defaulting to `lab-<name>.*`.
-    fn report_paths(&self, name: &str) -> (String, String) {
+    /// One file for both is refused, however it is spelt: the Markdown
+    /// would overwrite the JSON.
+    fn report_paths(&self, name: &str) -> Result<(String, String), String> {
         let path = |flag, ext| {
             self.value(flag)
                 .map_or_else(|| format!("lab-{name}.{ext}"), String::from)
         };
-        (path("--json", "json"), path("--md", "md"))
+        let (json, md) = (path("--json", "json"), path("--md", "md"));
+        if json == md || resolved(&json).is_some_and(|j| Some(j) == resolved(&md)) {
+            return Err(format!(
+                "--json and --md both name '{json}': one file cannot hold both reports"
+            ));
+        }
+        Ok((json, md))
     }
+}
+
+/// The file `path` names, its directory resolved, so that `x`, `./x` and
+/// an absolute spelling compare equal; `None` when the directory does not
+/// exist (writing there fails by name anyway).
+fn resolved(path: &str) -> Option<PathBuf> {
+    let path = Path::new(path);
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    Some(
+        dir.unwrap_or(Path::new("."))
+            .canonicalize()
+            .ok()?
+            .join(path.file_name()?),
+    )
 }
 
 fn write_file(path: &str, text: &str) -> Result<(), String> {
@@ -389,6 +415,7 @@ fn run(rest: &[&str]) -> CmdResult {
         None => build_custom(&args)?,
     };
     tune_grid(&args, &mut matrix)?;
+    let (json_path, md_path) = args.report_paths(&matrix.name)?;
     if args.has("--dry-run") {
         println!(
             "{}: {} cells ({} fit measure(s), max_steps {})",
@@ -418,7 +445,6 @@ fn run(rest: &[&str]) -> CmdResult {
         report.fits_out_of_band(),
     );
 
-    let (json_path, md_path) = args.report_paths(&matrix.name);
     // `--observe` appends a section to the Markdown output only. The JSON
     // report and the default Markdown stay byte-identical to plain runs:
     // even deterministic observe metrics must never leak into canonical
@@ -459,6 +485,7 @@ fn run(rest: &[&str]) -> CmdResult {
 fn service_cmd(rest: &[&str]) -> CmdResult {
     let args = Args::parse(Command::Service, rest)?;
     let threads = args.threads()?;
+    let (json_path, md_path) = args.report_paths("service")?;
     let mut matrix = ServiceMatrix::suite();
     if let Some(seeds) = args.seeds()? {
         matrix.seeds = seeds;
@@ -508,7 +535,6 @@ fn service_cmd(rest: &[&str]) -> CmdResult {
         report.groups.len(),
         report.failures(),
     );
-    let (json_path, md_path) = args.report_paths("service");
     write_reports(
         &json_path,
         &report.to_json(),
@@ -531,6 +557,7 @@ fn service_cmd(rest: &[&str]) -> CmdResult {
 fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
     let args = Args::parse(Command::Crosscheck, rest)?;
     let threads = args.threads()?;
+    let (json_path, md_path) = args.report_paths("crosscheck")?;
     // --chaos swaps in the faulty-network grid (every ScheduleSpec::CHAOS
     // schedule), --adaptive the observing-adversary grid; the default grid
     // keeps the committed fingerprint bytes.
@@ -578,7 +605,6 @@ fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
     // The emitters are columns of the oracle too: a drifting renderer
     // fails the gate just like a drifting engine.
     let emitter_mismatches = compare_emitted(&json, &markdown);
-    let (json_path, md_path) = args.report_paths("crosscheck");
     write_reports(&json_path, &json, &md_path, &markdown)?;
     let mut failed = false;
     if !emitter_mismatches.is_empty() {
@@ -621,12 +647,13 @@ fn tune_grid(args: &Args, grid: &mut ScenarioMatrix) -> Result<(), String> {
 /// operator into every registry engine, runs the crosscheck oracle plus
 /// the validity checks over each `(engine × operator)` mutant next to the
 /// clean columns, and emits the kill matrix. Exits non-zero when the gate
-/// fails: a clean-baseline disagreement (false kill), an uncatalogued
-/// survivor, or a stale catalogue entry. Bytes are deterministic and
-/// thread-count independent, like every other lab artifact.
+/// fails: a clean-baseline disagreement (false kill) or any surviving
+/// mutant. Bytes are deterministic and thread-count independent, like
+/// every other lab artifact.
 fn mutate_cmd(rest: &[&str]) -> CmdResult {
     let args = Args::parse(Command::Mutate, rest)?;
     let threads = args.threads()?;
+    let (json_path, md_path) = args.report_paths("mutate")?;
     let mut matrix = MutateMatrix::suite();
     if let Some(ops) = args.value("--operators") {
         matrix.operators = ops
@@ -645,6 +672,11 @@ fn mutate_cmd(rest: &[&str]) -> CmdResult {
             return Err(format!(
                 "--operators '{ops}' names no operator; see `lab list`"
             ));
+        }
+        for (i, op) in matrix.operators.iter().enumerate() {
+            if matrix.operators[..i].contains(op) {
+                return Err(format!("--operators names '{op}' twice"));
+            }
         }
     }
     tune_grid(&args, &mut matrix.grid.scenarios)?;
@@ -688,14 +720,13 @@ fn mutate_cmd(rest: &[&str]) -> CmdResult {
         .map(|(kind, count)| format!("{count} {}", kind.label()))
         .collect();
     eprintln!("kills by kind: {}", kinds.join(", "));
-    let (json_path, md_path) = args.report_paths("mutate");
     write_reports(
         &json_path,
         &report.to_json(),
         &md_path,
         &report.to_markdown(),
     )?;
-    if let Err(e) = report.gate(CATALOGUED_EQUIVALENT) {
+    if let Err(e) = report.gate() {
         eprintln!("MUTATE FAILURE: {e}");
         return Ok(ExitCode::from(1));
     }

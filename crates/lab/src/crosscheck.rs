@@ -41,14 +41,15 @@
 use std::fmt;
 
 use validity_adversary::BehaviorId;
-use validity_core::{classify, Classification, Domain, SystemParams};
-use validity_protocols::registry::{vector_registry, VectorSpec};
+use validity_core::{classify, Classification, Domain, InputConfig, ProcessId, SystemParams};
+use validity_protocols::registry::{vector_registry, ProtocolContext, VectorSpec};
+use validity_simnet::{Machine, NoProbe};
 
 use crate::json::{Fields, Json};
-use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
+use crate::matrix::{ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
-use crate::runner::{execute_with_budget, Outcome, RunRecord, Verdict, ViolationKind};
+use crate::runner::{builder_for, run_universal, RunRecord, Verdict, ViolationKind};
 
 /// Schema tag of the crosscheck report artifact.
 pub const CROSSCHECK_SCHEMA: &str = "validity-lab/crosscheck@1";
@@ -97,7 +98,8 @@ fn validity_of(cell: &RunCell) -> ValiditySpec {
 /// so the enumeration keeps the sweep engine's validity axis, collapse
 /// rules (zero fault load collapses the behaviour axis, `Λ`-less
 /// properties are skipped, invalid `(n, t)` pairs are dropped) and group
-/// dedup; each engine column then replaces the protocol with its own.
+/// dedup; each engine column then runs its own machines in its place
+/// ([`CrosscheckMatrix::run_engine`]).
 #[derive(Clone, Debug)]
 pub struct CrosscheckMatrix {
     /// The scenario grid (its name names the report).
@@ -215,18 +217,21 @@ impl CrosscheckMatrix {
         })
     }
 
-    /// One engine column: runs `engine`, `Universal`-wrapped, on `cell`
-    /// under the step budget. `None` when the cell's `(n, t)` is outside
-    /// the engine's registered band.
-    pub fn run_engine(&self, cell: &RunCell, engine: VectorSpec) -> Option<RunRecord> {
+    /// One engine column: runs the machines `make` builds,
+    /// `Universal`-wrapped, on `cell` under the step budget. `None` when the
+    /// cell's `(n, t)` is outside `engine`'s registered band.
+    pub fn run_engine<M>(
+        &self,
+        cell: &RunCell,
+        engine: VectorSpec,
+        make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
+    ) -> Option<RunRecord>
+    where
+        M: Machine<Output = InputConfig<u64>> + 'static,
+    {
         engine.applicable_to(cell.n, cell.t).then(|| {
-            let protocol = ProtocolAxis::wrapped(engine);
-            let spec = CellSpec::Run(RunCell { protocol, ..*cell });
-            let Outcome::Run(r) = execute_with_budget(&spec, self.scenarios.max_steps).outcome
-            else {
-                unreachable!("run cells produce run outcomes")
-            };
-            r
+            let builder = builder_for(cell, self.scenarios.max_steps);
+            run_universal(cell, builder, NoProbe, make).0
         })
     }
 }
@@ -442,7 +447,7 @@ pub(crate) fn grade_runs(
 pub fn execute_crosscheck(matrix: &CrosscheckMatrix, cell: &RunCell) -> CrosscheckRecord {
     let classifier = matrix.classify(cell);
     let runs = matrix.engines.iter().map(|&engine| {
-        let run = matrix.run_engine(cell, engine);
+        let run = matrix.run_engine(cell, engine, |ctx, p, input| engine.machine(ctx, p, input));
         (engine.name(), run.as_ref().map(RunRecord::verdict))
     });
     let (columns, detail) = grade_runs(classifier.as_ref(), runs);
@@ -670,8 +675,7 @@ pub fn run_crosscheck(matrix: &CrosscheckMatrix, threads: usize) -> CrosscheckRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use validity_core::ProcessId;
-    use validity_protocols::registry::{find_vector, ProtocolContext, ProtocolSpec, VectorMachine};
+    use validity_protocols::registry::{find_vector, ProtocolSpec, VectorMachine};
 
     fn tiny() -> CrosscheckMatrix {
         let mut m = CrosscheckMatrix::suite();
@@ -999,7 +1003,6 @@ mod tests {
         let mut seeded = tiny();
         seeded.engines.push(ProtocolSpec::new(
             "planted-broken",
-            true,
             "test-only",
             broken_factory,
         ));

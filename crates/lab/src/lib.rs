@@ -50,11 +50,11 @@
 //!   witnesses, and the [`ViolationKind`] (safety, validity, value,
 //!   liveness) read off each run's [`Verdict`].
 //! * **[`mutate`]** — the fault-injection harness (`lab mutate`): every
-//!   registry engine crossed with a corpus of mutation operators, each
-//!   mutant run through the crosscheck oracle next to the clean columns
-//!   and reported in a kill matrix — every mutant killed or explicitly
-//!   catalogued equivalent, and zero false kills on the clean baseline.
-//!   Kills and false kills carry the same [`Finding`]s.
+//!   registry engine crossed with a corpus of [`MutationOp`]s, each
+//!   mutant (the engine inside a [`Mutant`] wrapper) run through the
+//!   crosscheck oracle next to the clean columns and reported in a kill
+//!   matrix — every mutant killed, and zero false kills on the clean
+//!   baseline. Kills and false kills carry the same [`Finding`]s.
 //! * **[`flags`]** — the CLI's one flag table: every `--flag`, the
 //!   commands that accept it, and the reason where a command refuses it.
 //! * the **`lab`** binary — `run` / `service` / `crosscheck` / `mutate` /
@@ -104,7 +104,7 @@ pub use matrix::{
     ScheduleSpec, ValiditySpec,
 };
 pub use mutate::{
-    run_mutate, Fate, MutantFate, MutateMatrix, MutateReport, CATALOGUED_EQUIVALENT, MUTATE_SCHEMA,
+    run_mutate, Fate, Mutant, MutantFate, MutateMatrix, MutateReport, MutationOp, MUTATE_SCHEMA,
 };
 pub use observe::{
     hottest_by_events, observe_json, observe_markdown, timeline_for, CellObservation,

@@ -5,10 +5,10 @@
 //! emitters keep each other honest — but that argument is only as strong
 //! as the oracle's ability to *detect* a wrong engine. This module turns
 //! the crosscheck's single planted-fault self-test into a corpus: every
-//! registered engine crossed with every
-//! [`validity_protocols::MutationOp`] yields a *mutant*
-//! ([`validity_protocols::mutant_spec`]), and each mutant's column is run
-//! over a scenario grid next to the clean registry columns. A mutant is
+//! registered engine crossed with every [`MutationOp`] yields a *mutant*
+//! — the engine's machine inside a [`Mutant`] wrapper — and each mutant's
+//! column is run over a scenario grid next to the clean registry columns,
+//! through the same [`CrosscheckMatrix::run_engine`] seam. A mutant is
 //! **killed** when the oracle distinguishes it from its base engine:
 //!
 //! 1. a cell grades [`AgreementLevel::Disagreement`] (safety violation,
@@ -22,11 +22,9 @@
 //! Every kill and false kill is the [`Finding`] that convicted it, and
 //! [`Finding::kind`] tells a value kill from a liveness or safety one.
 //!
-//! A mutant the oracle cannot distinguish **survives**; the gate fails
-//! unless that survivor is explicitly listed in [`CATALOGUED_EQUIVALENT`]
-//! (and fails symmetrically when a catalogued entry starts dying — stale
-//! catalogue entries are bugs too). The clean baseline must grade with
-//! zero disagreements: a *false kill* would mean the harness convicts
+//! A mutant the oracle cannot distinguish **survives**, and any survivor
+//! fails the gate: every mutant must die. The clean baseline must grade
+//! with zero disagreements: a *false kill* would mean the harness convicts
 //! healthy engines, which voids the whole matrix.
 //!
 //! The executor is the same deterministic worker-pool shape as
@@ -34,9 +32,13 @@
 //! fans out over threads, results collect in matrix order, and the
 //! `mutate@1` artifact is byte-identical across worker counts. Base
 //! columns are executed once and shared by every mutant's grading.
+//! Mutants are deterministic: each operator is a pure, stateful rewrite of
+//! the hook stream, so mutated runs are exactly as replayable as clean
+//! ones.
 
-use validity_core::Classification;
-use validity_protocols::{mutant_spec, MutationOp, VectorSpec};
+use validity_core::{Classification, ProcessId};
+use validity_protocols::{ProtocolContext, VectorMachine, VectorSpec};
+use validity_simnet::{Env, Machine, Step, StepSink};
 
 use crate::crosscheck::{self, grade_runs, AgreementLevel, CrosscheckMatrix, Finding};
 use crate::matrix::{ScheduleSpec, ValiditySpec};
@@ -47,12 +49,191 @@ use crate::runner::RunRecord;
 /// Schema tag of the mutate report artifact.
 pub const MUTATE_SCHEMA: &str = "validity-lab/mutate@1";
 
-/// Mutants the oracle is *known* not to distinguish from their base
-/// engine over the built-in grid, reviewed and accepted as equivalent.
-/// Empty today: every operator in the corpus is lethal to every engine.
-/// The gate fails on any survivor missing from this list — and on any
-/// listed mutant that starts dying, so the catalogue cannot go stale.
-pub const CATALOGUED_EQUIVALENT: &[&str] = &[];
+/// A small, realistic implementation mistake to plant into an engine.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum MutationOp {
+    /// Proposes `input + 1_000_000` instead of `input` — the classic
+    /// planted fault: decisions drift outside the admissible bracket.
+    ShiftProposal,
+    /// Models a dropped origin-authentication check: every incoming
+    /// message is attributed to the *next* process id, as if the receiver
+    /// never verified who signed/sent it.
+    DropSigCheck,
+    /// Models an off-by-one quorum threshold: the machine never counts its
+    /// successor's contributions, so every `≥ k` wait needs one message
+    /// more than the protocol budgeted for — unsatisfiable at maximum
+    /// fault load. (Crediting *extra* phantom messages would not do: the
+    /// engines collect distinct validated per-sender contributions, so
+    /// surplus credit only accelerates them — the chaos `duplication`
+    /// schedule already proves duplicates are absorbed.)
+    OffByOneThreshold,
+    /// Swallows the engine's first broadcast — one protocol-critical
+    /// `send-to-all` that simply never happens.
+    SkipBroadcast,
+    /// Replaces each broadcast's payload with the *previous* broadcast's
+    /// payload (the first goes out unchanged): a stale-buffer reuse bug.
+    StaleEcho,
+}
+
+impl MutationOp {
+    /// Every operator, in presentation (and kill-matrix column) order.
+    pub const ALL: [MutationOp; 5] = [
+        MutationOp::ShiftProposal,
+        MutationOp::DropSigCheck,
+        MutationOp::OffByOneThreshold,
+        MutationOp::SkipBroadcast,
+        MutationOp::StaleEcho,
+    ];
+
+    /// The stable name (used by CLIs and reports).
+    pub fn name(self) -> &'static str {
+        match self {
+            MutationOp::ShiftProposal => "shift-proposal",
+            MutationOp::DropSigCheck => "drop-sig-check",
+            MutationOp::OffByOneThreshold => "off-by-one-threshold",
+            MutationOp::SkipBroadcast => "skip-broadcast",
+            MutationOp::StaleEcho => "stale-echo",
+        }
+    }
+
+    /// Looks an operator up by its name.
+    pub fn parse(name: &str) -> Option<MutationOp> {
+        MutationOp::ALL.into_iter().find(|o| o.name() == name)
+    }
+
+    /// One-line description for `lab list`-style output.
+    pub fn describe(self) -> &'static str {
+        match self {
+            MutationOp::ShiftProposal => "proposes input + 1_000_000 (inadmissible decisions)",
+            MutationOp::DropSigCheck => "attributes every delivery to the next process id",
+            MutationOp::OffByOneThreshold => {
+                "never counts its successor's messages (every quorum waits for one extra)"
+            }
+            MutationOp::SkipBroadcast => "silently drops the engine's first broadcast",
+            MutationOp::StaleEcho => "each broadcast carries the previous broadcast's payload",
+        }
+    }
+}
+
+impl std::fmt::Display for MutationOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// A machine with one [`MutationOp`] planted into it.
+///
+/// The wrapper sits between the simulator and the unmodified inner
+/// machine: input-side operators rewrite deliveries before the engine
+/// sees them, output-side operators rewrite the effect stream the engine
+/// emits. Everything else — outputs, timers, halts — passes through
+/// untouched, so a mutant differs from its base engine by exactly the
+/// planted fault. (`shift-proposal` is planted in the proposal itself,
+/// before the engine is built.)
+pub struct Mutant<M: Machine> {
+    inner: M,
+    op: MutationOp,
+    /// Whether a one-shot operator (skip-broadcast) has fired.
+    fired: bool,
+    /// The previous broadcast payload (stale-echo).
+    stale: Option<M::Msg>,
+    /// Scratch buffer the inner machine writes into; reused across events.
+    scratch: StepSink<M::Msg, M::Output>,
+}
+
+impl<M: Machine> Mutant<M> {
+    /// Wraps `inner` with the planted fault `op`.
+    pub fn new(inner: M, op: MutationOp) -> Self {
+        Mutant {
+            inner,
+            op,
+            fired: false,
+            stale: None,
+            scratch: StepSink::new(),
+        }
+    }
+
+    /// Drains the inner machine's steps into `sink`, applying the
+    /// output-side operators.
+    fn relay(&mut self, sink: &mut StepSink<M::Msg, M::Output>) {
+        for step in self.scratch.drain() {
+            match step {
+                Step::Broadcast(m) => match self.op {
+                    MutationOp::SkipBroadcast if !self.fired => {
+                        self.fired = true; // exactly one broadcast vanishes
+                    }
+                    MutationOp::StaleEcho => {
+                        let prev = self.stale.replace(m.clone());
+                        sink.broadcast(prev.unwrap_or(m));
+                    }
+                    _ => sink.broadcast(m),
+                },
+                Step::Send(to, m) => sink.send(to, m),
+                Step::Timer(d, tag) => sink.timer(d, tag),
+                Step::Output(o) => sink.output(o),
+                Step::Halt => sink.halt(),
+            }
+        }
+    }
+}
+
+impl<M: Machine> Machine for Mutant<M> {
+    type Msg = M::Msg;
+    type Output = M::Output;
+
+    fn init(&mut self, env: &Env, sink: &mut StepSink<Self::Msg, Self::Output>) {
+        self.inner.init(env, &mut self.scratch);
+        self.relay(sink);
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: &Self::Msg,
+        env: &Env,
+        sink: &mut StepSink<Self::Msg, Self::Output>,
+    ) {
+        match self.op {
+            MutationOp::DropSigCheck => {
+                let forged = ProcessId::from_index((from.index() + 1) % env.n());
+                self.inner.on_message(forged, msg, env, &mut self.scratch);
+            }
+            MutationOp::OffByOneThreshold => {
+                // Discount one contributor: with its successor never
+                // counted, every `>= quorum` wait needs one message more
+                // than the protocol budgeted for.
+                let ignored = ProcessId::from_index((env.id.index() + 1) % env.n());
+                if from != ignored {
+                    self.inner.on_message(from, msg, env, &mut self.scratch);
+                }
+            }
+            _ => self.inner.on_message(from, msg, env, &mut self.scratch),
+        }
+        self.relay(sink);
+    }
+
+    fn on_timer(&mut self, tag: u64, env: &Env, sink: &mut StepSink<Self::Msg, Self::Output>) {
+        self.inner.on_timer(tag, env, &mut self.scratch);
+        self.relay(sink);
+    }
+}
+
+/// `base`'s machine for process `p` proposing `input`, with `op` planted:
+/// the factory a mutant column hands the runner.
+fn mutant(
+    base: VectorSpec,
+    op: MutationOp,
+    ctx: &ProtocolContext,
+    p: ProcessId,
+    input: u64,
+) -> Mutant<VectorMachine<u64>> {
+    let input = if op == MutationOp::ShiftProposal {
+        input.wrapping_add(1_000_000)
+    } else {
+        input
+    };
+    Mutant::new(base.machine(ctx, p, input), op)
+}
 
 /// The mutate axes: a crosscheck-shaped scenario grid (whose engine list
 /// is the clean baseline) crossed with a mutation-operator corpus.
@@ -88,14 +269,10 @@ impl MutateMatrix {
     }
 
     /// The mutant corpus, engine-major in registry/operator order:
-    /// `(base engine index, operator, mutant spec)`.
-    pub fn mutants(&self) -> Vec<(usize, MutationOp, VectorSpec)> {
+    /// `(base engine index, operator)`.
+    pub fn mutants(&self) -> Vec<(usize, MutationOp)> {
         (0..self.grid.engines.len())
-            .flat_map(|e| {
-                self.operators
-                    .iter()
-                    .map(move |&op| (e, op, mutant_spec(e, op)))
-            })
+            .flat_map(|e| self.operators.iter().map(move |&op| (e, op)))
             .collect()
     }
 
@@ -132,13 +309,16 @@ pub struct MutantFate {
     pub base: &'static str,
     /// The planted operator.
     pub operator: MutationOp,
-    /// The mutant's registry name (`<engine>+<operator>`).
-    pub name: &'static str,
     /// Killed or survived.
     pub fate: Fate,
 }
 
 impl MutantFate {
+    /// The mutant's name in the reports: `<engine>+<operator>`.
+    pub fn name(&self) -> String {
+        format!("{}+{}", self.base, self.operator)
+    }
+
     /// Whether the oracle killed this mutant.
     pub fn killed(&self) -> bool {
         matches!(self.fate, Fate::Killed { .. })
@@ -176,9 +356,8 @@ impl MutateReport {
     }
 
     /// The CI gate. Passes only when the baseline shows zero false kills
-    /// and every mutant is killed or catalogued; a catalogued mutant that
-    /// dies anyway fails too (stale catalogue).
-    pub fn gate(&self, catalogue: &[&str]) -> Result<(), String> {
+    /// and every mutant is killed.
+    pub fn gate(&self) -> Result<(), String> {
         if !self.false_kills.is_empty() {
             return Err(format!(
                 "clean baseline disagrees with itself ({} false kill(s)): {}",
@@ -190,29 +369,12 @@ impl MutateReport {
                     .join("; "),
             ));
         }
-        let escaped: Vec<&str> = self
-            .survivors()
-            .into_iter()
-            .filter(|f| !catalogue.contains(&f.name))
-            .map(|f| f.name)
-            .collect();
-        if !escaped.is_empty() {
+        let survivors: Vec<String> = self.survivors().iter().map(|f| f.name()).collect();
+        if !survivors.is_empty() {
             return Err(format!(
-                "{} mutant(s) survived uncatalogued: {}",
-                escaped.len(),
-                escaped.join(", "),
-            ));
-        }
-        let stale: Vec<&str> = self
-            .fates
-            .iter()
-            .filter(|f| f.killed() && catalogue.contains(&f.name))
-            .map(|f| f.name)
-            .collect();
-        if !stale.is_empty() {
-            return Err(format!(
-                "catalogued-equivalent mutant(s) now die: {} (remove from the catalogue)",
-                stale.join(", "),
+                "{} mutant(s) survived: {}",
+                survivors.len(),
+                survivors.join(", "),
             ));
         }
         Ok(())
@@ -276,7 +438,7 @@ impl MutateReport {
             let _ = writeln!(
                 out,
                 "    {{\"name\": {}, \"engine\": {}, \"operator\": {}, {}}}{}",
-                json_str(f.name),
+                json_str(&f.name()),
                 json_str(f.base),
                 json_str(f.operator.name()),
                 fate,
@@ -341,20 +503,10 @@ impl MutateReport {
         for f in &self.fates {
             match &f.fate {
                 Fate::Killed { cell, evidence } => {
-                    let _ = writeln!(out, "- `{}` — killed at `{cell}`: {evidence}", f.name);
+                    let _ = writeln!(out, "- `{}` — killed at `{cell}`: {evidence}", f.name());
                 }
                 Fate::Survived => {
-                    let catalogued = CATALOGUED_EQUIVALENT.contains(&f.name);
-                    let _ = writeln!(
-                        out,
-                        "- `{}` — **survived** ({})",
-                        f.name,
-                        if catalogued {
-                            "catalogued equivalent"
-                        } else {
-                            "UNCATALOGUED"
-                        }
-                    );
+                    let _ = writeln!(out, "- `{}` — **survived**", f.name());
                 }
             }
         }
@@ -392,18 +544,24 @@ fn judge(base: &'static str, b: &RunRecord, m: &RunRecord) -> Option<Finding> {
 pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
     let cells = matrix.grid.cells();
     let mutants = matrix.mutants();
-    // All columns of the run, bases first: runs[cell][column].
-    let columns: Vec<VectorSpec> = matrix
-        .grid
-        .engines
-        .iter()
-        .copied()
-        .chain(mutants.iter().map(|&(_, _, spec)| spec))
+    // All columns of the run, bases first: runs[cell][column]. A column is
+    // a base engine, with the operator planted into it for a mutant.
+    let columns: Vec<(usize, Option<MutationOp>)> = (0..matrix.grid.engines.len())
+        .map(|e| (e, None))
+        .chain(mutants.iter().map(|&(e, op)| (e, Some(op))))
         .collect();
     let mut results = pool::ordered_map(threads, cells.len() * columns.len(), |k| {
-        matrix
-            .grid
-            .run_engine(&cells[k / columns.len()], columns[k % columns.len()])
+        let cell = &cells[k / columns.len()];
+        let (e, op) = columns[k % columns.len()];
+        let base = matrix.grid.engines[e];
+        match op {
+            None => matrix
+                .grid
+                .run_engine(cell, base, |ctx, p, input| base.machine(ctx, p, input)),
+            Some(op) => matrix
+                .grid
+                .run_engine(cell, base, |ctx, p, input| mutant(base, op, ctx, p, input)),
+        }
     })
     .map(|(run, _wall)| run);
     let runs: Vec<Vec<Option<RunRecord>>> = cells
@@ -434,7 +592,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
     let fates = mutants
         .iter()
         .enumerate()
-        .map(|(m, &(e, op, spec))| {
+        .map(|(m, &(e, op))| {
             let column = engines.len() + m;
             let kill = (0..cells.len()).find_map(|i| {
                 let row = &runs[i];
@@ -448,7 +606,6 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
             MutantFate {
                 base: engines[e],
                 operator: op,
-                name: spec.name(),
                 fate: kill.unwrap_or(Fate::Survived),
             }
         })
@@ -466,6 +623,9 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use validity_core::{InputConfig, SystemParams};
+    use validity_protocols::vector_registry;
+    use validity_simnet::{agreement_holds, NodeKind, SimBuilder};
 
     /// A one-cell matrix over a trimmed corpus, for fast unit tests.
     fn tiny(operators: Vec<MutationOp>) -> MutateMatrix {
@@ -478,6 +638,15 @@ mod tests {
     }
 
     #[test]
+    fn operator_names_roundtrip() {
+        for op in MutationOp::ALL {
+            assert_eq!(MutationOp::parse(op.name()), Some(op));
+            assert!(!op.describe().is_empty());
+        }
+        assert_eq!(MutationOp::parse("?"), None);
+    }
+
+    #[test]
     fn suite_crosses_every_engine_with_every_operator() {
         let m = MutateMatrix::suite();
         assert_eq!(
@@ -485,10 +654,95 @@ mod tests {
             m.grid.engines.len() * MutationOp::ALL.len()
         );
         assert!(!m.is_empty());
-        // Engine-major, operator-minor: stable report order.
-        let names: Vec<&str> = m.mutants().iter().map(|&(_, _, s)| s.name()).collect();
-        assert_eq!(names[0], "alg1-auth+shift-proposal");
-        assert_eq!(names[MutationOp::ALL.len()], "alg3-nonauth+shift-proposal");
+    }
+
+    #[test]
+    fn mutants_cover_every_pair_with_unique_names() {
+        let m = MutateMatrix::suite();
+        // Named `base+op`, engine-major, operator-minor: stable report
+        // order, and no two mutants share a name.
+        let names: Vec<String> = m
+            .mutants()
+            .into_iter()
+            .map(|(e, operator)| {
+                let base = m.grid.engines[e].name();
+                MutantFate {
+                    base,
+                    operator,
+                    fate: Fate::Survived,
+                }
+                .name()
+            })
+            .collect();
+        let expected: Vec<String> = vector_registry::<u64>()
+            .iter()
+            .flat_map(|spec| MutationOp::ALL.map(|op| format!("{}+{}", spec.name(), op.name())))
+            .collect();
+        assert_eq!(names, expected);
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate mutant names");
+    }
+
+    /// Runs 4 correct nodes built by `make` and returns (all decided,
+    /// agreement, decision debug strings).
+    fn run_nodes<M>(
+        make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
+        seed: u64,
+    ) -> (bool, bool, Vec<String>)
+    where
+        M: Machine<Output = InputConfig<u64>> + 'static,
+    {
+        let params = SystemParams::new(4, 1).unwrap();
+        let ctx = ProtocolContext::new(params, seed);
+        let nodes: Vec<NodeKind<M>> = (0..4)
+            .map(|i| NodeKind::Correct(make(&ctx, ProcessId::from_index(i), i as u64 % 2)))
+            .collect();
+        let mut sim = SimBuilder::new(params)
+            .seed(seed)
+            .max_events(500_000)
+            .build(nodes)
+            .expect("valid configuration");
+        sim.run_until_decided();
+        (
+            sim.all_correct_decided(),
+            agreement_holds(sim.decisions()),
+            sim.decisions()
+                .iter()
+                .flatten()
+                .map(|(_, o)| format!("{o:?}"))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn every_mutant_builds_and_runs_deterministically() {
+        let m = MutateMatrix::suite();
+        for (e, op) in m.mutants() {
+            let base = m.grid.engines[e];
+            let run = || run_nodes(|ctx, p, input| mutant(base, op, ctx, p, input), 7);
+            assert_eq!(run(), run(), "{base}+{op} is not replayable");
+        }
+    }
+
+    #[test]
+    fn shift_proposal_mutant_decides_outside_the_input_bracket() {
+        let base = vector_registry::<u64>()[0];
+        let clean = run_nodes(|ctx, p, input| base.machine(ctx, p, input), 7);
+        assert!(clean.0 && clean.1);
+        let (decided, agreement, decisions) = run_nodes(
+            |ctx, p, input| mutant(base, MutationOp::ShiftProposal, ctx, p, input),
+            7,
+        );
+        // The mutant still runs the real engine, so it reaches agreement —
+        // but every decided value carries the shifted proposals.
+        assert!(decided && agreement);
+        assert_ne!(decisions, clean.2, "planted shift left no trace");
+        assert!(
+            decisions.iter().all(|d| d.contains("1000000")),
+            "shifted proposals missing from {decisions:?}"
+        );
     }
 
     #[test]
@@ -499,16 +753,16 @@ mod tests {
         for f in &report.fates {
             // It decides promptly, on the wrong value: a value kill.
             let Fate::Killed { evidence, .. } = &f.fate else {
-                panic!("{} survived", f.name)
+                panic!("{} survived", f.name())
             };
             assert!(matches!(evidence, Finding::DecidedOther(..)), "{evidence}");
             assert_eq!(evidence.kind(), Some(crate::ViolationKind::Value));
         }
-        assert!(report.gate(&[]).is_ok());
+        assert!(report.gate().is_ok());
     }
 
     #[test]
-    fn gate_flags_uncatalogued_survivors_and_stale_catalogue_entries() {
+    fn any_survivor_fails_the_gate() {
         let report = MutateReport {
             name: "mutate".into(),
             engines: vec!["alg1-auth"],
@@ -518,22 +772,24 @@ mod tests {
             fates: vec![MutantFate {
                 base: "alg1-auth",
                 operator: MutationOp::StaleEcho,
-                name: "alg1-auth+stale-echo",
                 fate: Fate::Survived,
             }],
         };
-        let err = report.gate(&[]).unwrap_err();
-        assert!(err.contains("survived uncatalogued"), "{err}");
-        assert!(report.gate(&["alg1-auth+stale-echo"]).is_ok());
+        let err = report.gate().unwrap_err();
+        assert!(
+            err.contains("1 mutant(s) survived: alg1-auth+stale-echo"),
+            "{err}"
+        );
+        assert!(report
+            .to_markdown()
+            .contains("- `alg1-auth+stale-echo` — **survived**"));
 
         let mut killed = report.clone();
         killed.fates[0].fate = Fate::Killed {
             cell: "c".into(),
             evidence: Finding::DecidedOther("alg1-auth", ["1".into(), "0".into()]),
         };
-        assert!(killed.gate(&[]).is_ok());
-        let err = killed.gate(&["alg1-auth+stale-echo"]).unwrap_err();
-        assert!(err.contains("now die"), "{err}");
+        assert!(killed.gate().is_ok());
     }
 
     #[test]
@@ -549,7 +805,7 @@ mod tests {
             )],
             fates: Vec::new(),
         };
-        let err = report.gate(&[]).unwrap_err();
+        let err = report.gate().unwrap_err();
         assert!(err.contains("1 false kill(s)"), "{err}");
         assert!(
             err.contains("crosscheck/x: alg1-auth violated Agreement"),

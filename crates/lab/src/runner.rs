@@ -14,7 +14,7 @@ use validity_simnet::{
     agreement_holds, Machine, NetStats, NoProbe, Probe, RunOutcome, SimBuilder, Simulation, Time,
 };
 
-use crate::matrix::{CellSpec, ClassifyCell, RunCell, ValiditySpec};
+use crate::matrix::{CellSpec, ClassifyCell, RunCell};
 
 /// Condensed result of one simulation cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -204,16 +204,15 @@ pub(crate) fn run_cell<P: Probe>(
     max_steps: Option<u64>,
     probe: impl FnOnce(Time) -> P,
 ) -> (CellRecord, P) {
-    let params = params_of(cell.n, cell.t);
-    let builder = budgeted(cell.schedule.builder(params, cell.seed), max_steps);
+    let builder = builder_for(cell, max_steps);
     let probe = probe(builder.config().delta);
     let (record, probe) = if cell.protocol.universal {
-        let validity = cell
-            .validity
-            .expect("universal cells always carry a validity");
-        run_universal(cell, params, validity, builder, probe)
+        let engine = cell.protocol.engine;
+        run_universal(cell, builder, probe, |ctx, p, input| {
+            engine.machine(ctx, p, input)
+        })
     } else {
-        run_raw(cell, params, builder, probe)
+        run_raw(cell, builder, probe)
     };
     (
         CellRecord {
@@ -271,26 +270,36 @@ where
     }
 }
 
-/// Applies the matrix's per-cell step budget to a builder template.
-fn budgeted(builder: SimBuilder, max_steps: Option<u64>) -> SimBuilder {
+/// The cell's simulator builder under the per-cell step budget.
+pub(crate) fn builder_for(cell: &RunCell, max_steps: Option<u64>) -> SimBuilder {
+    let builder = cell.schedule.builder(params_of(cell.n, cell.t), cell.seed);
     match max_steps {
         Some(budget) => builder.max_events(budget),
         None => builder,
     }
 }
 
-fn run_universal<P: Probe>(
+/// Runs `cell` under `Universal`, building every vector-consensus engine —
+/// each correct node's and each Byzantine face's — with `make`. The sweep
+/// passes the cell's registry engine; `lab mutate` passes a mutant of it.
+pub(crate) fn run_universal<M, P>(
     cell: &RunCell,
-    params: SystemParams,
-    validity: ValiditySpec,
     builder: SimBuilder,
     probe: P,
-) -> (RunRecord, P) {
+    make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
+) -> (RunRecord, P)
+where
+    M: Machine<Output = InputConfig<u64>> + 'static,
+    P: Probe,
+{
+    let params = params_of(cell.n, cell.t);
+    let validity = cell
+        .validity
+        .expect("universal cells always carry a validity");
     let property = validity.property(params.t());
     let actual = actual_config(params, cell.byz, |i| validity.input_for(i));
     let ctx = ProtocolContext::new(params, cell.seed);
     let gst = builder.config().gst;
-    let engine = cell.protocol.engine;
     let mk = |p: ProcessId, face: u64| {
         let input = if face == 0 {
             validity.input_for(p.index())
@@ -298,7 +307,7 @@ fn run_universal<P: Probe>(
             validity.alt_input_for(p.index())
         };
         Universal::new(
-            engine.machine(&ctx, p, input),
+            make(&ctx, p, input),
             validity
                 .lambda(params)
                 .expect("matrix only pairs Universal with Λ-bearing properties"),
@@ -312,12 +321,8 @@ fn run_universal<P: Probe>(
     (record, sim.into_probe())
 }
 
-fn run_raw<P: Probe>(
-    cell: &RunCell,
-    params: SystemParams,
-    builder: SimBuilder,
-    probe: P,
-) -> (RunRecord, P) {
+fn run_raw<P: Probe>(cell: &RunCell, builder: SimBuilder, probe: P) -> (RunRecord, P) {
+    let params = params_of(cell.n, cell.t);
     let ctx = ProtocolContext::new(params, cell.seed);
     let gst = builder.config().gst;
     let engine = cell.protocol.engine;
@@ -369,7 +374,7 @@ fn execute_classify(cell: &ClassifyCell) -> ClassifyRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{ProtocolAxis, ScheduleSpec};
+    use crate::matrix::{ProtocolAxis, ScheduleSpec, ValiditySpec};
     use validity_adversary::BehaviorId;
     use validity_protocols::find_vector;
 

@@ -20,8 +20,9 @@
 //!    cell, a classifier-cost fit on a grid without classification cells,
 //!    an empty operator list, an empty or reversed `--seeds` range and a
 //!    zero `--max-steps` budget are errors that name the flag; and so are
-//!    a repeated flag and a flag sitting where another flag's value
-//!    belongs.
+//!    a repeated flag, a repeated operator, a flag sitting where another
+//!    flag's value belongs, and one file named for both reports. `lab
+//!    list` takes nothing but `--names`.
 //! 4. **A sweep fails on its own findings.** `lab run` writes both
 //!    reports and then exits 1 when they record a violation or an
 //!    out-of-band fit.
@@ -41,8 +42,8 @@ fn lab(args: &[&str]) -> Output {
 /// Runs `lab` in an empty directory of its own and counts the files the
 /// run left there.
 fn lab_in_empty_dir(args: &[&str]) -> (Output, usize) {
-    let dir =
-        std::env::temp_dir().join(format!("lab-cli-{}-{}", std::process::id(), args.join("_")));
+    let name = args.join("_").replace('/', "_");
+    let dir = std::env::temp_dir().join(format!("lab-cli-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = Process::new(env!("CARGO_BIN_EXE_lab"))
         .args(args)
@@ -312,6 +313,56 @@ fn an_empty_operator_list_is_refused() {
 }
 
 #[test]
+fn a_repeated_operator_is_refused_by_name() {
+    // Used to run "6 mutant(s)", writing every `alg*+shift-proposal` fate
+    // twice and two identical kill-matrix columns.
+    for ops in [
+        "shift-proposal,shift-proposal",
+        "shift-proposal,stale-echo,shift-proposal",
+    ] {
+        for tail in [&["--dry-run"][..], &[][..]] {
+            let mut args = vec!["mutate", "--operators", ops];
+            args.extend(tail);
+            let (out, written) = lab_in_empty_dir(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            assert_eq!(written, 0, "{args:?} wrote a report");
+            let err = stderr(&out);
+            assert!(
+                err.contains("--operators names 'shift-proposal' twice"),
+                "{args:?} must name the operator; got: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn lab_list_takes_nothing_but_names() {
+    // `lab list --nmaes` and `lab list bogus` used to print the whole
+    // listing and exit 0.
+    for args in [
+        &["list", "--nmaes"][..],
+        &["list", "bogus"],
+        &["list", "--names", "--names"],
+    ] {
+        let out = lab(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a listing");
+        let err = stderr(&out);
+        assert!(
+            err.contains("usage: lab list [--names]"),
+            "{args:?} must print the usage line; got: {err}"
+        );
+    }
+    let out = lab(&["list"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("mutation operators"),
+        "{}",
+        stdout(&out)
+    );
+}
+
+#[test]
 fn a_built_in_suite_refuses_the_custom_axis_flags_it_would_ignore() {
     let bare = lab(&["run", "--suite", "quick", "--dry-run"]);
     assert!(bare.status.success(), "{}", stderr(&bare));
@@ -462,4 +513,37 @@ fn a_flag_is_never_taken_as_another_flags_value() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn one_file_for_both_reports_is_refused_by_every_report_command() {
+    // `run --suite quick --json x --md x` used to exit 0, print "reports:
+    // x, x" and leave only the Markdown in `x`: the JSON report was lost.
+    let mut cases: Vec<Vec<&str>> = vec![
+        vec!["run", "--suite", "quick", "--json", "x", "--md", "x"],
+        vec!["run", "--suite", "quick", "--json", "x", "--md", "./x"],
+    ];
+    for prefix in [
+        &["run", "--suite", "quick"][..],
+        &["service"],
+        &["crosscheck"],
+        &["mutate"],
+    ] {
+        cases.push([prefix, &["--dry-run", "--json", "x", "--md", "x"]].concat());
+    }
+    for args in cases {
+        let (out, written) = lab_in_empty_dir(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(written, 0, "{args:?} wrote a report");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--json and --md both name 'x'"),
+            "{args:?} must name both flags; got: {err}"
+        );
+    }
+    // Two files side by side are two files.
+    let (out, written) =
+        lab_in_empty_dir(&["run", "--suite", "quick", "--json", "x", "--md", "./y"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(written, 2);
 }

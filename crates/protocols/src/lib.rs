@@ -22,10 +22,6 @@
 //! bound: any validity property satisfying the similarity condition `C_S`
 //! is solvable with `O(n²)` messages when Algorithm 1 is plugged in
 //! (Theorem 5).
-//!
-//! [`mutation`] is the odd one out: not a paper artifact but a harness
-//! over the registry — mutation operators that plant one small fault into
-//! each engine so the lab's differential oracle can prove it would notice.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +31,6 @@ pub mod brb;
 pub mod codec;
 pub mod dbft;
 pub mod dissemination;
-pub mod mutation;
 pub mod quad;
 pub mod registry;
 pub mod service;
@@ -50,7 +45,6 @@ pub use brb::{BrbInstance, BrbMsg};
 pub use codec::{bytes_to_words, Codec, Words, BYTES_PER_WORD};
 pub use dbft::{DbftBinary, DbftMsg};
 pub use dissemination::{vector_hash, Acquired, DissemMsg, VectorDissemination};
-pub use mutation::{mutant_registry, mutant_spec, Mutant, MutationOp};
 pub use quad::{
     PreparedCert, QuadConfig, QuadCore, QuadDecision, QuadMachine, QuadMsg, QuadSink, QuadVerify,
     Verify,

@@ -2,11 +2,11 @@
 //! ([`ProtocolSpec`]) over the interchangeable consensus engines.
 //!
 //! A [`ProtocolSpec`] is what a sweep harness needs to run a protocol it
-//! has never heard of: a stable name, its trust assumptions
-//! (authenticated or not), its asymptotic complexity band, and a
-//! type-erased machine factory — a plain function pointer from the shared
-//! substrate ([`ProtocolContext`], derived from `SystemParams` + a setup
-//! seed) and a `(process, input)` pair to a runnable [`Machine`]. The spec
+//! has never heard of: a stable name, its asymptotic complexity band, its
+//! `(n, t)` operating band, and a type-erased machine factory — a plain
+//! function pointer from the shared substrate ([`ProtocolContext`],
+//! derived from `SystemParams` + a setup seed) and a `(process, input)`
+//! pair to a runnable [`Machine`]. The spec
 //! is generic over the machine type a protocol *family* erases to, so new
 //! families (e.g. many-valued dynamics) register through the same record
 //! shape without touching existing callers.
@@ -141,17 +141,6 @@ impl Applicability {
     }
 }
 
-impl fmt::Display for Applicability {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.max_n, self.max_t) {
-            (None, None) => f.write_str("any (n, t)"),
-            (Some(n), None) => write!(f, "n ≤ {n}"),
-            (None, Some(t)) => write!(f, "t ≤ {t}"),
-            (Some(n), Some(t)) => write!(f, "n ≤ {n}, t ≤ {t}"),
-        }
-    }
-}
-
 /// A protocol registration record: everything a harness needs to select,
 /// describe, and instantiate a protocol by name at runtime.
 ///
@@ -161,26 +150,23 @@ impl fmt::Display for Applicability {
 /// ordering, hashing) is by registry name.
 pub struct ProtocolSpec<M, V = u64> {
     name: &'static str,
-    authenticated: bool,
     complexity: &'static str,
     applicability: Applicability,
     factory: fn(&ProtocolContext, ProcessId, V) -> M,
 }
 
 impl<M, V> ProtocolSpec<M, V> {
-    /// Registers a protocol: stable `name`, whether it relies on the PKI,
-    /// its complexity band, and its machine factory. The spec starts
+    /// Registers a protocol: stable `name`, its complexity band, and its
+    /// machine factory. The spec starts
     /// [`Applicability::UNBOUNDED`]; narrow it with
     /// [`with_applicability`](Self::with_applicability).
     pub const fn new(
         name: &'static str,
-        authenticated: bool,
         complexity: &'static str,
         factory: fn(&ProtocolContext, ProcessId, V) -> M,
     ) -> Self {
         ProtocolSpec {
             name,
-            authenticated,
             complexity,
             applicability: Applicability::UNBOUNDED,
             factory,
@@ -198,20 +184,9 @@ impl<M, V> ProtocolSpec<M, V> {
         self.name
     }
 
-    /// Whether the protocol relies on the PKI (signatures / threshold
-    /// signatures).
-    pub fn authenticated(&self) -> bool {
-        self.authenticated
-    }
-
     /// The paper's asymptotic cost band, for report headers.
     pub fn complexity(&self) -> &'static str {
         self.complexity
-    }
-
-    /// The `(n, t)` operating band the engine is registered for.
-    pub fn applicability(&self) -> Applicability {
-        self.applicability
     }
 
     /// Whether the engine is registered to run at system size `(n, t)`.
@@ -263,7 +238,6 @@ impl<M, V> fmt::Debug for ProtocolSpec<M, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProtocolSpec")
             .field("name", &self.name)
-            .field("authenticated", &self.authenticated)
             .field("complexity", &self.complexity)
             .finish()
     }
@@ -329,8 +303,8 @@ fn make_fast<V: Value + Codec + Words>(
 /// simulated latency grows exponentially in `t`; it is capped at `t ≤ 4`.
 pub fn vector_registry<V: Value + Codec + Words>() -> [VectorSpec<V>; 3] {
     [
-        ProtocolSpec::new("alg1-auth", true, "O(n²) msgs, O(n³) words", make_auth::<V>),
-        ProtocolSpec::new("alg3-nonauth", false, "O(n⁴) msgs", make_nonauth::<V>)
+        ProtocolSpec::new("alg1-auth", "O(n²) msgs, O(n³) words", make_auth::<V>),
+        ProtocolSpec::new("alg3-nonauth", "O(n⁴) msgs", make_nonauth::<V>)
             .with_applicability(Applicability::up_to_n(13)),
         // The latency is simulated: slow-broadcast waits ride the queue's far
         // tier, so wall clock does not pay for it. With the cap lifted, one
@@ -338,7 +312,7 @@ pub fn vector_registry<V: Value + Codec + Words>() -> [VectorSpec<V>; 3] {
         // 0.73 ms partial-sync at (16, 5) and 2.1 / 2.1 ms at (31, 10)
         // (medians of five). The cap stays because lifting it re-grades the
         // 18 (16, 5) crosscheck cells and changes their report bytes.
-        ProtocolSpec::new("alg6-fast", true, "O(n² log n) words", make_fast::<V>)
+        ProtocolSpec::new("alg6-fast", "O(n² log n) words", make_fast::<V>)
             .with_applicability(Applicability::up_to_t(4)),
     ]
 }
@@ -400,10 +374,6 @@ pub enum VectorMachine<V: Value> {
     ),
     /// Algorithm 6, with its reusable scratch sink.
     Fast(VectorFast<V>, StepSink<VectorFastMsg<V>, InputConfig<V>>),
-    /// A registered engine with a planted fault (see [`crate::mutation`]).
-    /// Boxed: mutants only exist in fault-injection runs, so clean runs
-    /// shouldn't pay for the wrapper's footprint in every variant.
-    Mutated(Box<crate::mutation::Mutant<V>>),
 }
 
 /// Drains a variant's scratch sink into the outer sink, wrapping messages.
@@ -437,7 +407,6 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
                 m.init(env, scratch);
                 wrap(scratch, |m| VectorMsg::Fast(Arc::new(m)), sink);
             }
-            VectorMachine::Mutated(m) => m.init(env, sink),
         }
     }
 
@@ -463,9 +432,6 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
                 m.on_message(from, x, env, scratch);
                 wrap(scratch, |m| VectorMsg::Fast(Arc::new(m)), sink);
             }
-            // A mutant speaks its base engine's message type; the wrapper
-            // itself does the (possibly faulty) variant filtering.
-            (VectorMachine::Mutated(m), _) => m.on_message(from, msg, env, sink),
             _ => {}
         }
     }
@@ -484,7 +450,6 @@ impl<V: Value + Codec + Words> Machine for VectorMachine<V> {
                 m.on_timer(tag, env, scratch);
                 wrap(scratch, |m| VectorMsg::Fast(Arc::new(m)), sink);
             }
-            VectorMachine::Mutated(m) => m.on_timer(tag, env, sink),
         }
     }
 }
@@ -505,18 +470,11 @@ mod tests {
 
     #[test]
     fn registry_lists_the_three_algorithms_in_presentation_order() {
-        let listed: Vec<(&str, bool)> = vector_registry::<u64>()
+        let listed: Vec<&str> = vector_registry::<u64>()
             .iter()
-            .map(|spec| (spec.name(), spec.authenticated()))
+            .map(|spec| spec.name())
             .collect();
-        assert_eq!(
-            listed,
-            [
-                ("alg1-auth", true),
-                ("alg3-nonauth", false),
-                ("alg6-fast", true)
-            ]
-        );
+        assert_eq!(listed, ["alg1-auth", "alg3-nonauth", "alg6-fast"]);
         for spec in vector_registry::<u64>() {
             assert!(!spec.complexity().is_empty(), "{spec} has no cost band");
         }
@@ -528,9 +486,9 @@ mod tests {
         let nonauth = find_vector::<u64>("alg3-nonauth").unwrap();
         let fast = find_vector::<u64>("alg6-fast").unwrap();
 
-        assert_eq!(auth.applicability(), Applicability::UNBOUNDED);
-        assert_eq!(nonauth.applicability(), Applicability::up_to_n(13));
-        assert_eq!(fast.applicability(), Applicability::up_to_t(4));
+        assert_eq!(auth.applicability, Applicability::UNBOUNDED);
+        assert_eq!(nonauth.applicability, Applicability::up_to_n(13));
+        assert_eq!(fast.applicability, Applicability::up_to_t(4));
 
         // Every engine covers the small suites…
         for spec in vector_registry::<u64>() {
@@ -546,10 +504,6 @@ mod tests {
         // unbounded engine.
         assert!(!auth.applicable_to(3, 3));
         assert!(!auth.applicable_to(4, 0));
-
-        assert_eq!(Applicability::UNBOUNDED.to_string(), "any (n, t)");
-        assert_eq!(Applicability::up_to_n(13).to_string(), "n ≤ 13");
-        assert_eq!(Applicability::up_to_t(4).to_string(), "t ≤ 4");
     }
 
     #[test]
