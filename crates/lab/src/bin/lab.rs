@@ -36,7 +36,6 @@ use validity_lab::{
     SweepEngine, ValiditySpec, REPORT_SCHEMA,
 };
 use validity_protocols::vector_registry;
-use validity_simnet::Timeline;
 
 /// What a subcommand hands back: its exit code, or a one-line diagnostic
 /// `main` prints before exiting with failure.
@@ -277,15 +276,26 @@ fn write_reports(json_path: &str, json: &str, md_path: &str, markdown: &str) -> 
     Ok(())
 }
 
-/// Exports a timeline as `BASE.jsonl` plus `BASE.trace.json` (Chrome
-/// `chrome://tracing` / Perfetto format).
-fn write_timeline(timeline: &Timeline, base: &str, label: &str) -> Result<(), String> {
-    let jsonl_path = format!("{base}.jsonl");
-    let trace_path = format!("{base}.trace.json");
-    write_file(&jsonl_path, &timeline.to_jsonl())?;
-    write_file(&trace_path, &timeline.to_chrome_trace())?;
-    eprintln!("timeline ({label}): {jsonl_path}, {trace_path}");
-    Ok(())
+/// The side artifacts `run --observe` writes beside the `--json` report
+/// `<base>.json`: `<base>.observe.json`, plus the hottest cell's timeline
+/// as `<base>.timeline.jsonl` and `<base>.timeline.trace.json` (Chrome
+/// `chrome://tracing` / Perfetto format). Refused when one of them is the
+/// `--md` file, however it is spelt: the Markdown would overwrite it.
+fn observe_paths(json: &str, md: &str) -> Result<[String; 3], String> {
+    let base = json.strip_suffix(".json").unwrap_or(json);
+    let paths = ["observe.json", "timeline.jsonl", "timeline.trace.json"]
+        .map(|ext| format!("{base}.{ext}"));
+    let md_file = resolved(md);
+    match paths
+        .iter()
+        .find(|p| *p == md || md_file.is_some() && resolved(p) == md_file)
+    {
+        Some(clash) => Err(format!(
+            "--md names '{md}', which --observe writes as '{clash}' (from --json '{json}'): \
+             one file cannot hold both"
+        )),
+        None => Ok(paths),
+    }
 }
 
 fn build_suite(name: &str) -> Result<ScenarioMatrix, String> {
@@ -416,6 +426,10 @@ fn run(rest: &[&str]) -> CmdResult {
     };
     tune_grid(&args, &mut matrix)?;
     let (json_path, md_path) = args.report_paths(&matrix.name)?;
+    let observing = args.has("--observe");
+    let side_paths = observing
+        .then(|| observe_paths(&json_path, &md_path))
+        .transpose()?;
     if args.has("--dry-run") {
         println!(
             "{}: {} cells ({} fit measure(s), max_steps {})",
@@ -428,7 +442,6 @@ fn run(rest: &[&str]) -> CmdResult {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    let observing = args.has("--observe");
     let engine = SweepEngine::new(threads).observe(observing);
     eprintln!(
         "sweep '{}': {} cells on {} worker thread(s)...",
@@ -450,19 +463,19 @@ fn run(rest: &[&str]) -> CmdResult {
     // even deterministic observe metrics must never leak into canonical
     // artifacts (their fingerprints cannot depend on instrumentation).
     let mut markdown = report.to_markdown();
-    if observing {
+    if let Some([observe_path, jsonl_path, trace_path]) = side_paths {
         markdown.push('\n');
         markdown.push_str(&observe_markdown(&observed));
         // Side artifacts: the full-histogram JSON, plus a timeline export
         // of the hottest observed cell (deterministic choice — events are
         // seeded, so reruns pick the same cell).
-        let base = json_path.strip_suffix(".json").unwrap_or(&json_path);
-        let observe_path = format!("{base}.observe.json");
         write_file(&observe_path, &observe_json(&matrix.name, &observed))?;
         eprintln!("observe artifact: {observe_path}");
         if let Some(hot) = hottest_by_events(&observed) {
             if let Some(timeline) = timeline_for(&matrix, &hot.label) {
-                write_timeline(&timeline, &format!("{base}.timeline"), &hot.label)?;
+                write_file(&jsonl_path, &timeline.to_jsonl())?;
+                write_file(&trace_path, &timeline.to_chrome_trace())?;
+                eprintln!("timeline ({}): {jsonl_path}, {trace_path}", hot.label);
             }
         }
     }

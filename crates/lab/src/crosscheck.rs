@@ -49,7 +49,7 @@ use crate::json::{Fields, Json};
 use crate::matrix::{ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
-use crate::runner::{builder_for, run_universal, RunRecord, Verdict, ViolationKind};
+use crate::runner::{lens, simulate, RunRecord, Verdict, ViolationKind};
 
 /// Schema tag of the crosscheck report artifact.
 pub const CROSSCHECK_SCHEMA: &str = "validity-lab/crosscheck@1";
@@ -217,9 +217,10 @@ impl CrosscheckMatrix {
         })
     }
 
-    /// One engine column: runs the machines `make` builds,
-    /// `Universal`-wrapped, on `cell` under the step budget. `None` when the
-    /// cell's `(n, t)` is outside `engine`'s registered band.
+    /// One engine column: runs the machines `make` builds on `cell` under
+    /// the step budget and reads the execution as the cell's `Universal`
+    /// record (the runner's one lens). `None` when the cell's `(n, t)` is
+    /// outside `engine`'s registered band.
     pub fn run_engine<M>(
         &self,
         cell: &RunCell,
@@ -230,8 +231,10 @@ impl CrosscheckMatrix {
         M: Machine<Output = InputConfig<u64>> + 'static,
     {
         engine.applicable_to(cell.n, cell.t).then(|| {
-            let builder = builder_for(cell, self.scenarios.max_steps);
-            run_universal(cell, builder, NoProbe, make).0
+            lens(
+                cell,
+                &simulate(cell, self.scenarios.max_steps, |_| NoProbe, make).0,
+            )
         })
     }
 }

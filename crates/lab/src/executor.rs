@@ -11,15 +11,16 @@
 //! [`SweepEngine::execute_cells`] hands it back for the benchmark, and it
 //! never enters a lab report.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::{Duration, Instant};
 
-use validity_simnet::Metrics;
+use validity_simnet::{Metrics, NoProbe, Probe, Time};
 
-use crate::matrix::{CellSpec, ScenarioMatrix};
+use crate::matrix::{CellSpec, Inputs, ProtocolAxis, RunCell, ScenarioMatrix};
 use crate::observe::CellObservation;
 use crate::pool;
 use crate::report::SweepReport;
-use crate::runner::{execute_with_budget, run_cell, CellRecord, Outcome};
+use crate::runner::{execute_with_budget, record, simulate_engine, CellRecord, Outcome};
 
 /// The sweep engine: a worker-pool width plus an observe switch.
 #[derive(Clone, Copy, Debug)]
@@ -86,6 +87,14 @@ impl SweepEngine {
     /// back quarantined. Observations are deterministic but still
     /// non-canonical: they feed the `--observe` section and artifacts,
     /// never the report, and classification cells contribute none.
+    ///
+    /// Run cells that differ only in their `Λ` — same engine,
+    /// [`RunCell::inputs`], adversary, Byzantine count, schedule, system
+    /// and seed — share one execution, simulated once: each member reads
+    /// its record from that run, and an observing engine gives every
+    /// member the run's metrics. The shared
+    /// simulation's wall clock is charged to the unit's first member;
+    /// every other member is charged only for reading its record.
     pub fn execute_cells(
         &self,
         cells: &[CellSpec],
@@ -97,23 +106,43 @@ impl SweepEngine {
         Vec<CellObservation>,
     ) {
         let started = Instant::now();
-        let results = pool::ordered_map(self.threads, cells.len(), |i| {
-            match (&cells[i], self.observe) {
-                (CellSpec::Run(c), true) => {
-                    let (record, m) = run_cell(c, max_steps, Metrics::new);
-                    (record, Some(m))
+        let units = execution_units(cells);
+        let results = pool::ordered_map(self.threads, units.len(), |u| {
+            let members = &units[u];
+            match (&cells[members[0]], self.observe) {
+                (CellSpec::Classify(_), _) => {
+                    let started = Instant::now();
+                    let record = execute_with_budget(&cells[members[0]], max_steps);
+                    (vec![(record, started.elapsed())], None)
                 }
-                (cell, _) => (execute_with_budget(cell, max_steps), None),
+                (_, true) => {
+                    let (records, metrics) = run_unit(cells, members, max_steps, Metrics::new);
+                    (records, Some(Box::new(metrics)))
+                }
+                (_, false) => (run_unit(cells, members, max_steps, |_| NoProbe).0, None),
             }
         });
+        let mut unit_of = vec![0; cells.len()];
+        for (u, members) in units.iter().enumerate() {
+            for &i in members {
+                unit_of[i] = u;
+            }
+        }
+        let mut outs: Vec<_> = results
+            .map(|((records, metrics), _)| (records.into_iter(), metrics))
+            .collect();
         let mut records = Vec::with_capacity(cells.len());
         let mut timings = Vec::with_capacity(cells.len());
         let mut observed = Vec::new();
-        for ((record, metrics), wall) in results {
+        // A unit's members ascend, so walking the cells in order takes
+        // each unit's records in order.
+        for u in unit_of {
+            let (unit, metrics) = &mut outs[u];
+            let (record, wall) = unit.next().expect("one record per member");
             if let (Some(metrics), Outcome::Run(r)) = (metrics, &record.outcome) {
                 observed.push(CellObservation {
                     label: record.key.clone(),
-                    metrics,
+                    metrics: Metrics::clone(metrics),
                     equivocations: r.stats.equivocations,
                     omissions: r.stats.omissions,
                 });
@@ -138,10 +167,73 @@ impl SweepEngine {
     }
 }
 
+/// What one simulation of `c` depends on: its input family, and the cell
+/// itself as a raw column of its engine — everything but the `Λ` a
+/// `Universal` cell applies after its vector engine decides (the fault
+/// load only names fit groups; `byz` is what runs).
+fn execution_key(c: &RunCell) -> (Inputs, RunCell) {
+    let raw = RunCell {
+        protocol: ProtocolAxis::raw(c.protocol.engine),
+        validity: None,
+        fault: 0,
+        ..*c
+    };
+    (c.inputs(), raw)
+}
+
+/// Partitions `cells` into execution units, each a list of cell indices
+/// in matrix order: run cells with equal [`execution_key`]s share one unit,
+/// and every classification cell is a unit of its own. Units come in the
+/// order of their first members.
+fn execution_units(cells: &[CellSpec]) -> Vec<Vec<usize>> {
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut index: HashMap<(Inputs, RunCell), usize> = HashMap::new();
+    for (i, cell) in cells.iter().enumerate() {
+        match cell {
+            CellSpec::Run(c) => match index.entry(execution_key(c)) {
+                Entry::Occupied(unit) => units[*unit.get()].push(i),
+                Entry::Vacant(slot) => {
+                    slot.insert(units.len());
+                    units.push(vec![i]);
+                }
+            },
+            CellSpec::Classify(_) => units.push(vec![i]),
+        }
+    }
+    units
+}
+
+/// Simulates the execution the run cells `members` share once, with
+/// `probe` attached, and returns each member's record and wall clock (the
+/// first member's includes the simulation), and the probe.
+fn run_unit<P: Probe>(
+    cells: &[CellSpec],
+    members: &[usize],
+    max_steps: Option<u64>,
+    probe: impl FnOnce(Time) -> P,
+) -> (Vec<(CellRecord, Duration)>, P) {
+    let run_cell = |i: usize| match &cells[i] {
+        CellSpec::Run(c) => c,
+        CellSpec::Classify(_) => unreachable!("classification cells are units of their own"),
+    };
+    let mut started = Instant::now();
+    let (run, probe) = simulate_engine(run_cell(members[0]), max_steps, probe);
+    let records = members
+        .iter()
+        .map(|&i| {
+            let record = record(run_cell(i), &run);
+            let wall = started.elapsed();
+            started = Instant::now();
+            (record, wall)
+        })
+        .collect();
+    (records, probe)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{ProtocolAxis, ScheduleSpec, ValiditySpec};
+    use crate::matrix::{ScheduleSpec, ValiditySpec};
     use validity_adversary::BehaviorId;
     use validity_protocols::find_vector;
 
@@ -155,6 +247,83 @@ mod tests {
         m.systems = vec![(4, 1)];
         m.seeds = 0..3;
         m
+    }
+
+    /// A raw column and three `Universal` columns over one engine: the
+    /// two decimal properties share the raw column's executions, and
+    /// correct-proposal (binary inputs) runs its own.
+    fn shared_matrix() -> ScenarioMatrix {
+        let engine = find_vector("alg1-auth").unwrap();
+        let mut m = matrix();
+        m.protocols = vec![ProtocolAxis::raw(engine), ProtocolAxis::wrapped(engine)];
+        m.validities = vec![
+            ValiditySpec::Strong,
+            ValiditySpec::Median,
+            ValiditySpec::CorrectProposal,
+        ];
+        m.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
+        m.faults = vec![0, 1];
+        m.seeds = 0..2;
+        m.classifications = vec![crate::matrix::ClassifyCell {
+            validity: ValiditySpec::Strong,
+            n: 4,
+            t: 1,
+            domain: 2,
+        }];
+        m
+    }
+
+    #[test]
+    fn execution_units_share_runs_across_decimal_lambdas_only() {
+        let cells = shared_matrix().cells();
+        let units = execution_units(&cells);
+        // Per (behaviour, fault, schedule, seed): one unit for raw +
+        // strong + median, one for correct-proposal; plus the classifier.
+        let run_cells = cells.len() - 1;
+        assert_eq!(units.len(), 1 + run_cells / 4 * 2);
+        for members in &units {
+            let kinds: Vec<Inputs> = members
+                .iter()
+                .filter_map(|&i| match &cells[i] {
+                    CellSpec::Run(c) => Some(c.inputs()),
+                    CellSpec::Classify(_) => None,
+                })
+                .collect();
+            assert!(kinds.windows(2).all(|w| w[0] == w[1]), "{members:?}");
+            assert!(members.windows(2).all(|w| w[0] < w[1]));
+            assert!(matches!(members.len(), 1 | 3), "{members:?}");
+        }
+    }
+
+    #[test]
+    fn shared_executions_equal_cell_by_cell_execution() {
+        let m = shared_matrix();
+        let cells = m.cells();
+        let alone: Vec<CellRecord> = cells
+            .iter()
+            .map(|c| execute_with_budget(c, m.max_steps))
+            .collect();
+        for threads in [1, 2] {
+            let engine = SweepEngine::new(threads).observe(true);
+            let (records, _, timings, observed) = engine.execute_cells(&cells, m.max_steps);
+            assert_eq!(records, alone, "threads = {threads}");
+            let labels: Vec<String> = timings.iter().map(|t| t.label.clone()).collect();
+            let keys: Vec<String> = cells.iter().map(CellSpec::key).collect();
+            assert_eq!(labels, keys, "one timing per cell, in matrix order");
+            // Each observation equals the cell's own observed run.
+            let runs = cells.iter().filter(|c| matches!(c, CellSpec::Run(_)));
+            assert_eq!(observed.len(), runs.clone().count());
+            for (cell, obs) in runs.zip(&observed) {
+                let (_, _, _, own) = engine.execute_cells(std::slice::from_ref(cell), m.max_steps);
+                assert_eq!(own.len(), 1);
+                assert_eq!(obs.label, own[0].label);
+                assert_eq!(obs.metrics, own[0].metrics, "{}", obs.label);
+                assert_eq!(
+                    (obs.equivocations, obs.omissions),
+                    (own[0].equivocations, own[0].omissions)
+                );
+            }
+        }
     }
 
     #[test]

@@ -100,8 +100,8 @@ pub use crosscheck::{
 pub use executor::{CellTiming, SweepEngine};
 pub use fit::{try_fit_exponent, PowerFit};
 pub use matrix::{
-    CellSpec, ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, RunCell, ScenarioMatrix,
-    ScheduleSpec, ValiditySpec,
+    CellSpec, ClassifyCell, FitAxis, FitBand, FitMeasure, Inputs, ProtocolAxis, RunCell,
+    ScenarioMatrix, ScheduleSpec, ValiditySpec,
 };
 pub use mutate::{
     run_mutate, Fate, Mutant, MutantFate, MutateMatrix, MutateReport, MutationOp, MUTATE_SCHEMA,

@@ -130,22 +130,57 @@ impl ValiditySpec {
         )
     }
 
+    /// The input family runs of this property propose from.
+    pub fn inputs(self) -> Inputs {
+        if self.binary_inputs() {
+            Inputs::Binary
+        } else {
+            Inputs::Decimal
+        }
+    }
+
     /// The proposal of process `i` in an `n`-process run of this property.
     pub fn input_for(self, i: usize) -> u64 {
-        if self.binary_inputs() {
-            (i % 2) as u64
-        } else {
-            (i as u64) * 10
-        }
+        self.inputs().proposal(i)
     }
 
     /// A different but still domain-valid proposal (the second face of the
     /// two-faced adversary).
     pub fn alt_input_for(self, i: usize) -> u64 {
-        if self.binary_inputs() {
-            ((i + 1) % 2) as u64
-        } else {
-            (i as u64) * 10 + 5
+        self.inputs().alternate(i)
+    }
+}
+
+/// An input family: what process `i` of a run proposes, and what the
+/// second face of a two-faced Byzantine slot `i` proposes instead. Two
+/// cells of one engine, adversary, schedule, system and seed that share a
+/// family are one execution: `Universal` applies its `Λ` only after the
+/// vector engine decides.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Inputs {
+    /// Process `i` proposes `10·i`, its alternate face `10·i + 5`: raw
+    /// vector cells and every property over a decimal domain.
+    Decimal,
+    /// Process `i` proposes `i mod 2`, its alternate face the other bit:
+    /// the binary-input properties ([`ValiditySpec::binary_inputs`]).
+    Binary,
+}
+
+impl Inputs {
+    /// Process `i`'s proposal.
+    pub fn proposal(self, i: usize) -> u64 {
+        match self {
+            Inputs::Decimal => (i as u64) * 10,
+            Inputs::Binary => (i % 2) as u64,
+        }
+    }
+
+    /// Slot `i`'s second-face proposal: different from
+    /// [`Inputs::proposal`], still in the family's domain.
+    pub fn alternate(self, i: usize) -> u64 {
+        match self {
+            Inputs::Decimal => (i as u64) * 10 + 5,
+            Inputs::Binary => ((i + 1) % 2) as u64,
         }
     }
 }
@@ -586,7 +621,7 @@ impl ClassifyCell {
 
 /// One simulation cell, fully determined by its fields (plus the engine's
 /// deterministic substrate derivation).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RunCell {
     /// Protocol engine + mode.
     pub protocol: ProtocolAxis,
@@ -664,6 +699,16 @@ impl RunCell {
     /// The same cell at a different seed.
     pub fn with_seed(&self, seed: u64) -> RunCell {
         RunCell { seed, ..*self }
+    }
+
+    /// The input family the cell's processes propose from: the
+    /// property's own for a `Universal` cell, [`Inputs::Decimal`] for a
+    /// raw vector cell.
+    pub fn inputs(&self) -> Inputs {
+        match self.validity {
+            Some(v) if self.protocol.universal => v.inputs(),
+            _ => Inputs::Decimal,
+        }
     }
 }
 

@@ -685,8 +685,8 @@ mod tests {
         assert_eq!(unique.len(), names.len(), "duplicate mutant names");
     }
 
-    /// Runs 4 correct nodes built by `make` and returns (all decided,
-    /// agreement, decision debug strings).
+    /// Runs 4 correct nodes built by `make` under the mutate suite's step
+    /// budget and returns (all decided, agreement, decision debug strings).
     fn run_nodes<M>(
         make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
         seed: u64,
@@ -699,9 +699,10 @@ mod tests {
         let nodes: Vec<NodeKind<M>> = (0..4)
             .map(|i| NodeKind::Correct(make(&ctx, ProcessId::from_index(i), i as u64 % 2)))
             .collect();
+        let budget = MutateMatrix::suite().grid.scenarios.max_steps;
         let mut sim = SimBuilder::new(params)
             .seed(seed)
-            .max_events(500_000)
+            .max_events(budget.expect("the mutate suite runs under a step budget"))
             .build(nodes)
             .expect("valid configuration");
         sim.run_until_decided();

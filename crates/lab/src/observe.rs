@@ -19,11 +19,13 @@
 //! canonical report, whose fingerprints must not depend on whether a run
 //! was observed.
 
+use validity_core::SystemParams;
+use validity_protocols::{ProtocolContext, Universal};
 use validity_simnet::{Hist, Metrics, Timeline};
 
 use crate::matrix::ScenarioMatrix;
 use crate::report::json_str;
-use crate::runner::run_cell;
+use crate::runner::{simulate, simulate_engine};
 
 /// The `--observe` artifact schema tag.
 pub const OBSERVE_SCHEMA: &str = "validity-lab/observe@1";
@@ -171,11 +173,28 @@ pub fn observe_json(suite: &str, observed: &[CellObservation]) -> String {
 
 /// Re-runs the labeled run cell with a [`Timeline`] probe and returns the
 /// recorded timeline. Deterministic: the replay is the same seeded
-/// execution the sweep ran. Returns `None` for classification cells and
-/// unknown labels.
+/// execution the sweep ran. A `Universal` cell replays Algorithm 2
+/// itself, so its decide entries show the values `Λ` chose rather than
+/// the vectors. Returns `None` for classification cells and unknown
+/// labels.
 pub fn timeline_for(matrix: &ScenarioMatrix, label: &str) -> Option<Timeline> {
     let cell = matrix.run_cells().find(|c| c.key() == label)?;
-    Some(run_cell(&cell, matrix.max_steps, |_| Timeline::new()).1)
+    let timeline = |_| Timeline::new();
+    Some(match cell.validity.filter(|_| cell.protocol.universal) {
+        Some(validity) => {
+            let engine = cell.protocol.engine;
+            let params =
+                SystemParams::new(cell.n, cell.t).expect("matrix enumerated a valid (n, t)");
+            let universal = |ctx: &ProtocolContext, p, input| {
+                let lambda = validity
+                    .lambda(params)
+                    .expect("matrix only pairs Universal with Λ-bearing properties");
+                Universal::new(engine.machine(ctx, p, input), lambda)
+            };
+            simulate(&cell, matrix.max_steps, timeline, universal).1
+        }
+        None => simulate_engine(&cell, matrix.max_steps, timeline).1,
+    })
 }
 
 /// The hottest observed cell by simulator events — deterministic (events

@@ -1,5 +1,12 @@
-//! Executes a single scenario cell: builds the nodes, runs the simulator
-//! (or the classifier), and condenses the outcome into a [`CellRecord`].
+//! Executes scenario cells: runs the classifier, or simulates a cell's
+//! vector-consensus engine once and reads the execution through the
+//! cell's lens, condensing the outcome into a [`CellRecord`].
+//!
+//! A run cell's record is a lens over one execution: a raw cell checks
+//! Vector Validity on the decided vectors, and a `Universal` cell applies
+//! its `Λ` to them (Algorithm 2 decides `Λ(vec)` once the vector engine
+//! decides `vec`, and nothing the run sends depends on `Λ`). So cells
+//! that differ only in their `Λ` read one execution.
 //!
 //! Everything here is a pure function of the cell — no globals, no clocks,
 //! no thread-local state — which is what lets the executor fan cells out
@@ -9,10 +16,8 @@ use validity_core::{
     classify_with_cost, Classification, Domain, InputConfig, ProcessId, SystemParams,
     UnsolvableReason,
 };
-use validity_protocols::{ProtocolContext, Universal};
-use validity_simnet::{
-    agreement_holds, Machine, NetStats, NoProbe, Probe, RunOutcome, SimBuilder, Simulation, Time,
-};
+use validity_protocols::ProtocolContext;
+use validity_simnet::{agreement_holds, Machine, NetStats, NoProbe, Probe, RunOutcome, Time};
 
 use crate::matrix::{CellSpec, ClassifyCell, RunCell};
 
@@ -180,7 +185,7 @@ pub fn execute(cell: &CellSpec) -> CellRecord {
 /// that processes more than `max_steps` simulator events.
 pub fn execute_with_budget(cell: &CellSpec, max_steps: Option<u64>) -> CellRecord {
     match cell {
-        CellSpec::Run(c) => run_cell(c, max_steps, |_| NoProbe).0,
+        CellSpec::Run(c) => record(c, &simulate_engine(c, max_steps, |_| NoProbe).0),
         CellSpec::Classify(c) => CellRecord {
             key: c.key(),
             group: c.key(),
@@ -193,62 +198,163 @@ fn params_of(n: usize, t: usize) -> SystemParams {
     SystemParams::new(n, t).expect("matrix enumerated an invalid (n, t)")
 }
 
-/// Executes one run cell under `max_steps` with the instrumentation probe
+/// One simulated execution of a cell's vector engine: everything a
+/// [`lens`] reads. Nothing in it depends on the `Λ` a `Universal` cell
+/// applies, so every cell with the same engine, inputs, adversary,
+/// Byzantine count, schedule, system and seed reads the same execution.
+pub(crate) struct Execution<O = InputConfig<u64>> {
+    /// Each process's first output and when it came (`None` for an
+    /// undecided or Byzantine slot).
+    decisions: Vec<Option<(Time, O)>>,
+    /// Whether every correct process decided.
+    decided: bool,
+    /// Why the simulator stopped.
+    outcome: RunOutcome,
+    /// Simulator events processed.
+    events: u64,
+    /// The run's simulator counters.
+    stats: NetStats,
+}
+
+/// Simulates `cell` under `max_steps` with the instrumentation probe
 /// `probe(δ)` attached (`δ` the cell's round width, which a
-/// [`validity_simnet::Metrics`] probe buckets by), returning the probe
-/// alongside the record. The record is byte-identical to the unprobed
-/// one — probes observe, never perturb — which is what keeps `--observe`
-/// runs on the canonical fingerprints.
-pub(crate) fn run_cell<P: Probe>(
+/// [`validity_simnet::Metrics`] probe buckets by), building every machine
+/// — each correct node's and each Byzantine face's — with `make` from the
+/// cell's [`RunCell::inputs`]. The sweep passes the cell's registry
+/// engine; `lab mutate` passes a mutant of it. Probes observe, never
+/// perturb, which is what keeps `--observe` runs on the canonical
+/// fingerprints.
+pub(crate) fn simulate<M, P>(
     cell: &RunCell,
     max_steps: Option<u64>,
     probe: impl FnOnce(Time) -> P,
-) -> (CellRecord, P) {
-    let builder = builder_for(cell, max_steps);
-    let probe = probe(builder.config().delta);
-    let (record, probe) = if cell.protocol.universal {
-        let engine = cell.protocol.engine;
-        run_universal(cell, builder, probe, |ctx, p, input| {
-            engine.machine(ctx, p, input)
-        })
-    } else {
-        run_raw(cell, builder, probe)
-    };
-    (
-        CellRecord {
-            key: cell.key(),
-            group: cell.group_key(),
-            outcome: Outcome::Run(record),
-        },
-        probe,
-    )
-}
-
-/// The actual input configuration: correct processes only.
-fn actual_config(
-    params: SystemParams,
-    byz: usize,
-    input_of: impl Fn(usize) -> u64,
-) -> InputConfig<u64> {
-    InputConfig::from_pairs(params, (0..params.n() - byz).map(|i| (i, input_of(i))))
-        .expect("n − byz ≥ n − t pairs are always a valid configuration")
-}
-
-fn collect<M: Machine, P: Probe>(
-    sim: &mut Simulation<M, P>,
-    check: impl Fn(&M::Output) -> bool,
-) -> RunRecord
+    make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
+) -> (Execution<M::Output>, P)
 where
-    M::Output: std::fmt::Debug + PartialEq,
+    M: Machine + 'static,
+    P: Probe,
 {
+    let params = params_of(cell.n, cell.t);
+    let mut builder = cell.schedule.builder(params, cell.seed);
+    if let Some(budget) = max_steps {
+        builder = builder.max_events(budget);
+    }
+    let probe = probe(builder.config().delta);
+    let gst = builder.config().gst;
+    let ctx = ProtocolContext::new(params, cell.seed);
+    let inputs = cell.inputs();
+    let mk = |p: ProcessId, face: u64| {
+        let i = p.index();
+        let input = if face == 0 {
+            inputs.proposal(i)
+        } else {
+            inputs.alternate(i)
+        };
+        make(&ctx, p, input)
+    };
+    let nodes = cell.behavior.populate(params, cell.byz, gst, &mk);
+    let mut sim = builder
+        .build_with_probe(nodes, probe)
+        .expect("matrix-derived configurations always validate");
     let outcome = sim.run_until_decided();
-    let quarantined = matches!(outcome, RunOutcome::EventLimit | RunOutcome::TimeLimit);
-    let stats = sim.stats();
-    let decided = sim.all_correct_decided();
-    let decisions = sim.decisions();
-    let outputs: Vec<&M::Output> = decisions.iter().flatten().map(|(_, o)| o).collect();
+    let run = Execution {
+        decisions: sim.decisions().to_vec(),
+        decided: sim.all_correct_decided(),
+        outcome,
+        events: sim.events_processed(),
+        stats: sim.stats().clone(),
+    };
+    (run, sim.into_probe())
+}
+
+/// [`simulate`] with the cell's registry engine.
+pub(crate) fn simulate_engine<P: Probe>(
+    cell: &RunCell,
+    max_steps: Option<u64>,
+    probe: impl FnOnce(Time) -> P,
+) -> (Execution, P) {
+    let engine = cell.protocol.engine;
+    simulate(cell, max_steps, probe, |ctx, p, input| {
+        engine.machine(ctx, p, input)
+    })
+}
+
+/// `cell`'s record of `run`, tagged with the cell's keys.
+pub(crate) fn record(cell: &RunCell, run: &Execution) -> CellRecord {
+    CellRecord {
+        key: cell.key(),
+        group: cell.group_key(),
+        outcome: Outcome::Run(lens(cell, run)),
+    }
+}
+
+/// Reads a vector-consensus execution as `cell` grades it.
+///
+/// A raw cell checks Vector Validity on the decided vectors. A
+/// `Universal` cell is Algorithm 2: each correct process decides
+/// `Λ(vec)` for its decided vector `vec`, and Agreement, admissibility
+/// (against the correct processes' actual inputs) and the reported
+/// decision are read over those values. Latency, message and word
+/// counts, events and the quarantine flag are the execution's own.
+pub(crate) fn lens(cell: &RunCell, run: &Execution) -> RunRecord {
+    let params = params_of(cell.n, cell.t);
+    let inputs = cell.inputs();
+    if !cell.protocol.universal {
+        // Vector Validity: the decided vector has ≥ n − t entries and every
+        // entry attributed to a *correct* process carries its real proposal.
+        let quorum = params.quorum();
+        let correct_bound = params.n() - cell.byz;
+        return grade(run, &run.decisions, |vector: &InputConfig<u64>| {
+            vector.pi().len() >= quorum
+                && vector
+                    .pairs()
+                    .all(|(p, v)| p.index() >= correct_bound || *v == inputs.proposal(p.index()))
+        });
+    }
+    let validity = cell
+        .validity
+        .expect("universal cells always carry a validity");
+    let lambda = validity
+        .lambda(params)
+        .expect("matrix only pairs Universal with Λ-bearing properties");
+    let decisions: Vec<Option<(Time, u64)>> = run
+        .decisions
+        .iter()
+        .map(|d| {
+            d.as_ref().map(|(at, vector)| {
+                let value = lambda.lambda(vector).unwrap_or_else(|e| {
+                    panic!(
+                        "{} undefined at decided vector ({e}); the validity \
+                         property violates C_S",
+                        lambda.name()
+                    )
+                });
+                (*at, value)
+            })
+        })
+        .collect();
+    let property = validity.property(params.t());
+    let actual = InputConfig::from_pairs(
+        params,
+        (0..params.n() - cell.byz).map(|i| (i, inputs.proposal(i))),
+    )
+    .expect("n − byz ≥ n − t pairs are always a valid configuration");
+    grade(run, &decisions, |v: &u64| {
+        property.is_admissible(&actual, v)
+    })
+}
+
+/// The record of `run` whose correct processes decided `decisions`, each
+/// decision checked by `check`.
+fn grade<O: std::fmt::Debug + PartialEq>(
+    run: &Execution,
+    decisions: &[Option<(Time, O)>],
+    check: impl Fn(&O) -> bool,
+) -> RunRecord {
+    let stats = &run.stats;
+    let outputs: Vec<&O> = decisions.iter().flatten().map(|(_, o)| o).collect();
     RunRecord {
-        decided,
+        decided: run.decided,
         agreement: agreement_holds(decisions),
         validity_ok: if outputs.is_empty() {
             None
@@ -264,85 +370,10 @@ where
             .first()
             .map(|o| format!("{o:?}"))
             .unwrap_or_else(|| "⊥".to_string()),
-        quarantined,
-        events: sim.events_processed(),
+        quarantined: matches!(run.outcome, RunOutcome::EventLimit | RunOutcome::TimeLimit),
+        events: run.events,
         stats: stats.clone(),
     }
-}
-
-/// The cell's simulator builder under the per-cell step budget.
-pub(crate) fn builder_for(cell: &RunCell, max_steps: Option<u64>) -> SimBuilder {
-    let builder = cell.schedule.builder(params_of(cell.n, cell.t), cell.seed);
-    match max_steps {
-        Some(budget) => builder.max_events(budget),
-        None => builder,
-    }
-}
-
-/// Runs `cell` under `Universal`, building every vector-consensus engine —
-/// each correct node's and each Byzantine face's — with `make`. The sweep
-/// passes the cell's registry engine; `lab mutate` passes a mutant of it.
-pub(crate) fn run_universal<M, P>(
-    cell: &RunCell,
-    builder: SimBuilder,
-    probe: P,
-    make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
-) -> (RunRecord, P)
-where
-    M: Machine<Output = InputConfig<u64>> + 'static,
-    P: Probe,
-{
-    let params = params_of(cell.n, cell.t);
-    let validity = cell
-        .validity
-        .expect("universal cells always carry a validity");
-    let property = validity.property(params.t());
-    let actual = actual_config(params, cell.byz, |i| validity.input_for(i));
-    let ctx = ProtocolContext::new(params, cell.seed);
-    let gst = builder.config().gst;
-    let mk = |p: ProcessId, face: u64| {
-        let input = if face == 0 {
-            validity.input_for(p.index())
-        } else {
-            validity.alt_input_for(p.index())
-        };
-        Universal::new(
-            make(&ctx, p, input),
-            validity
-                .lambda(params)
-                .expect("matrix only pairs Universal with Λ-bearing properties"),
-        )
-    };
-    let nodes = cell.behavior.populate(params, cell.byz, gst, &mk);
-    let mut sim = builder
-        .build_with_probe(nodes, probe)
-        .expect("matrix-derived configurations always validate");
-    let record = collect(&mut sim, |v: &u64| property.is_admissible(&actual, v));
-    (record, sim.into_probe())
-}
-
-fn run_raw<P: Probe>(cell: &RunCell, builder: SimBuilder, probe: P) -> (RunRecord, P) {
-    let params = params_of(cell.n, cell.t);
-    let ctx = ProtocolContext::new(params, cell.seed);
-    let gst = builder.config().gst;
-    let engine = cell.protocol.engine;
-    let input_of = |i: usize| (i as u64) * 10;
-    let mk = |p: ProcessId, face: u64| engine.machine(&ctx, p, input_of(p.index()) + face * 5);
-    let nodes = cell.behavior.populate(params, cell.byz, gst, &mk);
-    let mut sim = builder
-        .build_with_probe(nodes, probe)
-        .expect("matrix-derived configurations always validate");
-    // Vector Validity: the decided vector has ≥ n − t entries and every
-    // entry attributed to a *correct* process carries its real proposal.
-    let quorum = params.quorum();
-    let correct_bound = params.n() - cell.byz;
-    let record = collect(&mut sim, move |vector: &InputConfig<u64>| {
-        vector.pi().len() >= quorum
-            && vector
-                .pairs()
-                .all(|(p, v)| p.index() >= correct_bound || *v == input_of(p.index()))
-    });
-    (record, sim.into_probe())
 }
 
 fn execute_classify(cell: &ClassifyCell) -> ClassifyRecord {

@@ -108,6 +108,42 @@ fn one_cell_observe_exports_that_cells_timeline() {
     );
 }
 
+/// `--observe` writes its side artifacts beside `--json`; a `--md` that
+/// names one of them is refused by name before any work, so neither
+/// report nor artifact is written.
+#[test]
+fn an_md_path_clashing_with_an_observe_artifact_is_refused() {
+    let dir = workdir("clash");
+    let json = dir.join("a.json").display().to_string();
+    for artifact in [
+        "a.observe.json",
+        "a.timeline.jsonl",
+        "a.timeline.trace.json",
+    ] {
+        let md = dir.join(artifact).display().to_string();
+        let out = Command::new(LAB)
+            .args([
+                "run",
+                "--suite",
+                "quick",
+                "--observe",
+                "--json",
+                &json,
+                "--md",
+                &md,
+            ])
+            .output()
+            .expect("spawn lab");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{artifact}: accepted");
+        assert!(
+            stderr.contains("--md") && stderr.contains(artifact),
+            "{stderr}"
+        );
+        assert!(!dir.join(artifact).exists() && !dir.join("a.json").exists());
+    }
+}
+
 /// Unknown suites fail loudly.
 #[test]
 fn an_unknown_suite_fails() {
