@@ -137,6 +137,18 @@ impl<V: Value> InputConfig<V> {
         InputConfig::from_pairs(params, correct.iter().map(|p| (p, v.clone())))
     }
 
+    /// Replaces the pairs with `pairs` in place, keeping the slot buffer.
+    /// The caller guarantees what [`InputConfig::from_pairs`] checks:
+    /// distinct processes of `Π`, between `n − t` and `n` of them.
+    pub(crate) fn refill(&mut self, pairs: impl IntoIterator<Item = (ProcessId, V)>) {
+        self.slots.fill(None);
+        for (p, v) in pairs {
+            debug_assert!(self.slots[p.index()].is_none(), "{p} named twice");
+            self.slots[p.index()] = Some(v);
+        }
+        debug_assert!((self.params.quorum()..=self.params.n()).contains(&self.len()));
+    }
+
     /// The system parameters this configuration was built against.
     pub fn params(&self) -> SystemParams {
         self.params

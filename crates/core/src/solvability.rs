@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::InputConfig;
 use crate::process::SystemParams;
-use crate::space::ConfigSpace;
+use crate::space::{ConfigSpace, ScratchConfig};
 use crate::validity::ValidityProperty;
 use crate::value::{Domain, Value};
 
@@ -124,6 +124,21 @@ impl<V: Value> fmt::Display for Classification<V> {
     }
 }
 
+/// A set of domain values, bit `b` of word `b / 64` for `domain[b]`, with
+/// its size carried along.
+struct Candidates {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl Candidates {
+    /// Makes `self` a copy of `other`, of the same domain, in place.
+    fn copy_from(&mut self, other: &Candidates) {
+        self.words.copy_from_slice(&other.words);
+        self.len = other.len;
+    }
+}
+
 /// `val(c) ∩ domain` for every configuration of a [`ConfigSpace`], filled in
 /// as the decision procedure asks for it.
 ///
@@ -140,6 +155,8 @@ struct ValTable<'a, V, P> {
     words: usize,
     /// `[known, value]` per word, `words` pairs per configuration.
     bits: Vec<u64>,
+    /// The configuration evaluations run on, rewritten per miss.
+    scratch: ScratchConfig<V>,
     /// Look-ups made, evaluated or remembered: the procedure's cost.
     lookups: u64,
 }
@@ -156,51 +173,59 @@ impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
             prop,
             words,
             bits: vec![0; len],
+            scratch: space.scratch(),
             lookups: 0,
         }
     }
 
     /// The candidate set holding every domain value.
-    fn all_values(&self) -> Vec<u64> {
-        let mut set = vec![u64::MAX; self.words];
+    fn all_values(&self) -> Candidates {
+        let mut words = vec![u64::MAX; self.words];
         let spare = self.words * 64 - self.space.domain().len();
-        *set.last_mut().expect("domains are non-empty") >>= spare;
-        set
+        *words.last_mut().expect("domains are non-empty") >>= spare;
+        Candidates {
+            words,
+            len: self.space.domain().len() as u64,
+        }
     }
 
     /// The smallest value of a candidate set.
-    fn smallest(&self, set: &[u64]) -> Option<&'a V> {
-        let word = set.iter().position(|&w| w != 0)?;
-        let bit = set[word].trailing_zeros() as usize;
+    fn smallest(&self, set: &Candidates) -> Option<&'a V> {
+        let word = set.words.iter().position(|&w| w != 0)?;
+        let bit = set.words[word].trailing_zeros() as usize;
         Some(&self.space.domain().values()[word * 64 + bit])
     }
 
     /// `set ∩= val(c)` for configuration `index`, one look-up per member of
     /// `set`; returns whether anything is left. A repeat look-up is a few
-    /// word operations; only a miss leaves this path (see
-    /// [`ValTable::evaluate`]).
+    /// word operations and counts nothing: `set`'s size is recounted only
+    /// when the intersection removed a value. Only a miss leaves this path
+    /// (see [`ValTable::evaluate`]).
     #[inline]
-    fn retain(&mut self, index: usize, set: &mut [u64]) -> bool {
+    fn retain(&mut self, index: usize, set: &mut Candidates) -> bool {
+        self.lookups += set.len;
         let start = index * self.words * 2;
-        let mut left = 0;
-        for word in 0..set.len() {
-            let known = self.bits[start + word * 2];
-            self.lookups += u64::from(set[word].count_ones());
-            if set[word] & !known != 0 {
-                self.evaluate(index, set);
+        let mut removed = false;
+        for word in 0..set.words.len() {
+            if set.words[word] & !self.bits[start + word * 2] != 0 {
+                self.evaluate(index, &set.words);
             }
-            set[word] &= self.bits[start + word * 2 + 1];
-            left |= set[word];
+            let kept = set.words[word] & self.bits[start + word * 2 + 1];
+            removed |= kept != set.words[word];
+            set.words[word] = kept;
         }
-        left != 0
+        if removed {
+            set.len = set.words.iter().map(|w| u64::from(w.count_ones())).sum();
+        }
+        set.len != 0
     }
 
     /// Evaluates every member of `set` not yet known at configuration
-    /// `index`, building the configuration once.
+    /// `index`, loading the configuration into the scratch one once.
     #[cold]
     #[inline(never)]
     fn evaluate(&mut self, index: usize, set: &[u64]) {
-        let c = self.space.config(index);
+        let c = self.space.load(&mut self.scratch, index);
         let values = self.space.domain().values();
         let slot = &mut self.bits[index * self.words * 2..][..self.words * 2];
         for (word, (&set, slot)) in set.iter().zip(slot.chunks_exact_mut(2)).enumerate() {
@@ -209,7 +234,7 @@ impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
             while unknown != 0 {
                 let bit = unknown.trailing_zeros() as usize;
                 unknown &= unknown - 1;
-                if self.prop.is_admissible(&c, &values[word * 64 + bit]) {
+                if self.prop.is_admissible(c, &values[word * 64 + bit]) {
                     slot[1] |= 1 << bit;
                 }
             }
@@ -233,8 +258,11 @@ impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
         let domain = self.space.domain();
         let mut rejections = Vec::with_capacity(domain.len());
         for (at, v) in domain.iter().enumerate() {
-            let mut only_v = vec![0; self.words];
-            only_v[at / 64] = 1 << (at % 64);
+            let mut only_v = Candidates {
+                words: vec![0; self.words],
+                len: 1,
+            };
+            only_v.words[at / 64] = 1 << (at % 64);
             let rejecting =
                 (0..self.space.len()).find(|&index| !self.retain(index, &mut only_v))?;
             rejections.push((v.clone(), self.space.config(rejecting)));
@@ -246,18 +274,20 @@ impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
     /// every `c ∈ I_{n−t}`, or the first `c` where that is empty.
     fn lambda_table(&mut self) -> Result<Vec<(InputConfig<V>, V)>, InputConfig<V>> {
         let space = self.space;
-        let mut table = Vec::new();
+        let configs = space.of_size(space.params().quorum());
+        let mut walk = space.similar_walk();
+        let mut table = Vec::with_capacity(configs.len());
         let all = self.all_values();
-        let mut candidates = all.clone();
-        for index in space.of_size(space.params().quorum()) {
-            candidates.copy_from_slice(&all);
+        let mut candidates = self.all_values();
+        for index in configs {
+            candidates.copy_from(&all);
             // The procedure looks `val(c)` up before it walks `sim(c)`, which
             // holds `c` again: the cost counts both.
             if self.retain(index, &mut candidates) {
-                space.similar_while(index, |similar| self.retain(similar, &mut candidates));
+                walk.similar_while(index, |similar| self.retain(similar, &mut candidates));
             }
             match self.smallest(&candidates) {
-                Some(v) => table.push((space.config(index), v.clone())),
+                Some(v) => table.push((space.load(&mut self.scratch, index).clone(), v.clone())),
                 None => return Err(space.config(index)),
             }
         }

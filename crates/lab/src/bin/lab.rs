@@ -37,6 +37,9 @@ use validity_lab::{
 };
 use validity_protocols::vector_registry;
 
+/// The most worker threads `--threads` may ask for.
+const MAX_THREADS: usize = 256;
+
 /// What a subcommand hands back: its exit code, or a one-line diagnostic
 /// `main` prints before exiting with failure.
 type CmdResult = Result<ExitCode, String>;
@@ -190,12 +193,21 @@ impl<'a> Args<'a> {
             .map(|(_, value)| *value)
     }
 
-    /// `--threads N` (default 0: one worker per core).
+    /// `--threads N` (default 0: one worker per core), at most
+    /// [`MAX_THREADS`]: a pool starts one OS thread per worker.
     fn threads(&self) -> Result<usize, String> {
-        self.value("--threads").map_or(Ok(0), |n| {
-            n.parse()
-                .map_err(|_| "--threads wants a number".to_string())
-        })
+        let Some(text) = self.value("--threads") else {
+            return Ok(0);
+        };
+        let threads: usize = text
+            .parse()
+            .map_err(|_| "--threads wants a number".to_string())?;
+        if threads > MAX_THREADS {
+            return Err(format!(
+                "--threads {threads} is above the ceiling of {MAX_THREADS} worker threads"
+            ));
+        }
+        Ok(threads)
     }
 
     /// `--seeds a..b`. An empty or reversed range is refused: it would

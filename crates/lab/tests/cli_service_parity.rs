@@ -446,6 +446,33 @@ fn a_zero_step_budget_is_refused_by_every_driver() {
 }
 
 #[test]
+fn a_thread_count_past_the_ceiling_is_refused_by_every_driver() {
+    // A pool starts one OS thread per worker, up to one per cell. Every
+    // command parses `--threads` before `--dry-run` returns, so even a
+    // broken refusal starts no thread here.
+    for prefix in [
+        vec!["run", "--suite", "quick"],
+        vec!["service"],
+        vec!["crosscheck"],
+        vec!["mutate"],
+    ] {
+        let mut args = prefix.clone();
+        args.extend(["--threads", "257", "--dry-run"]);
+        let out = lab(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} accepted 257 threads");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--threads 257") && err.contains("256"),
+            "{args:?} must name the flag and its ceiling; got: {err}"
+        );
+        let mut args = prefix.clone();
+        args.extend(["--threads", "256", "--dry-run"]);
+        let out = lab(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
 fn a_repeated_flag_is_refused_instead_of_taking_the_first() {
     for (flag, args) in [
         (
