@@ -194,7 +194,10 @@ impl<V: Value> InputConfig<V> {
     /// The proposals sorted ascending (used by rank-based validity
     /// properties such as Median and Interval validity).
     pub fn sorted_proposals(&self) -> Vec<V> {
-        let mut v: Vec<V> = self.proposals().cloned().collect();
+        // Sized up front: `proposals()` is a filter, so a bare `collect`
+        // would regrow the buffer once per doubling of `x`.
+        let mut v: Vec<V> = Vec::with_capacity(self.len());
+        v.extend(self.proposals().cloned());
         v.sort();
         v
     }

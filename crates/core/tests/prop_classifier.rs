@@ -405,13 +405,10 @@ fn no_pair_is_evaluated_twice() {
     }
 }
 
-/// The whole grid against the reference; the reference takes about a
-/// second optimised and a minute unoptimised, so debug runs skip it.
+/// The whole grid against the reference. Unoptimised, the reference
+/// takes a minute; the workspace builds this package at opt-level 2 in the
+/// dev profile too, so every test run checks the whole grid in seconds.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "slow unoptimised; CI runs it with --release"
-)]
 fn the_whole_grid_matches_the_reference() {
     let mut lookups = 0;
     for cell in classify_grid() {

@@ -391,7 +391,43 @@ fn build_custom(args: &Args) -> Result<ScenarioMatrix, String> {
         );
     }
     refuse_vacuous(&m)?;
+    refuse_dropped(&m, args.has("--validities"))?;
     Ok(m)
+}
+
+/// Refuses a value the custom matrix would drop from the request while
+/// other values still leave cells, naming the flag and the value: an
+/// invalid `(n, t)` pair, a property without a closed-form `Λ` next to a
+/// `universal/` protocol, and any property named (`validities_named`)
+/// when no protocol is `universal/`, since raw cells grade Vector
+/// Validity whatever `--validities` says.
+fn refuse_dropped(m: &ScenarioMatrix, validities_named: bool) -> Result<(), String> {
+    if let Some((n, t)) = m
+        .systems
+        .iter()
+        .find(|&&(n, t)| SystemParams::new(n, t).is_err())
+    {
+        return Err(format!(
+            "--systems '{n},{t}' is no valid (n, t) pair (want 0 < t < n)"
+        ));
+    }
+    let universal = m.protocols.iter().any(|p| p.universal);
+    let dropped = if universal {
+        m.validities
+            .iter()
+            .find(|v| !ValiditySpec::RUNNABLE.contains(v))
+            .map(|v| {
+                format!("--validities '{v}' has no closed-form Λ, which universal protocols need")
+            })
+    } else {
+        m.validities.first().filter(|_| validities_named).map(|v| {
+            format!(
+                "--validities '{v}' applies to no protocol: raw cells grade \
+                     Vector Validity, and only universal/ protocols read a property"
+            )
+        })
+    };
+    dropped.map_or(Ok(()), Err)
 }
 
 /// Refuses a custom matrix that enumerates no cell, naming the flag that

@@ -6,18 +6,19 @@
 //! Vector Validity on the decided vectors, and a `Universal` cell applies
 //! its `Λ` to them (Algorithm 2 decides `Λ(vec)` once the vector engine
 //! decides `vec`, and nothing the run sends depends on `Λ`). So cells
-//! that differ only in their `Λ` read one execution.
+//! that differ only in their `Λ` read one execution, and a read checks
+//! each distinct decided vector once, not each correct process's copy.
 //!
 //! Everything here is a pure function of the cell — no globals, no clocks,
 //! no thread-local state — which is what lets the executor fan cells out
 //! across any number of workers and still aggregate byte-identical results.
 
 use validity_core::{
-    classify_with_cost, Classification, Domain, InputConfig, ProcessId, SystemParams,
-    UnsolvableReason,
+    classify_with_cost, Classification, Domain, InputConfig, LambdaFn, ProcessId, SystemParams,
+    UnsolvableReason, ValidityProperty,
 };
 use validity_protocols::ProtocolContext;
-use validity_simnet::{agreement_holds, Machine, NetStats, NoProbe, Probe, RunOutcome, Time};
+use validity_simnet::{Machine, NetStats, NoProbe, Probe, RunOutcome, Time};
 
 use crate::matrix::{CellSpec, ClassifyCell, RunCell};
 
@@ -298,18 +299,22 @@ pub(crate) fn record(cell: &RunCell, run: &Execution) -> CellRecord {
 /// counts, events and the quarantine flag are the execution's own.
 pub(crate) fn lens(cell: &RunCell, run: &Execution) -> RunRecord {
     let params = params_of(cell.n, cell.t);
-    let inputs = cell.inputs();
     if !cell.protocol.universal {
         // Vector Validity: the decided vector has ≥ n − t entries and every
         // entry attributed to a *correct* process carries its real proposal.
+        let inputs = cell.inputs();
         let quorum = params.quorum();
         let correct_bound = params.n() - cell.byz;
-        return grade(run, &run.decisions, |vector: &InputConfig<u64>| {
-            vector.pi().len() >= quorum
-                && vector
-                    .pairs()
-                    .all(|(p, v)| p.index() >= correct_bound || *v == inputs.proposal(p.index()))
-        });
+        return grade(
+            run,
+            |vector| vector,
+            |vector| {
+                vector.pi().len() >= quorum
+                    && vector.pairs().all(|(p, v)| {
+                        p.index() >= correct_bound || *v == inputs.proposal(p.index())
+                    })
+            },
+        );
     }
     let validity = cell
         .validity
@@ -317,57 +322,88 @@ pub(crate) fn lens(cell: &RunCell, run: &Execution) -> RunRecord {
     let lambda = validity
         .lambda(params)
         .expect("matrix only pairs Universal with Λ-bearing properties");
-    let decisions: Vec<Option<(Time, u64)>> = run
-        .decisions
-        .iter()
-        .map(|d| {
-            d.as_ref().map(|(at, vector)| {
-                let value = lambda.lambda(vector).unwrap_or_else(|e| {
-                    panic!(
-                        "{} undefined at decided vector ({e}); the validity \
-                         property violates C_S",
-                        lambda.name()
-                    )
-                });
-                (*at, value)
-            })
-        })
-        .collect();
-    let property = validity.property(params.t());
+    universal_lens(cell, run, &*lambda, &*validity.property(params.t()))
+}
+
+/// Algorithm 2's reading of `run`: each correct process decides `lambda`
+/// of its decided vector, checked by `property` against the correct
+/// processes' actual inputs.
+fn universal_lens(
+    cell: &RunCell,
+    run: &Execution,
+    lambda: &dyn LambdaFn<u64>,
+    property: &dyn ValidityProperty<u64>,
+) -> RunRecord {
+    let params = params_of(cell.n, cell.t);
+    let inputs = cell.inputs();
     let actual = InputConfig::from_pairs(
         params,
         (0..params.n() - cell.byz).map(|i| (i, inputs.proposal(i))),
     )
     .expect("n − byz ≥ n − t pairs are always a valid configuration");
-    grade(run, &decisions, |v: &u64| {
-        property.is_admissible(&actual, v)
-    })
+    let decide = |vector: &InputConfig<u64>| {
+        lambda.lambda(vector).unwrap_or_else(|e| {
+            panic!(
+                "{} undefined at decided vector ({e}); the validity \
+                 property violates C_S",
+                lambda.name()
+            )
+        })
+    };
+    grade(run, decide, |v| property.is_admissible(&actual, v))
 }
 
-/// The record of `run` whose correct processes decided `decisions`, each
-/// decision checked by `check`.
-fn grade<O: std::fmt::Debug + PartialEq>(
-    run: &Execution,
-    decisions: &[Option<(Time, O)>],
-    check: impl Fn(&O) -> bool,
+/// The record of `run` whose correct processes each decide `read` of
+/// their decided vector, every output checked by `admissible`.
+///
+/// `read` runs once per distinct decided vector and `admissible` once per
+/// distinct output, not once per correct process: a run in vector
+/// Agreement reads one vector however many processes decide it.
+/// Agreement, admissibility and the first output are the same over the
+/// distinct outputs as over every process's.
+fn grade<'r, O: std::fmt::Debug + PartialEq>(
+    run: &'r Execution,
+    read: impl Fn(&'r InputConfig<u64>) -> O,
+    admissible: impl Fn(&O) -> bool,
 ) -> RunRecord {
+    let decided_before = |i: usize| run.decisions[..i].iter().flatten().map(|(_, v)| v);
+    let mut first: Option<O> = None;
+    // Outputs that differ from the first, each checked once; empty unless
+    // Agreement broke.
+    let mut others: Vec<O> = Vec::new();
+    let mut admissible_all = true;
+    for (i, decision) in run.decisions.iter().enumerate() {
+        let Some((_, vector)) = decision else {
+            continue;
+        };
+        if decided_before(i).any(|earlier| earlier == vector) {
+            continue;
+        }
+        let output = read(vector);
+        match &first {
+            None => {
+                admissible_all = admissible(&output);
+                first = Some(output);
+            }
+            Some(f) if *f == output => {}
+            Some(_) if others.contains(&output) => {}
+            Some(_) => {
+                admissible_all = admissible_all && admissible(&output);
+                others.push(output);
+            }
+        }
+    }
     let stats = &run.stats;
-    let outputs: Vec<&O> = decisions.iter().flatten().map(|(_, o)| o).collect();
     RunRecord {
         decided: run.decided,
-        agreement: agreement_holds(decisions),
-        validity_ok: if outputs.is_empty() {
-            None
-        } else {
-            Some(outputs.iter().all(|o| check(o)))
-        },
+        agreement: others.is_empty(),
+        validity_ok: first.is_some().then_some(admissible_all),
         messages_after_gst: stats.messages_after_gst,
         words_after_gst: stats.words_after_gst,
         messages_total: stats.messages_total,
         words_total: stats.words_total,
         latency: stats.last_decision_at.unwrap_or(0),
-        decision: outputs
-            .first()
+        decision: first
             .map(|o| format!("{o:?}"))
             .unwrap_or_else(|| "⊥".to_string()),
         quarantined: matches!(run.outcome, RunOutcome::EventLimit | RunOutcome::TimeLimit),
@@ -406,8 +442,11 @@ fn execute_classify(cell: &ClassifyCell) -> ClassifyRecord {
 mod tests {
     use super::*;
     use crate::matrix::{ProtocolAxis, ScheduleSpec, ValiditySpec};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use validity_adversary::BehaviorId;
+    use validity_core::{CountingValidity, LambdaError, StrongLambda, StrongValidity};
     use validity_protocols::find_vector;
+    use validity_simnet::{agreement_holds, Env, Message, StepSink};
 
     fn strong_cell(seed: u64) -> CellSpec {
         CellSpec::Run(RunCell {
@@ -492,5 +531,167 @@ mod tests {
         };
         assert!(c.verdict.contains("unsolvable"), "{c:?}");
         assert!(c.theorem1_consistent);
+    }
+
+    /// A `Universal` cell over `alg1-auth` at `(n, t)` under `validity`,
+    /// with `byz` silent processes in a synchronous run.
+    fn universal_cell(validity: ValiditySpec, n: usize, t: usize, byz: usize) -> RunCell {
+        RunCell {
+            protocol: ProtocolAxis::wrapped(find_vector("alg1-auth").unwrap()),
+            validity: Some(validity),
+            behavior: BehaviorId::Silent,
+            byz,
+            fault: byz,
+            schedule: ScheduleSpec::Synchronous,
+            n,
+            t,
+            seed: 0,
+        }
+    }
+
+    /// `Λ`, counting its evaluations.
+    struct CountingLambda<'a> {
+        inner: &'a dyn LambdaFn<u64>,
+        evals: AtomicU64,
+    }
+
+    impl<'a> CountingLambda<'a> {
+        fn new(inner: &'a dyn LambdaFn<u64>) -> Self {
+            CountingLambda {
+                inner,
+                evals: AtomicU64::new(0),
+            }
+        }
+
+        fn evals(&self) -> u64 {
+            self.evals.load(Ordering::Relaxed)
+        }
+    }
+
+    impl LambdaFn<u64> for CountingLambda<'_> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn lambda(&self, vector: &InputConfig<u64>) -> Result<u64, LambdaError> {
+            self.evals.fetch_add(1, Ordering::Relaxed);
+            self.inner.lambda(vector)
+        }
+    }
+
+    /// Algorithm 2 read process by process: `Λ` and the property applied
+    /// to every correct decision.
+    fn per_decision(cell: &RunCell, run: &Execution) -> RunRecord {
+        let params = params_of(cell.n, cell.t);
+        let validity = cell.validity.unwrap();
+        let lambda = validity.lambda(params).unwrap();
+        let decisions: Vec<Option<(Time, u64)>> = run
+            .decisions
+            .iter()
+            .map(|d| d.as_ref().map(|(at, v)| (*at, lambda.lambda(v).unwrap())))
+            .collect();
+        let actual = InputConfig::from_pairs(
+            params,
+            (0..cell.n - cell.byz).map(|i| (i, cell.inputs().proposal(i))),
+        )
+        .unwrap();
+        let property = validity.property(cell.t);
+        let outputs: Vec<u64> = decisions.iter().flatten().map(|d| d.1).collect();
+        RunRecord {
+            agreement: agreement_holds(&decisions),
+            validity_ok: (!outputs.is_empty())
+                .then(|| outputs.iter().all(|v| property.is_admissible(&actual, v))),
+            decision: outputs
+                .first()
+                .map_or_else(|| "⊥".to_string(), |v| format!("{v:?}")),
+            ..lens(cell, run)
+        }
+    }
+
+    /// The counts `universal_lens` makes reading `run` as `cell` under
+    /// Strong Validity: `Λ` evaluations and admissibility checks.
+    fn strong_reads(cell: &RunCell, run: &Execution) -> (u64, u64, RunRecord) {
+        let lambda = CountingLambda::new(&StrongLambda);
+        let property = CountingValidity::new(&StrongValidity);
+        let record = universal_lens(cell, run, &lambda, &property);
+        (lambda.evals(), property.evals(), record)
+    }
+
+    #[test]
+    fn lambda_is_evaluated_once_per_distinct_decided_vector() {
+        let cell = universal_cell(ValiditySpec::Strong, 16, 5, 5);
+        let (run, _) = simulate_engine(&cell, None, |_| NoProbe);
+        assert!(run.decided);
+        assert_eq!(run.decisions.iter().flatten().count(), 11);
+        let (evals, checks, record) = strong_reads(&cell, &run);
+        assert_eq!((evals, checks), (1, 1));
+        assert!(record.agreement && record.validity_ok == Some(true));
+        assert_eq!(record, lens(&cell, &run));
+        assert_eq!(record, per_decision(&cell, &run));
+    }
+
+    #[derive(Clone, Debug)]
+    struct Never;
+
+    impl Message for Never {}
+
+    /// Decides its vector at start and sends nothing.
+    struct Decides(InputConfig<u64>);
+
+    impl Machine for Decides {
+        type Msg = Never;
+        type Output = InputConfig<u64>;
+
+        fn init(&mut self, _: &Env, sink: &mut StepSink<Never, InputConfig<u64>>) {
+            sink.output(self.0.clone());
+        }
+
+        fn on_message(
+            &mut self,
+            _: ProcessId,
+            _: &Never,
+            _: &Env,
+            _: &mut StepSink<Never, Self::Output>,
+        ) {
+        }
+    }
+
+    /// An execution of `cell` in which even processes decide that the
+    /// first `n − t` processes proposed `low`, and odd ones that the last
+    /// `n − t` proposed `high`.
+    fn split_run(cell: &RunCell, low: u64, high: u64) -> Execution {
+        let (n, quorum) = (cell.n, cell.n - cell.t);
+        simulate(
+            cell,
+            None,
+            |_| NoProbe,
+            |ctx, p, _| {
+                let (first, value) = if p.index() % 2 == 0 {
+                    (0, low)
+                } else {
+                    (n - quorum, high)
+                };
+                let pairs = (first..first + quorum).map(|i| (i, value));
+                Decides(InputConfig::from_pairs(ctx.params, pairs).unwrap())
+            },
+        )
+        .0
+    }
+
+    #[test]
+    fn two_distinct_vectors_are_read_twice() {
+        let cell = universal_cell(ValiditySpec::Strong, 7, 2, 0);
+        // Two vectors, one value: Agreement holds over what Λ decides.
+        let run = split_run(&cell, 0, 0);
+        let (evals, checks, record) = strong_reads(&cell, &run);
+        assert_eq!((evals, checks), (2, 1));
+        assert!(record.decided && record.agreement, "{record:?}");
+        assert_eq!(record, per_decision(&cell, &run));
+        // Two vectors, two values: each is read and checked once.
+        let run = split_run(&cell, 0, 10);
+        let (evals, checks, record) = strong_reads(&cell, &run);
+        assert_eq!((evals, checks), (2, 2));
+        assert!(!record.agreement, "{record:?}");
+        assert_eq!(record, per_decision(&cell, &run));
     }
 }

@@ -17,7 +17,8 @@
 //!    are the only complexity contract, so `trend` is no subcommand.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
 //!    flags it would otherwise ignore; a custom matrix that enumerates no
-//!    cell, a classifier-cost fit on a grid without classification cells,
+//!    cell or would drop a value it was given (an invalid `(n, t)` pair,
+//!    a `Λ`-less property, a property no protocol reads), a classifier-cost fit on a grid without classification cells,
 //!    an empty operator list, an empty or reversed `--seeds` range and a
 //!    zero `--max-steps` budget are errors that name the flag; and so are
 //!    a repeated flag, a repeated operator, a flag sitting where another
@@ -285,6 +286,57 @@ fn a_custom_matrix_with_no_cell_is_refused_by_the_flag_that_emptied_it() {
         ",",
         "--dry-run",
     ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).starts_with("custom: 8 cells"),
+        "{}",
+        stdout(&out)
+    );
+}
+
+#[test]
+fn a_custom_matrix_refuses_each_value_it_would_drop() {
+    // Each used to exit 0 and run what was left of the request.
+    for (axes, why) in [
+        (
+            &["--systems", "4,1;2,3"][..],
+            "--systems '2,3' is no valid (n, t) pair",
+        ),
+        (
+            &["--systems", "4,1;4,0"][..],
+            "--systems '4,0' is no valid (n, t) pair",
+        ),
+        (
+            &[
+                "--protocols",
+                "universal/alg1-auth",
+                "--validities",
+                "strong,parity",
+            ][..],
+            "--validities 'parity' has no closed-form Λ",
+        ),
+        (
+            &["--protocols", "alg1-auth", "--validities", "median"][..],
+            "--validities 'median' applies to no protocol",
+        ),
+    ] {
+        for tail in [&["--dry-run"][..], &[][..]] {
+            let mut args = vec!["run"];
+            args.extend(axes);
+            args.extend(tail);
+            let (out, written) = lab_in_empty_dir(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            assert_eq!(written, 0, "{args:?} wrote a report");
+            let err = stderr(&out);
+            assert!(
+                err.contains(why),
+                "{args:?} must name the value; got: {err}"
+            );
+        }
+    }
+    // The boundary: raw protocols with `--validities` left at its default
+    // still run.
+    let out = lab(&["run", "--protocols", "alg1-auth", "--dry-run"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(
         stdout(&out).starts_with("custom: 8 cells"),
