@@ -31,10 +31,10 @@ pub struct SweepEngine {
 
 /// Wall-clock cost of one executed cell of a sweep or of the service
 /// driver: the benchmark's per-cell sample, never part of a lab report.
+/// Timings come back in cell order, so the cell (or its record) names
+/// each one.
 #[derive(Clone, Debug)]
 pub struct CellTiming {
-    /// The cell's key.
-    pub label: String,
     /// Simulator events processed (classification cells report their
     /// admissibility-evaluation cost instead; service cells count none and
     /// report 0).
@@ -148,7 +148,6 @@ impl SweepEngine {
                 });
             }
             timings.push(CellTiming {
-                label: record.key.clone(),
                 events: record_events(&record),
                 wall,
             });
@@ -307,9 +306,10 @@ mod tests {
             let engine = SweepEngine::new(threads).observe(true);
             let (records, _, timings, observed) = engine.execute_cells(&cells, m.max_steps);
             assert_eq!(records, alone, "threads = {threads}");
-            let labels: Vec<String> = timings.iter().map(|t| t.label.clone()).collect();
-            let keys: Vec<String> = cells.iter().map(CellSpec::key).collect();
-            assert_eq!(labels, keys, "one timing per cell, in matrix order");
+            assert_eq!(timings.len(), cells.len(), "one timing per cell");
+            let events: Vec<u64> = timings.iter().map(|t| t.events).collect();
+            let want: Vec<u64> = records.iter().map(record_events).collect();
+            assert_eq!(events, want, "timings in matrix order");
             // Each observation equals the cell's own observed run.
             let runs = cells.iter().filter(|c| matches!(c, CellSpec::Run(_)));
             assert_eq!(observed.len(), runs.clone().count());
@@ -370,7 +370,6 @@ mod tests {
             .execute_cells(&m.cells(), m.max_steps);
         assert_eq!(observed.len(), timings.len());
         for (obs, timing) in observed.iter().zip(&timings) {
-            assert_eq!(obs.label, timing.label);
             assert_eq!(
                 obs.metrics.events, timing.events,
                 "probe and timing disagree for {}",

@@ -6,7 +6,7 @@
 //! it yields a flat, deterministically ordered list of [`CellSpec`]s that
 //! the executor fans out across workers.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -420,12 +420,9 @@ impl ProtocolAxis {
     }
 
     /// The registry name: `alg1-auth` raw, `universal/alg1-auth` wrapped.
+    /// Keys write it through [`fmt::Display`], which allocates nothing.
     pub fn name(self) -> String {
-        if self.universal {
-            format!("universal/{}", self.engine.name())
-        } else {
-            self.engine.name().to_string()
-        }
+        self.to_string()
     }
 
     /// Parses `alg1-auth` or `universal/alg1-auth` against the registry.
@@ -449,7 +446,10 @@ impl ProtocolAxis {
 
 impl fmt::Display for ProtocolAxis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        if self.universal {
+            f.write_str("universal/")?;
+        }
+        f.write_str(self.engine.name())
     }
 }
 
@@ -647,25 +647,46 @@ pub struct RunCell {
     pub seed: u64,
 }
 
+/// Room for a run cell's key: the longest group key over the registry's
+/// axes (`run/universal/alg3-nonauth/correct-proposal/adaptive-floodx42/
+/// partial-sync/n128t42`) is 82 bytes and `/s` plus a `u64` seed at most
+/// 22, so a key is written with one allocation.
+const KEY_CAPACITY: usize = 104;
+
 impl RunCell {
     /// The key all seeds of this configuration share — the aggregation
     /// bucket.
     pub fn group_key(&self) -> String {
-        format!(
+        let mut key = String::with_capacity(KEY_CAPACITY);
+        let _ = write!(
+            key,
             "run/{}/{}/{}x{}/{}/n{}t{}",
-            self.protocol.name(),
+            self.protocol,
             self.validity.map_or("vector", |v| v.name()),
             self.behavior,
             self.byz,
             self.schedule,
             self.n,
             self.t,
-        )
+        );
+        key
     }
 
     /// The full per-cell key (group key + seed).
     pub fn key(&self) -> String {
-        format!("{}/s{}", self.group_key(), self.seed)
+        let mut key = self.group_key();
+        let _ = write!(key, "/s{}", self.seed);
+        key
+    }
+
+    /// The cell's key and group key, the group key formatted once: what a
+    /// record is tagged with.
+    pub(crate) fn keys(&self) -> (String, String) {
+        let group = self.group_key();
+        let mut key = String::with_capacity(KEY_CAPACITY);
+        key.push_str(&group);
+        let _ = write!(key, "/s{}", self.seed);
+        (key, group)
     }
 
     /// The fault-load tag used by fit grouping: `(n, t)` varies along the

@@ -282,9 +282,10 @@ pub(crate) fn simulate_engine<P: Probe>(
 
 /// `cell`'s record of `run`, tagged with the cell's keys.
 pub(crate) fn record(cell: &RunCell, run: &Execution) -> CellRecord {
+    let (key, group) = cell.keys();
     CellRecord {
-        key: cell.key(),
-        group: cell.group_key(),
+        key,
+        group,
         outcome: Outcome::Run(lens(cell, run)),
     }
 }

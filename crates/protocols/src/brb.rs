@@ -45,7 +45,9 @@ impl<P: Clone + Debug + Words + Send + 'static> validity_simnet::Message for Brb
 /// A correct process sends one `ECHO` and one `READY` per instance, so only
 /// each sender's *first* vote of each kind is counted: a tally holds at most
 /// `n` payloads whatever Byzantine senders do, and any two `ECHO` quorums
-/// still intersect in a correct process, which voted once.
+/// still intersect in a correct process, which voted once. Since
+/// `echo_from` / `ready_from` admit each sender once, a tally is a count per
+/// payload, not a set of voters.
 #[derive(Clone, Debug)]
 pub struct BrbInstance<P> {
     sender: ProcessId,
@@ -54,21 +56,22 @@ pub struct BrbInstance<P> {
     delivered: bool,
     echo_from: ProcessSet,
     ready_from: ProcessSet,
-    echoes: Vec<(P, ProcessSet)>,
-    readies: Vec<(P, ProcessSet)>,
+    echoes: Vec<(P, usize)>,
+    readies: Vec<(P, usize)>,
 }
 
-/// Counts `from`'s vote for `payload` and returns the payload's new total.
-fn tally<P: Clone + Eq>(votes: &mut Vec<(P, ProcessSet)>, payload: &P, from: ProcessId) -> usize {
+/// Adds a sender's first vote to `payload`'s count and returns the new
+/// count.
+fn tally<P: Clone + Eq>(votes: &mut Vec<(P, usize)>, payload: &P) -> usize {
     let i = votes
         .iter()
         .position(|(p, _)| p == payload)
         .unwrap_or_else(|| {
-            votes.push((payload.clone(), ProcessSet::new()));
+            votes.push((payload.clone(), 0));
             votes.len() - 1
         });
-    votes[i].1.insert(from);
-    votes[i].1.len()
+    votes[i].1 += 1;
+    votes[i].1
 }
 
 impl<P: Clone + Eq + Debug> BrbInstance<P> {
@@ -131,7 +134,7 @@ impl<P: Clone + Eq + Debug> BrbInstance<P> {
             BrbMsg::Echo(_) | BrbMsg::Ready(_) if self.delivered => {}
             BrbMsg::Echo(p) => {
                 if self.echo_from.insert(from)
-                    && tally(&mut self.echoes, p, from) >= Self::echo_threshold(env)
+                    && tally(&mut self.echoes, p) >= Self::echo_threshold(env)
                     && !self.sent_ready
                 {
                     self.sent_ready = true;
@@ -140,7 +143,7 @@ impl<P: Clone + Eq + Debug> BrbInstance<P> {
             }
             BrbMsg::Ready(p) => {
                 if self.ready_from.insert(from) {
-                    let count = tally(&mut self.readies, p, from);
+                    let count = tally(&mut self.readies, p);
                     if count > env.t() && !self.sent_ready {
                         self.sent_ready = true;
                         sink.broadcast(BrbMsg::Ready(p.clone()));

@@ -23,6 +23,13 @@
 //! When one delivery enables several `EST` echoes they leave in ascending
 //! round order, `false` before `true` within a round: emission order reaches
 //! the wire, so it must be a function of the deliveries alone.
+//!
+//! Every threshold but round completion reads a *count* kept as votes
+//! arrive, not the length of a union: each round carries
+//! `|est_seen[v] ∪ done_votes[v]|`, which a new `EST(r, v)` raises unless
+//! its sender already sent `DONE(v)`, a new `DONE(v)` raises in every round
+//! whose `est_seen[v]` lacks that sender, and a new round starts at
+//! `|done_votes[v]|`.
 
 use validity_core::{ProcessId, ProcessSet};
 use validity_simnet::{Env, StepSink, Time};
@@ -75,6 +82,8 @@ impl validity_simnet::Message for DbftMsg {
 #[derive(Clone, Debug, Default)]
 struct RoundState {
     est_seen: [ProcessSet; 2],
+    /// `|est_seen[v] ∪ done_votes[v]|`, kept as the votes arrive.
+    est_support: [usize; 2],
     est_echoed: [bool; 2],
     coord_value: Option<bool>,
     aux_from: [ProcessSet; 2],
@@ -94,6 +103,8 @@ pub struct DbftBinary {
     /// `Est { round: u32::MAX }` costs one entry, not a table that long.
     rounds: Vec<(u32, RoundState)>,
     done_votes: [ProcessSet; 2],
+    /// `|done_votes[v]|`.
+    done_count: [usize; 2],
     decided: Option<bool>,
     halted: bool,
 }
@@ -130,12 +141,17 @@ impl DbftBinary {
         (3 + r as Time) * env.delta
     }
 
-    /// Position of round `r` in `rounds`, inserted empty on a miss.
+    /// Position of round `r` in `rounds`, inserted on a miss with no `EST`
+    /// of its own: its support is the `DONE` votes alone.
     fn round_index(&mut self, r: u32) -> usize {
         match self.rounds.binary_search_by_key(&r, |&(round, _)| round) {
             Ok(i) => i,
             Err(i) => {
-                self.rounds.insert(i, (r, RoundState::default()));
+                let fresh = RoundState {
+                    est_support: self.done_count,
+                    ..RoundState::default()
+                };
+                self.rounds.insert(i, (r, fresh));
                 i
             }
         }
@@ -181,7 +197,12 @@ impl DbftBinary {
         }
         match *msg {
             DbftMsg::Est { round, value } => {
-                self.round_state(round).est_seen[value as usize].insert(from);
+                let i = value as usize;
+                let new_voter = !self.done_votes[i].contains(from);
+                let s = self.round_state(round);
+                if s.est_seen[i].insert(from) && new_voter {
+                    s.est_support[i] += 1;
+                }
             }
             DbftMsg::Aux { round, value } => {
                 self.round_state(round).aux_from[value as usize].insert(from);
@@ -195,7 +216,15 @@ impl DbftBinary {
                 }
             }
             DbftMsg::Done { value } => {
-                self.done_votes[value as usize].insert(from);
+                let i = value as usize;
+                if self.done_votes[i].insert(from) {
+                    self.done_count[i] += 1;
+                    for (_, s) in &mut self.rounds {
+                        if !s.est_seen[i].contains(from) {
+                            s.est_support[i] += 1;
+                        }
+                    }
+                }
             }
         }
         self.poll(env, sink);
@@ -221,7 +250,7 @@ impl DbftBinary {
 
         // Decision via DONE certificates (t + 1 distinct deciders).
         for v in [false, true] {
-            if done[v as usize].len() > t {
+            if self.done_count[v as usize] > t {
                 return self.decide(v, sink);
             }
         }
@@ -236,7 +265,7 @@ impl DbftBinary {
         for (round, s) in &mut self.rounds {
             for v in [false, true] {
                 let i = v as usize;
-                if !s.est_echoed[i] && s.est_seen[i].union(done[i]).len() > t {
+                if !s.est_echoed[i] && s.est_support[i] > t {
                     s.est_echoed[i] = true;
                     sink.broadcast(DbftMsg::Est {
                         round: *round,
@@ -250,7 +279,7 @@ impl DbftBinary {
             let r = self.round;
             let s = &mut self.rounds[current].1;
 
-            let bin = [0, 1].map(|i| s.est_seen[i].union(done[i]).len() > 2 * t);
+            let bin = [0, 1].map(|i| s.est_support[i] > 2 * t);
             if !(bin[0] || bin[1]) {
                 break; // wait for BV progress
             }

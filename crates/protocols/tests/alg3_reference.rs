@@ -338,6 +338,12 @@ struct Reached {
     coord: usize,
     aux: usize,
     multi_echo: usize,
+    /// A new `DONE(v)` from a sender whose `EST(r, v)` some existing round
+    /// already holds: `DbftBinary`'s counted support must not rise there.
+    done_over_est: usize,
+    /// A round first created while some `DONE` was in: its counted support
+    /// starts at the `DONE` votes.
+    seeded_round: usize,
 }
 
 /// Drives both implementations through `events`, comparing after each one
@@ -352,6 +358,14 @@ fn dbft_differential(
     let (mut new, mut old) = (DbftBinary::new(), RefDbft::default());
     let (mut new_sink, mut old_sink) = (StepSink::new(), StepSink::new());
     for (k, event) in events.iter().enumerate() {
+        if let DbftEvent::Msg(from, DbftMsg::Done { value }) = *event {
+            let i = value as usize;
+            if !old.halted && !old.done_votes[i].contains(from) {
+                let over_est = old.rounds.values().any(|s| s.est_seen[i].contains(from));
+                reached.done_over_est += over_est as usize;
+            }
+        }
+        let rounds_before = old.rounds.len();
         match *event {
             DbftEvent::Propose(v) => {
                 new.propose(v, &env, &mut new_sink);
@@ -380,6 +394,8 @@ fn dbft_differential(
             }
         }
         reached.multi_echo += (echoes >= 2) as usize;
+        let done_in = old.done_votes.iter().any(|d| !d.is_empty());
+        reached.seeded_round += (done_in && old.rounds.len() > rounds_before) as usize;
         let (got, want) = (taken(&mut new_sink), taken(&mut old_sink));
         if got != want {
             return Err(format!(
@@ -622,8 +638,9 @@ proptest! {
 
 /// The schedules are worth comparing on: in every system some of them decide,
 /// run a second round, act as coordinator, commit an `AUX`, fire two echoes
-/// from one delivery, deliver a broadcast, re-vote, and keep talking to an
-/// instance that has delivered.
+/// from one delivery, send a `DONE` over an `EST` already counted, open a
+/// round after a `DONE`, deliver a broadcast, re-vote, and keep talking to
+/// an instance that has delivered.
 #[test]
 fn the_generators_reach_every_transition() {
     for (system, params) in SYSTEMS.iter().enumerate() {
@@ -639,6 +656,8 @@ fn the_generators_reach_every_transition() {
             dbft.coord,
             dbft.aux,
             dbft.multi_echo,
+            dbft.done_over_est,
+            dbft.seeded_round,
             brb.delivered,
             brb.revotes,
             brb.after_delivery,

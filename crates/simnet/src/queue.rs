@@ -30,11 +30,13 @@
 //! Blocks hold eight events and return to a free list when drained, so a
 //! queue allocates only when its pool or ring doubles — `O(log q)` times
 //! per simulation however many ticks it touches, never in steady state —
-//! and an empty ring slot costs 8 bytes. Blocks, because both alternatives
-//! measured worse: one pool node per event makes pops chase pointers
-//! (Algorithm 3's 100 k-event queues ran 13 % slower), and recycling
-//! per-tick `Vec` buckets through a spare stack loses each tick phase's
-//! capacity (multiplexed and far-timer runs ran 14–20 % slower).
+//! and an empty ring slot costs 8 bytes. The simulator's events are 8
+//! bytes, so a block is 72; blocks of 7 (64 bytes) and of 16 measured no
+//! faster on Algorithm 3's queues or on `chaos_small`. Blocks, because
+//! both alternatives measured worse: one pool node per event makes pops
+//! chase pointers (Algorithm 3's 100 k-event queues ran 13 % slower), and
+//! recycling per-tick `Vec` buckets through a spare stack loses each tick
+//! phase's capacity (multiplexed and far-timer runs ran 14–20 % slower).
 
 use std::collections::BTreeMap;
 

@@ -22,9 +22,11 @@
 //!   owned by the simulation and recycled across events (no `Vec<Step>`
 //!   per step).
 //! * **Shared payload slab** — a `Step::Broadcast` stores its payload once
-//!   in a recycled slab slot and enqueues `n` 16-byte deliveries
+//!   in a recycled slab slot and enqueues `n` 8-byte deliveries
 //!   referencing it (reference-counted without atomics — a simulation is
-//!   single-threaded); `words()` is computed once per broadcast.
+//!   single-threaded); `words()` is computed once per broadcast. A timer
+//!   tag wider than 32 bits waits in a free-listed side table the same
+//!   way, so every event is 8 bytes.
 //! * **Calendar-queue scheduler** — events live in one free-listed pool
 //!   of 8-event blocks, chained per tick ([`crate::queue::CalendarQueue`]),
 //!   replacing the `O(log q)` binary heap; chain order reproduces the
@@ -43,7 +45,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use validity_core::{ProcessId, SystemParams};
+use validity_core::{ProcessId, SystemParams, MAX_PROCESSES};
 
 use crate::net::{CachedUniform, Delivery, LinkCtx, NetModel, UniformModel};
 use crate::node::{ByzStep, Byzantine, Env, Machine, Step};
@@ -268,7 +270,7 @@ impl<M: Machine> NodeKind<M> {
 /// the slot; the last delivery (or a halted receiver's skipped delivery)
 /// frees it onto a free list, so steady state allocates nothing beyond the
 /// payload the machine itself built. Keeping payloads out of the events
-/// also shrinks an [`Event`] to 16 bytes, which is most of what makes the
+/// also shrinks an [`Event`] to 8 bytes, which is most of what makes the
 /// calendar queue's block traffic cheap.
 struct PayloadSlab<Msg> {
     slots: Vec<(Option<Msg>, u32)>,
@@ -330,35 +332,84 @@ impl<Msg> PayloadSlab<Msg> {
     }
 }
 
+/// Timer tags wider than 32 bits, parked while their timer is queued: an
+/// [`Event::WideTimer`] holds the slot, and dispatching it takes the tag
+/// back and frees the slot, whether or not the receiver still runs. Tags
+/// that fit 32 bits (every protocol's own; only [`crate::Multiplex`]'s
+/// packed tags and hostile ones are wider) ride in the event instead and
+/// never touch the table.
+struct TagTable {
+    tags: Vec<u64>,
+    free: Vec<u32>,
+}
+
+impl TagTable {
+    fn new() -> Self {
+        TagTable {
+            tags: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, tag: u64) -> u32 {
+        if let Some(i) = self.free.pop() {
+            self.tags[i as usize] = tag;
+            i
+        } else {
+            self.tags.push(tag);
+            u32::try_from(self.tags.len() - 1).expect("tag table fits u32 indices")
+        }
+    }
+
+    #[inline]
+    fn take(&mut self, slot: u32) -> u64 {
+        self.free.push(slot);
+        self.tags[slot as usize]
+    }
+}
+
 /// A scheduled event for `node`. Its time lives in the calendar queue (every
 /// event of a chain shares one tick) and its order among same-tick events
 /// is the chain's FIFO order, so it carries neither a timestamp nor a
-/// sequence number. `node` sits in every variant rather than beside the
-/// enum so the discriminant packs next to it: 16 bytes, not 24.
+/// sequence number. Processes are `u8` indices (`n ≤ MAX_PROCESSES ≤ 256`)
+/// and a wide timer tag lives in the [`TagTable`], so the discriminant,
+/// two process bytes and one `u32` pack into 8 bytes.
 #[derive(Clone, Copy)]
 enum Event {
-    Start {
-        node: ProcessId,
-    },
-    Deliver {
-        node: ProcessId,
-        from: ProcessId,
-        slot: u32,
-    },
-    Timer {
-        node: ProcessId,
-        tag: u64,
-    },
+    Start { node: u8 },
+    Deliver { node: u8, from: u8, slot: u32 },
+    Timer { node: u8, tag: u32 },
+    WideTimer { node: u8, slot: u32 },
 }
 
-const _: () = assert!(std::mem::size_of::<Event>() == 16);
+const _: () = assert!(std::mem::size_of::<Event>() == 8);
+const _: () = assert!(MAX_PROCESSES <= 256, "an event names processes by u8");
+
+/// An event's process byte. Every caller has checked `p` against `n`.
+#[inline]
+fn byte(p: ProcessId) -> u8 {
+    debug_assert!(p.index() < MAX_PROCESSES);
+    p.0 as u8
+}
 
 impl Event {
     fn node(self) -> ProcessId {
         match self {
-            Event::Start { node } | Event::Deliver { node, .. } | Event::Timer { node, .. } => node,
+            Event::Start { node }
+            | Event::Deliver { node, .. }
+            | Event::Timer { node, .. }
+            | Event::WideTimer { node, .. } => ProcessId(node.into()),
         }
     }
+}
+
+/// What a popped [`Event`] asks of its node, with the timer tag resolved.
+#[derive(Clone, Copy)]
+enum Action {
+    Start,
+    Deliver { from: ProcessId, slot: u32 },
+    Timer(u64),
 }
 
 /// Why a run stopped.
@@ -397,6 +448,8 @@ pub struct Simulation<M: Machine, P: Probe = NoProbe> {
     undecided_correct: usize,
     /// In-flight broadcast payloads (shared across their deliveries).
     payloads: PayloadSlab<M::Msg>,
+    /// Queued timers' tags wider than 32 bits.
+    tags: TagTable,
     /// Post-GST jitter distribution `1..=δ` with a precomputed zone.
     jitter: CachedUniform,
     /// Reusable effect buffer lent to correct machines.
@@ -443,6 +496,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             config,
             nodes,
             payloads: PayloadSlab::new(),
+            tags: TagTable::new(),
             sink: StepSink::new(),
             byz_sink: ByzSink::new(),
             probe,
@@ -451,7 +505,7 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         // process order; within one tick the queue's FIFO order preserves
         // it (the old scheduler's seq = i).
         for i in 0..n {
-            let node = ProcessId::from_index(i);
+            let node = byte(ProcessId::from_index(i));
             sim.queue.push(0, Event::Start { node });
             if P::ENABLED {
                 sim.probe.on_queue_push(0, sim.queue.len());
@@ -599,8 +653,8 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
             self.probe.on_send(from, to, words, self.time, at);
         }
         let ev = Event::Deliver {
-            node: to,
-            from,
+            node: byte(to),
+            from: byte(from),
             slot,
         };
         self.queue.push(at, ev);
@@ -626,9 +680,20 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
     }
 
     /// Enqueues a point-to-point send (slab count 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming sender, recipient and `n`, if `to` is not one of the
+    /// `n` processes: the event's `u8` process byte would otherwise alias
+    /// it to some other process.
     #[inline]
     fn enqueue_send(&mut self, from: ProcessId, to: ProcessId, msg: M::Msg, correct: bool) {
         use crate::node::Message as _;
+        let n = self.config.params.n();
+        assert!(
+            to.index() < n,
+            "{from} sent to {to}, which is not one of the n = {n} processes"
+        );
         let words = msg.words();
         let slot = self.payloads.insert(msg, 1);
         if P::ENABLED {
@@ -655,7 +720,15 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
 
     fn enqueue_timer(&mut self, node: ProcessId, delay: Time, tag: u64) {
         let at = self.time.saturating_add(delay.max(1));
-        self.queue.push(at, Event::Timer { node, tag });
+        let node = byte(node);
+        let ev = match u32::try_from(tag) {
+            Ok(tag) => Event::Timer { node, tag },
+            Err(_) => Event::WideTimer {
+                node,
+                slot: self.tags.insert(tag),
+            },
+        };
+        self.queue.push(at, ev);
         if P::ENABLED {
             self.probe.on_queue_push(at, self.queue.len());
         }
@@ -703,15 +776,26 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
 
     fn dispatch(&mut self, ev: Event) {
         let p = ev.node();
+        // A wide tag's slot is freed here, before the halted check, so a
+        // halted receiver's timers recycle their slots too.
+        let action = match ev {
+            Event::Start { .. } => Action::Start,
+            Event::Deliver { from, slot, .. } => Action::Deliver {
+                from: ProcessId(from.into()),
+                slot,
+            },
+            Event::Timer { tag, .. } => Action::Timer(tag.into()),
+            Event::WideTimer { slot, .. } => Action::Timer(self.tags.take(slot)),
+        };
         // Every popped delivery leaves the receiver's observed inbox —
         // including deliveries to halted nodes, which were counted in.
-        if let Event::Deliver { .. } = ev {
+        if let Action::Deliver { .. } = action {
             self.observed.note_dispatched(p);
         }
         if self.halted[p.index()] {
             // A halted receiver still consumes its reference to the
             // payload, or the slot would never be recycled.
-            if let Event::Deliver { slot, .. } = ev {
+            if let Action::Deliver { slot, .. } = action {
                 self.payloads.release(slot);
             }
             return;
@@ -720,13 +804,13 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
         // The guard keeps the `NoProbe` case free of even the argument
         // computation.
         if P::ENABLED {
-            match ev {
-                Event::Start { .. } => self.probe.on_start(self.time, p),
-                Event::Deliver { from, slot, .. } => {
+            match action {
+                Action::Start => self.probe.on_start(self.time, p),
+                Action::Deliver { from, slot } => {
                     let msg = self.payloads.get(slot);
                     self.probe.on_deliver(self.time, p, from, msg);
                 }
-                Event::Timer { tag, .. } => self.probe.on_timer_fire(self.time, p, tag),
+                Action::Timer(tag) => self.probe.on_timer_fire(self.time, p, tag),
             }
         }
         if self.nodes[p.index()].is_correct() {
@@ -737,16 +821,16 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 let NodeKind::Correct(m) = &mut self.nodes[p.index()] else {
                     unreachable!("checked above")
                 };
-                match ev {
-                    Event::Start { .. } => m.init(&env, &mut sink),
-                    Event::Deliver { from, slot, .. } => {
+                match action {
+                    Action::Start => m.init(&env, &mut sink),
+                    Action::Deliver { from, slot } => {
                         self.stats.record_delivery(p);
                         m.on_message(from, self.payloads.get(slot), &env, &mut sink);
                     }
-                    Event::Timer { tag, .. } => m.on_timer(tag, &env, &mut sink),
+                    Action::Timer(tag) => m.on_timer(tag, &env, &mut sink),
                 }
             }
-            if let Event::Deliver { slot, .. } = ev {
+            if let Action::Deliver { slot, .. } = action {
                 self.payloads.release(slot);
             }
             // apply_correct_steps drained the sink; restore it (with its
@@ -765,16 +849,16 @@ impl<M: Machine, P: Probe> Simulation<M, P> {
                 if self.observed.is_tracking() && b.observes() {
                     b.observe(&self.observed);
                 }
-                match ev {
-                    Event::Start { .. } => b.init(&env, &mut sink),
-                    Event::Deliver { from, slot, .. } => {
+                match action {
+                    Action::Start => b.init(&env, &mut sink),
+                    Action::Deliver { from, slot } => {
                         self.stats.record_delivery(p);
                         b.on_message(from, self.payloads.get(slot), &env, &mut sink);
                     }
-                    Event::Timer { tag, .. } => b.on_timer(tag, &env, &mut sink),
+                    Action::Timer(tag) => b.on_timer(tag, &env, &mut sink),
                 }
             }
-            if let Event::Deliver { slot, .. } = ev {
+            if let Action::Deliver { slot, .. } = action {
                 self.payloads.release(slot);
             }
             self.apply_byz_steps(p, &mut sink);
@@ -1169,6 +1253,43 @@ mod tests {
                 "seed {seed}: RNG draw order or event order drifted"
             );
         }
+    }
+
+    /// A wide timer tag's slot is freed when its event is dispatched, also
+    /// when the receiver halted before it fired: after quiescence every
+    /// slot of the tag table is free.
+    #[test]
+    fn halted_receivers_free_their_timer_tags() {
+        struct ArmAndHalt;
+        impl Machine for ArmAndHalt {
+            type Msg = Ping;
+            type Output = u64;
+            fn init(&mut self, env: &Env, sink: &mut StepSink<Ping, u64>) {
+                for k in 0..5 {
+                    sink.timer(1 + k, u64::MAX - k - env.id.index() as u64);
+                }
+                if env.id.index() < 2 {
+                    sink.halt();
+                }
+            }
+            fn on_message(
+                &mut self,
+                _f: ProcessId,
+                _m: &Ping,
+                _e: &Env,
+                _s: &mut StepSink<Ping, u64>,
+            ) {
+            }
+        }
+        let nodes: Vec<NodeKind<ArmAndHalt>> =
+            (0..4).map(|_| NodeKind::Correct(ArmAndHalt)).collect();
+        let mut sim = SimBuilder::new(params())
+            .build(nodes)
+            .expect("valid configuration");
+        sim.run_to_quiescence();
+        assert_eq!(sim.events_processed(), 4 + 4 * 5);
+        assert_eq!(sim.tags.tags.len(), 20, "all 20 were queued at once");
+        assert_eq!(sim.tags.free.len(), 20, "a slot was never freed");
     }
 
     /// The broadcast fast path shares one payload allocation across all

@@ -9,7 +9,9 @@
 //! payloads live in the free-listed `PayloadSlab` (one recycled slot per
 //! in-flight message), so the only allocations a broadcast can cost are the
 //! ones the machine's own payload construction performs (none here:
-//! `Ping(u64)`). A short run pays for what its queue holds, not for how
+//! `Ping(u64)`). Timer tags wider than 32 bits wait in a free-listed tag
+//! table the same way, so a timer-heavy machine allocates nothing per
+//! timer either. A short run pays for what its queue holds, not for how
 //! far ahead it schedules: the queue allocates per pool or ring doubling,
 //! never per distinct tick.
 
@@ -123,6 +125,30 @@ impl Machine for Rebroadcaster {
     }
 }
 
+/// Timers only, with tags too wide for an event: eight in flight per
+/// process, each re-armed as it fires (Algorithm 3's tags for round
+/// `u32::MAX`). A tag table that did not recycle would grow with the run.
+struct TimerChurn;
+
+const TIMERS: u64 = 8;
+
+impl Machine for TimerChurn {
+    type Msg = Ping;
+    type Output = u64;
+
+    fn init(&mut self, _env: &Env, sink: &mut StepSink<Ping, u64>) {
+        for j in 0..TIMERS {
+            sink.timer(1 + j, u64::from(u32::MAX) * 128 + j);
+        }
+    }
+
+    fn on_message(&mut self, _f: ProcessId, _m: &Ping, _e: &Env, _s: &mut StepSink<Ping, u64>) {}
+
+    fn on_timer(&mut self, tag: u64, _env: &Env, sink: &mut StepSink<Ping, u64>) {
+        sink.timer(1 + tag % TIMERS, tag);
+    }
+}
+
 /// Runs a simulation with `probe` for exactly `events` events and returns
 /// the allocation count observed across the run.
 fn measure_with<M: Machine, P: Probe>(events: u64, nodes: Vec<NodeKind<M>>, probe: P) -> u64 {
@@ -173,6 +199,24 @@ fn audit_steady_state<P: Probe>(label: &str, mut probe: impl FnMut() -> P) {
         marginal <= 8,
         "[{label}] broadcast steady state allocated {marginal} times over \
          40k extra events (short run: {short}, long run: {long})"
+    );
+
+    // Timer workload: every event is a wide-tag timer, and the queue's
+    // working size is reached within the short run, so the marginal
+    // events allocate nothing at all.
+    let timers = || {
+        (0..4)
+            .map(|_| NodeKind::Correct(TimerChurn))
+            .collect::<Vec<_>>()
+    };
+    let short = measure_with(10_000, timers(), probe());
+    let long = measure_with(50_000, timers(), probe());
+    assert_eq!(
+        long,
+        short,
+        "[{label}] timer steady state allocated {} times over 40k extra \
+         events (short run: {short}, long run: {long})",
+        long.saturating_sub(short)
     );
 }
 
