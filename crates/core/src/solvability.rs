@@ -12,7 +12,8 @@
 //!
 //! [`classify`] runs the full decision procedure and returns
 //! machine-checkable witnesses: the always-admissible value, the full `Λ`
-//! table over `I_{n−t}`, or the configuration at which `C_S` fails.
+//! table over `I_{n−t}` (a [`LambdaTable`]), or the configuration at which
+//! `C_S` fails.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +27,7 @@ use crate::value::{Domain, Value};
 /// The outcome of classifying a validity property at given `(n, t)` over a
 /// finite domain.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Classification<V> {
+pub enum Classification<V: Value> {
     /// The property is trivial: `witness` is admissible for every input
     /// configuration. Solvable at any resilience — decide `witness` with no
     /// communication (Theorem 2's `always_admissible` procedure).
@@ -38,7 +39,7 @@ pub enum Classification<V> {
     /// `Universal`, with `Θ(n²)` messages (Theorems 4 + 5).
     SolvableNonTrivial {
         /// `Λ(c)` for every `c ∈ I_{n−t}` (the table Universal consults).
-        lambda_table: Vec<(InputConfig<V>, V)>,
+        lambda_table: LambdaTable<V>,
     },
     /// Unsolvable, with the reason as a witness.
     Unsolvable(UnsolvableReason<V>),
@@ -121,6 +122,82 @@ impl<V: Value> Classification<V> {
 impl<V: Value> fmt::Display for Classification<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// `Λ(c)` for every `c ∈ I_{n−t}`: Theorem 5's certificate that a property
+/// satisfies `C_S`, as the smallest member of `∩_{c′ ∼ c} val(c′)` per `c`.
+///
+/// The table holds one decided value per configuration, in the order of
+/// [`crate::enumerate_configs_of_size`] at size `n − t`, and no
+/// configuration: [`LambdaTable::iter`] rebuilds each from its position, and
+/// [`LambdaTable::get`] finds a configuration's position by arithmetic.
+///
+/// ```
+/// use validity_core::{classify, Classification, Domain, InputConfig, StrongValidity, SystemParams};
+///
+/// let params = SystemParams::new(4, 1)?;
+/// let Classification::SolvableNonTrivial { lambda_table } =
+///     classify(&StrongValidity, params, &Domain::binary())
+/// else {
+///     unreachable!("strong validity is solvable at (4, 1)");
+/// };
+/// assert_eq!(lambda_table.len(), 32); // C(4, 3) · 2³
+/// let c = InputConfig::from_pairs(params, [(0usize, 1u64), (1, 1), (3, 1)])?;
+/// assert_eq!(lambda_table.get(&c), Some(&1));
+/// assert!(lambda_table.iter().all(|(c, v)| lambda_table.get(&c) == Some(v)));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct LambdaTable<V> {
+    params: SystemParams,
+    domain: Domain<V>,
+    /// `Λ` of configuration `index` of `I_{n−t}` at `values[index]`.
+    values: Vec<V>,
+}
+
+impl<V: Value> LambdaTable<V> {
+    /// `|I_{n−t}|`.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the table is empty (never true: `I_{n−t}` is non-empty).
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Every `(c, Λ(c))`, `c` built on demand, in the order of
+    /// [`crate::enumerate_configs_of_size`].
+    pub fn iter(&self) -> impl Iterator<Item = (InputConfig<V>, &V)> + '_ {
+        let space = ConfigSpace::new(self.params, &self.domain);
+        let configs = space.of_size(self.params.quorum());
+        configs
+            .map(move |index| space.config(index))
+            .zip(&self.values)
+    }
+
+    /// The first entry of [`LambdaTable::iter`].
+    pub fn first(&self) -> Option<(InputConfig<V>, &V)> {
+        self.iter().next()
+    }
+
+    /// `Λ(c)`, or `None` when `c` is not in this table's `I_{n−t}`: it has
+    /// more than `n − t` pairs, belongs to another `(n, t)`, or proposes a
+    /// value outside the domain. Each call lays the space's blocks out
+    /// again (one allocation) and then finds `c` by binary searches.
+    pub fn get(&self, c: &InputConfig<V>) -> Option<&V> {
+        let space = ConfigSpace::new(self.params, &self.domain);
+        let configs = space.of_size(self.params.quorum());
+        let index = space.index_of(c).filter(|index| configs.contains(index))?;
+        Some(&self.values[index - configs.start])
+    }
+}
+
+/// Prints the table as the list of its `(c, Λ(c))` pairs.
+impl<V: Value> fmt::Debug for LambdaTable<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -272,11 +349,11 @@ impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
 
     /// The `C_S` walk: `Λ(c)` = smallest member of `∩_{c′ ∼ c} val(c′)` for
     /// every `c ∈ I_{n−t}`, or the first `c` where that is empty.
-    fn lambda_table(&mut self) -> Result<Vec<(InputConfig<V>, V)>, InputConfig<V>> {
+    fn lambda_table(&mut self) -> Result<LambdaTable<V>, InputConfig<V>> {
         let space = self.space;
         let configs = space.of_size(space.params().quorum());
         let mut walk = space.similar_walk();
-        let mut table = Vec::with_capacity(configs.len());
+        let mut values = Vec::with_capacity(configs.len());
         let all = self.all_values();
         let mut candidates = self.all_values();
         for index in configs {
@@ -287,11 +364,15 @@ impl<'a, V: Value, P: ValidityProperty<V>> ValTable<'a, V, P> {
                 walk.similar_while(index, |similar| self.retain(similar, &mut candidates));
             }
             match self.smallest(&candidates) {
-                Some(v) => table.push((space.load(&mut self.scratch, index).clone(), v.clone())),
+                Some(v) => values.push(v.clone()),
                 None => return Err(space.config(index)),
             }
         }
-        Ok(table)
+        Ok(LambdaTable {
+            params: space.params(),
+            domain: space.domain().clone(),
+            values,
+        })
     }
 }
 
@@ -335,7 +416,7 @@ pub fn check_similarity_condition<V: Value>(
     prop: &impl ValidityProperty<V>,
     params: SystemParams,
     domain: &Domain<V>,
-) -> Result<Vec<(InputConfig<V>, V)>, InputConfig<V>> {
+) -> Result<LambdaTable<V>, InputConfig<V>> {
     let space = ConfigSpace::new(params, domain);
     ValTable::new(&space, prop).lambda_table()
 }
@@ -585,8 +666,8 @@ mod tests {
             classify(&StrongValidity, p, &d)
         {
             assert_eq!(lambda_table.len(), 32); // |I_3| = C(4,3)·2³
-            for (c, v) in &lambda_table {
-                let truth = admissible_intersection(&StrongValidity, c, &d);
+            for (c, v) in lambda_table.iter() {
+                let truth = admissible_intersection(&StrongValidity, &c, &d);
                 assert!(truth.contains(v));
             }
         } else {

@@ -178,6 +178,30 @@ impl<'d, V: Value> ConfigSpace<'d, V> {
         InputConfig::from_pairs(self.params, pairs).expect("the layout respects the invariants")
     }
 
+    /// The index of configuration `c`, inverting [`ConfigSpace::config`]:
+    /// `c`'s block is found by its correct set, its offset by reading its
+    /// proposals as digits. `None` when `c` belongs to another system or
+    /// proposes a value outside the domain.
+    pub(crate) fn index_of(&self, c: &InputConfig<V>) -> Option<usize> {
+        if c.params() != self.params {
+            return None;
+        }
+        let pi = c.pi();
+        let at = self
+            .blocks
+            .binary_search_by(|b| {
+                let size = b.pi.len().cmp(&pi.len());
+                size.then_with(|| b.pi.iter().cmp(pi.iter()))
+            })
+            .ok()?;
+        let (mut offset, mut stride) = (0, 1);
+        for (_, v) in c.pairs() {
+            offset += self.domain.values().binary_search(v).ok()? * stride;
+            stride *= self.domain.len();
+        }
+        Some(self.blocks[at].base + offset)
+    }
+
     /// Builds the configurations of an index range, in index order.
     pub(crate) fn configs(
         &self,
@@ -390,6 +414,7 @@ mod tests {
             assert_eq!(space.len(), all.len());
             for (index, c) in all.iter().enumerate() {
                 assert_eq!(&space.config(index), c, "index {index} at ({n}, {t}, {d})");
+                assert_eq!(space.index_of(c), Some(index), "{c:?} at ({n}, {t}, {d})");
             }
         }
     }

@@ -3,17 +3,21 @@
 //! `classify` walks `sim(c)` for every `c ∈ I_{n−t}` along a plan built once
 //! per correct set, answers repeat look-ups from its `val(c)` table, reuses
 //! one candidate buffer across the `Λ` walk and evaluates every miss on one
-//! scratch configuration rewritten in place. What is left to allocate is
-//! what the answer needs: one `InputConfig` per `Λ` entry, and a few
-//! buffers (the `Λ` table sized up front, the `val(c)` table, the plan's
-//! three, which double while the first plan is built).
+//! scratch configuration rewritten in place. Its `Λ` table is one decided
+//! value per configuration of `I_{n−t}`, with no configuration stored, so
+//! what is left to allocate is a few buffers whatever the table's length:
+//! the space's blocks, the `val(c)` table, the plan's three (which double
+//! while the first plan is built), the scratch configuration, the candidate
+//! sets, and the table's values and domain.
 //!
 //! Strong validity at `(n, t) = (7, 2)` over three values evaluates 35 829
 //! `(c, v)` pairs in 19 003 batches over the 12 393 configurations of `I`,
-//! and its `Λ` table has 5 103 entries. The classifier allocates 5 136
-//! times: 5 103 + 33. Building a fresh configuration per batch of
-//! evaluations allocated 24 134 times (19 003 + 5 103 + 28); a `Similar`
-//! iterator and a fresh candidate `Vec` per `c` on top of that allocated
+//! and its `Λ` table has 5 103 entries; the classifier allocates 34 times.
+//! At `(6, 1)` over four values (40 732 pairs, 10 916 batches, 6 144
+//! entries) it allocates 22 times. A table that kept one `InputConfig` per
+//! entry allocated 5 136 and 6 165 times; building a fresh configuration
+//! per batch of evaluations on top of that allocated 24 134 times at
+//! `(7, 2)`, and a `Similar` iterator and a fresh candidate `Vec` per `c`
 //! 44 544 times.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -89,10 +93,17 @@ impl ValidityProperty<u64> for Batches<'_> {
     }
 }
 
-#[test]
-fn classify_allocates_per_evaluated_batch_not_per_configuration() {
-    let params = SystemParams::new(7, 2).unwrap();
-    let domain = Domain::range(3);
+/// The space's blocks, the `val(c)` table, the plan's buffers, the scratch
+/// configuration, the candidate sets and the `Λ` table's values and domain:
+/// a constant, whatever the number of `Λ` entries.
+const BOUND: u64 = 64;
+
+/// Classifies Strong validity at `(n, t)` over `values` values: the
+/// evaluations reaching the property, their batches and the `Λ` table's
+/// length must be `want`, and the allocations at most [`BOUND`].
+fn audit(n: usize, t: usize, values: u64, want: (u64, u64, u64)) {
+    let params = SystemParams::new(n, t).unwrap();
+    let domain = Domain::range(values);
     let counted = CountingValidity::new(&StrongValidity);
     let batches = Batches {
         inner: &counted,
@@ -101,15 +112,23 @@ fn classify_allocates_per_evaluated_batch_not_per_configuration() {
     };
     let (allocs, verdict) = allocations(|| classify(&batches, params, &domain));
     let Classification::SolvableNonTrivial { lambda_table } = verdict else {
-        panic!("strong validity is solvable at (7, 2): {verdict}");
+        panic!("strong validity is solvable at {params}: {verdict}");
     };
     let batches = batches.batches.into_inner();
     let entries = lambda_table.len() as u64;
-    assert_eq!((counted.evals(), batches, entries), (35_829, 19_003, 5_103));
-    // The space's blocks, the `val(c)`, `Λ` and plan buffers, the scratch
-    // configuration and the candidate sets.
+    assert_eq!((counted.evals(), batches, entries), want);
     assert!(
-        allocs <= entries + 64,
+        allocs <= BOUND,
         "{allocs} allocations for {entries} Λ entries ({batches} batches)"
     );
+}
+
+#[test]
+fn classify_allocates_per_evaluated_batch_not_per_configuration() {
+    audit(7, 2, 3, (35_829, 19_003, 5_103));
+}
+
+#[test]
+fn a_larger_table_allocates_no_more() {
+    audit(6, 1, 4, (40_732, 10_916, 6_144));
 }

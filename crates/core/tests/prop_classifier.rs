@@ -6,7 +6,9 @@
 //! [`admissible_intersection`] for every `c ∈ I_{n−t}` — under a
 //! [`CountingValidity`], so its evaluation count is the procedure's look-up
 //! count. `classify_with_cost` must return the same classification, the
-//! same certificate and the same number while evaluating far less.
+//! same certificate and the same number while evaluating far less. The
+//! reference lists its `Λ` table as `(c, Λ(c))` pairs; the classifier's
+//! [`LambdaTable`] must list the same pairs and find each by `get`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
@@ -18,9 +20,77 @@ use validity_core::{
     admissible_intersection, check_similarity_condition, classify_with_cost, enumerate_all_configs,
     enumerate_configs_of_size, Classification, ConstantSetValidity, ConvexHullValidity,
     CorrectProposalValidity, CountingValidity, Domain, DynValidity, ExactMedianValidity,
-    InputConfig, IntervalValidity, MedianValidity, ParityValidity, StrongValidity, SupportValidity,
-    SystemParams, TrivialValidity, UnsolvableReason, ValidityProperty, Value, WeakValidity,
+    InputConfig, IntervalValidity, LambdaTable, MedianValidity, ParityValidity, StrongValidity,
+    SupportValidity, SystemParams, TrivialValidity, UnsolvableReason, ValidityProperty, Value,
+    WeakValidity,
 };
+
+/// A `Λ` table as a list of `(c, Λ(c))` pairs, in the table's order.
+type Listed<V> = Vec<(InputConfig<V>, V)>;
+
+/// A classification with its `Λ` table listed, the way the reference
+/// builds it.
+#[derive(PartialEq, Eq, Debug)]
+enum Verdict<V: Value> {
+    Lambda(Listed<V>),
+    Other(Classification<V>),
+}
+
+fn listed<V: Value>(table: &LambdaTable<V>) -> Listed<V> {
+    table.iter().map(|(c, v)| (c, v.clone())).collect()
+}
+
+fn verdict<V: Value>((classification, cost): &(Classification<V>, u64)) -> (Verdict<V>, u64) {
+    let verdict = match classification {
+        Classification::SolvableNonTrivial { lambda_table } => {
+            Verdict::Lambda(listed(lambda_table))
+        }
+        _ => Verdict::Other(classification.clone()),
+    };
+    (verdict, *cost)
+}
+
+/// `got` is the reference's `want`, and a `Λ` table in it finds every
+/// listed pair by `get` (see [`assert_lookups`]).
+fn assert_same(
+    got: &(Classification<u64>, u64),
+    want: &(Verdict<u64>, u64),
+    domain: &Domain<u64>,
+    at: &str,
+) {
+    assert_eq!(&verdict(got), want, "{at}");
+    if let (Classification::SolvableNonTrivial { lambda_table }, Verdict::Lambda(listed)) =
+        (&got.0, &want.0)
+    {
+        assert_lookups(lambda_table, listed, domain, at);
+    }
+}
+
+/// `get` finds every pair of the reference's list, and refuses a
+/// configuration of size `n − t + 1`, one of another `(n, t)` and one
+/// proposing a value outside the domain.
+fn assert_lookups(table: &LambdaTable<u64>, want: &Listed<u64>, domain: &Domain<u64>, at: &str) {
+    for (c, v) in want {
+        assert_eq!(table.get(c), Some(v), "{at}: Λ({c:?})");
+    }
+    let (c, _) = &want[0];
+    let params = c.params();
+    let missing = params.all().difference(c.pi()).iter().next();
+    let larger = c
+        .with(missing.expect("c has n − t pairs"), *domain.min())
+        .unwrap();
+    let other = SystemParams::new(params.n() + 1, params.t() + 1).unwrap();
+    let other = InputConfig::from_pairs(other, c.pairs().map(|(p, v)| (p, *v))).unwrap();
+    let first = c.pairs().next().expect("c is non-empty").0;
+    let outside = c
+        .without(first)
+        .unwrap()
+        .with(first, domain.max() + 1)
+        .unwrap();
+    for c in [larger, other, outside] {
+        assert_eq!(table.get(&c), None, "{at}: {c:?} is outside I_(n−t)");
+    }
+}
 
 /// `C_S` by brute force: `Λ(c)` for every `c ∈ I_{n−t}`, or the first `c`
 /// whose similarity neighbourhood has no common admissible value.
@@ -28,7 +98,7 @@ fn reference_lambda_table<V: Value>(
     prop: &impl ValidityProperty<V>,
     params: SystemParams,
     domain: &Domain<V>,
-) -> Result<Vec<(InputConfig<V>, V)>, InputConfig<V>> {
+) -> Result<Listed<V>, InputConfig<V>> {
     let mut table = Vec::new();
     for c in enumerate_configs_of_size(params, domain, params.quorum()) {
         match admissible_intersection(prop, &c, domain).into_iter().next() {
@@ -44,7 +114,7 @@ fn reference<V: Value>(
     prop: &dyn ValidityProperty<V>,
     params: SystemParams,
     domain: &Domain<V>,
-) -> (Classification<V>, u64) {
+) -> (Verdict<V>, u64) {
     let counted = CountingValidity::new(prop);
     let all = enumerate_all_configs(params, domain);
     let mut always: BTreeSet<V> = domain.iter().cloned().collect();
@@ -55,7 +125,7 @@ fn reference<V: Value>(
         }
     }
     let classification = if let Some(witness) = always.into_iter().next() {
-        Classification::Trivial { witness }
+        Verdict::Other(Classification::Trivial { witness })
     } else if !params.supports_non_trivial() {
         let rejections = domain
             .iter()
@@ -64,13 +134,15 @@ fn reference<V: Value>(
                 (v.clone(), rejecting.expect("non-trivial").clone())
             })
             .collect();
-        Classification::Unsolvable(UnsolvableReason::LowResilience { rejections })
+        Verdict::Other(Classification::Unsolvable(
+            UnsolvableReason::LowResilience { rejections },
+        ))
     } else {
         match reference_lambda_table(&counted, params, domain) {
-            Ok(lambda_table) => Classification::SolvableNonTrivial { lambda_table },
-            Err(config) => {
-                Classification::Unsolvable(UnsolvableReason::SimilarityViolation { config })
-            }
+            Ok(table) => Verdict::Lambda(table),
+            Err(config) => Verdict::Other(Classification::Unsolvable(
+                UnsolvableReason::SimilarityViolation { config },
+            )),
         }
     };
     (classification, counted.evals())
@@ -145,11 +217,12 @@ impl Case {
         }
     }
 
-    fn assert_matches_reference(&self) -> Classification<u64> {
-        let got = classify_with_cost(&self.prop, self.params, &self.prop.domain);
-        let want = reference(&self.prop, self.params, &self.prop.domain);
-        assert_eq!(got, want, "{self:?}");
-        got.0
+    fn assert_matches_reference(&self) -> &'static str {
+        let domain = &self.prop.domain;
+        let got = classify_with_cost(&self.prop, self.params, domain);
+        let want = reference(&self.prop, self.params, domain);
+        assert_same(&got, &want, domain, &format!("{self:?}"));
+        got.0.label()
     }
 }
 
@@ -178,7 +251,7 @@ fn random_tables_reach_all_four_verdicts() {
         for floor in 0..3 {
             for density in [0, 40, 128, 250] {
                 let case = Case::new(system, 2, floor, density, 7 * density + system as u64);
-                seen.insert(case.assert_matches_reference().label());
+                seen.insert(case.assert_matches_reference());
             }
         }
     }
@@ -218,7 +291,7 @@ fn the_catalog_matches_the_reference() {
             catalog.push(Box::new(ParityValidity));
             for prop in &catalog {
                 assert_eq!(
-                    classify_with_cost(prop, params(n, t), &domain),
+                    verdict(&classify_with_cost(prop, params(n, t), &domain)),
                     reference(prop, params(n, t), &domain),
                     "{} at ({n}, {t}), |V| = {values}",
                     prop.name()
@@ -244,7 +317,7 @@ fn string_values_match_the_reference() {
         }
         for prop in &props {
             assert_eq!(
-                classify_with_cost(prop, params(n, t), &domain),
+                verdict(&classify_with_cost(prop, params(n, t), &domain)),
                 reference(prop, params(n, t), &domain),
                 "{} at ({n}, {t})",
                 prop.name()
@@ -267,13 +340,13 @@ fn a_domain_wider_than_one_word_matches_the_reference() {
     ];
     for prop in &props {
         assert_eq!(
-            classify_with_cost(prop, p, &domain),
+            verdict(&classify_with_cost(prop, p, &domain)),
             reference(prop, p, &domain),
             "{}",
             prop.name()
         );
         assert_eq!(
-            check_similarity_condition(prop, p, &domain),
+            check_similarity_condition(prop, p, &domain).map(|table| listed(&table)),
             reference_lambda_table(prop, p, &domain),
             "{}",
             prop.name()
@@ -414,14 +487,13 @@ fn the_whole_grid_matches_the_reference() {
     for cell in classify_grid() {
         let got = classify_with_cost(&cell.property, cell.params, &cell.domain);
         let want = reference(&cell.property, cell.params, &cell.domain);
-        assert_eq!(
-            got,
-            want,
+        let at = format!(
             "{} at {}, |V| = {}",
             cell.name,
             cell.params,
             cell.domain.len()
         );
+        assert_same(&got, &want, &cell.domain, &at);
         lookups += got.1;
     }
     assert_eq!(lookups, GRID_LOOKUPS);
