@@ -81,7 +81,7 @@ const USAGE: &str = "\
     lab crosscheck [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
     \x20        [--max-steps N] [--chaos | --adaptive] [--dry-run]\n\
     lab mutate [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
-    \x20        [--max-steps N] [--operators a,b,..] [--dry-run]\n\
+    \x20        [--operators a,b,..] [--dry-run]\n\
     lab diff <a.json> <b.json>";
 
 fn list(names_only: bool) {
@@ -743,7 +743,7 @@ fn mutate_cmd(rest: &[&str]) -> CmdResult {
     tune_grid(&args, &mut matrix.grid.scenarios)?;
     if args.has("--dry-run") {
         println!(
-            "{}: {} cells × ({} engine(s) + {} mutant(s)) = {} runs (seeds {:?})",
+            "{}: {} cells × ({} engine(s) + {} mutant(s)) = at most {} runs (seeds {:?})",
             matrix.grid.scenarios.name,
             matrix.grid.len(),
             matrix.grid.engines.len(),

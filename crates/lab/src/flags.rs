@@ -170,11 +170,14 @@ pub const FLAGS: &[Flag] = &[
     ),
     value(
         "--max-steps",
-        &[Run, RunSuite, Crosscheck, Mutate],
-        &[(
-            Service,
-            "the service driver runs under the schedule's own event budget",
-        )],
+        &[Run, RunSuite, Crosscheck],
+        &[
+            (
+                Service,
+                "the service driver runs under the schedule's own event budget",
+            ),
+            (Mutate, "each mutant's budget is 20× its base run's events"),
+        ],
     ),
     value(
         "--slots",

@@ -6,10 +6,11 @@
 //! as the oracle's ability to *detect* a wrong engine. This module turns
 //! the crosscheck's single planted-fault self-test into a corpus: every
 //! registered engine crossed with every [`MutationOp`] yields a *mutant*
-//! — the engine's machine inside a [`Mutant`] wrapper — and each mutant's
-//! column is run over a scenario grid next to the clean registry columns,
-//! through the same [`CrosscheckMatrix::run_engine`] seam. A mutant is
-//! **killed** when the oracle distinguishes it from its base engine:
+//! — the engine's machine inside a [`Mutant`] wrapper — and each mutant is
+//! run over a scenario grid next to the clean registry columns, through
+//! the runner seam ([`CrosscheckMatrix::run_engine`] is the same
+//! `simulate` + `lens` pair). A mutant is **killed** when the oracle
+//! distinguishes it from its base engine:
 //!
 //! 1. a cell grades [`AgreementLevel::Disagreement`] (safety violation,
 //!    inadmissible decision, verdict split, classifier contradiction);
@@ -27,24 +28,28 @@
 //! with zero disagreements: a *false kill* would mean the harness convicts
 //! healthy engines, which voids the whole matrix.
 //!
-//! The executor is the same deterministic worker-pool shape as
-//! [`crate::crosscheck::run_crosscheck`]: every `(cell × column)` run
-//! fans out over threads, results collect in matrix order, and the
-//! `mutate@1` artifact is byte-identical across worker counts. Base
-//! columns are executed once and shared by every mutant's grading.
+//! The executor makes two passes over the lab's worker pool. The clean
+//! columns run once per cell and are shared by every mutant's grading;
+//! then each mutant walks the cells in matrix order and stops at its
+//! first conviction, since the report keeps only that one. A mutant run
+//! is capped at [`MUTANT_BUDGET_FACTOR`] times its base run's events on
+//! the same cell: a mutant that stalls is quarantined (and convicted by
+//! rule 2) long before it could hang the gate, and one that decides
+//! never comes near the cap. Both passes collect in index order, so the
+//! `mutate@1` artifact is byte-identical across worker counts.
 //! Mutants are deterministic: each operator is a pure, stateful rewrite of
 //! the hook stream, so mutated runs are exactly as replayable as clean
 //! ones.
 
-use validity_core::{Classification, ProcessId};
+use validity_core::ProcessId;
 use validity_protocols::{ProtocolContext, VectorMachine, VectorSpec};
-use validity_simnet::{Env, Machine, Step, StepSink};
+use validity_simnet::{Env, Machine, NoProbe, Step, StepSink};
 
 use crate::crosscheck::{self, grade_runs, AgreementLevel, CrosscheckMatrix, Finding};
-use crate::matrix::{ScheduleSpec, ValiditySpec};
+use crate::matrix::{RunCell, ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
-use crate::runner::RunRecord;
+use crate::runner::{lens, simulate, RunRecord, Verdict};
 
 /// Schema tag of the mutate report artifact.
 pub const MUTATE_SCHEMA: &str = "validity-lab/mutate@1";
@@ -249,7 +254,8 @@ impl MutateMatrix {
     /// The built-in `mutate` suite: the full registry × the full operator
     /// corpus over a small grid that still exercises both schedules, both
     /// fault loads, and two system sizes. Sized for CI — the matrix runs
-    /// `cells × (engines + mutants)` simulations.
+    /// each engine once per cell and each mutant up to its first
+    /// conviction, at most `cells × (engines + mutants)` simulations.
     pub fn suite() -> MutateMatrix {
         let mut grid = CrosscheckMatrix::new("mutate");
         let s = &mut grid.scenarios;
@@ -257,11 +263,6 @@ impl MutateMatrix {
         s.faults = vec![0, usize::MAX];
         s.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
         s.systems = vec![(4, 1), (7, 2)];
-        // A mutant may legitimately stall (skip-broadcast starves a
-        // quorum); the budget turns that into a quarantine verdict the
-        // divergence check can convict, instead of a hung gate. The
-        // largest clean run on this grid takes 1 755 events.
-        s.max_steps = Some(50_000);
         MutateMatrix {
             grid,
             operators: MutationOp::ALL.to_vec(),
@@ -276,7 +277,8 @@ impl MutateMatrix {
             .collect()
     }
 
-    /// Total simulation-column count (`cells × (bases + mutants)`).
+    /// The most simulations the matrix can run, `cells × (bases +
+    /// mutants)`: a mutant stops at its first conviction.
     pub fn len(&self) -> usize {
         self.grid.len() * (self.grid.engines.len() + self.mutants().len())
     }
@@ -334,7 +336,8 @@ pub struct MutateReport {
     pub engines: Vec<&'static str>,
     /// Operator corpus, in presentation order.
     pub operators: Vec<MutationOp>,
-    /// Scenario cells each column ran.
+    /// Scenario cells in the grid: each clean column ran all of them, and
+    /// each mutant the ones up to its first conviction.
     pub cells: usize,
     /// Baseline disagreements, by cell key: cells where the *clean*
     /// registry already splits. Any entry is a false kill and voids the
@@ -534,54 +537,52 @@ fn judge(base: &'static str, b: &RunRecord, m: &RunRecord) -> Option<Finding> {
     (m.decided && values[0] != values[1]).then_some(Finding::DecidedOther(base, values))
 }
 
-/// Runs the full kill matrix over `threads` workers (0 = all cores).
+/// Each mutant run's step budget, in multiples of its base engine's
+/// events on the same cell. A mutant that decides or halts does so within
+/// about its base run's events; one that stalls runs on undecided, and the
+/// budget turns that into a quarantine that rule 2 convicts.
+pub const MUTANT_BUDGET_FACTOR: u64 = 20;
+
+/// `base` with `op` planted, run on `cell` under [`MUTANT_BUDGET_FACTOR`]
+/// times the events of `base_run`, its base engine's run of that cell.
+fn run_mutant(cell: &RunCell, base: VectorSpec, op: MutationOp, base_run: &RunRecord) -> RunRecord {
+    let budget = MUTANT_BUDGET_FACTOR * base_run.events;
+    let make = |ctx: &ProtocolContext, p, input| mutant(base, op, ctx, p, input);
+    lens(cell, &simulate(cell, Some(budget), |_| NoProbe, make).0)
+}
+
+/// Runs the kill matrix over `threads` workers (0 = all cores).
 ///
-/// Deterministic: every `(cell × column)` simulation is independent, work
-/// fans out through the same worker pool as
-/// [`crate::crosscheck::run_crosscheck`], which hands the runs back in
-/// index order, and grading walks them in matrix order — the report bytes
-/// never depend on the worker count.
+/// Two passes over the lab's worker pool: the clean columns and the
+/// classifier once per cell, then each mutant walked over the cells in
+/// matrix order up to its first conviction. The pool hands both back in
+/// index order, so the report bytes never depend on the worker count.
 pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
-    let cells = matrix.grid.cells();
+    let grid = &matrix.grid;
+    let cells = grid.cells();
     let mutants = matrix.mutants();
-    // All columns of the run, bases first: runs[cell][column]. A column is
-    // a base engine, with the operator planted into it for a mutant.
-    let columns: Vec<(usize, Option<MutationOp>)> = (0..matrix.grid.engines.len())
-        .map(|e| (e, None))
-        .chain(mutants.iter().map(|&(e, op)| (e, Some(op))))
-        .collect();
-    let mut results = pool::ordered_map(threads, cells.len() * columns.len(), |k| {
-        let cell = &cells[k / columns.len()];
-        let (e, op) = columns[k % columns.len()];
-        let base = matrix.grid.engines[e];
-        match op {
-            None => matrix
-                .grid
-                .run_engine(cell, base, |ctx, p, input| base.machine(ctx, p, input)),
-            Some(op) => matrix
-                .grid
-                .run_engine(cell, base, |ctx, p, input| mutant(base, op, ctx, p, input)),
-        }
+    let engines: Vec<&'static str> = grid.engines.iter().map(|e| e.name()).collect();
+    // The classifier and the clean columns of each cell.
+    let clean: Vec<(_, Vec<_>)> = pool::ordered_map(threads, cells.len(), |i| {
+        let cell = &cells[i];
+        let runs = grid
+            .engines
+            .iter()
+            .map(|&base| grid.run_engine(cell, base, |ctx, p, input| base.machine(ctx, p, input)));
+        (grid.classify(cell), runs.collect())
     })
-    .map(|(run, _wall)| run);
-    let runs: Vec<Vec<Option<RunRecord>>> = cells
-        .iter()
-        .map(|_| results.by_ref().take(columns.len()).collect())
-        .collect();
-    let engines: Vec<&'static str> = matrix.grid.engines.iter().map(|e| e.name()).collect();
-    // Classifier column, once per cell (cheap at grid sizes).
-    let classifiers: Vec<Option<Classification<u64>>> = cells
-        .iter()
-        .map(|cell| matrix.grid.classify(cell))
-        .collect();
+    .map(|(row, _wall)| row)
+    .collect();
     // Rule 1: the oracle ensemble's disagreement on cell `i` — the clean
-    // columns, plus column `mutant` when given.
-    let disagreement = |i: usize, mutant: Option<usize>| {
-        let row = &runs[i];
-        let verdict = |run: &Option<RunRecord>| run.as_ref().map(RunRecord::verdict);
-        let clean = engines.iter().copied().zip(row.iter().map(verdict));
-        let extra = mutant.map(|m| ("mutant", verdict(&row[m])));
-        let (_, finding) = grade_runs(classifiers[i].as_ref(), clean.chain(extra));
+    // columns, plus the mutant's verdict when given.
+    let disagreement = |i: usize, mutant: Option<Option<Verdict>>| {
+        let (classifier, row) = &clean[i];
+        let verdicts = row.iter().map(|run| run.as_ref().map(RunRecord::verdict));
+        let extra = mutant.map(|verdict| ("mutant", verdict));
+        let (_, finding) = grade_runs(
+            classifier.as_ref(),
+            engines.iter().copied().zip(verdicts).chain(extra),
+        );
         finding.filter(|f| f.level() == AgreementLevel::Disagreement)
     };
     // Baseline: the clean registry must not disagree with itself.
@@ -589,29 +590,28 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
         .filter_map(|i| Some((crosscheck::key(&cells[i]), disagreement(i, None)?)))
         .collect();
     // Each mutant dies at its first conviction in cell order.
-    let fates = mutants
-        .iter()
-        .enumerate()
-        .map(|(m, &(e, op))| {
-            let column = engines.len() + m;
-            let kill = (0..cells.len()).find_map(|i| {
-                let row = &runs[i];
-                let evidence = disagreement(i, Some(column))
-                    .or_else(|| judge(engines[e], row[e].as_ref()?, row[column].as_ref()?))?;
-                Some(Fate::Killed {
-                    cell: crosscheck::key(&cells[i]),
-                    evidence,
-                })
-            });
-            MutantFate {
-                base: engines[e],
-                operator: op,
-                fate: kill.unwrap_or(Fate::Survived),
-            }
-        })
-        .collect();
+    let fates = pool::ordered_map(threads, mutants.len(), |m| {
+        let (e, op) = mutants[m];
+        let kill = cells.iter().enumerate().find_map(|(i, cell)| {
+            let base = clean[i].1[e].as_ref();
+            let run = base.map(|b| run_mutant(cell, grid.engines[e], op, b));
+            let evidence = disagreement(i, Some(run.as_ref().map(RunRecord::verdict)))
+                .or_else(|| judge(engines[e], base?, run.as_ref()?))?;
+            Some(Fate::Killed {
+                cell: crosscheck::key(cell),
+                evidence,
+            })
+        });
+        MutantFate {
+            base: engines[e],
+            operator: op,
+            fate: kill.unwrap_or(Fate::Survived),
+        }
+    })
+    .map(|(fate, _wall)| fate)
+    .collect();
     MutateReport {
-        name: matrix.grid.scenarios.name.clone(),
+        name: grid.scenarios.name.clone(),
         engines,
         operators: matrix.operators.clone(),
         cells: cells.len(),
@@ -624,7 +624,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
 mod tests {
     use super::*;
     use validity_core::{InputConfig, SystemParams};
-    use validity_protocols::vector_registry;
+    use validity_protocols::{find_vector, vector_registry};
     use validity_simnet::{agreement_holds, NodeKind, SimBuilder};
 
     /// A one-cell matrix over a trimmed corpus, for fast unit tests.
@@ -685,12 +685,14 @@ mod tests {
         assert_eq!(unique.len(), names.len(), "duplicate mutant names");
     }
 
-    /// Runs 4 correct nodes built by `make` under the mutate suite's step
-    /// budget and returns (all decided, agreement, decision debug strings).
+    /// Runs 4 correct nodes built by `make` under `budget` events (the
+    /// simulator's own limit when `None`) and returns (all decided,
+    /// agreement, decision debug strings, events).
     fn run_nodes<M>(
         make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
         seed: u64,
-    ) -> (bool, bool, Vec<String>)
+        budget: Option<u64>,
+    ) -> (bool, bool, Vec<String>, u64)
     where
         M: Machine<Output = InputConfig<u64>> + 'static,
     {
@@ -699,12 +701,11 @@ mod tests {
         let nodes: Vec<NodeKind<M>> = (0..4)
             .map(|i| NodeKind::Correct(make(&ctx, ProcessId::from_index(i), i as u64 % 2)))
             .collect();
-        let budget = MutateMatrix::suite().grid.scenarios.max_steps;
-        let mut sim = SimBuilder::new(params)
-            .seed(seed)
-            .max_events(budget.expect("the mutate suite runs under a step budget"))
-            .build(nodes)
-            .expect("valid configuration");
+        let mut builder = SimBuilder::new(params).seed(seed);
+        if let Some(budget) = budget {
+            builder = builder.max_events(budget);
+        }
+        let mut sim = builder.build(nodes).expect("valid configuration");
         sim.run_until_decided();
         (
             sim.all_correct_decided(),
@@ -714,6 +715,7 @@ mod tests {
                 .flatten()
                 .map(|(_, o)| format!("{o:?}"))
                 .collect(),
+            sim.events_processed(),
         )
     }
 
@@ -722,19 +724,46 @@ mod tests {
         let m = MutateMatrix::suite();
         for (e, op) in m.mutants() {
             let base = m.grid.engines[e];
-            let run = || run_nodes(|ctx, p, input| mutant(base, op, ctx, p, input), 7);
+            // The same budget `run_mutate` derives from the base run.
+            let events = run_nodes(|ctx, p, input| base.machine(ctx, p, input), 7, None).3;
+            let budget = Some(MUTANT_BUDGET_FACTOR * events);
+            let run = || run_nodes(|ctx, p, input| mutant(base, op, ctx, p, input), 7, budget);
             assert_eq!(run(), run(), "{base}+{op} is not replayable");
         }
     }
 
     #[test]
+    fn a_mutant_run_is_budgeted_off_its_base_run() {
+        let m = tiny(vec![MutationOp::SkipBroadcast]);
+        let cell = &m.grid.cells()[0];
+        let base = find_vector::<u64>("alg1-auth").unwrap();
+        let clean = m
+            .grid
+            .run_engine(cell, base, |ctx, p, input| base.machine(ctx, p, input))
+            .unwrap();
+        assert!(clean.decided && !clean.quarantined);
+        assert_eq!(clean.events, 50);
+        // skip-broadcast stalls Algorithm 1: it runs to 20 × 50 events,
+        // and the one after trips the limit.
+        let run = run_mutant(cell, base, MutationOp::SkipBroadcast, &clean);
+        assert!(run.quarantined && !run.decided);
+        assert_eq!(run.events, 1_001);
+        // `lab mutate --max-steps` is refused with the factor in use.
+        let why = crate::flags::find("--max-steps")
+            .and_then(|f| f.refusal(crate::flags::Command::Mutate))
+            .unwrap();
+        assert!(why.contains(&format!("{MUTANT_BUDGET_FACTOR}×")), "{why}");
+    }
+
+    #[test]
     fn shift_proposal_mutant_decides_outside_the_input_bracket() {
         let base = vector_registry::<u64>()[0];
-        let clean = run_nodes(|ctx, p, input| base.machine(ctx, p, input), 7);
+        let clean = run_nodes(|ctx, p, input| base.machine(ctx, p, input), 7, None);
         assert!(clean.0 && clean.1);
-        let (decided, agreement, decisions) = run_nodes(
+        let (decided, agreement, decisions, _) = run_nodes(
             |ctx, p, input| mutant(base, MutationOp::ShiftProposal, ctx, p, input),
             7,
+            None,
         );
         // The mutant still runs the real engine, so it reaches agreement —
         // but every decided value carries the shifted proposals.

@@ -12,10 +12,11 @@
 //!    operator, a changed kill rule, an engine change that flips a
 //!    fate — shows up as a fingerprint mismatch and must be intentional.
 //!
-//! The corpus is the built-in suite itself. Its 50k-event step budget
-//! keeps stalling mutants cheap even in debug builds: every mutant dies
-//! and the baseline runs clean, which the gate assertion below proves on
-//! every run.
+//! The corpus is the built-in suite itself. Each mutant stops at its first
+//! conviction, and each mutant run is capped at 20× its base run's events
+//! on the same cell, which keeps stalling mutants cheap even in debug
+//! builds: every mutant dies and the baseline runs clean, which the gate
+//! assertion below proves on every run.
 //!
 //! The golden hashes were recorded when `lab mutate` was introduced. Do
 //! **not** regenerate them unless a mutate-schema, operator-corpus, or
