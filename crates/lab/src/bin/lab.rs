@@ -79,7 +79,7 @@ const USAGE: &str = "\
     lab service [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
     \x20        [--slots N] [--pipelines 1,2,..] [--batches 1,8,..] [--dry-run]\n\
     lab crosscheck [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
-    \x20        [--max-steps N] [--chaos | --adaptive] [--dry-run]\n\
+    \x20        [--max-steps N] [--dry-run]\n\
     lab mutate [--threads N] [--json FILE] [--md FILE] [--seeds a..b]\n\
     \x20        [--operators a,b,..] [--dry-run]\n\
     lab diff <a.json> <b.json>";
@@ -619,19 +619,7 @@ fn crosscheck_cmd(rest: &[&str]) -> CmdResult {
     let args = Args::parse(Command::Crosscheck, rest)?;
     let threads = args.threads()?;
     let (json_path, md_path) = args.report_paths("crosscheck")?;
-    // --chaos swaps in the faulty-network grid (every ScheduleSpec::CHAOS
-    // schedule), --adaptive the observing-adversary grid; the default grid
-    // keeps the committed fingerprint bytes.
-    let mut matrix = match (args.has("--chaos"), args.has("--adaptive")) {
-        (true, true) => {
-            return Err(
-                "--chaos and --adaptive select different grids; pick one per run".to_string(),
-            )
-        }
-        (true, false) => CrosscheckMatrix::chaos(),
-        (false, true) => CrosscheckMatrix::adaptive(),
-        (false, false) => CrosscheckMatrix::suite(),
-    };
+    let mut matrix = CrosscheckMatrix::suite();
     tune_grid(&args, &mut matrix.scenarios)?;
     if args.has("--dry-run") {
         println!(

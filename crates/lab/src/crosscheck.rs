@@ -145,52 +145,6 @@ impl CrosscheckMatrix {
         m
     }
 
-    /// The chaos extension grid (`lab crosscheck --chaos`): the same
-    /// oracle ensemble swept over every faulty-network schedule in
-    /// [`ScheduleSpec::CHAOS`]. A separate grid rather than extra rows in
-    /// [`CrosscheckMatrix::suite`], because the committed `crosscheck`
-    /// fingerprints pin the clean suite's bytes — but the grading bar is
-    /// identical: pre-GST loss, duplication, partitions, and churn may
-    /// slow a column down, never split the oracles, so any cell above
-    /// expected-divergence is a bug.
-    pub fn chaos() -> CrosscheckMatrix {
-        let mut m = CrosscheckMatrix::new("crosscheck-chaos");
-        let s = &mut m.scenarios;
-        s.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
-        s.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
-        s.faults = vec![0, usize::MAX];
-        s.schedules = ScheduleSpec::CHAOS.to_vec();
-        s.systems = vec![(4, 1), (7, 2)];
-        // Chaos cells can legitimately run long (loss withholds messages
-        // until GST); the budget quarantines divergence instead of
-        // hanging the gate.
-        s.max_steps = Some(5_000_000);
-        m
-    }
-
-    /// The adaptive extension grid (`lab crosscheck --adaptive`): the same
-    /// oracle ensemble with every *observing* behaviour in the faulty
-    /// slots. A separate grid rather than extra rows in
-    /// [`CrosscheckMatrix::suite`], because the committed `crosscheck`
-    /// fingerprints pin the clean suite's bytes — but the grading bar is
-    /// identical: an adversary that picks its victims from the execution
-    /// may cost liveness or complexity, never split the oracles, so any
-    /// cell above expected-divergence is a bug.
-    pub fn adaptive() -> CrosscheckMatrix {
-        let mut m = CrosscheckMatrix::new("crosscheck-adaptive");
-        let s = &mut m.scenarios;
-        s.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
-        s.behaviors = BehaviorId::ADAPTIVE.to_vec();
-        s.faults = vec![usize::MAX];
-        s.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
-        s.systems = vec![(4, 1), (7, 2)];
-        s.seeds = 0..2;
-        // adaptive-flood starves its victim indefinitely; the budget turns
-        // those cells into quarantines instead of a hung gate.
-        s.max_steps = Some(5_000_000);
-        m
-    }
-
     /// The scenario matrix's run cells, in its template × seed order.
     pub fn cells(&self) -> Vec<RunCell> {
         self.scenarios.run_cells().collect()
@@ -916,31 +870,6 @@ mod tests {
         assert!(classifier_in_band(7, m.domain));
         let in_band = m.engines.iter().filter(|e| e.applicable_to(16, 5)).count();
         assert_eq!(in_band, 1, "exactly one engine covers (16, 5)");
-    }
-
-    #[test]
-    fn chaos_grid_is_clean_on_every_chaos_schedule() {
-        // A trimmed slice of the --chaos grid (the full grid is the CI
-        // smoke's job): every faulty-network schedule, one validity, one
-        // behavior, smallest system — the oracles must never split.
-        let mut m = CrosscheckMatrix::chaos();
-        m.scenarios.validities = vec![ValiditySpec::Median];
-        m.scenarios.behaviors = vec![BehaviorId::Silent];
-        m.scenarios.faults = vec![usize::MAX];
-        m.scenarios.systems = vec![(4, 1)];
-        assert!(m.scenarios.schedules.iter().all(|s| s.is_chaos()));
-        let report = run_crosscheck(&m, 0);
-        assert!(
-            report.disagreements().is_empty(),
-            "chaos split the oracles: {report:?}"
-        );
-        for s in ScheduleSpec::CHAOS {
-            let tag = format!("/{}/", s.name());
-            assert!(
-                report.cells.iter().any(|c| c.key.contains(&tag)),
-                "schedule {s} missing from the chaos grid"
-            );
-        }
     }
 
     #[test]

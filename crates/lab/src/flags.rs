@@ -199,9 +199,6 @@ pub const FLAGS: &[Flag] = &[
     ),
     value("--operators", &[Mutate], &[]),
     switch("--dry-run", REPORTING, &[]),
-    // `--adaptive` selects the adaptive-*adversary* crosscheck grid; sweeps
-    // reach those adversaries through `--suite adaptive` or `--behaviors`.
-    switch("--adaptive", &[Crosscheck], &[]),
     switch(
         "--observe",
         SWEEP,
@@ -219,7 +216,6 @@ pub const FLAGS: &[Flag] = &[
             ),
         ],
     ),
-    switch("--chaos", &[Crosscheck], &[]),
 ];
 
 #[cfg(test)]

@@ -387,24 +387,33 @@ pub fn quick() -> ScenarioMatrix {
     m
 }
 
+/// Every registered vector engine, raw and under `Universal`: the protocol
+/// axis of the two robustness suites, so each engine is an oracle there
+/// both for vector validity and for every property the suite wraps.
+fn every_engine() -> Vec<ProtocolAxis> {
+    vector_registry()
+        .into_iter()
+        .flat_map(|engine| [ProtocolAxis::raw(engine), ProtocolAxis::wrapped(engine)])
+        .collect()
+}
+
 /// The network-fault ablation: every chaos schedule — bounded loss,
 /// duplication, a healing partition, crash-recovery churn, and their
-/// composition — swept across both vector engines, the two standard
-/// oblivious adversaries, and every adaptive behavior (an adversary that
-/// watches the run, attacking *through* a faulty network). The point of
-/// the suite is the *absence* of movement: pre-GST network faults may
-/// slow decisions but must never flip safety, so every cell is checked
-/// exactly like a clean-schedule cell.
+/// composition — swept across every engine (raw, and under `Universal`
+/// for Strong and Median), fault-free and at full load of the two
+/// standard oblivious adversaries and of every adaptive behavior (an
+/// adversary that watches the run, attacking *through* a faulty
+/// network). The point of the suite is the *absence* of movement:
+/// pre-GST network faults may slow decisions but must never flip safety,
+/// so every cell is checked exactly like a clean-schedule cell, and a
+/// quarantined cell fails the sweep like a violation.
 pub fn netchaos() -> ScenarioMatrix {
     let mut m = ScenarioMatrix::new("netchaos");
-    m.protocols = vec![
-        ProtocolAxis::raw(find_vector("alg1-auth").unwrap()),
-        ProtocolAxis::wrapped(find_vector("alg1-auth").unwrap()),
-    ];
-    m.validities = vec![ValiditySpec::Strong];
+    m.protocols = every_engine();
+    m.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
     m.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
     m.behaviors.extend(BehaviorId::ADAPTIVE);
-    m.faults = vec![usize::MAX];
+    m.faults = vec![0, usize::MAX];
     m.schedules = ScheduleSpec::CHAOS.to_vec();
     m.systems = vec![(4, 1), (7, 2)];
     m.seeds = 0..3;
@@ -415,25 +424,22 @@ pub fn netchaos() -> ScenarioMatrix {
 /// The adaptive-adversary ablation: every observing behavior — the
 /// frontrunner-targeting equivocator, the decision-triggered sleeper, the
 /// majority-splitting partitioner, and the queue-seeking flooder — swept
-/// across raw and `Universal`-wrapped Algorithm 1 on both clean schedules.
-/// Like [`netchaos`], the suite's point is the *absence* of movement: an
-/// adversary that reacts to the execution may cost liveness or complexity,
-/// but safety must never flip, so every cell is checked exactly like an
-/// oblivious-adversary cell.
+/// across every engine (raw, and under `Universal` for Strong and Median)
+/// on both clean schedules. Like [`netchaos`], the suite's point is the
+/// *absence* of movement: an adversary that reacts to the execution may
+/// cost complexity, but every cell must still decide, agree and decide
+/// admissibly within its budget.
 pub fn adaptive() -> ScenarioMatrix {
     let mut m = ScenarioMatrix::new("adaptive");
-    m.protocols = vec![
-        ProtocolAxis::raw(find_vector("alg1-auth").unwrap()),
-        ProtocolAxis::wrapped(find_vector("alg1-auth").unwrap()),
-    ];
-    m.validities = vec![ValiditySpec::Strong];
+    m.protocols = every_engine();
+    m.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
     m.behaviors = BehaviorId::ADAPTIVE.to_vec();
     m.faults = vec![usize::MAX];
     m.schedules = vec![ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
     m.systems = vec![(4, 1), (7, 2)];
     m.seeds = 0..3;
-    // adaptive-flood keeps the network busy forever; the budget turns the
-    // starved cells into quarantines instead of stalled sweeps.
+    // adaptive-flood keeps the network busy forever; the budget turns a
+    // starved cell into a quarantine (a failed sweep) instead of a stall.
     m.max_steps = Some(COMPLEXITY_BUDGET);
     m
 }
@@ -441,7 +447,7 @@ pub fn adaptive() -> ScenarioMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::FitAxis;
+    use crate::matrix::{FitAxis, RunCell};
     use crate::report::SweepReport;
 
     #[test]
@@ -455,12 +461,59 @@ mod tests {
         assert_eq!(ALL.len(), 10);
     }
 
+    /// Fails unless `suite` runs every run group of `union` over at least
+    /// its seeds: the union is the axes of the grids that once asked the
+    /// suite's question separately (the suite itself and a crosscheck
+    /// grid), so a suite that drops one of their cells fails here.
+    fn assert_covers(suite: &ScenarioMatrix, union: &ScenarioMatrix) {
+        let groups: std::collections::BTreeSet<String> = suite
+            .run_templates()
+            .iter()
+            .map(RunCell::group_key)
+            .collect();
+        let wanted = union.run_templates();
+        assert!(!wanted.is_empty());
+        for cell in wanted {
+            let group = cell.group_key();
+            assert!(groups.contains(&group), "{} misses {group}", suite.name);
+        }
+        assert!(suite.seeds.start <= union.seeds.start && union.seeds.end <= suite.seeds.end);
+    }
+
+    /// The union of both robustness questions' former grids, over
+    /// `behaviors`, `faults` and `schedules`: every registry engine, raw
+    /// and wrapped, under Strong and Median, at (4, 1) and (7, 2), seeds
+    /// 0..3.
+    fn union(
+        behaviors: &[BehaviorId],
+        faults: &[usize],
+        schedules: &[ScheduleSpec],
+    ) -> ScenarioMatrix {
+        let mut m = ScenarioMatrix::new("union");
+        for engine in vector_registry() {
+            m.protocols.push(ProtocolAxis::raw(engine));
+            m.protocols.push(ProtocolAxis::wrapped(engine));
+        }
+        m.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
+        m.behaviors = behaviors.to_vec();
+        m.faults = faults.to_vec();
+        m.schedules = schedules.to_vec();
+        m.systems = vec![(4, 1), (7, 2)];
+        m.seeds = 0..3;
+        m
+    }
+
     #[test]
     fn adaptive_sweeps_exactly_the_observing_behaviors() {
         let m = adaptive();
         assert!(m.behaviors.iter().all(|b| b.is_adaptive()));
         assert_eq!(m.behaviors.len(), BehaviorId::ADAPTIVE.len());
         assert!(m.max_steps.is_some(), "adaptive cells need a step budget");
+        let clean = [ScheduleSpec::Synchronous, ScheduleSpec::PartialSync];
+        assert_covers(&m, &union(&BehaviorId::ADAPTIVE, &[usize::MAX], &clean));
+        // 3 engines × 4 behaviors × 2 schedules × 2 sizes × 3 seeds, each
+        // execution read raw and under Strong and Median.
+        assert_eq!(m.len(), 144 * 3);
     }
 
     #[test]
@@ -469,6 +522,15 @@ mod tests {
         assert!(m.schedules.iter().all(|s| s.is_chaos()));
         assert_eq!(m.schedules.len(), ScheduleSpec::CHAOS.len());
         assert!(m.max_steps.is_some(), "chaos cells need a step budget");
+        let mut behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
+        behaviors.extend(BehaviorId::ADAPTIVE);
+        assert_covers(
+            &m,
+            &union(&behaviors, &[0, usize::MAX], &ScheduleSpec::CHAOS),
+        );
+        // 3 engines × (1 fault-free + 6 loaded behaviors) × 5 schedules ×
+        // 2 sizes × 3 seeds, each read raw and under Strong and Median.
+        assert_eq!(m.len(), 630 * 3);
     }
 
     #[test]

@@ -9,36 +9,30 @@
 //!    behaviour sweeps to the same bytes at worker counts 1, 2, and
 //!    default — observation is maintained inside the simulation loop, so
 //!    the worker pool cannot reorder what the adversary sees.
-//! 2. **Safety never flips.** Adaptive adversaries may slow engines down
-//!    or inflate message complexity, but no sweep cell reports a validity
-//!    violation and no crosscheck cell grades DISAGREEMENT.
-//! 3. **Golden fingerprints.** SHA-256 of the `adaptive` sweep suite and
-//!    of the `crosscheck-adaptive` grid renderings is committed, pinning
-//!    the grids, every adaptive behaviour's effect on every engine, and
-//!    the emitters all at once.
+//! 2. **Safety never flips.** Adaptive adversaries may inflate message
+//!    complexity, but no sweep cell — any engine, raw or under
+//!    `Universal` for Strong and Median — misses a decision within its
+//!    budget, splits Agreement, or decides an inadmissible value.
+//! 3. **Golden fingerprints.** SHA-256 of the `adaptive` sweep suite's
+//!    renderings is committed, pinning the grid, every adaptive
+//!    behaviour's effect on every engine, and the emitters all at once.
 //!
-//! The golden hashes were recorded when the adaptive behaviours were
-//! introduced. Do **not** regenerate them unless a behaviour, grid, or
-//! emitter change is intentional.
+//! The golden hashes were re-recorded when the suite grew to every
+//! engine and both properties; every cell and group line of the
+//! Algorithm 1 grid before it carried over verbatim. Do **not**
+//! regenerate them unless a behaviour, grid, or emitter change is
+//! intentional.
 
 use validity_adversary::BehaviorId;
 use validity_crypto::sha256;
-use validity_lab::{run_crosscheck, suites, AgreementLevel, CrosscheckMatrix, SweepEngine};
+use validity_lab::{suites, SweepEngine};
 
 /// SHA-256 of the `adaptive` sweep suite's JSON rendering.
 const ADAPTIVE_SWEEP_JSON: &str =
-    "476e5fa97072c7b11fa269e55500c42f0a671659a0b16e198e4d9003b719ee41";
+    "a3840aefe3fc29cd0da6a47ee4506875d0f292101831a0e750b7e6e1e80a6381";
 
 /// SHA-256 of the same suite's Markdown rendering.
-const ADAPTIVE_SWEEP_MD: &str = "141a0b29a1e7494931848c27556a4995c1120292a59edcf691bf790d938f289e";
-
-/// SHA-256 of the `crosscheck-adaptive` grid's JSON rendering.
-const ADAPTIVE_CROSSCHECK_JSON: &str =
-    "65503928287a8425fb249b5898fb4d39a581a8845cb2651d06a38f839f141968";
-
-/// SHA-256 of the same grid's Markdown rendering.
-const ADAPTIVE_CROSSCHECK_MD: &str =
-    "be21561aac6c9e5aa1f6b0b308ffa32cf47a70da4c11883f46271b08478ebf90";
+const ADAPTIVE_SWEEP_MD: &str = "15b2e675f4215037310f2734cf9d6ec31c043fa52ba9038110541f42ead876a2";
 
 #[test]
 fn every_adaptive_behavior_sweeps_byte_identically_across_thread_counts() {
@@ -59,8 +53,8 @@ fn every_adaptive_behavior_sweeps_byte_identically_across_thread_counts() {
             "{behavior:?} drifted at default workers"
         );
         assert_eq!(one.to_markdown(), many.to_markdown());
-        // Liveness and complexity may degrade under an adaptive attack;
-        // validity may not.
+        // Complexity may grow under an adaptive attack; a decision
+        // within the budget, Agreement and validity may not give.
         assert_eq!(one.violations(), 0, "{behavior:?} flipped safety");
     }
 }
@@ -79,31 +73,5 @@ fn adaptive_suite_matches_golden_fingerprint() {
         sha256(report.to_markdown()).to_hex(),
         ADAPTIVE_SWEEP_MD,
         "adaptive sweep Markdown drifted from its recorded fingerprint"
-    );
-}
-
-#[test]
-fn adaptive_crosscheck_is_byte_identical_and_matches_golden_fingerprint() {
-    let matrix = CrosscheckMatrix::adaptive();
-    let one = run_crosscheck(&matrix, 1);
-    let many = run_crosscheck(&matrix, 0);
-    assert_eq!(one.to_json(), many.to_json());
-    assert_eq!(one.to_markdown(), many.to_markdown());
-
-    // The differential bar: every engine survives every adaptive attack
-    // with its decisions intact — zero DISAGREEMENT — and the grid is not
-    // vacuous.
-    assert_eq!(one.count(AgreementLevel::Disagreement), 0);
-    assert!(one.count(AgreementLevel::Full) > 0);
-
-    assert_eq!(
-        sha256(one.to_json()).to_hex(),
-        ADAPTIVE_CROSSCHECK_JSON,
-        "adaptive crosscheck JSON drifted from its recorded fingerprint"
-    );
-    assert_eq!(
-        sha256(one.to_markdown()).to_hex(),
-        ADAPTIVE_CROSSCHECK_MD,
-        "adaptive crosscheck Markdown drifted from its recorded fingerprint"
     );
 }

@@ -9,12 +9,14 @@
 //!    accepted flags pass validation, refused flags are refused with the
 //!    flag named, everything else is an unknown option. Nothing is
 //!    mirrored by hand — the test walks the table the binary validates
-//!    against. The adaptive-sampling flags are unknown to `lab run`;
-//!    every sweep runs in one process: `--shard` and `--from-reports` are
-//!    unknown options and `lab merge` is no command; a fit's axis follows
-//!    from its measure and the lab reports no wall clock, so
-//!    `--fit-axis` and `--timing` are unknown options too. Declared bands
-//!    are the only complexity contract, so `trend` is no subcommand.
+//!    against. The adaptive-sampling flags are unknown to `lab run`, and
+//!    `--chaos` / `--adaptive` to `lab crosscheck`, which runs one fixed
+//!    grid; every sweep runs in one process: `--shard` and
+//!    `--from-reports` are unknown options and `lab merge` is no command;
+//!    a fit's axis follows from its measure and the lab reports no wall
+//!    clock, so `--fit-axis` and `--timing` are unknown options too.
+//!    Declared bands are the only complexity contract, so `trend` is no
+//!    subcommand.
 //! 3. **No vacuous grids.** A built-in suite refuses the custom-axis
 //!    flags it would otherwise ignore; a custom matrix that enumerates no
 //!    cell or would drop a value it was given (an invalid `(n, t)` pair,
@@ -151,6 +153,22 @@ fn lab_run_refuses_the_sampling_flags_as_unknown_options() {
             let want = format!("unknown option '{}'", flag[0]);
             assert!(stderr(&out).contains(&want), "{args:?}: {}", stderr(&out));
         }
+    }
+}
+
+#[test]
+fn lab_crosscheck_refuses_the_grid_switches_as_unknown_options() {
+    // `lab crosscheck` runs one fixed grid: the faulty-network and
+    // adaptive-adversary questions are the `netchaos` and `adaptive`
+    // sweep suites, so neither switch selects a grid any more.
+    for flag in ["--chaos", "--adaptive"] {
+        let args = ["crosscheck", flag];
+        let (out, written) = lab_in_empty_dir(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        assert_eq!(written, 0, "{args:?} wrote a file");
+        let want = format!("unknown option '{flag}'");
+        assert!(stderr(&out).contains(&want), "{args:?}: {}", stderr(&out));
     }
 }
 

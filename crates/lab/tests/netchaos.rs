@@ -3,33 +3,77 @@
 //! decisions down but must never flip safety, and the chaos sweep must
 //! stay as replay-stable as every other lab artifact.
 
-use validity_lab::{suites, Outcome, ScheduleSpec, SweepEngine};
+use std::sync::OnceLock;
 
-/// Every chaos schedule across both engine modes and both standard
-/// adversaries: zero violations (Agreement, admissibility, liveness) and
-/// byte-identical reports across worker counts.
+use validity_lab::{
+    suites, Outcome, ProtocolAxis, ScenarioMatrix, ScheduleSpec, SweepEngine, SweepReport,
+    ValiditySpec,
+};
+use validity_protocols::find_vector;
+
+/// The whole suite, run once for the binary: every test that reads the
+/// grown grid reads this report.
+fn netchaos() -> &'static SweepReport {
+    static REPORT: OnceLock<SweepReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let m = suites::build("netchaos").expect("built-in suite");
+        SweepEngine::new(0).run(&m).0
+    })
+}
+
+/// The suite cut down to its Algorithm 1 columns at full load under
+/// Strong Validity: the axes the suite swept before it took in every
+/// engine, both properties and the fault-free load.
+fn alg1_axes() -> ScenarioMatrix {
+    let mut m = suites::build("netchaos").expect("built-in suite");
+    let alg1 = find_vector("alg1-auth").unwrap();
+    m.protocols = vec![ProtocolAxis::raw(alg1), ProtocolAxis::wrapped(alg1)];
+    m.validities = vec![ValiditySpec::Strong];
+    m.faults = vec![usize::MAX];
+    m
+}
+
+/// Every chaos schedule across every engine, both properties and every
+/// behaviour: zero violations (Agreement, admissibility, liveness within
+/// the budget), and the Algorithm 1 cells render the same bytes at 1, 2
+/// and the default number of workers. The default-worker run is the
+/// suite's own, so there every Algorithm 1 cell and group line must
+/// appear in it verbatim (CI compares the whole suite in release).
 #[test]
 fn netchaos_is_safe_and_byte_identical_across_thread_counts() {
-    let m = suites::build("netchaos").expect("built-in suite");
-    let one = SweepEngine::new(1).run(&m).0;
+    let report = netchaos();
     assert_eq!(
-        one.violations(),
+        report.violations(),
         0,
         "a chaos schedule flipped safety or stalled liveness:\n{}",
-        one.to_markdown()
+        report.to_markdown()
     );
-    for threads in [2, 0] {
-        let report = SweepEngine::new(threads).run(&m).0;
-        assert_eq!(
-            one.to_json(),
-            report.to_json(),
-            "chaos JSON drifted at {threads} workers"
-        );
-        assert_eq!(
-            one.to_markdown(),
-            report.to_markdown(),
-            "chaos Markdown drifted at {threads} workers"
-        );
+    let m = alg1_axes();
+    let one = SweepEngine::new(1).run(&m).0;
+    let two = SweepEngine::new(2).run(&m).0;
+    assert_eq!(
+        one.to_json(),
+        two.to_json(),
+        "chaos JSON drifted at 2 workers"
+    );
+    assert_eq!(
+        one.to_markdown(),
+        two.to_markdown(),
+        "chaos Markdown drifted at 2 workers"
+    );
+    // 120 groups (6 behaviours × 5 schedules × 2 sizes, raw and under
+    // Strong) of 3 seeds: JSON keys every cell and group, Markdown every
+    // group.
+    for (alg1, suite, keyed) in [
+        (one.to_json(), report.to_json(), 360 + 120),
+        (one.to_markdown(), report.to_markdown(), 120),
+    ] {
+        let lines: Vec<&str> = alg1.lines().filter(|l| l.contains("run/")).collect();
+        assert_eq!(lines.len(), keyed);
+        for line in lines {
+            let line = line.trim_end_matches(',');
+            assert!(suite.contains(line), "drifted at default workers: {line}");
+        }
     }
 }
 
@@ -38,12 +82,9 @@ fn netchaos_is_safe_and_byte_identical_across_thread_counts() {
 /// stats), and only chaos schedules ever touch those counters.
 #[test]
 fn chaos_counters_fire_exactly_where_declared() {
-    let mut m = suites::build("netchaos").expect("built-in suite");
-    m.seeds = 0..1;
-    let report = SweepEngine::new(0).run(&m).0;
     let mut dropped = 0u64;
     let mut duplicated = 0u64;
-    for cell in &report.cells {
+    for cell in &netchaos().cells {
         if let Outcome::Run(r) = &cell.outcome {
             dropped += r.stats.dropped;
             duplicated += r.stats.duplicated;
@@ -54,7 +95,7 @@ fn chaos_counters_fire_exactly_where_declared() {
 
     // The legacy schedules never touch the counters — that is what keeps
     // their committed fingerprints byte-stable.
-    let mut legacy = suites::build("netchaos").expect("built-in suite");
+    let mut legacy = alg1_axes();
     legacy.name = "netchaos-legacy-control".into();
     legacy.schedules = ScheduleSpec::LEGACY.to_vec();
     legacy.seeds = 0..1;
@@ -79,7 +120,7 @@ fn chaos_counters_fire_exactly_where_declared() {
 fn chaos_stats_round_trip_through_partial_reports() {
     use validity_lab::{merge, PartialReport, ShardSpec};
 
-    let mut m = suites::build("netchaos").expect("built-in suite");
+    let mut m = alg1_axes();
     m.seeds = 0..1;
     m.schedules = vec![
         ScheduleSpec::parse("lossy").unwrap(),
