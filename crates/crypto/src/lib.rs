@@ -9,7 +9,8 @@
 //!   extensions a runtime check sends each block to a SHA-NI kernel instead,
 //!   through the crate's one `unsafe` call, with the same output;
 //! * [`sig`] — a simulated PKI with structurally unforgeable per-process
-//!   signatures (§3.1);
+//!   signatures (§3.1), each a SipHash-2-4-128 tag under a per-process key
+//!   derived with SHA-256;
 //! * [`threshold`] — simulated `(k, n)`-threshold signatures \[65, 87\] for
 //!   Quad and vector dissemination;
 //! * [`gf256`] / [`reed_solomon`] — GF(2⁸) arithmetic and a Reed–Solomon
@@ -27,6 +28,7 @@ pub mod gf256;
 pub mod reed_solomon;
 pub mod sha256;
 pub mod sig;
+mod siphash;
 pub mod threshold;
 
 pub use gf256::Gf256;

@@ -3,17 +3,19 @@
 //! The paper assumes that "faulty processes cannot forge signatures of
 //! correct processes". Inside a closed simulation this contract can be
 //! enforced *by construction*: a [`Signer`] holds a per-process secret and is
-//! handed only to the node that owns it; signatures are HMAC-style SHA-256
-//! tags over (secret, signer id, message). Byzantine behaviours receive their
-//! own signers only, so the only way to produce `⟨m⟩_{σ_i}` is to *be*
+//! handed only to the node that owns it; signatures are keyed SipHash-2-4
+//! tags over the message under that secret. Byzantine behaviours receive
+//! their own signers only, so the only way to produce `⟨m⟩_{σ_i}` is to *be*
 //! `P_i`. Verification recomputes the tag via the shared [`KeyStore`].
 //!
-//! **Tag layout.** `tag_i(m) = SHA-256(prefix_i ‖ len(m) ‖ m)` where
-//! `prefix_i = "validity-crypto/sig" ‖ secret_i ‖ i`, zero-padded to exactly
-//! one 64-byte block. [`KeyStore::new`] compresses each prefix once and keeps
-//! the hasher state; a tag clones it, so a message of up to 47 bytes (a
-//! signed `u64` proposal, a partial signature over a digest) costs a single
-//! compression.
+//! **Tag layout.** `tag_i(m) = SipHash-2-4-128(key_i, m)`, where `key_i` is
+//! the first 16 bytes of `secret_i = SHA-256("validity-crypto/keygen" ‖
+//! seed ‖ i)`, read as two little-endian words `(k0, k1)`. A per-process
+//! key binds the signer; the PRF binds the message. A signed `u64` proposal
+//! is a handful of 64-bit words, far less work than a SHA-256 block, and
+//! [`Signer::sign_parts`] / [`KeyStore::verify_parts`] stream a structured
+//! message into the state without building it. Tags are compared only with
+//! `==` and appear in no report or ordering; `hash(·)` stays SHA-256.
 //!
 //! This substitutes computational unforgeability with structural
 //! unforgeability — the property actually used by the paper's proofs.
@@ -23,14 +25,17 @@ use std::sync::Arc;
 
 use validity_core::ProcessId;
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::Sha256;
+use crate::siphash::SipHasher128;
 
 /// A digital signature `⟨m⟩_{σ_i}`: the claimed signer plus the tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
     signer: ProcessId,
-    tag: Digest,
+    tag: [u64; 2],
 }
+
+const _: () = assert!(std::mem::size_of::<Signature>() <= 24);
 
 impl Signature {
     /// The process that (claims to have) produced the signature.
@@ -67,39 +72,34 @@ pub struct KeyStore {
 
 #[derive(Debug)]
 struct KeyStoreInner {
-    /// Per process: the hasher that has absorbed that process's one-block
-    /// key prefix, ready to absorb `len ‖ msg`.
-    keyed: Vec<Sha256>,
+    /// Per process: its SipHash key `(k0, k1)`.
+    keys: Vec<[u64; 2]>,
 }
 
 impl KeyStore {
     /// Generates key material for `n` processes from a setup seed.
     pub fn new(n: usize, seed: u64) -> Self {
-        let keyed = (0..n)
+        let keys = (0..n)
             .map(|i| {
                 let mut h = Sha256::new();
                 h.update(b"validity-crypto/keygen");
                 h.update(seed.to_le_bytes());
                 h.update((i as u64).to_le_bytes());
                 let secret = h.finalize();
-
-                let mut prefix = [0u8; 64];
-                prefix[..19].copy_from_slice(b"validity-crypto/sig");
-                prefix[19..51].copy_from_slice(secret.as_bytes());
-                prefix[51..59].copy_from_slice(&(i as u64).to_le_bytes());
-                let mut keyed = Sha256::new();
-                keyed.update(prefix);
-                keyed
+                let word = |at: usize| {
+                    u64::from_le_bytes(secret.as_bytes()[at..at + 8].try_into().expect("8 bytes"))
+                };
+                [word(0), word(8)]
             })
             .collect();
         KeyStore {
-            inner: Arc::new(KeyStoreInner { keyed }),
+            inner: Arc::new(KeyStoreInner { keys }),
         }
     }
 
     /// Number of processes provisioned.
     pub fn n(&self) -> usize {
-        self.inner.keyed.len()
+        self.inner.keys.len()
     }
 
     /// Hands out the signing capability of process `p`.
@@ -118,26 +118,21 @@ impl KeyStore {
         }
     }
 
-    /// The tag of `p` over a message of `len` bytes that `absorb` feeds to
-    /// the hasher.
-    fn tag(&self, p: ProcessId, len: usize, absorb: impl FnOnce(&mut Sha256)) -> Digest {
-        let mut h = self.inner.keyed[p.index()].clone();
-        h.update((len as u64).to_le_bytes());
+    /// The tag of `p` over the message that `absorb` feeds to the state.
+    fn tag(&self, p: ProcessId, absorb: impl FnOnce(&mut SipHasher128)) -> [u64; 2] {
+        let mut h = SipHasher128::new(self.inner.keys[p.index()]);
         absorb(&mut h);
         h.finalize()
     }
 
-    fn tag_parts(&self, p: ProcessId, domain: &str, parts: &[&[u8]]) -> Digest {
-        let mut len = 0;
-        for_each_chunk(domain, parts, |c| len += c.len());
-        self.tag(p, len, |h| for_each_chunk(domain, parts, |c| h.update(c)))
+    fn tag_parts(&self, p: ProcessId, domain: &str, parts: &[&[u8]]) -> [u64; 2] {
+        self.tag(p, |h| for_each_chunk(domain, parts, |c| h.update(c)))
     }
 
     /// Verifies `sig` over `msg` (public operation).
     pub fn verify(&self, msg: impl AsRef<[u8]>, sig: &Signature) -> bool {
         let msg = msg.as_ref();
-        sig.signer.index() < self.n()
-            && self.tag(sig.signer, msg.len(), |h| h.update(msg)) == sig.tag
+        sig.signer.index() < self.n() && self.tag(sig.signer, |h| h.update(msg)) == sig.tag
     }
 
     /// Verifies `sig` over [`message_bytes`]`(domain, parts)` without
@@ -165,7 +160,7 @@ impl Signer {
         let msg = msg.as_ref();
         Signature {
             signer: self.id,
-            tag: self.keystore.tag(self.id, msg.len(), |h| h.update(msg)),
+            tag: self.keystore.tag(self.id, |h| h.update(msg)),
         }
     }
 
@@ -181,7 +176,7 @@ impl Signer {
 /// Walks the byte layout of a signed message, chunk by chunk: the domain
 /// tag, a zero byte, then every part behind its 64-bit length. The one
 /// place the layout lives — [`message_bytes`] collects the chunks,
-/// [`Signer::sign_parts`] and [`KeyStore::verify_parts`] hash them.
+/// [`Signer::sign_parts`] and [`KeyStore::verify_parts`] tag them.
 fn for_each_chunk(domain: &str, parts: &[&[u8]], mut f: impl FnMut(&[u8])) {
     f(domain.as_bytes());
     f(&[0]);
@@ -251,8 +246,9 @@ mod tests {
 
     #[test]
     fn roundtrip_at_every_length_across_the_block_edges() {
-        // 47 bytes is the last message that shares the length word's block
-        // with the padding; 111 the last that fits two.
+        // SipHash absorbs the message in 8-byte words and puts the length
+        // (mod 256) in the top byte of the last one: lengths 0..=130 put
+        // every tail of 0 to 7 bytes behind 0 to 16 full words.
         let ks = KeyStore::new(3, 11);
         let signer = ks.signer(ProcessId(2));
         let data: Vec<u8> = (0..=130u8).collect();

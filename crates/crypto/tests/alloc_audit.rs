@@ -1,4 +1,4 @@
-//! Heap-traffic audit of the Reed–Solomon blob codec.
+//! Heap-traffic audit of the Reed–Solomon blob codec and the signatures.
 //!
 //! `decode_blob` inverts the Vandermonde matrix of its first `k` share
 //! points once per call and writes every row straight into the output
@@ -9,11 +9,16 @@
 //! straight into the share buffers: one buffer per share plus the framed
 //! blob and the share vector, `n + 2` allocations. Two `Vec`s per row took
 //! 24 and 2 744.
+//!
+//! A signature tag is a SipHash state on the stack: signing, verifying,
+//! their streamed `_parts` forms and the threshold partials allocate
+//! nothing, at any message length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use validity_crypto::ReedSolomon;
+use validity_core::ProcessId;
+use validity_crypto::{sha256, KeyStore, ReedSolomon, ThresholdScheme};
 
 struct CountingAlloc;
 
@@ -93,5 +98,41 @@ fn encode_allocates_one_buffer_per_share() {
             allocs <= 7 + 2,
             "encoding {len} bytes into 7 shares allocated {allocs} times"
         );
+    }
+}
+
+#[test]
+fn signatures_allocate_nothing() {
+    let ks = KeyStore::new(7, 3);
+    let signer = ks.signer(ProcessId(2));
+    let scheme = ThresholdScheme::new(ks.clone(), 5);
+    let digest = sha256(b"vector");
+    for len in [0, 8, 47, 130] {
+        let msg = blob(len);
+        let parts: [&[u8]; 2] = [&msg, b"tail"];
+        let ops: [(&str, &dyn Fn() -> bool); 6] = [
+            ("sign", &|| signer.sign(&msg).signer() == ProcessId(2)),
+            ("verify", &|| ks.verify(&msg, &signer.sign(&msg))),
+            ("sign_parts", &|| {
+                signer.sign_parts("dom", &parts).signer() == ProcessId(2)
+            }),
+            ("verify_parts", &|| {
+                ks.verify_parts("dom", &parts, &signer.sign_parts("dom", &parts))
+            }),
+            ("partially_sign", &|| {
+                scheme.partially_sign(&signer, &digest).signer() == ProcessId(2)
+            }),
+            ("verify_partial", &|| {
+                scheme.verify_partial(&digest, &scheme.partially_sign(&signer, &digest))
+            }),
+        ];
+        for (name, op) in ops {
+            let (allocs, ok) = allocations(op);
+            assert!(ok, "{name} over {len} bytes");
+            assert_eq!(
+                allocs, 0,
+                "{name} over {len} bytes allocated {allocs} times"
+            );
+        }
     }
 }

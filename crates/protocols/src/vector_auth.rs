@@ -66,7 +66,7 @@ pub fn proposal_sign_bytes<V: Codec>(v: &V) -> Vec<u8> {
 }
 
 /// Signs a proposal of `v`: the signature over [`proposal_sign_bytes`],
-/// streamed into the hasher.
+/// streamed into the tag.
 pub(crate) fn sign_proposal<V: Codec>(signer: &Signer, v: &V) -> Signature {
     signer.sign_parts(PROPOSAL_DOMAIN, &[&v.encode()])
 }
@@ -80,13 +80,13 @@ type AuthQuadSink<V> = QuadSink<SharedVector<V>, VectorProof<V>>;
 
 /// One process's check of signed proposals — the receipt check of
 /// Algorithms 1 and 6, Quad's `verify(vector, Σ)` of Algorithm 1 and the
-/// `Slow` check of Algorithm 5 — which hashes each proposal once.
+/// `Slow` check of Algorithm 5 — which tags each proposal once.
 ///
 /// The verifier remembers, per signer, the last `(value, signature)` *it*
 /// verified by recomputing the tag. A later check of the exact same triple
 /// (same signer, `==` value, `==` tag) is answered from that memo; anything
 /// else — an equivocator's second value, a tampered tag, a signer not seen
-/// yet — is hashed, and only successes are remembered. At most `n` entries.
+/// yet — is tagged again, and only successes are remembered. At most `n` entries.
 /// Never shared: one process's check must not vouch for another's, so every
 /// machine (and each face of a two-faced host) owns its own.
 pub struct ProposalVerifier<V> {
@@ -109,7 +109,7 @@ impl<V: Value + Codec> ProposalVerifier<V> {
         }
     }
 
-    /// How many signatures this verifier has checked by hashing.
+    /// How many signatures this verifier has checked by recomputing the tag.
     pub fn cold_verifications(&self) -> u64 {
         self.cold
     }

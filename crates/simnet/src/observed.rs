@@ -18,7 +18,7 @@
 //! (`Simulation::arrival_plan`) and the event order are untouched, so an
 //! adaptive behaviour is exactly as replayable as an oblivious one.
 
-use validity_core::ProcessId;
+use validity_core::{ProcessId, MAX_PROCESSES};
 
 /// A read-only snapshot of per-node execution state, as exposed by the
 /// simulator to adaptive Byzantine behaviours.
@@ -54,7 +54,12 @@ impl ObservedState {
     /// The simulator builds this when a run contains an observing
     /// behaviour; behaviour unit tests may also build one and drive the
     /// `note_*` mutators to stage a synthetic snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_PROCESSES`].
     pub fn tracking(n: usize) -> ObservedState {
+        assert!(n <= MAX_PROCESSES, "{n} nodes exceed MAX_PROCESSES");
         ObservedState {
             tracking: true,
             decided: vec![false; n],
@@ -149,14 +154,18 @@ impl ObservedState {
     }
 
     /// The median per-node delivered count — the split point adaptive
-    /// partitioners use to separate "ahead" from "behind" nodes.
+    /// partitioners use to separate "ahead" from "behind" nodes. The upper
+    /// median `sorted[n / 2]`, selected in a stack copy: the adaptive
+    /// hooks call this on every observation, so it allocates nothing.
     pub fn median_delivered(&self) -> u64 {
-        if self.delivered.is_empty() {
+        let n = self.delivered.len();
+        if n == 0 {
             return 0;
         }
-        let mut sorted = self.delivered.clone();
-        sorted.sort_unstable();
-        sorted[sorted.len() / 2]
+        let mut copy = [0u64; MAX_PROCESSES];
+        let copy = &mut copy[..n];
+        copy.copy_from_slice(&self.delivered);
+        *copy.select_nth_unstable(n / 2).1
     }
 }
 
@@ -175,6 +184,27 @@ mod tests {
         assert_eq!(v.frontrunner(ProcessId(0)), None);
         assert_eq!(v.deepest_inbox(ProcessId(0)), None);
         assert_eq!(v.median_delivered(), 0);
+    }
+
+    #[test]
+    fn median_delivered_is_the_upper_median_of_the_sorted_counts() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..500 {
+            let n = rng.gen_range(1..=MAX_PROCESSES);
+            // Few distinct counts, so ties are the rule.
+            let counts: Vec<u64> = (0..n).map(|_| rng.gen_range(0..6)).collect();
+            let mut v = ObservedState::tracking(n);
+            for (i, &c) in counts.iter().enumerate() {
+                for _ in 0..c {
+                    v.note_enqueued(ProcessId::from_index(i));
+                    v.note_dispatched(ProcessId::from_index(i));
+                }
+            }
+            let mut sorted = counts.clone();
+            sorted.sort_unstable();
+            assert_eq!(v.median_delivered(), sorted[n / 2], "counts {counts:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! table the same way, so a timer-heavy machine allocates nothing per
 //! timer either. A short run pays for what its queue holds, not for how
 //! far ahead it schedules: the queue allocates per pool or ring doubling,
-//! never per distinct tick.
+//! never per distinct tick. The adaptive adversaries' median read of the
+//! observed view allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +22,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use validity_core::{ProcessId, SystemParams};
 use validity_simnet::{
-    CalendarQueue, Env, Machine, Message, Metrics, NoProbe, NodeKind, Probe, SimBuilder, StepSink,
+    CalendarQueue, Env, Machine, Message, Metrics, NoProbe, NodeKind, ObservedState, Probe,
+    SimBuilder, StepSink,
 };
 
 struct CountingAlloc;
@@ -257,4 +259,23 @@ fn short_run_queue_allocates_per_doubling_not_per_tick() {
     let made = allocs() - before;
     assert_eq!(popped, 2_020);
     assert!(made <= 24, "a 2 020-event queue allocated {made} times");
+}
+
+/// `SplitBrain` reads the median on every observation hook.
+#[test]
+fn median_delivered_allocates_nothing() {
+    let n = validity_core::MAX_PROCESSES;
+    let mut v = ObservedState::tracking(n);
+    for i in 0..n {
+        for _ in 0..i % 5 {
+            v.note_enqueued(ProcessId::from_index(i));
+            v.note_dispatched(ProcessId::from_index(i));
+        }
+    }
+    let _serial = serial();
+    let before = allocs();
+    let median = v.median_delivered();
+    let made = allocs() - before;
+    assert_eq!(median, 2);
+    assert_eq!(made, 0, "median_delivered allocated {made} times");
 }
