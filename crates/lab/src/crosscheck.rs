@@ -27,9 +27,9 @@
 //! Every cell short of full agreement carries the typed [`Finding`] that
 //! graded it: the rule that fired, its witnesses, and its [`ViolationKind`].
 //!
-//! The executor is the same deterministic worker-pool shape as
-//! [`crate::service::run_service`]: cells fan out over threads, results
-//! collect in matrix order, and the `crosscheck@1` artifact is
+//! The engine columns are sweep cells of [`SweepEngine::execute_cells`],
+//! so cells that differ only in their property share one execution,
+//! records come back in matrix order, and the `crosscheck@1` artifact is
 //! byte-identical across worker counts. On top of the engine columns, the
 //! two *emitters* are cross-checked too: [`compare_emitted`] re-parses the
 //! JSON and Markdown renderings of the same report and diffs the agreement
@@ -41,15 +41,14 @@
 use std::fmt;
 
 use validity_adversary::BehaviorId;
-use validity_core::{classify, Classification, Domain, InputConfig, ProcessId, SystemParams};
-use validity_protocols::registry::{vector_registry, ProtocolContext, VectorSpec};
-use validity_simnet::{Machine, NoProbe};
+use validity_core::{classify, Classification, Domain, SystemParams};
+use validity_protocols::registry::{vector_registry, VectorSpec};
 
+use crate::executor::SweepEngine;
 use crate::json::{Fields, Json};
-use crate::matrix::{ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
-use crate::pool;
+use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
 use crate::report::json_str;
-use crate::runner::{lens, simulate, RunRecord, Verdict, ViolationKind};
+use crate::runner::{Outcome, RunRecord, Verdict, ViolationKind};
 
 /// Schema tag of the crosscheck report artifact.
 pub const CROSSCHECK_SCHEMA: &str = "validity-lab/crosscheck@1";
@@ -98,8 +97,8 @@ fn validity_of(cell: &RunCell) -> ValiditySpec {
 /// so the enumeration keeps the sweep engine's validity axis, collapse
 /// rules (zero fault load collapses the behaviour axis, `Λ`-less
 /// properties are skipped, invalid `(n, t)` pairs are dropped) and group
-/// dedup; each engine column then runs its own machines in its place
-/// ([`CrosscheckMatrix::run_engine`]).
+/// dedup; each in-band engine then takes the placeholder's place in a
+/// sweep cell of its own ([`run_crosscheck`]).
 #[derive(Clone, Debug)]
 pub struct CrosscheckMatrix {
     /// The scenario grid (its name names the report).
@@ -168,27 +167,6 @@ impl CrosscheckMatrix {
                 SystemParams::new(cell.n, cell.t).expect("matrix enumerated an invalid (n, t)");
             let property = validity_of(cell).property(cell.t);
             classify(&property, params, &Domain::range(self.domain))
-        })
-    }
-
-    /// One engine column: runs the machines `make` builds on `cell` under
-    /// the step budget and reads the execution as the cell's `Universal`
-    /// record (the runner's one lens). `None` when the cell's `(n, t)` is
-    /// outside `engine`'s registered band.
-    pub fn run_engine<M>(
-        &self,
-        cell: &RunCell,
-        engine: VectorSpec,
-        make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
-    ) -> Option<RunRecord>
-    where
-        M: Machine<Output = InputConfig<u64>> + 'static,
-    {
-        engine.applicable_to(cell.n, cell.t).then(|| {
-            lens(
-                cell,
-                &simulate(cell, self.scenarios.max_steps, |_| NoProbe, make).0,
-            )
         })
     }
 }
@@ -381,39 +359,6 @@ pub fn grade(
         .collect();
     (!skipped.is_empty() || classifier.is_none())
         .then(|| Finding::OutOfBand(skipped, classifier.is_none()))
-}
-
-/// Builds one cell's engine columns from each engine's run verdict
-/// (`None` when out of band) and grades them — the one path from runs to
-/// a [`Finding`], shared by [`execute_crosscheck`] and `lab mutate`.
-pub(crate) fn grade_runs(
-    classifier: Option<&Classification<u64>>,
-    runs: impl IntoIterator<Item = (&'static str, Option<Verdict>)>,
-) -> (Vec<EngineColumn>, Option<Finding>) {
-    let columns: Vec<EngineColumn> = runs
-        .into_iter()
-        .map(|(engine, verdict)| EngineColumn { engine, verdict })
-        .collect();
-    let finding = grade(classifier, &columns);
-    (columns, finding)
-}
-
-/// Executes one crosscheck cell of `matrix`: the classifier column (when
-/// in band) plus every engine column, graded. Pure function of the cell,
-/// so the worker pool can fan cells out in any order.
-pub fn execute_crosscheck(matrix: &CrosscheckMatrix, cell: &RunCell) -> CrosscheckRecord {
-    let classifier = matrix.classify(cell);
-    let runs = matrix.engines.iter().map(|&engine| {
-        let run = matrix.run_engine(cell, engine, |ctx, p, input| engine.machine(ctx, p, input));
-        (engine.name(), run.as_ref().map(RunRecord::verdict))
-    });
-    let (columns, detail) = grade_runs(classifier.as_ref(), runs);
-    CrosscheckRecord {
-        key: key(cell),
-        verdict: classifier.map(|c| c.label()),
-        columns,
-        detail,
-    }
 }
 
 /// The aggregated, deterministic crosscheck report.
@@ -612,27 +557,83 @@ pub fn compare_emitted(json: &str, md: &str) -> Vec<String> {
     problems
 }
 
+/// One crosscheck cell as run, which `lab mutate` grades mutants against:
+/// the classifier column and each engine's record (`None` out of band).
+pub(crate) struct Row {
+    pub(crate) classifier: Option<Classification<u64>>,
+    pub(crate) runs: Vec<Option<RunRecord>>,
+}
+
+/// [`run_crosscheck`] with the rows behind its report: each in-band engine
+/// of each cell is one `Universal` cell of [`SweepEngine::execute_cells`].
+pub(crate) fn run_rows(matrix: &CrosscheckMatrix, threads: usize) -> (CrosscheckReport, Vec<Row>) {
+    let (cells, engines) = (matrix.cells(), &matrix.engines);
+    let column = |cell: &RunCell, engine: &VectorSpec| {
+        let protocol = ProtocolAxis::wrapped(*engine);
+        engine
+            .applicable_to(cell.n, cell.t)
+            .then_some(RunCell { protocol, ..*cell })
+    };
+    let specs: Vec<CellSpec> = cells
+        .iter()
+        .flat_map(|cell| engines.iter().filter_map(move |e| column(cell, e)))
+        .map(CellSpec::Run)
+        .collect();
+    let (records, ..) = SweepEngine::new(threads).execute_cells(&specs, matrix.scenarios.max_steps);
+    let mut records = records.into_iter().map(|record| match record.outcome {
+        Outcome::Run(run) => run,
+        Outcome::Classify(_) => unreachable!("engine columns are run cells"),
+    });
+    let (graded, rows) = cells
+        .iter()
+        .map(|cell| {
+            let runs = engines
+                .iter()
+                .map(|e| column(cell, e).and_then(|_| records.next()));
+            let row = Row {
+                classifier: matrix.classify(cell),
+                runs: runs.collect(),
+            };
+            let columns: Vec<EngineColumn> = engines
+                .iter()
+                .zip(&row.runs)
+                .map(|(e, run)| EngineColumn {
+                    engine: e.name(),
+                    verdict: run.as_ref().map(RunRecord::verdict),
+                })
+                .collect();
+            let record = CrosscheckRecord {
+                key: key(cell),
+                verdict: row.classifier.as_ref().map(Classification::label),
+                detail: grade(row.classifier.as_ref(), &columns),
+                columns,
+            };
+            (record, row)
+        })
+        .unzip();
+    let report = CrosscheckReport {
+        name: matrix.scenarios.name.clone(),
+        engines: engines.iter().map(|e| e.name()).collect(),
+        cells: graded,
+    };
+    (report, rows)
+}
+
 /// Runs a crosscheck matrix on `threads` workers (0 = one per core) and
-/// collects in matrix order — report bytes are independent of the worker
+/// grades it in matrix order — report bytes are independent of the worker
 /// count, exactly like every other lab artifact.
 pub fn run_crosscheck(matrix: &CrosscheckMatrix, threads: usize) -> CrosscheckReport {
-    let cells = matrix.cells();
-    let records = pool::ordered_map(threads, cells.len(), |i| {
-        execute_crosscheck(matrix, &cells[i])
-    })
-    .map(|(record, _wall)| record)
-    .collect();
-    CrosscheckReport {
-        name: matrix.scenarios.name.clone(),
-        engines: matrix.engines.iter().map(|e| e.name()).collect(),
-        cells: records,
-    }
+    run_rows(matrix, threads).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use validity_protocols::registry::{find_vector, ProtocolSpec, VectorMachine};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use validity_core::ProcessId;
+    use validity_protocols::registry::{
+        find_vector, Applicability, ProtocolContext, ProtocolSpec, VectorMachine,
+    };
 
     fn tiny() -> CrosscheckMatrix {
         let mut m = CrosscheckMatrix::suite();
@@ -953,5 +954,90 @@ mod tests {
         // The report names the cells individually in both emitters.
         assert!(report.to_markdown().contains("planted-broken"));
         assert!(report.to_json().contains("planted-broken"));
+    }
+
+    /// Machines [`counting_factory`] has built.
+    static MACHINES: AtomicUsize = AtomicUsize::new(0);
+
+    /// Algorithm 1, counting every machine it builds.
+    fn counting_factory(ctx: &ProtocolContext, p: ProcessId, input: u64) -> VectorMachine<u64> {
+        MACHINES.fetch_add(1, Ordering::Relaxed);
+        find_vector::<u64>("alg1-auth")
+            .unwrap()
+            .machine(ctx, p, input)
+    }
+
+    #[test]
+    fn cells_that_differ_only_in_their_property_share_one_execution() {
+        let mut m = tiny();
+        let s = &mut m.scenarios;
+        s.validities = vec![
+            ValiditySpec::Strong,
+            ValiditySpec::Median,
+            ValiditySpec::ConvexHull,
+        ];
+        s.faults = vec![0];
+        s.systems = vec![(4, 1), (7, 2)];
+        s.seeds = 0..2;
+        m.engines = vec![ProtocolSpec::new("counting", "test-only", counting_factory)];
+        let report = run_crosscheck(&m, 2);
+        assert_eq!(report.cells.len(), 3 * 2 * 2);
+        assert_eq!(report.count(AgreementLevel::Full), 12, "{report:?}");
+        // Two systems × two seeds are four executions of n correct
+        // machines each, read by all three properties: 2 × (4 + 7)
+        // machines, not 3 × 2 × (4 + 7).
+        assert_eq!(MACHINES.load(Ordering::Relaxed), 2 * (4 + 7));
+    }
+
+    /// Executions [`counted`] has run.
+    static EXECUTIONS: AtomicUsize = AtomicUsize::new(0);
+
+    /// `engine`'s machine, counting executions: process 0 is correct in
+    /// every cell, so its machine is built once per execution.
+    fn counted(
+        engine: &str,
+        ctx: &ProtocolContext,
+        p: ProcessId,
+        input: u64,
+    ) -> VectorMachine<u64> {
+        if p.index() == 0 {
+            EXECUTIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        find_vector::<u64>(engine).unwrap().machine(ctx, p, input)
+    }
+
+    fn counted_alg1(ctx: &ProtocolContext, p: ProcessId, input: u64) -> VectorMachine<u64> {
+        counted("alg1-auth", ctx, p, input)
+    }
+
+    fn counted_alg3(ctx: &ProtocolContext, p: ProcessId, input: u64) -> VectorMachine<u64> {
+        counted("alg3-nonauth", ctx, p, input)
+    }
+
+    fn counted_alg6(ctx: &ProtocolContext, p: ProcessId, input: u64) -> VectorMachine<u64> {
+        counted("alg6-fast", ctx, p, input)
+    }
+
+    #[test]
+    fn the_built_in_grid_simulates_each_execution_once() {
+        let mut m = CrosscheckMatrix::suite();
+        m.engines = vec![
+            ProtocolSpec::new("alg1-auth", "counted", counted_alg1),
+            ProtocolSpec::new("alg3-nonauth", "counted", counted_alg3)
+                .with_applicability(Applicability::up_to_n(13)),
+            ProtocolSpec::new("alg6-fast", "counted", counted_alg6)
+                .with_applicability(Applicability::up_to_t(4)),
+        ];
+        // Same names and bands as the registry: the same report bytes.
+        let report = run_crosscheck(&m, 0);
+        assert_eq!(
+            report.to_json(),
+            run_crosscheck(&CrosscheckMatrix::suite(), 0).to_json()
+        );
+        // 54 cells, 18 per property. At (4, 1) and (7, 2) 12 of them run
+        // all three engines, at (16, 5) 6 run Algorithm 1 alone: 42
+        // executions, where a run per cell and engine would make 126.
+        assert_eq!(report.cells.len(), 54);
+        assert_eq!(EXECUTIONS.load(Ordering::Relaxed), 12 * 3 + 6);
     }
 }

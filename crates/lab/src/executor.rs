@@ -2,11 +2,11 @@
 //!
 //! Simulations are deterministic, independent, and CPU-bound, so a sweep is
 //! embarrassingly parallel: cells fan out over the lab's one worker pool
-//! (the private `pool` module, shared with the service, crosscheck and
-//! mutate drivers), which hands results back **in matrix order**. That
-//! makes every downstream artifact (aggregation, JSON, Markdown)
-//! independent of the worker count and of scheduling noise — run the same
-//! matrix on 1 thread or 16 and the report bytes are identical.
+//! (the private `pool` module), which hands results back **in matrix
+//! order**. That makes every downstream artifact (aggregation, JSON,
+//! Markdown) independent of the worker count and of scheduling noise —
+//! run the same matrix on 1 thread or 16 and the report bytes are
+//! identical. The crosscheck and mutate engine columns are cells here too.
 //! The executor's only nondeterministic observable is wall-clock time:
 //! [`SweepEngine::execute_cells`] hands it back for the benchmark, and it
 //! never enters a lab report.

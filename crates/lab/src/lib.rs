@@ -21,9 +21,9 @@
 //!   is embarrassingly parallel; results are collected *in matrix order*,
 //!   making every report byte-for-byte independent of the worker count.
 //!   The lab reports no wall clock: per-cell timings exist only for the
-//!   benchmark, which links the engine directly. The private `pool` module underneath is the crate's one worker pool:
-//!   the sweep, service, crosscheck and mutate drivers all fan out through
-//!   its `ordered_map`.
+//!   benchmark, which links the engine directly. Crosscheck and mutate
+//!   engine columns are `execute_cells` units too; the private `pool`
+//!   module underneath is the crate's one worker pool.
 //! * **[`SweepReport`]** (module [`report`]) — per-configuration
 //!   aggregation (decision latency, message/word complexity, safety and
 //!   validity violations), power-law fits checked against their declared
@@ -93,9 +93,9 @@ pub mod service;
 pub mod suites;
 
 pub use crosscheck::{
-    classifier_in_band, compare_emitted, execute_crosscheck, grade, run_crosscheck, AgreementLevel,
-    CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, EngineColumn, Finding,
-    CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
+    classifier_in_band, compare_emitted, grade, run_crosscheck, AgreementLevel, CrosscheckMatrix,
+    CrosscheckRecord, CrosscheckReport, EngineColumn, Finding, CLASSIFIER_CONFIG_BUDGET,
+    CROSSCHECK_SCHEMA,
 };
 pub use executor::{CellTiming, SweepEngine};
 pub use fit::{try_fit_exponent, PowerFit};

@@ -8,9 +8,9 @@
 //! registered engine crossed with every [`MutationOp`] yields a *mutant*
 //! — the engine's machine inside a [`Mutant`] wrapper — and each mutant is
 //! run over a scenario grid next to the clean registry columns, through
-//! the runner seam ([`CrosscheckMatrix::run_engine`] is the same
-//! `simulate` + `lens` pair). A mutant is **killed** when the oracle
-//! distinguishes it from its base engine:
+//! the runner's one entry point for custom machines ([`run_machines`]).
+//! A mutant is **killed** when the oracle distinguishes it from its base
+//! engine:
 //!
 //! 1. a cell grades [`AgreementLevel::Disagreement`] (safety violation,
 //!    inadmissible decision, verdict split, classifier contradiction);
@@ -28,28 +28,29 @@
 //! with zero disagreements: a *false kill* would mean the harness convicts
 //! healthy engines, which voids the whole matrix.
 //!
-//! The executor makes two passes over the lab's worker pool. The clean
-//! columns run once per cell and are shared by every mutant's grading;
-//! then each mutant walks the cells in matrix order and stops at its
-//! first conviction, since the report keeps only that one. A mutant run
-//! is capped at [`MUTANT_BUDGET_FACTOR`] times its base run's events on
-//! the same cell: a mutant that stalls is quarantined (and convicted by
-//! rule 2) long before it could hang the gate, and one that decides
-//! never comes near the cap. Both passes collect in index order, so the
-//! `mutate@1` artifact is byte-identical across worker counts.
+//! The clean columns, the classifier and the false kills are the grid's
+//! crosscheck ([`crate::run_crosscheck`], sweep cells of
+//! [`crate::SweepEngine::execute_cells`]), run once and shared by every
+//! mutant's grading. Then each mutant walks the cells in matrix order and
+//! stops at its first conviction, since the report keeps only that one.
+//! A mutant run is capped at [`MUTANT_BUDGET_FACTOR`] times its base run's
+//! events on the same cell: a mutant that stalls is quarantined (and
+//! convicted by rule 2) long before it could hang the gate, and one that
+//! decides never comes near the cap. Both passes collect in matrix order,
+//! so the `mutate@1` artifact is byte-identical across worker counts.
 //! Mutants are deterministic: each operator is a pure, stateful rewrite of
 //! the hook stream, so mutated runs are exactly as replayable as clean
 //! ones.
 
 use validity_core::ProcessId;
 use validity_protocols::{ProtocolContext, VectorMachine, VectorSpec};
-use validity_simnet::{Env, Machine, NoProbe, Step, StepSink};
+use validity_simnet::{Env, Machine, Step, StepSink};
 
-use crate::crosscheck::{self, grade_runs, AgreementLevel, CrosscheckMatrix, Finding};
+use crate::crosscheck::{self, grade, AgreementLevel, CrosscheckMatrix, EngineColumn, Finding};
 use crate::matrix::{RunCell, ScheduleSpec, ValiditySpec};
 use crate::pool;
 use crate::report::json_str;
-use crate::runner::{lens, simulate, RunRecord, Verdict};
+use crate::runner::{run_machines, RunRecord, Verdict};
 
 /// Schema tag of the mutate report artifact.
 pub const MUTATE_SCHEMA: &str = "validity-lab/mutate@1";
@@ -60,9 +61,10 @@ pub enum MutationOp {
     /// Proposes `input + 1_000_000` instead of `input` — the classic
     /// planted fault: decisions drift outside the admissible bracket.
     ShiftProposal,
-    /// Models a dropped origin-authentication check: every incoming
-    /// message is attributed to the *next* process id, as if the receiver
-    /// never verified who signed/sent it.
+    /// Attributes every delivery to the *next* process id (`from + 1`
+    /// mod `n`) before the engine sees it: a misattributed sender. Despite
+    /// the name, no signature check is skipped — the engine still verifies
+    /// every signature a message carries.
     DropSigCheck,
     /// Models an off-by-one quorum threshold: the machine never counts its
     /// successor's contributions, so every `≥ k` wait needs one message
@@ -546,73 +548,62 @@ pub const MUTANT_BUDGET_FACTOR: u64 = 20;
 /// `base` with `op` planted, run on `cell` under [`MUTANT_BUDGET_FACTOR`]
 /// times the events of `base_run`, its base engine's run of that cell.
 fn run_mutant(cell: &RunCell, base: VectorSpec, op: MutationOp, base_run: &RunRecord) -> RunRecord {
-    let budget = MUTANT_BUDGET_FACTOR * base_run.events;
-    let make = |ctx: &ProtocolContext, p, input| mutant(base, op, ctx, p, input);
-    lens(cell, &simulate(cell, Some(budget), |_| NoProbe, make).0)
+    let budget = Some(MUTANT_BUDGET_FACTOR * base_run.events);
+    run_machines(cell, budget, |ctx, p, input| {
+        mutant(base, op, ctx, p, input)
+    })
 }
 
-/// Runs the kill matrix over `threads` workers (0 = all cores).
-///
-/// Two passes over the lab's worker pool: the clean columns and the
-/// classifier once per cell, then each mutant walked over the cells in
-/// matrix order up to its first conviction. The pool hands both back in
-/// index order, so the report bytes never depend on the worker count.
+/// Runs the kill matrix over `threads` workers (0 = all cores): the
+/// grid's crosscheck once, then each mutant over the cells in matrix order
+/// up to its first conviction. The report bytes never depend on the
+/// worker count.
 pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
     let grid = &matrix.grid;
     let cells = grid.cells();
     let mutants = matrix.mutants();
-    let engines: Vec<&'static str> = grid.engines.iter().map(|e| e.name()).collect();
-    // The classifier and the clean columns of each cell.
-    let clean: Vec<(_, Vec<_>)> = pool::ordered_map(threads, cells.len(), |i| {
-        let cell = &cells[i];
-        let runs = grid
-            .engines
-            .iter()
-            .map(|&base| grid.run_engine(cell, base, |ctx, p, input| base.machine(ctx, p, input)));
-        (grid.classify(cell), runs.collect())
-    })
-    .map(|(row, _wall)| row)
-    .collect();
-    // Rule 1: the oracle ensemble's disagreement on cell `i` — the clean
-    // columns, plus the mutant's verdict when given.
-    let disagreement = |i: usize, mutant: Option<Option<Verdict>>| {
-        let (classifier, row) = &clean[i];
-        let verdicts = row.iter().map(|run| run.as_ref().map(RunRecord::verdict));
-        let extra = mutant.map(|verdict| ("mutant", verdict));
-        let (_, finding) = grade_runs(
-            classifier.as_ref(),
-            engines.iter().copied().zip(verdicts).chain(extra),
-        );
-        finding.filter(|f| f.level() == AgreementLevel::Disagreement)
+    let (clean, rows) = crosscheck::run_rows(grid, threads);
+    // Rule 1: the oracle ensemble's disagreement on cell `i` with the
+    // mutant's column next to the clean ones.
+    let disagreement = |i: usize, verdict: Option<Verdict>| {
+        let mut columns = clean.cells[i].columns.clone();
+        columns.push(EngineColumn {
+            engine: "mutant",
+            verdict,
+        });
+        grade(rows[i].classifier.as_ref(), &columns)
+            .filter(|f| f.level() == AgreementLevel::Disagreement)
     };
-    // Baseline: the clean registry must not disagree with itself.
-    let false_kills = (0..cells.len())
-        .filter_map(|i| Some((crosscheck::key(&cells[i]), disagreement(i, None)?)))
-        .collect();
     // Each mutant dies at its first conviction in cell order.
     let fates = pool::ordered_map(threads, mutants.len(), |m| {
         let (e, op) = mutants[m];
         let kill = cells.iter().enumerate().find_map(|(i, cell)| {
-            let base = clean[i].1[e].as_ref();
+            let base = rows[i].runs[e].as_ref();
             let run = base.map(|b| run_mutant(cell, grid.engines[e], op, b));
-            let evidence = disagreement(i, Some(run.as_ref().map(RunRecord::verdict)))
-                .or_else(|| judge(engines[e], base?, run.as_ref()?))?;
+            let evidence = disagreement(i, run.as_ref().map(RunRecord::verdict))
+                .or_else(|| judge(clean.engines[e], base?, run.as_ref()?))?;
             Some(Fate::Killed {
-                cell: crosscheck::key(cell),
+                cell: clean.cells[i].key.clone(),
                 evidence,
             })
         });
         MutantFate {
-            base: engines[e],
+            base: clean.engines[e],
             operator: op,
             fate: kill.unwrap_or(Fate::Survived),
         }
     })
     .map(|(fate, _wall)| fate)
     .collect();
+    // Baseline: the clean registry must not disagree with itself.
+    let false_kills = clean
+        .disagreements()
+        .into_iter()
+        .map(|(key, finding)| (key.to_string(), finding.clone()))
+        .collect();
     MutateReport {
-        name: grid.scenarios.name.clone(),
-        engines,
+        name: clean.name,
+        engines: clean.engines,
         operators: matrix.operators.clone(),
         cells: cells.len(),
         false_kills,
@@ -624,7 +615,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> MutateReport {
 mod tests {
     use super::*;
     use validity_core::{InputConfig, SystemParams};
-    use validity_protocols::{find_vector, vector_registry};
+    use validity_protocols::{find_vector, vector_registry, ProtocolSpec};
     use validity_simnet::{agreement_holds, NodeKind, SimBuilder};
 
     /// A one-cell matrix over a trimmed corpus, for fast unit tests.
@@ -737,10 +728,9 @@ mod tests {
         let m = tiny(vec![MutationOp::SkipBroadcast]);
         let cell = &m.grid.cells()[0];
         let base = find_vector::<u64>("alg1-auth").unwrap();
-        let clean = m
-            .grid
-            .run_engine(cell, base, |ctx, p, input| base.machine(ctx, p, input))
-            .unwrap();
+        assert_eq!(m.grid.engines[0], base);
+        let (_, rows) = crosscheck::run_rows(&m.grid, 1);
+        let clean = rows[0].runs[0].clone().unwrap();
         assert!(clean.decided && !clean.quarantined);
         assert_eq!(clean.events, 50);
         // skip-broadcast stalls Algorithm 1: it runs to 20 × 50 events,
@@ -839,6 +829,41 @@ mod tests {
         assert!(err.contains("1 false kill(s)"), "{err}");
         assert!(
             err.contains("crosscheck/x: alg1-auth violated Agreement"),
+            "{err}"
+        );
+    }
+
+    /// A clean column that is wrong: Algorithm 1 proposing far outside
+    /// the correct processes' inputs.
+    fn broken_factory(ctx: &ProtocolContext, p: ProcessId, input: u64) -> VectorMachine<u64> {
+        find_vector::<u64>("alg1-auth")
+            .unwrap()
+            .machine(ctx, p, input.wrapping_add(1_000_000))
+    }
+
+    #[test]
+    fn a_broken_clean_engine_is_a_false_kill_that_fails_the_gate() {
+        let mut m = tiny(vec![MutationOp::ShiftProposal]);
+        // Median brackets the correct inputs, so the shifted decisions are
+        // inadmissible (Strong admits them when the inputs differ).
+        m.grid.scenarios.validities = vec![ValiditySpec::Median];
+        m.grid.engines.push(ProtocolSpec::new(
+            "planted-broken",
+            "test-only",
+            broken_factory,
+        ));
+        let report = run_mutate(&m, 2);
+        let crosscheck = crate::run_crosscheck(&m.grid, 1);
+        let false_kills: Vec<(&str, &Finding)> = report
+            .false_kills
+            .iter()
+            .map(|(key, finding)| (key.as_str(), finding))
+            .collect();
+        assert!(!false_kills.is_empty());
+        assert_eq!(false_kills, crosscheck.disagreements());
+        let err = report.gate().unwrap_err();
+        assert!(
+            err.contains("planted-broken decided an inadmissible value"),
             "{err}"
         );
     }

@@ -1,11 +1,11 @@
 //! The lab's one worker pool.
 //!
-//! Every driver (sweep, service, crosscheck, mutate) does the same thing
-//! with its enumerated work: fan the items out over threads, then read
-//! the results back **in index order**, so nothing downstream can depend
-//! on the worker count or on scheduling noise. Items are deterministic,
-//! independent and CPU-bound, so workers simply claim the next index from
-//! a shared cursor and park each result in that index's slot.
+//! The sweep executor, the service driver and `lab mutate`'s mutant walk
+//! fan their enumerated work out over threads, then read the results back
+//! **in index order**, so nothing downstream can depend on the worker
+//! count or on scheduling noise. Items are deterministic, independent and
+//! CPU-bound, so workers simply claim the next index from a shared cursor
+//! and park each result in that index's slot.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

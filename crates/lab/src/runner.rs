@@ -280,6 +280,17 @@ pub(crate) fn simulate_engine<P: Probe>(
     })
 }
 
+/// `cell` run on the machines `make` builds, under `max_steps`: the one
+/// entry point for a machine that is not the cell's registry engine (a
+/// mutant, a test's planted engine).
+pub fn run_machines<M: Machine<Output = InputConfig<u64>> + 'static>(
+    cell: &RunCell,
+    max_steps: Option<u64>,
+    make: impl Fn(&ProtocolContext, ProcessId, u64) -> M,
+) -> RunRecord {
+    lens(cell, &simulate(cell, max_steps, |_| NoProbe, make).0)
+}
+
 /// `cell`'s record of `run`, tagged with the cell's keys.
 pub(crate) fn record(cell: &RunCell, run: &Execution) -> CellRecord {
     let (key, group) = cell.keys();

@@ -10,6 +10,7 @@
 
 use validity_adversary::BehaviorId;
 use validity_core::{InputConfig, ProcessId, SystemParams};
+use validity_lab::runner::run_machines;
 use validity_lab::{
     CellSpec, CrosscheckMatrix, Outcome, ProtocolAxis, RunCell, RunRecord, ScenarioMatrix,
     ScheduleSpec, SweepEngine, ValiditySpec,
@@ -169,11 +170,10 @@ fn the_lambda_lens_reads_agreement_over_values() {
         let others = (1..=quorum).map(|k| ((p.index() + k) % n, 0));
         Divergent(InputConfig::from_pairs(ctx.params, others).unwrap())
     };
-    let band = find_vector("alg1-auth").unwrap();
     let cells = grid.cells();
     assert_eq!(cells.len(), 5 * 3 * 2);
     for cell in cells {
-        let got = grid.run_engine(&cell, band, divergent).expect("in band");
+        let got = run_machines(&cell, grid.scenarios.max_steps, divergent);
         let want = reference(&cell, divergent);
         assert!(want.decided && want.agreement, "{}: {want:?}", cell.key());
         assert_eq!(got, want, "{}", cell.key());
