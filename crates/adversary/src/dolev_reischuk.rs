@@ -13,22 +13,24 @@
 //!   For a correct protocol (e.g. `Universal`), the count must exceed the
 //!   bound; the experiment suite sweeps `t` to show the Ω(t²) floor.
 //!
-//! * [`break_leader_echo`] carries the argument to its conclusion against a
-//!   *sub-quadratic* strawman: it extracts `β_Q` (the decision Q reaches
-//!   with no incoming messages — Lemma 5), finds an execution `E_v`
-//!   deciding a different value with Q silent (Lemma 6), merges the two by
-//!   delaying Q's links past both decision times (Lemma 7), and exhibits
-//!   the resulting Agreement violation.
-
-use std::sync::Arc;
+//! * [`break_subquadratic`] carries the argument to its conclusion for any
+//!   machine factory: when `Q` received no more than the `⌈t/2⌉` messages
+//!   it ignores, it reads `β_Q` (the decision Q reaches with no incoming
+//!   messages — Lemma 5), finds an execution `E_v` deciding a different
+//!   value with Q silent (Lemma 6), merges the two by delaying Q's links
+//!   past both decision times (Lemma 7), and exhibits the resulting
+//!   Agreement violation.
+//!
+//! Every run is a [`validity_simnet::Simulation`]; `β_Q` is the one in
+//! which every link touching `Q` is held past a horizon.
 
 use validity_core::{ProcessId, ProcessSet, SystemParams};
-use validity_simnet::{
-    FilteredMachine, Machine, NodeKind, PerLinkModel, SimBuilder, SyncModel, Time,
-};
+use validity_simnet::{FilteredMachine, Machine, NodeKind, RunOutcome, Silent, Simulation, Time};
 
-use crate::isolation::run_isolated;
-use crate::strawman::LeaderEcho;
+use crate::proof::{execution, first_decider, Disagreement, Refusal};
+
+/// How long `β_Q` runs with `Q`'s links held: `Q` must decide by then.
+const ISOLATION_HORIZON: Time = 1_000_000;
 
 /// Report of one `E_base` run.
 #[derive(Clone, Debug)]
@@ -91,13 +93,8 @@ where
         })
         .collect();
 
-    let mut sim = SimBuilder::new(params)
-        .gst(0)
-        .net(Arc::new(SyncModel))
-        .delta(delta)
-        .seed(seed)
-        .build(nodes)
-        .expect("E_base: n nodes, ⌈t/2⌉ ≤ t faulty; needs δ ≥ 1");
+    // GST = 0: every link is synchronous from the start.
+    let mut sim = execution(params, delta, seed, 0, Time::MAX, |_, _| false, nodes);
     sim.run_to_quiescence();
 
     let bound = (half_t(t) as u64).pow(2);
@@ -118,135 +115,131 @@ where
     }
 }
 
-/// The complete disagreement exhibit produced by merging `β_Q` with `E_v`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Disagreement<V> {
-    /// The isolated process.
-    pub q: ProcessId,
-    /// What `Q` decides without receiving any message (`β_Q`, Lemma 5).
-    pub v_q: V,
-    /// When `Q` decides in isolation.
-    pub t_q: Time,
-    /// What the rest decide in `E_v` (Lemma 6).
-    pub v_other: V,
-    /// When the last of them decides.
-    pub t_v: Time,
-    /// Number of faulty processes in the merged execution (≤ t).
-    pub faulty_in_merge: usize,
+/// `β_Q` (Lemma 5): every process runs `mk(p, 0)`, and every link touching
+/// `q` is held past [`ISOLATION_HORIZON`], so `q` hears nothing but its own
+/// sends; the run stops at the horizon.
+fn isolate<M: Machine>(
+    params: SystemParams,
+    delta: Time,
+    seed: u64,
+    q: ProcessId,
+    mk: impl Fn(ProcessId, u64) -> M,
+) -> (Simulation<M>, RunOutcome) {
+    let nodes = (0..params.n())
+        .map(|i| NodeKind::Correct(mk(ProcessId::from_index(i), 0)))
+        .collect();
+    let touches_q = move |from, to| from == q || to == q;
+    let h = ISOLATION_HORIZON;
+    let mut sim = execution(params, delta, seed, h, h, touches_q, nodes);
+    let outcome = sim.run_until_decided();
+    (sim, outcome)
 }
 
-/// Runs the full Theorem 4 construction against [`LeaderEcho`], returning
-/// the Agreement violation.
+/// Runs the Theorem 4 construction against the machines `mk` builds and
+/// returns the Agreement violation of the merged execution: `Q` deciding
+/// `β_Q`'s value, the others `E_v`'s.
 ///
-/// # Panics
+/// `mk(p, face)` builds process `p` with its regular input for `face = 0`
+/// (`E_base`, `β_Q`, and `Q` in the merge) and with the conflicting input
+/// for `face = 1` (the others in `E_v` and in the merge).
 ///
-/// Panics if the merge fails to produce a disagreement — which would mean
-/// `LeaderEcho` somehow beat the lower bound.
-pub fn break_leader_echo(params: SystemParams, delta: Time, seed: u64) -> Disagreement<u64> {
+/// # Errors
+///
+/// [`Refusal::WitnessHeard`] when `E_base`'s witness `Q` received more than
+/// `⌈t/2⌉` messages; [`Refusal::SameValue`] when `E_v` decides `β_Q`'s
+/// value; [`Refusal::NoSplit`] when `β_Q`, `E_v` or the merge does not
+/// decide as the construction needs.
+pub fn break_subquadratic<M>(
+    params: SystemParams,
+    delta: Time,
+    seed: u64,
+    mk: impl Fn(ProcessId, u64) -> M,
+) -> Result<Disagreement<M::Output>, Refusal>
+where
+    M: Machine + 'static,
+    M::Output: PartialEq,
+{
     let n = params.n();
-    let _t = params.t();
-    let v_star = 1u64; // the E_base proposal
-    let w = 0u64; // the Lemma 6 alternative
+    let everyone = || (0..n).map(ProcessId::from_index);
 
-    // --- Step 1 (Lemma 5 setup): E_base with all proposals v*.
-    let report = run_e_base(params, delta, seed, |_p| LeaderEcho::new(v_star));
-    assert!(
-        !report.exceeds_bound || report.messages_after_gst <= (n as u64) * 2,
-        "LeaderEcho is supposed to be sub-quadratic"
-    );
-    let q = report.q;
-    assert!(q != ProcessId(0), "B excludes the leader for t < n/2");
+    // --- Step 1 (Lemma 5 setup): E_base, and its pigeonhole witness Q.
+    let report = run_e_base(params, delta, seed, |p| mk(p, 0));
+    let (q, ignored) = (report.q, half_t(params.t()));
+    if report.q_received > ignored as u64 {
+        return Err(Refusal::WitnessHeard {
+            q,
+            received: report.q_received,
+            ignored,
+        });
+    }
 
     // --- Step 2 (Lemma 5): β_Q — Q's behaviour with no incoming messages.
-    let beta_q = run_isolated(LeaderEcho::new(v_star), q, params, delta, 1_000_000);
-    let (t_q, v_q) = beta_q.output.expect("Termination forces a decision");
+    let (beta_q, outcome) = isolate(params, delta, seed, q, &mk);
+    let Some(one) = first_decider(&beta_q, [q]) else {
+        return Err(Refusal::NoSplit {
+            run: "β_Q",
+            outcome,
+        });
+    };
 
-    // --- Step 3 (Lemma 6): E_v — Q faulty and silent, correct processes
-    // propose w ≠ v_Q and decide w.
-    let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..n)
-        .map(|i| {
-            let pid = ProcessId::from_index(i);
-            if pid == q {
-                NodeKind::Byzantine(Box::new(validity_simnet::Silent))
+    // --- Step 3 (Lemma 6): E_v — Q faulty and silent, the others propose
+    // their conflicting inputs and must decide a value other than β_Q's.
+    let nodes = everyone()
+        .map(|p| {
+            if p == q {
+                NodeKind::Byzantine(Box::new(Silent) as _)
             } else {
-                NodeKind::Correct(LeaderEcho::new(w))
+                NodeKind::Correct(mk(p, 1))
             }
         })
         .collect();
-    let mut ev = SimBuilder::new(params)
-        .gst(0)
-        .net(Arc::new(SyncModel))
-        .delta(delta)
-        .seed(seed ^ 1)
-        .build(nodes)
-        .expect("E_v: n nodes, only Q faulty; needs δ ≥ 1");
-    ev.run_until_decided();
-    let t_v = ev.stats().last_decision_at.expect("E_v decides");
-    let v_other = ev
-        .decisions()
-        .iter()
-        .flatten()
-        .next()
-        .expect("some correct decision")
-        .1;
-    assert_eq!(v_other, w);
-    assert_ne!(v_other, v_q, "Lemma 6 requires a different value");
+    let mut ev = execution(params, delta, seed ^ 1, 0, Time::MAX, |_, _| false, nodes);
+    let outcome = ev.run_until_decided();
+    let last = everyone()
+        .filter_map(|p| first_decider(&ev, [p]))
+        .max_by_key(|d| d.at);
+    let Some(other) = last else {
+        return Err(Refusal::NoSplit {
+            run: "E_v",
+            outcome,
+        });
+    };
+    if other.value == one.value {
+        return Err(Refusal::SameValue { q });
+    }
 
     // --- Step 4 (Lemma 7): merge. Everybody correct; all links touching Q
-    // are delayed past max(t_q, t_v); GST afterwards.
-    let cutoff = (t_q.max(t_v) + 1) * 2;
-    let q_for_policy = q;
-    let isolate_q = PerLinkModel::new("lemma7-isolate-q", move |from, to, _at| {
-        if from == q_for_policy || to == q_for_policy {
-            Time::MAX / 8 // held back until GST forces delivery
-        } else {
-            1
-        }
-    });
-    let nodes: Vec<NodeKind<LeaderEcho<u64>>> = (0..n)
-        .map(|i| {
-            let pid = ProcessId::from_index(i);
-            let input = if pid == q { v_star } else { w };
-            NodeKind::Correct(LeaderEcho::new(input))
-        })
+    // are held past max(t_q, t_v); GST afterwards.
+    let gst = (one.at.max(other.at) + 1) * 2;
+    let touches_q = move |from, to| from == q || to == q;
+    let nodes = everyone()
+        .map(|p| NodeKind::Correct(mk(p, u64::from(p != q))))
         .collect();
-    let mut merged = SimBuilder::new(params)
-        .gst(cutoff)
-        .delta(delta)
-        .net(Arc::new(isolate_q))
-        .seed(seed ^ 2)
-        .max_time(cutoff * 100)
-        .build(nodes)
-        .expect("the merge: n nodes, all correct; needs δ ≥ 1");
-    merged.run_until_decided();
-
-    let dq = merged.decisions()[q.index()].as_ref().expect("Q decides").1;
-    let other = merged
-        .decisions()
-        .iter()
-        .enumerate()
-        .find(|(i, d)| *i != q.index() && d.is_some())
-        .and_then(|(_, d)| d.as_ref())
-        .expect("others decide")
-        .1;
-    assert_ne!(
-        dq, other,
-        "the merge must violate Agreement — LeaderEcho cannot be correct"
-    );
-
-    Disagreement {
-        q,
-        v_q,
-        t_q,
-        v_other,
-        t_v,
-        faulty_in_merge: 0,
+    let mut merged = execution(params, delta, seed ^ 2, gst, gst * 100, touches_q, nodes);
+    let outcome = merged.run_until_decided();
+    let others = everyone().filter(|p| *p != q);
+    match (first_decider(&merged, [q]), first_decider(&merged, others)) {
+        (Some(dq), Some(d)) if dq.value != d.value => Ok(Disagreement {
+            one,
+            other,
+            faulty: 0,
+        }),
+        _ => Err(Refusal::NoSplit {
+            run: "the merge",
+            outcome,
+        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strawman::LeaderEcho;
+
+    /// `LeaderEcho` proposing 1 on face 0 and 0 on face 1.
+    fn leader_echo(_: ProcessId, face: u64) -> LeaderEcho<u64> {
+        LeaderEcho::new(1 - face)
+    }
 
     #[test]
     fn half_t_rounds_up() {
@@ -264,17 +257,24 @@ mod tests {
         let report = run_e_base(params, 100, 7, |_| LeaderEcho::new(1u64));
         assert!(report.decided);
         // …and the full construction produces a disagreement.
-        let ex = break_leader_echo(params, 100, 7);
-        assert_eq!(ex.v_q, 1);
-        assert_eq!(ex.v_other, 0);
-        assert_eq!(ex.faulty_in_merge, 0);
+        let ex = break_subquadratic(params, 100, 7, leader_echo).unwrap();
+        assert_eq!(ex.one.value, 1);
+        assert_eq!(ex.other.value, 0);
+        assert_eq!(ex.faulty, 0);
     }
 
     #[test]
-    fn break_leader_echo_works_at_small_scale() {
+    fn break_subquadratic_splits_leader_echo_at_small_scale() {
         let params = SystemParams::new(4, 1).unwrap();
-        let ex = break_leader_echo(params, 100, 3);
-        assert_ne!(ex.v_q, ex.v_other);
+        let ex = break_subquadratic(params, 100, 3, leader_echo).unwrap();
+        assert_ne!(ex.one.value, ex.other.value);
+    }
+
+    #[test]
+    fn e_v_deciding_beta_q_s_value_is_refused() {
+        let params = SystemParams::new(4, 1).unwrap();
+        let refusal = break_subquadratic(params, 100, 3, |_, _| LeaderEcho::new(1u64));
+        assert_eq!(refusal, Err(Refusal::SameValue { q: ProcessId(3) }));
     }
 
     #[test]
@@ -283,5 +283,24 @@ mod tests {
         let report = run_e_base(params, 100, 1, |_| LeaderEcho::new(1u64));
         assert_eq!(report.group_b.len(), 2);
         assert!(report.group_b.contains(ProcessId(9)));
+    }
+
+    #[test]
+    fn leader_echo_follower_decides_own_value_in_isolation() {
+        // The Lemma 5 behaviour: a follower that never hears from anyone
+        // still decides (its own input) by timeout.
+        let (params, q) = (SystemParams::new(4, 1).unwrap(), ProcessId(2));
+        let (sim, _) = isolate(params, 100, 1, q, |_, _| LeaderEcho::new(55u64));
+        let (at, v) = sim.decisions()[q.index()].expect("termination forces a decision");
+        assert_eq!(v, 55);
+        assert_eq!(at, 10 * 100); // the timeout
+    }
+
+    #[test]
+    fn leader_echo_leader_decides_instantly_in_isolation() {
+        let (params, q) = (SystemParams::new(4, 1).unwrap(), ProcessId(0));
+        let (sim, _) = isolate(params, 100, 1, q, |_, _| LeaderEcho::new(9u64));
+        assert_eq!(sim.decisions()[q.index()], Some((0, 9)));
+        assert!(sim.stats().sent_by[q.index()] > 0); // it broadcast
     }
 }

@@ -12,13 +12,17 @@
 //! * [`strawman`] — deliberately cheap consensus attempts
 //!   ([`strawman::LeaderEcho`], [`strawman::QuorumVote`]) that the paper's
 //!   bounds doom;
-//! * [`isolation`] — the `β_Q` extraction of Lemma 5 (a machine run with no
-//!   incoming messages);
 //! * [`dolev_reischuk`] — Theorem 4 as a harness: builds `E_base`, does the
-//!   pigeonhole step, and merges `β_Q` with `E_v` into an Agreement
-//!   violation for sub-quadratic protocols;
-//! * [`partition`] — Theorem 1 as a harness: splits `n ≤ 3t` quorum
-//!   protocols into disagreement.
+//!   pigeonhole step, reads `β_Q` (Lemma 5) and merges it with `E_v` into
+//!   an Agreement violation for sub-quadratic protocols;
+//! * [`partition`] — Theorem 1 as a harness: splits protocols at `n ≤ 3t`
+//!   into disagreement.
+//!
+//! Both constructions take any machine factory `mk(p, face)` — face 0
+//! proposes the regular input, face 1 the conflicting one, as
+//! [`BehaviorId::populate`] has it — run every execution on the one
+//! simulator, and return a [`Disagreement`] or a [`Refusal`] naming why
+//! the construction does not apply.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,16 +31,16 @@ pub mod adaptive;
 pub mod behaviors;
 pub mod dolev_reischuk;
 pub mod factories;
-pub mod isolation;
 pub mod partition;
+mod proof;
 pub mod strawman;
 
 pub use adaptive::{
     AdaptiveFlood, AdaptiveHost, LastMinute, RoutePolicy, SplitBrain, TargetLeader,
 };
 pub use behaviors::TwoFaced;
-pub use dolev_reischuk::{break_leader_echo, half_t, run_e_base, Disagreement, EBaseReport};
+pub use dolev_reischuk::{break_subquadratic, half_t, run_e_base, EBaseReport};
 pub use factories::BehaviorId;
-pub use isolation::{run_isolated, IsolatedRun};
-pub use partition::{break_quorum_vote, partition_layout, PartitionExhibit, PartitionLayout};
+pub use partition::{break_partition, partition_layout, PartitionLayout};
+pub use proof::{Decider, Disagreement, Refusal};
 pub use strawman::{LeaderEcho, LeaderValue, QuorumVote, Vote};

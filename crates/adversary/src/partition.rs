@@ -3,20 +3,17 @@
 //! disagreement, because two `n − t` quorums need not share a correct
 //! process.
 //!
-//! [`break_quorum_vote`] stages the Lemma 2 merge for the
-//! [`crate::strawman::QuorumVote`] protocol: groups `A` and `C` are honest
-//! with different proposals, the `≤ t` processes in between run the
-//! [`crate::behaviors::TwoFaced`] adversary, and the `A ↔ C` links stall
-//! until both sides have decided. `A` reaches its quorum inside `A ∪ B`,
-//! `C` inside `C ∪ B` — with contradictory values.
-
-use std::sync::Arc;
+//! [`break_partition`] stages the Lemma 2 merge for any machine factory:
+//! groups `A` and `C` are honest with different proposals, the `≤ t`
+//! processes in between run the [`crate::behaviors::TwoFaced`] adversary,
+//! and the `A ↔ C` links stall until GST. `A` can reach its quorum inside
+//! `A ∪ B`, `C` inside `C ∪ B` — with contradictory values.
 
 use validity_core::{ProcessId, ProcessSet, SystemParams};
-use validity_simnet::{NodeKind, PerLinkModel, SimBuilder, Time};
+use validity_simnet::{Machine, NodeKind, Time};
 
 use crate::behaviors::TwoFaced;
-use crate::strawman::QuorumVote;
+use crate::proof::{execution, first_decider, Disagreement, Refusal};
 
 /// The partition layout for a given `(n, t)` with `n ≤ 3t`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,97 +50,80 @@ pub fn partition_layout(params: SystemParams) -> PartitionLayout {
     }
 }
 
-/// A successful partition attack.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionExhibit {
-    /// The layout used.
-    pub layout: PartitionLayout,
-    /// What group `A` decided.
-    pub decision_a: u64,
-    /// What group `C` decided.
-    pub decision_c: u64,
-    /// Number of faulty processes (`= |B| ≤ t`).
-    pub faulty: usize,
-}
-
-/// Stages the Lemma 2 merge against [`QuorumVote`] and returns the
-/// disagreement.
+/// Stages the Lemma 2 merge against the machines `mk` builds and returns
+/// the disagreement between `A` and `C`.
+///
+/// `mk(p, face)` builds process `p` with its regular input for `face = 0`
+/// (group `A`, and `B`'s face towards it) and with the conflicting input
+/// for `face = 1` (group `C`, and `B`'s face towards it). GST is `200 δ`.
+///
+/// # Errors
+///
+/// [`Refusal::NoSplit`] when `A` and `C` do not both decide, or decide
+/// alike.
 ///
 /// # Panics
 ///
-/// Panics if no disagreement results (`n > 3t` layouts are rejected by
-/// [`partition_layout`] already).
-pub fn break_quorum_vote(params: SystemParams, delta: Time, seed: u64) -> PartitionExhibit {
+/// Panics unless `n ≤ 3t` (see [`partition_layout`]).
+pub fn break_partition<M>(
+    params: SystemParams,
+    delta: Time,
+    seed: u64,
+    mk: impl Fn(ProcessId, u64) -> M,
+) -> Result<Disagreement<M::Output>, Refusal>
+where
+    M: Machine + 'static,
+    M::Output: PartialEq,
+{
     let layout = partition_layout(params);
-    let (va, vc) = (0u64, 1u64);
-
-    // B's a-face talks to A ∪ B (its votes complete A's quorum), the c-face
-    // to C ∪ B.
-    let a_side = layout.group_a.union(layout.group_b);
-    let c_side = layout.group_c.union(layout.group_b);
-
-    let nodes: Vec<NodeKind<QuorumVote<u64>>> = (0..params.n())
+    let (ga, gb, gc) = (layout.group_a, layout.group_b, layout.group_c);
+    // B's 0-face talks to A ∪ B (its votes complete A's quorum), the
+    // 1-face to C ∪ B.
+    let nodes: Vec<NodeKind<M>> = (0..params.n())
         .map(|i| {
-            let pid = ProcessId::from_index(i);
-            if layout.group_a.contains(pid) {
-                NodeKind::Correct(QuorumVote::new(va))
-            } else if layout.group_c.contains(pid) {
-                NodeKind::Correct(QuorumVote::new(vc))
+            let p = ProcessId::from_index(i);
+            if ga.contains(p) {
+                NodeKind::Correct(mk(p, 0))
+            } else if gc.contains(p) {
+                NodeKind::Correct(mk(p, 1))
             } else {
                 NodeKind::Byzantine(Box::new(TwoFaced::new(
-                    QuorumVote::new(va),
-                    a_side,
-                    QuorumVote::new(vc),
-                    c_side,
+                    mk(p, 0),
+                    ga.union(gb),
+                    mk(p, 1),
+                    gc.union(gb),
                 )))
             }
         })
         .collect();
-
-    // Stall A ↔ C until after both sides decide (step 3 of Lemma 2).
-    let (ga, gc) = (layout.group_a, layout.group_c);
-    let stall_cross = PerLinkModel::new("lemma2-partition", move |from, to, _at| {
-        let cross =
-            (ga.contains(from) && gc.contains(to)) || (gc.contains(from) && ga.contains(to));
-        if cross {
-            Time::MAX / 8
-        } else {
-            1
-        }
-    });
-    let gst = 200 * delta; // far beyond the QuorumVote decision time
-    let mut sim = SimBuilder::new(params)
-        .gst(gst)
-        .delta(delta)
-        .net(Arc::new(stall_cross))
-        .seed(seed)
-        .build(nodes)
-        .expect("the Lemma 2 layout: n nodes, |B| ≤ t faulty; needs δ ≥ 1");
-    sim.run_until_decided();
-
-    let pick = |group: ProcessSet| -> u64 {
-        group
-            .iter()
-            .find_map(|p| sim.decisions()[p.index()].as_ref().map(|d| d.1))
-            .expect("group members decide")
+    // Stall A ↔ C until GST (step 3 of Lemma 2).
+    let cross = move |from, to| {
+        (ga.contains(from) && gc.contains(to)) || (gc.contains(from) && ga.contains(to))
     };
-    let decision_a = pick(layout.group_a);
-    let decision_c = pick(layout.group_c);
-    assert_ne!(
-        decision_a, decision_c,
-        "the partition must split QuorumVote at n ≤ 3t"
-    );
-    PartitionExhibit {
-        layout,
-        decision_a,
-        decision_c,
-        faulty: layout.group_b.len(),
+    let mut sim = execution(params, delta, seed, 200 * delta, Time::MAX, cross, nodes);
+    let outcome = sim.run_until_decided();
+    match (
+        first_decider(&sim, ga.iter()),
+        first_decider(&sim, gc.iter()),
+    ) {
+        (Some(one), Some(other)) if one.value != other.value => Ok(Disagreement {
+            one,
+            other,
+            faulty: gb.len(),
+        }),
+        _ => Err(Refusal::NoSplit {
+            run: "the partition",
+            outcome,
+        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use validity_simnet::RunOutcome;
+
     use super::*;
+    use crate::strawman::QuorumVote;
 
     #[test]
     fn layout_for_figure_2_parameters() {
@@ -162,30 +142,51 @@ mod tests {
         let _ = partition_layout(params);
     }
 
+    fn split(n: usize, t: usize, seed: u64) -> Disagreement<u64> {
+        let params = SystemParams::new(n, t).unwrap();
+        break_partition(params, 100, seed, |_, face| QuorumVote::new(face))
+            .unwrap_or_else(|r| panic!("(n, t) = ({n}, {t}): {r}"))
+    }
+
     #[test]
     fn splits_quorum_vote_at_figure_2_parameters() {
-        let params = SystemParams::new(6, 2).unwrap();
-        let ex = break_quorum_vote(params, 100, 1);
-        assert_eq!(ex.decision_a, 0);
-        assert_eq!(ex.decision_c, 1);
+        let ex = split(6, 2, 1);
+        assert_eq!(ex.one.value, 0);
+        assert_eq!(ex.other.value, 1);
         assert_eq!(ex.faulty, 2); // ≤ t = 2
     }
 
     #[test]
     fn splits_quorum_vote_at_minimal_parameters() {
-        let params = SystemParams::new(3, 1).unwrap();
-        let ex = break_quorum_vote(params, 100, 2);
-        assert_ne!(ex.decision_a, ex.decision_c);
+        let ex = split(3, 1, 2);
+        assert_ne!(ex.one.value, ex.other.value);
         assert!(ex.faulty <= 1);
     }
 
     #[test]
     fn splits_quorum_vote_across_the_regime() {
         for (n, t) in [(4usize, 2usize), (5, 2), (9, 3)] {
-            let params = SystemParams::new(n, t).unwrap();
-            let ex = break_quorum_vote(params, 100, 3);
-            assert_ne!(ex.decision_a, ex.decision_c, "(n, t) = ({n}, {t})");
+            let ex = split(n, t, 3);
+            assert_eq!(
+                (ex.one.value, ex.other.value),
+                (0, 1),
+                "(n, t) = ({n}, {t})"
+            );
             assert!(ex.faulty <= t);
         }
+    }
+
+    #[test]
+    fn a_run_that_agrees_is_refused() {
+        // Every process proposes 0 on both faces: A and C decide alike.
+        let params = SystemParams::new(6, 2).unwrap();
+        let refusal = break_partition(params, 100, 1, |_, _| QuorumVote::new(0u64)).unwrap_err();
+        assert_eq!(
+            refusal,
+            Refusal::NoSplit {
+                run: "the partition",
+                outcome: RunOutcome::AllDecided
+            }
+        );
     }
 }

@@ -65,8 +65,8 @@ pub use lambda::{
 pub use process::{ParamError, ProcessId, ProcessSet, SystemParams, MAX_PROCESSES};
 pub use relations::{enumerate_similar, is_compatible, is_similar};
 pub use solvability::{
-    always_admissible, check_similarity_condition, classify, classify_with_cost,
-    non_triviality_certificate, Classification, CountingValidity, LambdaTable, UnsolvableReason,
+    always_admissible, check_similarity_condition, classify, classify_with_cost, Classification,
+    CountingValidity, LambdaTable, UnsolvableReason,
 };
 pub use validity::{
     ConstantSetValidity, ConvexHullValidity, CorrectProposalValidity, DynValidity,

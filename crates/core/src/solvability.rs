@@ -391,20 +391,6 @@ pub fn always_admissible<V: Value>(
     ValTable::new(&space, prop).always_admissible()
 }
 
-/// For each domain value, finds a configuration rejecting it — the
-/// non-triviality certificate used in [`UnsolvableReason::LowResilience`].
-///
-/// Returns `None` if some value is never rejected (i.e. the property is
-/// trivial).
-pub fn non_triviality_certificate<V: Value>(
-    prop: &impl ValidityProperty<V>,
-    params: SystemParams,
-    domain: &Domain<V>,
-) -> Option<Vec<(V, InputConfig<V>)>> {
-    let space = ConfigSpace::new(params, domain);
-    ValTable::new(&space, prop).rejections()
-}
-
 /// Checks the similarity condition `C_S` (Definition 2) over a finite
 /// domain: for every `c ∈ I_{n−t}`, `∩_{c′ ∼ c} val(c′)` must be non-empty.
 ///

@@ -38,6 +38,7 @@
 //!
 //! [`Applicability`]: validity_protocols::registry::Applicability
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use validity_adversary::BehaviorId;
@@ -60,13 +61,39 @@ pub const CROSSCHECK_SCHEMA: &str = "validity-lab/crosscheck@1";
 /// registered applicability bands.
 pub const CLASSIFIER_CONFIG_BUDGET: u64 = 16_384;
 
-/// Whether the classifier column is in band at system size `n` over a
-/// reference domain of `domain` values (`domainⁿ ≤` the budget).
-pub fn classifier_in_band(n: usize, domain: u64) -> bool {
+/// The classifier column's reference domain size `|V|`.
+const CLASSIFIER_DOMAIN: u64 = 2;
+
+/// Whether the classifier column is in band at system size `n` over its
+/// binary reference domain (`2ⁿ ≤` the budget).
+pub fn classifier_in_band(n: usize) -> bool {
     u32::try_from(n)
         .ok()
-        .and_then(|n| domain.checked_pow(n))
+        .and_then(|n| CLASSIFIER_DOMAIN.checked_pow(n))
         .is_some_and(|configs| configs <= CLASSIFIER_CONFIG_BUDGET)
+}
+
+/// The classifier column of every distinct `(property, n, t)` among
+/// `cells` — each classified once, however many cells share it; `None`
+/// when its configuration space is out of band.
+fn classify_cells(
+    cells: &[RunCell],
+) -> BTreeMap<(ValiditySpec, usize, usize), Option<Classification<u64>>> {
+    let mut columns = BTreeMap::new();
+    for cell in cells {
+        let validity = validity_of(cell);
+        columns
+            .entry((validity, cell.n, cell.t))
+            .or_insert_with(|| {
+                classifier_in_band(cell.n).then(|| {
+                    let params = SystemParams::new(cell.n, cell.t)
+                        .expect("matrix enumerated an invalid (n, t)");
+                    let domain = Domain::range(CLASSIFIER_DOMAIN);
+                    classify(&validity.property(cell.t), params, &domain)
+                })
+            });
+    }
+    columns
 }
 
 /// The crosscheck cell's stable key: the scenario without its protocol,
@@ -106,8 +133,6 @@ pub struct CrosscheckMatrix {
     /// The engine columns (normally the whole registry; tests may inject
     /// extra in-test engines to prove the oracle bites).
     pub engines: Vec<VectorSpec>,
-    /// Reference domain size for the classifier column.
-    pub domain: u64,
 }
 
 impl CrosscheckMatrix {
@@ -117,11 +142,7 @@ impl CrosscheckMatrix {
         let mut scenarios = ScenarioMatrix::new(name);
         scenarios.protocols = vec![ProtocolAxis::wrapped(engines[0])];
         scenarios.behaviors = vec![BehaviorId::Silent];
-        CrosscheckMatrix {
-            scenarios,
-            engines,
-            domain: 2,
-        }
+        CrosscheckMatrix { scenarios, engines }
     }
 
     /// The built-in `crosscheck` suite: three Λ-bearing properties, clean
@@ -157,17 +178,6 @@ impl CrosscheckMatrix {
     /// Whether the matrix enumerates no cells.
     pub fn is_empty(&self) -> bool {
         self.cells().is_empty()
-    }
-
-    /// The classifier column of `cell` over the reference domain; `None`
-    /// when the configuration space is out of its band.
-    pub fn classify(&self, cell: &RunCell) -> Option<Classification<u64>> {
-        classifier_in_band(cell.n, self.domain).then(|| {
-            let params =
-                SystemParams::new(cell.n, cell.t).expect("matrix enumerated an invalid (n, t)");
-            let property = validity_of(cell).property(cell.t);
-            classify(&property, params, &Domain::range(self.domain))
-        })
     }
 }
 
@@ -580,6 +590,7 @@ pub(crate) fn run_rows(matrix: &CrosscheckMatrix, threads: usize) -> (Crosscheck
         .map(CellSpec::Run)
         .collect();
     let (records, ..) = SweepEngine::new(threads).execute_cells(&specs, matrix.scenarios.max_steps);
+    let classified = classify_cells(&cells);
     let mut records = records.into_iter().map(|record| match record.outcome {
         Outcome::Run(run) => run,
         Outcome::Classify(_) => unreachable!("engine columns are run cells"),
@@ -591,7 +602,7 @@ pub(crate) fn run_rows(matrix: &CrosscheckMatrix, threads: usize) -> (Crosscheck
                 .iter()
                 .map(|e| column(cell, e).and_then(|_| records.next()));
             let row = Row {
-                classifier: matrix.classify(cell),
+                classifier: classified[&(validity_of(cell), cell.n, cell.t)].clone(),
                 runs: runs.collect(),
             };
             let columns: Vec<EngineColumn> = engines
@@ -867,8 +878,8 @@ mod tests {
         // (16, 5) only the unbounded engine is in band, and the
         // classifier's 2¹⁶-configuration space is out of its budget.
         assert!(cells.iter().any(|c| c.n == 16 && c.t == 5));
-        assert!(!classifier_in_band(16, m.domain));
-        assert!(classifier_in_band(7, m.domain));
+        assert!(!classifier_in_band(16));
+        assert!(classifier_in_band(7));
         let in_band = m.engines.iter().filter(|e| e.applicable_to(16, 5)).count();
         assert_eq!(in_band, 1, "exactly one engine covers (16, 5)");
     }
@@ -1039,5 +1050,15 @@ mod tests {
         // executions, where a run per cell and engine would make 126.
         assert_eq!(report.cells.len(), 54);
         assert_eq!(EXECUTIONS.load(Ordering::Relaxed), 12 * 3 + 6);
+    }
+
+    #[test]
+    fn the_built_in_grid_classifies_each_property_once() {
+        // 36 of the 54 cells are in the classifier's band, but they hold
+        // only 3 properties × 2 systems: 6 classifications.
+        let cells = CrosscheckMatrix::suite().cells();
+        assert_eq!(cells.iter().filter(|c| classifier_in_band(c.n)).count(), 36);
+        let columns = classify_cells(&cells);
+        assert_eq!(columns.values().filter(|c| c.is_some()).count(), 6);
     }
 }

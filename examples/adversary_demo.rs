@@ -6,6 +6,7 @@
 //! cargo run --example adversary_demo
 //! ```
 
+use consensus_validity::adversary::{partition_layout, LeaderEcho, QuorumVote};
 use consensus_validity::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -13,23 +14,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Act 1 — the Dolev–Reischuk merge (Theorem 4)\n");
     println!("victim: LeaderEcho, an O(n) 'consensus' (leader broadcasts, others echo)");
     let params = SystemParams::new(10, 3)?;
-    let exhibit = break_leader_echo(params, 100, 2023);
+    // Face 0 proposes 1 (E_base, and Q in isolation), face 1 proposes 0.
+    let exhibit = break_subquadratic(params, 100, 2023, |_, face| LeaderEcho::new(1 - face))?;
+    let (q, other) = (&exhibit.one, &exhibit.other);
     println!(
         "  step 1: E_base starves {} of messages (pigeonhole over ≤ (⌈t/2⌉)² sends)",
-        exhibit.q
+        q.p
     );
     println!(
         "  step 2: β_Q — in isolation {} still decides {} at time {} (Termination!)",
-        exhibit.q, exhibit.v_q, exhibit.t_q
+        q.p, q.value, q.at
     );
     println!(
         "  step 3: E_v — with {} silent, the rest decide {} by time {}",
-        exhibit.q, exhibit.v_other, exhibit.t_v
+        q.p, other.value, other.at
     );
     println!(
         "  step 4: merged execution — {} decides {} while others decide {}: AGREEMENT VIOLATED \
          (with {} faulty processes!)",
-        exhibit.q, exhibit.v_q, exhibit.v_other, exhibit.faulty_in_merge
+        q.p, q.value, other.value, exhibit.faulty
     );
     println!("  conclusion: any correct non-trivial consensus sends > (⌈t/2⌉)² messages\n");
 
@@ -37,15 +40,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Act 2 — the partition attack (Theorem 1, Figure 2's n = 6, t = 2)\n");
     println!("victim: QuorumVote, decide on n − t matching votes");
     let low = SystemParams::new(6, 2)?;
-    let split = break_quorum_vote(low, 100, 2023);
+    let layout = partition_layout(low);
+    let split = break_partition(low, 100, 2023, |_, face| QuorumVote::new(face))?;
     println!(
         "  groups: A = {} | two-faced B = {} | C = {}",
-        split.layout.group_a, split.layout.group_b, split.layout.group_c
+        layout.group_a, layout.group_b, layout.group_c
     );
     println!("  B votes 0 towards A and 1 towards C; the A↔C links stall until both decide");
     println!(
         "  result: A decides {}, C decides {} — split with only {} ≤ t faulty",
-        split.decision_a, split.decision_c, split.faulty
+        split.one.value, split.other.value, split.faulty
     );
     println!("  conclusion: with n ≤ 3t, only trivial validity properties survive\n");
 

@@ -49,7 +49,7 @@ pub use validity_simnet as simnet;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use validity_adversary::{break_leader_echo, break_quorum_vote, run_e_base};
+    pub use validity_adversary::{break_partition, break_subquadratic, run_e_base};
     pub use validity_core::{
         admissible_intersection, check_canonical_decision, check_decision, classify,
         enumerate_similar, is_compatible, is_similar, BruteForceLambda, Classification,

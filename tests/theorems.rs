@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use common::{all_but_last, decide, run_cell};
 use consensus_validity::prelude::*;
-use validity_adversary::half_t;
+use validity_adversary::{half_t, LeaderEcho, QuorumVote, Refusal};
 use validity_core::{compare, enumerate_configs_of_size, Comparison, DynValidity, Value};
 use validity_lab::suites::fig1;
 use validity_lab::{try_fit_exponent, ScheduleSpec, ValiditySpec};
@@ -18,7 +18,7 @@ use validity_simnet::DEFAULT_DELTA;
 
 /// **Theorem 1**: with n ≤ 3t, solvable ⇒ trivial — checked for the whole
 /// catalog by the classifier, and demonstrated operationally by the
-/// partition attack.
+/// partition attack on the `QuorumVote` strawman and on Algorithm 1.
 #[test]
 fn theorem_1_triviality_below_threshold() {
     let domain = Domain::binary();
@@ -41,10 +41,31 @@ fn theorem_1_triviality_below_threshold() {
                 prop.name()
             );
         }
-        // Operational half: the partition adversary splits a quorum protocol.
-        let exhibit = break_quorum_vote(params, 100, 99);
-        assert_ne!(exhibit.decision_a, exhibit.decision_c);
+        // Operational half: the partition adversary splits a quorum
+        // protocol, and Algorithm 1 into two decided vectors.
+        let exhibit = break_partition(params, 100, 99, |_, face| QuorumVote::new(face))
+            .unwrap_or_else(|r| panic!("QuorumVote at ({n},{t}): {r}"));
+        assert_ne!(exhibit.one.value, exhibit.other.value);
         assert!(exhibit.faulty <= t);
+        let alg1 = find_vector::<u64>("alg1-auth").expect("registered");
+        for (seed, delta) in [7u64, 99, 2023]
+            .into_iter()
+            .flat_map(|s| [(s, 10), (s, 100)])
+        {
+            let ctx = ProtocolContext::new(params, seed);
+            let exhibit =
+                break_partition(params, delta, seed, |p, face| alg1.machine(&ctx, p, face))
+                    .unwrap_or_else(|r| {
+                        panic!("Algorithm 1 at ({n},{t}), seed {seed}, δ {delta}: {r}")
+                    });
+            assert_ne!(exhibit.one.value, exhibit.other.value);
+            assert!(exhibit.faulty <= t);
+            // Both sides decide while A ↔ C is still held (GST = 200δ).
+            assert!(
+                exhibit.one.at.max(exhibit.other.at) < 200 * delta,
+                "{exhibit:?}"
+            );
+        }
     }
 }
 
@@ -106,8 +127,9 @@ fn theorem_3_similarity_condition_necessity() {
 }
 
 /// **Theorem 4**: Universal stays above the (⌈t/2⌉)² floor under the
-/// E_base adversary at every `t`, its cost growing quadratically in `t`;
-/// the sub-quadratic strawman is broken outright.
+/// E_base adversary at every `t`, its cost growing quadratically in `t`,
+/// so the merge construction refuses it; the sub-quadratic strawman is
+/// broken outright.
 #[test]
 fn theorem_4_lower_bound() {
     // floor respected by the real algorithm
@@ -116,20 +138,40 @@ fn theorem_4_lower_bound() {
     for t in 1..=6usize {
         let params = SystemParams::new(3 * t + 1, t).unwrap();
         let ctx = ProtocolContext::new(params, 13);
-        let report = run_e_base(params, DEFAULT_DELTA, 13, |p| {
-            Universal::new(alg1.machine(&ctx, p, p.index() as u64), StrongLambda)
-        });
+        let mk = |p: ProcessId, face: u64| {
+            Universal::new(alg1.machine(&ctx, p, p.index() as u64 + face), StrongLambda)
+        };
+        let report = run_e_base(params, DEFAULT_DELTA, 13, |p| mk(p, 0));
         assert!(report.decided, "t = {t}");
         assert!(report.exceeds_bound, "{report:?}");
         points.push((t as f64, report.messages_after_gst as f64));
+        if t <= 4 {
+            // E_base's witness hears more than it ignores: no β_Q to merge.
+            let refusal = break_subquadratic(params, DEFAULT_DELTA, 13, mk).unwrap_err();
+            assert_eq!(
+                refusal,
+                Refusal::WitnessHeard {
+                    q: report.q,
+                    received: report.q_received,
+                    ignored: half_t(t),
+                },
+                "t = {t}"
+            );
+        }
     }
     let fit = try_fit_exponent(&points).expect("six distinct sizes");
     assert!(fit.exponent > 1.45, "sub-quadratic growth in t: {fit:?}");
 
     // strawman broken by the merge
     let params = SystemParams::new(7, 2).unwrap();
-    let exhibit = break_leader_echo(params, 100, 13);
-    assert_ne!(exhibit.v_q, exhibit.v_other);
+    let exhibit = break_subquadratic(params, 100, 13, |_, face| LeaderEcho::new(1 - face))
+        .unwrap_or_else(|r| panic!("the merge splits LeaderEcho: {r}"));
+    // Q = P7 decides its own 1 in isolation at the 10δ timeout (β_Q); with
+    // Q silent the rest decide 0 by 100 (E_v); the merge has no fault.
+    let (q, other) = (exhibit.one, exhibit.other);
+    assert_eq!((q.p, q.value, q.at), (ProcessId(6), 1, 1000));
+    assert_eq!((other.p, other.value, other.at), (ProcessId(1), 0, 100));
+    assert_eq!(exhibit.faulty, 0);
 }
 
 /// **Theorem 5** (sufficiency of C_S): for every property the classifier
