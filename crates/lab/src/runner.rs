@@ -207,6 +207,11 @@ pub(crate) struct Execution<O = InputConfig<u64>> {
     /// Each process's first output and when it came (`None` for an
     /// undecided or Byzantine slot).
     decisions: Vec<Option<(Time, O)>>,
+    /// The processes that decided a value no earlier process decided, in
+    /// process order: every distinct decision once. Found by comparing
+    /// the decisions once here, not in each of the cells that read the
+    /// execution.
+    distinct: Vec<usize>,
     /// Whether every correct process decided.
     decided: bool,
     /// Why the simulator stopped.
@@ -233,6 +238,7 @@ pub(crate) fn simulate<M, P>(
 ) -> (Execution<M::Output>, P)
 where
     M: Machine + 'static,
+    M::Output: PartialEq,
     P: Probe,
 {
     let params = params_of(cell.n, cell.t);
@@ -258,14 +264,30 @@ where
         .build_with_probe(nodes, probe)
         .expect("matrix-derived configurations always validate");
     let outcome = sim.run_until_decided();
+    let decisions = sim.decisions().to_vec();
     let run = Execution {
-        decisions: sim.decisions().to_vec(),
+        distinct: first_of_each(&decisions),
+        decisions,
         decided: sim.all_correct_decided(),
         outcome,
         events: sim.events_processed(),
         stats: sim.stats().clone(),
     };
     (run, sim.into_probe())
+}
+
+/// The indices of `decisions` whose value no earlier decision equals.
+fn first_of_each<O: PartialEq>(decisions: &[Option<(Time, O)>]) -> Vec<usize> {
+    let value = |i: usize| decisions[i].as_ref().map(|(_, v)| v);
+    let mut distinct: Vec<usize> = Vec::new();
+    for (i, decision) in decisions.iter().enumerate() {
+        if let Some((_, v)) = decision {
+            if !distinct.iter().any(|&j| value(j) == Some(v)) {
+                distinct.push(i);
+            }
+        }
+    }
+    distinct
 }
 
 /// [`simulate`] with the cell's registry engine.
@@ -378,19 +400,13 @@ fn grade<'r, O: std::fmt::Debug + PartialEq>(
     read: impl Fn(&'r InputConfig<u64>) -> O,
     admissible: impl Fn(&O) -> bool,
 ) -> RunRecord {
-    let decided_before = |i: usize| run.decisions[..i].iter().flatten().map(|(_, v)| v);
     let mut first: Option<O> = None;
     // Outputs that differ from the first, each checked once; empty unless
     // Agreement broke.
     let mut others: Vec<O> = Vec::new();
     let mut admissible_all = true;
-    for (i, decision) in run.decisions.iter().enumerate() {
-        let Some((_, vector)) = decision else {
-            continue;
-        };
-        if decided_before(i).any(|earlier| earlier == vector) {
-            continue;
-        }
+    for &i in &run.distinct {
+        let (_, vector) = run.decisions[i].as_ref().expect("a distinct decision");
         let output = read(vector);
         match &first {
             None => {
@@ -705,5 +721,24 @@ mod tests {
         assert_eq!((evals, checks), (2, 2));
         assert!(!record.agreement, "{record:?}");
         assert_eq!(record, per_decision(&cell, &run));
+    }
+
+    #[test]
+    fn each_distinct_decision_is_found_at_its_first_decider() {
+        let decided = |v: u64| Some((0, v));
+        let decisions = [
+            None,
+            decided(7),
+            decided(3),
+            None,
+            decided(7),
+            decided(3),
+            decided(9),
+        ];
+        assert_eq!(first_of_each(&decisions), [1, 2, 6]);
+        assert_eq!(first_of_each::<u64>(&[None, None]), [] as [usize; 0]);
+        // The split run's two vectors: P1 decides the first, P2 the second.
+        let cell = universal_cell(ValiditySpec::Strong, 7, 2, 0);
+        assert_eq!(split_run(&cell, 0, 10).distinct, [0, 1]);
     }
 }

@@ -12,10 +12,17 @@
 //! counts exactly as the value itself, so a protocol may pass large
 //! immutable payloads by reference without changing a byte on the wire
 //! or a word in the tally.
+//!
+//! An encoding is written into a [`ByteSink`]: a `Vec<u8>` buffers it, and
+//! a [`Sha256`] absorbs it as it is written. Every implementation emits the
+//! same bytes in the same order into either, so [`hash_encoding`] is the
+//! SHA-256 digest of `encode()`'s bytes without the buffer, and a protocol
+//! hashes a value's encoding that way rather than through `encode()`.
 
 use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
+use validity_crypto::{Digest, Sha256};
 
 /// Bytes per word for blob-size accounting.
 pub const BYTES_PER_WORD: usize = 8;
@@ -25,12 +32,50 @@ pub fn bytes_to_words(bytes: usize) -> usize {
     bytes.div_ceil(BYTES_PER_WORD).max(1)
 }
 
+/// Where [`Codec::encode_into`] writes: an append-only byte stream.
+///
+/// The contract is the concatenation: whatever the sink, it receives the
+/// encoding as a sequence of `put`s whose concatenation is `encode()`, so a
+/// sink may not tell one split of the bytes from another.
+pub trait ByteSink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl ByteSink for Sha256 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+/// The SHA-256 digest of `v`'s encoding, streamed into the hash as it is
+/// written: the digest of `v.encode()`, with no intermediate buffer.
+pub fn hash_encoding<T: Codec>(v: &T) -> Digest {
+    let mut h = Sha256::new();
+    v.encode_into(&mut h);
+    h.finalize()
+}
+
+/// Writes a length-prefixed byte string: the `Vec<u8>` and `String` encoding.
+fn put_len_prefixed(bytes: &[u8], out: &mut impl ByteSink) {
+    out.put(&(bytes.len() as u32).to_le_bytes());
+    out.put(bytes);
+}
+
 /// A deterministic, self-delimiting byte encoding.
 ///
 /// Implementations must round-trip: `decode(encode(v)) == Some((v, len))`.
 pub trait Codec: Sized {
-    /// Appends the encoding of `self` to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>);
+    /// Writes the encoding of `self` into `out`.
+    fn encode_into(&self, out: &mut impl ByteSink);
 
     /// Decodes a value from the front of `bytes`, returning it and the
     /// number of bytes consumed.
@@ -53,8 +98,8 @@ pub trait Codec: Sized {
 }
 
 impl Codec for u64 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    fn encode_into(&self, out: &mut impl ByteSink) {
+        out.put(&self.to_le_bytes());
     }
 
     fn decode_from(bytes: &[u8]) -> Option<(Self, usize)> {
@@ -64,8 +109,8 @@ impl Codec for u64 {
 }
 
 impl Codec for u32 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    fn encode_into(&self, out: &mut impl ByteSink) {
+        out.put(&self.to_le_bytes());
     }
 
     fn decode_from(bytes: &[u8]) -> Option<(Self, usize)> {
@@ -75,8 +120,8 @@ impl Codec for u32 {
 }
 
 impl Codec for bool {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
+    fn encode_into(&self, out: &mut impl ByteSink) {
+        out.put(&[u8::from(*self)]);
     }
 
     fn decode_from(bytes: &[u8]) -> Option<(Self, usize)> {
@@ -89,9 +134,8 @@ impl Codec for bool {
 }
 
 impl Codec for Vec<u8> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        out.extend_from_slice(self);
+    fn encode_into(&self, out: &mut impl ByteSink) {
+        put_len_prefixed(self, out);
     }
 
     fn decode_from(bytes: &[u8]) -> Option<(Self, usize)> {
@@ -103,8 +147,8 @@ impl Codec for Vec<u8> {
 }
 
 impl Codec for String {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.as_bytes().to_vec().encode_into(out);
+    fn encode_into(&self, out: &mut impl ByteSink) {
+        put_len_prefixed(self.as_bytes(), out);
     }
 
     fn decode_from(bytes: &[u8]) -> Option<(Self, usize)> {
@@ -114,13 +158,13 @@ impl Codec for String {
 }
 
 impl<V: Value + Codec> Codec for InputConfig<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut impl ByteSink) {
         let params = self.params();
-        out.extend_from_slice(&(params.n() as u32).to_le_bytes());
-        out.extend_from_slice(&(params.t() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        out.put(&(params.n() as u32).to_le_bytes());
+        out.put(&(params.t() as u32).to_le_bytes());
+        out.put(&(self.len() as u32).to_le_bytes());
         for (p, v) in self.pairs() {
-            out.extend_from_slice(&(p.index() as u32).to_le_bytes());
+            out.put(&(p.index() as u32).to_le_bytes());
             v.encode_into(out);
         }
     }
@@ -151,7 +195,7 @@ impl<V: Value + Codec> Codec for InputConfig<V> {
 }
 
 impl<T: Codec> Codec for Arc<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut impl ByteSink) {
         T::encode_into(self, out);
     }
 
@@ -218,20 +262,20 @@ impl<T: Words> Words for Option<T> {
     }
 }
 
-impl Words for validity_crypto::Digest {
+impl Words for Digest {
     fn words(&self) -> usize {
         1
     }
 }
 
-impl Codec for validity_crypto::Digest {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.as_bytes());
+impl Codec for Digest {
+    fn encode_into(&self, out: &mut impl ByteSink) {
+        out.put(self.as_bytes());
     }
 
     fn decode_from(bytes: &[u8]) -> Option<(Self, usize)> {
         let chunk: [u8; 32] = bytes.get(..32)?.try_into().ok()?;
-        Some((validity_crypto::Digest(chunk), 32))
+        Some((Digest(chunk), 32))
     }
 }
 

@@ -15,12 +15,10 @@
 use std::collections::HashMap;
 
 use validity_core::{InputConfig, ProcessId, ProcessSet, Value};
-use validity_crypto::{
-    sha256, Digest, PartialSignature, Signer, ThresholdScheme, ThresholdSignature,
-};
+use validity_crypto::{Digest, PartialSignature, Signer, ThresholdScheme, ThresholdSignature};
 use validity_simnet::{Env, StepSink};
 
-use crate::codec::{Codec, Words};
+use crate::codec::{hash_encoding, Codec, Words};
 use crate::quad::Verify;
 use crate::slow_broadcast::SlowBroadcast;
 use crate::vector_auth::{ProposalVerifier, VectorProof};
@@ -64,9 +62,10 @@ impl<V: Value + Words> Words for DissemMsg<V> {
 /// The acquired output: a hash–signature pair.
 pub type Acquired = (Digest, ThresholdSignature);
 
-/// Hash of a vector (its canonical encoding).
+/// Hash of a vector: SHA-256 of its canonical encoding, streamed into the
+/// hash without a buffer.
 pub fn vector_hash<V: Value + Codec>(vector: &InputConfig<V>) -> Digest {
-    sha256(vector.encode())
+    hash_encoding(vector)
 }
 
 /// One instance of vector dissemination (a composable component).

@@ -42,12 +42,12 @@ pub mod vector_nonauth;
 
 pub use add::{Add, AddMsg};
 pub use brb::{BrbInstance, BrbMsg};
-pub use codec::{bytes_to_words, Codec, Words, BYTES_PER_WORD};
+pub use codec::{bytes_to_words, hash_encoding, ByteSink, Codec, Words, BYTES_PER_WORD};
 pub use dbft::{DbftBinary, DbftMsg};
 pub use dissemination::{vector_hash, Acquired, DissemMsg, VectorDissemination};
 pub use quad::{
     PreparedCert, QuadConfig, QuadCore, QuadDecision, QuadMachine, QuadMsg, QuadSink, QuadVerify,
-    Verify,
+    Verify, MAX_VIEW,
 };
 pub use registry::{
     find_vector, vector_registry, Applicability, ProtocolContext, ProtocolSpec, VectorMachine,

@@ -28,11 +28,11 @@ use std::fmt::Debug;
 
 use validity_core::ProcessId;
 use validity_crypto::{
-    sha256, Digest, PartialSignature, Sha256, Signer, ThresholdScheme, ThresholdSignature,
+    Digest, PartialSignature, Sha256, Signer, ThresholdScheme, ThresholdSignature,
 };
 use validity_simnet::{Env, StepSink, Time};
 
-use crate::codec::{Codec, Words};
+use crate::codec::{hash_encoding, Codec, Words};
 
 /// A prepared certificate: `n − t` prepare votes for `(view, value)`.
 #[derive(Clone, Debug)]
@@ -133,6 +133,33 @@ impl<V: Words, P: Words> Words for QuadMsg<V, P> {
         }
     }
 }
+
+impl<V, P> QuadMsg<V, P> {
+    /// The view the message names (a certificate's, for `Prepared`).
+    fn view(&self) -> u64 {
+        match self {
+            QuadMsg::ViewChange { view, .. }
+            | QuadMsg::Propose { view, .. }
+            | QuadMsg::PrepareVote { view, .. }
+            | QuadMsg::CommitVote { view, .. }
+            | QuadMsg::Committed { view, .. }
+            | QuadMsg::Decided { view, .. } => *view,
+            QuadMsg::Prepared(cert) => cert.view,
+        }
+    }
+}
+
+/// The highest view a process acts on; a message naming a view outside
+/// `1..=MAX_VIEW` is dropped unread.
+///
+/// Views start at 1, and within the bound the arithmetic on a view cannot
+/// overflow: the leader index `view − 1`, the timer tags `2·view` and
+/// `2·view + 1`, and the timeout's factor `8 + 4·view`, whose product with
+/// `δ` saturates rather than wraps. A process's own timeouts take it from
+/// view 1 to view `v` only after `Σ_{k<v} (8 + 4k)·δ ≥ 2v²` ticks, more than
+/// `Time` holds at the bound, so only a Byzantine message names a view past
+/// it — and an honest run never comes near it.
+pub const MAX_VIEW: u64 = u32::MAX as u64;
 
 /// The external validity predicate `verify(v, Σ)` of a Quad deployment.
 ///
@@ -308,7 +335,7 @@ where
     }
 
     fn view_timeout(view: u64, env: &Env) -> Time {
-        (8 + 4 * view) * env.delta
+        (8 + 4 * view).saturating_mul(env.delta)
     }
 
     /// Timer tags: even = view timeout, odd = leader proposal delay.
@@ -320,6 +347,9 @@ where
         view * 2 + 1
     }
 
+    /// `hash(value)`: SHA-256 of the value's encoding, streamed into the
+    /// hash as it is written (no buffer), and remembered for the next
+    /// message that carries the same value.
     fn value_digest(&mut self, value: &V) -> Digest {
         if let Some((hashed, digest)) = &self.hashed {
             if hashed == value {
@@ -327,7 +357,7 @@ where
             }
         }
         self.value_hashes += 1;
-        let digest = sha256(value.encode());
+        let digest = hash_encoding(value);
         self.hashed = Some((value.clone(), digest));
         digest
     }
@@ -455,7 +485,8 @@ where
         });
     }
 
-    /// Handles a message. `from` is the authenticated sender.
+    /// Handles a message. `from` is the authenticated sender. A message
+    /// naming a view outside `1..=`[`MAX_VIEW`] is dropped.
     pub fn on_message(
         &mut self,
         from: ProcessId,
@@ -463,7 +494,7 @@ where
         env: &Env,
         sink: &mut QuadSink<V, P>,
     ) {
-        if self.decided {
+        if self.decided || !(1..=MAX_VIEW).contains(&msg.view()) {
             return;
         }
         match msg {

@@ -87,14 +87,27 @@ type AuthQuadSink<V> = QuadSink<SharedVector<V>, VectorProof<V>>;
 /// (same signer, `==` value, `==` tag) is answered from that memo; anything
 /// else — an equivocator's second value, a tampered tag, a signer not seen
 /// yet — is tagged again, and only successes are remembered. At most `n` entries.
+///
+/// Quad's `verify` over the shared pair also remembers the last
+/// `(vector, Σ)` it accepted, as clones of both `Arc`s: the leader's one
+/// pair reaches a process in its `Propose`, `Prepared`, `Committed` and
+/// `Decided` messages and in view-change certificates, and a check of the
+/// same two allocations (`Arc::ptr_eq` on both) is answered without walking
+/// the pairs again. The memo holds the `Arc`s, so neither allocation can be
+/// freed and its address reused by another pair while it is remembered;
+/// `verify` is a function of the pair's immutable contents, so the answer is
+/// the one the walk would give. Only an accepted pair is remembered.
+///
 /// Never shared: one process's check must not vouch for another's, so every
 /// machine (and each face of a two-faced host) owns its own.
 pub struct ProposalVerifier<V> {
     keystore: KeyStore,
     params: SystemParams,
     verified: Vec<Option<(V, Signature)>>,
+    accepted: Option<(SharedVector<V>, VectorProof<V>)>,
     encoded: Vec<u8>,
     cold: u64,
+    walks: u64,
 }
 
 impl<V: Value + Codec> ProposalVerifier<V> {
@@ -104,9 +117,17 @@ impl<V: Value + Codec> ProposalVerifier<V> {
             verified: vec![None; keystore.n()],
             keystore,
             params,
+            accepted: None,
             encoded: Vec::new(),
             cold: 0,
+            walks: 0,
         }
+    }
+
+    /// How many `(vector, Σ)` checks this verifier has answered by walking
+    /// the vector's pairs, rather than from its last accepted shared pair.
+    pub fn pair_walks(&self) -> u64 {
+        self.walks
     }
 
     /// How many signatures this verifier has checked by recomputing the tag.
@@ -143,6 +164,7 @@ impl<V: Value + Codec> ProposalVerifier<V> {
 /// `proof`.
 impl<V: Value + Codec> Verify<InputConfig<V>, VectorProof<V>> for ProposalVerifier<V> {
     fn verify(&mut self, vector: &InputConfig<V>, proof: &VectorProof<V>) -> bool {
+        self.walks += 1;
         if vector.params() != self.params || vector.len() != self.params.quorum() {
             return false;
         }
@@ -154,10 +176,20 @@ impl<V: Value + Codec> Verify<InputConfig<V>, VectorProof<V>> for ProposalVerifi
     }
 }
 
-/// The same check over the shared vector Quad carries.
+/// The same check over the shared vector Quad carries, answered from the
+/// last accepted pair when both `Arc`s are the ones it holds.
 impl<V: Value + Codec> Verify<SharedVector<V>, VectorProof<V>> for ProposalVerifier<V> {
     fn verify(&mut self, vector: &SharedVector<V>, proof: &VectorProof<V>) -> bool {
-        Verify::<InputConfig<V>, _>::verify(self, vector, proof)
+        if let Some((v, p)) = &self.accepted {
+            if Arc::ptr_eq(v, vector) && Arc::ptr_eq(p, proof) {
+                return true;
+            }
+        }
+        let valid = Verify::<InputConfig<V>, _>::verify(self, vector, proof);
+        if valid {
+            self.accepted = Some((vector.clone(), proof.clone()));
+        }
+        valid
     }
 }
 
@@ -208,7 +240,9 @@ impl<V: Value + Codec> ProposalTable<V> {
         if self.count < self.params.quorum() {
             return None;
         }
-        let proof: VectorProof<V> = self.slots.iter().flatten().cloned().collect();
+        let mut entries = Vec::with_capacity(self.count);
+        entries.extend(self.slots.iter().flatten().cloned());
+        let proof: VectorProof<V> = entries.into();
         let vector = InputConfig::from_pairs(
             self.params,
             proof.iter().map(|sp| (sp.from, sp.value.clone())),

@@ -1,17 +1,19 @@
 //! Property-based tests of the wire codec and word accounting used by
 //! every protocol: deterministic round-trips, prefix-decoding discipline,
-//! monotone word sizes, and `Arc` transparency — a shared value encodes,
-//! decodes, counts and renders exactly as the value itself.
+//! monotone word sizes, `Arc` transparency — a shared value encodes,
+//! decodes, counts and renders exactly as the value itself — and streamed
+//! hashing: an encoding written straight into SHA-256 hashes the bytes
+//! `encode()` returns.
 
 use std::fmt::Debug;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use validity_core::{InputConfig, ProcessId, SystemParams};
-use validity_crypto::{sha256, KeyStore, ThresholdScheme};
+use validity_crypto::{sha256, Digest, KeyStore, Sha256, ThresholdScheme};
 use validity_protocols::{
-    bytes_to_words, proposal_sign_bytes, Codec, PreparedCert, QuadMsg, SignedProposal,
-    VectorAuthMsg, VectorProof, Words,
+    bytes_to_words, hash_encoding, proposal_sign_bytes, vector_hash, Codec, PreparedCert, QuadMsg,
+    SignedProposal, VectorAuthMsg, VectorProof, Words,
 };
 
 /// `Arc::new(v)` and `v` share one encoding, one decoding and one size.
@@ -27,6 +29,20 @@ fn assert_arc_transparent<T: Codec + Words + PartialEq + Debug>(v: T) {
     assert_eq!((&*decoded, used), (plain, bytes.len()));
     assert!(Arc::<T>::decode_all(&tail).is_none());
     assert_eq!(Arc::<T>::decode_all(&bytes).as_deref(), Some(plain));
+}
+
+/// Streaming `v`'s encoding into SHA-256 — fresh, and after `prefix`, so
+/// the writes straddle the hash's 64-byte blocks at every offset — hashes
+/// exactly the bytes of `encode()`.
+fn assert_streams_as_encoded<T: Codec>(v: &T, prefix: &[u8]) {
+    let bytes = v.encode();
+    assert_eq!(hash_encoding(v), sha256(&bytes));
+    let mut streamed = Sha256::new();
+    streamed.update(prefix);
+    v.encode_into(&mut streamed);
+    let mut buffered = prefix.to_vec();
+    buffered.extend_from_slice(&bytes);
+    assert_eq!(streamed.finalize(), sha256(&buffered));
 }
 
 /// A signed proposal of `value` by process `p`.
@@ -128,6 +144,37 @@ proptest! {
         let proof: VectorProof<u64> = entries.clone().into();
         prop_assert_eq!(Words::words(&proof), entries.as_slice().words());
         prop_assert_eq!(Words::words(&proof), 2 * (7 - drop));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every `Codec` implementation streams into SHA-256 the bytes it
+    /// encodes, and `vector_hash` is the hash of the vector's encoding.
+    #[test]
+    fn every_codec_streams_into_sha256_as_encoded(
+        (word, half, flag) in (any::<u64>(), any::<u32>(), any::<bool>()),
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        text in "\\PC{0,40}",
+        (values, n, drop) in (prop::collection::vec(any::<u64>(), 64), 4usize..65, 0usize..3),
+        prefix in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        assert_streams_as_encoded(&word, &prefix);
+        assert_streams_as_encoded(&half, &prefix);
+        assert_streams_as_encoded(&flag, &prefix);
+        assert_streams_as_encoded(&bytes, &prefix);
+        assert_streams_as_encoded(&text, &prefix);
+        let params = SystemParams::new(n, (n - 1) / 3).unwrap();
+        let drop = drop.min(params.t());
+        let cfg = InputConfig::from_pairs(params, (drop..n).map(|i| (i, values[i]))).unwrap();
+        assert_streams_as_encoded(&cfg, &prefix);
+        prop_assert_eq!(vector_hash(&cfg), sha256(cfg.encode()));
+        let shared = Arc::new(cfg);
+        assert_streams_as_encoded(&shared, &prefix);
+        assert_streams_as_encoded(&Arc::new(word), &prefix);
+        assert_streams_as_encoded(&sha256(&bytes), &prefix);
+        assert_streams_as_encoded(&Digest([flag as u8; 32]), &prefix);
     }
 }
 

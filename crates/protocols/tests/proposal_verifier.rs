@@ -2,7 +2,11 @@
 //! [`ProposalVerifier`] must accept exactly what re-hashing every signature
 //! on every call accepts. A table of the forgeries a memo could be fooled
 //! by, cold and warm, plus a property test against a plain re-hash
-//! reference kept here.
+//! reference kept here — over plain vectors and over the shared
+//! `(Arc<InputConfig>, Σ)` pairs Quad carries, whose last accepted pair the
+//! verifier remembers by identity.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use validity_core::{InputConfig, ProcessId, SystemParams};
@@ -178,6 +182,95 @@ fn a_fresh_verifier_starts_cold_and_hashes_each_triple_once() {
     assert_eq!(second.cold_verifications(), 1);
 }
 
+/// Quad's shared pair: the vector and `Σ` as the `Arc`s a message carries.
+type Shared = (Arc<InputConfig<u64>>, VectorProof<u64>);
+
+/// The quorum `ids` proposing `10 + i`, every entry honest.
+fn honest_pair(ks: &KeyStore, params: SystemParams, ids: &[usize]) -> Shared {
+    let vector = InputConfig::from_pairs(params, ids.iter().map(|&i| (i, 10 + i as u64))).unwrap();
+    let proof = ids.iter().map(|&i| signed(ks, i, 10 + i as u64)).collect();
+    (Arc::new(vector), proof)
+}
+
+/// The same contents in two fresh allocations.
+fn copy_of((vector, proof): &Shared) -> Shared {
+    (Arc::new(InputConfig::clone(vector)), proof.to_vec().into())
+}
+
+#[test]
+fn a_second_check_of_an_accepted_shared_pair_walks_nothing() {
+    let (ks, params) = setup();
+    let pair = honest_pair(&ks, params, &[0, 1, 2, 3, 4]);
+    let mut verifier = fresh(&ks, params);
+    let counters = |v: &ProposalVerifier<u64>| (v.cold_verifications(), v.pair_walks());
+    assert!(verifier.verify(&pair.0, &pair.1));
+    assert_eq!(counters(&verifier), (5, 1));
+    // The same two allocations, through any clone of the `Arc`s: answered
+    // from the memo, no pair walked and no tag recomputed.
+    for _ in 0..3 {
+        let (vector, proof) = pair.clone();
+        assert!(verifier.verify(&vector, &proof));
+    }
+    assert_eq!(counters(&verifier), (5, 1));
+    // Equal contents elsewhere are walked (every tag already warm), and
+    // then remembered in place of the first pair.
+    let copy = copy_of(&pair);
+    assert!(verifier.verify(&copy.0, &copy.1));
+    assert_eq!(counters(&verifier), (5, 2));
+    assert!(verifier.verify(&copy.0, &copy.1));
+    assert!(verifier.verify(&pair.0, &pair.1));
+    assert_eq!(counters(&verifier), (5, 3));
+    // Half a remembered pair is no hit either.
+    assert!(verifier.verify(&pair.0, &copy.1));
+    assert_eq!(counters(&verifier), (5, 4));
+}
+
+#[test]
+fn a_refused_shared_pair_is_not_remembered() {
+    let (ks, params) = setup();
+    let valid = honest_pair(&ks, params, &[0, 1, 2, 3, 4]);
+    let mut entries = valid.1.to_vec();
+    entries[2].sig = sign(&ks, 2, 99);
+    let refused: Shared = (valid.0.clone(), entries.into());
+    for warm in [false, true] {
+        let mut verifier = fresh(&ks, params);
+        if warm {
+            assert!(verifier.verify(&valid.0, &valid.1));
+        }
+        for _ in 0..3 {
+            assert!(!verifier.verify(&refused.0, &refused.1), "warm: {warm}");
+        }
+        // ... and does not evict the valid pair's answer.
+        assert!(verifier.verify(&valid.0, &valid.1));
+        assert!(!verifier.verify(&refused.0, &refused.1));
+    }
+}
+
+#[test]
+fn a_forged_pair_at_a_freed_pairs_address_is_refused() {
+    // The memo holds its `Arc`s, so an accepted pair's allocations cannot
+    // be freed and handed to a forged pair while it is remembered. A memo
+    // of bare addresses would accept the forgery whenever the allocator
+    // reuses them, as it readily does for a same-sized pair dropped just
+    // before.
+    let (ks, params) = setup();
+    let mut verifier = fresh(&ks, params);
+    for round in 0..16u64 {
+        let valid = honest_pair(&ks, params, &[0, 1, 2, 3, 4]);
+        assert!(verifier.verify(&valid.0, &valid.1));
+        drop(valid);
+        let forged = InputConfig::from_pairs(params, (0..5).map(|i| (i, 90 + round + i as u64)));
+        let forged: Shared = (
+            Arc::new(forged.unwrap()),
+            (0..5).map(|i| signed(&ks, i, 10 + i as u64)).collect(),
+        );
+        assert!(
+            !verifier.verify(&forged.0, &forged.1),
+            "round {round}: a vector its signers never signed was accepted"
+        );
+    }
+}
+
 /// One proof entry of a generated call: honest, or tampered one way.
 fn entry(ks: &KeyStore, p: usize, value: u64, tamper: u8) -> Option<SignedProposal<u64>> {
     let mut sp = signed(ks, p, value);
@@ -191,17 +284,45 @@ fn entry(ks: &KeyStore, p: usize, value: u64, tamper: u8) -> Option<SignedPropos
     Some(sp)
 }
 
+/// How a generated vector check presents its pair to the verifier.
+#[derive(Clone, Copy, Debug)]
+enum Presented {
+    /// A plain `InputConfig`, never remembered.
+    Plain,
+    /// A shared pair in fresh allocations.
+    Fresh,
+    /// The previous shared pair's very `Arc`s, whatever this call built.
+    Same,
+    /// The previous shared pair's contents in fresh allocations.
+    Copy,
+    /// The previous shared vector's `Arc` with this call's proof.
+    SameVector,
+}
+
+fn presented() -> impl Strategy<Value = Presented> {
+    const ALL: [Presented; 5] = [
+        Presented::Plain,
+        Presented::Fresh,
+        Presented::Same,
+        Presented::Copy,
+        Presented::SameVector,
+    ];
+    (0..ALL.len()).prop_map(|i| ALL[i])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// One verifier fed a random sequence of vector checks and receipt
-    /// checks — honest, equivocated, tampered, wrong-sized, in any order —
-    /// answers every one as the re-hashing reference does.
+    /// checks — honest, equivocated, tampered, wrong-sized, in any order,
+    /// plain or shared, the shared pair fresh, the same `Arc`s again, an
+    /// equal copy or half the previous pair — answers every one as the
+    /// re-hashing reference does.
     #[test]
     fn memoised_verifier_matches_plain_rehash(
         calls in prop::collection::vec(
             (
-                (0usize..N, 0usize..N, any::<bool>()),
+                (0usize..N, 0usize..N, any::<bool>(), presented()),
                 prop::collection::vec(0u64..3, N),
                 prop::collection::vec(0u8..8, N),
             ),
@@ -210,7 +331,8 @@ proptest! {
     ) {
         let (ks, params) = setup();
         let mut verifier = fresh(&ks, params);
-        for ((skip_a, skip_b, receipt), values, tampers) in calls {
+        let mut previous: Option<Shared> = None;
+        for ((skip_a, skip_b, receipt, presented), values, tampers) in calls {
             if receipt {
                 // a single proposal as it arrives off the wire
                 let (from, p) = (ProcessId::from_index(skip_a), skip_b);
@@ -230,10 +352,26 @@ proptest! {
                 .iter()
                 .filter_map(|&i| entry(&ks, i, values[i], tampers[i]))
                 .collect();
+            let built: Shared = (Arc::new(vector), proof);
+            let (vector, proof) = match (presented, &previous) {
+                (Presented::Plain, _) => {
+                    let (vector, proof) = &built;
+                    prop_assert_eq!(
+                        verifier.verify(&**vector, proof),
+                        plain_verify(&ks, params, vector, proof)
+                    );
+                    continue;
+                }
+                (Presented::Same, Some(prev)) => prev.clone(),
+                (Presented::Copy, Some(prev)) => copy_of(prev),
+                (Presented::SameVector, Some(prev)) => (prev.0.clone(), built.1),
+                _ => built,
+            };
             prop_assert_eq!(
                 verifier.verify(&vector, &proof),
                 plain_verify(&ks, params, &vector, &proof)
             );
+            previous = Some((vector, proof));
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use validity_core::{ProcessId, SystemParams};
 use validity_crypto::{sha256, KeyStore, ThresholdScheme};
-use validity_protocols::{PreparedCert, QuadConfig, QuadCore, QuadMsg};
+use validity_protocols::{PreparedCert, QuadConfig, QuadCore, QuadMsg, MAX_VIEW};
 use validity_simnet::{Env, Step, StepSink};
 
 type Core = QuadCore<u64, u64>;
@@ -228,4 +228,67 @@ fn committed_with_undersized_quorum_is_rejected() {
     );
     assert!(steps.is_empty(), "undersized commit certificate accepted!");
     assert!(!core.has_decided());
+}
+
+/// A message naming view 0 or a view past [`MAX_VIEW`] is dropped unread.
+/// View 0 would reach the leader index's `view − 1`, and `u64::MAX` the view
+/// timeout's `4·view` and the timer tags' `2·view + 1`: where overflow
+/// panics, one Byzantine message crashed its recipient; where it wraps, the
+/// leader armed a view timer whose tag decodes as another view and never
+/// timed out of the view.
+#[test]
+fn messages_naming_view_zero_or_past_the_bound_are_dropped() {
+    let (_, _, ks, scheme) = setup(0);
+    let tsig = prepared_cert(&ks, &scheme, 1, 42, &[0, 1, 2]).tsig;
+    let partial = scheme.partially_sign(&ks.signer(ProcessId(3)), &sha256(b"any digest"));
+    for view in [0, MAX_VIEW + 1, u64::MAX] {
+        let hostile: [Msg; 7] = [
+            QuadMsg::ViewChange {
+                view,
+                prepared: None,
+            },
+            QuadMsg::Propose {
+                view,
+                value: 42,
+                proof: 0,
+                justification: None,
+            },
+            QuadMsg::PrepareVote { view, partial },
+            QuadMsg::Prepared(PreparedCert {
+                view,
+                value: 42,
+                proof: 0,
+                tsig,
+            }),
+            QuadMsg::CommitVote { view, partial },
+            QuadMsg::Committed {
+                view,
+                value: 42,
+                proof: 0,
+                tsig,
+            },
+            QuadMsg::Decided {
+                view,
+                value: 42,
+                proof: 0,
+                tsig,
+            },
+        ];
+        for msg in hostile {
+            // Every recipient and sender, so the view's leader is among
+            // them (P0 for view 0 at (4, 1), `view − 1` wrapped; P2 for
+            // `u64::MAX`).
+            for me in 0..4 {
+                let (mut core, env, _, _) = setup(me);
+                start(&mut core, &env);
+                for from in 0..4 {
+                    let steps = deliver(&mut core, ProcessId(from), msg.clone(), &env);
+                    assert!(
+                        steps.is_empty(),
+                        "view {view}: P{me} acted on {msg:?} from P{from}"
+                    );
+                }
+            }
+        }
+    }
 }
